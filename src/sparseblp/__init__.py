@@ -2,5 +2,5 @@
 
 __version__ = "0.1.0"
 
-from .model_core import Dataset, MarketData, ModelConfig, Theta  # noqa: F401
+from .model_core import Dataset, ModelConfig, Theta  # noqa: F401
 from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, monte_carlo_rule  # noqa: F401

@@ -6,8 +6,13 @@ directory receives a manifest.json recording the resolved options, the tool
 version, the master seed, and sha256 hashes of every input file, so a later
 stage can detect that an input changed between runs.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 numerical failure (non-convergence, infeasible LP).
+Model configs (model.json, and the model block an estimate result embeds)
+share one schema: n_markets, J, L, G, K and partition.
+
+Exit codes: 0 success, 1 usage error (unknown option, bad --lambda),
+2 data or validation error (missing, malformed or invalid input files),
+3 numerical failure (non-convergence, infeasible LP). Every failure is
+reported as one line on standard error.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .debias import DebiasError, DebiasPenalties, debias, select_debias_penalties
-from .dgp import DgpConfig, simulate
+from .dgp import dgp_config_from_dict, simulate
 from .l1_solvers import LpSizeError
 from .model_core import (
     ConfigurationError,
@@ -33,6 +38,9 @@ from .model_core import (
     Theta,
     load_dataset_csv,
     load_model_config,
+    model_config_from_dict,
+    model_config_to_dict,
+    read_json,
     save_dataset_csv,
     save_model_config,
     validate_dataset,
@@ -41,15 +49,14 @@ from .moments import jacobian_theta, omega, score
 from .montecarlo import StudyError, load_mc_config, run_study, write_report
 from .quadrature import gauss_hermite_rule
 from .rgmm import EstimationError, RgmmOptions, estimate, estimate_auto
-from .shares import InversionError
+from .shares import InversionError, InversionOptions
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see --help)\n")
 
 
 @dataclass
@@ -82,47 +89,58 @@ def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2) + "\n")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("SPARSE_BLP_THREADS", "1"))
+def _load_dataset(data_path, config: ModelConfig):
+    dataset = load_dataset_csv(data_path, config)
+    violations = validate_dataset(dataset)
+    if violations:
+        for v in violations:
+            _log(f"validation: {v}")
+        raise ConfigurationError(f"{data_path} fails {len(violations)} dataset invariant(s)")
+    return dataset
 
 
-def _rule_for(config: ModelConfig, nodes: int):
-    return gauss_hermite_rule(config.G, nodes)
-
-
-def _load_json(path):
+def _read_theta(raw, path, config: ModelConfig) -> Theta:
+    """Theta from a {"beta": [...], "gamma": [...]} object sized for config."""
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigurationError(f"file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"{path} is not valid JSON: {e}")
-
-
-def _dgp_from_json(path, seed_override) -> DgpConfig:
-    payload = _load_json(path)
-    try:
-        model_raw = payload.pop("model")
-        model = ModelConfig(
-            n_markets=int(model_raw["n_markets"]),
-            J=int(model_raw["J"]),
-            L=int(model_raw["L"]),
-            G=int(model_raw["G"]),
-            K=int(model_raw["K"]),
-            partition=tuple(int(g) for g in model_raw["partition"]),
+        theta = Theta(
+            beta=np.asarray(raw["beta"], dtype=float),
+            gamma=np.asarray(raw["gamma"], dtype=float),
         )
-        if seed_override is not None:
-            payload["seed"] = seed_override
-        return DgpConfig(model=model, **payload)
-    except (KeyError, TypeError) as e:
-        raise ConfigurationError(f"bad DGP config {path}: {e}")
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"{path}: no valid beta/gamma block ({e!r})") from e
+    if theta.L != config.L:
+        raise ConfigurationError(f"{path}: parameters have L={theta.L}, the model has L={config.L}")
+    return theta
+
+
+def _solver_options(path, lam: float) -> RgmmOptions:
+    """RgmmOptions at lam with the overrides read from the --opts JSON, if any."""
+    raw = read_json(path) if path else {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: solver options must be a JSON object")
+    unknown = raw.keys() - (RgmmOptions.__dataclass_fields__.keys() - {"lam"})
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown solver options {sorted(unknown)}")
+    raw = dict(raw)
+    try:
+        if "inversion" in raw:
+            raw["inversion"] = InversionOptions(**raw["inversion"])
+        if "pilot_scales" in raw:
+            raw["pilot_scales"] = tuple(raw["pilot_scales"])
+        return RgmmOptions(lam=lam, **raw)
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"{path}: bad solver options: {e}") from e
 
 
 def _cmd_simulate(args) -> int:
-    dgp = _dgp_from_json(args.dgp, args.seed)
-    rule = _rule_for(dgp.model, args.quad_nodes)
+    payload = read_json(args.dgp)
+    try:
+        dgp = dgp_config_from_dict(payload)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{args.dgp}: {e}") from e
+    if args.seed is not None:
+        dgp = replace(dgp, seed=args.seed)
+    rule = gauss_hermite_rule(dgp.model.G, args.quad_nodes)
     dataset, truth = simulate(dgp, rule)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -147,32 +165,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(args):
-    config = load_model_config(args.config)
-    dataset = load_dataset_csv(args.data, config)
-    violations = validate_dataset(dataset)
-    if violations:
-        for v in violations:
-            _log(f"validation: {v}")
-        raise ConfigurationError(f"{args.data} fails {len(violations)} dataset invariant(s)")
-    return dataset
-
-
 def _cmd_estimate(args) -> int:
-    dataset = _load_dataset(args)
-    rule = _rule_for(dataset.config, args.quad_nodes)
-    overrides = _load_json(args.opts) if args.opts else {}
-    if "pilot_scales" in overrides:
-        overrides["pilot_scales"] = tuple(overrides["pilot_scales"])
+    dataset = _load_dataset(args.data, load_model_config(args.config))
+    rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
     if args.lam == "auto":
-        base = RgmmOptions(lam=0.0, **overrides)
-        result = estimate_auto(dataset, rule, opts=base)
+        result = estimate_auto(dataset, rule, opts=_solver_options(args.opts, 0.0))
     else:
-        try:
-            lam = float(args.lam)
-        except ValueError:
-            raise ConfigurationError(f"--lambda must be 'auto' or a number, got {args.lam!r}")
-        result = estimate(dataset, rule, RgmmOptions(lam=lam, **overrides))
+        result = estimate(dataset, rule, _solver_options(args.opts, args.lam))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -184,14 +183,7 @@ def _cmd_estimate(args) -> int:
         "diagnosis": result.diagnosis,
         "runtime_s": result.runtime_s,
         "history": [asdict(h) for h in result.history],
-        "model": {
-            "n": dataset.config.n_markets,
-            "J": dataset.config.J,
-            "L": dataset.config.L,
-            "G": dataset.config.G,
-            "K": dataset.config.K,
-            "partition": list(dataset.config.partition),
-        },
+        "model": model_config_to_dict(dataset.config),
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     _log(f"estimate: lambda={result.lam:.6g} converged={result.converged} -> {out}")
@@ -212,35 +204,21 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_debias(args) -> int:
-    est = _load_json(args.estimate)
-    try:
-        theta_hat = Theta(
-            beta=np.asarray(est["theta_hat"]["beta"], dtype=float),
-            gamma=np.asarray(est["theta_hat"]["gamma"], dtype=float),
-        )
-    except KeyError as e:
-        raise ConfigurationError(f"{args.estimate} is missing field {e}")
-    if args.config is None:  # fall back to the model block the estimate embeds
-        model_raw = est.get("model")
-        if model_raw is None:
-            raise ConfigurationError(
-                f"{args.estimate} embeds no model block; pass --config explicitly"
-            )
-        config = ModelConfig(
-            n_markets=int(model_raw["n"]),
-            J=int(model_raw["J"]),
-            L=int(model_raw["L"]),
-            G=int(model_raw["G"]),
-            K=int(model_raw["K"]),
-            partition=tuple(int(g) for g in model_raw["partition"]),
-        )
-        dataset = load_dataset_csv(args.data, config)
-        violations = validate_dataset(dataset)
-        if violations:
-            raise ConfigurationError(f"{args.data} fails {len(violations)} dataset invariant(s)")
+    est = read_json(args.estimate)
+    if not isinstance(est, dict):
+        raise ConfigurationError(f"{args.estimate}: estimate result must be a JSON object")
+    if args.config is not None:
+        config = load_model_config(args.config)
+    elif "model" in est:  # fall back to the model block the estimate embeds
+        try:
+            config = model_config_from_dict(est["model"])
+        except ConfigurationError as e:
+            raise ConfigurationError(f"{args.estimate}: {e}") from e
     else:
-        dataset = _load_dataset(args)
-    rule = _rule_for(dataset.config, args.quad_nodes)
+        raise ConfigurationError(f"{args.estimate} embeds no model block; pass --config explicitly")
+    theta_hat = _read_theta(est.get("theta_hat"), args.estimate, config)
+    dataset = _load_dataset(args.data, config)
+    rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
     if args.penalty_c is not None:
         penalties = DebiasPenalties.scaled(dataset.config, dataset.n, c_gamma=args.penalty_c)
     else:
@@ -288,9 +266,8 @@ def _cmd_mc(args) -> int:
     cfg = load_mc_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, dgp=replace(cfg.dgp, seed=args.seed))
-    threads = _threads(args)
-    if threads > 1:
-        cfg = replace(cfg, workers=threads)
+    if args.threads > 1:
+        cfg = replace(cfg, workers=args.threads)
     report = run_study(cfg)
     paths = write_report(report, args.out)
     for n, agg in report.aggregates.items():
@@ -311,13 +288,9 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_export_moments(args) -> int:
-    dataset = _load_dataset(args)
-    theta_raw = _load_json(args.theta)
-    theta = Theta(
-        beta=np.asarray(theta_raw["beta"], dtype=float),
-        gamma=np.asarray(theta_raw["gamma"], dtype=float),
-    )
-    rule = _rule_for(dataset.config, args.quad_nodes)
+    dataset = _load_dataset(args.data, load_model_config(args.config))
+    theta = _read_theta(read_json(args.theta), args.theta, dataset.config)
+    rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "score.csv", score(dataset, theta, rule)[None, :], delimiter=",")
@@ -337,30 +310,57 @@ def _cmd_export_moments(args) -> int:
     return EXIT_OK
 
 
+def _checked(kind, ok, what: str, keep=()):
+    """An argparse type: kind(text) if ok accepts it; a text in keep passes as is."""
+
+    def parse(text: str):
+        if text in keep:
+            return text
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a nonnegative number")
+_lambda_arg = _checked(
+    float, lambda v: 0.0 <= v < np.inf, "'auto' or a nonnegative number", keep=("auto",)
+)
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sparseblp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sparseblp {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def common(p):
-        p.add_argument("--quad-nodes", type=int, default=9, help="Gauss-Hermite nodes per dimension")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker processes (or SPARSE_BLP_THREADS)")
+    def quad_nodes(p):
+        p.add_argument("--quad-nodes", type=_positive_int, default=9,
+                       help="Gauss-Hermite nodes per dimension")
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset from a DGP config")
     p.add_argument("--dgp", required=True, help="DGP config JSON")
     p.add_argument("--out", required=True, help="dataset CSV path (model.json written alongside)")
     p.add_argument("--truth", required=True, help="true parameter JSON path")
-    common(p)
+    quad_nodes(p)
+    p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="regularized GMM fit on a dataset")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", required=True, help="model config JSON")
-    p.add_argument("--lambda", dest="lam", required=True, help="'auto' or a positive number")
-    p.add_argument("--opts", default=None, help="JSON of solver option overrides")
+    p.add_argument("--lambda", dest="lam", required=True, type=_lambda_arg,
+                   help="'auto' or a nonnegative number")
+    p.add_argument("--opts", default=None,
+                   help="JSON object of RgmmOptions overrides ('inversion' is an object too)")
     p.add_argument("--out", required=True, help="result JSON path")
-    common(p)
+    quad_nodes(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("debias", help="one-step correction and confidence intervals")
@@ -368,19 +368,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", default=None,
                    help="model config JSON (default: model block embedded in --estimate)")
-    p.add_argument("--alpha", type=float, default=0.05, help="1 - confidence level")
-    p.add_argument("--penalty-c", type=float, default=None,
+    p.add_argument("--alpha", type=_probability, default=0.05, help="1 - confidence level")
+    p.add_argument("--penalty-c", type=_nonnegative, default=None,
                    help="use calibrated penalties with this constant instead of the theoretical rule")
     p.add_argument("--relax-mu", action="store_true",
                    help="floor mu penalties at per-row feasibility instead of erroring")
     p.add_argument("--out", required=True, help="debiased result JSON path")
-    common(p)
+    quad_nodes(p)
     p.set_defaults(func=_cmd_debias)
 
-    p = sub.add_parser("mc", help="replication study")
+    p = sub.add_parser("mc", help="replication study (quadrature nodes come from the study config)")
     p.add_argument("--config", required=True, help="study config JSON")
     p.add_argument("--out", required=True, help="report directory")
-    common(p)
+    p.add_argument("--seed", type=int, default=None, help="master seed override")
+    p.add_argument("--threads", type=_positive_int,
+                   default=os.environ.get("SPARSE_BLP_THREADS", "1"),
+                   help="worker processes (default: SPARSE_BLP_THREADS, else 1)")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("export-moments", help="score, weight matrix, and Jacobian to CSV")
@@ -388,7 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="model config JSON")
     p.add_argument("--theta", required=True, help="parameter JSON with beta and gamma arrays")
     p.add_argument("--out", required=True, help="output directory")
-    common(p)
+    quad_nodes(p)
     p.set_defaults(func=_cmd_export_moments)
     return parser
 
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
     args._started = _now()
     try:
         return args.func(args)
-    except ConfigurationError as e:
+    except (ConfigurationError, OSError) as e:
         _log(f"data error: {e}")
         return EXIT_DATA
     except (EstimationError, DebiasError, InversionError, LpSizeError, StudyError) as e:

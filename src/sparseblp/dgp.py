@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_core import ConfigurationError, Dataset, MarketData, ModelConfig, Theta, group_index_matrix
+from .model_core import (
+    ConfigurationError,
+    Dataset,
+    ModelConfig,
+    Theta,
+    group_index_matrix,
+    model_config_from_dict,
+)
 from .quadrature import QuadratureRule
 from .shares import _mixed_shares
 
@@ -76,11 +83,16 @@ def true_theta(cfg: DgpConfig) -> Theta:
     return Theta(beta=beta, gamma=gamma)
 
 
-def closed_form_logit_delta(S: np.ndarray) -> np.ndarray:
-    """delta_j = log S_j - log S_0, exact when gamma = 0."""
-    S = np.asarray(S, dtype=float)
-    s0 = 1.0 - S.sum(axis=-1, keepdims=True)
-    return np.log(S) - np.log(s0)
+def dgp_config_from_dict(raw) -> DgpConfig:
+    """DgpConfig from its JSON object: {"model": {...}, "s_beta": ..., ...}."""
+    if not isinstance(raw, dict) or "model" not in raw:
+        raise ConfigurationError("DGP config must be a JSON object with a 'model' block")
+    fields = dict(raw)
+    model = model_config_from_dict(fields.pop("model"))
+    try:
+        return DgpConfig(model=model, **fields)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad DGP config: {exc}") from exc
 
 
 def instrument_transforms(W: np.ndarray, K: int) -> np.ndarray:
@@ -168,23 +180,24 @@ def _draw_market(cfg: DgpConfig, theta: Theta, rule: QuadratureRule, market: int
     delta = X @ theta.beta + xi
     nu = group_index_matrix(X, theta.gamma, model)
     S = _mixed_shares(delta[None], nu[None], rule)[0]
-    return MarketData(X=X, S=S, H=H, xi_true=xi), S
+    return X, S, H, xi
 
 
 def simulate(cfg: DgpConfig, rule: QuadratureRule) -> tuple[Dataset, Theta]:
     """Generate a Dataset and the true Theta.
 
     Markets draw from independent counter-based streams keyed by
-    (seed, market_id, retry), so results do not depend on generation order.
-    Markets whose shares underflow below 1e-12 (inside or outside) are
-    redrawn up to 10 times with a warning.
+    (seed, market_id, retry), so results do not depend on generation order;
+    the drawn markets are stacked once into the Dataset's arrays. Markets
+    whose shares underflow below 1e-12 (inside or outside) are redrawn up to
+    10 times with a warning.
     """
     theta = true_theta(cfg)
     markets = []
     n_retried = 0
     for i in range(cfg.model.n_markets):
         for retry in range(MAX_MARKET_RETRIES + 1):
-            mkt, S = _draw_market(cfg, theta, rule, i, retry)
+            X, S, H, xi = _draw_market(cfg, theta, rule, i, retry)
             s0 = 1.0 - S.sum()
             if S.min() >= SHARE_UNDERFLOW and s0 >= SHARE_UNDERFLOW:
                 break
@@ -194,23 +207,9 @@ def simulate(cfg: DgpConfig, rule: QuadratureRule) -> tuple[Dataset, Theta]:
                 f"market {i}: shares kept underflowing below {SHARE_UNDERFLOW} "
                 f"after {MAX_MARKET_RETRIES} retries; weaken the signal or xi_sd"
             )
-        markets.append(mkt)
+        markets.append((X, S, H, xi))
     if n_retried:
         warnings.warn(f"redrew {n_retried} market(s) after share underflow", RuntimeWarning, stacklevel=2)
-    return Dataset(config=cfg.model, markets=tuple(markets)), theta
+    X, S, H, xi = (np.stack(arrays) for arrays in zip(*markets))
+    return Dataset(config=cfg.model, X=X, S=S, H=H, xi_true=xi), theta
 
-
-def save_truth_json(theta: Theta, path) -> None:
-    import json
-    from pathlib import Path
-
-    payload = {"beta": theta.beta.tolist(), "gamma": theta.gamma.tolist()}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_truth_json(path) -> Theta:
-    import json
-    from pathlib import Path
-
-    payload = json.loads(Path(path).read_text())
-    return Theta(beta=np.asarray(payload["beta"], float), gamma=np.asarray(payload["gamma"], float))

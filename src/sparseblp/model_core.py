@@ -1,10 +1,13 @@
-"""Model configuration, parameter containers, market data, and group indices.
+"""Model configuration, parameter containers, the stacked dataset, and group indices.
 
 The demand system has J inside goods per market and L observed attributes that
 are partitioned into G groups. Consumer tastes for the attributes in group g
 share a single standard-normal random coefficient, so the distribution of
 utility in a market is summarized by G + 1 linear indices per product: the mean
 index x'beta and one group index x_g'gamma_g for each group.
+
+A Dataset keeps all n markets in arrays stacked on a leading market axis
+(X is n x J x L), the one layout every computation works on.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class ConfigurationError(ValueError):
 
 
 def _as_float_array(x, shape, name):
-    arr = np.asarray(x, dtype=float)
+    arr = np.ascontiguousarray(x, dtype=float)
     if arr.shape != shape:
         raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
@@ -158,81 +161,39 @@ def canonicalize_gamma(theta: Theta, config: ModelConfig) -> Theta:
 
 
 @dataclass(frozen=True)
-class MarketData:
-    """One market: attributes X (J x L), observed shares S (J,), instruments H (J x K)."""
+class Dataset:
+    """A balanced panel of markets sharing one ModelConfig, stacked on a leading market axis.
 
+    X (n, J, L) holds the attributes, S (n, J) the observed inside shares,
+    H (n, J, K) the instrument transforms and xi_true (n, J) the taste shocks
+    when they are known (simulated data). The shapes must match the config.
+    """
+
+    config: ModelConfig
     X: np.ndarray
     S: np.ndarray
     H: np.ndarray
     xi_true: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        S = np.asarray(self.S, dtype=float)
-        H = np.asarray(self.H, dtype=float)
-        if X.ndim != 2 or H.ndim != 2 or S.ndim != 1:
-            raise ConfigurationError("X and H must be matrices and S a vector")
-        if X.shape[0] != S.size or H.shape[0] != S.size:
-            raise ConfigurationError(
-                f"row counts disagree: X {X.shape}, H {H.shape}, S {S.shape}"
-            )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "H", H)
+        cfg = self.config
+        n, J = cfg.n_markets, cfg.J
+        shapes = {"X": (n, J, cfg.L), "S": (n, J), "H": (n, J, cfg.K)}
         if self.xi_true is not None:
-            object.__setattr__(self, "xi_true", _as_float_array(self.xi_true, S.shape, "xi_true"))
-
-    @property
-    def J(self) -> int:
-        return self.S.size
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A balanced panel of markets sharing one ModelConfig."""
-
-    config: ModelConfig
-    markets: tuple[MarketData, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "markets", tuple(self.markets))
+            shapes["xi_true"] = (n, J)
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), shape, name))
 
     @property
     def n(self) -> int:
-        return len(self.markets)
-
-    def stacked_arrays(self):
-        """Return (X, S, H) stacked over markets: (n,J,L), (n,J), (n,J,K)."""
-        X = np.stack([m.X for m in self.markets])
-        S = np.stack([m.S for m in self.markets])
-        H = np.stack([m.H for m in self.markets])
-        return X, S, H
-
-
-def compute_indices(market: MarketData, theta: Theta, config: ModelConfig) -> np.ndarray:
-    """Per-product linear indices, J x (G+1).
-
-    Column 0 is the mean index x'beta; column g >= 1 is the group index
-    x_g'gamma_g built from the attributes mapped to group g.
-    """
-    if market.X.shape != (market.J, config.L):
-        raise ConfigurationError(
-            f"X has shape {market.X.shape}, expected {(market.J, config.L)}"
-        )
-    if theta.L != config.L:
-        raise ConfigurationError(f"theta has L={theta.L}, config has L={config.L}")
-    nu = np.empty((market.J, config.G + 1))
-    nu[:, 0] = market.X @ theta.beta
-    for g, members in enumerate(config.group_members, start=1):
-        nu[:, g] = market.X[:, members] @ theta.gamma[members]
-    return nu
+        return self.S.shape[0]
 
 
 def group_index_matrix(X: np.ndarray, gamma: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Group indices only (columns 1..G of compute_indices), for stacked X.
+    """Group indices x_g'gamma_g built from the attributes mapped to each group.
 
     X may be (J, L) or (n, J, L); the result has the matching leading shape
-    with a trailing G axis.
+    with a trailing G axis. The mean index is X @ beta.
     """
     out = np.empty(X.shape[:-1] + (config.G,))
     for g, members in enumerate(config.group_members):
@@ -241,38 +202,34 @@ def group_index_matrix(X: np.ndarray, gamma: np.ndarray, config: ModelConfig) ->
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
-    """Collect schema and sanity violations; purely diagnostic, never raises.
+    """Collect sanity violations per market; purely diagnostic, never raises.
 
     Checks per market: shares strictly inside (0, 1) with an interior outside
-    share, finite attributes and instruments, and dimensions matching the
-    config.
+    share, and finite attributes and instruments. Dimensions are checked when
+    the Dataset is built.
     """
-    cfg = dataset.config
+    X, S, H = dataset.X, dataset.S, dataset.H
+    bad_x = ~np.isfinite(X).all(axis=(1, 2))
+    bad_h = ~np.isfinite(H).all(axis=(1, 2))
+    bad_s = ~np.isfinite(S).all(axis=1)
+    outside = (S <= 0.0) | (S >= 1.0)
+    total = S.sum(axis=1)
+    flagged = bad_x | bad_h | bad_s | outside.any(axis=1) | (total >= 1.0)
     problems: list[str] = []
-    if dataset.n != cfg.n_markets:
-        problems.append(
-            f"dataset has {dataset.n} markets, config declares {cfg.n_markets}"
-        )
-    for i, mkt in enumerate(dataset.markets):
+    for i in np.flatnonzero(flagged):
         tag = f"market {i}"
-        if mkt.J != cfg.J:
-            problems.append(f"{tag}: {mkt.J} products, expected J={cfg.J}")
-        if mkt.X.shape[1] != cfg.L:
-            problems.append(f"{tag}: X has {mkt.X.shape[1]} columns, expected L={cfg.L}")
-        if mkt.H.shape[1] != cfg.K:
-            problems.append(f"{tag}: H has {mkt.H.shape[1]} columns, expected K={cfg.K}")
-        if not np.all(np.isfinite(mkt.X)):
+        if bad_x[i]:
             problems.append(f"{tag}: non-finite attribute values")
-        if not np.all(np.isfinite(mkt.H)):
+        if bad_h[i]:
             problems.append(f"{tag}: non-finite instrument values")
-        if not np.all(np.isfinite(mkt.S)):
+        if bad_s[i]:
             problems.append(f"{tag}: non-finite shares")
             continue
-        if np.any(mkt.S <= 0.0) or np.any(mkt.S >= 1.0):
-            bad = np.flatnonzero((mkt.S <= 0.0) | (mkt.S >= 1.0))
-            problems.append(f"{tag}: products {bad.tolist()} have shares outside (0, 1)")
-        if mkt.S.sum() >= 1.0:
-            problems.append(f"{tag}: inside shares sum to {mkt.S.sum():.6f} >= 1")
+        if outside[i].any():
+            bad = np.flatnonzero(outside[i]).tolist()
+            problems.append(f"{tag}: products {bad} have shares outside (0, 1)")
+        if total[i] >= 1.0:
+            problems.append(f"{tag}: inside shares sum to {total[i]:.6f} >= 1")
     return problems
 
 
@@ -283,35 +240,57 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_INTS = ("n_markets", "J", "L", "G", "K")
+
+
+def model_config_to_dict(config: ModelConfig) -> dict:
+    """The JSON object for a ModelConfig; inverse of model_config_from_dict."""
+    out = {name: int(getattr(config, name)) for name in _CONFIG_INTS}
+    out["partition"] = list(config.partition)
+    return out
+
+
+def model_config_from_dict(raw) -> ModelConfig:
+    """Parse {"n_markets", "J", "L", "G", "K", "partition"}; raises ConfigurationError."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"model config must be a JSON object, got {type(raw).__name__}")
+    keys = set(_CONFIG_INTS) | {"partition"}
+    if raw.keys() != keys:
+        raise ConfigurationError(
+            f"model config needs exactly the keys {sorted(keys)}; "
+            f"missing {sorted(keys - raw.keys())}, unknown {sorted(raw.keys() - keys)}"
+        )
+    part = raw["partition"]
+    if not isinstance(part, list) or not all(_is_int(g) for g in part):
+        raise ConfigurationError(f"partition must be a list of integers, got {part!r}")
+    for name in _CONFIG_INTS:
+        if not _is_int(raw[name]):
+            raise ConfigurationError(f"{name} must be an integer, got {raw[name]!r}")
+    return ModelConfig(**{name: raw[name] for name in _CONFIG_INTS}, partition=tuple(part))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def read_json(path):
+    """Parse a JSON file; invalid JSON raises ConfigurationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def save_model_config(config: ModelConfig, path) -> None:
-    payload = {
-        "n": config.n_markets,
-        "J": config.J,
-        "L": config.L,
-        "G": config.G,
-        "K": config.K,
-        "partition": list(config.partition),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(model_config_to_dict(config), indent=2) + "\n")
 
 
 def load_model_config(path) -> ModelConfig:
+    raw = read_json(path)
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    required = {"n", "J", "L", "G", "K", "partition"}
-    missing = required - payload.keys()
-    if missing:
-        raise ConfigurationError(f"{path}: missing config keys {sorted(missing)}")
-    return ModelConfig(
-        n_markets=int(payload["n"]),
-        J=int(payload["J"]),
-        L=int(payload["L"]),
-        G=int(payload["G"]),
-        K=int(payload["K"]),
-        partition=tuple(int(g) for g in payload["partition"]),
-    )
+        return model_config_from_dict(raw)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def dataset_header(config: ModelConfig) -> list[str]:
@@ -327,11 +306,11 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset_header(cfg))
-        for i, mkt in enumerate(dataset.markets, start=1):
-            for j in range(mkt.J):
-                row = [i, j + 1, repr(float(mkt.S[j]))]
-                row += [repr(float(v)) for v in mkt.X[j]]
-                row += [repr(float(v)) for v in mkt.H[j]]
+        for i in range(dataset.n):
+            for j in range(cfg.J):
+                row = [i + 1, j + 1, repr(float(dataset.S[i, j]))]
+                row += [repr(float(v)) for v in dataset.X[i, j]]
+                row += [repr(float(v)) for v in dataset.H[i, j]]
                 writer.writerow(row)
 
 
@@ -358,23 +337,22 @@ def load_dataset_csv(path, config: ModelConfig) -> Dataset:
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
             rows_by_market.setdefault(market_id, []).append((product_id, values))
-    markets = []
+    blocks = []
     for market_id in sorted(rows_by_market):
         rows = sorted(rows_by_market[market_id])
         if [pid for pid, _ in rows] != list(range(1, config.J + 1)):
             raise ConfigurationError(
                 f"{path}: market {market_id} does not contain products 1..{config.J}"
             )
-        block = np.array([vals for _, vals in rows])
-        markets.append(
-            MarketData(
-                X=block[:, 1 : 1 + config.L],
-                S=block[:, 0],
-                H=block[:, 1 + config.L :],
-            )
-        )
-    if len(markets) != config.n_markets:
+        blocks.append([vals for _, vals in rows])
+    if len(blocks) != config.n_markets:
         raise ConfigurationError(
-            f"{path}: {len(markets)} markets found, config declares {config.n_markets}"
+            f"{path}: {len(blocks)} markets found, config declares {config.n_markets}"
         )
-    return Dataset(config=config, markets=tuple(markets))
+    data = np.array(blocks)  # (n, J, 1 + L + K): share, attributes, instruments
+    return Dataset(
+        config=config,
+        X=data[:, :, 1 : 1 + config.L],
+        S=data[:, :, 0],
+        H=data[:, :, 1 + config.L :],
+    )

@@ -25,14 +25,10 @@ from .quadrature import QuadratureRule
 from .shares import InversionOptions, _invert_batch, _node_shares, _share_jacobian
 
 
-def _stacks(dataset: Dataset):
-    X, S, H = dataset.stacked_arrays()
-    return X, S, H
-
-
-def _invert_dataset(X, S, theta: Theta, rule: QuadratureRule, config, opts):
-    nu = group_index_matrix(X, theta.gamma, config)
-    delta, _ = _invert_batch(S, nu, rule, opts or InversionOptions())
+def _invert_dataset(dataset: Dataset, gamma: np.ndarray, rule: QuadratureRule, opts):
+    """Mean utilities delta (n, J) at loading weights gamma, and the group indices nu."""
+    nu = group_index_matrix(dataset.X, gamma, dataset.config)
+    delta, _ = _invert_batch(dataset.S, nu, rule, opts or InversionOptions())
     return delta, nu
 
 
@@ -43,9 +39,8 @@ def xi_residuals(
     opts: InversionOptions | None = None,
 ) -> np.ndarray:
     """Structural residuals xi for every market, shape (n, J)."""
-    X, S, _ = _stacks(dataset)
-    delta, _ = _invert_dataset(X, S, theta, rule, dataset.config, opts)
-    return delta - X @ theta.beta
+    delta, _ = _invert_dataset(dataset, theta.gamma, rule, opts)
+    return delta - dataset.X @ theta.beta
 
 
 def per_market_scores(
@@ -59,11 +54,8 @@ def per_market_scores(
     Entry (j, k) of market i sits at index j*K + k (0-based), matching the
     stacked score layout.
     """
-    X, S, H = _stacks(dataset)
-    delta, _ = _invert_dataset(X, S, theta, rule, dataset.config, opts)
-    xi = delta - X @ theta.beta
-    n = dataset.n
-    return (xi[:, :, None] * H).reshape(n, -1)
+    xi = xi_residuals(dataset, theta, rule, opts)
+    return (xi[:, :, None] * dataset.H).reshape(dataset.n, -1)
 
 
 def score(
@@ -100,10 +92,10 @@ def jacobian_theta(
     draw and every supported rule integrates odd monomials to zero.
     """
     config = dataset.config
-    X, S, H = _stacks(dataset)
+    X, H = dataset.X, dataset.H
     n, J, L = X.shape
     K = config.K
-    delta, nu = _invert_dataset(X, S, theta, rule, config, opts)
+    delta, nu = _invert_dataset(dataset, theta.gamma, rule, opts)
 
     # beta block: -(1/n) sum_i h_ijk x_ijl, constant in theta
     beta_block = -np.einsum("ijk,ijl->jkl", H, X) / n

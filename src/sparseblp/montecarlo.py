@@ -3,14 +3,16 @@
 A study runs the full pipeline (DGP -> regularized estimate -> one-step
 correction and intervals) over a grid of sample sizes and a block of
 replications per size, then reports per-replication records and per-size
-aggregates. Replications are isolated: a failure in one is recorded with its
-reason and counts against the coverage denominator, never silently dropped.
+aggregates. Replications are isolated: any exception raised in one is
+recorded with its stage, type and message and counts against the coverage
+denominator, never silently dropped.
 
 Determinism: each replication's seed derives from the master seed and its
-(n, replication) slot, so the report's canonical content is identical across
-runs and worker counts; only runtimes vary. Estimates are sign-canonicalized
-per gamma group before scoring, since the data cannot distinguish a group
-flip and the truth is stored with positive-signed support.
+(n, replication) slot, so the report's canonical content, which leaves out
+runtimes and the worker count, is identical across runs and worker counts.
+Estimates are sign-canonicalized per gamma group before scoring, since the
+data cannot distinguish a group flip and the truth is stored with
+positive-signed support.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .debias import DebiasError, DebiasPenalties, debias
-from .dgp import DgpConfig, simulate
-from .l1_solvers import LpSizeError
-from .model_core import ConfigurationError, ModelConfig, canonicalize_gamma
+from .debias import DebiasPenalties, debias
+from .dgp import DgpConfig, dgp_config_from_dict, simulate
+from .model_core import ConfigurationError, canonicalize_gamma, read_json
 from .moments import score
 from .quadrature import gauss_hermite_rule
-from .rgmm import EstimationError, RgmmOptions, estimate
-from .shares import InversionError
+from .rgmm import RgmmOptions, estimate
 
 
 class StudyError(RuntimeError):
@@ -88,7 +88,7 @@ class McRecord:
     n: int
     rep: int
     seed: int
-    status: str  # "ok" or "<stage>_failed: reason"
+    status: str  # "ok" or "<stage>_failed: <exception type>: message"
     err_l1: float | None = None
     err_l2: float | None = None
     support_precision: float | None = None
@@ -136,6 +136,10 @@ def _derived_seed(master: int, n: int, rep: int) -> int:
     return int.from_bytes(h[:4], "big")
 
 
+def _failure(stage: str, exc: Exception) -> str:
+    return f"{stage}_failed: {type(exc).__name__}: {exc}"
+
+
 def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     cfg, n, rep = payload
     seed = _derived_seed(cfg.dgp.seed, n, rep)
@@ -143,7 +147,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     dgp = replace(cfg.dgp, model=model, seed=seed)
     rule = gauss_hermite_rule(model.G, cfg.quad_nodes)
     rec = McRecord(n=n, rep=rep, seed=seed, status="ok")
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         dataset, truth = simulate(dgp, rule)
         opts = RgmmOptions(
@@ -152,9 +156,9 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
             gamma_phase_iters=cfg.gamma_phase_iters,
         )
         res = estimate(dataset, rule, opts)
-    except (EstimationError, InversionError, LpSizeError, ConfigurationError) as e:
-        rec.status = f"estimate_failed: {e}"
-        rec.runtime_s = time.time() - t0
+    except Exception as e:  # any failure is this replication's, not the study's
+        rec.status = _failure("estimate", e)
+        rec.runtime_s = time.perf_counter() - t0
         return rec
     theta_hat = canonicalize_gamma(res.theta_hat, model)
     diff = theta_hat.stacked() - truth.stacked()
@@ -164,11 +168,11 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
         theta_hat.stacked(), truth.stacked(), cfg.support_tol
     )
     rec.converged = res.converged
-    if cfg.penalty_c_gamma is None:
-        penalties = None  # debias() applies the theoretical rule
-    else:
-        penalties = DebiasPenalties.scaled(model, n, c_gamma=cfg.penalty_c_gamma)
     try:
+        if cfg.penalty_c_gamma is None:
+            penalties = None  # debias() applies the theoretical rule
+        else:
+            penalties = DebiasPenalties.scaled(model, n, c_gamma=cfg.penalty_c_gamma)
         deb = debias(
             dataset,
             theta_hat,
@@ -185,9 +189,9 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
         root_n = np.sqrt(n)
         rem = root_n * (deb.theta_dd - tv) + deb.mu_hat @ (deb.gamma_hat @ (root_n * f_true))
         rec.remainder_inf = float(np.abs(rem).max())
-    except (DebiasError, LpSizeError, InversionError) as e:
-        rec.status = f"debias_failed: {e}"
-    rec.runtime_s = time.time() - t0
+    except Exception as e:
+        rec.status = _failure("debias", e)
+    rec.runtime_s = time.perf_counter() - t0
     return rec
 
 
@@ -241,9 +245,6 @@ def _aggregate(cfg: McConfig, records: list[McRecord]) -> dict:
     return out
 
 
-_VOLATILE_FIELDS = {"runtime_s"}  # excluded from the canonical byte content
-
-
 def _record_row(rec: McRecord) -> dict:
     row = asdict(rec)
     row["coverage"] = "" if rec.coverage is None else "".join(map(str, rec.coverage))
@@ -251,14 +252,15 @@ def _record_row(rec: McRecord) -> dict:
 
 
 def canonical_bytes(report: McReport) -> bytes:
-    """Deterministic serialization of everything except runtimes."""
+    """Deterministic serialization of everything except runtimes and workers."""
     rows = []
     for rec in report.records:
         row = _record_row(rec)
-        for f in _VOLATILE_FIELDS:
-            row.pop(f)
+        row.pop("runtime_s")
         rows.append(row)
-    payload = {"config": asdict(report.config), "aggregates": report.aggregates, "records": rows}
+    config = asdict(report.config)
+    config.pop("workers")
+    payload = {"config": config, "aggregates": report.aggregates, "records": rows}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -286,24 +288,26 @@ def write_report(report: McReport, out_dir) -> dict[str, Path]:
 
 
 def load_mc_config(path) -> McConfig:
-    """McConfig from JSON: {dgp: {model: {...}, ...}, replications, n_grid, ...}."""
-    payload = json.loads(Path(path).read_text())
-    model_raw = payload["dgp"].pop("model")
-    model = ModelConfig(
-        n_markets=int(model_raw.get("n_markets", payload["n_grid"][0])),
-        J=int(model_raw["J"]),
-        L=int(model_raw["L"]),
-        G=int(model_raw["G"]),
-        K=int(model_raw["K"]),
-        partition=tuple(int(g) for g in model_raw["partition"]),
-    )
-    dgp = DgpConfig(model=model, **payload.pop("dgp"))
-    known = {f for f in McConfig.__dataclass_fields__ if f != "dgp"}
+    """McConfig from JSON: {dgp: {model: {...}, ...}, replications, n_grid, ...}.
+
+    The model block may leave out n_markets, which each n_grid entry
+    overrides anyway. Malformed files raise ConfigurationError.
+    """
+    payload = read_json(path)
+    if not isinstance(payload, dict) or not isinstance(payload.get("dgp"), dict):
+        raise ConfigurationError(f"{path}: study config needs a 'dgp' object")
+    known = set(McConfig.__dataclass_fields__)
     extra = set(payload) - known
     if extra:
-        raise ConfigurationError(f"unknown study config keys: {sorted(extra)}")
-    if "n_grid" in payload:
-        payload["n_grid"] = tuple(payload["n_grid"])
-    if "pilot_scales" in payload:
-        payload["pilot_scales"] = tuple(payload["pilot_scales"])
-    return McConfig(dgp=dgp, **payload)
+        raise ConfigurationError(f"{path}: unknown study config keys: {sorted(extra)}")
+    dgp_raw = dict(payload.pop("dgp"))
+    n_grid = payload.get("n_grid")
+    if isinstance(dgp_raw.get("model"), dict) and isinstance(n_grid, list) and n_grid:
+        dgp_raw["model"] = {"n_markets": n_grid[0], **dgp_raw["model"]}
+    for name in ("n_grid", "pilot_scales"):
+        if isinstance(payload.get(name), list):
+            payload[name] = tuple(payload[name])
+    try:
+        return McConfig(dgp=dgp_config_from_dict(dgp_raw), **payload)
+    except TypeError as exc:
+        raise ConfigurationError(f"{path}: bad study config: {exc}") from exc

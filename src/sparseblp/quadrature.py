@@ -57,10 +57,6 @@ class QuadratureRule:
     def G(self) -> int:
         return self.nodes.shape[1]
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Weighted sum over the leading node axis of `values`."""
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
 
 def gauss_hermite_rule(G: int, nodes_per_dim: int = DEFAULT_GH_NODES) -> QuadratureRule:
     """Tensor-product Gauss-Hermite rule for N(0, I_G).

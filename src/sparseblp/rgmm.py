@@ -41,9 +41,9 @@ import numpy as np
 from scipy.stats import norm
 
 from .model_core import Dataset, Theta
-from .moments import jacobian_theta, per_market_scores, score
+from .moments import _invert_dataset, jacobian_theta, per_market_scores, score
 from .quadrature import QuadratureRule
-from .shares import InversionError, InversionOptions
+from .shares import InversionError, InversionOptions, logit_delta
 from .l1_solvers import (
     L1LinfProblem,
     LpSolution,
@@ -147,17 +147,10 @@ def _linear_beta_system(dataset: Dataset, delta: np.ndarray):
     Returns (M, b) with M[(j,k), l] = (1/n) sum_i h_ijk x_ijl and
     b[(j,k)] = (1/n) sum_i delta_ij h_ijk.
     """
-    X, _, H = dataset.stacked_arrays()
     n = dataset.n
-    M = np.einsum("ijk,ijl->jkl", H, X).reshape(dataset.config.n_moments, -1) / n
-    b = np.einsum("ijk,ij->jk", H, delta).reshape(dataset.config.n_moments) / n
+    M = np.einsum("ijk,ijl->jkl", dataset.H, dataset.X).reshape(dataset.config.n_moments, -1) / n
+    b = np.einsum("ijk,ij->jk", dataset.H, delta).reshape(dataset.config.n_moments) / n
     return M, b
-
-
-def _logit_delta_all(dataset: Dataset) -> np.ndarray:
-    _, S, _ = dataset.stacked_arrays()
-    s0 = 1.0 - S.sum(axis=1, keepdims=True)
-    return np.log(S) - np.log(s0)
 
 
 def _uniform_group_direction(cfg) -> np.ndarray:
@@ -184,21 +177,16 @@ def _pilot_probes(
     fails are dropped. The main loop restarts down this ladder when a run
     stalls, so every surviving probe is returned, not just the winner.
     """
-    from .moments import _invert_dataset  # local import to avoid cycle at module load
-
     cfg = dataset.config
     u = _uniform_group_direction(cfg)
-    X, S, _ = dataset.stacked_arrays()
     probes: list[tuple[float, int, Theta, bool]] = []
     for rank, c in enumerate(opts.pilot_scales):
         gamma_c = c * u
         if c == 0.0:
-            delta = _logit_delta_all(dataset)
+            delta = logit_delta(dataset.S)
         else:
             try:
-                delta, _ = _invert_dataset(
-                    X, S, Theta(np.zeros(cfg.L), gamma_c), rule, cfg, opts.inversion
-                )
+                delta, _ = _invert_dataset(dataset, gamma_c, rule, opts.inversion)
             except InversionError:
                 continue
         M, b = _linear_beta_system(dataset, delta)

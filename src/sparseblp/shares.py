@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_core import ConfigurationError, MarketData, ModelConfig, Theta, group_index_matrix
+from .model_core import ConfigurationError
 from .quadrature import QuadratureRule
 
 _LOG_FLOOR = 1e-300  # keeps log() finite if a share underflows to 0
@@ -52,7 +52,6 @@ class InversionInfo:
     newton_iterations: int
     max_residual: float
     band_violations: int
-    residual_history: list[float]
 
 
 class InversionError(RuntimeError):
@@ -64,9 +63,8 @@ class InversionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels. Markets are stacked on a leading axis: delta (n, J),
-# group indices nu (n, J, G), node shares (n, M, J). The public per-market
-# operations below wrap these with n = 1.
+# Kernels. Markets are stacked on a leading axis: delta (n, J), group
+# indices nu (n, J, G), node shares (n, M, J).
 # ---------------------------------------------------------------------------
 
 
@@ -105,7 +103,12 @@ def _share_jacobian(node_shares: np.ndarray, rule: QuadratureRule) -> np.ndarray
     return jac
 
 
-def _logit_delta(S: np.ndarray) -> np.ndarray:
+def logit_delta(S: np.ndarray) -> np.ndarray:
+    """Plain-logit mean utilities delta_j = log S_j - log S_0 along the last axis.
+
+    Exact inversion when gamma = 0, and the inversion's starting point otherwise.
+    """
+    S = np.asarray(S, dtype=float)
     s0 = 1.0 - S.sum(axis=-1, keepdims=True)
     return np.log(S) - np.log(s0)
 
@@ -115,20 +118,21 @@ def _invert_batch(
     nu: np.ndarray,
     rule: QuadratureRule,
     opts: InversionOptions,
-    collect_history: bool = False,
 ):
-    """Invert observed shares market-by-market on stacked arrays.
+    """Solve s(delta) = S for delta in every market, on stacked arrays.
 
-    Returns (delta, info). Residuals are measured as the sup norm of
-    log S - log s(delta) per market; convergence requires every market to
-    pass contraction_tol.
+    Starts from the logit closed form log S - log S_0 (which is already exact
+    when gamma = 0), contracts until the residual drops below
+    newton_switch_tol, then polishes with Newton steps using the share
+    Jacobian. Returns (delta, info). Residuals are measured as the sup norm
+    of log S - log s(delta) per market; convergence requires every market to
+    pass contraction_tol, otherwise InversionError is raised.
     """
     if np.any(S <= 0.0) or np.any(S.sum(axis=-1) >= 1.0):
         raise ConfigurationError("observed shares must be interior: S_j > 0, sum_j S_j < 1")
     log_target = np.log(S)
-    delta = _logit_delta(S)
-    history: list[float] = []
-    n, J = S.shape
+    delta = logit_delta(S)
+    J = S.shape[1]
 
     def residual(d):
         s = np.maximum(_mixed_shares(d, nu, rule), _LOG_FLOOR)
@@ -145,8 +149,6 @@ def _invert_batch(
         resid[active] = log_target[active] - np.log(s_act)
         rmax = np.abs(resid).max(axis=1)
         iters += 1
-        if collect_history:
-            history.append(float(rmax.max()))
 
     newton_iters = 0
     while newton_iters < opts.max_newton_iters and np.any(rmax > opts.contraction_tol):
@@ -169,8 +171,6 @@ def _invert_batch(
             cand_rmax[worse] = np.abs(cand_resid[worse]).max(axis=1)
         delta, resid, rmax = cand, cand_resid, cand_rmax
         newton_iters += 1
-        if collect_history:
-            history.append(float(rmax.max()))
 
     max_resid = float(rmax.max())
     converged = max_resid <= opts.contraction_tol
@@ -195,7 +195,6 @@ def _invert_batch(
         newton_iterations=newton_iters,
         max_residual=max_resid,
         band_violations=band_violations,
-        residual_history=history,
     )
     if not converged:
         worst = int(np.abs(resid).max(axis=1).argmax())
@@ -206,82 +205,3 @@ def _invert_batch(
             max_residual=max_resid,
         )
     return delta, info
-
-
-# ---------------------------------------------------------------------------
-# Public per-market operations.
-# ---------------------------------------------------------------------------
-
-
-def conditional_share(
-    market: MarketData,
-    theta: Theta,
-    delta: np.ndarray,
-    beta_tilde: np.ndarray,
-    config: ModelConfig,
-) -> np.ndarray:
-    """Logit choice probabilities for one taste draw beta_tilde (length G)."""
-    beta_tilde = np.asarray(beta_tilde, dtype=float).reshape(1, -1)
-    if beta_tilde.shape[1] != config.G:
-        raise ConfigurationError(
-            f"beta_tilde has length {beta_tilde.shape[1]}, expected G={config.G}"
-        )
-    nu = group_index_matrix(market.X, theta.gamma, config)[None, :, :]
-    delta = np.asarray(delta, dtype=float)[None, :]
-    return _node_shares(delta, nu, beta_tilde)[0, 0]
-
-
-def mixed_share(
-    market: MarketData,
-    theta: Theta,
-    delta: np.ndarray,
-    rule: QuadratureRule,
-    config: ModelConfig,
-) -> np.ndarray:
-    """Share integral s(delta) over the taste distribution, length J."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (market.J,):
-        raise ConfigurationError(f"delta has shape {delta.shape}, expected {(market.J,)}")
-    nu = group_index_matrix(market.X, theta.gamma, config)[None, :, :]
-    return _mixed_shares(delta[None, :], nu, rule)[0]
-
-
-def share_jacobian_delta(
-    market: MarketData,
-    theta: Theta,
-    delta: np.ndarray,
-    rule: QuadratureRule,
-    config: ModelConfig,
-) -> np.ndarray:
-    """J x J matrix of d s_j / d delta_j' at the given delta."""
-    nu = group_index_matrix(market.X, theta.gamma, config)[None, :, :]
-    ns = _node_shares(np.asarray(delta, dtype=float)[None, :], nu, rule.nodes)
-    return _share_jacobian(ns, rule)[0]
-
-
-def invert_shares(
-    market: MarketData,
-    observed_shares: np.ndarray,
-    theta: Theta,
-    rule: QuadratureRule,
-    config: ModelConfig,
-    opts: InversionOptions | None = None,
-    return_info: bool = False,
-):
-    """Solve s(delta) = observed_shares for delta.
-
-    Starts from the logit closed form log S - log S_0 (which is already exact
-    when gamma = 0), contracts until the residual drops below
-    newton_switch_tol, then polishes with Newton steps using the share
-    Jacobian. Raises InversionError if the residual cannot be brought under
-    opts.contraction_tol.
-    """
-    opts = opts or InversionOptions()
-    S = np.asarray(observed_shares, dtype=float)
-    if S.shape != (market.J,):
-        raise ConfigurationError(f"shares have shape {S.shape}, expected {(market.J,)}")
-    nu = group_index_matrix(market.X, theta.gamma, config)[None, :, :]
-    delta, info = _invert_batch(S[None, :], nu, rule, opts, collect_history=return_info)
-    if return_info:
-        return delta[0], info
-    return delta[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseblp.model_core import MarketData, ModelConfig, Theta
+from sparseblp.model_core import Dataset, ModelConfig, Theta
 from sparseblp.quadrature import gauss_hermite_rule
 
 
@@ -10,13 +10,15 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_market(rng, config: ModelConfig, share_scale=0.8) -> MarketData:
-    """A market with valid interior shares and finite attributes."""
-    X = rng.standard_normal((config.J, config.L))
-    H = rng.standard_normal((config.J, config.K))
-    raw = rng.random(config.J) + 0.05
-    S = share_scale * raw / raw.sum()
-    return MarketData(X=X, S=S, H=H)
+def random_dataset(rng, config: ModelConfig, share_scale=0.8) -> Dataset:
+    """config.n_markets markets with valid interior shares and finite attributes."""
+    X, H, S = [], [], []
+    for _ in range(config.n_markets):
+        X.append(rng.standard_normal((config.J, config.L)))
+        H.append(rng.standard_normal((config.J, config.K)))
+        raw = rng.random(config.J) + 0.05
+        S.append(share_scale * raw / raw.sum())
+    return Dataset(config=config, X=np.stack(X), S=np.stack(S), H=np.stack(H))
 
 
 def random_theta(rng, L, scale=0.5) -> Theta:

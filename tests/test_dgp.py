@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from sparseblp.dgp import (
-    DgpConfig,
-    closed_form_logit_delta,
-    instrument_transforms,
-    simulate,
-    true_theta,
-)
-from sparseblp.model_core import ConfigurationError, ModelConfig
+from sparseblp.dgp import DgpConfig, instrument_transforms, simulate, true_theta
+from sparseblp.model_core import ConfigurationError, ModelConfig, group_index_matrix
 from sparseblp.moments import score, xi_residuals
 from sparseblp.quadrature import gauss_hermite_rule
-from sparseblp.shares import invert_shares
+from sparseblp.shares import InversionOptions, _invert_batch, logit_delta
 
 
 def _config(n=50, J=3, L=5, G=1, K=4):
@@ -65,47 +59,40 @@ class TestDeterminism:
     def test_same_seed_same_data(self, gh1):
         ds1, th1 = simulate(_dgp(), gh1)
         ds2, th2 = simulate(_dgp(), gh1)
-        for m1, m2 in zip(ds1.markets, ds2.markets):
-            np.testing.assert_array_equal(m1.X, m2.X)
-            np.testing.assert_array_equal(m1.S, m2.S)
-            np.testing.assert_array_equal(m1.H, m2.H)
-            np.testing.assert_array_equal(m1.xi_true, m2.xi_true)
+        for name in ("X", "S", "H", "xi_true"):
+            np.testing.assert_array_equal(getattr(ds1, name), getattr(ds2, name))
         np.testing.assert_array_equal(th1.stacked(), th2.stacked())
 
     def test_different_seeds_differ(self, gh1):
         ds1, _ = simulate(_dgp(seed=1), gh1)
         ds2, _ = simulate(_dgp(seed=2), gh1)
-        assert not np.array_equal(ds1.markets[0].X, ds2.markets[0].X)
+        assert not np.array_equal(ds1.X[0], ds2.X[0])
 
     def test_markets_are_independent_streams(self, gh1):
         # market i's draws do not depend on how many markets precede it
         big, _ = simulate(_dgp(), gh1)
         small, _ = simulate(_dgp(model=_config(n=3)), gh1)
-        for i in range(3):
-            np.testing.assert_array_equal(big.markets[i].X, small.markets[i].X)
+        np.testing.assert_array_equal(big.X[:3], small.X)
 
 
 class TestSharesMatchModel:
     def test_true_theta_reproduces_shares(self, gh1):
         # inversion at the truth must return delta = X beta + xi exactly
         ds, theta = simulate(_dgp(), gh1)
-        for mkt in ds.markets[:10]:
-            delta = invert_shares(mkt, mkt.S, theta, gh1, ds.config)
-            np.testing.assert_allclose(
-                delta, mkt.X @ theta.beta + mkt.xi_true, atol=1e-9
-            )
+        X, S = ds.X[:10], ds.S[:10]
+        nu = group_index_matrix(X, theta.gamma, ds.config)
+        delta, _ = _invert_batch(S, nu, gh1, InversionOptions())
+        np.testing.assert_allclose(delta, X @ theta.beta + ds.xi_true[:10], atol=1e-9)
 
     def test_gamma_zero_matches_plain_logit(self, gh1):
         ds, theta = simulate(_dgp(s_gamma=0), gh1)
-        for mkt in ds.markets[:10]:
-            delta = closed_form_logit_delta(mkt.S)
-            np.testing.assert_allclose(delta, mkt.X @ theta.beta + mkt.xi_true, atol=1e-10)
+        delta = logit_delta(ds.S[:10])
+        np.testing.assert_allclose(delta, ds.X[:10] @ theta.beta + ds.xi_true[:10], atol=1e-10)
 
     def test_xi_recovered_through_pipeline(self, gh1):
         ds, theta = simulate(_dgp(), gh1)
         xi = xi_residuals(ds, theta, gh1)
-        stacked_true = np.stack([m.xi_true for m in ds.markets])
-        np.testing.assert_allclose(xi, stacked_true, atol=1e-8)
+        np.testing.assert_allclose(xi, ds.xi_true, atol=1e-8)
 
 
 class TestMomentValidity:
@@ -122,16 +109,16 @@ class TestMomentValidity:
     def test_endogeneity_is_real(self, gh1):
         # corr(x_1, xi) targets endog_corr; naive moments E[xi x_1] != 0
         ds, _ = simulate(_dgp(model=_config(n=400), endog_corr=0.5, xi_sd=1.0), gh1)
-        x1 = np.concatenate([m.X[:, 0] for m in ds.markets])
-        xi = np.concatenate([m.xi_true for m in ds.markets])
+        x1 = ds.X[:, :, 0].ravel()
+        xi = ds.xi_true.ravel()
         corr = np.corrcoef(x1, xi)[0, 1]
         assert abs(corr - 0.5) < 0.1
 
     def test_instruments_correlate_with_attributes(self, gh1):
         # relevance: h_1 (linear in w_1) tracks the exogenous part of x_1
         ds, _ = simulate(_dgp(model=_config(n=400), instrument_strength=0.95), gh1)
-        x1 = np.concatenate([m.X[:, 0] for m in ds.markets])
-        h1 = np.concatenate([m.H[:, 0] for m in ds.markets])
+        x1 = ds.X[:, :, 0].ravel()
+        h1 = ds.H[:, :, 0].ravel()
         assert abs(np.corrcoef(x1, h1)[0, 1]) > 0.4
 
 
@@ -174,14 +161,14 @@ class TestInstrumentTransforms:
 class TestClosedFormLogitDelta:
     def test_two_product_example(self):
         # shares (0.3, 0.2) leave 0.5 outside: delta = log(s_j) - log(0.5)
-        delta = closed_form_logit_delta(np.array([0.3, 0.2]))
+        delta = logit_delta(np.array([0.3, 0.2]))
         np.testing.assert_allclose(delta, [np.log(0.6), np.log(0.4)], atol=1e-12)
 
     def test_batch_shape(self):
         S = np.array([[0.3, 0.2], [0.1, 0.1]])
-        out = closed_form_logit_delta(S)
+        out = logit_delta(S)
         assert out.shape == (2, 2)
-        np.testing.assert_allclose(out[0], closed_form_logit_delta(S[0]))
+        np.testing.assert_allclose(out[0], logit_delta(S[0]))
 
 
 class TestRetryPath:

@@ -2,24 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparseblp.model_core import (
     ConfigurationError,
     Dataset,
-    MarketData,
     ModelConfig,
     Theta,
     canonicalize_gamma,
-    compute_indices,
     group_index_matrix,
     load_dataset_csv,
     load_model_config,
+    model_config_from_dict,
+    model_config_to_dict,
     save_dataset_csv,
     save_model_config,
     validate_dataset,
 )
 
-from conftest import random_market, random_theta
+from conftest import random_dataset, random_theta
 
 
 def cfg(J=3, L=4, G=2, K=2, n=2, partition=(1, 1, 2, 2)):
@@ -72,74 +74,112 @@ class TestTheta:
 
 
 class TestComputeIndices:
+    """Group indices x_g'gamma_g from group_index_matrix on stacked attributes."""
+
     def test_zero_theta_gives_zero_indices(self, rng):
         c = cfg()
-        m = random_market(rng, c)
-        nu = compute_indices(m, Theta.zeros(c.L), c)
+        ds = random_dataset(rng, c)
+        nu = group_index_matrix(ds.X, Theta.zeros(c.L).gamma, c)
+        assert nu.shape == (c.n_markets, c.J, c.G)
         assert np.all(nu == 0.0)
 
     def test_hand_example(self):
         c = ModelConfig(n_markets=1, J=1, L=2, G=1, K=1, partition=(1, 1))
-        m = MarketData(X=np.array([[1.0, 2.0]]), S=np.array([0.5]), H=np.ones((1, 1)))
-        nu = compute_indices(m, Theta(beta=np.array([1.0, 1.0]), gamma=np.array([0.5, 0.5])), c)
-        assert nu[0].tolist() == [3.0, 1.5]
+        nu = group_index_matrix(np.array([[[1.0, 2.0]]]), np.array([0.5, 0.5]), c)
+        assert nu[0, 0].tolist() == [1.5]
 
     def test_matches_bruteforce_loop(self, rng):
         c = cfg(J=3, L=4)
-        m = random_market(rng, c)
+        ds = random_dataset(rng, c)
         th = random_theta(rng, c.L)
-        nu = compute_indices(m, th, c)
-        for j in range(c.J):
-            assert nu[j, 0] == pytest.approx(sum(m.X[j, l] * th.beta[l] for l in range(c.L)), abs=1e-12)
-            for g in range(1, c.G + 1):
-                manual = sum(m.X[j, l] * th.gamma[l] for l in range(c.L) if c.partition[l] == g)
-                assert nu[j, g] == pytest.approx(manual, abs=1e-12)
+        nu = group_index_matrix(ds.X, th.gamma, c)
+        for i in range(c.n_markets):
+            for j in range(c.J):
+                for g in range(1, c.G + 1):
+                    manual = sum(ds.X[i, j, l] * th.gamma[l] for l in range(c.L) if c.partition[l] == g)
+                    assert nu[i, j, g - 1] == pytest.approx(manual, abs=1e-12)
 
     def test_linearity_in_theta(self, rng):
         c = cfg()
-        m = random_market(rng, c)
+        X = random_dataset(rng, c).X
         t1, t2 = random_theta(rng, c.L), random_theta(rng, c.L)
-        combo = Theta(beta=2 * t1.beta - 3 * t2.beta, gamma=2 * t1.gamma - 3 * t2.gamma)
-        lhs = compute_indices(m, combo, c)
-        rhs = 2 * compute_indices(m, t1, c) - 3 * compute_indices(m, t2, c)
+        lhs = group_index_matrix(X, 2 * t1.gamma - 3 * t2.gamma, c)
+        rhs = 2 * group_index_matrix(X, t1.gamma, c) - 3 * group_index_matrix(X, t2.gamma, c)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_group_columns_local_to_their_cell(self, rng):
         c = cfg()
-        m = random_market(rng, c)
+        X = random_dataset(rng, c).X
         th = random_theta(rng, c.L)
-        bumped = Theta(beta=th.beta, gamma=th.gamma + np.array([0, 0, 1.0, 0]))
-        d = compute_indices(m, bumped, c) - compute_indices(m, th, c)
-        assert np.all(d[:, 1] == 0.0)  # attribute 2 belongs to group 2
-        assert np.any(d[:, 2] != 0.0)
+        bumped = th.gamma + np.array([0, 0, 1.0, 0])
+        d = group_index_matrix(X, bumped, c) - group_index_matrix(X, th.gamma, c)
+        assert np.all(d[..., 0] == 0.0)  # attribute 2 belongs to group 2
+        assert np.any(d[..., 1] != 0.0)
 
     def test_group_index_matrix_agrees(self, rng):
+        # the stacked (n, J, L) call matches one (J, L) call per market
         c = cfg()
-        m = random_market(rng, c)
+        X = random_dataset(rng, c).X
         th = random_theta(rng, c.L)
-        assert np.allclose(compute_indices(m, th, c)[:, 1:], group_index_matrix(m.X, th.gamma, c))
+        stacked = group_index_matrix(X, th.gamma, c)
+        for i in range(c.n_markets):
+            np.testing.assert_array_equal(stacked[i], group_index_matrix(X[i], th.gamma, c))
 
 
 class TestValidateDataset:
     def test_well_formed_dataset_passes(self, rng):
         c = cfg()
-        ds = Dataset(config=c, markets=[random_market(rng, c) for _ in range(c.n_markets)])
-        assert validate_dataset(ds) == []
+        assert validate_dataset(random_dataset(rng, c)) == []
 
     def test_shares_summing_past_one_flagged(self, rng):
         c = cfg(J=2, L=4, K=2)
-        m = random_market(rng, c)
-        bad = MarketData(X=m.X, S=np.array([0.6, 0.5]), H=m.H)
-        ds = Dataset(config=c, markets=[bad, random_market(rng, c)])
-        problems = validate_dataset(ds)
-        assert len(problems) == 1 and "sum" in problems[0]
+        ds = random_dataset(rng, c)
+        S = ds.S.copy()
+        S[0] = [0.6, 0.5]
+        problems = validate_dataset(Dataset(config=c, X=ds.X, S=S, H=ds.H))
+        assert problems == ["market 0: inside shares sum to 1.100000 >= 1"]
 
     def test_boundary_share_flagged(self, rng):
         c = cfg(J=2, L=4, K=2)
-        m = random_market(rng, c)
-        bad = MarketData(X=m.X, S=np.array([0.0, 0.5]), H=m.H)
-        problems = validate_dataset(Dataset(config=c, markets=[bad, m]))
-        assert any("(0, 1)" in p for p in problems)
+        ds = random_dataset(rng, c)
+        S = ds.S.copy()
+        S[1] = [0.0, 0.5]
+        problems = validate_dataset(Dataset(config=c, X=ds.X, S=S, H=ds.H))
+        assert problems == ["market 1: products [0] have shares outside (0, 1)"]
+
+    def test_non_finite_values_flagged_per_market(self, rng):
+        c = cfg(J=2, L=4, K=2)
+        ds = random_dataset(rng, c)
+        X, S, H = ds.X.copy(), ds.S.copy(), ds.H.copy()
+        X[0, 1, 2] = np.inf
+        H[1, 0, 0] = np.nan
+        S[1, 1] = np.nan
+        problems = validate_dataset(Dataset(config=c, X=X, S=S, H=H))
+        assert problems == [
+            "market 0: non-finite attribute values",
+            "market 1: non-finite instrument values",
+            "market 1: non-finite shares",
+        ]
+
+
+class TestDatasetShapes:
+    def test_shapes_must_match_config(self, rng):
+        c = cfg()
+        ds = random_dataset(rng, c)
+        with pytest.raises(ConfigurationError, match="X has shape"):
+            Dataset(config=c, X=ds.X[:1], S=ds.S, H=ds.H)
+        with pytest.raises(ConfigurationError, match="H has shape"):
+            Dataset(config=c, X=ds.X, S=ds.S, H=ds.H[:, :, :1])
+        with pytest.raises(ConfigurationError, match="xi_true has shape"):
+            Dataset(config=c, X=ds.X, S=ds.S, H=ds.H, xi_true=np.zeros(c.J))
+
+    def test_arrays_are_float_and_contiguous(self, rng):
+        c = cfg()
+        ds = random_dataset(rng, c)
+        wide = np.concatenate([ds.X, ds.H], axis=2)
+        view = Dataset(config=c, X=wide[:, :, : c.L], S=ds.S, H=wide[:, :, c.L :])
+        assert view.X.flags.c_contiguous and view.H.flags.c_contiguous
+        assert view.n == c.n_markets
 
 
 class TestSerialization:
@@ -153,12 +193,54 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             load_model_config(tmp_path / "m.json")
 
+    def test_model_config_uses_n_markets_key(self, tmp_path):
+        c = cfg()
+        assert model_config_to_dict(c) == {
+            "n_markets": 2, "J": 3, "L": 4, "G": 2, "K": 2, "partition": [1, 1, 2, 2]
+        }
+        legacy = dict(model_config_to_dict(c))
+        legacy["n"] = legacy.pop("n_markets")
+        with pytest.raises(ConfigurationError, match="missing \\['n_markets'\\], unknown \\['n'\\]"):
+            model_config_from_dict(legacy)
+
+    @pytest.mark.parametrize(
+        "field, value", [("J", "3"), ("L", 4.0), ("K", True), ("partition", [1, "2", 2, 2]),
+                         ("partition", "1122")]
+    )
+    def test_model_config_rejects_bad_types(self, field, value):
+        raw = model_config_to_dict(cfg())
+        raw[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            model_config_from_dict(raw)
+
+    @given(
+        J=st.integers(1, 6),
+        K=st.integers(1, 6),
+        n=st.integers(1, 500),
+        labels=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+    )
+    def test_model_config_dict_roundtrip(self, J, K, n, labels):
+        G = max(labels)
+        partition = tuple(sorted(set(range(1, G + 1))) + labels)
+        c = ModelConfig(n_markets=n, J=J, L=len(partition), G=G, K=K, partition=partition)
+        raw = json.loads(json.dumps(model_config_to_dict(c)))
+        assert model_config_from_dict(raw) == c
+
     def test_dataset_csv_roundtrip(self, rng, tmp_path):
         c = cfg()
-        ds = Dataset(config=c, markets=[random_market(rng, c) for _ in range(c.n_markets)])
+        ds = random_dataset(rng, c)
         save_dataset_csv(ds, tmp_path / "d.csv")
         back = load_dataset_csv(tmp_path / "d.csv", c)
-        for m1, m2 in zip(ds.markets, back.markets):
-            assert np.allclose(m1.X, m2.X, atol=1e-15)
-            assert np.allclose(m1.S, m2.S, atol=1e-15)
-            assert np.allclose(m1.H, m2.H, atol=1e-15)
+        for name in ("X", "S", "H"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(back, name))
+        assert back.xi_true is None
+
+    def test_dataset_csv_format(self, tmp_path):
+        c = ModelConfig(n_markets=2, J=1, L=1, G=1, K=1, partition=(1,))
+        ds = Dataset(config=c, X=[[[0.5]], [[-1.0]]], S=[[0.25], [0.1]], H=[[[2.0]], [[1e-20]]])
+        save_dataset_csv(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"market_id,product_id,share,x_1,h_1\r\n"
+            b"1,1,0.25,0.5,2.0\r\n"
+            b"2,1,0.1,-1.0,1e-20\r\n"
+        )

@@ -2,47 +2,47 @@ import numpy as np
 import pytest
 
 from sparseblp.dgp import DgpConfig, simulate
-from sparseblp.model_core import Dataset, MarketData, ModelConfig, Theta
+from sparseblp.model_core import Dataset, ModelConfig, Theta, group_index_matrix
 from sparseblp.moments import jacobian_theta, omega, per_market_scores, score, xi_residuals
 from sparseblp.quadrature import gauss_hermite_rule
+from sparseblp.shares import _mixed_shares
 
-from conftest import random_market, random_theta
+from conftest import random_dataset, random_theta
 
 
 def small_cfg(n=6, J=3, L=4, G=1, K=2):
     return ModelConfig(n_markets=n, J=J, L=L, G=G, K=K, partition=(1,) * L)
 
 
-def random_dataset(rng, config):
-    return Dataset(config=config, markets=[random_market(rng, config) for _ in range(config.n_markets)])
+def dataset_at(config, X, H, theta, delta, rule):
+    """A Dataset whose shares are the model's at mean utilities delta (n, J)."""
+    nu = group_index_matrix(np.asarray(X, dtype=float), theta.gamma, config)
+    S = _mixed_shares(np.asarray(delta, dtype=float), nu, rule)
+    return Dataset(config=config, X=X, S=S, H=H)
 
 
 class TestXiResiduals:
     def test_logit_closed_form(self, rng, gh1):
         c = small_cfg(n=1)
-        m = random_market(rng, c)
+        ds = random_dataset(rng, c)
         th = Theta(beta=rng.standard_normal(c.L), gamma=np.zeros(c.L))
-        xi = xi_residuals(Dataset(config=c, markets=[m]), th, gh1)
-        expected = np.log(m.S) - np.log(1 - m.S.sum()) - m.X @ th.beta
+        xi = xi_residuals(ds, th, gh1)
+        S, X = ds.S[0], ds.X[0]
+        expected = np.log(S) - np.log(1 - S.sum()) - X @ th.beta
         assert np.allclose(xi[0], expected, atol=1e-10)
 
     def test_recovers_true_xi_from_dgp(self, gh1):
         dgp = DgpConfig(model=small_cfg(n=5), s_beta=2, s_gamma=2, xi_sd=0.4, seed=3)
         ds, truth = simulate(dgp, gh1)
         xi = xi_residuals(ds, truth, gh1)
-        for i, m in enumerate(ds.markets):
-            assert np.allclose(xi[i], m.xi_true, atol=1e-8)
+        assert np.allclose(xi, ds.xi_true, atol=1e-8)
 
     def test_delta_minus_xbeta(self, rng, gh1):
         # delta=(1,2), X beta=(0.5,0.5) -> xi=(0.5,1.5)
         c = ModelConfig(n_markets=1, J=2, L=1, G=1, K=1, partition=(1,))
-        X = np.array([[1.0], [1.0]])
+        X = np.array([[[1.0], [1.0]]])
         th = Theta(beta=np.array([0.5]), gamma=np.zeros(1))
-        from sparseblp.shares import mixed_share
-
-        m0 = MarketData(X=X, S=np.array([0.3, 0.3]), H=np.ones((2, 1)))
-        S = mixed_share(m0, th, np.array([1.0, 2.0]), gh1, c)
-        ds = Dataset(config=c, markets=[MarketData(X=X, S=S, H=np.ones((2, 1)))])
+        ds = dataset_at(c, X, np.ones((1, 2, 1)), th, [[1.0, 2.0]], gh1)
         assert np.allclose(xi_residuals(ds, th, gh1)[0], [0.5, 1.5], atol=1e-9)
 
 
@@ -50,27 +50,17 @@ class TestScore:
     def test_zero_residuals_zero_score(self, gh1):
         c = ModelConfig(n_markets=3, J=2, L=1, G=1, K=2, partition=(1,))
         th = Theta(beta=np.array([1.0]), gamma=np.zeros(1))
-        markets = []
         rng = np.random.default_rng(0)
-        from sparseblp.shares import mixed_share
-
-        for _ in range(3):
-            X = rng.standard_normal((2, 1))
-            m0 = MarketData(X=X, S=np.array([0.3, 0.3]), H=rng.standard_normal((2, 2)))
-            S = mixed_share(m0, th, (X @ th.beta), gh1, c)  # delta = X beta => xi = 0
-            markets.append(MarketData(X=X, S=S, H=m0.H))
-        ds = Dataset(config=c, markets=markets)
+        X = rng.standard_normal((3, 2, 1))
+        H = rng.standard_normal((3, 2, 2))
+        ds = dataset_at(c, X, H, th, X @ th.beta, gh1)  # delta = X beta => xi = 0
         assert np.abs(score(ds, th, gh1)).max() < 1e-10
 
     def test_single_market_product(self, gh1):
         # J=K=1, xi=2, h=3 -> score 6
         c = ModelConfig(n_markets=1, J=1, L=1, G=1, K=1, partition=(1,))
         th = Theta(beta=np.zeros(1), gamma=np.zeros(1))
-        from sparseblp.shares import mixed_share
-
-        m0 = MarketData(X=np.zeros((1, 1)), S=np.array([0.5]), H=np.full((1, 1), 3.0))
-        S = mixed_share(m0, th, np.array([2.0]), gh1, c)
-        ds = Dataset(config=c, markets=[MarketData(X=m0.X, S=S, H=m0.H)])
+        ds = dataset_at(c, np.zeros((1, 1, 1)), np.full((1, 1, 1), 3.0), th, [[2.0]], gh1)
         assert score(ds, th, gh1)[0] == pytest.approx(6.0, abs=1e-9)
 
     def test_moment_layout_jk(self, rng, gh1):
@@ -82,14 +72,14 @@ class TestScore:
         assert F.shape == (4, c.J * c.K)
         xi0 = xi_residuals(ds, th, gh1)[0]
         j, k = 2, 1
-        assert F[0, j * c.K + k] == pytest.approx(xi0[j] * ds.markets[0].H[j, k], abs=1e-12)
+        assert F[0, j * c.K + k] == pytest.approx(xi0[j] * ds.H[0, j, k], abs=1e-12)
         assert np.allclose(score(ds, th, gh1), F.mean(axis=0), atol=1e-15)
 
     def test_market_permutation_invariance(self, rng, gh1):
         c = small_cfg(n=5)
         ds = random_dataset(rng, c)
         th = random_theta(rng, c.L)
-        perm = Dataset(config=c, markets=list(reversed(ds.markets)))
+        perm = Dataset(config=c, X=ds.X[::-1], S=ds.S[::-1], H=ds.H[::-1])
         assert np.allclose(score(ds, th, gh1), score(perm, th, gh1), atol=1e-15)
 
 
@@ -117,11 +107,11 @@ class TestJacobian:
         G = jacobian_theta(ds, th, gh1)
         n, J, K, L = c.n_markets, c.J, c.K, c.L
         manual = np.zeros((J * K, L))
-        for m in ds.markets:
+        for i in range(n):
             for j in range(J):
                 for k in range(K):
                     for l in range(L):
-                        manual[j * K + k, l] -= m.H[j, k] * m.X[j, l] / n
+                        manual[j * K + k, l] -= ds.H[i, j, k] * ds.X[i, j, l] / n
         assert np.allclose(G[:, :L], manual, atol=1e-12)
 
     def test_matches_finite_differences(self, rng):

@@ -9,10 +9,10 @@ from sparseblp.l1_solvers import L1LinfProblem, solve_l1_linf
 from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
 from sparseblp.moments import per_market_scores, score
 from sparseblp.quadrature import gauss_hermite_rule
+from sparseblp.shares import logit_delta
 from sparseblp.rgmm import (
     RgmmOptions,
     _linear_beta_system,
-    _logit_delta_all,
     estimate,
     estimate_auto,
     select_lambda,
@@ -68,7 +68,7 @@ class TestDantzigReduction:
         from sparseblp.debias import minimax_row_floor
 
         ds, _ = _noisy_data(gh1, s_gamma=0, seed=3)
-        M, b = _linear_beta_system(ds, _logit_delta_all(ds))
+        M, b = _linear_beta_system(ds, logit_delta(ds.S))
         lam = 1.3 * minimax_row_floor(M.T, b)  # safely inside feasibility
         res = estimate(ds, gh1, RgmmOptions(lam=lam, pilot_scales=(0.0,)))
         dantzig = solve_l1_linf(L1LinfProblem(A=M, b=b, lam=lam))
@@ -96,7 +96,9 @@ class TestSelectLambda:
             config=ModelConfig(
                 n_markets=4, J=cfg.J, L=cfg.L, G=cfg.G, K=cfg.K, partition=cfg.partition
             ),
-            markets=ds.markets * 4,
+            X=np.repeat(ds.X, 4, axis=0),
+            S=np.repeat(ds.S, 4, axis=0),
+            H=np.repeat(ds.H, 4, axis=0),
         )
         lam = select_lambda(clones, Theta.zeros(cfg.L), gh1, c_mult=2.0)
         assert lam == pytest.approx(2.0 / np.sqrt(4))

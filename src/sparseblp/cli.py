@@ -179,6 +179,9 @@ def _cmd_estimate(args) -> int:
         "lambda": result.lam,
         "converged": result.converged,
         "outer_iters": result.outer_iters,
+        "inversions": result.inversions,
+        "contraction_iters": result.contraction_iters,
+        "newton_iters": result.newton_iters,
         "final_constraint": result.final_constraint,
         "diagnosis": result.diagnosis,
         "runtime_s": result.runtime_s,
@@ -236,6 +239,9 @@ def _cmd_debias(args) -> int:
         "alpha": result.alpha,
         "lambda_gamma": penalties.lambda_gamma.tolist(),
         "lambda_mu": result.mu_lambda_eff.tolist(),
+        "inversions": result.inversions,
+        "contraction_iters": result.contraction_iters,
+        "newton_iters": result.newton_iters,
         "diagnostics": {
             "min_sv_omega": result.min_sv_omega,
             "min_sv_gamma_g": result.min_sv_gamma_g,
@@ -268,7 +274,18 @@ def _cmd_mc(args) -> int:
         cfg = replace(cfg, dgp=replace(cfg.dgp, seed=args.seed))
     if args.threads > 1:
         cfg = replace(cfg, workers=args.threads)
-    report = run_study(cfg)
+    try:
+        report = run_study(cfg)
+    except StudyError as e:
+        # every replication failed: keep each one's reason, then exit 3
+        _write_study(e.report, cfg, args)
+        raise
+    paths = _write_study(report, cfg, args)
+    _log(f"report -> {paths['summary']}")
+    return EXIT_OK
+
+
+def _write_study(report, cfg, args) -> dict[str, Path]:
     paths = write_report(report, args.out)
     for n, agg in report.aggregates.items():
         _log(f"n={n}: {json.dumps(agg, sort_keys=True)}")
@@ -283,8 +300,7 @@ def _cmd_mc(args) -> int:
             input_hashes={str(args.config): _sha256(args.config)},
         ),
     )
-    _log(f"report -> {paths['summary']}")
-    return EXIT_OK
+    return paths
 
 
 def _cmd_export_moments(args) -> int:

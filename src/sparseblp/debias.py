@@ -2,10 +2,11 @@
 
 The regularized estimator trades bias for sparsity; inference needs the bias
 removed. The correction is built in five steps, all at the plug-in point
-theta_hat: (1) Omega_hat, the second-moment matrix of per-market scores;
-(2) G_hat, the analytic score Jacobian; (3) gamma_hat, a row-wise l1 LP
-approximating G' Omega^{-1} without inverting Omega; (4) mu_hat, a row-wise
-l1 LP approximating a left inverse of gamma_hat G_hat; (5) the update
+theta_hat and all from one share inversion there: (1) Omega_hat, the
+second-moment matrix of per-market scores; (2) G_hat, the analytic score
+Jacobian; (3) gamma_hat, a row-wise l1 LP approximating G' Omega^{-1}
+without inverting Omega; (4) mu_hat, a row-wise l1 LP approximating a left
+inverse of gamma_hat G_hat; (5) the update
 theta_dd = theta_hat - mu_hat gamma_hat f_hat(theta_hat), whose linear form
 also yields plug-in standard errors and per-coordinate intervals.
 
@@ -39,7 +40,7 @@ from scipy.stats import norm
 
 from .l1_solvers import LpStatus, solve_nonneg_lp, solve_row_family
 from .model_core import Dataset, ModelConfig, Theta
-from .moments import jacobian_theta, omega, score
+from .moments import Evaluator, jacobian_theta, omega, score
 from .quadrature import QuadratureRule
 from .shares import InversionOptions
 
@@ -136,6 +137,9 @@ class DebiasResult:
     min_sv_gamma_g: float = np.nan  # systems the LP rows approximate
     mu_lambda_eff: np.ndarray | None = None  # per-row penalties actually used
     mu_relaxed_rows: np.ndarray | None = None  # rows where the floor was binding
+    inversions: int = 0  # share inversions run, and their iterations
+    contraction_iters: int = 0
+    newton_iters: int = 0
 
 
 def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str):
@@ -275,9 +279,10 @@ def debias(
     cfg = dataset.config
     if penalties is None:
         penalties = select_debias_penalties(cfg, dataset.n)
-    omega_hat = omega(dataset, theta_hat, rule, inversion)
-    g_hat = jacobian_theta(dataset, theta_hat, rule, inversion)
-    f_hat = score(dataset, theta_hat, rule, inversion)
+    evals = Evaluator(dataset, rule, inversion)  # one inversion serves all three
+    omega_hat = omega(dataset, theta_hat, rule, inversion, evals)
+    g_hat = jacobian_theta(dataset, theta_hat, rule, inversion, evals)
+    f_hat = score(dataset, theta_hat, rule, inversion, evals)
     gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties)
     mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties, relax=relax_mu)
     theta_dd = debiased_theta(theta_hat.stacked(), mu_hat, gamma_hat, f_hat)
@@ -299,4 +304,7 @@ def debias(
         min_sv_gamma_g=float(sv_gg.min()),
         mu_lambda_eff=mu_lam,
         mu_relaxed_rows=np.flatnonzero(mu_lam > requested + 1e-12),
+        inversions=evals.inversions,
+        contraction_iters=evals.contraction_iters,
+        newton_iters=evals.newton_iters,
     )

@@ -36,7 +36,11 @@ from .rgmm import RgmmOptions, estimate
 
 
 class StudyError(RuntimeError):
-    """Every replication failed; the study produced no usable records."""
+    """Every replication failed; report holds the failed records and aggregates."""
+
+    def __init__(self, message: str, report: "McReport"):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,8 @@ def run_study(cfg: McConfig) -> McReport:
 
     Coverage aggregates average over every replication in the denominator;
     a failed replication contributes zero coverage, per the reporting rule
-    that failures are counted, not dropped.
+    that failures are counted, not dropped. When every replication fails,
+    StudyError is raised with the report attached.
     """
     jobs = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
     if cfg.workers > 1:
@@ -208,12 +213,11 @@ def run_study(cfg: McConfig) -> McReport:
             records = pool.map(_run_one, jobs)
     else:
         records = [_run_one(j) for j in jobs]
+    report = McReport(config=cfg, records=records, aggregates=_aggregate(cfg, records))
     if all(r.status != "ok" for r in records):
         raise StudyError(
-            f"all {len(records)} replications failed; first: {records[0].status}"
+            f"all {len(records)} replications failed; first: {records[0].status}", report
         )
-    report = McReport(config=cfg, records=records)
-    report.aggregates = _aggregate(cfg, records)
     return report
 
 

@@ -30,6 +30,13 @@ joint l1 descent started there would often just drop gamma and re-fit the
 moments through the many attribute loadings. Phase one holds beta fixed and
 runs the SLP over gamma alone, which concentrates the heterogeneity mass on
 the coordinates that earn their keep; phase two releases all coordinates.
+
+One estimator call evaluates the moments through one moments.Evaluator, so
+the shares are inverted once per distinct gamma: the accepted iterate's
+inversion serves its Jacobian, each trial point's inversion warm-starts from
+the nearest gamma already inverted, and a pilot probe's inversion at gamma_c
+serves the start point's score, since the moments are linear in beta at
+fixed delta.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ import numpy as np
 from scipy.stats import norm
 
 from .model_core import Dataset, Theta
-from .moments import _invert_dataset, jacobian_theta, per_market_scores, score
+from .moments import Evaluator, jacobian_theta, per_market_scores, score
 from .quadrature import QuadratureRule
-from .shares import InversionError, InversionOptions, logit_delta
+from .shares import InversionError, InversionOptions
 from .l1_solvers import (
     L1LinfProblem,
     LpSolution,
@@ -113,6 +120,9 @@ class EstimationResult:
     history: list[IterationRecord]
     diagnosis: str | None = None
     runtime_s: float = 0.0
+    inversions: int = 0  # share inversions run, and their iterations
+    contraction_iters: int = 0
+    newton_iters: int = 0
 
 
 def select_lambda(
@@ -122,6 +132,7 @@ def select_lambda(
     alpha: float = DEFAULT_ALPHA,
     c_mult: float = DEFAULT_C_MULT,
     opts: InversionOptions | None = None,
+    evals: Evaluator | None = None,
 ) -> float:
     """Gaussian plug-in moment tolerance.
 
@@ -132,7 +143,7 @@ def select_lambda(
     """
     cfg = dataset.config
     n = dataset.n
-    F = per_market_scores(dataset, theta_pilot, rule, opts)
+    F = per_market_scores(dataset, theta_pilot, rule, opts, evals)
     sd_max = float(F.std(axis=0).max())
     z = float(norm.ppf(1.0 - alpha / (2.0 * cfg.J * cfg.K)))
     if sd_max <= 0.0:
@@ -162,13 +173,13 @@ def _uniform_group_direction(cfg) -> np.ndarray:
 
 
 def _pilot_probes(
-    dataset: Dataset, rule: QuadratureRule, opts: RgmmOptions
+    dataset: Dataset, rule: QuadratureRule, opts: RgmmOptions, evals: Evaluator
 ) -> list[tuple[Theta, bool]]:
     """Scale-probed starting points, best first, with beta-LP feasibility flags.
 
     For each probe scale c in opts.pilot_scales, gamma_c = c * u where u is
     the uniform within-group direction with unit index variance; delta is
-    inverted once at gamma_c (closed form when c = 0), beta solves
+    inverted once at gamma_c through evals, beta solves
     min ||beta||_1 s.t. ||f(beta, gamma_c)||_inf <= lam on the linear system,
     and probes are ordered by true moment violation (ties prefer the smaller
     scale). Because the moments are linear in beta at fixed gamma, the
@@ -182,13 +193,10 @@ def _pilot_probes(
     probes: list[tuple[float, int, Theta, bool]] = []
     for rank, c in enumerate(opts.pilot_scales):
         gamma_c = c * u
-        if c == 0.0:
-            delta = logit_delta(dataset.S)
-        else:
-            try:
-                delta, _ = _invert_dataset(dataset, gamma_c, rule, opts.inversion)
-            except InversionError:
-                continue
+        try:
+            delta = evals(Theta(beta=np.zeros(cfg.L), gamma=gamma_c)).delta
+        except InversionError:
+            continue
         M, b = _linear_beta_system(dataset, delta)
         sol = solve_l1_linf(L1LinfProblem(A=M, b=b, lam=opts.lam))
         feasible = sol.status is LpStatus.OPTIMAL
@@ -199,11 +207,6 @@ def _pilot_probes(
         raise EstimationError("share inversion failed at every pilot probe")
     probes.sort(key=lambda it: (it[0], it[1]))
     return [(theta, feasible) for _, _, theta, feasible in probes]
-
-
-def pilot_theta(dataset: Dataset, rule: QuadratureRule, opts: RgmmOptions) -> Theta:
-    """Starting point: scale-probed gamma with a Dantzig-selector beta refit."""
-    return _pilot_probes(dataset, rule, opts)[0][0]
 
 
 def _subproblem(G_t, f_t, theta_t, lam, radius, box, free, trust_center=None) -> LpSolution:
@@ -323,32 +326,52 @@ def estimate(
     up to feasibility_slack; converged results satisfy it by construction.
     Iterates that fail share inversion are treated as rejected trust-region
     steps rather than fatal errors, unless the failure happens at the starting
-    point itself. theta_init overrides the pilot (warm starts).
+    point itself. theta_init overrides the pilot (warm starts). The shares
+    are inverted once per distinct gamma (see module docstring), and the
+    result counts those inversions and their iterations.
     """
+    return _estimate(dataset, rule, opts, theta_init, Evaluator(dataset, rule, opts.inversion))
+
+
+def _estimate(
+    dataset: Dataset,
+    rule: QuadratureRule,
+    opts: RgmmOptions,
+    theta_init: Theta | None,
+    evals: Evaluator,
+) -> EstimationResult:
+    """estimate, evaluating the moments through evals."""
     t_start = time.perf_counter()
     cfg = dataset.config
     lam = float(opts.lam)
     history: list[IterationRecord] = []
 
     def fscore(theta: Theta) -> np.ndarray:
-        return score(dataset, theta, rule, opts.inversion)
+        return score(dataset, theta, rule, opts.inversion, evals)
+
+    def result(**fields) -> EstimationResult:
+        return EstimationResult(
+            lam=lam,
+            history=history,
+            runtime_s=time.perf_counter() - t_start,
+            inversions=evals.inversions,
+            contraction_iters=evals.contraction_iters,
+            newton_iters=evals.newton_iters,
+            **fields,
+        )
 
     # theta = 0 dominates every other point in l1, so certify it first
-    f_zero = score(dataset, Theta.zeros(cfg.L), rule, opts.inversion)
+    f_zero = fscore(Theta.zeros(cfg.L))
     c_zero = float(np.abs(f_zero).max())
     if c_zero <= lam:
         history.append(IterationRecord(0.0, c_zero, opts.trust_radius_init))
-        return EstimationResult(
-            theta_hat=Theta.zeros(cfg.L),
-            lam=lam,
-            converged=True,
-            outer_iters=0,
-            final_constraint=c_zero,
-            history=history,
-            runtime_s=time.perf_counter() - t_start,
+        return result(
+            theta_hat=Theta.zeros(cfg.L), converged=True, outer_iters=0, final_constraint=c_zero
         )
 
-    starts = _pilot_probes(dataset, rule, opts) if theta_init is None else [(theta_init, False)]
+    starts = (
+        _pilot_probes(dataset, rule, opts, evals) if theta_init is None else [(theta_init, False)]
+    )
 
     vec_t: np.ndarray | None = None
     f_t: np.ndarray | None = None
@@ -394,7 +417,7 @@ def estimate(
                     return True
                 return c_cand <= lam + eps and obj_cand < obj_t - 1e-12
 
-            G_t = jacobian_theta(dataset, Theta.from_stacked(vec_t), rule, opts.inversion)
+            G_t = jacobian_theta(dataset, Theta.from_stacked(vec_t), rule, opts.inversion, evals)
             accepted = False
             lam_starved = False
             while radius >= 1e-12:
@@ -572,15 +595,12 @@ def estimate(
         if diagnosis is None:
             diagnosis = "no feasible iterate within the iteration budget"
 
-    return EstimationResult(
+    return result(
         theta_hat=Theta.from_stacked(final_vec),
-        lam=lam,
         converged=converged,
         outer_iters=total_iters,
         final_constraint=final_c,
-        history=history,
         diagnosis=diagnosis,
-        runtime_s=time.perf_counter() - t_start,
     )
 
 
@@ -600,20 +620,25 @@ def estimate_auto(
     leaks into the variance), so after the first fit the rule is re-evaluated
     at theta_hat and, when it gives a materially smaller lambda, the fit is
     repeated from the previous solution (warm start). refine_rounds bounds
-    the number of repeats.
+    the number of repeats. All of it shares one Evaluator, so each distinct
+    gamma is inverted once, and the result counts every inversion made.
     """
     base = opts or RgmmOptions(lam=0.0)
     cfg = dataset.config
-    lam0 = select_lambda(dataset, Theta.zeros(cfg.L), rule, alpha, c_mult, base.inversion)
-    pilot = pilot_theta(dataset, rule, replace(base, lam=lam0))
-    lam = select_lambda(dataset, pilot, rule, alpha, c_mult, base.inversion)
-    result = estimate(dataset, rule, replace(base, lam=lam))
+    evals = Evaluator(dataset, rule, base.inversion)
+
+    def lam_at(theta: Theta) -> float:
+        return select_lambda(dataset, theta, rule, alpha, c_mult, base.inversion, evals)
+
+    lam0 = lam_at(Theta.zeros(cfg.L))
+    pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
+    result = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
     for _ in range(max(0, refine_rounds)):
-        lam_new = select_lambda(dataset, result.theta_hat, rule, alpha, c_mult, base.inversion)
+        lam_new = lam_at(result.theta_hat)
         if lam_new >= 0.9 * result.lam:
             break
         # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
         # Jacobian), so only warm start from points with live heterogeneity
         warm = result.theta_hat if np.any(result.theta_hat.gamma != 0.0) else None
-        result = estimate(dataset, rule, replace(base, lam=lam_new), theta_init=warm)
+        result = _estimate(dataset, rule, replace(base, lam=lam_new), warm, evals)
     return result

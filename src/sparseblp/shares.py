@@ -4,8 +4,13 @@ Conditional on a taste draw beta_tilde, choice probabilities follow a logit
 over J inside goods plus an outside good with utility 0. Mixed shares
 integrate the conditional shares over beta_tilde ~ N(0, I_G) with a
 QuadratureRule. The inversion recovers the mean-utility vector delta from
-observed shares by the classic contraction delta <- delta + log S - log s(delta),
-switching to Newton steps once the residual is small.
+observed shares. It is Newton-led: from a start (the logit closed form, or a
+caller's delta at a nearby parameter point) it takes the classic contraction
+delta <- delta + log S - log s(delta) only while the residual is large, then
+damped Newton steps on log s(delta) = log S. A market whose full Newton step
+does not lower its sup-norm residual halves the step, and falls back to one
+contraction step when halving does not help either, so the iteration cannot
+stall where plain Newton overshoots.
 
 All kernels subtract the running utility maximum (including the outside
 good's 0) before exponentiating, so share evaluations never overflow and
@@ -24,22 +29,28 @@ from .model_core import ConfigurationError
 from .quadrature import QuadratureRule
 
 _LOG_FLOOR = 1e-300  # keeps log() finite if a share underflows to 0
+_MAX_HALVINGS = 8  # damped Newton: step halvings before the contraction fallback
 
 
 @dataclass(frozen=True)
 class InversionOptions:
     """Stopping rules for the share inversion.
 
-    contraction_tol is applied to the sup norm of log S - log s(delta).
-    The contraction phase hands over to Newton once the residual drops
-    below newton_switch_tol. share_floor_c1 / share_cap_c2 define a purely
-    diagnostic band [c1/J, c2/J] for integrated shares; violations raise a
-    warning, never an error.
+    contraction_tol is applied to the sup norm of log S - log s(delta) in
+    every market; it stays tight because loose inner tolerances bias BLP
+    estimates (Dube, Fox & Su 2012). A market takes contraction steps while
+    its residual exceeds newton_switch_tol and damped Newton steps after
+    that: the default 1.0 makes the inversion Newton-led, a small value
+    makes it contraction-led, and inf skips the contraction phase.
+    max_contraction_iters and max_newton_iters bound the two phases.
+    share_floor_c1 / share_cap_c2 define a purely diagnostic band
+    [c1/J, c2/J] for integrated shares; violations raise a warning, never
+    an error.
     """
 
     contraction_tol: float = 1e-13
     max_contraction_iters: int = 2000
-    newton_switch_tol: float = 1e-4
+    newton_switch_tol: float = 1.0
     max_newton_iters: int = 60
     share_floor_c1: float = 0.0
     share_cap_c2: float = np.inf
@@ -55,11 +66,13 @@ class InversionInfo:
 
 
 class InversionError(RuntimeError):
-    """Share inversion failed to reach tolerance; carries the final residual."""
+    """Share inversion failed to reach tolerance; carries the final residual
+    and the InversionInfo of the failed attempt."""
 
-    def __init__(self, message: str, max_residual: float):
+    def __init__(self, message: str, max_residual: float, info: InversionInfo | None = None):
         super().__init__(message)
         self.max_residual = max_residual
+        self.info = info
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +84,7 @@ class InversionError(RuntimeError):
 def _node_shares(delta: np.ndarray, nu: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Conditional shares at every node: (n, M, J) from delta (n, J), nu (n, J, G)."""
     # utilities u[i, m, j] = delta[i, j] + sum_g nu[i, j, g] * node[m, g]
-    u = delta[:, None, :] + np.einsum("ijg,mg->imj", nu, nodes)
+    u = delta[:, None, :] + np.matmul(nodes, nu.transpose(0, 2, 1))
     # outside good contributes utility 0, so the stabilizer must be >= 0
     umax = np.maximum(u.max(axis=2, keepdims=True), 0.0)
     eu = np.exp(u - umax)
@@ -84,7 +97,7 @@ def _mixed_shares(delta, nu, rule):
 
 
 def _mixed_from_node_shares(node_shares, rule):
-    return np.einsum("m,imj->ij", rule.weights, node_shares)
+    return np.matmul(rule.weights, node_shares)
 
 
 def _share_jacobian(node_shares: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -95,8 +108,8 @@ def _share_jacobian(node_shares: np.ndarray, rule: QuadratureRule) -> np.ndarray
     share is interior.
     """
     w = rule.weights
-    sbar = np.einsum("m,imj->ij", w, node_shares)
-    cross = np.einsum("m,imj,imk->ijk", w, node_shares, node_shares)
+    sbar = np.matmul(w, node_shares)
+    cross = np.matmul((node_shares * w[:, None]).transpose(0, 2, 1), node_shares)
     jac = -cross
     ii = np.arange(node_shares.shape[2])
     jac[:, ii, ii] += sbar
@@ -118,58 +131,78 @@ def _invert_batch(
     nu: np.ndarray,
     rule: QuadratureRule,
     opts: InversionOptions,
+    start: np.ndarray | None = None,
 ):
     """Solve s(delta) = S for delta in every market, on stacked arrays.
 
-    Starts from the logit closed form log S - log S_0 (which is already exact
-    when gamma = 0), contracts until the residual drops below
-    newton_switch_tol, then polishes with Newton steps using the share
-    Jacobian. Returns (delta, info). Residuals are measured as the sup norm
-    of log S - log s(delta) per market; convergence requires every market to
-    pass contraction_tol, otherwise InversionError is raised.
+    start is the first iterate, (n, J); the default is the logit closed form
+    log S - log S_0, which is already exact when gamma = 0. A caller that
+    has delta at a nearby parameter point passes it here (a warm start).
+    Residuals are the sup norm of log S - log s(delta) per market. Markets
+    whose residual exceeds newton_switch_tol take contraction steps; the
+    rest take Newton steps with the share Jacobian, each halved up to
+    _MAX_HALVINGS times until it lowers the market's residual, else replaced
+    by one contraction step. Markets already within contraction_tol are left
+    alone. Returns (delta, info); if some market misses contraction_tol
+    within the iteration budgets, InversionError is raised.
     """
     if np.any(S <= 0.0) or np.any(S.sum(axis=-1) >= 1.0):
         raise ConfigurationError("observed shares must be interior: S_j > 0, sum_j S_j < 1")
     log_target = np.log(S)
-    delta = logit_delta(S)
+    delta = logit_delta(S) if start is None else np.array(start, dtype=float)
     J = S.shape[1]
 
-    def residual(d):
-        s = np.maximum(_mixed_shares(d, nu, rule), _LOG_FLOOR)
-        return log_target - np.log(s)
+    def residual(d, idx):
+        s = np.maximum(_mixed_shares(d, nu[idx], rule), _LOG_FLOOR)
+        return log_target[idx] - np.log(s)
 
-    resid = residual(delta)
-    rmax = np.abs(resid).max(axis=1)
+    def sup(r):
+        return np.abs(r).max(axis=1)
+
+    resid = residual(delta, slice(None))
+    rmax = sup(resid)
     iters = 0
     # contraction phase: globally convergent, monotone in the sup norm
     while iters < opts.max_contraction_iters and np.any(rmax > opts.newton_switch_tol):
-        active = rmax > opts.newton_switch_tol
-        delta[active] += resid[active]
-        s_act = np.maximum(_mixed_shares(delta[active], nu[active], rule), _LOG_FLOOR)
-        resid[active] = log_target[active] - np.log(s_act)
-        rmax = np.abs(resid).max(axis=1)
+        act = np.flatnonzero(rmax > opts.newton_switch_tol)
+        delta[act] += resid[act]
+        resid[act] = residual(delta[act], act)
+        rmax[act] = sup(resid[act])
         iters += 1
 
     newton_iters = 0
     while newton_iters < opts.max_newton_iters and np.any(rmax > opts.contraction_tol):
-        ns = _node_shares(delta, nu, rule.nodes)
+        act = np.flatnonzero(rmax > opts.contraction_tol)
+        d, r, rm = delta[act], resid[act], rmax[act]
+        ns = _node_shares(d, nu[act], rule.nodes)
         sbar = np.maximum(_mixed_from_node_shares(ns, rule), _LOG_FLOOR)
         jac = _share_jacobian(ns, rule) / sbar[:, :, None]  # d log s / d delta
         try:
-            step = np.linalg.solve(jac, resid[:, :, None])[:, :, 0]
+            step = np.linalg.solve(jac, r[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = resid  # fall back to a contraction step
-        cand = delta + step
-        cand_resid = residual(cand)
-        cand_rmax = np.abs(cand_resid).max(axis=1)
-        # keep Newton only where it improved; elsewhere take a contraction step
-        worse = cand_rmax > rmax
-        if np.any(worse):
-            cand[worse] = delta[worse] + resid[worse]
-            s_w = np.maximum(_mixed_shares(cand[worse], nu[worse], rule), _LOG_FLOOR)
-            cand_resid[worse] = log_target[worse] - np.log(s_w)
-            cand_rmax[worse] = np.abs(cand_resid[worse]).max(axis=1)
-        delta, resid, rmax = cand, cand_resid, cand_rmax
+            step = r  # fall back to a contraction step
+        cand = d + step
+        cand_r = residual(cand, act)
+        cand_rm = sup(cand_r)
+        # damping: halve the step where it did not lower the residual (NaN
+        # counts as not lower); every market still halving shares one length
+        worse = ~(cand_rm < rm)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            if not worse.any():
+                break
+            t *= 0.5
+            w = np.flatnonzero(worse)
+            cand[w] = d[w] + t * step[w]
+            cand_r[w] = residual(cand[w], act[w])
+            cand_rm[w] = sup(cand_r[w])
+            worse[w] = ~(cand_rm[w] < rm[w])
+        if worse.any():
+            w = np.flatnonzero(worse)
+            cand[w] = d[w] + r[w]
+            cand_r[w] = residual(cand[w], act[w])
+            cand_rm[w] = sup(cand_r[w])
+        delta[act], resid[act], rmax[act] = cand, cand_r, cand_rm
         newton_iters += 1
 
     max_resid = float(rmax.max())
@@ -197,11 +230,12 @@ def _invert_batch(
         band_violations=band_violations,
     )
     if not converged:
-        worst = int(np.abs(resid).max(axis=1).argmax())
+        worst = int(rmax.argmax())
         raise InversionError(
             f"share inversion stalled at market {worst}: residual {max_resid:.3e} "
             f"after {iters} contraction and {newton_iters} Newton iterations "
             f"(tolerance {opts.contraction_tol:.1e})",
             max_residual=max_resid,
+            info=info,
         )
     return delta, info

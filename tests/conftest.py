@@ -28,3 +28,20 @@ def random_theta(rng, L, scale=0.5) -> Theta:
 @pytest.fixture
 def gh1():
     return gauss_hermite_rule(1, 11)
+
+
+@pytest.fixture
+def inversion_log(monkeypatch):
+    """Group-index matrices (as bytes) of every share inversion run while
+    the test runs, recorded by wrapping moments._invert_batch."""
+    from sparseblp import moments
+
+    log = []
+    real = moments._invert_batch
+
+    def counting(S, nu, *args, **kwargs):
+        log.append(nu.tobytes())
+        return real(S, nu, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "_invert_batch", counting)
+    return log

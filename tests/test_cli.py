@@ -86,6 +86,37 @@ class TestPipeline:
         assert code == cli.EXIT_OK, err
 
 
+    def test_result_json_counts_share_inversions(self, simulated, tmp_path, capsys):
+        est = json.loads((simulated / "est" / "est.json").read_text())
+        assert est["inversions"] > 0 and est["newton_iters"] > 0 and est["contraction_iters"] >= 0
+        code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
+                        "--data", simulated / "data.csv", "--penalty-c", "0.05", "--relax-mu",
+                        "--out", tmp_path / "deb.json", *NODES)
+        assert code == cli.EXIT_OK, err
+        deb = json.loads((tmp_path / "deb.json").read_text())
+        assert deb["inversions"] == 1 and deb["newton_iters"] >= 0
+
+    def test_all_failed_study_still_writes_its_report(self, tmp_path, capsys, monkeypatch):
+        from sparseblp import montecarlo
+
+        def broken_estimate(*args, **kwargs):
+            raise FloatingPointError("no iterate")
+
+        monkeypatch.setattr(montecarlo, "estimate", broken_estimate)
+        study = write_json(tmp_path / "study.json",
+                           {"dgp": DGP, "replications": 2, "n_grid": [20], "quad_nodes": 5})
+        out = tmp_path / "report"
+        code, err = run(capsys, "mc", "--config", study, "--out", out)
+        assert code == cli.EXIT_NUMERIC
+        assert "all 2 replications failed" in err and "Traceback" not in err
+        rows = (out / "records.csv").read_text().strip().splitlines()
+        assert len(rows) == 3  # header and one row per replication
+        assert all("estimate_failed: FloatingPointError: no iterate" in r for r in rows[1:])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aggregates"]["20"]["estimate_failed"] == 2
+        assert json.loads((out / "manifest.json").read_text())["subcommand"] == "mc"
+
+
 class TestBadInput:
     def test_unknown_solver_option_is_data_error(self, simulated, tmp_path, capsys):
         opts = write_json(tmp_path / "opts.json", {"bogus": 1})

@@ -192,6 +192,18 @@ class TestFullPipeline:
         assert res.mu_relaxed_rows.size == 0  # square design needs no floors
         np.testing.assert_array_equal(res.mu_lambda_eff, np.full(10, 0.1))
 
+    def test_one_inversion_serves_omega_jacobian_and_score(self, gh1, inversion_log):
+        ds, truth = _square_dataset(gh1, n=40, seed=3)
+        res = debias(ds, truth, gh1, penalties=DebiasPenalties.constant(5, 0.05))
+        assert len(inversion_log) == 1 and res.inversions == 1
+        assert res.newton_iters > 0
+        # the same plug-in matrices as three separate evaluations
+        np.testing.assert_allclose(
+            res.theta_dd,
+            debiased_theta(truth.stacked(), res.mu_hat, res.gamma_hat, score(ds, truth, gh1)),
+            rtol=0, atol=1e-12,
+        )
+
     def test_theoretical_default_degenerates_to_identity(self, gh1):
         # the rate-formula penalties exceed 1 at this scale, so both LP
         # families return zero rows and the correction is the identity

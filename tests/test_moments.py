@@ -3,7 +3,15 @@ import pytest
 
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import Dataset, ModelConfig, Theta, group_index_matrix
-from sparseblp.moments import jacobian_theta, omega, per_market_scores, score, xi_residuals
+from sparseblp.moments import (
+    Evaluator,
+    evaluate,
+    jacobian_theta,
+    omega,
+    per_market_scores,
+    score,
+    xi_residuals,
+)
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import _mixed_shares
 
@@ -143,3 +151,50 @@ class TestJacobian:
         G1 = jacobian_theta(ds, random_theta(rng, c.L), gh1)
         G2 = jacobian_theta(ds, random_theta(rng, c.L), gh1)
         assert np.allclose(G1[:, : c.L], G2[:, : c.L], atol=1e-12)
+
+
+class TestEvaluation:
+    def case(self, rng):
+        cfg = ModelConfig(n_markets=8, J=3, L=4, G=2, K=2, partition=(1, 1, 2, 2))
+        return random_dataset(rng, cfg), gauss_hermite_rule(2, 5), random_theta(rng, 4)
+
+    def test_one_evaluation_serves_every_moment_function(self, rng):
+        ds, rule, theta = self.case(rng)
+        ev = evaluate(ds, theta, rule)
+        np.testing.assert_array_equal(ev.xi, xi_residuals(ds, theta, rule))
+        np.testing.assert_array_equal(ev.F, per_market_scores(ds, theta, rule))
+        np.testing.assert_array_equal(ev.score(), score(ds, theta, rule))
+        np.testing.assert_array_equal(ev.omega(), omega(ds, theta, rule))
+        np.testing.assert_array_equal(ev.jacobian(), jacobian_theta(ds, theta, rule))
+        assert ev.info.converged
+
+    def test_at_beta_matches_a_fresh_evaluation(self, rng):
+        ds, rule, theta = self.case(rng)
+        beta = rng.standard_normal(4)
+        moved = evaluate(ds, theta, rule).at_beta(beta)
+        fresh = evaluate(ds, Theta(beta=beta, gamma=theta.gamma), rule)
+        np.testing.assert_allclose(moved.score(), fresh.score(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(moved.jacobian(), fresh.jacobian(), rtol=0, atol=1e-14)
+
+    def test_evaluator_inverts_each_gamma_once_and_counts(self, rng, inversion_log):
+        ds, rule, theta = self.case(rng)
+        evals = Evaluator(ds, rule)
+        f = score(ds, theta, rule, evals=evals)
+        jacobian_theta(ds, theta, rule, evals=evals)
+        score(ds, Theta(beta=theta.beta + 1.0, gamma=theta.gamma.copy()), rule, evals=evals)
+        assert len(inversion_log) == evals.inversions == 1
+        near = Theta(beta=theta.beta, gamma=1.01 * theta.gamma)
+        f_near = score(ds, near, rule, evals=evals)
+        assert evals.inversions == 2
+        np.testing.assert_allclose(f_near, score(ds, near, rule), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(f, score(ds, theta, rule), rtol=0, atol=1e-11)
+
+    def test_evaluator_holds_its_own_copy_of_theta(self, rng):
+        ds, rule, theta = self.case(rng)
+        evals = Evaluator(ds, rule)
+        gamma = theta.gamma.copy()
+        score(ds, Theta(beta=theta.beta, gamma=gamma), rule, evals=evals)
+        gamma *= 2.0  # a caller reusing its array must not change the stored point
+        np.testing.assert_array_equal(
+            jacobian_theta(ds, theta, rule, evals=evals), jacobian_theta(ds, theta, rule)
+        )

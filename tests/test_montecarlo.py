@@ -41,6 +41,17 @@ class TestFailureIsolation:
         agg = report.aggregates["30"]
         assert agg["replications"] == 2 and agg["estimate_failed"] == 1
 
+    def test_all_failed_study_raises_with_its_report(self, monkeypatch):
+        def broken_estimate(*args, **kwargs):
+            raise ArithmeticError("unbounded LP")
+
+        monkeypatch.setattr(montecarlo, "estimate", broken_estimate)
+        with pytest.raises(montecarlo.StudyError, match="all 2 replications failed") as info:
+            run_study(study(workers=1))
+        report = info.value.report
+        assert [r.status for r in report.records] == ["estimate_failed: ArithmeticError: unbounded LP"] * 2
+        assert report.aggregates["30"]["estimate_failed"] == 2
+
     def test_debias_stage_failure_is_recorded(self, monkeypatch):
         def broken_debias(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")

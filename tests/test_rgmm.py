@@ -151,6 +151,21 @@ class TestDeterminism:
         ]
 
 
+class TestOneInversionPerGamma:
+    def test_estimate_never_inverts_the_same_gamma_twice(self, gh1, inversion_log):
+        ds, _ = _noisy_data(gh1, seed=12)
+        res = estimate(ds, gh1, RgmmOptions(lam=0.08))
+        assert res.outer_iters > 0
+        assert len(inversion_log) == len(set(inversion_log))
+        assert res.inversions == len(inversion_log)
+        assert res.newton_iters > 0 and res.contraction_iters >= 0
+
+    def test_auto_lambda_shares_one_evaluator(self, gh1, inversion_log):
+        ds, _ = _noisy_data(gh1, n=50, seed=21)
+        res = estimate_auto(ds, gh1)
+        assert len(inversion_log) == len(set(inversion_log)) == res.inversions
+
+
 class TestEstimateAuto:
     def test_auto_lambda_end_to_end(self, gh1):
         ds, _ = _noisy_data(gh1, n=50, seed=21)

@@ -4,8 +4,10 @@ share Jacobian, and the batch inversion."""
 import numpy as np
 import pytest
 
+from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import ModelConfig, group_index_matrix
 from sparseblp.quadrature import gauss_hermite_rule, monte_carlo_rule
+from sparseblp.rgmm import _uniform_group_direction
 from sparseblp.shares import (
     InversionError,
     InversionOptions,
@@ -194,3 +196,77 @@ class TestInvertShares:
         with pytest.raises(InversionError):
             invert(S, X, gamma, gh1, c, opts)
 
+
+
+def wide_design(seed=2, nodes=9):
+    """The wide-attribute design (n=100, J=4, L=40, G=1, K=10) with its rule
+    and the uniform pilot direction u."""
+    c = ModelConfig(n_markets=100, J=4, L=40, G=1, K=10, partition=(1,) * 40)
+    rule = gauss_hermite_rule(1, nodes)
+    data, _ = simulate(DgpConfig(model=c, s_beta=3, s_gamma=1, seed=seed), rule)
+    return data, rule, _uniform_group_direction(c)
+
+
+class TestNewtonLedInversion:
+    """At gamma = u on DGP seed 2, an undamped Newton phase entered at a
+    residual of 0.1 overshoots in market 79 and stalls at 8.8e-3; the damped
+    step converges from any switch point."""
+
+    @pytest.fixture(scope="class")
+    def stall_case(self):
+        data, rule, u = wide_design()
+        nu = group_index_matrix(data.X, u, data.config)
+        reference, info = _invert_batch(data.S, nu, rule, InversionOptions(newton_switch_tol=1e-4))
+        assert info.converged
+        return data, rule, u, reference
+
+    @pytest.mark.parametrize("switch", [1e-4, 0.1, 1.0, np.inf])
+    def test_converges_from_every_switch_point(self, stall_case, switch):
+        data, rule, u, reference = stall_case
+        nu = group_index_matrix(data.X, u, data.config)
+        delta, info = _invert_batch(data.S, nu, rule, InversionOptions(newton_switch_tol=switch))
+        assert info.converged and info.max_residual <= 1e-13
+        np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10)
+
+    def test_newton_led_default_takes_few_contraction_steps(self, stall_case):
+        data, rule, u, _ = stall_case
+        nu = group_index_matrix(data.X, u, data.config)
+        _, info = _invert_batch(data.S, nu, rule, InversionOptions())
+        assert info.iterations + info.newton_iterations <= 20
+
+    def test_warm_start_from_nearby_gamma_gives_same_delta(self, stall_case):
+        data, rule, u, reference = stall_case
+        cfg = data.config
+        near, _ = _invert_batch(data.S, group_index_matrix(data.X, 0.9 * u, cfg), rule,
+                                InversionOptions())
+        nu = group_index_matrix(data.X, u, cfg)
+        delta, info = _invert_batch(data.S, nu, rule, InversionOptions(), start=near)
+        assert info.converged
+        np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10)
+        assert not np.shares_memory(delta, near)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "shape",
+    [(60, 6, 12, 2, 6), (100, 4, 40, 1, 10), (100, 4, 10, 1, 6), (200, 8, 40, 2, 10)],
+    ids=["two-group", "wide-attribute", "mc-small", "medium"],
+)
+def test_newton_led_agrees_with_contraction_led_sweep(shape):
+    """6 DGP seeds x 4 heterogeneity scales per design: the default
+    (Newton-led) inversion converges and agrees with a contraction-led one,
+    which runs until its residual is 1e-4 before taking Newton steps."""
+    n, J, L, G, K = shape
+    c = ModelConfig(n_markets=n, J=J, L=L, G=G, K=K,
+                    partition=tuple(1 + (l * G) // L for l in range(L)))
+    rule = gauss_hermite_rule(G, 9)
+    u = _uniform_group_direction(c)
+    slow = InversionOptions(newton_switch_tol=1e-4, max_contraction_iters=100_000)
+    for seed in range(6):
+        data, _ = simulate(DgpConfig(model=c, s_beta=2, s_gamma=1, seed=seed), rule)
+        for scale in (0.3, 1.0, 2.0, 4.0):
+            nu = group_index_matrix(data.X, scale * u, c)
+            delta, info = _invert_batch(data.S, nu, rule, InversionOptions())
+            reference, _ = _invert_batch(data.S, nu, rule, slow)
+            assert info.converged, (seed, scale)
+            np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10, err_msg=f"{seed} {scale}")

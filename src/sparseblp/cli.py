@@ -45,7 +45,7 @@ from .model_core import (
     save_model_config,
     validate_dataset,
 )
-from .moments import jacobian_theta, omega, score
+from .moments import evaluate
 from .montecarlo import StudyError, load_mc_config, run_study, write_report
 from .quadrature import gauss_hermite_rule
 from .rgmm import EstimationError, RgmmOptions, estimate, estimate_auto
@@ -309,9 +309,10 @@ def _cmd_export_moments(args) -> int:
     rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "score.csv", score(dataset, theta, rule)[None, :], delimiter=",")
-    np.savetxt(out / "omega.csv", omega(dataset, theta, rule), delimiter=",")
-    np.savetxt(out / "jacobian.csv", jacobian_theta(dataset, theta, rule), delimiter=",")
+    moments = evaluate(dataset, theta, rule)  # one share inversion serves all three
+    np.savetxt(out / "score.csv", moments.score()[None, :], delimiter=",")
+    np.savetxt(out / "omega.csv", moments.omega(), delimiter=",")
+    np.savetxt(out / "jacobian.csv", moments.jacobian(), delimiter=",")
     _log(f"moment matrices -> {out}/")
     _write_manifest(
         out,

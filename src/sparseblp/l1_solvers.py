@@ -65,7 +65,6 @@ class LpSolution:
     objective: float
     max_violation: float
     dual: np.ndarray | None
-    phase1_objective: float
     pivots: int
 
 
@@ -134,9 +133,7 @@ def _run_simplex(T, basis, allowed, max_pivots):
 class _RawLp:
     z: np.ndarray
     status: LpStatus
-    objective: float
     dual: np.ndarray | None
-    phase1_objective: float
     pivots: int
 
 
@@ -145,7 +142,7 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
 
     Returns the primal solution, a dual vector y for the inequality rows
     (y <= 0 under this min/<= orientation, so that c - A_ub'y >= 0 at the
-    optimum), the phase-1 objective, and the pivot count.
+    optimum), and the pivot count.
     """
     c = np.asarray(c, dtype=float)
     A_ub = np.asarray(A_ub, dtype=float)
@@ -179,11 +176,10 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
 
     allowed = np.ones(ncols, dtype=bool)
     status, p1 = _run_simplex(T, basis, allowed, max_pivots)
-    phase1_obj = float(-T[-1, -1])
     if status is LpStatus.ITERATION_LIMIT:
-        return _RawLp(np.zeros(n), status, np.nan, None, phase1_obj, p1)
-    if phase1_obj > FEAS_TOL:
-        return _RawLp(np.zeros(n), LpStatus.INFEASIBLE, np.nan, None, phase1_obj, p1)
+        return _RawLp(np.zeros(n), status, None, p1)
+    if -T[-1, -1] > FEAS_TOL:  # the artificials cannot all reach zero
+        return _RawLp(np.zeros(n), LpStatus.INFEASIBLE, None, p1)
 
     # drive artificials out of the basis where a real pivot exists
     for i in range(m):
@@ -208,9 +204,8 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
     z = np.zeros(ncols)
     for i, bi in enumerate(basis):
         z[bi] = T[i, -1]
-    objective = float(cfull @ z)
     if status is LpStatus.ITERATION_LIMIT:
-        return _RawLp(z[:n], status, objective, None, phase1_obj, p1 + p2)
+        return _RawLp(z[:n], status, None, p1 + p2)
 
     # duals from the final basis: B'y = c_B on the standard-form columns
     Afull = np.zeros((m, ncols))
@@ -223,7 +218,7 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
     except np.linalg.LinAlgError:
         y = np.linalg.lstsq(B.T, cfull[list(basis)], rcond=None)[0]
     y = np.where(neg, -y, y)  # undo row sign flips
-    return _RawLp(z[:n], LpStatus.OPTIMAL, objective, y, phase1_obj, p1 + p2)
+    return _RawLp(z[:n], LpStatus.OPTIMAL, y, p1 + p2)
 
 
 def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSolution:
@@ -237,7 +232,7 @@ def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSol
     A, b, lam = problem.A, problem.b, problem.lam
     m, p = A.shape
     if m == 0:
-        return LpSolution(np.zeros(p), LpStatus.OPTIMAL, 0.0, 0.0, np.zeros(0), 0.0, 0)
+        return LpSolution(np.zeros(p), LpStatus.OPTIMAL, 0.0, 0.0, np.zeros(0), 0)
 
     # row equilibration: rescaling (a_i, b_i, lam_i) by 1/||a_i||_inf leaves the
     # feasible set unchanged but keeps pivot tolerances meaningful
@@ -246,7 +241,7 @@ def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSol
     if not live.all():
         viol = np.abs(b[~live]) - lam[~live]
         if viol.size and viol.max() > FEAS_TOL:
-            return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, float(viol.max()), 0)
+            return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, 0)
     scale = np.ones(m)
     scale[live] = 1.0 / rownorm[live]
     As = A[live] * scale[live, None]
@@ -276,7 +271,6 @@ def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSol
         objective=objective,
         max_violation=max_violation,
         dual=dual,
-        phase1_objective=raw.phase1_objective,
         pivots=raw.pivots,
     )
 

@@ -64,7 +64,6 @@ class McConfig:
     penalty_c_gamma: float | None = 0.05
     relax_mu: bool = True
     pilot_scales: tuple[float, ...] = (1.0,)
-    gamma_phase_iters: int = 8
     quad_nodes: int = 9
     support_tol: float = 1e-6
     workers: int = 1
@@ -154,11 +153,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     t0 = time.perf_counter()
     try:
         dataset, truth = simulate(dgp, rule)
-        opts = RgmmOptions(
-            lam=cfg.lam_for(n),
-            pilot_scales=cfg.pilot_scales,
-            gamma_phase_iters=cfg.gamma_phase_iters,
-        )
+        opts = RgmmOptions(lam=cfg.lam_for(n), pilot_scales=cfg.pilot_scales)
         res = estimate(dataset, rule, opts)
     except Exception as e:  # any failure is this replication's, not the study's
         rec.status = _failure("estimate", e)

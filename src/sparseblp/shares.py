@@ -20,7 +20,6 @@ to NaN.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +42,12 @@ class InversionOptions:
     that: the default 1.0 makes the inversion Newton-led, a small value
     makes it contraction-led, and inf skips the contraction phase.
     max_contraction_iters and max_newton_iters bound the two phases.
-    share_floor_c1 / share_cap_c2 define a purely diagnostic band
-    [c1/J, c2/J] for integrated shares; violations raise a warning, never
-    an error.
     """
 
     contraction_tol: float = 1e-13
     max_contraction_iters: int = 2000
     newton_switch_tol: float = 1.0
     max_newton_iters: int = 60
-    share_floor_c1: float = 0.0
-    share_cap_c2: float = np.inf
 
 
 @dataclass
@@ -62,7 +56,6 @@ class InversionInfo:
     iterations: int
     newton_iterations: int
     max_residual: float
-    band_violations: int
 
 
 class InversionError(RuntimeError):
@@ -150,7 +143,6 @@ def _invert_batch(
         raise ConfigurationError("observed shares must be interior: S_j > 0, sum_j S_j < 1")
     log_target = np.log(S)
     delta = logit_delta(S) if start is None else np.array(start, dtype=float)
-    J = S.shape[1]
 
     def residual(d, idx):
         s = np.maximum(_mixed_shares(d, nu[idx], rule), _LOG_FLOOR)
@@ -207,27 +199,11 @@ def _invert_batch(
 
     max_resid = float(rmax.max())
     converged = max_resid <= opts.contraction_tol
-
-    band_violations = 0
-    if opts.share_floor_c1 > 0.0 or np.isfinite(opts.share_cap_c2):
-        sbar = _mixed_shares(delta, nu, rule)
-        lo = opts.share_floor_c1 / J
-        hi = opts.share_cap_c2 / J
-        band_violations = int(np.count_nonzero((sbar < lo) | (sbar > hi)))
-        if band_violations:
-            warnings.warn(
-                f"{band_violations} integrated shares fall outside the diagnostic band "
-                f"[{lo:.3g}, {hi:.3g}]",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
     info = InversionInfo(
         converged=converged,
         iterations=iters,
         newton_iterations=newton_iters,
         max_residual=max_resid,
-        band_violations=band_violations,
     )
     if not converged:
         worst = int(rmax.argmax())

@@ -1,0 +1,76 @@
+"""Estimates on the benchmark designs agree with recorded values to 1e-8.
+
+A refactor of the estimator is meant to leave every estimate where it was.
+This rebuilds the nine pool problems of the pipebench workloads (without
+importing pipebench) and checks each canonicalized ||theta_hat - theta||_2
+against the value the code gave before the SLP safeguards were pruned. Run
+with `pytest -m slow`.
+"""
+
+import numpy as np
+import pytest
+
+from sparseblp.dgp import DgpConfig, simulate
+from sparseblp.model_core import ModelConfig, canonicalize_gamma
+from sparseblp.montecarlo import McConfig, run_study
+from sparseblp.quadrature import gauss_hermite_rule
+from sparseblp.rgmm import RgmmOptions, estimate
+
+pytestmark = pytest.mark.slow
+
+QUAD_NODES = 9
+LAM_SCALE = 1.2
+
+
+def _model(n, J, L, G, K) -> ModelConfig:
+    # attributes split into G contiguous, equal-sized groups
+    partition = tuple(1 + (l * G) // L for l in range(L))
+    return ModelConfig(n_markets=n, J=J, L=L, G=G, K=K, partition=partition)
+
+
+# (model, s_beta, s_gamma, error at DGP seeds 0, 1, 2)
+ESTIMATE_DESIGNS = {
+    "two-group-inversion": (
+        _model(n=60, J=6, L=12, G=2, K=6), 2, 2,
+        (0.6899168763611008, 1.099465175987137, 1.7624124789598667),
+    ),
+    "wide-attribute-lp": (
+        _model(n=100, J=4, L=40, G=1, K=10), 3, 1,
+        (1.0962381705561748, 1.1462422312511478, 1.0637611644133367),
+    ),
+}
+
+# errors at n = 100 and n = 200, per master seed 0, 1, 2
+STUDY_ERRORS = (
+    (1.4267032875496628, 0.7076418197702086),
+    (0.9325861981873035, 1.0485118160141385),
+    (1.210188754768027, 1.4678548701544907),
+)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_DESIGNS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_estimate_error_unchanged(name, seed):
+    model, s_beta, s_gamma, errors = ESTIMATE_DESIGNS[name]
+    rule = gauss_hermite_rule(model.G, QUAD_NODES)
+    data, truth = simulate(DgpConfig(model=model, s_beta=s_beta, s_gamma=s_gamma, seed=seed), rule)
+    opts = RgmmOptions(lam=LAM_SCALE / np.sqrt(model.n_markets), pilot_scales=(1.0,))
+    theta = canonicalize_gamma(estimate(data, rule, opts).theta_hat, model)
+    err = float(np.linalg.norm(theta.stacked() - truth.stacked()))
+    assert err == pytest.approx(errors[seed], abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_study_errors_unchanged(seed):
+    cfg = McConfig(
+        dgp=DgpConfig(model=_model(n=100, J=4, L=10, G=1, K=6), s_beta=2, s_gamma=2, seed=seed),
+        replications=1,
+        n_grid=(100, 200),
+        lam_scale=LAM_SCALE,
+        penalty_c_gamma=0.05,
+        relax_mu=True,
+        pilot_scales=(1.0,),
+        quad_nodes=QUAD_NODES,
+    )
+    errors = [rec.err_l2 for rec in run_study(cfg).records]
+    assert errors == pytest.approx(STUDY_ERRORS[seed], abs=1e-8)

@@ -72,12 +72,13 @@ class TestPipeline:
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert len(deb["theta_dd"]) == 6 and len(deb["se"]) == 6
 
-    def test_export_moments_exit_zero(self, simulated, tmp_path, capsys):
+    def test_export_moments_exit_zero(self, simulated, tmp_path, capsys, inversion_log):
         code, err = run(capsys, "export-moments", "--data", simulated / "data.csv",
                         "--config", simulated / "model.json", "--theta", simulated / "truth.json",
                         "--out", tmp_path / "moments", *NODES)
         assert code == cli.EXIT_OK, err
         assert (tmp_path / "moments" / "jacobian.csv").read_text().count("\n") == 8
+        assert len(inversion_log) == 1  # score, omega and Jacobian share one inversion
 
     def test_nested_inversion_options_are_built(self, simulated, tmp_path, capsys):
         opts = write_json(tmp_path / "opts.json", {"inversion": {"contraction_tol": 1e-12},
@@ -119,16 +120,18 @@ class TestPipeline:
 
 class TestBadInput:
     def test_unknown_solver_option_is_data_error(self, simulated, tmp_path, capsys):
-        opts = write_json(tmp_path / "opts.json", {"bogus": 1})
-        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
-        assert code == cli.EXIT_DATA
-        assert "bogus" in one_line_error(err)
+        for key in ("bogus", "theta_box"):  # theta_box is a fixed constant, not an option
+            opts = write_json(tmp_path / "opts.json", {key: 1})
+            code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
+            assert code == cli.EXIT_DATA
+            assert key in one_line_error(err)
 
     def test_unknown_nested_inversion_option_is_data_error(self, simulated, tmp_path, capsys):
-        opts = write_json(tmp_path / "opts.json", {"inversion": {"bogus": 1}})
-        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
-        assert code == cli.EXIT_DATA
-        assert "bogus" in one_line_error(err)
+        for key in ("bogus", "share_floor_c1"):
+            opts = write_json(tmp_path / "opts.json", {"inversion": {key: 1}})
+            code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
+            assert code == cli.EXIT_DATA
+            assert key in one_line_error(err)
 
     @pytest.mark.parametrize("lam", ["-1", "abc", "nan", "inf"])
     def test_bad_lambda_is_usage_error(self, simulated, tmp_path, capsys, lam):

@@ -84,7 +84,8 @@ class TestLoadConfig:
         assert cfg.dgp.model == replace(MODEL, n_markets=30)
         assert cfg.n_grid == (30, 60) and cfg.pilot_scales == (0.5, 1.0)
 
-    @pytest.mark.parametrize("kw", [{"bogus": 1}, {"replications": "two"}, {"dgp": []}])
+    @pytest.mark.parametrize("kw", [{"bogus": 1}, {"replications": "two"}, {"dgp": []},
+                                    {"gamma_phase_iters": 8}])
     def test_malformed_config_raises_configuration_error(self, tmp_path, kw):
         path = tmp_path / "study.json"
         path.write_text(json.dumps(self.payload(**kw)))

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from sparseblp.dgp import DgpConfig, simulate
-from sparseblp.l1_solvers import L1LinfProblem, solve_l1_linf
+from sparseblp import rgmm
+from sparseblp.l1_solvers import L1LinfProblem, LpStatus, solve_l1_linf
 from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
 from sparseblp.moments import per_market_scores, score
 from sparseblp.quadrature import gauss_hermite_rule
@@ -13,6 +14,7 @@ from sparseblp.shares import logit_delta
 from sparseblp.rgmm import (
     RgmmOptions,
     _linear_beta_system,
+    _step_lp,
     estimate,
     estimate_auto,
     select_lambda,
@@ -173,3 +175,31 @@ class TestEstimateAuto:
         assert res.lam > 0
         assert res.converged, res.diagnosis
         assert res.final_constraint <= res.lam + 1e-6
+
+    def test_counts_cover_every_fit(self, gh1, monkeypatch):
+        fits = []
+        real = rgmm._estimate
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            fits.append((res.outer_iters, res.runtime_s))
+            return res
+
+        monkeypatch.setattr(rgmm, "_estimate", recording)
+        ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
+        res = estimate_auto(ds, gh1)
+        assert len(fits) == 2 and all(iters > 0 for iters, _ in fits)
+        assert res.outer_iters == sum(iters for iters, _ in fits)
+        assert res.runtime_s >= sum(t for _, t in fits)
+
+
+class TestStepLp:
+    # |v - 500| <= 350 and |v| <= 1000; the box |v - box_center| <= 100 binds
+    def test_box_rows_centered_at_zero_make_the_step_infeasible(self):
+        sol = _step_lp(np.array([[1.0]]), np.array([500.0]), 350.0, 0.0, 1000.0, 0.0)
+        assert sol.status is LpStatus.INFEASIBLE
+
+    def test_box_rows_follow_an_offset_center(self):
+        sol = _step_lp(np.array([[1.0]]), np.array([500.0]), 350.0, 0.0, 1000.0, 100.0)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x[0] == pytest.approx(150.0, abs=1e-9)

@@ -2,17 +2,26 @@
 
 Every subcommand reads JSON configs and CSV data, writes machine-readable
 results to files, and logs diagnostics to standard error only. Each output
-directory receives a manifest.json recording the resolved options, the tool
-version, the master seed, and sha256 hashes of every input file, so a later
-stage can detect that an input changed between runs.
+directory receives a manifest.json recording the resolved options (the
+config the command ran with, plus its command-line values), the tool
+version, the master seed, and each input file's path and sha256 by role, so
+a later stage can detect that an input changed between runs.
 
-Model configs (model.json, and the model block an estimate result embeds)
-share one schema: n_markets, J, L, G, K and partition.
+Every JSON input is read by one rule, model_core.config_from_dict: a file
+(the DGP config, the model config, the study config, the --opts solver
+options, a parameter file, and the model and theta_hat blocks an estimate
+result embeds) must hold exactly its config's keys, each value must have its
+field's JSON type exactly (an integer is not true or 4.0; a float field
+takes any number; a list of parameters holds finite numbers), and each
+config class checks its own ranges. Any violation exits 2 with one line
+naming the file and the key. --opts overrides RgmmOptions, its 'inversion'
+object InversionOptions; lam is set by --lambda only.
 
 Exit codes: 0 success, 1 usage error (unknown option, bad --lambda),
-2 data or validation error (missing, malformed or invalid input files),
-3 numerical failure (non-convergence, infeasible LP). Every failure is
-reported as one line on standard error.
+2 data or validation error (missing, malformed or invalid input files, a
+quadrature rule too large for the model), 3 numerical failure
+(non-convergence, infeasible LP). Every failure is reported as one line on
+standard error.
 """
 
 from __future__ import annotations
@@ -23,23 +32,23 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .debias import DebiasError, DebiasPenalties, debias, select_debias_penalties
-from .dgp import dgp_config_from_dict, simulate
+from .dgp import DgpConfig, simulate
 from .l1_solvers import LpSizeError
 from .model_core import (
     ConfigurationError,
     ModelConfig,
     Theta,
+    config_from_dict,
+    config_to_dict,
+    load_config,
     load_dataset_csv,
-    load_model_config,
-    model_config_from_dict,
-    model_config_to_dict,
     read_json,
     save_dataset_csv,
     save_model_config,
@@ -47,9 +56,9 @@ from .model_core import (
 )
 from .moments import evaluate
 from .montecarlo import StudyError, load_mc_config, run_study, write_report
-from .quadrature import gauss_hermite_rule
+from .quadrature import QuadratureRule, RuleSizeError, gauss_hermite_rule
 from .rgmm import EstimationError, RgmmOptions, estimate, estimate_auto
-from .shares import InversionError, InversionOptions
+from .shares import InversionError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -57,18 +66,6 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see --help)\n")
-
-
-@dataclass
-class RunManifest:
-    subcommand: str
-    config_paths: dict[str, str]
-    resolved_options: dict
-    version: str = __version__
-    master_seed: int | None = None
-    started_at: str = ""
-    finished_at: str = ""
-    input_hashes: dict[str, str] = field(default_factory=dict)
 
 
 def _sha256(path) -> str:
@@ -83,10 +80,21 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    manifest.finished_at = _now()
+def _write_manifest(out_dir: Path, args, inputs: dict, resolved: dict, master_seed=None) -> None:
+    """manifest.json for one command; inputs maps each role to its file (None: not given)."""
+    paths = {role: str(path) for role, path in inputs.items() if path is not None}
+    manifest = {
+        "subcommand": args.subcommand,
+        "config_paths": paths,
+        "resolved_options": resolved,
+        "version": __version__,
+        "master_seed": master_seed,
+        "started_at": args._started,
+        "finished_at": _now(),
+        "input_hashes": {path: _sha256(path) for path in paths.values()},
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_dataset(data_path, config: ModelConfig):
@@ -99,15 +107,17 @@ def _load_dataset(data_path, config: ModelConfig):
     return dataset
 
 
-def _read_theta(raw, path, config: ModelConfig) -> Theta:
-    """Theta from a {"beta": [...], "gamma": [...]} object sized for config."""
+def _rule(G: int, args, source) -> QuadratureRule:
+    """The --quad-nodes Gauss-Hermite rule for the G groups of the model in source."""
     try:
-        theta = Theta(
-            beta=np.asarray(raw["beta"], dtype=float),
-            gamma=np.asarray(raw["gamma"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigurationError(f"{path}: no valid beta/gamma block ({e!r})") from e
+        return gauss_hermite_rule(G, args.quad_nodes)
+    except RuleSizeError as e:
+        raise RuleSizeError(f"{source}: {e}") from e
+
+
+def _read_theta(path, key, config: ModelConfig) -> Theta:
+    """The Theta in a JSON file (its block under key, if given), sized for config."""
+    theta = load_config(Theta, path, key)
     if theta.L != config.L:
         raise ConfigurationError(f"{path}: parameters have L={theta.L}, the model has L={config.L}")
     return theta
@@ -116,66 +126,44 @@ def _read_theta(raw, path, config: ModelConfig) -> Theta:
 def _solver_options(path, lam: float) -> RgmmOptions:
     """RgmmOptions at lam with the overrides read from the --opts JSON, if any."""
     raw = read_json(path) if path else {}
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: solver options must be a JSON object")
-    unknown = raw.keys() - (RgmmOptions.__dataclass_fields__.keys() - {"lam"})
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown solver options {sorted(unknown)}")
-    raw = dict(raw)
     try:
-        if "inversion" in raw:
-            raw["inversion"] = InversionOptions(**raw["inversion"])
-        if "pilot_scales" in raw:
-            raw["pilot_scales"] = tuple(raw["pilot_scales"])
-        return RgmmOptions(lam=lam, **raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"{path}: bad solver options: {e}") from e
+        if not isinstance(raw, dict) or "lam" in raw:
+            raise ConfigurationError("solver options must be a JSON object without 'lam' (set by --lambda)")
+        return config_from_dict(RgmmOptions, {**raw, "lam": lam})
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{path}: {e}") from e
 
 
 def _cmd_simulate(args) -> int:
-    payload = read_json(args.dgp)
-    try:
-        dgp = dgp_config_from_dict(payload)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{args.dgp}: {e}") from e
+    dgp = load_config(DgpConfig, args.dgp)
     if args.seed is not None:
         dgp = replace(dgp, seed=args.seed)
-    rule = gauss_hermite_rule(dgp.model.G, args.quad_nodes)
-    dataset, truth = simulate(dgp, rule)
+    dataset, truth = simulate(dgp, _rule(dgp.model.G, args, args.dgp))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset_csv(dataset, out)
     save_model_config(dgp.model, out.parent / "model.json")
     Path(args.truth).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.truth).write_text(
-        json.dumps({"beta": truth.beta.tolist(), "gamma": truth.gamma.tolist()}, indent=2) + "\n"
-    )
+    Path(args.truth).write_text(json.dumps(config_to_dict(truth), indent=2) + "\n")
     _log(f"simulated {dataset.n} markets -> {out}")
-    _write_manifest(
-        out.parent,
-        RunManifest(
-            subcommand="simulate",
-            config_paths={"dgp": str(args.dgp)},
-            resolved_options={"quad_nodes": args.quad_nodes, "out": str(out), "truth": args.truth},
-            master_seed=dgp.seed,
-            started_at=args._started,
-            input_hashes={str(args.dgp): _sha256(args.dgp)},
-        ),
-    )
+    resolved = {**config_to_dict(dgp), "quad_nodes": args.quad_nodes, "out": str(out), "truth": args.truth}
+    _write_manifest(out.parent, args, {"dgp": args.dgp}, resolved, master_seed=dgp.seed)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    dataset = _load_dataset(args.data, load_model_config(args.config))
-    rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
+    config = load_config(ModelConfig, args.config)
+    opts = _solver_options(args.opts, 0.0 if args.lam == "auto" else args.lam)
+    dataset = _load_dataset(args.data, config)
+    rule = _rule(config.G, args, args.config)
     if args.lam == "auto":
-        result = estimate_auto(dataset, rule, opts=_solver_options(args.opts, 0.0))
+        result = estimate_auto(dataset, rule, opts=opts)
     else:
-        result = estimate(dataset, rule, _solver_options(args.opts, args.lam))
+        result = estimate(dataset, rule, opts)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
-        "theta_hat": {"beta": result.theta_hat.beta.tolist(), "gamma": result.theta_hat.gamma.tolist()},
+        "theta_hat": config_to_dict(result.theta_hat),
         "lambda": result.lam,
         "converged": result.converged,
         "outer_iters": result.outer_iters,
@@ -186,20 +174,12 @@ def _cmd_estimate(args) -> int:
         "diagnosis": result.diagnosis,
         "runtime_s": result.runtime_s,
         "history": [asdict(h) for h in result.history],
-        "model": model_config_to_dict(dataset.config),
+        "model": config_to_dict(config),
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     _log(f"estimate: lambda={result.lam:.6g} converged={result.converged} -> {out}")
-    _write_manifest(
-        out.parent,
-        RunManifest(
-            subcommand="estimate",
-            config_paths={"data": str(args.data), "config": str(args.config)},
-            resolved_options={"lambda": args.lam, "quad_nodes": args.quad_nodes, "opts": args.opts},
-            started_at=args._started,
-            input_hashes={str(p): _sha256(p) for p in [args.data, args.config] + ([args.opts] if args.opts else [])},
-        ),
-    )
+    resolved = {**config_to_dict(opts), "lam": args.lam, "quad_nodes": args.quad_nodes}
+    _write_manifest(out.parent, args, {"data": args.data, "config": args.config, "opts": args.opts}, resolved)
     if not result.converged:
         _log(f"numerical failure: {result.diagnosis}")
         return EXIT_NUMERIC
@@ -207,25 +187,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_debias(args) -> int:
-    est = read_json(args.estimate)
-    if not isinstance(est, dict):
-        raise ConfigurationError(f"{args.estimate}: estimate result must be a JSON object")
-    if args.config is not None:
-        config = load_model_config(args.config)
-    elif "model" in est:  # fall back to the model block the estimate embeds
-        try:
-            config = model_config_from_dict(est["model"])
-        except ConfigurationError as e:
-            raise ConfigurationError(f"{args.estimate}: {e}") from e
-    else:
-        raise ConfigurationError(f"{args.estimate} embeds no model block; pass --config explicitly")
-    theta_hat = _read_theta(est.get("theta_hat"), args.estimate, config)
+    # without --config, the model block the estimate embeds
+    config = load_config(ModelConfig, args.config or args.estimate, None if args.config else "model")
+    theta_hat = _read_theta(args.estimate, "theta_hat", config)
     dataset = _load_dataset(args.data, config)
-    rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
+    rule = _rule(config.G, args, args.config or args.estimate)
     if args.penalty_c is not None:
-        penalties = DebiasPenalties.scaled(dataset.config, dataset.n, c_gamma=args.penalty_c)
+        penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
     else:
-        penalties = select_debias_penalties(dataset.config, dataset.n)
+        penalties = select_debias_penalties(config, dataset.n)
     result = debias(
         dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha, relax_mu=args.relax_mu
     )
@@ -252,19 +222,10 @@ def _cmd_debias(args) -> int:
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     _log(f"debias: alpha={args.alpha} min_sv(gamma G)={result.min_sv_gamma_g:.3g} -> {out}")
-    inputs = [args.estimate, args.data] + ([args.config] if args.config else [])
-    _write_manifest(
-        out.parent,
-        RunManifest(
-            subcommand="debias",
-            config_paths={"estimate": str(args.estimate), "data": str(args.data),
-                          **({"config": str(args.config)} if args.config else {})},
-            resolved_options={"alpha": args.alpha, "penalty_c": args.penalty_c,
-                              "relax_mu": args.relax_mu, "quad_nodes": args.quad_nodes},
-            started_at=args._started,
-            input_hashes={str(p): _sha256(p) for p in inputs},
-        ),
-    )
+    resolved = {"model": config_to_dict(config), "alpha": args.alpha, "penalty_c": args.penalty_c,
+                "relax_mu": args.relax_mu, "quad_nodes": args.quad_nodes}
+    inputs = {"estimate": args.estimate, "data": args.data, "config": args.config}
+    _write_manifest(out.parent, args, inputs, resolved)
     return EXIT_OK
 
 
@@ -289,41 +250,24 @@ def _write_study(report, cfg, args) -> dict[str, Path]:
     paths = write_report(report, args.out)
     for n, agg in report.aggregates.items():
         _log(f"n={n}: {json.dumps(agg, sort_keys=True)}")
-    _write_manifest(
-        Path(args.out),
-        RunManifest(
-            subcommand="mc",
-            config_paths={"config": str(args.config)},
-            resolved_options={"workers": cfg.workers, "out": str(args.out)},
-            master_seed=cfg.dgp.seed,
-            started_at=args._started,
-            input_hashes={str(args.config): _sha256(args.config)},
-        ),
-    )
+    resolved = {**config_to_dict(cfg), "out": str(args.out)}
+    _write_manifest(Path(args.out), args, {"config": args.config}, resolved, master_seed=cfg.dgp.seed)
     return paths
 
 
 def _cmd_export_moments(args) -> int:
-    dataset = _load_dataset(args.data, load_model_config(args.config))
-    theta = _read_theta(read_json(args.theta), args.theta, dataset.config)
-    rule = gauss_hermite_rule(dataset.config.G, args.quad_nodes)
+    config = load_config(ModelConfig, args.config)
+    dataset = _load_dataset(args.data, config)
+    theta = _read_theta(args.theta, None, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    moments = evaluate(dataset, theta, rule)  # one share inversion serves all three
+    moments = evaluate(dataset, theta, _rule(config.G, args, args.config))  # one inversion serves all three
     np.savetxt(out / "score.csv", moments.score()[None, :], delimiter=",")
     np.savetxt(out / "omega.csv", moments.omega(), delimiter=",")
     np.savetxt(out / "jacobian.csv", moments.jacobian(), delimiter=",")
     _log(f"moment matrices -> {out}/")
-    _write_manifest(
-        out,
-        RunManifest(
-            subcommand="export-moments",
-            config_paths={"data": str(args.data), "config": str(args.config), "theta": str(args.theta)},
-            resolved_options={"quad_nodes": args.quad_nodes},
-            started_at=args._started,
-            input_hashes={str(p): _sha256(p) for p in [args.data, args.config, args.theta]},
-        ),
-    )
+    inputs = {"data": args.data, "config": args.config, "theta": args.theta}
+    _write_manifest(out, args, inputs, {"model": config_to_dict(config), "quad_nodes": args.quad_nodes})
     return EXIT_OK
 
 
@@ -419,7 +363,7 @@ def main(argv=None) -> int:
     args._started = _now()
     try:
         return args.func(args)
-    except (ConfigurationError, OSError) as e:
+    except (ConfigurationError, RuleSizeError, OSError) as e:
         _log(f"data error: {e}")
         return EXIT_DATA
     except (EstimationError, DebiasError, InversionError, LpSizeError, StudyError) as e:

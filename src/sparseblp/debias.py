@@ -66,8 +66,6 @@ class DebiasPenalties:
 
     lambda_gamma: np.ndarray
     lambda_mu: np.ndarray
-    bar_a: float = 0.0
-    c_prime: float = 1.5
 
     def __post_init__(self):
         lg = np.asarray(self.lambda_gamma, dtype=float)
@@ -114,13 +112,7 @@ def select_debias_penalties(
     tail = 1.0 / (2.0 * J**2 * G * K * L * n)
     lam_tilde = n ** (-0.5 + bar_a) * J**2 * G * norm.ppf(1.0 - tail)
     bar_lam = c_prime * J**1.5 * max(J**1.5 * lam_tilde**2, lam_tilde)
-    pen = DebiasPenalties.constant(L, bar_lam)
-    return DebiasPenalties(
-        lambda_gamma=pen.lambda_gamma,
-        lambda_mu=pen.lambda_mu,
-        bar_a=bar_a,
-        c_prime=c_prime,
-    )
+    return DebiasPenalties.constant(L, bar_lam)
 
 
 @dataclass

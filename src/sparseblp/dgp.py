@@ -34,7 +34,6 @@ from .model_core import (
     ModelConfig,
     Theta,
     group_index_matrix,
-    model_config_from_dict,
 )
 from .quadrature import QuadratureRule
 from .shares import _mixed_shares
@@ -70,8 +69,10 @@ class DgpConfig:
             raise ConfigurationError("endog_corr must lie in (-1, 1)")
         if not (0.0 <= self.instrument_strength < 1.0):
             raise ConfigurationError("instrument_strength must lie in [0, 1)")
-        if self.xi_sd < 0 or self.signal < 0:
-            raise ConfigurationError("xi_sd and signal must be nonnegative")
+        if not (0.0 <= self.xi_sd < np.inf and 0.0 <= self.signal < np.inf):
+            raise ConfigurationError("xi_sd and signal must be finite and nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def true_theta(cfg: DgpConfig) -> Theta:
@@ -81,18 +82,6 @@ def true_theta(cfg: DgpConfig) -> Theta:
     gamma = np.zeros(L)
     gamma[: cfg.s_gamma] = cfg.signal
     return Theta(beta=beta, gamma=gamma)
-
-
-def dgp_config_from_dict(raw) -> DgpConfig:
-    """DgpConfig from its JSON object: {"model": {...}, "s_beta": ..., ...}."""
-    if not isinstance(raw, dict) or "model" not in raw:
-        raise ConfigurationError("DGP config must be a JSON object with a 'model' block")
-    fields = dict(raw)
-    model = model_config_from_dict(fields.pop("model"))
-    try:
-        return DgpConfig(model=model, **fields)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad DGP config: {exc}") from exc
 
 
 def instrument_transforms(W: np.ndarray, K: int) -> np.ndarray:

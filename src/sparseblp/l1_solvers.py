@@ -207,17 +207,9 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
     if status is LpStatus.ITERATION_LIMIT:
         return _RawLp(z[:n], status, None, p1 + p2)
 
-    # duals from the final basis: B'y = c_B on the standard-form columns
-    Afull = np.zeros((m, ncols))
-    Afull[:, :nslack] = A
-    for a, i in enumerate(art_rows):
-        Afull[i, nslack + a] = 1.0
-    B = Afull[:, basis]
-    try:
-        y = np.linalg.solve(B.T, cfull[list(basis)])
-    except np.linalg.LinAlgError:
-        y = np.linalg.lstsq(B.T, cfull[list(basis)], rcond=None)[0]
-    y = np.where(neg, -y, y)  # undo row sign flips
+    # the slack columns' reduced costs are -y; a flipped row negates both its
+    # slack column and its dual, so no sign correction is needed
+    y = -T[-1, n : n + m]
     return _RawLp(z[:n], LpStatus.OPTIMAL, y, p1 + p2)
 
 

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -234,43 +237,89 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# File formats. ModelConfig travels as JSON; datasets travel as CSV with one
-# row per (market, product) and columns market_id, product_id, share,
-# x_1..x_L, h_1..h_K.
+# File formats. Configs (ModelConfig, DgpConfig, McConfig, RgmmOptions, Theta)
+# travel as JSON, read by config_from_dict and written by config_to_dict;
+# datasets travel as CSV with one row per (market, product) and columns
+# market_id, product_id, share, x_1..x_L, h_1..h_K.
 # ---------------------------------------------------------------------------
 
 
-_CONFIG_INTS = ("n_markets", "J", "L", "G", "K")
+def config_to_dict(obj) -> dict:
+    """The JSON object for a config dataclass; inverse of config_from_dict."""
+    return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def model_config_to_dict(config: ModelConfig) -> dict:
-    """The JSON object for a ModelConfig; inverse of model_config_from_dict."""
-    out = {name: int(getattr(config, name)) for name in _CONFIG_INTS}
-    out["partition"] = list(config.partition)
-    return out
+def _to_json(value):
+    if is_dataclass(value):
+        return config_to_dict(value)
+    if isinstance(value, (tuple, np.ndarray)):
+        return [_to_json(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
-def model_config_from_dict(raw) -> ModelConfig:
-    """Parse {"n_markets", "J", "L", "G", "K", "partition"}; raises ConfigurationError."""
+def config_from_dict(cls, raw, path: str = ""):
+    """Build the config dataclass cls from parsed JSON by one rule.
+
+    The keys must be cls's fields, the required ones all present. Each value
+    must have its field's JSON type exactly: an int field takes an integer
+    (not true, not 4.0), a float field any number that fits a float, a bool
+    field true or false, a tuple[X, ...] field a list of X, an X | None field
+    also null, a nested dataclass an object, and an array field (a Theta
+    block) a list of finite numbers. Ranges are cls's own __post_init__
+    checks. Every violation raises one ConfigurationError naming the key;
+    path is raw's dotted key within its file ('' at the top).
+    """
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"model config must be a JSON object, got {type(raw).__name__}")
-    keys = set(_CONFIG_INTS) | {"partition"}
-    if raw.keys() != keys:
+        raise ConfigurationError(f"{path or cls.__name__} must be a JSON object, got {raw!r}")
+    known = {f.name: f for f in fields(cls)}
+    required = {n for n, f in known.items() if f.default is MISSING and f.default_factory is MISSING}
+    missing, unknown = required - raw.keys(), raw.keys() - known.keys()
+    if missing or unknown:
         raise ConfigurationError(
-            f"model config needs exactly the keys {sorted(keys)}; "
-            f"missing {sorted(keys - raw.keys())}, unknown {sorted(raw.keys() - keys)}"
+            f"{path or cls.__name__} keys: missing {sorted(missing)}, unknown {sorted(unknown)}"
         )
-    part = raw["partition"]
-    if not isinstance(part, list) or not all(_is_int(g) for g in part):
-        raise ConfigurationError(f"partition must be a list of integers, got {part!r}")
-    for name in _CONFIG_INTS:
-        if not _is_int(raw[name]):
-            raise ConfigurationError(f"{name} must be an integer, got {raw[name]!r}")
-    return ModelConfig(**{name: raw[name] for name in _CONFIG_INTS}, partition=tuple(part))
+    hints = get_type_hints(cls)
+    prefix = f"{path}." if path else ""
+    values = {k: read_value(hints[k], v, prefix + k) for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a range check; ConfigurationError is one too
+        raise ConfigurationError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _is_number(v) -> bool:
+    # an int beyond float range would overflow wherever it is used as one
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    )
+
+
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    np.ndarray: ("a list of finite numbers",
+                 lambda v: isinstance(v, list) and all(_is_number(x) and math.isfinite(x) for x in v)),
+}
+
+
+def read_value(tp, value, key: str):
+    """One value of type tp by config_from_dict's rule; key names it in messages."""
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, key)
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{key} must be a list, got {value!r}")
+        return tuple(read_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    what, ok = _JSON_TYPES[tp]
+    if not ok(value):
+        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def read_json(path):
@@ -281,16 +330,24 @@ def read_json(path):
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def save_model_config(config: ModelConfig, path) -> None:
-    Path(path).write_text(json.dumps(model_config_to_dict(config), indent=2) + "\n")
+def load_config(cls, path, key: str | None = None):
+    """config_from_dict(cls, ...) on a JSON file, or on its block under key.
 
-
-def load_model_config(path) -> ModelConfig:
+    Every message names the file.
+    """
     raw = read_json(path)
     try:
-        return model_config_from_dict(raw)
+        if key is not None:
+            if not isinstance(raw, dict) or key not in raw:
+                raise ConfigurationError(f"no {key!r} block")
+            raw = raw[key]
+        return config_from_dict(cls, raw, key or "")
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def save_model_config(config: ModelConfig, path) -> None:
+    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 def dataset_header(config: ModelConfig) -> list[str]:

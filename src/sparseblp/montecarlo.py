@@ -28,8 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from .debias import DebiasPenalties, debias
-from .dgp import DgpConfig, dgp_config_from_dict, simulate
-from .model_core import ConfigurationError, canonicalize_gamma, read_json
+from .dgp import DgpConfig, simulate
+from .model_core import (
+    ConfigurationError,
+    canonicalize_gamma,
+    config_from_dict,
+    config_to_dict,
+    read_json,
+    read_value,
+)
 from .moments import score
 from .quadrature import gauss_hermite_rule
 from .rgmm import RgmmOptions, estimate
@@ -75,8 +82,17 @@ class McConfig:
             raise ConfigurationError("n_grid must be nonempty positive integers")
         if not 0 < self.alpha < 1:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.lam_fixed is None and self.lam_scale <= 0:
-            raise ConfigurationError("lam_scale must be positive")
+        if self.lam_fixed is None and not 0 < self.lam_scale < np.inf:
+            raise ConfigurationError("lam_scale must be finite and positive")
+        for name in ("lam_fixed", "penalty_c_gamma"):
+            v = getattr(self, name)
+            if v is not None and not 0 <= v < np.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0 when set, got {v}")
+        if self.quad_nodes < 1 or self.workers < 1:
+            raise ConfigurationError("quad_nodes and workers must be >= 1")
+        if not self.support_tol >= 0:
+            raise ConfigurationError(f"support_tol must be >= 0, got {self.support_tol}")
+        RgmmOptions(lam=0.0, pilot_scales=self.pilot_scales)  # checks pilot_scales
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "pilot_scales", tuple(float(c) for c in self.pilot_scales))
 
@@ -257,7 +273,7 @@ def canonical_bytes(report: McReport) -> bytes:
         row = _record_row(rec)
         row.pop("runtime_s")
         rows.append(row)
-    config = asdict(report.config)
+    config = config_to_dict(report.config)
     config.pop("workers")
     payload = {"config": config, "aggregates": report.aggregates, "records": rows}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
@@ -269,7 +285,7 @@ def write_report(report: McReport, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256(canonical_bytes(report)).hexdigest()
     summary = {
-        "config": asdict(report.config),
+        "config": config_to_dict(report.config),
         "aggregates": report.aggregates,
         "canonical_sha256": digest,
         "total_runtime_s": round(sum(r.runtime_s for r in report.records), 3),
@@ -287,26 +303,19 @@ def write_report(report: McReport, out_dir) -> dict[str, Path]:
 
 
 def load_mc_config(path) -> McConfig:
-    """McConfig from JSON: {dgp: {model: {...}, ...}, replications, n_grid, ...}.
+    """McConfig from a study JSON file, read by model_core.config_from_dict.
 
-    The model block may leave out n_markets, which each n_grid entry
-    overrides anyway. Malformed files raise ConfigurationError.
+    The one rule of its own: the model block may leave out n_markets, which
+    each n_grid entry overrides anyway; it is filled from n_grid[0].
     """
-    payload = read_json(path)
-    if not isinstance(payload, dict) or not isinstance(payload.get("dgp"), dict):
-        raise ConfigurationError(f"{path}: study config needs a 'dgp' object")
-    known = set(McConfig.__dataclass_fields__)
-    extra = set(payload) - known
-    if extra:
-        raise ConfigurationError(f"{path}: unknown study config keys: {sorted(extra)}")
-    dgp_raw = dict(payload.pop("dgp"))
-    n_grid = payload.get("n_grid")
-    if isinstance(dgp_raw.get("model"), dict) and isinstance(n_grid, list) and n_grid:
-        dgp_raw["model"] = {"n_markets": n_grid[0], **dgp_raw["model"]}
-    for name in ("n_grid", "pilot_scales"):
-        if isinstance(payload.get(name), list):
-            payload[name] = tuple(payload[name])
+    raw = read_json(path)
     try:
-        return McConfig(dgp=dgp_config_from_dict(dgp_raw), **payload)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: bad study config: {exc}") from exc
+        dgp = raw.get("dgp") if isinstance(raw, dict) else None
+        model = dgp.get("model") if isinstance(dgp, dict) else None
+        if isinstance(model, dict) and "n_markets" not in model:
+            n_grid = read_value(tuple[int, ...], raw.get("n_grid"), "n_grid")
+            if n_grid:
+                raw["dgp"] = {**dgp, "model": {"n_markets": n_grid[0], **model}}
+        return config_from_dict(McConfig, raw)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

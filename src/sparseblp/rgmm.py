@@ -112,13 +112,16 @@ class RgmmOptions:
     inversion: InversionOptions = field(default_factory=InversionOptions)
 
     def __post_init__(self):
-        if self.lam < 0 or not np.isfinite(self.lam):
+        if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         scales = np.asarray(self.pilot_scales, dtype=float)
         if scales.size == 0 or np.any(scales < 0) or not np.all(np.isfinite(scales)):
             raise ValueError(f"pilot_scales must be nonnegative reals, got {self.pilot_scales}")
-        if self.gamma_phase_iters < 0:
-            raise ValueError(f"gamma_phase_iters must be >= 0, got {self.gamma_phase_iters}")
+        if self.gamma_phase_iters < 0 or self.max_outer_iters < 1:
+            raise ValueError("gamma_phase_iters must be >= 0 and max_outer_iters >= 1, got "
+                             f"{self.gamma_phase_iters} and {self.max_outer_iters}")
+        if not 0 <= self.feasibility_slack < np.inf:
+            raise ValueError(f"feasibility_slack must be finite and >= 0, got {self.feasibility_slack}")
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,13 @@ class InversionOptions:
     newton_switch_tol: float = 1.0
     max_newton_iters: int = 60
 
+    def __post_init__(self):
+        if not (0 < self.contraction_tol < np.inf and self.newton_switch_tol > 0):
+            raise ValueError("contraction_tol must lie in (0, inf) and newton_switch_tol in (0, inf], "
+                             f"got {self.contraction_tol} and {self.newton_switch_tol}")
+        if self.max_contraction_iters < 0 or self.max_newton_iters < 0:
+            raise ValueError("max_contraction_iters and max_newton_iters must be >= 0")
+
 
 @dataclass
 class InversionInfo:

@@ -59,6 +59,64 @@ def estimate_args(root, out, lam="0.4"):
             "--lambda", lam, "--out", out, *NODES]
 
 
+def study(**kw):
+    return {"dgp": DGP, "replications": 1, "n_grid": [20], "quad_nodes": 5, **kw}
+
+
+SEVEN_GROUPS = {"n_markets": 2, "J": 2, "L": 7, "G": 7, "K": 4, "partition": [1, 2, 3, 4, 5, 6, 7]}
+NO_N_MARKETS = {k: v for k, v in DGP["model"].items() if k != "n_markets"}
+
+# (input kind, file content, extra arguments, the key the message must name;
+# text after ':' only tells cases apart). Each was accepted, misread, or ended
+# in a traceback or a numerical failure before every config had one reader.
+BAD_INPUTS = [
+    ("dgp", {**DGP, "seed": "abc"}, (), "seed:str"),
+    ("dgp", {**DGP, "seed": -1}, (), "seed:negative"),
+    ("dgp", {**DGP, "seed": 2.5}, (), "seed:float"),
+    ("dgp", DGP, ("--seed", "-1"), "seed:flag"),
+    ("dgp", {**DGP, "s_beta": 1.5}, (), "s_beta:float"),
+    ("dgp", {**DGP, "s_beta": True}, (), "s_beta:bool"),
+    ("dgp", {**DGP, "model": SEVEN_GROUPS}, (), "dgp.json:rule size"),
+    ("opts", {"max_outer_iters": "5"}, (), "max_outer_iters:str"),
+    ("opts", 2.5, (), "opts.json:not an object"),
+    ("opts", {"gamma_phase_iters": 1.5}, (), "gamma_phase_iters:float"),
+    ("opts", {"pilot_scales": "12"}, (), "pilot_scales:str"),
+    ("opts", {"feasibility_slack": -1}, (), "feasibility_slack:negative"),
+    ("opts", {"feasibility_slack": "x"}, (), "feasibility_slack:str"),
+    ("opts", {"inversion": {"contraction_tol": "x"}}, (), "inversion.contraction_tol:str"),
+    ("opts", {"inversion": {"max_newton_iters": -3}}, (), "max_newton_iters:negative"),
+    ("opts", {"max_outer_iters": 0}, (), "max_outer_iters:zero"),
+    ("opts", {"lam": 0.1}, (), "lam:set by --lambda"),
+    ("study", study(replications=1.5), (), "replications:float"),
+    ("study", study(workers="2"), (), "workers:str"),
+    ("study", study(workers=0), (), "workers:zero"),
+    ("study", study(pilot_scales="ab"), (), "pilot_scales:str"),
+    ("study", study(quad_nodes=0), (), "quad_nodes:zero"),
+    ("study", study(support_tol="x"), (), "support_tol:str"),
+    ("study", study(relax_mu="no"), (), "relax_mu:str"),
+    ("study", study(lam_fixed=-1), (), "lam_fixed:negative"),
+    ("study", study(penalty_c_gamma=-1), (), "penalty_c_gamma:negative"),
+    ("study", study(n_grid=[20.5]), (), "n_grid:float"),
+    ("study", study(dgp={**DGP, "model": NO_N_MARKETS}, n_grid=[20.0]), (), "n_grid:fills n_markets"),
+    ("theta", {"beta": [0.7, math.nan, 0.0], "gamma": [0.7, 0.0, 0.0]}, (), "beta:nan"),
+    ("estimate", {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [math.inf, 0.0, 0.0]},
+                  "model": DGP["model"]}, (), "theta_hat.gamma:inf"),
+]
+
+# the command that reads each kind of input file; the G = 7 case must keep the
+# default 9 nodes per dimension, whose rule is too large
+BAD_INPUT_ARGV = {
+    "dgp": lambda path, root, out: ["simulate", "--dgp", path, "--out", out / "d.csv",
+                                    "--truth", out / "t.json"],
+    "opts": lambda path, root, out: [*estimate_args(root, out / "e.json"), "--opts", path],
+    "study": lambda path, root, out: ["mc", "--config", path, "--out", out],
+    "theta": lambda path, root, out: ["export-moments", "--data", root / "data.csv", "--config",
+                                      root / "model.json", "--theta", path, "--out", out, *NODES],
+    "estimate": lambda path, root, out: ["debias", "--estimate", path, "--data", root / "data.csv",
+                                         "--out", out / "b.json", *NODES],
+}
+
+
 class TestPipeline:
     def test_simulate_estimate_debias_exit_zero(self, simulated, tmp_path, capsys):
         root = simulated
@@ -86,6 +144,18 @@ class TestPipeline:
         code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
         assert code == cli.EXIT_OK, err
 
+    def test_manifest_records_every_input_and_the_options_run_with(self, simulated, tmp_path, capsys):
+        opts = write_json(tmp_path / "opts.json", {"inversion": {"contraction_tol": 1e-12},
+                                                   "pilot_scales": [1.0]})
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
+        assert code == cli.EXIT_OK, err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_paths"] == {"data": str(simulated / "data.csv"),
+                                            "config": str(simulated / "model.json"), "opts": str(opts)}
+        assert manifest["input_hashes"].keys() == set(manifest["config_paths"].values())
+        resolved = manifest["resolved_options"]
+        assert resolved["lam"] == 0.4 and resolved["quad_nodes"] == 7
+        assert resolved["inversion"]["contraction_tol"] == 1e-12 and resolved["max_outer_iters"] == 50
 
     def test_result_json_counts_share_inversions(self, simulated, tmp_path, capsys):
         est = json.loads((simulated / "est" / "est.json").read_text())
@@ -196,6 +266,13 @@ class TestBadInput:
         code, err = run(capsys, *argv, option, "1")
         assert code == cli.EXIT_USAGE
         assert f"unrecognized arguments: {option} 1" in one_line_error(err)
+
+    @pytest.mark.parametrize("kind, payload, extra, key", BAD_INPUTS, ids=[c[-1] for c in BAD_INPUTS])
+    def test_bad_input_exits_2_naming_the_key(self, simulated, tmp_path, capsys, kind, payload, extra, key):
+        path = write_json(tmp_path / f"{kind}.json", payload)
+        code, err = run(capsys, *BAD_INPUT_ARGV[kind](path, simulated, tmp_path / "out"), *extra)
+        assert code == cli.EXIT_DATA, err
+        assert key.split(":")[0] in one_line_error(err)
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))

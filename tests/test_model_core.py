@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -11,15 +13,20 @@ from sparseblp.model_core import (
     ModelConfig,
     Theta,
     canonicalize_gamma,
+    config_from_dict,
+    config_to_dict,
     group_index_matrix,
+    load_config,
     load_dataset_csv,
-    load_model_config,
-    model_config_from_dict,
-    model_config_to_dict,
     save_dataset_csv,
     save_model_config,
     validate_dataset,
 )
+
+from sparseblp.dgp import DgpConfig
+from sparseblp.montecarlo import McConfig
+from sparseblp.rgmm import RgmmOptions
+from sparseblp.shares import InversionOptions
 
 from conftest import random_dataset, random_theta
 
@@ -186,32 +193,32 @@ class TestSerialization:
     def test_model_config_roundtrip(self, tmp_path):
         c = cfg()
         save_model_config(c, tmp_path / "m.json")
-        assert load_model_config(tmp_path / "m.json") == c
+        assert load_config(ModelConfig, tmp_path / "m.json") == c
 
     def test_model_config_missing_key(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps({"n": 1, "J": 2}))
         with pytest.raises(ConfigurationError):
-            load_model_config(tmp_path / "m.json")
+            load_config(ModelConfig, tmp_path / "m.json")
 
     def test_model_config_uses_n_markets_key(self, tmp_path):
         c = cfg()
-        assert model_config_to_dict(c) == {
+        assert config_to_dict(c) == {
             "n_markets": 2, "J": 3, "L": 4, "G": 2, "K": 2, "partition": [1, 1, 2, 2]
         }
-        legacy = dict(model_config_to_dict(c))
+        legacy = dict(config_to_dict(c))
         legacy["n"] = legacy.pop("n_markets")
         with pytest.raises(ConfigurationError, match="missing \\['n_markets'\\], unknown \\['n'\\]"):
-            model_config_from_dict(legacy)
+            config_from_dict(ModelConfig, legacy)
 
     @pytest.mark.parametrize(
         "field, value", [("J", "3"), ("L", 4.0), ("K", True), ("partition", [1, "2", 2, 2]),
                          ("partition", "1122")]
     )
     def test_model_config_rejects_bad_types(self, field, value):
-        raw = model_config_to_dict(cfg())
+        raw = config_to_dict(cfg())
         raw[field] = value
         with pytest.raises(ConfigurationError, match=field):
-            model_config_from_dict(raw)
+            config_from_dict(ModelConfig, raw)
 
     @given(
         J=st.integers(1, 6),
@@ -223,8 +230,8 @@ class TestSerialization:
         G = max(labels)
         partition = tuple(sorted(set(range(1, G + 1))) + labels)
         c = ModelConfig(n_markets=n, J=J, L=len(partition), G=G, K=K, partition=partition)
-        raw = json.loads(json.dumps(model_config_to_dict(c)))
-        assert model_config_from_dict(raw) == c
+        raw = json.loads(json.dumps(config_to_dict(c)))
+        assert config_from_dict(ModelConfig, raw) == c
 
     def test_dataset_csv_roundtrip(self, rng, tmp_path):
         c = cfg()
@@ -244,3 +251,76 @@ class TestSerialization:
             b"1,1,0.25,0.5,2.0\r\n"
             b"2,1,0.1,-1.0,1e-20\r\n"
         )
+
+
+# valid configs of every class read from JSON; float fields also take ints
+nonneg = st.floats(0, 1e6) | st.integers(0, 10**6)
+scales = st.lists(nonneg, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def model_configs(draw):
+    labels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    G = max(labels)
+    partition = tuple(range(1, G + 1)) + tuple(labels)
+    return ModelConfig(n_markets=draw(st.integers(1, 500)), J=draw(st.integers(1, 6)),
+                       L=len(partition), G=G, K=draw(st.integers(1, 6)), partition=partition)
+
+
+@st.composite
+def dgp_configs(draw):
+    model = draw(model_configs())
+    return DgpConfig(model=model, s_beta=draw(st.integers(0, model.L)), s_gamma=draw(st.integers(0, model.L)),
+                     signal=draw(nonneg), xi_sd=draw(nonneg), endog_corr=draw(st.floats(-0.99, 0.99)),
+                     instrument_strength=draw(st.floats(0, 0.99)), seed=draw(st.integers(0, 2**64)))
+
+
+mc_configs = st.builds(
+    McConfig, dgp=dgp_configs(), replications=st.integers(1, 100),
+    n_grid=st.lists(st.integers(1, 10**4), min_size=1, max_size=3).map(tuple),
+    alpha=st.floats(0.01, 0.99), lam_scale=st.floats(1e-3, 10), lam_fixed=st.none() | nonneg,
+    penalty_c_gamma=st.none() | nonneg, relax_mu=st.booleans(), pilot_scales=scales,
+    quad_nodes=st.integers(1, 20), support_tol=nonneg, workers=st.integers(1, 8),
+)
+rgmm_options = st.builds(
+    RgmmOptions, lam=nonneg, max_outer_iters=st.integers(1, 100), pilot_scales=scales,
+    gamma_phase_iters=st.integers(0, 20), feasibility_slack=nonneg,
+    inversion=st.builds(InversionOptions, contraction_tol=st.floats(1e-15, 1.0),
+                        max_contraction_iters=st.integers(0, 5000),
+                        newton_switch_tol=st.floats(1e-6, 10) | st.just(math.inf),
+                        max_newton_iters=st.integers(0, 100)),
+)
+configs = st.one_of(model_configs(), dgp_configs(), mc_configs, rgmm_options)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigReader:
+    @given(configs)
+    def test_config_dict_roundtrip(self, config):
+        raw = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(type(config), raw) == config
+
+    @given(configs, st.data())
+    def test_one_arbitrary_field_gives_an_instance_or_configuration_error(self, config, data):
+        raw = config_to_dict(config)
+        raw[data.draw(st.sampled_from(sorted(raw)))] = data.draw(json_values)
+        try:
+            out = config_from_dict(type(config), raw)
+        except ConfigurationError:
+            return
+        assert isinstance(out, type(config))
+
+    def test_theta_block_is_a_list_of_finite_numbers(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"theta": {"beta": [1, 2.5], "gamma": [0, -1e300]}}))
+        theta = load_config(Theta, path, "theta")
+        assert theta.stacked().tolist() == [1.0, 2.5, 0.0, -1e300]
+        for bad in ([1, 10**400], [1, math.inf], [1, [2]], [True, 1]):
+            path.write_text(json.dumps({"theta": {"beta": bad, "gamma": [0, 0]}}))
+            message = re.escape(f"{path}: theta.beta must be a list of finite")
+            with pytest.raises(ConfigurationError, match=message):
+                load_config(Theta, path, "theta")

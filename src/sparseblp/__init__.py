@@ -3,4 +3,4 @@
 __version__ = "0.1.0"
 
 from .model_core import Dataset, ModelConfig, Theta  # noqa: F401
-from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, monte_carlo_rule  # noqa: F401
+from .quadrature import QuadratureRule, gauss_hermite_rule, monte_carlo_rule  # noqa: F401

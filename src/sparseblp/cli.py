@@ -17,7 +17,7 @@ config class checks its own ranges. Any violation exits 2 with one line
 naming the file and the key. --opts overrides RgmmOptions, its 'inversion'
 object InversionOptions; lam is set by --lambda only.
 
-Exit codes: 0 success, 1 usage error (unknown option, bad --lambda),
+Exit codes: 0 success, 1 usage error (unknown option, bad --lambda or --seed),
 2 data or validation error (missing, malformed or invalid input files, a
 quadrature rule too large for the model), 3 numerical failure
 (non-convergence, infeasible LP). Every failure is reported as one line on
@@ -233,7 +233,7 @@ def _cmd_mc(args) -> int:
     cfg = load_mc_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, dgp=replace(cfg.dgp, seed=args.seed))
-    if args.threads > 1:
+    if args.threads is not None:  # the flag, else SPARSE_BLP_THREADS, else the study's workers
         cfg = replace(cfg, workers=args.threads)
     try:
         report = run_study(cfg)
@@ -289,6 +289,7 @@ def _checked(kind, ok, what: str, keep=()):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a nonnegative number")
 _lambda_arg = _checked(
     float, lambda v: 0.0 <= v < np.inf, "'auto' or a nonnegative number", keep=("auto",)
@@ -310,7 +311,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="dataset CSV path (model.json written alongside)")
     p.add_argument("--truth", required=True, help="true parameter JSON path")
     quad_nodes(p)
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
+    p.add_argument("--seed", type=_seed, default=None, help="master seed override")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="regularized GMM fit on a dataset")
@@ -341,10 +342,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mc", help="replication study (quadrature nodes come from the study config)")
     p.add_argument("--config", required=True, help="study config JSON")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--threads", type=_positive_int,
-                   default=os.environ.get("SPARSE_BLP_THREADS", "1"),
-                   help="worker processes (default: SPARSE_BLP_THREADS, else 1)")
+    p.add_argument("--seed", type=_seed, default=None, help="master seed override")
+    p.add_argument("--threads", type=_positive_int, default=os.environ.get("SPARSE_BLP_THREADS"),
+                   help="worker processes (default: SPARSE_BLP_THREADS, else the study's workers)")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("export-moments", help="score, weight matrix, and Jacobian to CSV")

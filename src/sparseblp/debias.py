@@ -42,7 +42,6 @@ from .l1_solvers import LpStatus, solve_nonneg_lp, solve_row_family
 from .model_core import Dataset, ModelConfig, Theta
 from .moments import Evaluator, jacobian_theta, omega, score
 from .quadrature import QuadratureRule
-from .shares import InversionOptions
 
 
 class DebiasError(RuntimeError):
@@ -53,6 +52,10 @@ class DebiasError(RuntimeError):
 # where floor is the row's minimal achievable sup-norm residual.
 RELAX_FACTOR = 1.05
 RELAX_MARGIN = 1e-6
+
+# Constants of the theoretical penalty rule (select_debias_penalties).
+BAR_A = 0.0
+C_PRIME = 1.5
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,10 @@ class DebiasPenalties:
         object.__setattr__(self, "lambda_mu", lm)
 
     @staticmethod
-    def constant(L: int, lam_gamma: float, lam_mu: float | None = None) -> "DebiasPenalties":
-        """Uniform penalties for all 2L rows; lam_mu defaults to 2*lam_gamma."""
-        lam_mu = 2.0 * lam_gamma if lam_mu is None else lam_mu
+    def constant(L: int, lam_gamma: float) -> "DebiasPenalties":
+        """Uniform penalties for all 2L rows, with lambda_mu = 2 lam_gamma."""
         return DebiasPenalties(
-            lambda_gamma=np.full(2 * L, lam_gamma), lambda_mu=np.full(2 * L, lam_mu)
+            lambda_gamma=np.full(2 * L, lam_gamma), lambda_mu=np.full(2 * L, 2.0 * lam_gamma)
         )
 
     @staticmethod
@@ -97,21 +99,19 @@ class DebiasPenalties:
         return DebiasPenalties.constant(config.L, lam)
 
 
-def select_debias_penalties(
-    config: ModelConfig, n: int, bar_a: float = 0.0, c_prime: float = 1.5
-) -> DebiasPenalties:
-    """The theoretical penalty rule with its constants exposed.
+def select_debias_penalties(config: ModelConfig, n: int) -> DebiasPenalties:
+    """The theoretical penalty rule.
 
-    lambda_tilde = n^(-1/2 + bar_a) J^2 G Phi^{-1}(1 - (2 J^2 G K L n)^{-1}),
-    bar_lambda = c_prime J^{3/2} max{J^{3/2} lambda_tilde^2, lambda_tilde},
+    lambda_tilde = n^(-1/2 + BAR_A) J^2 G Phi^{-1}(1 - (2 J^2 G K L n)^{-1}),
+    bar_lambda = C_PRIME J^{3/2} max{J^{3/2} lambda_tilde^2, lambda_tilde},
     lambda_gamma = bar_lambda and lambda_mu = 2 bar_lambda on every row.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     J, G, K, L = config.J, config.G, config.K, config.L
     tail = 1.0 / (2.0 * J**2 * G * K * L * n)
-    lam_tilde = n ** (-0.5 + bar_a) * J**2 * G * norm.ppf(1.0 - tail)
-    bar_lam = c_prime * J**1.5 * max(J**1.5 * lam_tilde**2, lam_tilde)
+    lam_tilde = n ** (-0.5 + BAR_A) * J**2 * G * norm.ppf(1.0 - tail)
+    bar_lam = C_PRIME * J**1.5 * max(J**1.5 * lam_tilde**2, lam_tilde)
     return DebiasPenalties.constant(L, bar_lam)
 
 
@@ -258,7 +258,6 @@ def debias(
     rule: QuadratureRule,
     penalties: DebiasPenalties | None = None,
     alpha: float = 0.05,
-    inversion: InversionOptions | None = None,
     relax_mu: bool = False,
 ) -> DebiasResult:
     """Run the full correction pipeline at the plug-in point theta_hat.
@@ -271,10 +270,10 @@ def debias(
     cfg = dataset.config
     if penalties is None:
         penalties = select_debias_penalties(cfg, dataset.n)
-    evals = Evaluator(dataset, rule, inversion)  # one inversion serves all three
-    omega_hat = omega(dataset, theta_hat, rule, inversion, evals)
-    g_hat = jacobian_theta(dataset, theta_hat, rule, inversion, evals)
-    f_hat = score(dataset, theta_hat, rule, inversion, evals)
+    evals = Evaluator(dataset, rule)  # one inversion serves all three
+    omega_hat = omega(dataset, theta_hat, rule, evals=evals)
+    g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)
+    f_hat = score(dataset, theta_hat, rule, evals=evals)
     gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties)
     mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties, relax=relax_mu)
     theta_dd = debiased_theta(theta_hat.stacked(), mu_hat, gamma_hat, f_hat)

@@ -21,7 +21,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
-MAX_PIVOTS = 100_000
+MAX_PIVOTS = 100_000  # per LP, both phases; read at each call
 MAX_DENSE_ENTRIES = 10_000_000
 
 
@@ -137,7 +137,7 @@ class _RawLp:
     pivots: int
 
 
-def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
+def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
     """min c'z s.t. A_ub z <= b_ub, z >= 0, by two-phase dense simplex.
 
     Returns the primal solution, a dual vector y for the inequality rows
@@ -175,7 +175,7 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
     T[-1, -1] = -b[art_rows].sum()
 
     allowed = np.ones(ncols, dtype=bool)
-    status, p1 = _run_simplex(T, basis, allowed, max_pivots)
+    status, p1 = _run_simplex(T, basis, allowed, MAX_PIVOTS)
     if status is LpStatus.ITERATION_LIMIT:
         return _RawLp(np.zeros(n), status, None, p1)
     if -T[-1, -1] > FEAS_TOL:  # the artificials cannot all reach zero
@@ -200,7 +200,7 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
         if cfull[bi] != 0.0:
             T[-1] -= cfull[bi] * T[i]
 
-    status, p2 = _run_simplex(T, basis, allowed, max_pivots - p1)
+    status, p2 = _run_simplex(T, basis, allowed, MAX_PIVOTS - p1)
     z = np.zeros(ncols)
     for i, bi in enumerate(basis):
         z[bi] = T[i, -1]
@@ -213,7 +213,7 @@ def solve_nonneg_lp(c, A_ub, b_ub, max_pivots: int = MAX_PIVOTS) -> _RawLp:
     return _RawLp(z[:n], LpStatus.OPTIMAL, y, p1 + p2)
 
 
-def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSolution:
+def solve_l1_linf(problem: L1LinfProblem) -> LpSolution:
     """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i for every row.
 
     Returns an LpSolution whose dual vector y certifies optimality in the
@@ -244,7 +244,7 @@ def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSol
     c = np.ones(2 * p)
     A_ub = np.block([[As, -As], [-As, As]])
     b_ub = np.concatenate([bs + lams, lams - bs])
-    raw = solve_nonneg_lp(c, A_ub, b_ub, max_pivots)
+    raw = solve_nonneg_lp(c, A_ub, b_ub)
     x = raw.z[:p] - raw.z[p:]
     if raw.status is LpStatus.OPTIMAL:
         resid = A @ x - b
@@ -267,12 +267,7 @@ def solve_l1_linf(problem: L1LinfProblem, max_pivots: int = MAX_PIVOTS) -> LpSol
     )
 
 
-def solve_row_family(
-    A: np.ndarray,
-    B: np.ndarray,
-    lam: np.ndarray,
-    max_pivots: int = MAX_PIVOTS,
-) -> list[LpSolution]:
+def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSolution]:
     """Solve min ||x_r||_1 s.t. ||x_r A - B_r||_inf <= lam_r for each row r of B.
 
     Equivalent to solve_l1_linf on (A', B_r') row by row; rows are independent
@@ -286,7 +281,4 @@ def solve_row_family(
         # x_r A has length A.shape[1]; B_r must match it
         raise ValueError(f"row family shapes do not conform: A {A.shape}, B {B.shape}")
     At = A.T.copy()
-    return [
-        solve_l1_linf(L1LinfProblem(A=At, b=B[r], lam=lam[r]), max_pivots)
-        for r in range(B.shape[0])
-    ]
+    return [solve_l1_linf(L1LinfProblem(A=At, b=B[r], lam=lam[r])) for r in range(B.shape[0])]

@@ -95,10 +95,6 @@ class ModelConfig:
     def n_moments(self) -> int:
         return self.J * self.K
 
-    @property
-    def n_params(self) -> int:
-        return 2 * self.L
-
 
 @dataclass(frozen=True)
 class Theta:
@@ -262,12 +258,13 @@ def config_from_dict(cls, raw, path: str = ""):
 
     The keys must be cls's fields, the required ones all present. Each value
     must have its field's JSON type exactly: an int field takes an integer
-    (not true, not 4.0), a float field any number that fits a float, a bool
-    field true or false, a tuple[X, ...] field a list of X, an X | None field
-    also null, a nested dataclass an object, and an array field (a Theta
-    block) a list of finite numbers. Ranges are cls's own __post_init__
-    checks. Every violation raises one ConfigurationError naming the key;
-    path is raw's dotted key within its file ('' at the top).
+    (not true, not 4.0), a float field any number that fits a float (read as
+    a float, so 1 and 1.0 give one config), a bool field true or false, a
+    tuple[X, ...] field a list of X, an X | None field also null, a nested
+    dataclass an object, and an array field (a Theta block) a list of finite
+    numbers. Ranges are cls's own __post_init__ checks. Every violation
+    raises one ConfigurationError naming the key; path is raw's dotted key
+    within its file ('' at the top).
     """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path or cls.__name__} must be a JSON object, got {raw!r}")
@@ -319,7 +316,7 @@ def read_value(tp, value, key: str):
     what, ok = _JSON_TYPES[tp]
     if not ok(value):
         raise ConfigurationError(f"{key} must be {what}, got {value!r}")
-    return value
+    return float(value) if tp is float else value
 
 
 def read_json(path):

@@ -152,16 +152,6 @@ def _evaluation(dataset, theta, rule, opts, evals: Evaluator | None) -> MomentEv
     return evaluate(dataset, theta, rule, opts) if evals is None else evals(theta)
 
 
-def xi_residuals(
-    dataset: Dataset,
-    theta: Theta,
-    rule: QuadratureRule,
-    opts: InversionOptions | None = None,
-) -> np.ndarray:
-    """Structural residuals xi for every market, shape (n, J)."""
-    return evaluate(dataset, theta, rule, opts).xi
-
-
 def per_market_scores(
     dataset: Dataset,
     theta: Theta,

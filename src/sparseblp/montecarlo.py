@@ -38,8 +38,10 @@ from .model_core import (
     read_value,
 )
 from .moments import score
-from .quadrature import gauss_hermite_rule
+from .quadrature import MAX_TENSOR_NODES, gauss_hermite_rule
 from .rgmm import RgmmOptions, estimate
+
+SUPPORT_TOL = 1e-6  # |theta_l| above this puts coordinate l in a support
 
 
 class StudyError(RuntimeError):
@@ -55,11 +57,14 @@ class McConfig:
     """Study design: DGP template, replication counts, and estimator knobs.
 
     dgp.model.n_markets is overridden by each entry of n_grid. The moment
-    tolerance is lam_fixed when set, else lam_scale / sqrt(n). The correction
-    penalties use DebiasPenalties.scaled with penalty_c_gamma, or the
-    theoretical rule when penalty_c_gamma is None; relax_mu floors the mu
-    penalties at per-row feasibility, which designs with more parameters
-    than moments (2L > JK) need for the correction to exist at all.
+    tolerance is lam_scale / sqrt(n). The correction penalties use
+    DebiasPenalties.scaled with penalty_c_gamma, or the theoretical rule when
+    penalty_c_gamma is None; relax_mu floors the mu penalties at per-row
+    feasibility, which designs with more parameters than moments (2L > JK)
+    need for the correction to exist at all. Each replication integrates on
+    the tensor Gauss-Hermite rule with quad_nodes per dimension, whose
+    quad_nodes**G nodes must not exceed quadrature.MAX_TENSOR_NODES. Supports
+    are read at threshold SUPPORT_TOL.
     """
 
     dgp: DgpConfig
@@ -67,12 +72,10 @@ class McConfig:
     n_grid: tuple[int, ...]
     alpha: float = 0.05
     lam_scale: float = 1.2
-    lam_fixed: float | None = None
     penalty_c_gamma: float | None = 0.05
     relax_mu: bool = True
     pilot_scales: tuple[float, ...] = (1.0,)
     quad_nodes: int = 9
-    support_tol: float = 1e-6
     workers: int = 1
 
     def __post_init__(self):
@@ -82,22 +85,25 @@ class McConfig:
             raise ConfigurationError("n_grid must be nonempty positive integers")
         if not 0 < self.alpha < 1:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.lam_fixed is None and not 0 < self.lam_scale < np.inf:
+        if not 0 < self.lam_scale < np.inf:
             raise ConfigurationError("lam_scale must be finite and positive")
-        for name in ("lam_fixed", "penalty_c_gamma"):
-            v = getattr(self, name)
-            if v is not None and not 0 <= v < np.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0 when set, got {v}")
+        if self.penalty_c_gamma is not None and not 0 <= self.penalty_c_gamma < np.inf:
+            raise ConfigurationError(
+                f"penalty_c_gamma must be finite and >= 0 when set, got {self.penalty_c_gamma}"
+            )
         if self.quad_nodes < 1 or self.workers < 1:
             raise ConfigurationError("quad_nodes and workers must be >= 1")
-        if not self.support_tol >= 0:
-            raise ConfigurationError(f"support_tol must be >= 0, got {self.support_tol}")
+        G = self.dgp.model.G
+        if self.quad_nodes**G > MAX_TENSOR_NODES:
+            raise ConfigurationError(
+                f"quad_nodes: {self.quad_nodes}**{G} tensor nodes exceed {MAX_TENSOR_NODES}"
+            )
         RgmmOptions(lam=0.0, pilot_scales=self.pilot_scales)  # checks pilot_scales
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "pilot_scales", tuple(float(c) for c in self.pilot_scales))
 
     def lam_for(self, n: int) -> float:
-        return self.lam_fixed if self.lam_fixed is not None else self.lam_scale / np.sqrt(n)
+        return self.lam_scale / np.sqrt(n)
 
 
 @dataclass
@@ -126,10 +132,8 @@ class McReport:
     aggregates: dict = field(default_factory=dict)
 
 
-def support_metrics(
-    theta_hat: np.ndarray, theta_true: np.ndarray, tol: float = 1e-6
-) -> tuple[float, float]:
-    """Precision and recall of the estimated support at threshold tol.
+def support_metrics(theta_hat: np.ndarray, theta_true: np.ndarray) -> tuple[float, float]:
+    """Precision and recall of the estimated support at threshold SUPPORT_TOL.
 
     Empty conventions: precision is 1 when both supports are empty and 0
     when only the estimate's is; recall is 1 when the true support is empty.
@@ -138,8 +142,8 @@ def support_metrics(
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_hat.shape != theta_true.shape:
         raise ValueError("theta_hat and theta_true must have equal shape")
-    est = np.abs(theta_hat) > tol
-    true = np.abs(theta_true) > tol
+    est = np.abs(theta_hat) > SUPPORT_TOL
+    true = np.abs(theta_true) > SUPPORT_TOL
     hits = int(np.sum(est & true))
     if not est.any():
         precision = 1.0 if not true.any() else 0.0
@@ -179,9 +183,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     diff = theta_hat.stacked() - truth.stacked()
     rec.err_l1 = float(np.abs(diff).sum())
     rec.err_l2 = float(np.linalg.norm(diff))
-    rec.support_precision, rec.support_recall = support_metrics(
-        theta_hat.stacked(), truth.stacked(), cfg.support_tol
-    )
+    rec.support_precision, rec.support_recall = support_metrics(theta_hat.stacked(), truth.stacked())
     rec.converged = res.converged
     try:
         if cfg.penalty_c_gamma is None:
@@ -198,7 +200,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
         )
         tv = truth.stacked()
         rec.coverage = ((deb.ci[:, 0] <= tv) & (tv <= deb.ci[:, 1])).astype(int).tolist()
-        sup = np.abs(tv) > cfg.support_tol
+        sup = np.abs(tv) > SUPPORT_TOL
         rec.covered_support = float(np.mean(np.asarray(rec.coverage)[sup])) if sup.any() else 1.0
         f_true = score(dataset, truth, rule)
         root_n = np.sqrt(n)

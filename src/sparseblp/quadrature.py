@@ -3,25 +3,18 @@
 A single rule object is built once per estimation problem and reused for every
 share, Jacobian, and moment evaluation so that simulated and estimated shares
 see identical integration error (common random numbers in the Monte Carlo
-case).
+case). There are two rules: gauss_hermite_rule, a tensor product with the
+caller's node count per dimension, refused above MAX_TENSOR_NODES nodes, and
+monte_carlo_rule, seeded iid draws, the rule for a G too large for a tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 MAX_TENSOR_NODES = 1_000_000
-DEFAULT_GH_NODES = 11
-DEFAULT_MC_DRAWS = 5_000
-DEFAULT_MC_SEED = 0
-
-
-class RuleKind(str, Enum):
-    GAUSS_HERMITE = "gauss_hermite"
-    MONTE_CARLO = "monte_carlo"
 
 
 class RuleSizeError(ValueError):
@@ -34,8 +27,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: RuleKind
-    seed: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -49,16 +40,8 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def M(self) -> int:
-        return self.weights.size
 
-    @property
-    def G(self) -> int:
-        return self.nodes.shape[1]
-
-
-def gauss_hermite_rule(G: int, nodes_per_dim: int = DEFAULT_GH_NODES) -> QuadratureRule:
+def gauss_hermite_rule(G: int, nodes_per_dim: int) -> QuadratureRule:
     """Tensor-product Gauss-Hermite rule for N(0, I_G).
 
     Exact for polynomial integrands of total degree up to 2*nodes_per_dim - 1
@@ -83,21 +66,15 @@ def gauss_hermite_rule(G: int, nodes_per_dim: int = DEFAULT_GH_NODES) -> Quadrat
     weights = np.ones(m)
     for wg in wgrids:
         weights = weights * wg.ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, kind=RuleKind.GAUSS_HERMITE)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def monte_carlo_rule(G: int, draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAULT_MC_SEED) -> QuadratureRule:
+def monte_carlo_rule(G: int, draws: int, seed: int) -> QuadratureRule:
     """Equal-weight iid standard-normal draws from a PCG64 stream."""
     if G <= 0 or draws <= 0:
         raise ValueError("G and draws must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = rng.standard_normal((draws, G))
     weights = np.full(draws, 1.0 / draws)
-    return QuadratureRule(nodes=nodes, weights=weights, kind=RuleKind.MONTE_CARLO, seed=seed)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
-
-def default_rule(G: int) -> QuadratureRule:
-    """Gauss-Hermite with 11 nodes per dimension for G <= 3, else 5000 MC draws."""
-    if G <= 3:
-        return gauss_hermite_rule(G, DEFAULT_GH_NODES)
-    return monte_carlo_rule(G, DEFAULT_MC_DRAWS, DEFAULT_MC_SEED)

@@ -73,8 +73,8 @@ from .l1_solvers import (
     solve_nonneg_lp,
 )
 
-DEFAULT_ALPHA = 0.05
-DEFAULT_C_MULT = 1.1
+ALPHA = 0.05  # select_lambda: union-bound level ...
+C_MULT = 1.1  # ... and the multiplier on the Gaussian plug-in
 
 TRUST_RADIUS_INIT = 1.0  # l_inf trust radius at each start
 TRUST_SHRINK = 0.5  # radius factor after a rejected trial point
@@ -82,6 +82,7 @@ TRUST_EXPAND = 2.0  # radius factor after an accepted step ...
 TRUST_RADIUS_MAX = 1e3  # ... up to this radius
 CONVERGENCE_TOL = 1e-8  # a feasible step shorter than this in l1 converges
 THETA_BOX = 100.0  # a-priori sup-norm bound on theta
+GAMMA_PHASE_ITERS = 8  # SLP iterations of the gamma phase after a pilot start
 
 
 class EstimationError(RuntimeError):
@@ -96,18 +97,16 @@ class RgmmOptions:
     number. max_outer_iters bounds the SLP iterations of one start.
     pilot_scales are the heterogeneity scales probed by the pilot; each
     scale c spreads index variance c^2 uniformly over the group, and 0 means
-    the plain-logit pilot. gamma_phase_iters bounds the gamma concentration
-    phase run after a pilot start (0 disables it). A point is feasible when
-    ||f_hat||_inf <= lam + feasibility_slack. The trust-region constants
-    (TRUST_RADIUS_INIT, TRUST_SHRINK, TRUST_EXPAND, TRUST_RADIUS_MAX),
-    CONVERGENCE_TOL and THETA_BOX are fixed; the module docstring gives the
-    reason each safeguard is kept.
+    the plain-logit pilot. A point is feasible when ||f_hat||_inf <= lam +
+    feasibility_slack. The trust-region constants (TRUST_RADIUS_INIT,
+    TRUST_SHRINK, TRUST_EXPAND, TRUST_RADIUS_MAX), CONVERGENCE_TOL, THETA_BOX
+    and the gamma phase's budget GAMMA_PHASE_ITERS are fixed; the module
+    docstring gives the reason each safeguard is kept.
     """
 
     lam: float
     max_outer_iters: int = 50
     pilot_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
-    gamma_phase_iters: int = 8
     feasibility_slack: float = 1e-6
     inversion: InversionOptions = field(default_factory=InversionOptions)
 
@@ -117,9 +116,8 @@ class RgmmOptions:
         scales = np.asarray(self.pilot_scales, dtype=float)
         if scales.size == 0 or np.any(scales < 0) or not np.all(np.isfinite(scales)):
             raise ValueError(f"pilot_scales must be nonnegative reals, got {self.pilot_scales}")
-        if self.gamma_phase_iters < 0 or self.max_outer_iters < 1:
-            raise ValueError("gamma_phase_iters must be >= 0 and max_outer_iters >= 1, got "
-                             f"{self.gamma_phase_iters} and {self.max_outer_iters}")
+        if self.max_outer_iters < 1:
+            raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not 0 <= self.feasibility_slack < np.inf:
             raise ValueError(f"feasibility_slack must be finite and >= 0, got {self.feasibility_slack}")
 
@@ -150,27 +148,25 @@ def select_lambda(
     dataset: Dataset,
     theta_pilot: Theta,
     rule: QuadratureRule,
-    alpha: float = DEFAULT_ALPHA,
-    c_mult: float = DEFAULT_C_MULT,
     opts: InversionOptions | None = None,
     evals: Evaluator | None = None,
 ) -> float:
     """Gaussian plug-in moment tolerance.
 
-    lambda = c_mult * n^{-1/2} * Phi^{-1}(1 - alpha/(2JK)) * max_jk sd_jk,
+    lambda = C_MULT * n^{-1/2} * Phi^{-1}(1 - ALPHA/(2JK)) * max_jk sd_jk,
     where sd_jk is the empirical standard deviation of the per-market scores
     at the pilot. The union bound makes ||f_hat(theta_0)||_inf <= lambda hold
-    with probability about 1 - alpha when the pilot is consistent.
+    with probability about 1 - ALPHA when the pilot is consistent.
     """
     cfg = dataset.config
     n = dataset.n
     F = per_market_scores(dataset, theta_pilot, rule, opts, evals)
     sd_max = float(F.std(axis=0).max())
-    z = float(norm.ppf(1.0 - alpha / (2.0 * cfg.J * cfg.K)))
+    z = float(norm.ppf(1.0 - ALPHA / (2.0 * cfg.J * cfg.K)))
     if sd_max <= 0.0:
         # degenerate pilot scores; fall back to the bare rate
-        return c_mult / np.sqrt(n)
-    return c_mult * z * sd_max / np.sqrt(n)
+        return C_MULT / np.sqrt(n)
+    return C_MULT * z * sd_max / np.sqrt(n)
 
 
 def _linear_beta_system(dataset: Dataset, delta: np.ndarray):
@@ -503,7 +499,7 @@ def _estimate(
         if c_t <= lam + opts.feasibility_slack:
             best_vec, best_obj = vec_t.copy(), obj_s
         history.append(IterationRecord(obj_s, c_t, radius))
-        if beta_feasible and opts.gamma_phase_iters > 0:
+        if beta_feasible:
             # concentration phase: the pilot spreads heterogeneity uniformly
             # within each group, which is l1-expensive dead weight the joint
             # program would simply drop whenever the attribute loadings alone
@@ -514,7 +510,7 @@ def _estimate(
             # gamma toward the coordinates that actually carry the
             # substitution signal, making it load-bearing before the joint
             # phase.
-            run_phase(free_gamma, opts.gamma_phase_iters, eps0=0.25)
+            run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=0.25)
             diagnosis = None  # warm-up failures are not verdicts on the program
             radius = TRUST_RADIUS_INIT
         status = run_phase(free_all, opts.max_outer_iters, eps0=0.15)
@@ -573,10 +569,7 @@ def _estimate(
 def estimate_auto(
     dataset: Dataset,
     rule: QuadratureRule,
-    alpha: float = DEFAULT_ALPHA,
-    c_mult: float = DEFAULT_C_MULT,
     opts: RgmmOptions | None = None,
-    refine_rounds: int = 1,
 ) -> EstimationResult:
     """Estimate with lambda chosen by select_lambda at the pilot.
 
@@ -585,13 +578,13 @@ def estimate_auto(
     dispersion at a rough pilot overstates the noise level (unfitted signal
     leaks into the variance), so after the first fit the rule is re-evaluated
     at theta_hat and, when it gives a materially smaller lambda, the fit is
-    repeated from the previous solution (warm start). refine_rounds bounds
-    the number of repeats. All of it shares one Evaluator, so each distinct
-    gamma is inverted once.
+    repeated once at that lambda, warm-started from the first solution. All
+    of it shares one Evaluator, so each distinct gamma is inverted once.
+    opts.lam is ignored.
 
     The result is the final fit's, except that runtime_s covers the whole
     call (lambda selection and pilot probes included), outer_iters sums the
-    outer iterations of every fit, and the inversion counts cover every
+    outer iterations of both fits, and the inversion counts cover every
     inversion made; history is the final fit's alone.
     """
     t_start = time.perf_counter()
@@ -600,16 +593,14 @@ def estimate_auto(
     evals = Evaluator(dataset, rule, base.inversion)
 
     def lam_at(theta: Theta) -> float:
-        return select_lambda(dataset, theta, rule, alpha, c_mult, base.inversion, evals)
+        return select_lambda(dataset, theta, rule, base.inversion, evals)
 
     lam0 = lam_at(Theta.zeros(cfg.L))
     pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
     result = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
     outer_iters = result.outer_iters
-    for _ in range(max(0, refine_rounds)):
-        lam_new = lam_at(result.theta_hat)
-        if lam_new >= 0.9 * result.lam:
-            break
+    lam_new = lam_at(result.theta_hat)
+    if lam_new < 0.9 * result.lam:
         # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
         # Jacobian), so only warm start from points with live heterogeneity
         warm = result.theta_hat if np.any(result.theta_hat.gamma != 0.0) else None

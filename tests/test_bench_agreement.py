@@ -1,15 +1,18 @@
-"""Estimates on the benchmark designs agree with recorded values to 1e-8.
+"""Estimates and debias outputs on the benchmark designs agree with recorded values to 1e-8.
 
 A refactor of the estimator is meant to leave every estimate where it was.
 This rebuilds the nine pool problems of the pipebench workloads (without
 importing pipebench) and checks each canonicalized ||theta_hat - theta||_2
-against the value the code gave before the SLP safeguards were pruned. Run
-with `pytest -m slow`.
+against the value the code gave before the SLP safeguards were pruned. The
+debias outputs are pinned the same way: ||theta_dd - theta||_2 and ||se||_2
+on the six estimate problems, with the penalties and relaxation pipebench
+uses, and remainder_inf on the six study records. Run with `pytest -m slow`.
 """
 
 import numpy as np
 import pytest
 
+from sparseblp.debias import DebiasPenalties, debias
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import ModelConfig, canonicalize_gamma
 from sparseblp.montecarlo import McConfig, run_study
@@ -20,6 +23,7 @@ pytestmark = pytest.mark.slow
 
 QUAD_NODES = 9
 LAM_SCALE = 1.2
+PENALTY_C_GAMMA = 0.05
 
 
 def _model(n, J, L, G, K) -> ModelConfig:
@@ -47,6 +51,40 @@ STUDY_ERRORS = (
     (1.210188754768027, 1.4678548701544907),
 )
 
+# (||theta_dd - theta||_2, ||se||_2) at DGP seeds 0, 1, 2
+DEBIAS_OUTPUTS = {
+    "two-group-inversion": (
+        (0.5508973601371087, 0.7237047664360933),
+        (1.061957119094092, 0.8011075588206218),
+        (1.7279207892594548, 0.43055675372721086),
+    ),
+    "wide-attribute-lp": (
+        (5.7276000067355035, 6.886871500385181),
+        (3.055658484565862, 4.568736325973634),
+        (2.843367349541039, 4.430417010875334),
+    ),
+}
+
+# remainder_inf at n = 100 and n = 200, per master seed 0, 1, 2
+STUDY_REMAINDERS = (
+    (6.30069638699795, 3.2020832945853286),
+    (1.1976552290773534, 2.6273598064219446),
+    (4.584304596699091, 29.145003538029123),
+)
+
+
+def _study(seed):
+    return McConfig(
+        dgp=DgpConfig(model=_model(n=100, J=4, L=10, G=1, K=6), s_beta=2, s_gamma=2, seed=seed),
+        replications=1,
+        n_grid=(100, 200),
+        lam_scale=LAM_SCALE,
+        penalty_c_gamma=PENALTY_C_GAMMA,
+        relax_mu=True,
+        pilot_scales=(1.0,),
+        quad_nodes=QUAD_NODES,
+    )
+
 
 @pytest.mark.parametrize("name", sorted(ESTIMATE_DESIGNS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -62,15 +100,26 @@ def test_estimate_error_unchanged(name, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_study_errors_unchanged(seed):
-    cfg = McConfig(
-        dgp=DgpConfig(model=_model(n=100, J=4, L=10, G=1, K=6), s_beta=2, s_gamma=2, seed=seed),
-        replications=1,
-        n_grid=(100, 200),
-        lam_scale=LAM_SCALE,
-        penalty_c_gamma=0.05,
-        relax_mu=True,
-        pilot_scales=(1.0,),
-        quad_nodes=QUAD_NODES,
-    )
-    errors = [rec.err_l2 for rec in run_study(cfg).records]
+    errors = [rec.err_l2 for rec in run_study(_study(seed)).records]
     assert errors == pytest.approx(STUDY_ERRORS[seed], abs=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_DESIGNS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_debias_outputs_unchanged(name, seed):
+    model, s_beta, s_gamma, _ = ESTIMATE_DESIGNS[name]
+    rule = gauss_hermite_rule(model.G, QUAD_NODES)
+    data, truth = simulate(DgpConfig(model=model, s_beta=s_beta, s_gamma=s_gamma, seed=seed), rule)
+    opts = RgmmOptions(lam=LAM_SCALE / np.sqrt(model.n_markets), pilot_scales=(1.0,))
+    theta = canonicalize_gamma(estimate(data, rule, opts).theta_hat, model)
+    penalties = DebiasPenalties.scaled(model, model.n_markets, c_gamma=PENALTY_C_GAMMA)
+    deb = debias(data, theta, rule, penalties=penalties, relax_mu=True)
+    dd_err = float(np.linalg.norm(deb.theta_dd - truth.stacked()))
+    se_norm = float(np.linalg.norm(deb.se))
+    assert (dd_err, se_norm) == pytest.approx(DEBIAS_OUTPUTS[name][seed], abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_study_remainders_unchanged(seed):
+    remainders = [rec.remainder_inf for rec in run_study(_study(seed)).records]
+    assert remainders == pytest.approx(STUDY_REMAINDERS[seed], abs=1e-8)

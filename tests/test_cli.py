@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -73,7 +74,6 @@ BAD_INPUTS = [
     ("dgp", {**DGP, "seed": "abc"}, (), "seed:str"),
     ("dgp", {**DGP, "seed": -1}, (), "seed:negative"),
     ("dgp", {**DGP, "seed": 2.5}, (), "seed:float"),
-    ("dgp", DGP, ("--seed", "-1"), "seed:flag"),
     ("dgp", {**DGP, "s_beta": 1.5}, (), "s_beta:float"),
     ("dgp", {**DGP, "s_beta": True}, (), "s_beta:bool"),
     ("dgp", {**DGP, "model": SEVEN_GROUPS}, (), "dgp.json:rule size"),
@@ -167,6 +167,42 @@ class TestPipeline:
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert deb["inversions"] == 1 and deb["newton_iters"] >= 0
 
+    @pytest.mark.parametrize("flag, env, workers", [
+        ((), None, 3), ((), "2", 2), (("--threads", "1"), "2", 1), (("--threads", "1"), None, 1),
+    ], ids=["study", "variable", "flag-over-variable", "flag"])
+    def test_thread_count_is_the_flag_then_the_variable_then_the_study(
+        self, tmp_path, capsys, monkeypatch, flag, env, workers
+    ):
+        from sparseblp import montecarlo
+
+        if env is None:
+            monkeypatch.delenv("SPARSE_BLP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SPARSE_BLP_THREADS", env)
+        seen = []
+
+        def serial_study(cfg):  # records the worker count, runs serially
+            seen.append(cfg.workers)
+            return montecarlo.run_study(replace(cfg, workers=1))
+
+        monkeypatch.setattr(cli, "run_study", serial_study)
+        path = write_json(tmp_path / "study.json", study(workers=3))
+        out = tmp_path / "report"
+        code, err = run(capsys, "mc", "--config", path, "--out", out, *flag)
+        assert code == cli.EXIT_OK, err
+        assert seen == [workers]
+        assert json.loads((out / "manifest.json").read_text())["resolved_options"]["workers"] == workers
+
+    def test_integer_and_float_spellings_give_one_study_hash(self, tmp_path, capsys):
+        digests = set()
+        for lam_scale in (1, 1.0):
+            path = write_json(tmp_path / "study.json", study(lam_scale=lam_scale))
+            out = tmp_path / f"report-{lam_scale!r}"
+            code, err = run(capsys, "mc", "--config", path, "--out", out)
+            assert code == cli.EXIT_OK, err
+            digests.add(json.loads((out / "summary.json").read_text())["canonical_sha256"])
+        assert len(digests) == 1
+
     def test_all_failed_study_still_writes_its_report(self, tmp_path, capsys, monkeypatch):
         from sparseblp import montecarlo
 
@@ -249,6 +285,22 @@ class TestBadInput:
                         "--out", "b.json", option, value)
         assert code == cli.EXIT_USAGE
         assert option in one_line_error(err)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dgp", "dgp.json", "--out", "d.csv", "--truth", "t.json"],
+        ["mc", "--config", "study.json", "--out", "report"],
+    ], ids=["simulate", "mc"])
+    def test_negative_seed_flag_is_usage_error(self, capsys, argv):
+        code, err = run(capsys, *argv, "--seed", "-1")
+        assert code == cli.EXIT_USAGE
+        assert "--seed" in one_line_error(err)
+
+    def test_oversized_study_rule_names_the_file_and_the_key(self, tmp_path, capsys):
+        path = write_json(tmp_path / "study.json", study(quad_nodes=2000000))
+        code, err = run(capsys, "mc", "--config", path, "--out", tmp_path / "report")
+        assert code == cli.EXIT_DATA
+        assert one_line_error(err).startswith(f"data error: {path}: quad_nodes:")
+        assert not (tmp_path / "report").exists()
 
     def test_bad_thread_variable_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPARSE_BLP_THREADS", "abc")

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from sparseblp.debias import (
+    C_PRIME,
     DebiasError,
     DebiasPenalties,
     confidence_intervals,
@@ -62,9 +63,9 @@ class TestTheoreticalRule:
     def test_structure_at_j_equals_one(self):
         # J = G = 1 strips the dimension factors: bar = c' max(lt^2, lt)
         cfg = ModelConfig(n_markets=50, J=1, L=2, G=1, K=2, partition=(1, 1))
-        pen = select_debias_penalties(cfg, 50, c_prime=2.0)
+        pen = select_debias_penalties(cfg, 50)
         lt = 50**-0.5 * norm.ppf(1 - 1 / (2 * 2 * 2 * 50))
-        assert pen.lambda_gamma[0] == pytest.approx(2.0 * max(lt**2, lt), rel=1e-12)
+        assert pen.lambda_gamma[0] == pytest.approx(C_PRIME * max(lt**2, lt), rel=1e-12)
 
     def test_invalid_n(self):
         cfg = ModelConfig(n_markets=10, J=1, L=2, G=1, K=2, partition=(1, 1))

@@ -5,7 +5,7 @@ import pytest
 
 from sparseblp.dgp import DgpConfig, instrument_transforms, simulate, true_theta
 from sparseblp.model_core import ConfigurationError, ModelConfig, group_index_matrix
-from sparseblp.moments import score, xi_residuals
+from sparseblp.moments import evaluate, score
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import InversionOptions, _invert_batch, logit_delta
 
@@ -91,7 +91,7 @@ class TestSharesMatchModel:
 
     def test_xi_recovered_through_pipeline(self, gh1):
         ds, theta = simulate(_dgp(), gh1)
-        xi = xi_residuals(ds, theta, gh1)
+        xi = evaluate(ds, theta, gh1).xi
         np.testing.assert_allclose(xi, ds.xi_true, atol=1e-8)
 
 

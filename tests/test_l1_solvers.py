@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sparseblp import l1_solvers
 from sparseblp.l1_solvers import (
     L1LinfProblem,
     LpSizeError,
@@ -79,10 +80,11 @@ class TestSoftThresholdCases:
         prob = L1LinfProblem(A=np.array([[1.0], [1.0]]), b=np.array([0.0, 10.0]), lam=1.0)
         assert solve_l1_linf(prob).status is LpStatus.INFEASIBLE
 
-    def test_pivot_limit_reported(self, rng):
+    def test_pivot_limit_reported(self, rng, monkeypatch):
         A = rng.standard_normal((6, 6))
         prob = L1LinfProblem(A=A, b=rng.standard_normal(6), lam=0.01)
-        assert solve_l1_linf(prob, max_pivots=1).status is LpStatus.ITERATION_LIMIT
+        monkeypatch.setattr(l1_solvers, "MAX_PIVOTS", 1)
+        assert solve_l1_linf(prob).status is LpStatus.ITERATION_LIMIT
 
 
 class TestAgainstVertexOracle:

@@ -53,7 +53,6 @@ class TestModelConfig:
         members = c.group_members
         assert [m.tolist() for m in members] == [[0, 1], [2, 3]]
         assert c.n_moments == 6
-        assert c.n_params == 8
 
 
 class TestTheta:
@@ -278,13 +277,13 @@ def dgp_configs(draw):
 mc_configs = st.builds(
     McConfig, dgp=dgp_configs(), replications=st.integers(1, 100),
     n_grid=st.lists(st.integers(1, 10**4), min_size=1, max_size=3).map(tuple),
-    alpha=st.floats(0.01, 0.99), lam_scale=st.floats(1e-3, 10), lam_fixed=st.none() | nonneg,
+    alpha=st.floats(0.01, 0.99), lam_scale=st.floats(1e-3, 10),
     penalty_c_gamma=st.none() | nonneg, relax_mu=st.booleans(), pilot_scales=scales,
-    quad_nodes=st.integers(1, 20), support_tol=nonneg, workers=st.integers(1, 8),
+    quad_nodes=st.integers(1, 20), workers=st.integers(1, 8),
 )
 rgmm_options = st.builds(
     RgmmOptions, lam=nonneg, max_outer_iters=st.integers(1, 100), pilot_scales=scales,
-    gamma_phase_iters=st.integers(0, 20), feasibility_slack=nonneg,
+    feasibility_slack=nonneg,
     inversion=st.builds(InversionOptions, contraction_tol=st.floats(1e-15, 1.0),
                         max_contraction_iters=st.integers(0, 5000),
                         newton_switch_tol=st.floats(1e-6, 10) | st.just(math.inf),

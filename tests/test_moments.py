@@ -10,7 +10,6 @@ from sparseblp.moments import (
     omega,
     per_market_scores,
     score,
-    xi_residuals,
 )
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import _mixed_shares
@@ -34,7 +33,7 @@ class TestXiResiduals:
         c = small_cfg(n=1)
         ds = random_dataset(rng, c)
         th = Theta(beta=rng.standard_normal(c.L), gamma=np.zeros(c.L))
-        xi = xi_residuals(ds, th, gh1)
+        xi = evaluate(ds, th, gh1).xi
         S, X = ds.S[0], ds.X[0]
         expected = np.log(S) - np.log(1 - S.sum()) - X @ th.beta
         assert np.allclose(xi[0], expected, atol=1e-10)
@@ -42,7 +41,7 @@ class TestXiResiduals:
     def test_recovers_true_xi_from_dgp(self, gh1):
         dgp = DgpConfig(model=small_cfg(n=5), s_beta=2, s_gamma=2, xi_sd=0.4, seed=3)
         ds, truth = simulate(dgp, gh1)
-        xi = xi_residuals(ds, truth, gh1)
+        xi = evaluate(ds, truth, gh1).xi
         assert np.allclose(xi, ds.xi_true, atol=1e-8)
 
     def test_delta_minus_xbeta(self, rng, gh1):
@@ -51,7 +50,7 @@ class TestXiResiduals:
         X = np.array([[[1.0], [1.0]]])
         th = Theta(beta=np.array([0.5]), gamma=np.zeros(1))
         ds = dataset_at(c, X, np.ones((1, 2, 1)), th, [[1.0, 2.0]], gh1)
-        assert np.allclose(xi_residuals(ds, th, gh1)[0], [0.5, 1.5], atol=1e-9)
+        assert np.allclose(evaluate(ds, th, gh1).xi[0], [0.5, 1.5], atol=1e-9)
 
 
 class TestScore:
@@ -78,7 +77,7 @@ class TestScore:
         th = random_theta(rng, c.L)
         F = per_market_scores(ds, th, gh1)
         assert F.shape == (4, c.J * c.K)
-        xi0 = xi_residuals(ds, th, gh1)[0]
+        xi0 = evaluate(ds, th, gh1).xi[0]
         j, k = 2, 1
         assert F[0, j * c.K + k] == pytest.approx(xi0[j] * ds.H[0, j, k], abs=1e-12)
         assert np.allclose(score(ds, th, gh1), F.mean(axis=0), atol=1e-15)
@@ -161,7 +160,6 @@ class TestEvaluation:
     def test_one_evaluation_serves_every_moment_function(self, rng):
         ds, rule, theta = self.case(rng)
         ev = evaluate(ds, theta, rule)
-        np.testing.assert_array_equal(ev.xi, xi_residuals(ds, theta, rule))
         np.testing.assert_array_equal(ev.F, per_market_scores(ds, theta, rule))
         np.testing.assert_array_equal(ev.score(), score(ds, theta, rule))
         np.testing.assert_array_equal(ev.omega(), omega(ds, theta, rule))

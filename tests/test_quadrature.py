@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseblp.quadrature import (
-    RuleKind,
-    RuleSizeError,
-    default_rule,
-    gauss_hermite_rule,
-    monte_carlo_rule,
-)
+from sparseblp.quadrature import RuleSizeError, gauss_hermite_rule, monte_carlo_rule
 
 
 class TestGaussHermite:
@@ -61,10 +55,6 @@ class TestMonteCarlo:
 
 
 class TestDefaultRule:
-    def test_tensor_for_small_g_monte_carlo_above(self):
-        assert default_rule(2).kind is RuleKind.GAUSS_HERMITE
-        assert default_rule(4).kind is RuleKind.MONTE_CARLO
-
     def test_agreement_between_integrators(self, rng):
         # both rules integrate a smooth logistic-type integrand to ~3 digits
         gh = gauss_hermite_rule(2, 15)

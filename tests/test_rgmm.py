@@ -12,6 +12,8 @@ from sparseblp.moments import per_market_scores, score
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import logit_delta
 from sparseblp.rgmm import (
+    ALPHA,
+    C_MULT,
     RgmmOptions,
     _linear_beta_system,
     _step_lp,
@@ -39,10 +41,6 @@ class TestOptionsValidation:
     def test_empty_pilot_ladder_rejected(self):
         with pytest.raises(ValueError):
             RgmmOptions(lam=0.1, pilot_scales=())
-
-    def test_negative_phase_budget_rejected(self):
-        with pytest.raises(ValueError):
-            RgmmOptions(lam=0.1, gamma_phase_iters=-1)
 
 
 class TestZeroShortCircuit:
@@ -84,10 +82,10 @@ class TestSelectLambda:
         ds, _ = _noisy_data(gh1)
         cfg = ds.config
         theta0 = Theta.zeros(cfg.L)
-        lam = select_lambda(ds, theta0, gh1, alpha=0.1, c_mult=1.3)
+        lam = select_lambda(ds, theta0, gh1)
         F = per_market_scores(ds, theta0, gh1)
-        z = norm.ppf(1.0 - 0.1 / (2 * cfg.J * cfg.K))
-        expected = 1.3 * z * F.std(axis=0).max() / np.sqrt(ds.n)
+        z = norm.ppf(1.0 - ALPHA / (2 * cfg.J * cfg.K))
+        expected = C_MULT * z * F.std(axis=0).max() / np.sqrt(ds.n)
         assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_scores_fall_back_to_rate(self, gh1):
@@ -102,8 +100,8 @@ class TestSelectLambda:
             S=np.repeat(ds.S, 4, axis=0),
             H=np.repeat(ds.H, 4, axis=0),
         )
-        lam = select_lambda(clones, Theta.zeros(cfg.L), gh1, c_mult=2.0)
-        assert lam == pytest.approx(2.0 / np.sqrt(4))
+        lam = select_lambda(clones, Theta.zeros(cfg.L), gh1)
+        assert lam == pytest.approx(C_MULT / np.sqrt(4))
 
 
 class TestNoiselessRecovery:
@@ -130,7 +128,7 @@ class TestFailureDiagnosis:
         # noisy data cannot reach a near-zero moment bound; the result must
         # say why instead of silently claiming convergence
         ds, _ = _noisy_data(gh1, n=15, seed=9)
-        res = estimate(ds, gh1, RgmmOptions(lam=1e-9, max_outer_iters=4, gamma_phase_iters=0))
+        res = estimate(ds, gh1, RgmmOptions(lam=1e-9, max_outer_iters=4))
         assert not res.converged
         assert res.diagnosis is not None
         assert res.final_constraint > 1e-9

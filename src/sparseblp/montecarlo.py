@@ -122,7 +122,9 @@ class McRecord:
     covered_support: float | None = None  # mean coverage over true support
     remainder_inf: float | None = None  # asymptotic-linearity residual
     converged: bool = False
-    runtime_s: float = 0.0
+    runtime_s: float = 0.0  # the whole replication
+    estimate_s: float | None = None  # each stage's wall time, None when it did not run
+    debias_s: float | None = None
 
 
 @dataclass
@@ -163,6 +165,15 @@ def _failure(stage: str, exc: Exception) -> str:
     return f"{stage}_failed: {type(exc).__name__}: {exc}"
 
 
+def _timed(rec: McRecord, stage: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with its wall time stored in rec.<stage> even when it raises."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        setattr(rec, stage, time.perf_counter() - t0)
+
+
 def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     cfg, n, rep = payload
     seed = _derived_seed(cfg.dgp.seed, n, rep)
@@ -174,7 +185,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     try:
         dataset, truth = simulate(dgp, rule)
         opts = RgmmOptions(lam=cfg.lam_for(n), pilot_scales=cfg.pilot_scales)
-        res = estimate(dataset, rule, opts)
+        res = _timed(rec, "estimate_s", estimate, dataset, rule, opts)
     except Exception as e:  # any failure is this replication's, not the study's
         rec.status = _failure("estimate", e)
         rec.runtime_s = time.perf_counter() - t0
@@ -190,7 +201,10 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
             penalties = None  # debias() applies the theoretical rule
         else:
             penalties = DebiasPenalties.scaled(model, n, c_gamma=cfg.penalty_c_gamma)
-        deb = debias(
+        deb = _timed(
+            rec,
+            "debias_s",
+            debias,
             dataset,
             theta_hat,
             rule,
@@ -269,11 +283,12 @@ def _record_row(rec: McRecord) -> dict:
 
 
 def canonical_bytes(report: McReport) -> bytes:
-    """Deterministic serialization of everything except runtimes and workers."""
+    """Deterministic serialization of everything except wall times and workers."""
     rows = []
     for rec in report.records:
         row = _record_row(rec)
-        row.pop("runtime_s")
+        for timing in ("runtime_s", "estimate_s", "debias_s"):
+            row.pop(timing)
         rows.append(row)
     config = config_to_dict(report.config)
     config.pop("workers")

@@ -3,7 +3,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,6 +24,18 @@ DGP = {
     "seed": 3,
 }
 NODES = ["--quad-nodes", "7"]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs cli.main on each argv of the JSON list in argv[1] and prints the exit
+# codes and the top-level modules that were not loaded at start-up.
+IMPORT_PROBE = """
+import json, sys
+def top(name): return name.partition(".")[0]
+before = {top(m) for m in sys.modules}
+from sparseblp import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": sorted({top(m) for m in sys.modules} - before)}))
+"""
 
 
 def run(capsys, *argv):
@@ -129,6 +145,32 @@ class TestPipeline:
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert len(deb["theta_dd"]) == 6 and len(deb["se"]) == 6
+
+    def test_pipeline_loads_no_third_party_module_but_numpy(self, tmp_path):
+        """simulate, estimate --lambda auto and debias on the theoretical rule
+        reach every normal-quantile call, so a function-local import shows too."""
+        dgp = write_json(tmp_path / "dgp.json", DGP)
+        argv = [
+            ["simulate", "--dgp", str(dgp), "--out", "data.csv", "--truth", "truth.json", *NODES],
+            ["estimate", "--data", "data.csv", "--config", "model.json", "--lambda", "auto",
+             "--out", "est.json", *NODES],
+            ["debias", "--estimate", "est.json", "--data", "data.csv", "--out", "deb.json", *NODES],
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout.splitlines()[-1])
+        assert probe["codes"] == [cli.EXIT_OK] * 3, done.stderr
+
+        def allowed(name):
+            dunder = name.startswith("__") and name.endswith("__")  # e.g. __mp_main__
+            # bookkeeping modules that numpy's Cython extensions register
+            cython = name == "cython_runtime" or name.startswith("_cython_")
+            return name in sys.stdlib_module_names or name in ("numpy", "sparseblp") or dunder or cython
+
+        assert [m for m in probe["loaded"] if not allowed(m)] == []
 
     def test_export_moments_exit_zero(self, simulated, tmp_path, capsys, inversion_log):
         code, err = run(capsys, "export-moments", "--data", simulated / "data.csv",

@@ -69,6 +69,14 @@ class TestCanonicalContent:
         assert canonical_bytes(one) == canonical_bytes(two)
         assert b"workers" not in canonical_bytes(one)
 
+    def test_stage_times_are_recorded_but_not_canonical(self):
+        report = run_study(study(workers=1, replications=1))
+        rec = report.records[0]
+        assert rec.status == "ok" and rec.estimate_s > 0.0 and rec.debias_s > 0.0
+        assert rec.runtime_s >= rec.estimate_s + rec.debias_s
+        canonical = canonical_bytes(report)
+        assert b"estimate_s" not in canonical and b"debias_s" not in canonical
+
 
 class TestLoadConfig:
     def payload(self, **kw):

@@ -101,9 +101,9 @@ def _load_dataset(data_path, config: ModelConfig):
     dataset = load_dataset_csv(data_path, config)
     violations = validate_dataset(dataset)
     if violations:
-        for v in violations:
-            _log(f"validation: {v}")
-        raise ConfigurationError(f"{data_path} fails {len(violations)} dataset invariant(s)")
+        raise ConfigurationError(
+            f"{data_path} fails {len(violations)} dataset invariant(s); first: {violations[0]}"
+        )
     return dataset
 
 
@@ -199,6 +199,7 @@ def _cmd_debias(args) -> int:
     result = debias(
         dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha, relax_mu=args.relax_mu
     )
+    zero_se_rows = np.flatnonzero(result.se == 0.0).tolist()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -218,10 +219,13 @@ def _cmd_debias(args) -> int:
             "gamma_statuses": [s.value for s in result.gamma_statuses],
             "mu_statuses": [s.value for s in result.mu_statuses],
             "mu_relaxed_rows": result.mu_relaxed_rows.tolist(),
+            "zero_se_rows": zero_se_rows,
         },
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     _log(f"debias: alpha={args.alpha} min_sv(gamma G)={result.min_sv_gamma_g:.3g} -> {out}")
+    if zero_se_rows:
+        _log(f"debias: rows {zero_se_rows} have se 0, so their intervals have zero width")
     resolved = {"model": config_to_dict(config), "alpha": args.alpha, "penalty_c": args.penalty_c,
                 "relax_mu": args.relax_mu, "quad_nodes": args.quad_nodes}
     inputs = {"estimate": args.estimate, "data": args.data, "config": args.config}
@@ -334,7 +338,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--penalty-c", type=_nonnegative, default=None,
                    help="use calibrated penalties with this constant instead of the theoretical rule")
     p.add_argument("--relax-mu", action="store_true",
-                   help="floor mu penalties at per-row feasibility instead of erroring")
+                   help="re-solve a mu row that is infeasible at its penalty with the penalty "
+                        "floored at feasibility, instead of erroring")
     p.add_argument("--out", required=True, help="debiased result JSON path")
     quad_nodes(p)
     p.set_defaults(func=_cmd_debias)

@@ -22,13 +22,15 @@ code should calibrate the penalties (see DebiasPenalties.scaled) rather
 than trust the defaults outside asymptopia.
 
 When the moment dimension JK is below the parameter dimension 2L, the square
-system gamma_hat G_hat has rank at most JK and some unit rows e_r are simply
-unreachable: the mu LP for those rows is infeasible at any penalty below the
-row's minimal achievable sup-norm residual. The default behaviour is to
-raise; relax_mu=True instead floors each row's penalty at just above that
-minimal residual (an auxiliary LP per row) and records the effective
-penalties, so inference degrades gracefully on the unidentified directions
-instead of failing outright.
+system gamma_hat G_hat has rank at most JK and some unit rows e_r may be
+unreachable: the mu LP for such a row is infeasible at any penalty below the
+row's minimal achievable sup-norm residual (its floor). The floor is exactly
+1 iff column r of gamma_hat G_hat is zero, as for a group whose gamma_hat is 0.
+The default behaviour is to raise; relax_mu=True instead re-solves each row
+whose mu LP is infeasible at the requested penalty with that penalty floored
+at just above the row's floor (an auxiliary LP per such row), and records the
+effective penalties. Rows the requested penalty reaches keep it; a relaxed
+row often gets se 0, an interval of zero width, which the CLI names.
 """
 
 from __future__ import annotations
@@ -136,20 +138,28 @@ class DebiasResult:
     newton_iters: int = 0
 
 
-def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str):
+def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str, relax: bool = False):
     """Row family with post-hoc constraint verification (solver not trusted).
 
     The system is max-abs equilibrated first: x(A/s) - B has minimizer s*x,
     so the rescale is exact while keeping the simplex tolerances (which are
-    absolute) meaningful when the plug-in matrices run large or tiny.
+    absolute) meaningful when the plug-in matrices run large or tiny. With
+    relax, a row whose LP is infeasible at its penalty is solved once more
+    with the penalty floored at RELAX_FACTOR times its minimax_row_floor plus
+    RELAX_MARGIN. Returns the rows, their statuses and the penalties used.
     """
     scale = float(np.abs(A).max())
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
-    sols = solve_row_family(A / scale, B, lam)
+    As = A / scale
+    lam = np.array(np.broadcast_to(lam, (B.shape[0],)), dtype=float)
+    sols = solve_row_family(As, B, lam)
     rows = np.zeros((B.shape[0], A.shape[0]))
     statuses = []
     for r, sol in enumerate(sols):
+        if relax and sol.status is LpStatus.INFEASIBLE:
+            lam[r] = max(lam[r], RELAX_FACTOR * minimax_row_floor(A, B[r]) + RELAX_MARGIN)
+            sol = solve_row_family(As, B[r : r + 1], lam[r : r + 1])[0]
         statuses.append(sol.status)
         if sol.status is not LpStatus.OPTIMAL:
             raise DebiasError(
@@ -162,7 +172,7 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str):
             raise DebiasError(
                 f"{what} row {r} violates its constraint by {slack:.2e} post-hoc"
             )
-    return rows, statuses
+    return rows, statuses, lam
 
 
 def estimate_gamma(
@@ -174,8 +184,8 @@ def estimate_gamma(
     penalties shrink it converges to that dense solve on well-conditioned
     inputs, while positive penalties buy sparsity and stability.
     """
-    lam = np.broadcast_to(penalties.lambda_gamma, (g_hat.shape[1],))
-    return _solve_rows(omega_hat, g_hat.T, lam, "gamma")
+    rows, statuses, _ = _solve_rows(omega_hat, g_hat.T, penalties.lambda_gamma, "gamma")
+    return rows, statuses
 
 
 def minimax_row_floor(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,19 +221,13 @@ def estimate_mu(
 
     mu_hat (2L x 2L) approximates the inverse of gamma_hat G_hat, so that
     mu_hat gamma_hat acts as a regularized left inverse of G_hat. With
-    relax=True each row's penalty is floored at just above its minimal
-    achievable residual, keeping structurally unreachable rows feasible;
-    the effective penalty vector is returned alongside.
+    relax=True a row whose LP is infeasible at its penalty is solved again
+    with the penalty floored at just above its minimal achievable residual,
+    keeping structurally unreachable rows feasible; the effective penalty
+    vector is returned alongside.
     """
     gg = gamma_hat @ g_hat  # 2L x 2L
-    p = gg.shape[0]
-    eye = np.eye(p)
-    lam = np.array(np.broadcast_to(penalties.lambda_mu, (p,)), dtype=float)
-    if relax:
-        floors = np.array([minimax_row_floor(gg, eye[r]) for r in range(p)])
-        lam = np.maximum(lam, RELAX_FACTOR * floors + RELAX_MARGIN)
-    rows, statuses = _solve_rows(gg, eye, lam, "mu")
-    return rows, statuses, lam
+    return _solve_rows(gg, np.eye(len(gg)), penalties.lambda_mu, "mu", relax)
 
 
 def debiased_theta(

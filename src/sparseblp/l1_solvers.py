@@ -23,6 +23,9 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
 MAX_PIVOTS = 100_000  # per LP, both phases; read at each call
 MAX_DENSE_ENTRIES = 10_000_000
+# A row of max-abs below this fraction of the largest row's is a zero row, so
+# equilibration cannot blow roundoff (gamma_hat G_hat at a dead group) up to 1.
+ZERO_ROW_RTOL = 1e-12
 
 
 class LpStatus(str, Enum):
@@ -163,13 +166,10 @@ def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
 
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :nslack] = A
-    for a, i in enumerate(art_rows):
-        T[i, nslack + a] = 1.0
+    T[art_rows, nslack + np.arange(art_rows.size)] = 1.0
     T[:m, -1] = b
-    basis = [nslack + 0] * m  # placeholder, filled below
     art_of_row = {int(i): nslack + a for a, i in enumerate(art_rows)}
-    for i in range(m):
-        basis[i] = art_of_row.get(i, n + i)
+    basis = [art_of_row.get(i, n + i) for i in range(m)]
     # phase-1 reduced costs for min(sum of artificials)
     T[-1, :nslack] = -A[art_rows].sum(axis=0)
     T[-1, -1] = -b[art_rows].sum()
@@ -229,42 +229,26 @@ def solve_l1_linf(problem: L1LinfProblem) -> LpSolution:
     # row equilibration: rescaling (a_i, b_i, lam_i) by 1/||a_i||_inf leaves the
     # feasible set unchanged but keeps pivot tolerances meaningful
     rownorm = np.abs(A).max(axis=1)
-    live = rownorm > 0.0
-    if not live.all():
-        viol = np.abs(b[~live]) - lam[~live]
-        if viol.size and viol.max() > FEAS_TOL:
-            return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, 0)
-    scale = np.ones(m)
-    scale[live] = 1.0 / rownorm[live]
-    As = A[live] * scale[live, None]
-    bs = b[live] * scale[live]
-    lams = lam[live] * scale[live]
+    live = rownorm > ZERO_ROW_RTOL * rownorm.max()
+    if np.any(np.abs(b[~live]) - lam[~live] > FEAS_TOL):
+        return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, 0)
+    scale = 1.0 / rownorm[live]
+    As = A[live] * scale[:, None]
+    bs = b[live] * scale
+    lams = lam[live] * scale
     ml = As.shape[0]
 
     c = np.ones(2 * p)
     A_ub = np.block([[As, -As], [-As, As]])
     b_ub = np.concatenate([bs + lams, lams - bs])
     raw = solve_nonneg_lp(c, A_ub, b_ub)
+    if raw.status is not LpStatus.OPTIMAL:
+        return LpSolution(np.zeros(p), raw.status, np.nan, np.inf, None, raw.pivots)
     x = raw.z[:p] - raw.z[p:]
-    if raw.status is LpStatus.OPTIMAL:
-        resid = A @ x - b
-        max_violation = float((np.abs(resid) - lam).max())
-        dual = np.zeros(m)
-        dual[live] = (raw.dual[:ml] - raw.dual[ml:]) * scale[live]
-        objective = float(np.abs(x).sum())
-    else:
-        x = np.zeros(p)
-        max_violation = np.inf
-        dual = None
-        objective = np.nan
-    return LpSolution(
-        x=x,
-        status=raw.status,
-        objective=objective,
-        max_violation=max_violation,
-        dual=dual,
-        pivots=raw.pivots,
-    )
+    dual = np.zeros(m)
+    dual[live] = (raw.dual[:ml] - raw.dual[ml:]) * scale
+    max_violation = float((np.abs(A @ x - b) - lam).max())
+    return LpSolution(x, LpStatus.OPTIMAL, float(np.abs(x).sum()), max_violation, dual, raw.pivots)
 
 
 def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSolution]:

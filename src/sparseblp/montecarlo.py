@@ -59,12 +59,13 @@ class McConfig:
     dgp.model.n_markets is overridden by each entry of n_grid. The moment
     tolerance is lam_scale / sqrt(n). The correction penalties use
     DebiasPenalties.scaled with penalty_c_gamma, or the theoretical rule when
-    penalty_c_gamma is None; relax_mu floors the mu penalties at per-row
-    feasibility, which designs with more parameters than moments (2L > JK)
-    need for the correction to exist at all. Each replication integrates on
-    the tensor Gauss-Hermite rule with quad_nodes per dimension, whose
-    quad_nodes**G nodes must not exceed quadrature.MAX_TENSOR_NODES. Supports
-    are read at threshold SUPPORT_TOL.
+    penalty_c_gamma is None; relax_mu re-solves a mu row that is infeasible
+    at its penalty with the penalty floored at feasibility, which designs
+    with more parameters than moments (2L > JK), or with a group whose
+    gamma_hat is 0, need for the correction to exist at all. Each replication
+    integrates on the tensor Gauss-Hermite rule with quad_nodes per dimension,
+    whose quad_nodes**G nodes must not exceed quadrature.MAX_TENSOR_NODES.
+    Supports are read at threshold SUPPORT_TOL.
     """
 
     dgp: DgpConfig

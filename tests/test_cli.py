@@ -119,6 +119,18 @@ BAD_INPUTS = [
                   "model": DGP["model"]}, (), "theta_hat.gamma:inf"),
 ]
 
+# (edit of the dataset CSV's lines, text the message must hold); line 1 is
+# the header, lines 2k and 2k+1 are market k's two products
+CSV_DEFECTS = [
+    (lambda lines: ["market,product" + lines[0][len("market_id,product_id"):], *lines[1:]],
+     "header mismatch"),
+    (lambda lines: [*lines[:4], lines[4].rsplit(",", 1)[0], *lines[5:]], "data.csv:5: expected 10 fields"),
+    (lambda lines: [*lines[:5], lines[5].rsplit(",", 1)[0] + ",abc", *lines[6:]],
+     "data.csv:6: could not convert string to float: 'abc'"),
+    (lambda lines: [*lines[:6], *lines[7:]], "market 3 does not contain products 1..2"),
+    (lambda lines: lines[:-2], "39 markets found, config declares 40"),
+]
+
 # the command that reads each kind of input file; the G = 7 case must keep the
 # default 9 nodes per dimension, whose rule is too large
 BAD_INPUT_ARGV = {
@@ -171,6 +183,36 @@ class TestPipeline:
             return name in sys.stdlib_module_names or name in ("numpy", "sparseblp") or dunder or cython
 
         assert [m for m in probe["loaded"] if not allowed(m)] == []
+
+    @pytest.mark.parametrize("flags, rows", [
+        ((), [0, 1, 2, 3, 4, 5]), (("--penalty-c", "0.05", "--relax-mu"), [3, 4, 5]),
+    ], ids=["theoretical", "calibrated-relaxed"])
+    def test_debias_names_zero_width_rows(self, simulated, tmp_path, capsys, flags, rows):
+        code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
+                        "--data", simulated / "data.csv", *flags, "--out", tmp_path / "deb.json", *NODES)
+        assert code == cli.EXIT_OK, err
+        deb = json.loads((tmp_path / "deb.json").read_text())
+        assert deb["diagnostics"]["zero_se_rows"] == rows
+        assert [deb["se"][r] for r in rows] == [0.0] * len(rows)
+        named = [line for line in err.splitlines() if "zero width" in line]
+        assert len(named) == 1 and str(rows) in named[0]
+
+    def test_simulate_seed_flag_overrides_the_dgp_seed(self, simulated, tmp_path, capsys):
+        code, err = run(capsys, "simulate", "--dgp", simulated / "dgp.json", "--out", tmp_path / "data.csv",
+                        "--truth", tmp_path / "truth.json", "--seed", "9", *NODES)
+        assert code == cli.EXIT_OK, err
+        assert (tmp_path / "data.csv").read_bytes() != (simulated / "data.csv").read_bytes()
+        assert json.loads((tmp_path / "manifest.json").read_text())["master_seed"] == 9
+
+    def test_iteration_budget_exhausted_is_numerical_failure(self, simulated, tmp_path, capsys):
+        opts = write_json(tmp_path / "opts.json", {"max_outer_iters": 1})
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json", lam="0.01"),
+                        "--opts", opts)
+        assert code == cli.EXIT_NUMERIC
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "numerical failure: no feasible iterate within the iteration budget"
+        )
 
     def test_export_moments_exit_zero(self, simulated, tmp_path, capsys, inversion_log):
         code, err = run(capsys, "export-moments", "--data", simulated / "data.csv",
@@ -310,6 +352,33 @@ class TestBadInput:
         code, err = run(capsys, *argv)
         assert code == cli.EXIT_DATA
         assert "absent.csv" in one_line_error(err)
+
+    @pytest.mark.parametrize("edit, message", CSV_DEFECTS, ids=[c[1] for c in CSV_DEFECTS])
+    def test_malformed_dataset_csv_is_data_error(self, simulated, tmp_path, capsys, edit, message):
+        lines = (simulated / "data.csv").read_text().splitlines()
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        argv = estimate_args(simulated, tmp_path / "est.json")
+        argv[argv.index("--data") + 1] = path
+        code, err = run(capsys, *argv)
+        assert code == cli.EXIT_DATA
+        line = one_line_error(err)
+        assert str(path) in line and message in line
+
+    def test_dataset_failing_validation_is_one_line(self, simulated, tmp_path, capsys):
+        lines = (simulated / "data.csv").read_text().splitlines()
+        for lineno in (4, 6, 8):  # product 1 of the second to fourth markets
+            fields = lines[lineno - 1].split(",")
+            fields[2] = "-0.1"  # a share outside (0, 1)
+            lines[lineno - 1] = ",".join(fields)
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = estimate_args(simulated, tmp_path / "est.json")
+        argv[argv.index("--data") + 1] = path
+        code, err = run(capsys, *argv)
+        assert code == cli.EXIT_DATA
+        line = one_line_error(err)
+        assert str(path) in line and "3 dataset invariant(s)" in line and "market 1" in line
 
     def test_dgp_config_with_legacy_n_key_is_data_error(self, tmp_path, capsys):
         model = dict(DGP["model"])

@@ -117,6 +117,22 @@ class TestMuRows:
             estimate_mu(np.eye(2), a, pen)
 
 
+@pytest.fixture
+def floor_calls(monkeypatch):
+    """Rows of every minimax_row_floor call (the index of e_r) while the test runs."""
+    from sparseblp import debias as debias_module
+
+    calls = []
+    real = debias_module.minimax_row_floor
+
+    def counting(a, b):
+        calls.append(int(np.flatnonzero(b)[0]))
+        return real(a, b)
+
+    monkeypatch.setattr(debias_module, "minimax_row_floor", counting)
+    return calls
+
+
 class TestElasticRelaxation:
     def test_floor_keeps_unreachable_rows_feasible(self):
         a = np.diag([1.0, 0.0])
@@ -126,6 +142,24 @@ class TestElasticRelaxation:
         assert lam[1] == pytest.approx(1.05 + 1e-6)  # floored at 1.05 t* + margin
         np.testing.assert_allclose(mu[0], [0.98, 0.0], atol=1e-9)
         np.testing.assert_allclose(mu[1], 0.0, atol=1e-12)  # zero is now feasible
+        assert all(s is LpStatus.OPTIMAL for s in statuses)
+
+    def test_floor_lp_runs_only_for_infeasible_rows(self, floor_calls):
+        a = np.diag([1.0, 0.0])
+        pen = DebiasPenalties(lambda_gamma=np.zeros(2), lambda_mu=np.full(2, 0.02))
+        _, _, lam = estimate_mu(np.eye(2), a, pen, relax=True)
+        assert floor_calls == [1]  # row 0 is feasible at 0.02
+        np.testing.assert_allclose(lam, [0.02, 1.050001], rtol=0, atol=1e-15)
+
+    def test_row_feasible_at_its_penalty_keeps_it(self, floor_calls):
+        # both rows have floor 0.5: at 0.51 they are feasible, and keep 0.51
+        # although it is below 1.05 * floor + margin
+        a = np.array([[1.0, 1.0], [0.0, 0.0]])
+        pen = DebiasPenalties(lambda_gamma=np.zeros(2), lambda_mu=np.full(2, 0.51))
+        mu, statuses, lam = estimate_mu(np.eye(2), a, pen, relax=True)
+        assert floor_calls == []
+        np.testing.assert_array_equal(lam, [0.51, 0.51])
+        np.testing.assert_allclose(mu, [[0.49, 0.0], [0.49, 0.0]], atol=1e-9)
         assert all(s is LpStatus.OPTIMAL for s in statuses)
 
     def test_row_floor_values(self):

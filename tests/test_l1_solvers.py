@@ -80,6 +80,17 @@ class TestSoftThresholdCases:
         prob = L1LinfProblem(A=np.array([[1.0], [1.0]]), b=np.array([0.0, 10.0]), lam=1.0)
         assert solve_l1_linf(prob).status is LpStatus.INFEASIBLE
 
+    def test_roundoff_row_is_a_zero_row(self):
+        # row 2 is roundoff next to row 1: it is checked as |b_2| <= lam, not
+        # rescaled into the constraint 1e-17 (x_1 + 2 x_2) ~ 1
+        A = np.array([[1.0, 0.0], [1e-17, 2e-17]])
+        b = np.array([0.0, 1.0])
+        sol = solve_l1_linf(L1LinfProblem(A=A, b=b, lam=0.5))
+        assert sol.status is LpStatus.INFEASIBLE and sol.pivots == 0
+        sol = solve_l1_linf(L1LinfProblem(A=A, b=b, lam=1.5))
+        assert sol.status is LpStatus.OPTIMAL
+        np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+
     def test_pivot_limit_reported(self, rng, monkeypatch):
         A = rng.standard_normal((6, 6))
         prob = L1LinfProblem(A=A, b=rng.standard_normal(6), lam=0.01)

@@ -213,6 +213,8 @@ def _cmd_debias(args) -> int:
         "inversions": result.inversions,
         "contraction_iters": result.contraction_iters,
         "newton_iters": result.newton_iters,
+        "lp_solves": result.lp_solves,
+        "lp_pivots": result.lp_pivots,
         "diagnostics": {
             "min_sv_omega": result.min_sv_omega,
             "min_sv_gamma_g": result.min_sv_gamma_g,

@@ -8,13 +8,21 @@ optimal vertices carry exact zeros rather than shrunken near-zeros. lambda
 may also be given per constraint row, which is how the trust-region and
 box rows of the outer estimator join the moment rows.
 
+solve_row_family solves many such LPs that share A and differ only in b and
+lambda, as the de-biasing rows do. Their cost vector is all ones, so any
+basis that was optimal for one row is dual feasible for the next: each row
+after the first starts a one-phase dual simplex (dual steepest-edge pricing,
+Forrest & Goldfarb 1992) from the previous row's final tableau, whose slack
+block holds B^-1, and needs no phase 1. A family's results are deterministic
+but depend on the order of its rows.
+
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -140,6 +148,95 @@ class _RawLp:
     pivots: int
 
 
+def _run_dual_simplex(T, basis, n, max_pivots):
+    """Dual simplex on a dual-feasible tableau whose columns n..n+m-1 hold B^-1.
+
+    Leaving row: dual steepest edge, the largest rhs_i^2 / ||e_i'B^-1||^2 over
+    rows with rhs_i < 0 (any negative value: the right-hand sides are not
+    equilibrated, so a tolerance here could exceed FEAS_TOL once scaled back),
+    the exact weights read off the slack block. After a streak of pivots with
+    no objective progress, the dual Bland rule: the infeasible row whose basic
+    variable has the lowest index. Entering column: the dual ratio test on
+    max(reduced cost, 0), ties to the lowest index. A leaving row with no
+    negative entry proves the LP infeasible. Reduced costs that roundoff left
+    below -FEAS_TOL are repaired by a primal clean-up in _run_simplex.
+    """
+    m = len(basis)
+    pivots = 0
+    stall = 0
+    last_obj = -T[-1, -1]
+    while pivots < max_pivots:
+        rhs = T[:m, -1]
+        rows = np.flatnonzero(rhs < 0.0)
+        if rows.size == 0:
+            allowed = np.ones(T.shape[1] - 1, dtype=bool)
+            status, cleanup = _run_simplex(T, basis, allowed, max_pivots - pivots)
+            return status, pivots + cleanup
+        if stall >= _DEGENERATE_STREAK:
+            i = int(rows[np.argmin(basis[rows])])
+        else:
+            binv = T[rows, n : n + m]
+            i = int(rows[np.argmax(rhs[rows] ** 2 / np.einsum("ij,ij->i", binv, binv))])
+        cand = np.flatnonzero(T[i, :-1] < -PIVOT_TOL)
+        if cand.size == 0:
+            return LpStatus.INFEASIBLE, pivots
+        ratios = np.maximum(T[-1, cand], 0.0) / -T[i, cand]
+        rmin = ratios.min()
+        j = int(cand[np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + rmin))[0]])
+        _pivot(T, i, j)
+        basis[i] = j
+        pivots += 1
+        # objective-row rhs holds -z, and the dual simplex pushes z up
+        obj = -T[-1, -1]
+        if obj > last_obj + 1e-12 * (1.0 + abs(last_obj)):
+            stall = 0
+            last_obj = obj
+        else:
+            stall += 1
+    return LpStatus.ITERATION_LIMIT, pivots
+
+
+class _FamilyState:
+    """The last final tableau of a row family, kept to warm-start the next row.
+
+    Only the right-hand side changes from row to row, so the tableau's reduced
+    costs, and with them its dual feasibility, carry over unchanged.
+    """
+
+    def __init__(self):
+        self.A_ub = self.T = self.basis = None
+
+    def solve(self, c, A_ub, b_ub, warm: bool) -> _RawLp:
+        """min c'z s.t. A_ub z <= b_ub, z >= 0 (c >= 0) from the stored tableau
+        (warm, which must be for this A_ub) or from the slack basis."""
+        m, n = A_ub.shape
+        if warm:
+            T, basis = self.T, self.basis
+            T[:m, -1] = T[:m, n : n + m] @ b_ub
+            T[-1, -1] = -(np.concatenate([c, np.zeros(m)])[basis] @ T[:m, -1])
+        else:
+            if (m + 1) * (n + m + 1) > MAX_DENSE_ENTRIES:
+                raise LpSizeError(f"dense tableau would need {(m + 1) * (n + m + 1)} entries")
+            T = np.zeros((m + 1, n + m + 1))
+            T[:m, :n] = A_ub
+            T[:m, n : n + m] = np.eye(m)
+            T[:m, -1] = b_ub
+            T[-1, :n] = c
+            basis = np.arange(n, n + m)
+        status, pivots = _run_dual_simplex(T, basis, n, MAX_PIVOTS)
+        if status is LpStatus.ITERATION_LIMIT:
+            self.A_ub = self.T = self.basis = None
+            return _RawLp(np.zeros(n), status, None, pivots)
+        self.A_ub, self.T, self.basis = A_ub, T, basis
+        z = np.zeros(n + m)
+        z[basis] = T[:m, -1]
+        # no row was flipped, so the slack columns' reduced costs are -y
+        return _RawLp(z[:n], status, -T[-1, n : n + m], pivots)
+
+    def is_warm_for(self, A_ub) -> bool:
+        return self.T is not None and np.array_equal(self.A_ub, A_ub)
+
+
 def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
     """min c'z s.t. A_ub z <= b_ub, z >= 0, by two-phase dense simplex.
 
@@ -213,13 +310,16 @@ def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
     return _RawLp(z[:n], LpStatus.OPTIMAL, y, p1 + p2)
 
 
-def solve_l1_linf(problem: L1LinfProblem) -> LpSolution:
+def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None) -> LpSolution:
     """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i for every row.
 
     Returns an LpSolution whose dual vector y certifies optimality in the
     usual Dantzig-selector sense: ||A'y||_inf <= 1, the dual objective
     b'y - sum_i lam_i |y_i| equals ||x||_1, and -y'(Ax - b) = sum_i lam_i |y_i|
     (complementary slackness). All three are exercised by the tests.
+
+    _family is solve_row_family's private warm-start state; without it the
+    LP is solved by the two-phase simplex of solve_nonneg_lp.
     """
     A, b, lam = problem.A, problem.b, problem.lam
     m, p = A.shape
@@ -241,22 +341,38 @@ def solve_l1_linf(problem: L1LinfProblem) -> LpSolution:
     c = np.ones(2 * p)
     A_ub = np.block([[As, -As], [-As, As]])
     b_ub = np.concatenate([bs + lams, lams - bs])
-    raw = solve_nonneg_lp(c, A_ub, b_ub)
-    if raw.status is not LpStatus.OPTIMAL:
-        return LpSolution(np.zeros(p), raw.status, np.nan, np.inf, None, raw.pivots)
-    x = raw.z[:p] - raw.z[p:]
-    dual = np.zeros(m)
-    dual[live] = (raw.dual[:ml] - raw.dual[ml:]) * scale
-    max_violation = float((np.abs(A @ x - b) - lam).max())
-    return LpSolution(x, LpStatus.OPTIMAL, float(np.abs(x).sum()), max_violation, dual, raw.pivots)
+
+    def solution(raw: _RawLp) -> LpSolution:
+        if raw.status is not LpStatus.OPTIMAL:
+            return LpSolution(np.zeros(p), raw.status, np.nan, np.inf, None, raw.pivots)
+        x = raw.z[:p] - raw.z[p:]
+        dual = np.zeros(m)
+        dual[live] = (raw.dual[:ml] - raw.dual[ml:]) * scale
+        max_violation = float((np.abs(A @ x - b) - lam).max())
+        objective = float(np.abs(x).sum())
+        return LpSolution(x, LpStatus.OPTIMAL, objective, max_violation, dual, raw.pivots)
+
+    if _family is None:
+        return solution(solve_nonneg_lp(c, A_ub, b_ub))
+    warm = _family.is_warm_for(A_ub)
+    sol = solution(_family.solve(c, A_ub, b_ub, warm))
+    if warm and sol.status is LpStatus.OPTIMAL and sol.max_violation > FEAS_TOL:
+        # roundoff carried over from earlier rows: solve this row from scratch
+        cold = solution(_family.solve(c, A_ub, b_ub, warm=False))
+        sol = replace(cold, pivots=sol.pivots + cold.pivots)
+    return sol
 
 
 def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSolution]:
     """Solve min ||x_r||_1 s.t. ||x_r A - B_r||_inf <= lam_r for each row r of B.
 
-    Equivalent to solve_l1_linf on (A', B_r') row by row; rows are independent
-    and solved in order so results are deterministic. Statuses are returned
-    per row rather than raised, so callers can name the offending row.
+    One solve_l1_linf call per row on (A', B_r'). The first row is solved by
+    dual simplex from the slack basis and each later row from the previous
+    row's final tableau (again from the slack basis if its answer violates
+    the constraint by more than FEAS_TOL). Results are deterministic but
+    depend on the order of the rows, through ties among optimal vertices and
+    roundoff. Statuses are returned per row rather than raised, so callers
+    can name the offending row.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -265,4 +381,8 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
         # x_r A has length A.shape[1]; B_r must match it
         raise ValueError(f"row family shapes do not conform: A {A.shape}, B {B.shape}")
     At = A.T.copy()
-    return [solve_l1_linf(L1LinfProblem(A=At, b=B[r], lam=lam[r])) for r in range(B.shape[0])]
+    family = _FamilyState()
+    return [
+        solve_l1_linf(L1LinfProblem(A=At, b=B[r], lam=lam[r]), _family=family)
+        for r in range(B.shape[0])
+    ]

@@ -205,7 +205,8 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
     Checks per market: shares strictly inside (0, 1) with an interior outside
     share, and finite attributes and instruments. Dimensions are checked when
-    the Dataset is built.
+    the Dataset is built. Messages number markets and products from 1, as the
+    dataset CSV's market_id and product_id columns do.
     """
     X, S, H = dataset.X, dataset.S, dataset.H
     bad_x = ~np.isfinite(X).all(axis=(1, 2))
@@ -216,7 +217,7 @@ def validate_dataset(dataset: Dataset) -> list[str]:
     flagged = bad_x | bad_h | bad_s | outside.any(axis=1) | (total >= 1.0)
     problems: list[str] = []
     for i in np.flatnonzero(flagged):
-        tag = f"market {i}"
+        tag = f"market_id {i + 1}"
         if bad_x[i]:
             problems.append(f"{tag}: non-finite attribute values")
         if bad_h[i]:
@@ -225,8 +226,8 @@ def validate_dataset(dataset: Dataset) -> list[str]:
             problems.append(f"{tag}: non-finite shares")
             continue
         if outside[i].any():
-            bad = np.flatnonzero(outside[i]).tolist()
-            problems.append(f"{tag}: products {bad} have shares outside (0, 1)")
+            bad = (np.flatnonzero(outside[i]) + 1).tolist()
+            problems.append(f"{tag}: product_id {bad} have shares outside (0, 1)")
         if total[i] >= 1.0:
             problems.append(f"{tag}: inside shares sum to {total[i]:.6f} >= 1")
     return problems

@@ -251,6 +251,15 @@ class TestPipeline:
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert deb["inversions"] == 1 and deb["newton_iters"] >= 0
 
+    def test_debias_json_counts_lps(self, simulated, tmp_path, capsys):
+        code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
+                        "--data", simulated / "data.csv", "--penalty-c", "0.05", "--relax-mu",
+                        "--out", tmp_path / "deb.json", *NODES)
+        assert code == cli.EXIT_OK, err
+        deb = json.loads((tmp_path / "deb.json").read_text())
+        # L = 3: at least the 2L gamma rows and the 2L mu rows
+        assert deb["lp_solves"] >= 12 and deb["lp_pivots"] >= 0
+
     @pytest.mark.parametrize("flag, env, workers", [
         ((), None, 3), ((), "2", 2), (("--threads", "1"), "2", 1), (("--threads", "1"), None, 1),
     ], ids=["study", "variable", "flag-over-variable", "flag"])
@@ -378,7 +387,7 @@ class TestBadInput:
         code, err = run(capsys, *argv)
         assert code == cli.EXIT_DATA
         line = one_line_error(err)
-        assert str(path) in line and "3 dataset invariant(s)" in line and "market 1" in line
+        assert str(path) in line and "3 dataset invariant(s)" in line and "market_id 2: product_id [1]" in line
 
     def test_dgp_config_with_legacy_n_key_is_data_error(self, tmp_path, capsys):
         model = dict(DGP["model"])

@@ -262,3 +262,27 @@ class TestFullPipeline:
         assert res.mu_relaxed_rows.size > 0
         assert np.all(res.mu_lambda_eff >= 0.04 - 1e-12)
         assert np.isfinite(res.theta_dd).all()
+
+    def test_lp_counts_cover_every_debias_lp(self, gh1, monkeypatch):
+        # the rank-deficient design relaxes some mu rows, so the count must
+        # take in both families, the row floors and the relaxed re-solves
+        from sparseblp import debias as debias_module
+        from sparseblp import l1_solvers
+
+        pivots = []
+        for module, name in ((l1_solvers, "solve_l1_linf"), (debias_module, "solve_nonneg_lp")):
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                result = _real(*args, **kwargs)
+                pivots.append((_name, result.pivots))
+                return result
+
+            monkeypatch.setattr(module, name, counting)
+        cfg = ModelConfig(n_markets=25, J=2, L=3, G=1, K=2, partition=(1, 1, 1))
+        ds, truth = simulate(
+            DgpConfig(model=cfg, s_beta=1, s_gamma=1, signal=0.6, xi_sd=0.2, seed=5), gh1
+        )
+        res = debias(ds, truth, gh1, penalties=DebiasPenalties.constant(3, 0.02), relax_mu=True)
+        floors = sum(1 for name, _ in pivots if name == "solve_nonneg_lp")
+        assert floors == res.mu_relaxed_rows.size > 0
+        assert res.lp_solves == len(pivots) == 12 + 2 * floors
+        assert res.lp_pivots == sum(p for _, p in pivots) > 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -182,3 +183,134 @@ class TestNonnegLp:
     def test_size_guard(self):
         with pytest.raises(LpSizeError):
             solve_nonneg_lp(np.zeros(4000), np.zeros((4000, 4000)), np.zeros(4000))
+
+
+def random_family(rng):
+    """A row family (A, B, lam) as the debias LPs pose them, but harder.
+
+    A (p x q) is often rank-deficient and sometimes has a dead column (a zero
+    constraint row of A'), the scales run from 1e-3 to 1e3, and each row's
+    penalty is 0.01 to 1.2 times max|B|, so statuses mix.
+    """
+    p, q = (int(k) for k in rng.integers(2, 9, size=2))
+    rank = int(rng.integers(1, min(p, q) + 1))
+    A = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, q))
+    if rng.random() < 0.3:
+        A[:, int(rng.integers(q))] = 0.0
+    A *= 10.0 ** rng.uniform(-3, 3)
+    B = rng.standard_normal((int(rng.integers(3, 9)), q)) * 10.0 ** rng.uniform(-3, 3)
+    lam = np.abs(B).max() * rng.uniform(0.01, 1.2, size=B.shape[0])
+    return A, B, lam
+
+
+class TestWarmStartedFamily:
+    """solve_row_family warm-starts each row from the previous row's tableau;
+    every answer must be the one a cold solve of that row gives."""
+
+    def test_agrees_with_cold_solves(self, rng):
+        statuses = set()
+        for _ in range(150):
+            A, B, lam = random_family(rng)
+            for r, sol in enumerate(solve_row_family(A, B, lam)):
+                cold = solve_l1_linf(L1LinfProblem(A.T, B[r], lam[r]))
+                assert sol.status is cold.status
+                statuses.add(sol.status)
+                if sol.status is LpStatus.OPTIMAL:
+                    assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=0)
+                    assert sol.max_violation <= l1_solvers.FEAS_TOL
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_dual_certificates(self, rng):
+        for _ in range(20):
+            A, B, lam = random_family(rng)
+            for r, sol in enumerate(solve_row_family(A, B, lam)):
+                if sol.status is LpStatus.OPTIMAL:
+                    # the identities are checked on unit-scale data
+                    s = np.abs(B).max()
+                    check_certificate(L1LinfProblem(A.T, B[r] / s, lam[r] / s),
+                                      replace(sol, x=sol.x / s, objective=sol.objective / s))
+
+    def test_warm_start_is_used(self, rng):
+        # a repeated row is already optimal at the previous row's basis
+        A = rng.standard_normal((5, 5))
+        b = rng.standard_normal(5)
+        first, second = solve_row_family(A, np.array([b, b]), np.full(2, 0.05))
+        assert first.pivots > 0 and second.pivots == 0
+        np.testing.assert_allclose(first.x, second.x, rtol=0, atol=1e-12)
+
+    def test_infeasible_row_leaves_next_row_unchanged(self, rng):
+        # A has rank 2 in R^4: a generic right-hand side is out of reach
+        A = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
+        b0, b2 = rng.standard_normal((2, 3)) @ A
+        unreachable = rng.standard_normal(4)
+        lam = np.full(3, 0.01)
+        sols = solve_row_family(A, np.array([b0, unreachable, b2]), lam)
+        assert [s.status for s in sols] == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
+        assert sols[1].pivots > 0  # the LP itself, not the zero-row check, found it
+        without = solve_row_family(A, np.array([b0, b2]), lam[:2])[1]
+        np.testing.assert_allclose(sols[2].x, without.x, rtol=0, atol=1e-12)
+        cold = solve_l1_linf(L1LinfProblem(A.T, b2, 0.01))
+        assert sols[2].objective == pytest.approx(cold.objective, rel=1e-12)
+
+    def test_violation_below_tolerance_after_equilibration_is_removed(self):
+        # x = 0 violates the row by 5e-6, which equilibration by 1/1000 turns
+        # into 5e-9, below FEAS_TOL: the vertex must still satisfy the row
+        (sol,) = solve_row_family(np.array([[1000.0]]), np.array([[0.030005]]), np.array([0.03]))
+        cold = solve_l1_linf(L1LinfProblem(np.array([[1000.0]]), np.array([0.030005]), 0.03))
+        assert sol.status is LpStatus.OPTIMAL and sol.max_violation <= l1_solvers.FEAS_TOL
+        assert sol.x[0] == pytest.approx(5e-9, rel=1e-6)
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+    def test_all_zero_family(self):
+        # every constraint row of A' is zero, so no row is left after
+        # equilibration; |b| <= lam makes x = 0 optimal
+        B = np.array([[0.1, -0.2, 0.0], [0.3, 0.3, -0.3]])
+        for sol in solve_row_family(np.zeros((4, 3)), B, np.full(2, 0.3)):
+            assert sol.status is LpStatus.OPTIMAL
+            np.testing.assert_array_equal(sol.x, np.zeros(4))
+
+    def test_pivot_limit_per_row(self, rng, monkeypatch):
+        A = rng.standard_normal((6, 6))
+        B = rng.standard_normal((3, 6))
+        monkeypatch.setattr(l1_solvers, "MAX_PIVOTS", 1)
+        sols = solve_row_family(A, B, np.full(3, 0.01))
+        assert [s.status for s in sols] == [LpStatus.ITERATION_LIMIT] * 3
+
+    def test_warm_row_violating_its_constraint_is_resolved_cold(self, rng):
+        A = rng.standard_normal((5, 5))
+        B = rng.standard_normal((2, 5))
+        family = l1_solvers._FamilyState()
+        solve_l1_linf(L1LinfProblem(A.T, B[0], 0.05), _family=family)
+        m = len(family.basis)
+        family.T[:m, -m - 1 : -1] *= 3.0  # a stale B^-1: the warm answer is wrong
+        sol = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family)
+        cold = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05))
+        assert sol.max_violation <= l1_solvers.FEAS_TOL
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+
+    def test_one_solve_l1_linf_call_per_row(self, rng, monkeypatch):
+        calls = []
+        real = l1_solvers.solve_l1_linf
+
+        def counting(problem, **kwargs):
+            calls.append(problem.b)
+            return real(problem, **kwargs)
+
+        monkeypatch.setattr(l1_solvers, "solve_l1_linf", counting)
+        B = rng.standard_normal((5, 4))
+        solve_row_family(rng.standard_normal((4, 4)), B, np.full(5, 0.1))
+        assert len(calls) == 5
+        for r, b in enumerate(calls):
+            np.testing.assert_array_equal(b, B[r])
+
+    def test_deterministic(self, rng):
+        A, B, lam = random_family(rng)
+
+        def run():
+            return b"".join(
+                s.x.tobytes() + np.float64(s.objective).tobytes() + bytes(str(s.pivots), "ascii")
+                + (b"" if s.dual is None else s.dual.tobytes())
+                for s in solve_row_family(A, B, lam)
+            )
+
+        assert run() == run()

@@ -143,7 +143,7 @@ class TestValidateDataset:
         S = ds.S.copy()
         S[0] = [0.6, 0.5]
         problems = validate_dataset(Dataset(config=c, X=ds.X, S=S, H=ds.H))
-        assert problems == ["market 0: inside shares sum to 1.100000 >= 1"]
+        assert problems == ["market_id 1: inside shares sum to 1.100000 >= 1"]
 
     def test_boundary_share_flagged(self, rng):
         c = cfg(J=2, L=4, K=2)
@@ -151,7 +151,7 @@ class TestValidateDataset:
         S = ds.S.copy()
         S[1] = [0.0, 0.5]
         problems = validate_dataset(Dataset(config=c, X=ds.X, S=S, H=ds.H))
-        assert problems == ["market 1: products [0] have shares outside (0, 1)"]
+        assert problems == ["market_id 2: product_id [1] have shares outside (0, 1)"]
 
     def test_non_finite_values_flagged_per_market(self, rng):
         c = cfg(J=2, L=4, K=2)
@@ -162,9 +162,9 @@ class TestValidateDataset:
         S[1, 1] = np.nan
         problems = validate_dataset(Dataset(config=c, X=X, S=S, H=H))
         assert problems == [
-            "market 0: non-finite attribute values",
-            "market 1: non-finite instrument values",
-            "market 1: non-finite shares",
+            "market_id 1: non-finite attribute values",
+            "market_id 2: non-finite instrument values",
+            "market_id 2: non-finite shares",
         ]
 
 

@@ -170,6 +170,8 @@ def _cmd_estimate(args) -> int:
         "inversions": result.inversions,
         "contraction_iters": result.contraction_iters,
         "newton_iters": result.newton_iters,
+        "lp_solves": result.lp_solves,
+        "lp_pivots": result.lp_pivots,
         "final_constraint": result.final_constraint,
         "diagnosis": result.diagnosis,
         "runtime_s": result.runtime_s,

@@ -35,13 +35,12 @@ row often gets se 0, an interval of zero width, which the CLI names.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from .l1_solvers import LpStatus, solve_nonneg_lp, solve_row_family
+from .l1_solvers import LpStatus, count_lps, solve_nonneg_lp, solve_row_family
 from .model_core import Dataset, ModelConfig, Theta
 from .moments import Evaluator, jacobian_theta, omega, score
 from .quadrature import QuadratureRule
@@ -141,25 +140,6 @@ class DebiasResult:
     lp_pivots: int = 0  # floors), and their simplex pivots
 
 
-@dataclass
-class _LpTally:
-    solves: int = 0
-    pivots: int = 0
-
-
-# The LPs of the debias call in progress. A context variable rather than an
-# argument, so estimate_gamma, estimate_mu and minimax_row_floor keep the
-# signatures their callers use.
-_lp_tally: ContextVar[_LpTally | None] = ContextVar("debias_lp_tally", default=None)
-
-
-def _count_lps(*pivots: int) -> None:
-    tally = _lp_tally.get()
-    if tally is not None:
-        tally.solves += len(pivots)
-        tally.pivots += sum(pivots)
-
-
 def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str, relax: bool = False):
     """Row family with post-hoc constraint verification (solver not trusted).
 
@@ -176,14 +156,12 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str, relax:
     As = A / scale
     lam = np.array(np.broadcast_to(lam, (B.shape[0],)), dtype=float)
     sols = solve_row_family(As, B, lam)
-    _count_lps(*(sol.pivots for sol in sols))
     rows = np.zeros((B.shape[0], A.shape[0]))
     statuses = []
     for r, sol in enumerate(sols):
         if relax and sol.status is LpStatus.INFEASIBLE:
             lam[r] = max(lam[r], RELAX_FACTOR * minimax_row_floor(A, B[r]) + RELAX_MARGIN)
             sol = solve_row_family(As, B[r : r + 1], lam[r : r + 1])[0]
-            _count_lps(sol.pivots)
         statuses.append(sol.status)
         if sol.status is not LpStatus.OPTIMAL:
             raise DebiasError(
@@ -230,7 +208,6 @@ def minimax_row_floor(a: np.ndarray, b: np.ndarray) -> float:
     c = np.zeros(2 * p + 1)
     c[-1] = 1.0
     raw = solve_nonneg_lp(c, a_ub, b_ub)
-    _count_lps(raw.pivots)
     if raw.status is not LpStatus.OPTIMAL:
         raise DebiasError(f"row-floor LP unexpectedly {raw.status.value}")
     return scale * float(raw.z[-1])
@@ -310,13 +287,9 @@ def debias(
     omega_hat = omega(dataset, theta_hat, rule, evals=evals)
     g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)
     f_hat = score(dataset, theta_hat, rule, evals=evals)
-    tally = _LpTally()
-    token = _lp_tally.set(tally)
-    try:
+    with count_lps() as tally:
         gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties)
         mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties, relax=relax_mu)
-    finally:
-        _lp_tally.reset(token)
     theta_dd = debiased_theta(theta_hat.stacked(), mu_hat, gamma_hat, f_hat)
     se = standard_errors(mu_hat, gamma_hat, omega_hat, dataset.n)
     ci = confidence_intervals(theta_dd, se, alpha)

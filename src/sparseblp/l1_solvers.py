@@ -1,20 +1,26 @@
 """Linear programming for l1 minimization under sup-norm constraints.
 
 solve_l1_linf handles   min ||x||_1  s.t.  ||Ax - b||_inf <= lambda
-by splitting x = u - v and running a dense two-phase tableau simplex with
-Bland's anti-cycling rule. The solver is deliberately dependency-free and
+by splitting x = u - v and running a one-phase dual simplex on a dense
+tableau. The cost vector is all ones, so the slack basis is dual feasible
+and no phase 1 is needed. The solver is deliberately dependency-free and
 bit-deterministic: identical inputs produce identical pivot sequences, and
 optimal vertices carry exact zeros rather than shrunken near-zeros. lambda
 may also be given per constraint row, which is how the trust-region and
 box rows of the outer estimator join the moment rows.
 
-solve_row_family solves many such LPs that share A and differ only in b and
-lambda, as the de-biasing rows do. Their cost vector is all ones, so any
-basis that was optimal for one row is dual feasible for the next: each row
-after the first starts a one-phase dual simplex (dual steepest-edge pricing,
-Forrest & Goldfarb 1992) from the previous row's final tableau, whose slack
-block holds B^-1, and needs no phase 1. A family's results are deterministic
-but depend on the order of its rows.
+LPs that share A and differ only in b and lambda pass one private
+_FamilyState: any basis that was optimal for one is dual feasible for the
+next, so each starts its dual simplex (dual steepest-edge pricing, Forrest
+& Goldfarb 1992) from the previous final tableau, whose slack block holds
+B^-1. solve_row_family does this for the de-biasing rows, and the outer
+estimator for the step LPs of one linearization. Results are deterministic
+but depend on the order of the LPs.
+
+solve_nonneg_lp is a two-phase primal simplex for general LPs in
+nonnegative variables; the min-violation LPs (elastic restoration and the
+de-biasing row floors) use it. count_lps counts the calls of both solvers
+and their pivots.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -22,6 +28,9 @@ the dense tableau is fast enough and easy to audit.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -29,7 +38,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
-MAX_PIVOTS = 100_000  # per LP, both phases; read at each call
+MAX_PIVOTS = 100_000  # per LP, all phases; read at each call
 MAX_DENSE_ENTRIES = 10_000_000
 # A row of max-abs below this fraction of the largest row's is a zero row, so
 # equilibration cannot blow roundoff (gamma_hat G_hat at a dead group) up to 1.
@@ -197,10 +206,11 @@ def _run_dual_simplex(T, basis, n, max_pivots):
 
 
 class _FamilyState:
-    """The last final tableau of a row family, kept to warm-start the next row.
+    """The last final tableau of a family of LPs, kept to warm-start the next.
 
-    Only the right-hand side changes from row to row, so the tableau's reduced
-    costs, and with them its dual feasibility, carry over unchanged.
+    Only the right-hand side changes from one LP of the family to the next,
+    so the tableau's reduced costs, and with them its dual feasibility, carry
+    over unchanged.
     """
 
     def __init__(self):
@@ -237,6 +247,45 @@ class _FamilyState:
         return self.T is not None and np.array_equal(self.A_ub, A_ub)
 
 
+@dataclass
+class LpTally:
+    """LPs solved inside a count_lps block, and their simplex pivots."""
+
+    solves: int = 0
+    pivots: int = 0
+
+
+_tallies: ContextVar[tuple[LpTally, ...]] = ContextVar("lp_tallies", default=())
+
+
+@contextmanager
+def count_lps():
+    """Count every solve_l1_linf and solve_nonneg_lp call made in the block.
+
+    Yields an LpTally. Blocks nest: an enclosing block counts the calls of
+    the blocks inside it too.
+    """
+    tally = LpTally()
+    token = _tallies.set(_tallies.get() + (tally,))
+    try:
+        yield tally
+    finally:
+        _tallies.reset(token)
+
+
+def _counted(solver):
+    @functools.wraps(solver)
+    def counted(*args, **kwargs):
+        out = solver(*args, **kwargs)
+        for tally in _tallies.get():
+            tally.solves += 1
+            tally.pivots += out.pivots
+        return out
+
+    return counted
+
+
+@_counted
 def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
     """min c'z s.t. A_ub z <= b_ub, z >= 0, by two-phase dense simplex.
 
@@ -310,6 +359,7 @@ def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
     return _RawLp(z[:n], LpStatus.OPTIMAL, y, p1 + p2)
 
 
+@_counted
 def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None) -> LpSolution:
     """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i for every row.
 
@@ -318,8 +368,10 @@ def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None
     b'y - sum_i lam_i |y_i| equals ||x||_1, and -y'(Ax - b) = sum_i lam_i |y_i|
     (complementary slackness). All three are exercised by the tests.
 
-    _family is solve_row_family's private warm-start state; without it the
-    LP is solved by the two-phase simplex of solve_nonneg_lp.
+    The LP is solved by the one-phase dual simplex, from the slack basis or,
+    when the private _family holds a final tableau for the same A, from that
+    tableau. A warm answer that violates the constraints by more than
+    FEAS_TOL is solved once more from the slack basis.
     """
     A, b, lam = problem.A, problem.b, problem.lam
     m, p = A.shape
@@ -353,11 +405,11 @@ def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None
         return LpSolution(x, LpStatus.OPTIMAL, objective, max_violation, dual, raw.pivots)
 
     if _family is None:
-        return solution(solve_nonneg_lp(c, A_ub, b_ub))
+        _family = _FamilyState()
     warm = _family.is_warm_for(A_ub)
     sol = solution(_family.solve(c, A_ub, b_ub, warm))
     if warm and sol.status is LpStatus.OPTIMAL and sol.max_violation > FEAS_TOL:
-        # roundoff carried over from earlier rows: solve this row from scratch
+        # roundoff carried over from earlier LPs: solve this one from scratch
         cold = solution(_family.solve(c, A_ub, b_ub, warm=False))
         sol = replace(cold, pivots=sol.pivots + cold.pivots)
     return sol

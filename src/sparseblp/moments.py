@@ -118,6 +118,8 @@ class Evaluator:
                  opts: InversionOptions | None = None):
         self.dataset, self.rule, self.opts = dataset, rule, opts
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
+        self._gammas: list[np.ndarray] = []  # the gammas inverted without failure,
+        self._deltas: list[np.ndarray] = []  # and their deltas: the start pool
         self.inversions = self.contraction_iters = self.newton_iters = 0
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
@@ -132,16 +134,18 @@ class Evaluator:
         return hit.at_beta(theta.beta)
 
     def _invert(self, theta: Theta) -> MomentEvaluation | InversionError:
-        inverted = [ev for ev in self._by_gamma.values() if isinstance(ev, MomentEvaluation)]
         start = None
-        if inverted:
-            dist = [np.linalg.norm(ev.theta.gamma - theta.gamma) for ev in inverted]
-            start = inverted[int(np.argmin(dist))].delta
+        if self._gammas:
+            d = np.asarray(self._gammas) - theta.gamma
+            start = self._deltas[int(np.argmin(np.einsum("ij,ij->i", d, d)))]
         own = Theta(beta=theta.beta.copy(), gamma=theta.gamma.copy())  # callers reuse arrays
         try:
             out = evaluate(self.dataset, own, self.rule, self.opts, start)
         except InversionError as exc:
             out = exc
+        else:
+            self._gammas.append(own.gamma)
+            self._deltas.append(out.delta)
         self.inversions += 1
         self.contraction_iters += out.info.iterations
         self.newton_iters += out.info.newton_iterations

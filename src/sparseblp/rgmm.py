@@ -40,7 +40,11 @@ fixed delta.
 
 Every linearized step is one LP from _step_lp: the trust-region step, the
 second-order correction (SOC) and the elastic restoration's second pass
-differ only in target, tolerance and box center. The trust region, the
+differ only in target, tolerance and box center. The step LPs of one outer
+iteration share G_f, so they share one matrix: the iteration keeps one
+dual simplex tableau, and each of its step LPs, shrink re-solves included,
+starts from the previous one's (from the slack basis when the box rows
+come or go). The trust region, the
 convergence test and the box on theta are module constants. Each safeguard
 changed the estimates when switched off, on a grid of 240 fits (the
 pipebench designs and an n = 200 study design, DGP seeds 0-9, lambda in
@@ -69,6 +73,8 @@ from .l1_solvers import (
     L1LinfProblem,
     LpSolution,
     LpStatus,
+    _FamilyState,
+    count_lps,
     solve_l1_linf,
     solve_nonneg_lp,
 )
@@ -142,6 +148,8 @@ class EstimationResult:
     inversions: int = 0  # share inversions run, and their iterations
     contraction_iters: int = 0
     newton_iters: int = 0
+    lp_solves: int = 0  # LPs run (pilot, step, SOC, elastic), and their
+    lp_pivots: int = 0  # simplex pivots
 
 
 def select_lambda(
@@ -228,14 +236,15 @@ def _pilot_probes(
     return [(theta, feasible) for _, _, theta, feasible in probes]
 
 
-def _step_lp(G_f, target, tol, center, radius, box_center) -> LpSolution:
+def _step_lp(G_f, target, tol, center, radius, box_center, family=None) -> LpSolution:
     """Linearized step LP over p free coordinates: min ||v||_1 s.t.
 
     |G_f v - target| <= tol, |v - center| <= radius, and, when the trust
     region is not already inside the box, |v - box_center| <= THETA_BOX.
     The rows are the moment rows, then the trust rows, then the box rows.
     center and box_center may be scalars; a step d from a point theta has
-    box_center = -theta, so that the box bounds theta + d.
+    box_center = -theta, so that the box bounds theta + d. family is the
+    outer iteration's warm-start state, shared by its step LPs.
     """
     p = G_f.shape[1]
     center = np.broadcast_to(np.asarray(center, dtype=float), (p,))
@@ -248,11 +257,12 @@ def _step_lp(G_f, target, tol, center, radius, box_center) -> LpSolution:
         rhs.append(box_center)
         tols.append(np.full(p, THETA_BOX))
     return solve_l1_linf(
-        L1LinfProblem(A=np.vstack(rows), b=np.concatenate(rhs), lam=np.concatenate(tols))
+        L1LinfProblem(A=np.vstack(rows), b=np.concatenate(rhs), lam=np.concatenate(tols)),
+        _family=family,
     )
 
 
-def _elastic_step(G_f, f_t, theta_t, lam, radius, free):
+def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
     """Feasibility restoration used when the linearized subproblem is empty.
 
     First minimizes the violation: t* = min t s.t. |f_t + G_f d| <= lam + t,
@@ -287,7 +297,7 @@ def _elastic_step(G_f, f_t, theta_t, lam, radius, free):
         return None, np.inf
     t_star = float(raw.z[-1])
     d = raw.z[:p] - raw.z[p : 2 * p]
-    lex = _step_lp(G_f, -f_t, lam + 1.05 * t_star + 1e-12, 0.0, radius, -theta_f)
+    lex = _step_lp(G_f, -f_t, lam + 1.05 * t_star + 1e-12, 0.0, radius, -theta_f, family)
     if lex.status is LpStatus.OPTIMAL:
         d = lex.x
     cand = theta_t.copy()
@@ -309,9 +319,12 @@ def estimate(
     steps rather than fatal errors, unless the failure happens at the starting
     point itself. theta_init overrides the pilot (warm starts). The shares
     are inverted once per distinct gamma (see module docstring), and the
-    result counts those inversions and their iterations.
+    result counts those inversions and their iterations, and the LPs and
+    their pivots.
     """
-    return _estimate(dataset, rule, opts, theta_init, Evaluator(dataset, rule, opts.inversion))
+    with count_lps() as lps:
+        result = _estimate(dataset, rule, opts, theta_init, Evaluator(dataset, rule, opts.inversion))
+    return replace(result, lp_solves=lps.solves, lp_pivots=lps.pivots)
 
 
 def _estimate(
@@ -409,15 +422,16 @@ def _estimate(
 
             G_t = jacobian_theta(dataset, Theta.from_stacked(vec_t), rule, opts.inversion, evals)
             G_f = G_t[:, free]
+            family = _FamilyState()
             accepted = False
             lam_starved = False
             while radius >= 1e-12:
-                sol = _step_lp(G_f, G_f @ vec_t[free] - f_t, lam, vec_t[free], radius, 0.0)
+                sol = _step_lp(G_f, G_f @ vec_t[free] - f_t, lam, vec_t[free], radius, 0.0, family)
                 if sol.status is LpStatus.OPTIMAL:
                     cand = vec_t.copy()
                     cand[free] = sol.x
                 else:
-                    cand, predicted = _elastic_step(G_f, f_t, vec_t, lam, radius, free)
+                    cand, predicted = _elastic_step(G_f, f_t, vec_t, lam, radius, free, family)
                     if cand is None:
                         lam_starved = True
                         break
@@ -438,7 +452,7 @@ def _estimate(
                     # while the correction is, near the solution manifold,
                     # only as large as the overshoot itself) that otherwise
                     # forces tiny steps along the boundary.
-                    soc = _step_lp(G_f, -f_c, soc_tol, 0.0, radius, -cand[free])
+                    soc = _step_lp(G_f, -f_c, soc_tol, 0.0, radius, -cand[free], family)
                     if soc.status is LpStatus.OPTIMAL:
                         cand2 = cand.copy()
                         cand2[free] += soc.x
@@ -586,8 +600,8 @@ def estimate_auto(
 
     The result is the final fit's, except that runtime_s covers the whole
     call (lambda selection and pilot probes included), outer_iters sums the
-    outer iterations of both fits, and the inversion counts cover every
-    inversion made; history is the final fit's alone.
+    outer iterations of both fits, and the inversion and LP counts cover
+    every inversion and LP run; history is the final fit's alone.
     """
     t_start = time.perf_counter()
     base = opts or RgmmOptions(lam=0.0)
@@ -597,15 +611,17 @@ def estimate_auto(
     def lam_at(theta: Theta) -> float:
         return select_lambda(dataset, theta, rule, base.inversion, evals)
 
-    lam0 = lam_at(Theta.zeros(cfg.L))
-    pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
-    result = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
-    outer_iters = result.outer_iters
-    lam_new = lam_at(result.theta_hat)
-    if lam_new < 0.9 * result.lam:
-        # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
-        # Jacobian), so only warm start from points with live heterogeneity
-        warm = result.theta_hat if np.any(result.theta_hat.gamma != 0.0) else None
-        result = _estimate(dataset, rule, replace(base, lam=lam_new), warm, evals)
-        outer_iters += result.outer_iters
-    return replace(result, outer_iters=outer_iters, runtime_s=time.perf_counter() - t_start)
+    with count_lps() as lps:
+        lam0 = lam_at(Theta.zeros(cfg.L))
+        pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
+        result = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
+        outer_iters = result.outer_iters
+        lam_new = lam_at(result.theta_hat)
+        if lam_new < 0.9 * result.lam:
+            # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
+            # Jacobian), so only warm start from points with live heterogeneity
+            warm = result.theta_hat if np.any(result.theta_hat.gamma != 0.0) else None
+            result = _estimate(dataset, rule, replace(base, lam=lam_new), warm, evals)
+            outer_iters += result.outer_iters
+    return replace(result, outer_iters=outer_iters, runtime_s=time.perf_counter() - t_start,
+                   lp_solves=lps.solves, lp_pivots=lps.pivots)

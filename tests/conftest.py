@@ -45,3 +45,18 @@ def inversion_log(monkeypatch):
 
     monkeypatch.setattr(moments, "_invert_batch", counting)
     return log
+
+
+def highs_l1_linf(A, b, lam) -> tuple[str, float]:
+    """Status ("optimal" or "infeasible") and optimal value of
+    min ||x||_1 s.t. |Ax - b| <= lam, by scipy's HiGHS on x = u - v."""
+    from scipy.optimize import linprog
+
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), b.shape)
+    A_ub = np.block([[A, -A], [-A, A]])
+    b_ub = np.concatenate([b + lam, lam - b])
+    res = linprog(np.ones(2 * A.shape[1]), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    if res.status == 2:
+        return "infeasible", np.nan
+    assert res.status == 0, res.message
+    return "optimal", float(res.fun)

@@ -260,6 +260,11 @@ class TestPipeline:
         # L = 3: at least the 2L gamma rows and the 2L mu rows
         assert deb["lp_solves"] >= 12 and deb["lp_pivots"] >= 0
 
+    def test_estimate_json_counts_lps(self, simulated):
+        est = json.loads((simulated / "est" / "est.json").read_text())
+        # at least the pilot's beta LPs, one per probe scale
+        assert est["lp_solves"] >= 3 and est["lp_pivots"] > 0
+
     @pytest.mark.parametrize("flag, env, workers", [
         ((), None, 3), ((), "2", 2), (("--threads", "1"), "2", 1), (("--threads", "1"), None, 1),
     ], ids=["study", "variable", "flag-over-variable", "flag"])

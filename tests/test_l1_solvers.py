@@ -9,10 +9,12 @@ from sparseblp.l1_solvers import (
     L1LinfProblem,
     LpSizeError,
     LpStatus,
+    count_lps,
     solve_l1_linf,
     solve_nonneg_lp,
     solve_row_family,
 )
+from conftest import highs_l1_linf
 
 
 def oracle_l1_linf(A, b, lam):
@@ -314,3 +316,49 @@ class TestWarmStartedFamily:
             )
 
         assert run() == run()
+
+
+class TestOneLpPath:
+    """Every l1/l_inf LP runs the one-phase dual simplex; the two-phase
+    simplex is left to solve_nonneg_lp's min-violation LPs."""
+
+    def test_cold_solves_agree_with_highs_without_the_two_phase_simplex(self, rng, monkeypatch):
+        def two_phase(*args, **kwargs):
+            raise AssertionError("solve_l1_linf ran the two-phase simplex")
+
+        monkeypatch.setattr(l1_solvers, "solve_nonneg_lp", two_phase)
+        statuses = set()
+        for _ in range(60):
+            A, B, lam = random_family(rng)
+            prob = L1LinfProblem(A.T, B[0], lam[0])
+            sol = solve_l1_linf(prob)
+            status, value = highs_l1_linf(prob.A, prob.b, prob.lam)
+            assert sol.status.value == status
+            statuses.add(sol.status)
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12 * np.abs(B).max())
+                assert sol.max_violation <= l1_solvers.FEAS_TOL
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_a_family_whose_matrix_changes_starts_from_the_slack_basis(self, rng):
+        # same shape, another matrix: the stored tableau must not be reused
+        family = l1_solvers._FamilyState()
+        A1, A2 = rng.standard_normal((2, 6, 4))
+        b = rng.standard_normal(6)
+        solve_l1_linf(L1LinfProblem(A1, b, 0.3), _family=family)
+        sol = solve_l1_linf(L1LinfProblem(A2, b, 0.3), _family=family)
+        fresh = solve_l1_linf(L1LinfProblem(A2, b, 0.3))
+        assert sol.pivots == fresh.pivots > 0
+        assert sol.x.tobytes() == fresh.x.tobytes()
+
+
+class TestCountLps:
+    def test_counts_both_solvers_in_nested_blocks(self, rng):
+        prob = L1LinfProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.2)
+        with count_lps() as outer:
+            first = solve_l1_linf(prob)
+            with count_lps() as inner:
+                raw = solve_nonneg_lp(np.ones(2), -np.eye(2), -np.ones(2))
+        solve_l1_linf(prob)  # outside every block
+        assert (inner.solves, inner.pivots) == (1, raw.pivots)
+        assert (outer.solves, outer.pivots) == (2, first.pivots + raw.pivots)

@@ -6,7 +6,8 @@ from scipy.stats import norm
 
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp import rgmm
-from sparseblp.l1_solvers import L1LinfProblem, LpStatus, solve_l1_linf
+from sparseblp import l1_solvers
+from sparseblp.l1_solvers import FEAS_TOL, L1LinfProblem, LpStatus, _FamilyState, solve_l1_linf
 from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
 from sparseblp.moments import per_market_scores, score
 from sparseblp.quadrature import gauss_hermite_rule
@@ -21,6 +22,8 @@ from sparseblp.rgmm import (
     estimate_auto,
     select_lambda,
 )
+
+from conftest import highs_l1_linf
 
 
 def _config(n=40, J=3, L=5, G=1, K=4):
@@ -201,3 +204,144 @@ class TestStepLp:
         sol = _step_lp(np.array([[1.0]]), np.array([500.0]), 350.0, 0.0, 1000.0, 100.0)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(150.0, abs=1e-9)
+
+
+def _record_lps(monkeypatch):
+    """(name, problem, warm-start state, answer) of every LP rgmm runs,
+    recorded by wrapping rgmm.solve_l1_linf and rgmm.solve_nonneg_lp."""
+    calls = []
+    for name in ("solve_l1_linf", "solve_nonneg_lp"):
+        def recording(problem, *args, _real=getattr(rgmm, name), _name=name, **kwargs):
+            out = _real(problem, *args, **kwargs)
+            calls.append((_name, problem, kwargs.get("_family"), out))
+            return out
+
+        monkeypatch.setattr(rgmm, name, recording)
+    return calls
+
+
+def _shrink_sequence(seed):
+    """The step LPs of one linearization as run_phase poses them: a trust
+    step at radii 1, 1/2, ... down to 1e-6, each followed by a second-order
+    correction from a trial point off the linearization, all on one family."""
+    rng = np.random.default_rng(seed)
+    m, p = 10, 6
+    G_f = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-1, 1, size=(m, 1))
+    vec = rng.standard_normal(p)
+    f_t = 0.15 * rng.uniform(-1.0, 1.0, m)  # some rows outside the bound
+    lam = 0.1
+    family = _FamilyState()
+    radius = 1.0
+    while radius >= 1e-6:
+        _step_lp(G_f, G_f @ vec - f_t, lam, vec, radius, 0.0, family)
+        cand = vec + radius * rng.uniform(-1.0, 1.0, p)
+        f_c = f_t + G_f @ (cand - vec) + 0.05 * radius**2 * rng.standard_normal(m)
+        _step_lp(G_f, -f_c, lam + 5e-7, 0.0, radius, -cand, family)
+        radius *= rgmm.TRUST_SHRINK
+
+
+class TestWarmStepLps:
+    """The step LPs of one outer iteration share one dual simplex tableau.
+    Every answer must be the one a fresh solve and HiGHS give."""
+
+    @staticmethod
+    def _check(calls):
+        """Compare each recorded step LP with a fresh solve and with HiGHS;
+        return the statuses seen and the pivots of both."""
+        statuses, warm_pivots, fresh_pivots = set(), 0, 0
+        for _, problem, _, sol in calls:
+            fresh = solve_l1_linf(problem)
+            status, value = highs_l1_linf(problem.A, problem.b, problem.lam)
+            assert sol.status is fresh.status
+            assert sol.status.value == status
+            statuses.add(sol.status)
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-12)
+                assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12)
+                assert sol.max_violation <= FEAS_TOL
+            warm_pivots += sol.pivots
+            fresh_pivots += fresh.pivots
+        return statuses, warm_pivots, fresh_pivots
+
+    def test_shrink_sequence_matches_fresh_solves_and_highs(self, monkeypatch):
+        calls = _record_lps(monkeypatch)
+        for seed in range(6):
+            _shrink_sequence(seed)
+        assert len(calls) == 6 * 2 * 20
+        statuses, warm_pivots, fresh_pivots = self._check(calls)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        # the warm starts were taken: they save pivots over fresh solves
+        assert warm_pivots < fresh_pivots
+
+    def test_box_rows_toggling_inside_one_family(self, monkeypatch):
+        # centers near 60 put the box rows in at large radii and take them
+        # out at small ones, so one family sees two matrices
+        calls = _record_lps(monkeypatch)
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            G_f = rng.standard_normal((8, 5))
+            vec = 60.0 + rng.uniform(-5.0, 5.0, 5)
+            f_t = 0.3 * rng.uniform(-1.0, 1.0, 8)
+            family = _FamilyState()
+            for radius in (400.0, 200.0, 100.0, 50.0, 25.0, 12.5, 300.0, 6.0, 3.0):
+                _step_lp(G_f, G_f @ vec - f_t, 0.2, vec, radius, 0.0, family)
+                cand = vec + radius * rng.uniform(-0.5, 0.5, 5)
+                _step_lp(G_f, -(f_t + G_f @ (cand - vec)), 0.2, 0.0, radius, -cand, family)
+        assert {problem.A.shape[0] for _, problem, _, _ in calls} == {8 + 5, 8 + 10}
+        statuses, _, _ = self._check(calls)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_one_call_per_step_lp_and_one_tableau_per_iteration(self, gh1, monkeypatch):
+        steps = []
+        real_step = rgmm._step_lp
+
+        def counting_step(*args, **kwargs):
+            steps.append(args[6])
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(rgmm, "_step_lp", counting_step)
+        calls = _record_lps(monkeypatch)
+        ds, _ = _noisy_data(gh1, seed=12)
+        opts = RgmmOptions(lam=0.04)
+        res = estimate(ds, gh1, opts)
+        stepped = [family for name, _, family, _ in calls if family is not None]
+        assert [id(f) for f in stepped] == [id(f) for f in steps]
+        assert len(steps) > res.outer_iters  # some iteration re-solved its step
+        assert len({id(f) for f in steps}) == res.outer_iters
+        pilot = [c for c in calls if c[0] == "solve_l1_linf" and c[2] is None]
+        assert len(pilot) == len(opts.pilot_scales)
+
+    def test_pivot_limit_gives_a_diagnosis(self, gh1, monkeypatch):
+        monkeypatch.setattr(l1_solvers, "MAX_PIVOTS", 1)
+        ds, _ = _noisy_data(gh1, seed=12)
+        res = estimate(ds, gh1, RgmmOptions(lam=0.08))
+        assert not res.converged and res.diagnosis is not None
+
+    def test_same_inputs_same_bytes(self, gh1):
+        ds, _ = _noisy_data(gh1, n=15, seed=9)
+        opts = RgmmOptions(lam=0.05, max_outer_iters=10)
+        r1, r2 = estimate(ds, gh1, opts), estimate(ds, gh1, opts)
+        assert r1.theta_hat.stacked().tobytes() == r2.theta_hat.stacked().tobytes()
+        assert (r1.lp_solves, r1.lp_pivots) == (r2.lp_solves, r2.lp_pivots)
+
+
+class TestLpCounts:
+    def test_counts_match_the_wrapped_solvers(self, gh1, monkeypatch):
+        # a bound the data cannot reach sends steps through elastic restoration
+        calls = _record_lps(monkeypatch)
+        ds, _ = _noisy_data(gh1, n=15, seed=9)
+        res = estimate(ds, gh1, RgmmOptions(lam=1e-9, max_outer_iters=4))
+        assert {name for name, *_ in calls} == {"solve_l1_linf", "solve_nonneg_lp"}
+        assert res.lp_solves == len(calls)
+        assert res.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
+
+    def test_auto_lambda_counts_every_lp_of_the_call(self, gh1, monkeypatch):
+        calls = _record_lps(monkeypatch)
+        fits = []
+        real = rgmm._estimate
+        monkeypatch.setattr(rgmm, "_estimate", lambda *a: fits.append(real(*a)) or fits[-1])
+        ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
+        res = estimate_auto(ds, gh1)
+        assert len(fits) == 2
+        assert res.lp_solves == len(calls)
+        assert res.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0

@@ -194,7 +194,8 @@ def minimax_row_floor(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest achievable ||x a - b||_inf over x, as an LP in (x+, x-, t).
 
     Data are max-abs equilibrated before the solve (the floor scales back
-    exactly); the LP is always feasible, so any non-optimal status is a
+    exactly). t enters every row with -1, so solve_nonneg_lp starts from one
+    pivot of t and the LP is always feasible: any non-optimal status is a
     numerical failure worth raising over.
     """
     p, q = a.shape

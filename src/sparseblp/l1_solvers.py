@@ -1,13 +1,18 @@
 """Linear programming for l1 minimization under sup-norm constraints.
 
+Every LP here is min c'z s.t. A_ub z <= b_ub, z >= 0 on one dense tableau,
+started from the slack basis, with two pivot rules: a dual simplex for LPs
+whose slack basis is dual feasible, and a primal simplex for LPs one pivot
+makes primal feasible. Neither needs a phase 1.
+
 solve_l1_linf handles   min ||x||_1  s.t.  ||Ax - b||_inf <= lambda
-by splitting x = u - v and running a one-phase dual simplex on a dense
-tableau. The cost vector is all ones, so the slack basis is dual feasible
-and no phase 1 is needed. The solver is deliberately dependency-free and
-bit-deterministic: identical inputs produce identical pivot sequences, and
-optimal vertices carry exact zeros rather than shrunken near-zeros. lambda
-may also be given per constraint row, which is how the trust-region and
-box rows of the outer estimator join the moment rows.
+by splitting x = u - v and running the dual simplex: the cost vector is all
+ones, so the slack basis is dual feasible. The solvers are deliberately
+dependency-free and bit-deterministic: identical inputs produce identical
+pivot sequences, and optimal vertices carry exact zeros rather than
+shrunken near-zeros. lambda may also be given per constraint row, which is
+how the trust-region and box rows of the outer estimator join the moment
+rows.
 
 LPs that share A and differ only in b and lambda pass one private
 _FamilyState: any basis that was optimal for one is dual feasible for the
@@ -17,9 +22,11 @@ B^-1. solve_row_family does this for the de-biasing rows, and the outer
 estimator for the step LPs of one linearization. Results are deterministic
 but depend on the order of the LPs.
 
-solve_nonneg_lp is a two-phase primal simplex for general LPs in
-nonnegative variables; the min-violation LPs (elastic restoration and the
-de-biasing row floors) use it. count_lps counts the calls of both solvers
+solve_nonneg_lp runs the primal simplex on the min-violation LPs (elastic
+restoration and the de-biasing row floors): their cost is >= 0 and their
+last variable t, the violation, enters every row whose right-hand side is
+negative, so pivoting t into the row that needs the most of it makes the
+slack basis primal feasible. count_lps counts the calls of both solvers
 and their pivots.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
@@ -100,7 +107,7 @@ def _pivot(T: np.ndarray, i: int, j: int) -> None:
 _DEGENERATE_STREAK = 12
 
 
-def _run_simplex(T, basis, allowed, max_pivots):
+def _run_simplex(T, basis, max_pivots):
     """Iterate pivots on the canonical tableau until optimal.
 
     Entering column: most negative reduced cost (Dantzig), ties to the lowest
@@ -113,19 +120,17 @@ def _run_simplex(T, basis, allowed, max_pivots):
     """
     m = len(basis)
     pivots = 0
-    basis_arr = np.asarray(basis)
     stall = 0
     last_obj = T[-1, -1]
     while pivots < max_pivots:
         r = T[-1, :-1]
-        eligible = (r < -FEAS_TOL) & allowed
+        eligible = r < -FEAS_TOL
         if not eligible.any():
             return LpStatus.OPTIMAL, pivots
         if stall >= _DEGENERATE_STREAK:
             j = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
         else:
-            masked = np.where(eligible, r, 0.0)
-            j = int(masked.argmin())
+            j = int(r.argmin())
         col = T[:m, j]
         pos = col > PIVOT_TOL
         if not pos.any():
@@ -134,10 +139,9 @@ def _run_simplex(T, basis, allowed, max_pivots):
         ratios[pos] = T[:m, -1][pos] / col[pos]
         rmin = ratios.min()
         ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
-        i = int(ties[np.argmin(basis_arr[ties])])
+        i = int(ties[np.argmin(basis[ties])])
         _pivot(T, i, j)
         basis[i] = j
-        basis_arr[i] = j
         pivots += 1
         # objective-row rhs holds -z, so minimization progress pushes it up
         neg_obj = T[-1, -1]
@@ -147,6 +151,21 @@ def _run_simplex(T, basis, allowed, max_pivots):
         else:
             stall += 1
     return LpStatus.ITERATION_LIMIT, pivots
+
+
+def _slack_tableau(c, A_ub, b_ub):
+    """The tableau of min c'z s.t. A_ub z <= b_ub, z >= 0 in the slack
+    basis: rows [A_ub I b_ub] over the objective row [c 0 0], whose last
+    entry holds -z. Returns it with the basis, the slack columns n..n+m-1."""
+    m, n = A_ub.shape
+    if (m + 1) * (n + m + 1) > MAX_DENSE_ENTRIES:
+        raise LpSizeError(f"dense tableau would need {(m + 1) * (n + m + 1)} entries")
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A_ub
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b_ub
+    T[-1, :n] = c
+    return T, np.arange(n, n + m)
 
 
 @dataclass(frozen=True)
@@ -178,8 +197,7 @@ def _run_dual_simplex(T, basis, n, max_pivots):
         rhs = T[:m, -1]
         rows = np.flatnonzero(rhs < 0.0)
         if rows.size == 0:
-            allowed = np.ones(T.shape[1] - 1, dtype=bool)
-            status, cleanup = _run_simplex(T, basis, allowed, max_pivots - pivots)
+            status, cleanup = _run_simplex(T, basis, max_pivots - pivots)
             return status, pivots + cleanup
         if stall >= _DEGENERATE_STREAK:
             i = int(rows[np.argmin(basis[rows])])
@@ -225,14 +243,7 @@ class _FamilyState:
             T[:m, -1] = T[:m, n : n + m] @ b_ub
             T[-1, -1] = -(np.concatenate([c, np.zeros(m)])[basis] @ T[:m, -1])
         else:
-            if (m + 1) * (n + m + 1) > MAX_DENSE_ENTRIES:
-                raise LpSizeError(f"dense tableau would need {(m + 1) * (n + m + 1)} entries")
-            T = np.zeros((m + 1, n + m + 1))
-            T[:m, :n] = A_ub
-            T[:m, n : n + m] = np.eye(m)
-            T[:m, -1] = b_ub
-            T[-1, :n] = c
-            basis = np.arange(n, n + m)
+            T, basis = _slack_tableau(c, A_ub, b_ub)
         status, pivots = _run_dual_simplex(T, basis, n, MAX_PIVOTS)
         if status is LpStatus.ITERATION_LIMIT:
             self.A_ub = self.T = self.basis = None
@@ -287,76 +298,42 @@ def _counted(solver):
 
 @_counted
 def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
-    """min c'z s.t. A_ub z <= b_ub, z >= 0, by two-phase dense simplex.
+    """min c'z s.t. A_ub z <= b_ub, z >= 0, for a min-violation LP.
 
-    Returns the primal solution, a dual vector y for the inequality rows
-    (y <= 0 under this min/<= orientation, so that c - A_ub'y >= 0 at the
-    optimum), and the pivot count.
+    The contract: c >= 0, and the last variable t is a violation whose
+    column is <= 0 everywhere and < 0 on every row with b_i < 0; input
+    outside it raises ValueError. Such an LP is always feasible and bounded.
+    From the slack basis, one pivot of t into the row that needs the largest
+    t, argmax over b_i < 0 of b_i / A_ub[i, -1], makes every right-hand side
+    nonnegative: row k's becomes b_k - A_ub[k, -1] t, and t covers the need
+    of every row. The primal simplex then runs from that feasible basis, so
+    no phase 1 is needed. Returns the primal solution and the pivot count
+    (the start's pivot included); the dual is not computed.
     """
     c = np.asarray(c, dtype=float)
     A_ub = np.asarray(A_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
     m, n = A_ub.shape
-    if (m + 1) * (n + 2 * m + 1) > MAX_DENSE_ENTRIES:
-        raise LpSizeError(f"dense tableau would need {(m + 1) * (n + 2 * m + 1)} entries")
+    t_col = A_ub[:, -1]
+    neg = np.flatnonzero(b_ub < 0)
+    if np.any(c < 0):
+        raise ValueError("min-violation LP needs a nonnegative cost")
+    if np.any(t_col > 0):
+        raise ValueError("min-violation LP needs a last column <= 0")
+    if np.any(t_col[neg] >= 0):
+        raise ValueError("min-violation LP needs a last column < 0 on every row with b < 0")
 
-    A = np.hstack([A_ub, np.eye(m)])
-    b = b_ub.astype(float).copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    nslack = n + m
-    # artificials only where the flipped slack cannot start the basis
-    art_rows = np.flatnonzero(neg)
-    ncols = nslack + art_rows.size
-
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :nslack] = A
-    T[art_rows, nslack + np.arange(art_rows.size)] = 1.0
-    T[:m, -1] = b
-    art_of_row = {int(i): nslack + a for a, i in enumerate(art_rows)}
-    basis = [art_of_row.get(i, n + i) for i in range(m)]
-    # phase-1 reduced costs for min(sum of artificials)
-    T[-1, :nslack] = -A[art_rows].sum(axis=0)
-    T[-1, -1] = -b[art_rows].sum()
-
-    allowed = np.ones(ncols, dtype=bool)
-    status, p1 = _run_simplex(T, basis, allowed, MAX_PIVOTS)
-    if status is LpStatus.ITERATION_LIMIT:
-        return _RawLp(np.zeros(n), status, None, p1)
-    if -T[-1, -1] > FEAS_TOL:  # the artificials cannot all reach zero
-        return _RawLp(np.zeros(n), LpStatus.INFEASIBLE, None, p1)
-
-    # drive artificials out of the basis where a real pivot exists
-    for i in range(m):
-        if basis[i] >= nslack:
-            row = T[i, :nslack]
-            cand = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-            if cand.size:
-                _pivot(T, i, int(cand[0]))
-                basis[i] = int(cand[0])
-            # otherwise the row is redundant; the artificial stays basic at 0
-
-    allowed[nslack:] = False
-    cfull = np.zeros(ncols)
-    cfull[:n] = c
-    T[-1, :-1] = cfull
-    T[-1, -1] = 0.0
-    for i, bi in enumerate(basis):
-        if cfull[bi] != 0.0:
-            T[-1] -= cfull[bi] * T[i]
-
-    status, p2 = _run_simplex(T, basis, allowed, MAX_PIVOTS - p1)
-    z = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        z[bi] = T[i, -1]
-    if status is LpStatus.ITERATION_LIMIT:
-        return _RawLp(z[:n], status, None, p1 + p2)
-
-    # the slack columns' reduced costs are -y; a flipped row negates both its
-    # slack column and its dual, so no sign correction is needed
-    y = -T[-1, n : n + m]
-    return _RawLp(z[:n], LpStatus.OPTIMAL, y, p1 + p2)
+    T, basis = _slack_tableau(c, A_ub, b_ub)
+    start = 0
+    if neg.size:
+        i = int(neg[np.argmax(b_ub[neg] / t_col[neg])])
+        _pivot(T, i, n - 1)
+        basis[i] = n - 1
+        start = 1
+    status, pivots = _run_simplex(T, basis, MAX_PIVOTS - start)
+    z = np.zeros(n + m)
+    z[basis] = T[:m, -1]
+    return _RawLp(z[:n], status, None, start + pivots)
 
 
 @_counted

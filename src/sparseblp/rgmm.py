@@ -266,7 +266,10 @@ def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
     """Feasibility restoration used when the linearized subproblem is empty.
 
     First minimizes the violation: t* = min t s.t. |f_t + G_f d| <= lam + t,
-    |d| <= radius, d supported on the free coordinates. Then, among steps
+    |d| <= radius, d supported on the free coordinates, by solve_nonneg_lp
+    (t enters every moment row with -1; d = 0 stays feasible on the box
+    rows, whose right-hand sides are floored at 0 in case roundoff left the
+    iterate just outside the box). Then, among steps
     nearly as good (violation within 5% of t*), takes the one of least l1
     movement. The second pass keeps the restoration parsimonious: a pure
     min-violation LP is free to activate every coordinate that helps even
@@ -291,7 +294,8 @@ def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
             [-np.eye(p), np.eye(p), np.zeros((p, 1))],
         ]
     )
-    b_ub = np.concatenate([lam - f_t, lam + f_t, hi - theta_f, theta_f - lo])
+    box = np.maximum(np.concatenate([hi - theta_f, theta_f - lo]), 0.0)
+    b_ub = np.concatenate([lam - f_t, lam + f_t, box])
     raw = solve_nonneg_lp(c, A_ub, b_ub)
     if raw.status is not LpStatus.OPTIMAL:
         return None, np.inf

@@ -169,12 +169,51 @@ class TestRowFamily:
         assert sols[1].status is LpStatus.INFEASIBLE
 
 
+def low_rank(rng, rows, cols):
+    """A random matrix of rank 1 to min(rows, cols), max|entry| 1e-3 to 1e4."""
+    rank = int(rng.integers(1, min(rows, cols) + 1))
+    M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    return M / np.abs(M).max() * 10.0 ** rng.uniform(-3, 4)
+
+
+def elastic_lp(rng):
+    """(A_ub, b_ub) shaped as rgmm's elastic step poses it: min t over
+    z = (d+, d-, t) s.t. |f + G d| <= lam + t, lo <= theta + d <= hi."""
+    p, m = (int(k) for k in rng.integers(2, 9, size=2))
+    G = low_rank(rng, m, p)
+    f = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 1)
+    lam = np.abs(f).max() * rng.uniform(0.01, 0.5)
+    radius = 10.0 ** rng.uniform(-2, 1)
+    ones, eye, zero = np.ones((m, 1)), np.eye(p), np.zeros((p, 1))
+    A_ub = np.block([[G, -G, -ones], [-G, G, -ones], [eye, -eye, zero], [-eye, eye, zero]])
+    return A_ub, np.concatenate([lam - f, lam + f, np.full(2 * p, radius)])
+
+
+def floor_lp(rng):
+    """(A_ub, b_ub) shaped as debias's row floor poses it, equilibrated:
+    min t s.t. |x a - b| <= t over z = (x+, x-, t)."""
+    p, q = (int(k) for k in rng.integers(2, 9, size=2))
+    a = low_rank(rng, p, q)
+    b = rng.standard_normal(q) * 10.0 ** rng.uniform(-3, 1)
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    at, bs = a.T / scale, b / scale
+    ones = np.ones((q, 1))
+    return np.block([[at, -at, -ones], [-at, at, -ones]]), np.concatenate([bs, -bs])
+
+
 class TestNonnegLp:
-    def test_simple_bounded_problem(self):
-        # min -z1 s.t. z1 <= 2 -> z1 = 2
-        raw = solve_nonneg_lp(np.array([-1.0]), np.array([[1.0]]), np.array([2.0]))
-        assert raw.status is LpStatus.OPTIMAL
-        assert raw.z[0] == pytest.approx(2.0, abs=1e-10)
+    @pytest.mark.parametrize(
+        "c, A_ub, b_ub, match",
+        [
+            ([-1.0, 1.0], [[1.0, -1.0]], [2.0], "nonnegative cost"),
+            ([0.0, 1.0], [[1.0, 1.0]], [1.0], "last column <= 0"),
+            ([0.0, 1.0], [[-1.0, 0.0], [1.0, -1.0]], [-1.0, 1.0], "< 0 on every row"),
+        ],
+        ids=["negative cost", "positive last column", "last column zero on a negative row"],
+    )
+    def test_input_outside_the_contract_raises(self, c, A_ub, b_ub, match):
+        with pytest.raises(ValueError, match=match):
+            solve_nonneg_lp(np.array(c), np.array(A_ub), np.array(b_ub))
 
     def test_negative_rhs_feasibility_phase(self):
         # min z1 s.t. -z1 <= -3 (z1 >= 3)
@@ -185,6 +224,32 @@ class TestNonnegLp:
     def test_size_guard(self):
         with pytest.raises(LpSizeError):
             solve_nonneg_lp(np.zeros(4000), np.zeros((4000, 4000)), np.zeros(4000))
+
+    def test_min_violation_lps_agree_with_highs(self, rng):
+        # HiGHS's primal feasibility tolerance is 1e-7, and t enters each row
+        # with -1, so its t* may sit up to 1e-7 below the true optimum
+        from scipy.optimize import linprog
+
+        for k in range(300):
+            A_ub, b_ub = elastic_lp(rng) if k % 2 else floor_lp(rng)
+            c = np.zeros(A_ub.shape[1])
+            c[-1] = 1.0
+            raw = solve_nonneg_lp(c, A_ub, b_ub)
+            ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+            assert ref.status == 0 and raw.status is LpStatus.OPTIMAL
+            assert raw.z[-1] == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+            assert max((A_ub @ raw.z - b_ub).max(), -raw.z.min()) <= l1_solvers.FEAS_TOL
+
+    def test_start_pivot_alone_solves_a_pure_violation_lp(self):
+        # min t s.t. -t <= b_i: t enters the row of the most negative b_i
+        b = np.array([-1.0, 2.0, -3.0, 0.5])
+        raw = solve_nonneg_lp(np.ones(1), -np.ones((4, 1)), b)
+        assert raw.status is LpStatus.OPTIMAL
+        assert raw.pivots == 1 and raw.z[0] == 3.0
+        # with b >= 0 the slack basis is already feasible, and t* = 0
+        raw = solve_nonneg_lp(np.ones(1), -np.ones((4, 1)), np.abs(b))
+        assert raw.status is LpStatus.OPTIMAL
+        assert raw.pivots == 0 and raw.z[0] == 0.0
 
 
 def random_family(rng):
@@ -319,14 +384,14 @@ class TestWarmStartedFamily:
 
 
 class TestOneLpPath:
-    """Every l1/l_inf LP runs the one-phase dual simplex; the two-phase
-    simplex is left to solve_nonneg_lp's min-violation LPs."""
+    """Every l1/l_inf LP runs the one-phase dual simplex; solve_nonneg_lp
+    is left to the min-violation LPs."""
 
     def test_cold_solves_agree_with_highs_without_the_two_phase_simplex(self, rng, monkeypatch):
-        def two_phase(*args, **kwargs):
-            raise AssertionError("solve_l1_linf ran the two-phase simplex")
+        def min_violation(*args, **kwargs):
+            raise AssertionError("solve_l1_linf ran solve_nonneg_lp")
 
-        monkeypatch.setattr(l1_solvers, "solve_nonneg_lp", two_phase)
+        monkeypatch.setattr(l1_solvers, "solve_nonneg_lp", min_violation)
         statuses = set()
         for _ in range(60):
             A, B, lam = random_family(rng)
@@ -358,7 +423,8 @@ class TestCountLps:
         with count_lps() as outer:
             first = solve_l1_linf(prob)
             with count_lps() as inner:
-                raw = solve_nonneg_lp(np.ones(2), -np.eye(2), -np.ones(2))
+                raw = solve_nonneg_lp(np.array([0.0, 1.0]), np.array([[1.0, -1.0], [-1.0, -1.0]]),
+                                      np.array([-1.0, 1.0]))
         solve_l1_linf(prob)  # outside every block
         assert (inner.solves, inner.pivots) == (1, raw.pivots)
         assert (outer.solves, outer.pivots) == (2, first.pivots + raw.pivots)

@@ -206,6 +206,19 @@ class TestStepLp:
         assert sol.x[0] == pytest.approx(150.0, abs=1e-9)
 
 
+class TestElasticStep:
+    def test_an_iterate_just_outside_the_box_is_restored(self):
+        # roundoff can leave theta a hair past THETA_BOX; its box row then
+        # keeps d = 0 feasible, as solve_nonneg_lp's one-pivot start needs.
+        # |5 + d_0| <= 1 + t with -1 <= d_0 <= 0 gives t* = 3.
+        theta = np.array([rgmm.THETA_BOX + 1e-9, 0.0])
+        cand, t_star = rgmm._elastic_step(
+            np.array([[1.0, 0.0]]), np.array([5.0]), theta, 1.0, 1.0, np.arange(2), _FamilyState()
+        )
+        assert t_star == pytest.approx(3.0, rel=1e-12)
+        assert cand[0] <= rgmm.THETA_BOX and cand[1] == 0.0
+
+
 def _record_lps(monkeypatch):
     """(name, problem, warm-start state, answer) of every LP rgmm runs,
     recorded by wrapping rgmm.solve_l1_linf and rgmm.solve_nonneg_lp."""

@@ -77,19 +77,27 @@ class InversionError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Kernels. Markets are stacked on a leading axis: delta (n, J), group
-# indices nu (n, J, G), node shares (n, M, J).
+# indices nu (n, J, G), node shares (n, M, J). The node shares are computed
+# product-major, as (J, n, M), and every kernel reads them in that layout.
 # ---------------------------------------------------------------------------
 
 
 def _node_shares(delta: np.ndarray, nu: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Conditional shares at every node: (n, M, J) from delta (n, J), nu (n, J, G)."""
-    # utilities u[i, m, j] = delta[i, j] + sum_g nu[i, j, g] * node[m, g]
-    u = delta[:, None, :] + np.matmul(nodes, nu.transpose(0, 2, 1))
+    """Conditional shares at every node: (n, M, J) from delta (n, J), nu (n, J, G).
+
+    Built in place as a (J, n, M) array, so the max and sum over products
+    run elementwise across J slices, not over a short last axis; the
+    result is its (n, M, J) transposed view.
+    """
+    # utilities u[j, i, m] = delta[i, j] + sum_g nu[i, j, g] * node[m, g]
+    u = np.matmul(nu.transpose(1, 0, 2), nodes.T)
+    u += delta.T[:, :, None]
     # outside good contributes utility 0, so the stabilizer must be >= 0
-    umax = np.maximum(u.max(axis=2, keepdims=True), 0.0)
-    eu = np.exp(u - umax)
-    denom = np.exp(-umax[..., 0]) + eu.sum(axis=2)
-    return eu / denom[..., None]
+    umax = np.maximum(u.max(axis=0), 0.0)
+    u -= umax
+    np.exp(u, out=u)
+    u /= np.exp(-umax) + u.sum(axis=0)
+    return u.transpose(1, 2, 0)
 
 
 def _mixed_shares(delta, nu, rule):
@@ -97,20 +105,21 @@ def _mixed_shares(delta, nu, rule):
 
 
 def _mixed_from_node_shares(node_shares, rule):
-    return np.matmul(rule.weights, node_shares)
+    return np.matmul(node_shares.transpose(2, 0, 1), rule.weights).T
 
 
 def _share_jacobian(node_shares: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """d s_j / d delta_j' for each market: (n, J, J).
 
-    Integrates diag(s) - s s' over nodes; the result is symmetric with
+    Integrates diag(s) - s s' over nodes, reading each market's (J, M)
+    block from the product-major layout; the result is symmetric with
     positive diagonal and strictly positive row sums whenever the outside
     share is interior.
     """
     w = rule.weights
-    sbar = np.matmul(w, node_shares)
-    cross = np.matmul((node_shares * w[:, None]).transpose(0, 2, 1), node_shares)
-    jac = -cross
+    per_market = node_shares.transpose(0, 2, 1)  # (n, J, M)
+    sbar = np.matmul(per_market, w)
+    jac = -np.matmul(per_market * w, node_shares)
     ii = np.arange(node_shares.shape[2])
     jac[:, ii, ii] += sbar
     return jac
@@ -143,16 +152,23 @@ def _invert_batch(
     rest take Newton steps with the share Jacobian, each halved up to
     _MAX_HALVINGS times until it lowers the market's residual, else replaced
     by one contraction step. Markets already within contraction_tol are left
-    alone. Returns (delta, info); if some market misses contraction_tol
-    within the iteration budgets, InversionError is raised.
+    alone. Each iterate's node shares serve both its residual and its
+    Newton Jacobian, so c contraction and k Newton steps, none halved, make
+    1 + c + k _node_shares calls. Returns (delta, info); if some market
+    misses contraction_tol within the iteration budgets, InversionError is
+    raised.
     """
     if np.any(S <= 0.0) or np.any(S.sum(axis=-1) >= 1.0):
         raise ConfigurationError("observed shares must be interior: S_j > 0, sum_j S_j < 1")
     log_target = np.log(S)
     delta = logit_delta(S) if start is None else np.array(start, dtype=float)
+    # node shares at each market's last residual evaluation, product-major (J, n, M)
+    node = np.empty((S.shape[1], S.shape[0], rule.nodes.shape[0]))
 
     def residual(d, idx):
-        s = np.maximum(_mixed_shares(d, nu[idx], rule), _LOG_FLOOR)
+        ns = _node_shares(d, nu[idx], rule.nodes)
+        node[:, idx] = ns.transpose(2, 0, 1)
+        s = np.maximum(_mixed_from_node_shares(ns, rule), _LOG_FLOOR)
         return log_target[idx] - np.log(s)
 
     def sup(r):
@@ -173,7 +189,7 @@ def _invert_batch(
     while newton_iters < opts.max_newton_iters and np.any(rmax > opts.contraction_tol):
         act = np.flatnonzero(rmax > opts.contraction_tol)
         d, r, rm = delta[act], resid[act], rmax[act]
-        ns = _node_shares(d, nu[act], rule.nodes)
+        ns = node[:, act].transpose(1, 2, 0)  # kept by the evaluation that gave r
         sbar = np.maximum(_mixed_from_node_shares(ns, rule), _LOG_FLOOR)
         jac = _share_jacobian(ns, rule) / sbar[:, :, None]  # d log s / d delta
         try:

@@ -270,3 +270,93 @@ def test_newton_led_agrees_with_contraction_led_sweep(shape):
             reference, _ = _invert_batch(data.S, nu, rule, slow)
             assert info.converged, (seed, scale)
             np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10, err_msg=f"{seed} {scale}")
+
+
+def per_market_reference(delta, nu, rule):
+    """Node shares (n, M, J), mixed shares (n, J) and share Jacobians
+    (n, J, J) by a plain loop over markets and nodes, each node's shares by
+    the market-major formula on one utility vector."""
+    n, J = delta.shape
+    M = rule.weights.size
+    ns = np.empty((n, M, J))
+    jac = np.zeros((n, J, J))
+    for i in range(n):
+        for m in range(M):
+            u = delta[i] + nu[i] @ rule.nodes[m]
+            umax = max(u.max(), 0.0)
+            eu = np.exp(u - umax)
+            s = eu / (np.exp(-umax) + eu.sum())
+            ns[i, m] = s
+            jac[i] += rule.weights[m] * (np.diag(s) - np.outer(s, s))
+    return ns, np.einsum("m,imj->ij", rule.weights, ns), jac
+
+
+def stacked_kernel_case(J, G, seed=5, n=7):
+    """Seeded delta (n + 3, J) and nu (n + 3, J, G): n ordinary markets, then
+    three whose first product has utility +800, -800 and -1e6, the others
+    -800, -1e6 and 0, so every extreme share is exactly 0 or 1."""
+    rng = np.random.default_rng(seed)
+    delta = np.concatenate([rng.standard_normal((n, J)), np.zeros((3, J))])
+    delta[n:, 0] = [800.0, -800.0, -1e6]
+    if J > 1:
+        delta[n, 1:] = -800.0
+        delta[n + 1, 1:] = -1e6
+    nu = rng.standard_normal((n + 3, J, G))
+    return delta, nu, n
+
+
+@pytest.mark.parametrize("J", [1, 4, 9])
+@pytest.mark.parametrize("G", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gauss-hermite", "monte-carlo"])
+def test_stacked_kernels_match_per_market_reference(J, G, kind):
+    """The product-major kernels on stacked markets agree with the
+    per-market loop; J = 9 sums more than eight products, where numpy's
+    reductions along a last axis switch to pairwise summation."""
+    rule = gauss_hermite_rule(G, 5) if kind == "gauss-hermite" else monte_carlo_rule(G, 40, seed=G)
+    delta, nu, n_ordinary = stacked_kernel_case(J, G)
+    ref_ns, ref_mixed, ref_jac = per_market_reference(delta, nu, rule)
+
+    ns = _node_shares(delta, nu, rule.nodes)
+    mixed = _mixed_shares(delta, nu, rule)
+    jac = _share_jacobian(ns, rule)
+    for got in (ns, mixed, jac):
+        assert not np.isnan(got).any()
+    assert ns.shape == ref_ns.shape and mixed.shape == ref_mixed.shape and jac.shape == ref_jac.shape
+    np.testing.assert_allclose(ns, ref_ns, rtol=1e-13, atol=0)
+    # mixed shares and Jacobian entries lie in [-1, 1]; atol allows a few
+    # ulps where an entry is a difference of two sums near 1 (s = 1 exactly)
+    np.testing.assert_allclose(mixed, ref_mixed, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(jac, ref_jac, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(jac, jac.transpose(0, 2, 1), rtol=0, atol=1e-14)
+    # strictly positive row sums wherever the outside share is interior
+    assert np.all(jac[:n_ordinary].sum(axis=2) > 0)
+
+
+def test_inversion_evaluates_the_kernel_once_per_newton_iterate(monkeypatch):
+    """From 1e-6 off the exact delta, the inversion converges by k Newton
+    steps with no contraction step and no halving; the node shares of each
+    residual evaluation serve that iterate's Newton Jacobian, so it makes
+    1 + k kernel calls (1 + 2k if the Jacobian recomputed them)."""
+    from sparseblp import shares
+
+    rng = np.random.default_rng(11)
+    n, J, G = 40, 4, 2
+    rule = gauss_hermite_rule(G, 7)
+    nu = rng.standard_normal((n, J, G))
+    exact = rng.standard_normal((n, J)) - 1.0
+    S = _mixed_shares(exact, nu, rule)
+    start = exact + 1e-6 * rng.uniform(-1.0, 1.0, (n, J))
+
+    calls = []
+    real = shares._node_shares
+
+    def counting(delta, nu, nodes):
+        calls.append(delta.shape[0])
+        return real(delta, nu, nodes)
+
+    monkeypatch.setattr(shares, "_node_shares", counting)
+    delta, info = _invert_batch(S, nu, rule, InversionOptions(), start=start)
+    k = info.newton_iterations
+    assert info.converged and info.iterations == 0 and k >= 2
+    np.testing.assert_allclose(delta, exact, rtol=0, atol=1e-10)
+    assert len(calls) == 1 + k, calls

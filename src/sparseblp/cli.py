@@ -15,7 +15,8 @@ field's JSON type exactly (an integer is not true or 4.0; a float field
 takes any number; a list of parameters holds finite numbers), and each
 config class checks its own ranges. Any violation exits 2 with one line
 naming the file and the key. --opts overrides RgmmOptions, its 'inversion'
-object InversionOptions; lam is set by --lambda only.
+object InversionOptions (contraction_tol and max_newton_iters); lam is set
+by --lambda only.
 
 Exit codes: 0 success, 1 usage error (unknown option, bad --lambda or --seed),
 2 data or validation error (missing, malformed or invalid input files, a
@@ -210,7 +211,7 @@ def _cmd_debias(args) -> int:
         "ci_lower": result.ci[:, 0].tolist(),
         "ci_upper": result.ci[:, 1].tolist(),
         "alpha": result.alpha,
-        "lambda_gamma": penalties.lambda_gamma.tolist(),
+        "lambda_gamma": penalties.lambda_gamma,
         "lambda_mu": result.mu_lambda_eff.tolist(),
         "inversions": result.inversions,
         "contraction_iters": result.contraction_iters,

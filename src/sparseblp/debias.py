@@ -62,32 +62,23 @@ C_PRIME = 1.5
 
 @dataclass(frozen=True)
 class DebiasPenalties:
-    """Per-row sup-norm tolerances for the two auxiliary LP families.
+    """The sup-norm tolerances of the two auxiliary LP families.
 
-    lambda_gamma has one entry per parameter coordinate (2L rows of
-    gamma_hat), lambda_mu likewise for mu_hat. The default coupling is
-    lambda_gamma = lambda_mu / 2.
+    Every row of gamma_hat gets lambda_gamma, and every row of mu_hat
+    lambda_mu = 2 lambda_gamma.
     """
 
-    lambda_gamma: np.ndarray
-    lambda_mu: np.ndarray
+    lambda_gamma: float
 
     def __post_init__(self):
-        lg = np.asarray(self.lambda_gamma, dtype=float)
-        lm = np.asarray(self.lambda_mu, dtype=float)
-        if lg.ndim != 1 or lm.shape != lg.shape:
-            raise ValueError("penalty vectors must be 1-d and of equal length")
-        if np.any(lg < 0) or np.any(lm < 0):
-            raise ValueError("penalties must be nonnegative")
-        object.__setattr__(self, "lambda_gamma", lg)
-        object.__setattr__(self, "lambda_mu", lm)
+        lam = float(self.lambda_gamma)
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lambda_gamma must be finite and nonnegative, got {lam}")
+        object.__setattr__(self, "lambda_gamma", lam)
 
-    @staticmethod
-    def constant(L: int, lam_gamma: float) -> "DebiasPenalties":
-        """Uniform penalties for all 2L rows, with lambda_mu = 2 lam_gamma."""
-        return DebiasPenalties(
-            lambda_gamma=np.full(2 * L, lam_gamma), lambda_mu=np.full(2 * L, 2.0 * lam_gamma)
-        )
+    @property
+    def lambda_mu(self) -> float:
+        return 2.0 * self.lambda_gamma
 
     @staticmethod
     def scaled(config: ModelConfig, n: int, c_gamma: float = 1.0) -> "DebiasPenalties":
@@ -97,8 +88,7 @@ class DebiasPenalties:
         dimension-polynomial constants, which swamp any desk-scale n.
         """
         m = max(config.J * config.K, 2 * config.L)
-        lam = c_gamma * np.sqrt(np.log(m) / n)
-        return DebiasPenalties.constant(config.L, lam)
+        return DebiasPenalties(c_gamma * np.sqrt(np.log(m) / n))
 
 
 def select_debias_penalties(config: ModelConfig, n: int) -> DebiasPenalties:
@@ -106,7 +96,7 @@ def select_debias_penalties(config: ModelConfig, n: int) -> DebiasPenalties:
 
     lambda_tilde = n^(-1/2 + BAR_A) J^2 G Phi^{-1}(1 - (2 J^2 G K L n)^{-1}),
     bar_lambda = C_PRIME J^{3/2} max{J^{3/2} lambda_tilde^2, lambda_tilde},
-    lambda_gamma = bar_lambda and lambda_mu = 2 bar_lambda on every row.
+    lambda_gamma = bar_lambda, so lambda_mu = 2 bar_lambda.
     Phi^{-1} is statistics.NormalDist().inv_cdf (Wichura's AS241), within
     6 ULP of scipy's ndtri.
     """
@@ -116,7 +106,7 @@ def select_debias_penalties(config: ModelConfig, n: int) -> DebiasPenalties:
     tail = 1.0 / (2.0 * J**2 * G * K * L * n)
     lam_tilde = n ** (-0.5 + BAR_A) * J**2 * G * NormalDist().inv_cdf(1.0 - tail)
     bar_lam = C_PRIME * J**1.5 * max(J**1.5 * lam_tilde**2, lam_tilde)
-    return DebiasPenalties.constant(L, bar_lam)
+    return DebiasPenalties(bar_lam)
 
 
 @dataclass
@@ -140,7 +130,7 @@ class DebiasResult:
     lp_pivots: int = 0  # floors), and their simplex pivots
 
 
-def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str, relax: bool = False):
+def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool = False):
     """Row family with post-hoc constraint verification (solver not trusted).
 
     The system is max-abs equilibrated first: x(A/s) - B has minimizer s*x,
@@ -148,13 +138,14 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str, relax:
     absolute) meaningful when the plug-in matrices run large or tiny. With
     relax, a row whose LP is infeasible at its penalty is solved once more
     with the penalty floored at RELAX_FACTOR times its minimax_row_floor plus
-    RELAX_MARGIN. Returns the rows, their statuses and the penalties used.
+    RELAX_MARGIN. Returns the rows, their statuses and the per-row penalties
+    used.
     """
     scale = float(np.abs(A).max())
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
     As = A / scale
-    lam = np.array(np.broadcast_to(lam, (B.shape[0],)), dtype=float)
+    lam = np.full(B.shape[0], lam, dtype=float)
     sols = solve_row_family(As, B, lam)
     rows = np.zeros((B.shape[0], A.shape[0]))
     statuses = []
@@ -178,7 +169,7 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: np.ndarray, what: str, relax:
 
 
 def estimate_gamma(
-    omega_hat: np.ndarray, g_hat: np.ndarray, penalties: DebiasPenalties
+    omega_hat: np.ndarray, g_hat: np.ndarray, lam: float
 ) -> tuple[np.ndarray, list[LpStatus]]:
     """Rows gamma_r: min ||gamma_r||_1 s.t. ||gamma_r Omega - (G')_r||_inf <= lam.
 
@@ -186,7 +177,7 @@ def estimate_gamma(
     penalties shrink it converges to that dense solve on well-conditioned
     inputs, while positive penalties buy sparsity and stability.
     """
-    rows, statuses, _ = _solve_rows(omega_hat, g_hat.T, penalties.lambda_gamma, "gamma")
+    rows, statuses, _ = _solve_rows(omega_hat, g_hat.T, lam, "gamma")
     return rows, statuses
 
 
@@ -217,20 +208,20 @@ def minimax_row_floor(a: np.ndarray, b: np.ndarray) -> float:
 def estimate_mu(
     gamma_hat: np.ndarray,
     g_hat: np.ndarray,
-    penalties: DebiasPenalties,
+    lam: float,
     relax: bool = False,
 ) -> tuple[np.ndarray, list[LpStatus], np.ndarray]:
     """Rows mu_r: min ||mu_r||_1 s.t. ||mu_r (gamma_hat G_hat) - e_r||_inf <= lam.
 
     mu_hat (2L x 2L) approximates the inverse of gamma_hat G_hat, so that
     mu_hat gamma_hat acts as a regularized left inverse of G_hat. With
-    relax=True a row whose LP is infeasible at its penalty is solved again
-    with the penalty floored at just above its minimal achievable residual,
-    keeping structurally unreachable rows feasible; the effective penalty
-    vector is returned alongside.
+    relax=True a row whose LP is infeasible at lam is solved again with the
+    penalty floored at just above its minimal achievable residual, keeping
+    structurally unreachable rows feasible; the effective per-row penalties
+    are returned alongside.
     """
     gg = gamma_hat @ g_hat  # 2L x 2L
-    return _solve_rows(gg, np.eye(len(gg)), penalties.lambda_mu, "mu", relax)
+    return _solve_rows(gg, np.eye(len(gg)), lam, "mu", relax)
 
 
 def debiased_theta(
@@ -289,14 +280,13 @@ def debias(
     g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)
     f_hat = score(dataset, theta_hat, rule, evals=evals)
     with count_lps() as tally:
-        gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties)
-        mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties, relax=relax_mu)
+        gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties.lambda_gamma)
+        mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties.lambda_mu, relax=relax_mu)
     theta_dd = debiased_theta(theta_hat.stacked(), mu_hat, gamma_hat, f_hat)
     se = standard_errors(mu_hat, gamma_hat, omega_hat, dataset.n)
     ci = confidence_intervals(theta_dd, se, alpha)
     sv_omega = np.linalg.svd(omega_hat, compute_uv=False)
     sv_gg = np.linalg.svd(gamma_hat @ g_hat, compute_uv=False)
-    requested = np.broadcast_to(penalties.lambda_mu, mu_lam.shape)
     return DebiasResult(
         gamma_hat=gamma_hat,
         mu_hat=mu_hat,
@@ -309,7 +299,7 @@ def debias(
         min_sv_omega=float(sv_omega.min()),
         min_sv_gamma_g=float(sv_gg.min()),
         mu_lambda_eff=mu_lam,
-        mu_relaxed_rows=np.flatnonzero(mu_lam > requested + 1e-12),
+        mu_relaxed_rows=np.flatnonzero(mu_lam > penalties.lambda_mu + 1e-12),
         inversions=evals.inversions,
         contraction_iters=evals.contraction_iters,
         newton_iters=evals.newton_iters,

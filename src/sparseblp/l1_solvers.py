@@ -186,8 +186,10 @@ def _run_dual_simplex(T, basis, n, max_pivots):
     no objective progress, the dual Bland rule: the infeasible row whose basic
     variable has the lowest index. Entering column: the dual ratio test on
     max(reduced cost, 0), ties to the lowest index. A leaving row with no
-    negative entry proves the LP infeasible. Reduced costs that roundoff left
-    below -FEAS_TOL are repaired by a primal clean-up in _run_simplex.
+    negative entry proves the LP infeasible when its rhs is below -FEAS_TOL;
+    above that it is negative by roundoff only, and is set to 0 (degenerate
+    LPs, say with lambda = 0, leave such rows). Reduced costs that roundoff
+    left below -FEAS_TOL are repaired by a primal clean-up in _run_simplex.
     """
     m = len(basis)
     pivots = 0
@@ -206,7 +208,10 @@ def _run_dual_simplex(T, basis, n, max_pivots):
             i = int(rows[np.argmax(rhs[rows] ** 2 / np.einsum("ij,ij->i", binv, binv))])
         cand = np.flatnonzero(T[i, :-1] < -PIVOT_TOL)
         if cand.size == 0:
-            return LpStatus.INFEASIBLE, pivots
+            if rhs[i] < -FEAS_TOL:
+                return LpStatus.INFEASIBLE, pivots
+            T[i, -1] = 0.0  # below 0 by roundoff only: the row holds at 0
+            continue
         ratios = np.maximum(T[-1, cand], 0.0) / -T[i, cand]
         rmin = ratios.min()
         j = int(cand[np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + rmin))[0]])

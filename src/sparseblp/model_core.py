@@ -261,11 +261,10 @@ def config_from_dict(cls, raw, path: str = ""):
     must have its field's JSON type exactly: an int field takes an integer
     (not true, not 4.0), a float field any number that fits a float (read as
     a float, so 1 and 1.0 give one config), a bool field true or false, a
-    tuple[X, ...] field a list of X, an X | None field also null, a nested
-    dataclass an object, and an array field (a Theta block) a list of finite
-    numbers. Ranges are cls's own __post_init__ checks. Every violation
-    raises one ConfigurationError naming the key; path is raw's dotted key
-    within its file ('' at the top).
+    tuple[X, ...] field a list of X, a nested dataclass an object, and an
+    array field (a Theta block) a list of finite numbers. Ranges are cls's
+    own __post_init__ checks. Every violation raises one ConfigurationError
+    naming the key; path is raw's dotted key within its file ('' at the top).
     """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path or cls.__name__} must be a JSON object, got {raw!r}")
@@ -303,17 +302,12 @@ _JSON_TYPES = {
 
 def read_value(tp, value, key: str):
     """One value of type tp by config_from_dict's rule; key names it in messages."""
-    args = get_args(tp)
-    if type(None) in args:  # X | None
-        if value is None:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
     if is_dataclass(tp):
         return config_from_dict(tp, value, key)
     if get_origin(tp) is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
             raise ConfigurationError(f"{key} must be a list, got {value!r}")
-        return tuple(read_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+        return tuple(read_value(get_args(tp)[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     what, ok = _JSON_TYPES[tp]
     if not ok(value):
         raise ConfigurationError(f"{key} must be {what}, got {value!r}")

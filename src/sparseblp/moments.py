@@ -108,8 +108,9 @@ class Evaluator:
     again). A new inversion starts from the delta of the nearest gamma
     already inverted (Euclidean distance), which in an SLP run is usually
     the current iterate or an earlier trial point around it, and from the
-    logit closed form when there is none. inversions, contraction_iters and
-    newton_iters count the inversions run, failed ones included. Create one
+    logit closed form when there is none. inversions counts the inversions
+    run, failed ones included, newton_iters their Newton passes and
+    contraction_iters the passes with a contraction fallback. Create one
     per call and pass it to the moment functions as evals; it keeps every
     inverted delta until it is dropped.
     """

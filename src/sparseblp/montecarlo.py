@@ -57,10 +57,11 @@ class McConfig:
     """Study design: DGP template, replication counts, and estimator knobs.
 
     dgp.model.n_markets is overridden by each entry of n_grid. The moment
-    tolerance is lam_scale / sqrt(n). The correction penalties use
-    DebiasPenalties.scaled with penalty_c_gamma, or the theoretical rule when
-    penalty_c_gamma is None; relax_mu re-solves a mu row that is infeasible
-    at its penalty with the penalty floored at feasibility, which designs
+    tolerance is lam_scale / sqrt(n). The correction penalties are
+    DebiasPenalties.scaled with penalty_c_gamma; the theoretical rule is no
+    option here, since it zeroes every row, and so every se, at the n a
+    study runs. relax_mu re-solves a mu row that is infeasible at its
+    penalty with the penalty floored at feasibility, which designs
     with more parameters than moments (2L > JK), or with a group whose
     gamma_hat is 0, need for the correction to exist at all. Each replication
     integrates on the tensor Gauss-Hermite rule with quad_nodes per dimension,
@@ -73,7 +74,7 @@ class McConfig:
     n_grid: tuple[int, ...]
     alpha: float = 0.05
     lam_scale: float = 1.2
-    penalty_c_gamma: float | None = 0.05
+    penalty_c_gamma: float = 0.05
     relax_mu: bool = True
     pilot_scales: tuple[float, ...] = (1.0,)
     quad_nodes: int = 9
@@ -88,10 +89,8 @@ class McConfig:
             raise ConfigurationError("alpha must lie in (0, 1)")
         if not 0 < self.lam_scale < np.inf:
             raise ConfigurationError("lam_scale must be finite and positive")
-        if self.penalty_c_gamma is not None and not 0 <= self.penalty_c_gamma < np.inf:
-            raise ConfigurationError(
-                f"penalty_c_gamma must be finite and >= 0 when set, got {self.penalty_c_gamma}"
-            )
+        if not 0 <= self.penalty_c_gamma < np.inf:
+            raise ConfigurationError(f"penalty_c_gamma must be finite and >= 0, got {self.penalty_c_gamma}")
         if self.quad_nodes < 1 or self.workers < 1:
             raise ConfigurationError("quad_nodes and workers must be >= 1")
         G = self.dgp.model.G
@@ -198,10 +197,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     rec.support_precision, rec.support_recall = support_metrics(theta_hat.stacked(), truth.stacked())
     rec.converged = res.converged
     try:
-        if cfg.penalty_c_gamma is None:
-            penalties = None  # debias() applies the theoretical rule
-        else:
-            penalties = DebiasPenalties.scaled(model, n, c_gamma=cfg.penalty_c_gamma)
+        penalties = DebiasPenalties.scaled(model, n, c_gamma=cfg.penalty_c_gamma)
         deb = _timed(
             rec,
             "debias_s",

@@ -207,18 +207,20 @@ def _pilot_probes(
     For each probe scale c in opts.pilot_scales, gamma_c = c * u where u is
     the uniform within-group direction with unit index variance; delta is
     inverted once at gamma_c through evals, beta solves
-    min ||beta||_1 s.t. ||f(beta, gamma_c)||_inf <= lam on the linear system,
-    and probes are ordered by true moment violation (ties prefer the smaller
-    scale). Because the moments are linear in beta at fixed gamma, the
-    violation is exactly ||b - M beta||_inf -- no extra inversion. Probes
-    whose LP is infeasible fall back to beta = 0; probes whose inversion
-    fails are dropped. The main loop restarts down this ladder when a run
-    stalls, so every surviving probe is returned, not just the winner.
+    min ||beta||_1 s.t. ||f(beta, gamma_c)||_inf <= lam on the linear system.
+    Probes whose LP is feasible come first, smallest scale first: their
+    violation is lam up to roundoff, so ordering them by it would let
+    roundoff pick the pilot. Probes whose LP is infeasible fall back to
+    beta = 0 and follow, ordered by true moment violation; because the
+    moments are linear in beta at fixed gamma, that is exactly
+    ||b - M beta||_inf -- no extra inversion. Probes whose inversion fails
+    are dropped. The main loop restarts down this ladder when a run stalls,
+    so every surviving probe is returned, not just the winner.
     """
     cfg = dataset.config
     u = _uniform_group_direction(cfg)
-    probes: list[tuple[float, int, Theta, bool]] = []
-    for rank, c in enumerate(opts.pilot_scales):
+    probes: list[tuple[float, float, Theta, bool]] = []
+    for c in opts.pilot_scales:
         gamma_c = c * u
         try:
             delta = evals(Theta(beta=np.zeros(cfg.L), gamma=gamma_c)).delta
@@ -229,10 +231,10 @@ def _pilot_probes(
         feasible = sol.status is LpStatus.OPTIMAL
         beta_c = sol.x if feasible else np.zeros(cfg.L)
         violation = float(np.abs(b - M @ beta_c).max())
-        probes.append((violation, rank, Theta(beta=beta_c, gamma=gamma_c), feasible))
+        probes.append((violation, c, Theta(beta=beta_c, gamma=gamma_c), feasible))
     if not probes:
         raise EstimationError("share inversion failed at every pilot probe")
-    probes.sort(key=lambda it: (it[0], it[1]))
+    probes.sort(key=lambda it: (not it[3], 0.0 if it[3] else it[0], it[1]))
     return [(theta, feasible) for _, _, theta, feasible in probes]
 
 

@@ -4,13 +4,12 @@ Conditional on a taste draw beta_tilde, choice probabilities follow a logit
 over J inside goods plus an outside good with utility 0. Mixed shares
 integrate the conditional shares over beta_tilde ~ N(0, I_G) with a
 QuadratureRule. The inversion recovers the mean-utility vector delta from
-observed shares. It is Newton-led: from a start (the logit closed form, or a
-caller's delta at a nearby parameter point) it takes the classic contraction
-delta <- delta + log S - log s(delta) only while the residual is large, then
-damped Newton steps on log s(delta) = log S. A market whose full Newton step
-does not lower its sup-norm residual halves the step, and falls back to one
-contraction step when halving does not help either, so the iteration cannot
-stall where plain Newton overshoots.
+observed shares by damped Newton steps on log s(delta) = log S, from a start
+that is the logit closed form or a caller's delta at a nearby parameter
+point. A market whose full Newton step does not lower its sup-norm residual
+halves the step, and falls back to one step of the classic contraction
+delta <- delta + log S - log s(delta) when halving does not help either, so
+the iteration cannot stall where plain Newton overshoots.
 
 All kernels subtract the running utility maximum (including the outside
 good's 0) before exponentiating, so share evaluations never overflow and
@@ -37,28 +36,25 @@ class InversionOptions:
 
     contraction_tol is applied to the sup norm of log S - log s(delta) in
     every market; it stays tight because loose inner tolerances bias BLP
-    estimates (Dube, Fox & Su 2012). A market takes contraction steps while
-    its residual exceeds newton_switch_tol and damped Newton steps after
-    that: the default 1.0 makes the inversion Newton-led, a small value
-    makes it contraction-led, and inf skips the contraction phase.
-    max_contraction_iters and max_newton_iters bound the two phases.
+    estimates (Dube, Fox & Su 2012). max_newton_iters bounds the damped
+    Newton passes, contraction fallbacks included.
     """
 
     contraction_tol: float = 1e-13
-    max_contraction_iters: int = 2000
-    newton_switch_tol: float = 1.0
     max_newton_iters: int = 60
 
     def __post_init__(self):
-        if not (0 < self.contraction_tol < np.inf and self.newton_switch_tol > 0):
-            raise ValueError("contraction_tol must lie in (0, inf) and newton_switch_tol in (0, inf], "
-                             f"got {self.contraction_tol} and {self.newton_switch_tol}")
-        if self.max_contraction_iters < 0 or self.max_newton_iters < 0:
-            raise ValueError("max_contraction_iters and max_newton_iters must be >= 0")
+        if not 0 < self.contraction_tol < np.inf:
+            raise ValueError(f"contraction_tol must lie in (0, inf), got {self.contraction_tol}")
+        if self.max_newton_iters < 0:
+            raise ValueError("max_newton_iters must be >= 0")
 
 
 @dataclass
 class InversionInfo:
+    """newton_iterations counts the Newton passes; iterations counts those in
+    which some market fell back to a contraction step."""
+
     converged: bool
     iterations: int
     newton_iterations: int
@@ -147,15 +143,14 @@ def _invert_batch(
     start is the first iterate, (n, J); the default is the logit closed form
     log S - log S_0, which is already exact when gamma = 0. A caller that
     has delta at a nearby parameter point passes it here (a warm start).
-    Residuals are the sup norm of log S - log s(delta) per market. Markets
-    whose residual exceeds newton_switch_tol take contraction steps; the
-    rest take Newton steps with the share Jacobian, each halved up to
-    _MAX_HALVINGS times until it lowers the market's residual, else replaced
-    by one contraction step. Markets already within contraction_tol are left
-    alone. Each iterate's node shares serve both its residual and its
-    Newton Jacobian, so c contraction and k Newton steps, none halved, make
-    1 + c + k _node_shares calls. Returns (delta, info); if some market
-    misses contraction_tol within the iteration budgets, InversionError is
+    Residuals are the sup norm of log S - log s(delta) per market. Every
+    market above contraction_tol takes a Newton step with the share
+    Jacobian, halved up to _MAX_HALVINGS times until it lowers the market's
+    residual, else replaced by one contraction step; markets already within
+    contraction_tol are left alone. Each iterate's node shares serve both
+    its residual and its Newton Jacobian, so k passes, none halved, make
+    1 + k _node_shares calls. Returns (delta, info); if some market misses
+    contraction_tol within max_newton_iters passes, InversionError is
     raised.
     """
     if np.any(S <= 0.0) or np.any(S.sum(axis=-1) >= 1.0):
@@ -176,16 +171,7 @@ def _invert_batch(
 
     resid = residual(delta, slice(None))
     rmax = sup(resid)
-    iters = 0
-    # contraction phase: globally convergent, monotone in the sup norm
-    while iters < opts.max_contraction_iters and np.any(rmax > opts.newton_switch_tol):
-        act = np.flatnonzero(rmax > opts.newton_switch_tol)
-        delta[act] += resid[act]
-        resid[act] = residual(delta[act], act)
-        rmax[act] = sup(resid[act])
-        iters += 1
-
-    newton_iters = 0
+    fallbacks = newton_iters = 0
     while newton_iters < opts.max_newton_iters and np.any(rmax > opts.contraction_tol):
         act = np.flatnonzero(rmax > opts.contraction_tol)
         d, r, rm = delta[act], resid[act], rmax[act]
@@ -217,6 +203,7 @@ def _invert_batch(
             cand[w] = d[w] + r[w]
             cand_r[w] = residual(cand[w], act[w])
             cand_rm[w] = sup(cand_r[w])
+            fallbacks += 1
         delta[act], resid[act], rmax[act] = cand, cand_r, cand_rm
         newton_iters += 1
 
@@ -224,7 +211,7 @@ def _invert_batch(
     converged = max_resid <= opts.contraction_tol
     info = InversionInfo(
         converged=converged,
-        iterations=iters,
+        iterations=fallbacks,
         newton_iterations=newton_iters,
         max_residual=max_resid,
     )
@@ -232,7 +219,7 @@ def _invert_batch(
         worst = int(rmax.argmax())
         raise InversionError(
             f"share inversion stalled at market {worst}: residual {max_resid:.3e} "
-            f"after {iters} contraction and {newton_iters} Newton iterations "
+            f"after {newton_iters} Newton iterations, {fallbacks} with contraction fallbacks "
             f"(tolerance {opts.contraction_tol:.1e})",
             max_residual=max_resid,
             info=info,

@@ -112,6 +112,7 @@ BAD_INPUTS = [
     ("study", study(relax_mu="no"), (), "relax_mu:str"),
     ("study", study(lam_fixed=-1), (), "lam_fixed:negative"),
     ("study", study(penalty_c_gamma=-1), (), "penalty_c_gamma:negative"),
+    ("study", study(penalty_c_gamma=None), (), "penalty_c_gamma:null"),
     ("study", study(n_grid=[20.5]), (), "n_grid:float"),
     ("study", study(dgp={**DGP, "model": NO_N_MARKETS}, n_grid=[20.0]), (), "n_grid:fills n_markets"),
     ("theta", {"beta": [0.7, math.nan, 0.0], "gamma": [0.7, 0.0, 0.0]}, (), "beta:nan"),
@@ -157,6 +158,9 @@ class TestPipeline:
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert len(deb["theta_dd"]) == 6 and len(deb["se"]) == 6
+        # one lambda_gamma, c sqrt(log(max(JK, 2L)) / n); lambda_mu as used, per row
+        assert deb["lambda_gamma"] == pytest.approx(0.05 * math.sqrt(math.log(8) / 40), rel=1e-15)
+        assert len(deb["lambda_mu"]) == 6 and min(deb["lambda_mu"]) == pytest.approx(2 * deb["lambda_gamma"])
 
     def test_pipeline_loads_no_third_party_module_but_numpy(self, tmp_path):
         """simulate, estimate --lambda auto and debias on the theoretical rule
@@ -203,6 +207,19 @@ class TestPipeline:
         assert code == cli.EXIT_OK, err
         assert (tmp_path / "data.csv").read_bytes() != (simulated / "data.csv").read_bytes()
         assert json.loads((tmp_path / "manifest.json").read_text())["master_seed"] == 9
+
+    def test_mc_seed_flag_overrides_the_study_seed(self, tmp_path, capsys):
+        digests = {}
+        for name, seed, flag in (("file", 3, ()), ("flag", 3, ("--seed", "9")), ("file-9", 9, ())):
+            path = write_json(tmp_path / f"{name}.json", study(dgp={**DGP, "seed": seed}))
+            out = tmp_path / name
+            code, err = run(capsys, "mc", "--config", path, "--out", out, *flag)
+            assert code == cli.EXIT_OK, err
+            summary = json.loads((out / "summary.json").read_text())
+            digests[name] = summary["canonical_sha256"]
+            assert summary["config"]["dgp"]["seed"] == (9 if flag else seed)
+            assert json.loads((out / "manifest.json").read_text())["master_seed"] == (9 if flag else seed)
+        assert digests["flag"] == digests["file-9"] != digests["file"]
 
     def test_iteration_budget_exhausted_is_numerical_failure(self, simulated, tmp_path, capsys):
         opts = write_json(tmp_path / "opts.json", {"max_outer_iters": 1})
@@ -393,6 +410,21 @@ class TestBadInput:
         assert code == cli.EXIT_DATA
         line = one_line_error(err)
         assert str(path) in line and "3 dataset invariant(s)" in line and "market_id 2: product_id [1]" in line
+
+    def test_parameters_of_another_length_are_data_error(self, simulated, tmp_path, capsys):
+        theta = write_json(tmp_path / "theta.json", {"beta": [0.5, 0.0], "gamma": [0.5, 0.0]})
+        est = json.loads((simulated / "est" / "est.json").read_text())
+        est["theta_hat"] = {"beta": [0.5, 0.0], "gamma": [0.5, 0.0]}
+        estimate = write_json(tmp_path / "est.json", est)
+        for argv, path in (
+            (["export-moments", "--data", simulated / "data.csv", "--config", simulated / "model.json",
+              "--theta", theta, "--out", tmp_path / "moments"], theta),
+            (["debias", "--estimate", estimate, "--data", simulated / "data.csv",
+              "--out", tmp_path / "deb.json"], estimate),
+        ):
+            code, err = run(capsys, *argv, *NODES)
+            assert code == cli.EXIT_DATA
+            assert one_line_error(err) == f"data error: {path}: parameters have L=2, the model has L=3"
 
     def test_dgp_config_with_legacy_n_key_is_data_error(self, tmp_path, capsys):
         model = dict(DGP["model"])

@@ -33,21 +33,20 @@ def _square_dataset(gh1, n=30, seed=2):
 
 class TestPenaltyContainers:
     def test_constant_couples_mu_at_twice_gamma(self):
-        pen = DebiasPenalties.constant(4, 0.3)
-        np.testing.assert_array_equal(pen.lambda_gamma, np.full(8, 0.3))
-        np.testing.assert_array_equal(pen.lambda_mu, np.full(8, 0.6))
+        pen = DebiasPenalties(0.3)
+        assert pen.lambda_gamma == 0.3 and pen.lambda_mu == 0.6
 
     def test_scaled_rate(self):
         cfg = ModelConfig(n_markets=100, J=4, L=30, G=1, K=8, partition=(1,) * 30)
         pen = DebiasPenalties.scaled(cfg, 400, c_gamma=0.5)
         expected = 0.5 * np.sqrt(np.log(60) / 400)  # 2L=60 > JK=32
-        assert pen.lambda_gamma[0] == pytest.approx(expected, rel=1e-12)
+        assert pen.lambda_gamma == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DebiasPenalties(lambda_gamma=np.ones(3), lambda_mu=np.ones(4))
-        with pytest.raises(ValueError):
-            DebiasPenalties(lambda_gamma=-np.ones(3), lambda_mu=np.ones(3))
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                DebiasPenalties(bad)
+        assert DebiasPenalties(0).lambda_mu == 0.0
 
 
 class TestTheoreticalRule:
@@ -57,15 +56,15 @@ class TestTheoreticalRule:
         # bar = 1.5 * 2^{3/2} * max(2^{3/2} lt^2, lt) = 27.2139...
         cfg = ModelConfig(n_markets=100, J=2, L=5, G=1, K=3, partition=(1,) * 5)
         pen = select_debias_penalties(cfg, 100)
-        assert pen.lambda_gamma[0] == pytest.approx(27.213882455212712, rel=1e-9)
-        assert pen.lambda_mu[0] == pytest.approx(2 * 27.213882455212712, rel=1e-9)
+        assert pen.lambda_gamma == pytest.approx(27.213882455212712, rel=1e-9)
+        assert pen.lambda_mu == pytest.approx(2 * 27.213882455212712, rel=1e-9)
 
     def test_structure_at_j_equals_one(self):
         # J = G = 1 strips the dimension factors: bar = c' max(lt^2, lt)
         cfg = ModelConfig(n_markets=50, J=1, L=2, G=1, K=2, partition=(1, 1))
         pen = select_debias_penalties(cfg, 50)
         lt = 50**-0.5 * norm.ppf(1 - 1 / (2 * 2 * 2 * 50))
-        assert pen.lambda_gamma[0] == pytest.approx(C_PRIME * max(lt**2, lt), rel=1e-12)
+        assert pen.lambda_gamma == pytest.approx(C_PRIME * max(lt**2, lt), rel=1e-12)
 
     def test_invalid_n(self):
         cfg = ModelConfig(n_markets=10, J=1, L=2, G=1, K=2, partition=(1, 1))
@@ -76,14 +75,12 @@ class TestTheoreticalRule:
 class TestGammaRows:
     def test_identity_soft_threshold(self):
         # Omega = I, G = I: each row solves to (1 - lam) e_l
-        pen = DebiasPenalties.constant(2, 0.1)
-        gam, statuses = estimate_gamma(np.eye(4), np.eye(4), pen)
+        gam, statuses = estimate_gamma(np.eye(4), np.eye(4), 0.1)
         np.testing.assert_allclose(gam, 0.9 * np.eye(4), atol=1e-9)
         assert all(s is LpStatus.OPTIMAL for s in statuses)
 
     def test_penalty_above_one_zeroes_rows(self):
-        pen = DebiasPenalties.constant(2, 1.0)
-        gam, _ = estimate_gamma(np.eye(4), np.eye(4), pen)
+        gam, _ = estimate_gamma(np.eye(4), np.eye(4), 1.0)
         np.testing.assert_allclose(gam, 0.0, atol=1e-12)
 
     def test_small_penalty_approaches_dense_solve(self):
@@ -91,30 +88,26 @@ class TestGammaRows:
         om = rng.standard_normal((4, 4))
         om = om @ om.T + 4 * np.eye(4)
         g = rng.standard_normal((4, 4))
-        pen = DebiasPenalties.constant(2, 1e-9)
-        gam, _ = estimate_gamma(om, g, pen)
+        gam, _ = estimate_gamma(om, g, 1e-9)
         np.testing.assert_allclose(gam, g.T @ np.linalg.inv(om), atol=1e-6)
 
 
 class TestMuRows:
     def test_scaled_identity_oracle(self):
         # gamma G = 0.9 I, lam_mu = 0.2: mu_rr = (1 - 0.2) / 0.9
-        pen = DebiasPenalties(lambda_gamma=np.full(4, 0.0), lambda_mu=np.full(4, 0.2))
-        mu, statuses, lam = estimate_mu(0.9 * np.eye(4), np.eye(4), pen)
+        mu, statuses, lam = estimate_mu(0.9 * np.eye(4), np.eye(4), 0.2)
         np.testing.assert_allclose(mu, (0.8 / 0.9) * np.eye(4), atol=1e-9)
         np.testing.assert_array_equal(lam, np.full(4, 0.2))
 
     def test_penalty_at_one_gives_zero(self):
-        pen = DebiasPenalties(lambda_gamma=np.zeros(4), lambda_mu=np.ones(4))
-        mu, _, _ = estimate_mu(np.eye(4), np.eye(4), pen)
+        mu, _, _ = estimate_mu(np.eye(4), np.eye(4), 1.0)
         np.testing.assert_allclose(mu, 0.0, atol=1e-12)
 
     def test_infeasible_row_raises_with_row_name(self):
         # rank-1 system: e_2 is unreachable at small penalties
         a = np.diag([1.0, 0.0])
-        pen = DebiasPenalties(lambda_gamma=np.zeros(2), lambda_mu=np.full(2, 0.01))
         with pytest.raises(DebiasError, match="mu row 1"):
-            estimate_mu(np.eye(2), a, pen)
+            estimate_mu(np.eye(2), a, 0.01)
 
 
 @pytest.fixture
@@ -136,8 +129,7 @@ def floor_calls(monkeypatch):
 class TestElasticRelaxation:
     def test_floor_keeps_unreachable_rows_feasible(self):
         a = np.diag([1.0, 0.0])
-        pen = DebiasPenalties(lambda_gamma=np.zeros(2), lambda_mu=np.full(2, 0.02))
-        mu, statuses, lam = estimate_mu(np.eye(2), a, pen, relax=True)
+        mu, statuses, lam = estimate_mu(np.eye(2), a, 0.02, relax=True)
         assert lam[0] == pytest.approx(0.02)  # reachable row keeps its penalty
         assert lam[1] == pytest.approx(1.05 + 1e-6)  # floored at 1.05 t* + margin
         np.testing.assert_allclose(mu[0], [0.98, 0.0], atol=1e-9)
@@ -146,8 +138,7 @@ class TestElasticRelaxation:
 
     def test_floor_lp_runs_only_for_infeasible_rows(self, floor_calls):
         a = np.diag([1.0, 0.0])
-        pen = DebiasPenalties(lambda_gamma=np.zeros(2), lambda_mu=np.full(2, 0.02))
-        _, _, lam = estimate_mu(np.eye(2), a, pen, relax=True)
+        _, _, lam = estimate_mu(np.eye(2), a, 0.02, relax=True)
         assert floor_calls == [1]  # row 0 is feasible at 0.02
         np.testing.assert_allclose(lam, [0.02, 1.050001], rtol=0, atol=1e-15)
 
@@ -155,8 +146,7 @@ class TestElasticRelaxation:
         # both rows have floor 0.5: at 0.51 they are feasible, and keep 0.51
         # although it is below 1.05 * floor + margin
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
-        pen = DebiasPenalties(lambda_gamma=np.zeros(2), lambda_mu=np.full(2, 0.51))
-        mu, statuses, lam = estimate_mu(np.eye(2), a, pen, relax=True)
+        mu, statuses, lam = estimate_mu(np.eye(2), a, 0.51, relax=True)
         assert floor_calls == []
         np.testing.assert_array_equal(lam, [0.51, 0.51])
         np.testing.assert_allclose(mu, [[0.49, 0.0], [0.49, 0.0]], atol=1e-9)
@@ -207,9 +197,9 @@ class TestNewtonLimit:
         om = omega(ds, theta, gh1)
         g = jacobian_theta(ds, theta, gh1)
         f = score(ds, theta, gh1)
-        pen = DebiasPenalties.constant(5, 1e-10)
-        gam, _ = estimate_gamma(om, g, pen)
-        mu, _, _ = estimate_mu(gam, g, pen)
+        pen = DebiasPenalties(1e-10)
+        gam, _ = estimate_gamma(om, g, pen.lambda_gamma)
+        mu, _, _ = estimate_mu(gam, g, pen.lambda_mu)
         newton = theta.stacked() - np.linalg.solve(g, f)
         np.testing.assert_allclose(
             debiased_theta(theta.stacked(), mu, gam, f), newton, atol=1e-4
@@ -219,7 +209,7 @@ class TestNewtonLimit:
 class TestFullPipeline:
     def test_debias_on_square_design(self, gh1):
         ds, truth = _square_dataset(gh1, n=40, seed=3)
-        res = debias(ds, truth, gh1, penalties=DebiasPenalties.constant(5, 0.05))
+        res = debias(ds, truth, gh1, penalties=DebiasPenalties(0.05))
         assert res.theta_dd.shape == (10,)
         assert np.all(res.se >= 0) and np.isfinite(res.se).all()
         assert np.all(res.ci[:, 0] <= res.theta_dd) and np.all(res.theta_dd <= res.ci[:, 1])
@@ -229,7 +219,7 @@ class TestFullPipeline:
 
     def test_one_inversion_serves_omega_jacobian_and_score(self, gh1, inversion_log):
         ds, truth = _square_dataset(gh1, n=40, seed=3)
-        res = debias(ds, truth, gh1, penalties=DebiasPenalties.constant(5, 0.05))
+        res = debias(ds, truth, gh1, penalties=DebiasPenalties(0.05))
         assert len(inversion_log) == 1 and res.inversions == 1
         assert res.newton_iters > 0
         # the same plug-in matrices as three separate evaluations
@@ -255,7 +245,7 @@ class TestFullPipeline:
         ds, truth = simulate(
             DgpConfig(model=cfg, s_beta=1, s_gamma=1, signal=0.6, xi_sd=0.2, seed=5), gh1
         )
-        pen = DebiasPenalties.constant(3, 0.02)
+        pen = DebiasPenalties(0.02)
         with pytest.raises(DebiasError, match="mu row"):
             debias(ds, truth, gh1, penalties=pen)
         res = debias(ds, truth, gh1, penalties=pen, relax_mu=True)
@@ -281,7 +271,7 @@ class TestFullPipeline:
         ds, truth = simulate(
             DgpConfig(model=cfg, s_beta=1, s_gamma=1, signal=0.6, xi_sd=0.2, seed=5), gh1
         )
-        res = debias(ds, truth, gh1, penalties=DebiasPenalties.constant(3, 0.02), relax_mu=True)
+        res = debias(ds, truth, gh1, penalties=DebiasPenalties(0.02), relax_mu=True)
         floors = sum(1 for name, _ in pivots if name == "solve_nonneg_lp")
         assert floors == res.mu_relaxed_rows.size > 0
         assert res.lp_solves == len(pivots) == 12 + 2 * floors

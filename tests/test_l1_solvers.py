@@ -428,3 +428,77 @@ class TestCountLps:
         solve_l1_linf(prob)  # outside every block
         assert (inner.solves, inner.pivots) == (1, raw.pivots)
         assert (outer.solves, outer.pivots) == (2, first.pivots + raw.pivots)
+
+
+def bland_rule_runs(solver_fn, call):
+    """Run call() and report whether solver_fn took its Bland-rule branch
+    (the line after its degenerate-streak test), traced line by line."""
+    import inspect
+    import sys
+
+    src, first = inspect.getsourcelines(solver_fn)
+    (k,) = [i for i, line in enumerate(src) if "if stall >= _DEGENERATE_STREAK:" in line]
+    target = (solver_fn.__code__, first + k + 1)
+    hit = []
+
+    def local(frame, event, arg):
+        if event == "line" and (frame.f_code, frame.f_lineno) == target:
+            hit.append(True)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is target[0] else None)
+    try:
+        out = call()
+    finally:
+        sys.settrace(previous)
+    return out, bool(hit)
+
+
+# a degenerate row family (lambda = 0, entries in {-1, 0, 1}) whose fourth
+# row stalls the dual simplex long enough for its Bland rule, and whose
+# second row leaves a basic value of -1.8e-15 in a row with no negative entry
+BLAND_A = np.array([[0, 1, -1, 1, 1, 0, 1], [0, 0, -1, 0, 1, 1, -1], [0, 0, 0, -1, 1, -1, 1],
+                    [-1, 1, 1, 1, 0, 1, 1], [0, 1, 0, -1, 1, 1, 1], [1, 1, -1, -1, 1, -1, 0],
+                    [1, 1, 0, 0, -1, 0, 1]], dtype=float)
+BLAND_B = np.array([[-1, 1, 0, 0, -1, 1, 0], [0, 0, 1, 1, 1, -1, 0], [1, 0, 1, 0, 0, 0, 0],
+                    [-1, -1, 0, 0, 1, 0, -1], [-1, -1, 1, 1, 1, -1, -1], [0, 1, 0, 1, -1, -1, 1],
+                    [0, -1, -1, 0, -1, 0, -1]], dtype=float)
+
+
+class TestDegenerateLps:
+    def test_dual_bland_rule_on_a_degenerate_family(self):
+        sols, ran = bland_rule_runs(l1_solvers._run_dual_simplex,
+                                    lambda: solve_row_family(BLAND_A, BLAND_B, 0.0))
+        assert ran
+        for r, sol in enumerate(sols):
+            status, value = highs_l1_linf(BLAND_A.T, BLAND_B[r], 0.0)
+            assert sol.status.value == status, r
+            assert sol.objective == pytest.approx(value, rel=1e-9)
+            assert sol.max_violation <= l1_solvers.FEAS_TOL
+
+    def test_roundoff_below_zero_is_no_infeasibility_proof(self):
+        # A is invertible, so every row is reachable at lambda = 0
+        sol = solve_l1_linf(L1LinfProblem(BLAND_A.T, BLAND_B[1], 0.0))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(np.abs(np.linalg.solve(BLAND_A.T, BLAND_B[1])).sum())
+
+    def test_primal_bland_rule_on_a_row_floor_lp(self):
+        # the LP minimax_row_floor builds, without its scaling
+        from scipy.optimize import linprog
+
+        a = np.array([[-1, 1, -1, 0, 1, 1, 1, -1], [-1, -1, 1, -1, 0, -1, -1, 1],
+                      [-1, 0, 1, 1, -1, 1, 1, 0], [1, 0, 0, 1, 0, 1, 1, 1],
+                      [0, -1, 1, 0, -1, 0, -1, 1], [0, 0, 1, 0, -1, 0, -1, 0]], dtype=float)
+        b = np.array([1, 1, 1, -1, -1, 1, 1, -1], dtype=float)
+        p, q = a.shape
+        a_ub = np.block([[a.T, -a.T, -np.ones((q, 1))], [-a.T, a.T, -np.ones((q, 1))]])
+        b_ub = np.concatenate([b, -b])
+        c = np.zeros(2 * p + 1)
+        c[-1] = 1.0
+        raw, ran = bland_rule_runs(l1_solvers._run_simplex, lambda: solve_nonneg_lp(c, a_ub, b_ub))
+        assert ran
+        assert raw.status is LpStatus.OPTIMAL and raw.pivots == 14
+        assert np.all(a_ub @ raw.z <= b_ub + l1_solvers.FEAS_TOL) and np.all(raw.z >= 0)
+        highs = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+        assert raw.z[-1] == pytest.approx(1.0, abs=1e-12) and highs.fun == pytest.approx(1.0, abs=1e-12)

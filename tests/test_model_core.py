@@ -278,15 +278,13 @@ mc_configs = st.builds(
     McConfig, dgp=dgp_configs(), replications=st.integers(1, 100),
     n_grid=st.lists(st.integers(1, 10**4), min_size=1, max_size=3).map(tuple),
     alpha=st.floats(0.01, 0.99), lam_scale=st.floats(1e-3, 10),
-    penalty_c_gamma=st.none() | nonneg, relax_mu=st.booleans(), pilot_scales=scales,
+    penalty_c_gamma=nonneg, relax_mu=st.booleans(), pilot_scales=scales,
     quad_nodes=st.integers(1, 20), workers=st.integers(1, 8),
 )
 rgmm_options = st.builds(
     RgmmOptions, lam=nonneg, max_outer_iters=st.integers(1, 100), pilot_scales=scales,
     feasibility_slack=nonneg,
     inversion=st.builds(InversionOptions, contraction_tol=st.floats(1e-15, 1.0),
-                        max_contraction_iters=st.integers(0, 5000),
-                        newton_switch_tol=st.floats(1e-6, 10) | st.just(math.inf),
                         max_newton_iters=st.integers(0, 100)),
 )
 configs = st.one_of(model_configs(), dgp_configs(), mc_configs, rgmm_options)

@@ -194,6 +194,35 @@ class TestEstimateAuto:
         assert res.runtime_s >= sum(t for _, t in fits)
 
 
+class TestPilotProbes:
+    def test_feasible_probes_come_in_scale_order(self, gh1):
+        # every probe's beta LP is feasible here, so each violation equals
+        # lambda up to roundoff, which ordered them 2.0, 0.5, 1.0
+        ds, _ = _noisy_data(gh1, n=100, seed=8)
+        evals = rgmm.Evaluator(ds, gh1)
+        lam = select_lambda(ds, Theta.zeros(ds.config.L), gh1, None, evals)
+        probes = rgmm._pilot_probes(ds, gh1, RgmmOptions(lam=lam), evals)
+        u = rgmm._uniform_group_direction(ds.config)
+        assert all(feasible for _, feasible in probes)
+        scales = [float(theta.gamma @ u) for theta, _ in probes]
+        np.testing.assert_allclose(scales, [0.5, 1.0, 2.0], rtol=1e-14)
+
+    def test_infeasible_probes_follow_by_violation(self, gh1):
+        # at lambda = 0 no beta LP is feasible; the probes fall back to
+        # beta = 0 and are ordered by their moment violation, which is
+        # neither ladder nor scale order here (0.106, 0.137, 0.201)
+        ds, _ = _noisy_data(gh1, n=100, seed=11, signal=2.0, s_beta=0)
+        evals = rgmm.Evaluator(ds, gh1)
+        probes = rgmm._pilot_probes(ds, gh1, RgmmOptions(lam=0.0, pilot_scales=(2.0, 0.0, 1.0)),
+                                    evals)
+        assert not any(feasible for _, feasible in probes)
+        assert all(not theta.beta.any() for theta, _ in probes)
+        u = rgmm._uniform_group_direction(ds.config)
+        assert [float(theta.gamma @ u) for theta, _ in probes] == pytest.approx([1.0, 0.0, 2.0])
+        violations = [float(np.abs(score(ds, theta, gh1)).max()) for theta, _ in probes]
+        assert violations == sorted(violations)
+
+
 class TestStepLp:
     # |v - 500| <= 350 and |v| <= 1000; the box |v - box_center| <= 100 binds
     def test_box_rows_centered_at_zero_make_the_step_infeasible(self):

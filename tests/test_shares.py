@@ -15,6 +15,7 @@ from sparseblp.shares import (
     _mixed_shares,
     _node_shares,
     _share_jacobian,
+    logit_delta,
 )
 
 from conftest import random_dataset, random_theta
@@ -192,9 +193,10 @@ class TestInvertShares:
         X = random_dataset(rng, c).X[0]
         gamma = random_theta(rng, 2).gamma
         S = mixed(X, gamma, rng.standard_normal(3), gh1, c)
-        opts = InversionOptions(contraction_tol=1e-13, max_contraction_iters=1, max_newton_iters=0)
-        with pytest.raises(InversionError):
+        opts = InversionOptions(contraction_tol=1e-13, max_newton_iters=0)
+        with pytest.raises(InversionError, match="residual") as exc:
             invert(S, X, gamma, gh1, c, opts)
+        assert exc.value.max_residual > 1e-13 and exc.value.info.newton_iterations == 0
 
 
 
@@ -207,24 +209,43 @@ def wide_design(seed=2, nodes=9):
     return data, rule, _uniform_group_direction(c)
 
 
+def contract(S, nu, rule, tol):
+    """The classic BLP contraction delta <- delta + log S - log s(delta) from
+    the logit closed form, each market until its sup-norm residual is at
+    most tol: the contraction-led reference for the Newton inversion."""
+    log_target = np.log(S)
+    delta = logit_delta(S)
+    act = np.arange(S.shape[0])
+    for _ in range(100_000):
+        r = log_target[act] - np.log(_mixed_shares(delta[act], nu[act], rule))
+        above = np.abs(r).max(axis=1) > tol
+        if not above.any():
+            return delta
+        act = act[above]
+        delta[act] += r[above]
+    raise AssertionError("the contraction did not reach its tolerance")
+
+
 class TestNewtonLedInversion:
-    """At gamma = u on DGP seed 2, an undamped Newton phase entered at a
-    residual of 0.1 overshoots in market 79 and stalls at 8.8e-3; the damped
-    step converges from any switch point."""
+    """At gamma = u on DGP seed 2, an undamped Newton step taken from a
+    contraction iterate at residual 0.1 overshoots in market 79 and stalls
+    at 8.8e-3; the damped step converges from any such start. The reference
+    is the plain contraction run to 1e-13."""
 
     @pytest.fixture(scope="class")
     def stall_case(self):
         data, rule, u = wide_design()
         nu = group_index_matrix(data.X, u, data.config)
-        reference, info = _invert_batch(data.S, nu, rule, InversionOptions(newton_switch_tol=1e-4))
-        assert info.converged
-        return data, rule, u, reference
+        return data, rule, u, contract(data.S, nu, rule, 1e-13)
 
     @pytest.mark.parametrize("switch", [1e-4, 0.1, 1.0, np.inf])
     def test_converges_from_every_switch_point(self, stall_case, switch):
+        # start from the contraction iterate at which each market's residual
+        # first falls to switch; inf starts from the logit closed form
         data, rule, u, reference = stall_case
         nu = group_index_matrix(data.X, u, data.config)
-        delta, info = _invert_batch(data.S, nu, rule, InversionOptions(newton_switch_tol=switch))
+        start = None if switch == np.inf else contract(data.S, nu, rule, switch)
+        delta, info = _invert_batch(data.S, nu, rule, InversionOptions(), start=start)
         assert info.converged and info.max_residual <= 1e-13
         np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10)
 
@@ -246,6 +267,21 @@ class TestNewtonLedInversion:
         assert not np.shares_memory(delta, near)
 
 
+def test_contraction_fallback_when_no_halving_helps():
+    """At gamma = 8u on the mc-replications design (DGP seed 0), some
+    market's Newton step lowers its residual at no halving, so the pass
+    falls back to a contraction step for it; the inversion still converges,
+    to the plain contraction's delta."""
+    c = ModelConfig(n_markets=100, J=4, L=10, G=1, K=6, partition=(1,) * 10)
+    rule = gauss_hermite_rule(1, 9)
+    data, _ = simulate(DgpConfig(model=c, s_beta=2, s_gamma=1, seed=0), rule)
+    nu = group_index_matrix(data.X, 8.0 * _uniform_group_direction(c), c)
+    delta, info = _invert_batch(data.S, nu, rule, InversionOptions())
+    assert info.converged and info.max_residual <= 1e-13
+    assert 1 <= info.iterations < info.newton_iterations
+    np.testing.assert_allclose(delta, contract(data.S, nu, rule, 1e-13), rtol=0, atol=1e-10)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "shape",
@@ -253,21 +289,19 @@ class TestNewtonLedInversion:
     ids=["two-group", "wide-attribute", "mc-small", "medium"],
 )
 def test_newton_led_agrees_with_contraction_led_sweep(shape):
-    """6 DGP seeds x 4 heterogeneity scales per design: the default
-    (Newton-led) inversion converges and agrees with a contraction-led one,
-    which runs until its residual is 1e-4 before taking Newton steps."""
+    """6 DGP seeds x 4 heterogeneity scales per design: the damped Newton
+    inversion converges and agrees with the plain contraction run to 1e-13."""
     n, J, L, G, K = shape
     c = ModelConfig(n_markets=n, J=J, L=L, G=G, K=K,
                     partition=tuple(1 + (l * G) // L for l in range(L)))
     rule = gauss_hermite_rule(G, 9)
     u = _uniform_group_direction(c)
-    slow = InversionOptions(newton_switch_tol=1e-4, max_contraction_iters=100_000)
     for seed in range(6):
         data, _ = simulate(DgpConfig(model=c, s_beta=2, s_gamma=1, seed=seed), rule)
         for scale in (0.3, 1.0, 2.0, 4.0):
             nu = group_index_matrix(data.X, scale * u, c)
             delta, info = _invert_batch(data.S, nu, rule, InversionOptions())
-            reference, _ = _invert_batch(data.S, nu, rule, slow)
+            reference = contract(data.S, nu, rule, 1e-13)
             assert info.converged, (seed, scale)
             np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10, err_msg=f"{seed} {scale}")
 

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -433,9 +435,6 @@ class TestCountLps:
 def bland_rule_runs(solver_fn, call):
     """Run call() and report whether solver_fn took its Bland-rule branch
     (the line after its degenerate-streak test), traced line by line."""
-    import inspect
-    import sys
-
     src, first = inspect.getsourcelines(solver_fn)
     (k,) = [i for i, line in enumerate(src) if "if stall >= _DEGENERATE_STREAK:" in line]
     target = (solver_fn.__code__, first + k + 1)

@@ -227,8 +227,8 @@ def contract(S, nu, rule, tol):
 
 
 class TestNewtonLedInversion:
-    """At gamma = u on DGP seed 2, an undamped Newton step taken from a
-    contraction iterate at residual 0.1 overshoots in market 79 and stalls
+    """At gamma = u on DGP seed 2, an undamped Newton iteration started from
+    the contraction iterate at residual 0.1 overshoots in market 79 and stalls
     at 8.8e-3; the damped step converges from any such start. The reference
     is the plain contraction run to 1e-13."""
 
@@ -268,9 +268,9 @@ class TestNewtonLedInversion:
 
 
 def test_contraction_fallback_when_no_halving_helps():
-    """At gamma = 8u on the mc-replications design (DGP seed 0), some
-    market's Newton step lowers its residual at no halving, so the pass
-    falls back to a contraction step for it; the inversion still converges,
+    """At gamma = 8u on the mc-replications design (DGP seed 0), no halving
+    of some market's Newton step lowers its residual, so the pass falls back
+    to a contraction step for that market; the inversion still converges,
     to the plain contraction's delta."""
     c = ModelConfig(n_markets=100, J=4, L=10, G=1, K=6, partition=(1,) * 10)
     rule = gauss_hermite_rule(1, 9)

@@ -127,7 +127,7 @@ class DebiasResult:
     contraction_iters: int = 0
     newton_iters: int = 0
     lp_solves: int = 0  # LPs run (both families, relaxed re-solves, row
-    lp_pivots: int = 0  # floors), and their simplex pivots
+    lp_pivots: int = 0  # floors), and their basis changes (not bound flips)
 
 
 def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool = False):

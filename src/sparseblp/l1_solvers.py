@@ -1,33 +1,35 @@
 """Linear programming for l1 minimization under sup-norm constraints.
 
-Every LP here is min c'z s.t. A_ub z <= b_ub, z >= 0 on one dense tableau,
-started from the slack basis, with two pivot rules: a dual simplex for LPs
-whose slack basis is dual feasible, and a primal simplex for LPs one pivot
-makes primal feasible. Neither needs a phase 1.
+solve_l1_linf handles
 
-solve_l1_linf handles   min ||x||_1  s.t.  ||Ax - b||_inf <= lambda
-by splitting x = u - v and running the dual simplex: the cost vector is all
-ones, so the slack basis is dual feasible. The solvers are deliberately
-dependency-free and bit-deterministic: identical inputs produce identical
-pivot sequences, and optimal vertices carry exact zeros rather than
-shrunken near-zeros. lambda may also be given per constraint row, which is
-how the trust-region and box rows of the outer estimator join the moment
-rows.
+    min ||x||_1  s.t.  |a_i'x - b_i| <= lambda_i for every row,  lo <= x <= hi
 
-LPs that share A and differ only in b and lambda pass one private
-_FamilyState: any basis that was optimal for one is dual feasible for the
-next, so each starts its dual simplex (dual steepest-edge pricing, Forrest
-& Goldfarb 1992) from the previous final tableau, whose slack block holds
-B^-1. solve_row_family does this for the de-biasing rows, and the outer
-estimator for the step LPs of one linearization. Results are deterministic
-but depend on the order of the LPs.
+by a bounded-variable dual simplex on one dense tableau. x = u - v with
+u, v >= 0, each constraint is one ranged row a_i'(u - v) + w_i = b_i with
+its slack w_i in [-lambda_i, lambda_i], and the bounds on x become bounds on
+u and v. The costs are all ones, so the slack basis with u and v at their
+lower bounds is dual feasible and no phase 1 is needed. lambda may be given
+per row and the bounds per coordinate; the outer estimator's trust region
+and box on theta are such bounds. The solver is dependency-free and
+bit-deterministic: identical inputs produce identical pivot sequences, and
+optimal vertices carry exact zeros rather than shrunken near-zeros.
 
-solve_nonneg_lp runs the primal simplex on the min-violation LPs (elastic
-restoration and the de-biasing row floors): their cost is >= 0 and their
-last variable t, the violation, enters every row whose right-hand side is
-negative, so pivoting t into the row that needs the most of it makes the
-slack basis primal feasible. count_lps counts the calls of both solvers
-and their pivots.
+LPs that share A and differ only in b, lambda and the bounds pass one
+private _FamilyState: a basis that was optimal for one is dual feasible for
+the next once each nonbasic variable sits at the bound its reduced cost
+prefers, so each starts its dual simplex (dual steepest-edge pricing,
+Forrest & Goldfarb 1992) from the previous final tableau, whose slack block
+holds B^-1. solve_row_family does this for the de-biasing rows, and the
+outer estimator for the step LPs of one linearization. Results are
+deterministic but depend on the order of the LPs.
+
+solve_nonneg_lp runs the primal simplex on the min-violation LPs
+min c'z s.t. A_ub z <= b_ub, z >= 0 (elastic restoration and the de-biasing
+row floors), on a tableau with one slack per inequality: their cost is >= 0
+and their last variable t, the violation, enters every row whose
+right-hand side is negative, so pivoting t into the row that needs the most
+of it makes the slack basis primal feasible. count_lps counts the calls of
+both solvers and their pivots.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -64,25 +66,37 @@ class LpSizeError(ValueError):
 
 @dataclass(frozen=True)
 class L1LinfProblem:
-    """Data for min ||x||_1 s.t. ||Ax - b||_inf <= lam; lam scalar or per-row."""
+    """Data for min ||x||_1 s.t. ||Ax - b||_inf <= lam and lo <= x <= hi.
+
+    lam is a scalar or one value per row; lo and hi are scalars or one value
+    per coordinate, and default to no bound.
+    """
 
     A: np.ndarray
     b: np.ndarray
     lam: float | np.ndarray
+    lo: float | np.ndarray = -np.inf
+    hi: float | np.ndarray = np.inf
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
             raise ValueError(f"A {A.shape} and b {b.shape} do not conform")
-        lam = np.broadcast_to(np.asarray(self.lam, dtype=float), b.shape).copy()
-        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+        # filled by broadcasting: a scalar, or one value per row (coordinate)
+        lam, lo, hi = np.empty(b.size), np.empty(A.shape[1]), np.empty(A.shape[1])
+        lam[:], lo[:], hi[:] = self.lam, self.lo, self.hi
+        if (lam < 0).any() or not np.isfinite(lam).all():
             raise ValueError("lam must be finite and nonnegative")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must be finite")
+        if not ((lo < np.inf).all() and (hi > -np.inf).all()):
+            raise ValueError("lo must be below +inf and hi above -inf")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 @dataclass(frozen=True)
@@ -90,16 +104,17 @@ class LpSolution:
     x: np.ndarray
     status: LpStatus
     objective: float
-    max_violation: float
+    max_violation: float  # largest excess over a row's lam or a bound, 0 if none
     dual: np.ndarray | None
-    pivots: int
+    pivots: int  # basis changes; bound flips are not pivots
 
 
 def _pivot(T: np.ndarray, i: int, j: int) -> None:
-    T[i] = T[i] / T[i, j]
+    row = T[i]
+    row /= row[j]
     col = T[:, j].copy()
     col[i] = 0.0
-    T -= np.outer(col, T[i])
+    T -= col[:, None] * row
     T[:, j] = 0.0
     T[i, j] = 1.0
 
@@ -154,9 +169,10 @@ def _run_simplex(T, basis, max_pivots):
 
 
 def _slack_tableau(c, A_ub, b_ub):
-    """The tableau of min c'z s.t. A_ub z <= b_ub, z >= 0 in the slack
-    basis: rows [A_ub I b_ub] over the objective row [c 0 0], whose last
-    entry holds -z. Returns it with the basis, the slack columns n..n+m-1."""
+    """The tableau of min c'z s.t. A_ub z <= b_ub (or = b_ub, with bounded
+    slacks) in the slack basis: rows [A_ub I b_ub] over the objective row
+    [c 0 0], whose last entry holds -z. Returns it with the basis, the
+    slack columns n..n+m-1."""
     m, n = A_ub.shape
     if (m + 1) * (n + m + 1) > MAX_DENSE_ENTRIES:
         raise LpSizeError(f"dense tableau would need {(m + 1) * (n + m + 1)} entries")
@@ -176,47 +192,122 @@ class _RawLp:
     pivots: int
 
 
-def _run_dual_simplex(T, basis, n, max_pivots):
-    """Dual simplex on a dual-feasible tableau whose columns n..n+m-1 hold B^-1.
+def _place_nonbasics(T, basis, b, lower, upper):
+    """Put every nonbasic variable at the bound its reduced cost prefers and
+    write the basic values and -z into the tableau's last column.
 
-    Leaving row: dual steepest edge, the largest rhs_i^2 / ||e_i'B^-1||^2 over
-    rows with rhs_i < 0 (any negative value: the right-hand sides are not
-    equilibrated, so a tolerance here could exceed FEAS_TOL once scaled back),
-    the exact weights read off the slack block. After a streak of pivots with
-    no objective progress, the dual Bland rule: the infeasible row whose basic
-    variable has the lowest index. Entering column: the dual ratio test on
-    max(reduced cost, 0), ties to the lowest index. A leaving row with no
-    negative entry proves the LP infeasible when its rhs is below -FEAS_TOL;
-    above that it is negative by roundoff only, and is set to 0 (degenerate
-    LPs, say with lambda = 0, leave such rows). Reduced costs that roundoff
-    left below -FEAS_TOL are repaired by a primal clean-up in _run_simplex.
+    T holds the rows B^-1 [A I] over the reduced costs d, for the
+    variables (u, v, w) of solve_l1_linf with costs (1, 1, 0). A variable
+    with d < 0 goes to its upper bound, any other to its lower one, so the
+    basis is dual feasible whatever the bounds, unless d < -FEAS_TOL on a
+    variable without an upper bound: then None is returned and T is left as
+    it was. Otherwise returns sigma: +1 for a nonbasic variable at its lower
+    bound, -1 at its upper one, 0 for a basic or fixed variable.
     """
     m = len(basis)
+    n = T.shape[1] - 1
+    d = T[-1, :n]
+    up = d < 0.0
+    unbounded = up & np.isinf(upper)
+    if (d[unbounded] < -FEAS_TOL).any():
+        return None
+    up &= ~unbounded
+    x = np.where(up, upper, lower)
+    x[basis] = 0.0
+    T[:m, -1] = T[:m, n - m : n] @ b - T[:m, :n] @ x
+    x[basis] = T[:m, -1]
+    T[-1, -1] = -x[: n - m].sum()
+    sigma = np.where(up, -1.0, 1.0)
+    sigma[lower == upper] = 0.0
+    sigma[basis] = 0.0
+    return sigma
+
+
+def _run_dual_simplex(T, basis, sigma, lower, upper, max_pivots):
+    """Bounded-variable dual simplex on a dual-feasible tableau.
+
+    T holds the rows B^-1 [A I] with the basic values in the last column,
+    over the reduced costs and -z; columns n-m..n-1 hold B^-1. sigma marks
+    each nonbasic variable as at its lower (+1) or upper (-1) bound, or as
+    not free to move (0: basic or fixed); it is updated in place, as are T
+    and basis. Leaving row: dual steepest edge, the largest e_i^2 /
+    ||e_i'B^-1||^2 over rows whose basic variable lies outside its bounds
+    by e_i > 0 (any positive amount: the rows are equilibrated, not the
+    bounds), the exact weights read off the slack block. After a streak of
+    pivots with no objective progress, the dual Bland rule: the infeasible
+    row whose basic variable has the lowest index. The leaving variable
+    goes to the bound it broke. Entering column: the bounded dual ratio
+    test, min |d_j / alpha_ij| over the nonbasic variables that can move in
+    the direction that repairs row i, ties to the lowest index. Outside the
+    Bland rule the step is long (bound flipping; Fourer 1994): while the
+    candidate's whole range cannot bring x_i back to its bound, the
+    candidate flips to its other bound and the next one in ratio order is
+    tried, so one basis change does the work of several. Flips are not
+    counted as pivots. A row with no candidate proves the LP infeasible
+    when it is out of bounds by more than FEAS_TOL; below that it is out by
+    roundoff only, and its basic value is set to the bound (degenerate LPs,
+    say with lambda = 0, leave such rows).
+    """
+    m = len(basis)
+    n = T.shape[1] - 1
+    x, d, binv = T[:m, -1], T[-1, :n], T[:m, n - m : n]  # views into T
+    lb, ub = lower[basis], upper[basis]
+    span = upper - lower
+    ratios = np.empty(n)
     pivots = 0
     stall = 0
     last_obj = -T[-1, -1]
     while pivots < max_pivots:
-        rhs = T[:m, -1]
-        rows = np.flatnonzero(rhs < 0.0)
-        if rows.size == 0:
-            status, cleanup = _run_simplex(T, basis, max_pivots - pivots)
-            return status, pivots + cleanup
+        viol = np.maximum(lb - x, x - ub)
+        i = int(viol.argmax())
+        if viol[i] <= 0.0:
+            return LpStatus.OPTIMAL, pivots
         if stall >= _DEGENERATE_STREAK:
+            rows = np.flatnonzero(viol > 0.0)
             i = int(rows[np.argmin(basis[rows])])
         else:
-            binv = T[rows, n : n + m]
-            i = int(rows[np.argmax(rhs[rows] ** 2 / np.einsum("ij,ij->i", binv, binv))])
-        cand = np.flatnonzero(T[i, :-1] < -PIVOT_TOL)
-        if cand.size == 0:
-            if rhs[i] < -FEAS_TOL:
+            score = np.maximum(viol, 0.0)
+            score *= score
+            score /= np.einsum("ij,ij->i", binv, binv)
+            k = int(score.argmax())
+            if score[k] > 0.0:  # else every violation underflowed when squared
+                i = k
+        to_lower = x[i] < lb[i]
+        target = lb[i] if to_lower else ub[i]
+        gap = abs(x[i] - target)
+        # t_j > 0 when moving x_j off its bound pushes x_i toward target
+        t = sigma * T[i, :n]
+        if to_lower:
+            np.negative(t, out=t)
+        ratios.fill(np.inf)
+        np.divide(np.maximum(sigma * d, 0.0), t, out=ratios, where=t > PIVOT_TOL)
+        j = int(ratios.argmin())
+        rmin = ratios[j]
+        if rmin == np.inf:
+            if gap > FEAS_TOL:
                 return LpStatus.INFEASIBLE, pivots
-            T[i, -1] = 0.0  # below 0 by roundoff only: the row holds at 0
+            x[i] = target  # off its bound by roundoff only
             continue
-        ratios = np.maximum(T[-1, cand], 0.0) / -T[i, cand]
-        rmin = ratios.min()
-        j = int(cand[np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + rmin))[0]])
+        j = int((ratios <= rmin + 1e-12 * (1.0 + rmin)).argmax())
+        while stall < _DEGENERATE_STREAK and t[j] * span[j] < gap:
+            # x_j's whole range cannot repair row i: flip x_j to its other
+            # bound and take the next candidate in ratio order (a long step)
+            ratios[j] = np.inf
+            k = int(ratios.argmin())
+            if ratios[k] == np.inf:
+                break
+            T[:, -1] -= T[:, j] * (sigma[j] * span[j])
+            sigma[j] = -sigma[j]
+            gap -= t[j] * span[j]
+            j = k
+        entering_value = lower[j] if sigma[j] > 0 else upper[j]
+        x[i] -= target  # shifts the leaving variable's bound to 0 for the pivot
         _pivot(T, i, j)
-        basis[i] = j
+        x[i] += entering_value
+        leaving = basis[i]
+        sigma[leaving] = 0.0 if lb[i] == ub[i] else (1.0 if to_lower else -1.0)
+        sigma[j] = 0.0
+        basis[i], lb[i], ub[i] = j, lower[j], upper[j]
         pivots += 1
         # objective-row rhs holds -z, and the dual simplex pushes z up
         obj = -T[-1, -1]
@@ -231,36 +322,54 @@ def _run_dual_simplex(T, basis, n, max_pivots):
 class _FamilyState:
     """The last final tableau of a family of LPs, kept to warm-start the next.
 
-    Only the right-hand side changes from one LP of the family to the next,
-    so the tableau's reduced costs, and with them its dual feasibility, carry
-    over unchanged.
+    The LPs of a family share the equilibrated matrix, and with it every
+    tableau's rows B^-1 [A I] and reduced costs; b, lambda and the bounds
+    only move the basic values, so any basis the family reached stays dual
+    feasible once its nonbasic variables are placed again.
     """
 
     def __init__(self):
-        self.A_ub = self.T = self.basis = None
+        self.A = self.T = self.basis = None
 
-    def solve(self, c, A_ub, b_ub, warm: bool) -> _RawLp:
-        """min c'z s.t. A_ub z <= b_ub, z >= 0 (c >= 0) from the stored tableau
-        (warm, which must be for this A_ub) or from the slack basis."""
-        m, n = A_ub.shape
+    def solve(self, A, b, lower, upper, warm: bool) -> _RawLp:
+        """min 1'(u + v) s.t. A(u - v) + w = b, lower <= (u, v, w) <= upper,
+        from the stored tableau (warm, which must be for this A) or from the
+        slack basis. A warm start that cannot be made dual feasible, or whose
+        final reduced costs are dual infeasible by more than FEAS_TOL
+        (roundoff carried over from earlier LPs), is solved again from the
+        slack basis, where every reduced cost is exactly 1 or 0."""
+        spent = 0
         if warm:
-            T, basis = self.T, self.basis
-            T[:m, -1] = T[:m, n : n + m] @ b_ub
-            T[-1, -1] = -(np.concatenate([c, np.zeros(m)])[basis] @ T[:m, -1])
-        else:
-            T, basis = _slack_tableau(c, A_ub, b_ub)
-        status, pivots = _run_dual_simplex(T, basis, n, MAX_PIVOTS)
-        if status is LpStatus.ITERATION_LIMIT:
-            self.A_ub = self.T = self.basis = None
-            return _RawLp(np.zeros(n), status, None, pivots)
-        self.A_ub, self.T, self.basis = A_ub, T, basis
-        z = np.zeros(n + m)
-        z[basis] = T[:m, -1]
-        # no row was flipped, so the slack columns' reduced costs are -y
-        return _RawLp(z[:n], status, -T[-1, n : n + m], pivots)
+            raw, spent = self._run(self.T, self.basis, b, lower, upper, strict=True)
+            if raw is not None:
+                return raw
+        T, basis = _slack_tableau(np.ones(2 * A.shape[1]), np.hstack([A, -A]), b)
+        self.A = A
+        raw, _ = self._run(T, basis, b, lower, upper, strict=False)
+        return replace(raw, pivots=raw.pivots + spent)
 
-    def is_warm_for(self, A_ub) -> bool:
-        return self.T is not None and np.array_equal(self.A_ub, A_ub)
+    def _run(self, T, basis, b, lower, upper, strict) -> tuple[_RawLp | None, int]:
+        """Place the nonbasic variables, run the dual simplex and keep the
+        final tableau. Returns the answer and the pivots spent; the answer is
+        None when strict and the start or the optimum is not dual feasible."""
+        m, n = len(basis), T.shape[1] - 1
+        sigma = _place_nonbasics(T, basis, b, lower, upper)
+        if sigma is None:
+            return None, 0
+        status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
+        if status is LpStatus.ITERATION_LIMIT:
+            self.A = self.T = self.basis = None
+            return _RawLp(np.zeros(n), status, None, pivots), pivots
+        if strict and status is LpStatus.OPTIMAL and (sigma * T[-1, :n] < -FEAS_TOL).any():
+            return None, pivots
+        self.T, self.basis = T, basis
+        z = np.where(sigma < 0, upper, lower)
+        z[basis] = T[:m, -1]
+        # y = c_B B^-1 and the slacks cost 0, so their reduced costs are -y
+        return _RawLp(z, status, -T[-1, n - m : n], pivots), pivots
+
+    def is_warm_for(self, A) -> bool:
+        return self.T is not None and np.array_equal(self.A, A)
 
 
 @dataclass
@@ -343,56 +452,62 @@ def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
 
 @_counted
 def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None) -> LpSolution:
-    """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i for every row.
+    """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i and lo <= x <= hi.
 
-    Returns an LpSolution whose dual vector y certifies optimality in the
-    usual Dantzig-selector sense: ||A'y||_inf <= 1, the dual objective
-    b'y - sum_i lam_i |y_i| equals ||x||_1, and -y'(Ax - b) = sum_i lam_i |y_i|
-    (complementary slackness). All three are exercised by the tests.
+    Returns an LpSolution whose dual vector y (one entry per row) certifies
+    optimality when x has no bounds, in the usual Dantzig-selector sense:
+    ||A'y||_inf <= 1, the dual objective b'y - sum_i lam_i |y_i| equals
+    ||x||_1, and -y'(Ax - b) = sum_i lam_i |y_i| (complementary slackness).
+    All three are exercised by the tests.
 
-    The LP is solved by the one-phase dual simplex, from the slack basis or,
-    when the private _family holds a final tableau for the same A, from that
-    tableau. A warm answer that violates the constraints by more than
-    FEAS_TOL is solved once more from the slack basis.
+    The LP is solved by the one-phase bounded dual simplex, from the slack
+    basis or, when the private _family holds a final tableau for the same
+    (equilibrated) A, from that tableau. A warm answer that violates a row
+    or a bound by more than FEAS_TOL is solved once more from the slack
+    basis.
     """
-    A, b, lam = problem.A, problem.b, problem.lam
+    A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
     m, p = A.shape
-    if m == 0:
-        return LpSolution(np.zeros(p), LpStatus.OPTIMAL, 0.0, 0.0, np.zeros(0), 0)
+
+    def answer(x, status, dual, pivots) -> LpSolution:
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(np.zeros(p), status, np.nan, np.inf, None, pivots)
+        max_violation = max((np.abs(A @ x - b) - lam).max(initial=0.0),
+                            np.maximum(lo - x, x - hi).max(initial=0.0))
+        return LpSolution(x, status, float(np.abs(x).sum()), float(max_violation), dual, pivots)
 
     # row equilibration: rescaling (a_i, b_i, lam_i) by 1/||a_i||_inf leaves the
     # feasible set unchanged but keeps pivot tolerances meaningful
-    rownorm = np.abs(A).max(axis=1)
-    live = rownorm > ZERO_ROW_RTOL * rownorm.max()
-    if np.any(np.abs(b[~live]) - lam[~live] > FEAS_TOL):
-        return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, 0)
+    rownorm = np.abs(A).max(axis=1, initial=0.0)
+    live = rownorm > ZERO_ROW_RTOL * rownorm.max(initial=0.0)
+    if (lo > hi).any() or (not live.all() and (np.abs(b[~live]) - lam[~live] > FEAS_TOL).any()):
+        return answer(None, LpStatus.INFEASIBLE, None, 0)
+    if not live.any():
+        return answer(np.clip(0.0, lo, hi), LpStatus.OPTIMAL, np.zeros(m), 0)
+    if live.all():
+        live = slice(None)  # the rows themselves, not copies
     scale = 1.0 / rownorm[live]
     As = A[live] * scale[:, None]
     bs = b[live] * scale
     lams = lam[live] * scale
-    ml = As.shape[0]
-
-    c = np.ones(2 * p)
-    A_ub = np.block([[As, -As], [-As, As]])
-    b_ub = np.concatenate([bs + lams, lams - bs])
+    # x = u - v: u in [lo+, hi+] and v in [(-hi)+, (-lo)+], then the slacks
+    lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams])
+    upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams])
 
     def solution(raw: _RawLp) -> LpSolution:
         if raw.status is not LpStatus.OPTIMAL:
-            return LpSolution(np.zeros(p), raw.status, np.nan, np.inf, None, raw.pivots)
-        x = raw.z[:p] - raw.z[p:]
+            return answer(None, raw.status, None, raw.pivots)
         dual = np.zeros(m)
-        dual[live] = (raw.dual[:ml] - raw.dual[ml:]) * scale
-        max_violation = float((np.abs(A @ x - b) - lam).max())
-        objective = float(np.abs(x).sum())
-        return LpSolution(x, LpStatus.OPTIMAL, objective, max_violation, dual, raw.pivots)
+        dual[live] = raw.dual * scale
+        return answer(raw.z[:p] - raw.z[p : 2 * p], raw.status, dual, raw.pivots)
 
     if _family is None:
         _family = _FamilyState()
-    warm = _family.is_warm_for(A_ub)
-    sol = solution(_family.solve(c, A_ub, b_ub, warm))
+    warm = _family.is_warm_for(As)
+    sol = solution(_family.solve(As, bs, lower, upper, warm=warm))
     if warm and sol.status is LpStatus.OPTIMAL and sol.max_violation > FEAS_TOL:
         # roundoff carried over from earlier LPs: solve this one from scratch
-        cold = solution(_family.solve(c, A_ub, b_ub, warm=False))
+        cold = solution(_family.solve(As, bs, lower, upper, warm=False))
         sol = replace(cold, pivots=sol.pivots + cold.pivots)
     return sol
 

@@ -213,14 +213,20 @@ def jacobian_theta(
 
 
 def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """jacobian_theta at the inverted delta (n, J) and group indices nu."""
+    """jacobian_theta at the inverted delta (n, J) and group indices nu.
+
+    Sums over markets run as one matmul per product, (K, n) @ (n, L), and
+    the node-weighted node shares as one (J n, M) @ (M, L) gemm on the
+    product-major (J, n, M) array that _node_shares builds.
+    """
     config = dataset.config
     X, H = dataset.X, dataset.H
     n, J, L = X.shape
     K = config.K
+    H_pm, X_pm = H.transpose(1, 2, 0), X.transpose(1, 0, 2)  # (J, K, n), (J, n, L)
 
     # beta block: -(1/n) sum_i h_ijk x_ijl, constant in theta
-    beta_block = -np.einsum("ijk,ijl->jkl", H, X) / n
+    beta_block = -np.matmul(H_pm, X_pm) / n
 
     # gamma block via the implicit function theorem
     ns = _node_shares(delta, nu, rule.nodes)  # (n, M, J)
@@ -228,11 +234,12 @@ def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray, rule: Quadrat
     # ds/dgamma_l: T[i, j, l]
     gidx = np.asarray(config.partition) - 1  # group column for each attribute
     wnode = rule.weights[:, None] * rule.nodes[:, gidx]  # (M, L)
+    product_major = ns.transpose(2, 0, 1).reshape(J * n, -1)  # (J n, M)
+    weighted = (product_major @ wnode).reshape(J, n, L).transpose(1, 0, 2)  # (n, J, L)
     cross = np.matmul(ns, X)  # (n, M, L): sum_j' s_j' x_j'l per node
-    ns_t = ns.transpose(0, 2, 1)  # (n, J, M)
-    T = X * np.matmul(ns_t, wnode) - np.matmul(ns_t, wnode * cross)
+    T = X * weighted - np.matmul(ns.transpose(0, 2, 1), wnode * cross)
     ddelta_dgamma = -np.linalg.solve(D, T)  # (n, J, L)
-    gamma_block = np.einsum("ijk,ijl->jkl", H, ddelta_dgamma) / n
+    gamma_block = np.matmul(H_pm, ddelta_dgamma.transpose(1, 0, 2)) / n
 
     out = np.empty((J * K, 2 * L))
     out[:, :L] = beta_block.reshape(J * K, L)

@@ -40,16 +40,16 @@ fixed delta.
 
 Every linearized step is one LP from _step_lp: the trust-region step, the
 second-order correction (SOC) and the elastic restoration's second pass
-differ only in target, tolerance and box center. The step LPs of one outer
-iteration share G_f, so they share one matrix: the iteration keeps one
-dual simplex tableau, and each of its step LPs, shrink re-solves included,
-starts from the previous one's (from the slack basis when the box rows
-come or go). The trust region, the
-convergence test and the box on theta are module constants. Each safeguard
-changed the estimates when switched off, on a grid of 240 fits (the
-pipebench designs and an n = 200 study design, DGP seeds 0-9, lambda in
-{0.6, 1.2, 2.4}/sqrt(n), one- and three-scale pilot ladders): elastic
-restoration keeps 9 fits converged, the noiseless-recovery test among them;
+differ only in target, tolerance and box center. Its rows are the moment
+rows alone; the trust region and the box on theta are bounds on the step.
+The step LPs of one outer iteration share G_f, so they share one matrix:
+the iteration keeps one dual simplex tableau, and each of its step LPs,
+shrink re-solves included, starts from the previous one's. The trust
+region, the convergence test and the box on theta are module constants.
+Each safeguard changed the estimates when switched off, on a grid of 240
+fits (the pipebench designs and an n = 200 study design, DGP seeds 0-9,
+lambda in {0.6, 1.2, 2.4}/sqrt(n), one- and three-scale pilot ladders):
+elastic restoration keeps 9 fits converged, the noiseless-recovery test among them;
 restarts down the pilot ladder keep 1 converged and give a smaller
 ||theta_hat||_1 on 15; the gamma phase keeps 1 converged and, at
 lambda = 0.6/sqrt(n), cuts the mean error of the 6 estimates it moves from
@@ -149,7 +149,7 @@ class EstimationResult:
     contraction_iters: int = 0
     newton_iters: int = 0
     lp_solves: int = 0  # LPs run (pilot, step, SOC, elastic), and their
-    lp_pivots: int = 0  # simplex pivots
+    lp_pivots: int = 0  # basis changes (not bound flips)
 
 
 def select_lambda(
@@ -241,27 +241,19 @@ def _pilot_probes(
 def _step_lp(G_f, target, tol, center, radius, box_center, family=None) -> LpSolution:
     """Linearized step LP over p free coordinates: min ||v||_1 s.t.
 
-    |G_f v - target| <= tol, |v - center| <= radius, and, when the trust
-    region is not already inside the box, |v - box_center| <= THETA_BOX.
-    The rows are the moment rows, then the trust rows, then the box rows.
-    center and box_center may be scalars; a step d from a point theta has
-    box_center = -theta, so that the box bounds theta + d. family is the
-    outer iteration's warm-start state, shared by its step LPs.
+    |G_f v - target| <= tol, |v - center| <= radius and
+    |v - box_center| <= THETA_BOX. The moment rows are the LP's only rows;
+    the trust region and the box meet in the bounds
+    max(center - radius, box_center - THETA_BOX) <= v
+    <= min(center + radius, box_center + THETA_BOX). center and box_center
+    may be scalars; a step d from a point theta has box_center = -theta, so
+    that the box bounds theta + d. family is the outer iteration's
+    warm-start state, shared by its step LPs: they differ only in target,
+    tolerance and bounds, so a shrink of the radius only moves bounds.
     """
-    p = G_f.shape[1]
-    center = np.broadcast_to(np.asarray(center, dtype=float), (p,))
-    box_center = np.broadcast_to(np.asarray(box_center, dtype=float), (p,))
-    rows = [G_f, np.eye(p)]
-    rhs = [target, center]
-    tols = [np.full(target.size, tol), np.full(p, radius)]
-    if np.abs(center - box_center).max() + radius > THETA_BOX:
-        rows.append(np.eye(p))
-        rhs.append(box_center)
-        tols.append(np.full(p, THETA_BOX))
-    return solve_l1_linf(
-        L1LinfProblem(A=np.vstack(rows), b=np.concatenate(rhs), lam=np.concatenate(tols)),
-        _family=family,
-    )
+    lo = np.maximum(center - radius, box_center - THETA_BOX)
+    hi = np.minimum(center + radius, box_center + THETA_BOX)
+    return solve_l1_linf(L1LinfProblem(A=G_f, b=target, lam=tol, lo=lo, hi=hi), _family=family)
 
 
 def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
@@ -269,11 +261,13 @@ def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
 
     First minimizes the violation: t* = min t s.t. |f_t + G_f d| <= lam + t,
     |d| <= radius, d supported on the free coordinates, by solve_nonneg_lp
-    (t enters every moment row with -1; d = 0 stays feasible on the box
-    rows, whose right-hand sides are floored at 0 in case roundoff left the
-    iterate just outside the box). Then, among steps
-    nearly as good (violation within 5% of t*), takes the one of least l1
-    movement. The second pass keeps the restoration parsimonious: a pure
+    on its slack tableau, where the trust region and the box are rows (t
+    enters every moment row with -1; d = 0 stays feasible on the box rows,
+    whose right-hand sides are floored at 0 in case roundoff left the
+    iterate just outside the box). Then, among steps nearly as good
+    (violation within 5% of t*), takes the one of least l1 movement, by
+    _step_lp on the iteration's family, where they are bounds on d. The
+    second pass keeps the restoration parsimonious: a pure
     min-violation LP is free to activate every coordinate that helps even
     marginally, and one such step can strand the iterate in a dense tangle
     of wrong-signed coordinates that l1 descent cannot unwind afterwards.

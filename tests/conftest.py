@@ -47,15 +47,30 @@ def inversion_log(monkeypatch):
     return log
 
 
-def highs_l1_linf(A, b, lam) -> tuple[str, float]:
+def highs_l1_linf(A, b, lam, lo=None, hi=None) -> tuple[str, float]:
     """Status ("optimal" or "infeasible") and optimal value of
-    min ||x||_1 s.t. |Ax - b| <= lam, by scipy's HiGHS on x = u - v."""
+    min ||x||_1 s.t. |Ax - b| <= lam, lo <= x <= hi, by scipy's HiGHS.
+
+    Without bounds the LP is posed on x = u - v with u, v >= 0. With them it
+    is posed on (x, t), x in [lo, hi] and t >= |x|, apart from how the
+    solver under test splits x."""
     from scipy.optimize import linprog
 
     lam = np.broadcast_to(np.asarray(lam, dtype=float), b.shape)
-    A_ub = np.block([[A, -A], [-A, A]])
-    b_ub = np.concatenate([b + lam, lam - b])
-    res = linprog(np.ones(2 * A.shape[1]), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    p = A.shape[1]
+    if lo is None and hi is None:
+        A_ub = np.block([[A, -A], [-A, A]])
+        b_ub = np.concatenate([b + lam, lam - b])
+        res = linprog(np.ones(2 * p), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    else:
+        lo = np.broadcast_to(-np.inf if lo is None else np.asarray(lo, dtype=float), (p,))
+        hi = np.broadcast_to(np.inf if hi is None else np.asarray(hi, dtype=float), (p,))
+        eye, zero = np.eye(p), np.zeros_like(A)
+        A_ub = np.block([[eye, -eye], [-eye, -eye], [A, zero], [-A, zero]])
+        b_ub = np.concatenate([np.zeros(2 * p), b + lam, lam - b])
+        bounds = [(None if l == -np.inf else l, None if h == np.inf else h) for l, h in zip(lo, hi)]
+        res = linprog(np.r_[np.zeros(p), np.ones(p)], A_ub=A_ub, b_ub=b_ub,
+                      bounds=bounds + [(0, None)] * p, method="highs")
     if res.status == 2:
         return "infeasible", np.nan
     assert res.status == 0, res.message

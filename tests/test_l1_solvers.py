@@ -345,17 +345,40 @@ class TestWarmStartedFamily:
         sols = solve_row_family(A, B, np.full(3, 0.01))
         assert [s.status for s in sols] == [LpStatus.ITERATION_LIMIT] * 3
 
-    def test_warm_row_violating_its_constraint_is_resolved_cold(self, rng):
+    def test_warm_row_violating_its_constraint_is_resolved_cold(self, rng, monkeypatch):
         A = rng.standard_normal((5, 5))
         B = rng.standard_normal((2, 5))
         family = l1_solvers._FamilyState()
         solve_l1_linf(L1LinfProblem(A.T, B[0], 0.05), _family=family)
-        m = len(family.basis)
-        family.T[:m, -m - 1 : -1] *= 3.0  # a stale B^-1: the warm answer is wrong
+        m, n = len(family.basis), family.T.shape[1] - 1
+        assert n == 2 * 5 + m  # columns u, v, then the slacks, whose block holds B^-1
+        family.T[:m, n - m : n] *= 3.0  # a stale B^-1: the warm answer is wrong
+        starts = []
+        real = l1_solvers._FamilyState.solve
+        monkeypatch.setattr(l1_solvers._FamilyState, "solve",
+                            lambda self, *a, warm: starts.append(warm) or real(self, *a, warm=warm))
         sol = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family)
+        assert starts == [True, False]
         cold = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05))
         assert sol.max_violation <= l1_solvers.FEAS_TOL
         assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+
+    def test_warm_answer_left_dual_infeasible_is_resolved_cold(self):
+        # a stored row with its u and v entries negated misleads the warm
+        # ratio test, and the final reduced costs come out dual infeasible
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((5, 5))
+        B = rng.standard_normal((2, 5))
+        family = l1_solvers._FamilyState()
+        solve_l1_linf(L1LinfProblem(A.T, B[0], 0.05), _family=family)
+        family.T[1, : 2 * 5] *= -1.0
+        sol, ran = line_runs(l1_solvers._FamilyState._run, "return None, pivots",
+                             lambda: solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family))
+        assert ran
+        cold = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05))
+        assert sol.status is LpStatus.OPTIMAL and sol.max_violation <= l1_solvers.FEAS_TOL
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert sol.pivots > cold.pivots  # the warm attempt's pivots count too
 
     def test_one_solve_l1_linf_call_per_row(self, rng, monkeypatch):
         calls = []
@@ -419,6 +442,75 @@ class TestOneLpPath:
         assert sol.x.tobytes() == fresh.x.tobytes()
 
 
+def random_bounds(rng, p, scale):
+    """Per-coordinate bounds (lo, hi) on x, each coordinate one of: a box
+    straddling 0, a box above 0, a box below 0, a pinch of radius 1e-6, a
+    one-sided bound, or none; the boxes run up to `scale` wide."""
+    lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
+    for k, kind in enumerate(rng.integers(0, 6, size=p)):
+        a, b = np.sort(rng.uniform(0.05, 1.0, size=2)) * scale
+        if kind == 0:
+            lo[k], hi[k] = -a, b
+        elif kind == 1:
+            lo[k], hi[k] = a, b
+        elif kind == 2:
+            lo[k], hi[k] = -b, -a
+        elif kind == 3:
+            center = rng.uniform(-1.0, 1.0) * scale
+            lo[k], hi[k] = center - 1e-6, center + 1e-6
+        elif kind == 4:
+            lo[k] = rng.uniform(-1.0, 1.0) * scale
+    return lo, hi
+
+
+class TestBoundedProblems:
+    """Bounds on x are variable bounds of the dual simplex, not rows; every
+    answer must be the one HiGHS gives with the bounds posed its own way."""
+
+    @staticmethod
+    def _check_against_highs(prob, sol, tol_abs):
+        status, value = highs_l1_linf(prob.A, prob.b, prob.lam, prob.lo, prob.hi)
+        assert sol.status.value == status
+        if sol.status is LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(value, rel=1e-9, abs=tol_abs)
+            assert sol.max_violation <= l1_solvers.FEAS_TOL
+            assert np.all(prob.lo <= sol.x) and np.all(sol.x <= prob.hi)
+        return sol.status
+
+    def test_cold_and_warm_solves_agree_with_highs(self, rng):
+        statuses = set()
+        for _ in range(80):
+            A, B, lam = random_family(rng)
+            lam[rng.random(lam.size) < 0.3] = 0.0  # lambda = 0 rows: equality constraints
+            scale = np.abs(B).max() / np.abs(A).max()
+            family = l1_solvers._FamilyState()
+            for r in range(B.shape[0]):
+                lo, hi = random_bounds(rng, A.shape[0], scale)
+                prob = L1LinfProblem(A.T, B[r], lam[r], lo, hi)
+                tol_abs = 1e-12 * np.abs(B).max()
+                cold = solve_l1_linf(prob)
+                warm = solve_l1_linf(prob, _family=family)
+                statuses.add(self._check_against_highs(prob, cold, tol_abs))
+                self._check_against_highs(prob, warm, tol_abs)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_bounds_alone(self):
+        # no live row: x is 0 clipped into [lo, hi]
+        prob = L1LinfProblem(np.zeros((2, 3)), np.array([0.1, -0.1]), 0.5,
+                             lo=[-1.0, 0.5, -3.0], hi=[1.0, 2.0, -2.0])
+        sol = solve_l1_linf(prob)
+        assert sol.status is LpStatus.OPTIMAL and sol.pivots == 0
+        np.testing.assert_array_equal(sol.x, [0.0, 0.5, -2.0])
+        crossed = L1LinfProblem(np.eye(2), np.zeros(2), 1.0, lo=[0.0, 1.0], hi=[1.0, 0.5])
+        assert solve_l1_linf(crossed).status is LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("bad", [{"lo": np.inf}, {"hi": -np.inf}, {"lo": np.nan},
+                                     {"hi": [1.0, 2.0, 3.0]}])
+    def test_bad_bounds_raise(self, bad):
+        with pytest.raises(ValueError):
+            L1LinfProblem(np.eye(2), np.zeros(2), 1.0, **bad)
+
+
 class TestCountLps:
     def test_counts_both_solvers_in_nested_blocks(self, rng):
         prob = L1LinfProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.2)
@@ -432,12 +524,12 @@ class TestCountLps:
         assert (outer.solves, outer.pivots) == (2, first.pivots + raw.pivots)
 
 
-def bland_rule_runs(solver_fn, call):
-    """Run call() and report whether solver_fn took its Bland-rule branch
-    (the line after its degenerate-streak test), traced line by line."""
+def line_runs(solver_fn, marker, call, offset=0):
+    """Run call() and report whether solver_fn ran the line `offset` lines
+    after the one that contains marker, traced line by line."""
     src, first = inspect.getsourcelines(solver_fn)
-    (k,) = [i for i, line in enumerate(src) if "if stall >= _DEGENERATE_STREAK:" in line]
-    target = (solver_fn.__code__, first + k + 1)
+    (k,) = [i for i, line in enumerate(src) if marker in line]
+    target = (solver_fn.__code__, first + k + offset)
     hit = []
 
     def local(frame, event, arg):
@@ -454,33 +546,47 @@ def bland_rule_runs(solver_fn, call):
     return out, bool(hit)
 
 
-# a degenerate row family (lambda = 0, entries in {-1, 0, 1}) whose fourth
-# row stalls the dual simplex long enough for its Bland rule, and whose
-# second row leaves a basic value of -1.8e-15 in a row with no negative entry
-BLAND_A = np.array([[0, 1, -1, 1, 1, 0, 1], [0, 0, -1, 0, 1, 1, -1], [0, 0, 0, -1, 1, -1, 1],
-                    [-1, 1, 1, 1, 0, 1, 1], [0, 1, 0, -1, 1, 1, 1], [1, 1, -1, -1, 1, -1, 0],
-                    [1, 1, 0, 0, -1, 0, 1]], dtype=float)
-BLAND_B = np.array([[-1, 1, 0, 0, -1, 1, 0], [0, 0, 1, 1, 1, -1, 0], [1, 0, 1, 0, 0, 0, 0],
-                    [-1, -1, 0, 0, 1, 0, -1], [-1, -1, 1, 1, 1, -1, -1], [0, 1, 0, 1, -1, -1, 1],
-                    [0, -1, -1, 0, -1, 0, -1]], dtype=float)
+def bland_rule_runs(solver_fn, call):
+    """Run call() and report whether solver_fn took its Bland-rule branch
+    (the line after its degenerate-streak test)."""
+    return line_runs(solver_fn, "if stall >= _DEGENERATE_STREAK:", call, offset=1)
+
+
+# a degenerate row family (lambda = 0.5, entries in {-1, 0, 1}) on which the
+# dual simplex stalls long enough for its Bland rule
+STALL_A = np.array([[-1, -1, 0, 0, -1, -1], [1, 1, -1, 1, 1, 1], [1, -1, 0, -1, 1, 0],
+                    [-1, 0, 1, 0, 1, 0], [-1, 1, 0, 1, 1, -1], [1, 0, 1, -1, 1, 0],
+                    [-1, 1, 1, -1, -1, 1], [-1, -1, 0, 1, 0, 1], [-1, -1, 1, 1, -1, 0]],
+                   dtype=float)
+STALL_B = np.array([[-1, 0, -1, -1, -1, 1], [-1, 1, 0, 1, 1, -1], [1, 1, -1, -1, 1, -1]],
+                   dtype=float)
+# a degenerate LP (lambda = 0) whose dual simplex meets a row out of bounds
+# by 5.6e-17 with no candidate to repair it
+ROUNDOFF_A = np.array([[0, 0, 1, 0, 1, 0], [0, 1, 0, 1, -1, -1], [0, -1, 1, 0, 0, 1],
+                       [0, -1, -1, 0, -1, -1]], dtype=float)
+ROUNDOFF_B = np.array([0, -1, -1, -1, 1, -1], dtype=float)
 
 
 class TestDegenerateLps:
     def test_dual_bland_rule_on_a_degenerate_family(self):
         sols, ran = bland_rule_runs(l1_solvers._run_dual_simplex,
-                                    lambda: solve_row_family(BLAND_A, BLAND_B, 0.0))
+                                    lambda: solve_row_family(STALL_A, STALL_B, 0.5))
         assert ran
         for r, sol in enumerate(sols):
-            status, value = highs_l1_linf(BLAND_A.T, BLAND_B[r], 0.0)
+            status, value = highs_l1_linf(STALL_A.T, STALL_B[r], 0.5)
             assert sol.status.value == status, r
             assert sol.objective == pytest.approx(value, rel=1e-9)
             assert sol.max_violation <= l1_solvers.FEAS_TOL
 
     def test_roundoff_below_zero_is_no_infeasibility_proof(self):
-        # A is invertible, so every row is reachable at lambda = 0
-        sol = solve_l1_linf(L1LinfProblem(BLAND_A.T, BLAND_B[1], 0.0))
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective == pytest.approx(np.abs(np.linalg.solve(BLAND_A.T, BLAND_B[1])).sum())
+        prob = L1LinfProblem(ROUNDOFF_A.T, ROUNDOFF_B, 0.0)
+        sol, ran = line_runs(l1_solvers._run_dual_simplex, "off its bound by roundoff only",
+                             lambda: solve_l1_linf(prob))
+        assert ran
+        status, value = highs_l1_linf(prob.A, prob.b, 0.0)
+        assert sol.status is LpStatus.OPTIMAL and status == "optimal"
+        assert sol.objective == pytest.approx(value, rel=1e-9)
+        assert sol.max_violation <= l1_solvers.FEAS_TOL
 
     def test_primal_bland_rule_on_a_row_floor_lp(self):
         # the LP minimax_row_floor builds, without its scaling

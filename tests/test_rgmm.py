@@ -234,6 +234,20 @@ class TestStepLp:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(150.0, abs=1e-9)
 
+    @pytest.mark.parametrize("box_center", [0.0, -99.5], ids=["box slack", "box binds"])
+    def test_one_tableau_row_per_moment_row(self, rng, box_center):
+        # the trust region and the box are bounds on v: the step LP's tableau
+        # has one row per moment row over the objective row, and its
+        # columns are v+, v-, one slack per moment row and the rhs
+        G_f = rng.standard_normal((7, 4))
+        family = _FamilyState()
+        sol = _step_lp(G_f, 0.1 * rng.standard_normal(7), 0.05, 0.0, 1.0, box_center, family)
+        assert sol.status is LpStatus.OPTIMAL
+        assert family.T.shape == (7 + 1, 2 * 4 + 7 + 1)
+        lo = max(-1.0, box_center - rgmm.THETA_BOX)
+        hi = min(1.0, box_center + rgmm.THETA_BOX)
+        assert np.all(lo <= sol.x) and np.all(sol.x <= hi)
+
 
 class TestElasticStep:
     def test_an_iterate_just_outside_the_box_is_restored(self):
@@ -293,7 +307,7 @@ class TestWarmStepLps:
         statuses, warm_pivots, fresh_pivots = set(), 0, 0
         for _, problem, _, sol in calls:
             fresh = solve_l1_linf(problem)
-            status, value = highs_l1_linf(problem.A, problem.b, problem.lam)
+            status, value = highs_l1_linf(problem.A, problem.b, problem.lam, problem.lo, problem.hi)
             assert sol.status is fresh.status
             assert sol.status.value == status
             statuses.add(sol.status)
@@ -316,9 +330,11 @@ class TestWarmStepLps:
         assert warm_pivots < fresh_pivots
 
     def test_box_rows_toggling_inside_one_family(self, monkeypatch):
-        # centers near 60 put the box rows in at large radii and take them
-        # out at small ones, so one family sees two matrices
+        # centers near 60 make the box bind at large radii and not at small
+        # ones; the box is a bound on v, not a row, so one family keeps one
+        # tableau shape, one row per moment row, through both
         calls = _record_lps(monkeypatch)
+        shapes, binds = set(), []
         for seed in range(4):
             rng = np.random.default_rng(100 + seed)
             G_f = rng.standard_normal((8, 5))
@@ -327,11 +343,22 @@ class TestWarmStepLps:
             family = _FamilyState()
             for radius in (400.0, 200.0, 100.0, 50.0, 25.0, 12.5, 300.0, 6.0, 3.0):
                 _step_lp(G_f, G_f @ vec - f_t, 0.2, vec, radius, 0.0, family)
+                shapes.add(family.T.shape)
+                binds.append(np.abs(vec).max() + radius > rgmm.THETA_BOX)
                 cand = vec + radius * rng.uniform(-0.5, 0.5, 5)
                 _step_lp(G_f, -(f_t + G_f @ (cand - vec)), 0.2, 0.0, radius, -cand, family)
-        assert {problem.A.shape[0] for _, problem, _, _ in calls} == {8 + 5, 8 + 10}
+                shapes.add(family.T.shape)
+                binds.append(np.abs(cand).max() + radius > rgmm.THETA_BOX)
+        assert {problem.A.shape[0] for _, problem, _, _ in calls} == {8}
+        assert shapes == {(8 + 1, 2 * 5 + 8 + 1)}
+        assert 0 < sum(binds) < len(binds)
         statuses, _, _ = self._check(calls)
         assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        # while the box binds, the warm starts save pivots over fresh solves
+        bound = [(problem, sol) for (_, problem, _, sol), b in zip(calls, binds) if b]
+        warm_pivots = sum(sol.pivots for _, sol in bound)
+        fresh_pivots = sum(solve_l1_linf(problem).pivots for problem, _ in bound)
+        assert warm_pivots < fresh_pivots
 
     def test_one_call_per_step_lp_and_one_tableau_per_iteration(self, gh1, monkeypatch):
         steps = []

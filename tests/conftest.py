@@ -69,8 +69,12 @@ def highs_l1_linf(A, b, lam, lo=None, hi=None) -> tuple[str, float]:
         A_ub = np.block([[eye, -eye], [-eye, -eye], [A, zero], [-A, zero]])
         b_ub = np.concatenate([np.zeros(2 * p), b + lam, lam - b])
         bounds = [(None if l == -np.inf else l, None if h == np.inf else h) for l, h in zip(lo, hi)]
+        # t >= |x| holds only to HiGHS's feasibility tolerance, which is not
+        # small against bounds 1e-6 wide: tighten it to keep the reference exact
         res = linprog(np.r_[np.zeros(p), np.ones(p)], A_ub=A_ub, b_ub=b_ub,
-                      bounds=bounds + [(0, None)] * p, method="highs")
+                      bounds=bounds + [(0, None)] * p, method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
     if res.status == 2:
         return "infeasible", np.nan
     assert res.status == 0, res.message

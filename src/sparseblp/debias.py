@@ -40,7 +40,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .l1_solvers import LpStatus, count_lps, solve_nonneg_lp, solve_row_family
+from .l1_solvers import L1LinfProblem, LpStatus, count_lps, solve_nonneg_lp, solve_row_family
 from .model_core import Dataset, ModelConfig, Theta
 from .moments import Evaluator, jacobian_theta, omega, score
 from .quadrature import QuadratureRule
@@ -182,27 +182,19 @@ def estimate_gamma(
 
 
 def minimax_row_floor(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest achievable ||x a - b||_inf over x, as an LP in (x+, x-, t).
+    """Smallest achievable ||x a - b||_inf over x, by solve_nonneg_lp.
 
     Data are max-abs equilibrated before the solve (the floor scales back
-    exactly). t enters every row with -1, so solve_nonneg_lp starts from one
-    pivot of t and the LP is always feasible: any non-optimal status is a
+    exactly). The LP is always feasible, so any non-optimal status is a
     numerical failure worth raising over.
     """
-    p, q = a.shape
     scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
-    at = a.T / scale
-    bs = np.asarray(b, dtype=float) / scale
-    a_ub = np.block([[at, -at, -np.ones((q, 1))], [-at, at, -np.ones((q, 1))]])
-    b_ub = np.concatenate([bs, -bs])
-    c = np.zeros(2 * p + 1)
-    c[-1] = 1.0
-    raw = solve_nonneg_lp(c, a_ub, b_ub)
-    if raw.status is not LpStatus.OPTIMAL:
-        raise DebiasError(f"row-floor LP unexpectedly {raw.status.value}")
-    return scale * float(raw.z[-1])
+    sol = solve_nonneg_lp(L1LinfProblem(a.T / scale, np.asarray(b, dtype=float) / scale, 0.0))
+    if sol.status is not LpStatus.OPTIMAL:
+        raise DebiasError(f"row-floor LP unexpectedly {sol.status.value}")
+    return scale * sol.objective
 
 
 def estimate_mu(

@@ -23,13 +23,13 @@ holds B^-1. solve_row_family does this for the de-biasing rows, and the
 outer estimator for the step LPs of one linearization. Results are
 deterministic but depend on the order of the LPs.
 
-solve_nonneg_lp runs the primal simplex on the min-violation LPs
-min c'z s.t. A_ub z <= b_ub, z >= 0 (elastic restoration and the de-biasing
-row floors), on a tableau with one slack per inequality: their cost is >= 0
-and their last variable t, the violation, enters every row whose
-right-hand side is negative, so pivoting t into the row that needs the most
-of it makes the slack basis primal feasible. count_lps counts the calls of
-both solvers and their pivots.
+solve_nonneg_lp minimizes the violation instead: min t s.t.
+|a_i'x - b_i| <= lambda_i + t, lo <= x <= hi, t >= 0 (the elastic
+restoration of the outer estimator and the de-biasing row floors). Each
+constraint gives two rows with a slack in [0, inf), and the costs (0, 0, 1)
+on (u, v, t) are nonnegative, so its slack basis is dual feasible too and
+the same bounded dual simplex solves it: there is one simplex loop. count_lps
+counts the calls of both solvers and their pivots.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -122,66 +122,17 @@ def _pivot(T: np.ndarray, i: int, j: int) -> None:
 _DEGENERATE_STREAK = 12
 
 
-def _run_simplex(T, basis, max_pivots):
-    """Iterate pivots on the canonical tableau until optimal.
-
-    Entering column: most negative reduced cost (Dantzig), ties to the lowest
-    index. Leaving row: minimum ratio, ties to the lowest basic-variable
-    index. After a streak of degenerate pivots with no objective progress the
-    loop falls back to Bland's rule (lowest-index entering column), whose
-    termination guarantee breaks any cycle; Dantzig selection resumes once the
-    objective moves again. Every choice is deterministic, so identical inputs
-    give identical pivot sequences.
-    """
-    m = len(basis)
-    pivots = 0
-    stall = 0
-    last_obj = T[-1, -1]
-    while pivots < max_pivots:
-        r = T[-1, :-1]
-        eligible = r < -FEAS_TOL
-        if not eligible.any():
-            return LpStatus.OPTIMAL, pivots
-        if stall >= _DEGENERATE_STREAK:
-            j = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
-        else:
-            j = int(r.argmin())
-        col = T[:m, j]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            raise ArithmeticError("unbounded LP; not expected for this problem class")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
-        i = int(ties[np.argmin(basis[ties])])
-        _pivot(T, i, j)
-        basis[i] = j
-        pivots += 1
-        # objective-row rhs holds -z, so minimization progress pushes it up
-        neg_obj = T[-1, -1]
-        if neg_obj > last_obj + 1e-12 * (1.0 + abs(last_obj)):
-            stall = 0
-            last_obj = neg_obj
-        else:
-            stall += 1
-    return LpStatus.ITERATION_LIMIT, pivots
-
-
-def _slack_tableau(c, A_ub, b_ub):
-    """The tableau of min c'z s.t. A_ub z <= b_ub (or = b_ub, with bounded
-    slacks) in the slack basis: rows [A_ub I b_ub] over the objective row
-    [c 0 0], whose last entry holds -z. Returns it with the basis, the
-    slack columns n..n+m-1."""
-    m, n = A_ub.shape
+def _slack_tableau(m, n):
+    """A zero tableau of m rows over n structural variables, their m slacks
+    and the right-hand side, with the slack block set to I: the slack basis,
+    whose matrix and costs the caller writes in. Returns it with the basis,
+    the slack columns n..n+m-1."""
     if (m + 1) * (n + m + 1) > MAX_DENSE_ENTRIES:
         raise LpSizeError(f"dense tableau would need {(m + 1) * (n + m + 1)} entries")
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A_ub
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b_ub
-    T[-1, :n] = c
-    return T, np.arange(n, n + m)
+    basis = np.arange(n, n + m)
+    T[np.arange(m), basis] = 1.0
+    return T, basis
 
 
 @dataclass(frozen=True)
@@ -192,17 +143,18 @@ class _RawLp:
     pivots: int
 
 
-def _place_nonbasics(T, basis, b, lower, upper):
+def _place_nonbasics(T, basis, b, cost, lower, upper):
     """Put every nonbasic variable at the bound its reduced cost prefers and
     write the basic values and -z into the tableau's last column.
 
-    T holds the rows B^-1 [A I] over the reduced costs d, for the
-    variables (u, v, w) of solve_l1_linf with costs (1, 1, 0). A variable
-    with d < 0 goes to its upper bound, any other to its lower one, so the
-    basis is dual feasible whatever the bounds, unless d < -FEAS_TOL on a
-    variable without an upper bound: then None is returned and T is left as
-    it was. Otherwise returns sigma: +1 for a nonbasic variable at its lower
-    bound, -1 at its upper one, 0 for a basic or fixed variable.
+    T holds the rows B^-1 [A I] over the reduced costs d; cost is the
+    structural variables' cost (a scalar or one per variable), and the
+    slacks cost 0. A variable with d < 0 goes to its upper bound, any other
+    to its lower one, so the basis is dual feasible whatever the bounds,
+    unless d < -FEAS_TOL on a variable without an upper bound: then None is
+    returned and T is left as it was. Otherwise returns sigma: +1 for a
+    nonbasic variable at its lower bound, -1 at its upper one, 0 for a basic
+    or fixed variable.
     """
     m = len(basis)
     n = T.shape[1] - 1
@@ -216,7 +168,7 @@ def _place_nonbasics(T, basis, b, lower, upper):
     x[basis] = 0.0
     T[:m, -1] = T[:m, n - m : n] @ b - T[:m, :n] @ x
     x[basis] = T[:m, -1]
-    T[-1, -1] = -x[: n - m].sum()
+    T[-1, -1] = -(cost * x[: n - m]).sum()
     sigma = np.where(up, -1.0, 1.0)
     sigma[lower == upper] = 0.0
     sigma[basis] = 0.0
@@ -343,7 +295,11 @@ class _FamilyState:
             raw, spent = self._run(self.T, self.basis, b, lower, upper, strict=True)
             if raw is not None:
                 return raw
-        T, basis = _slack_tableau(np.ones(2 * A.shape[1]), np.hstack([A, -A]), b)
+        m, p = A.shape
+        T, basis = _slack_tableau(m, 2 * p)
+        T[:m, :p] = A
+        np.negative(A, out=T[:m, p : 2 * p])
+        T[-1, : 2 * p] = 1.0
         self.A = A
         raw, _ = self._run(T, basis, b, lower, upper, strict=False)
         return replace(raw, pivots=raw.pivots + spent)
@@ -353,7 +309,7 @@ class _FamilyState:
         final tableau. Returns the answer and the pivots spent; the answer is
         None when strict and the start or the optimum is not dual feasible."""
         m, n = len(basis), T.shape[1] - 1
-        sigma = _place_nonbasics(T, basis, b, lower, upper)
+        sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
         if sigma is None:
             return None, 0
         status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
@@ -385,7 +341,8 @@ _tallies: ContextVar[tuple[LpTally, ...]] = ContextVar("lp_tallies", default=())
 
 @contextmanager
 def count_lps():
-    """Count every solve_l1_linf and solve_nonneg_lp call made in the block.
+    """Count the LPs solved in the block, every solve_l1_linf and
+    solve_nonneg_lp call, and their dual simplex pivots.
 
     Yields an LpTally. Blocks nest: an enclosing block counts the calls of
     the blocks inside it too.
@@ -410,44 +367,54 @@ def _counted(solver):
     return counted
 
 
+def _max_violation(problem: L1LinfProblem, x, t=0.0) -> float:
+    """Largest excess of x over a row's lam_i + t or over a bound, 0 if none."""
+    rows = np.abs(problem.A @ x - problem.b) - problem.lam - t
+    bounds = np.maximum(problem.lo - x, x - problem.hi)
+    return float(max(rows.max(initial=0.0), bounds.max(initial=0.0)))
+
+
 @_counted
-def solve_nonneg_lp(c, A_ub, b_ub) -> _RawLp:
-    """min c'z s.t. A_ub z <= b_ub, z >= 0, for a min-violation LP.
+def solve_nonneg_lp(problem: L1LinfProblem) -> LpSolution:
+    """Minimize the violation: min t s.t. |a_i'x - b_i| <= lam_i + t for
+    every row, lo <= x <= hi and t >= 0.
 
-    The contract: c >= 0, and the last variable t is a violation whose
-    column is <= 0 everywhere and < 0 on every row with b_i < 0; input
-    outside it raises ValueError. Such an LP is always feasible and bounded.
-    From the slack basis, one pivot of t into the row that needs the largest
-    t, argmax over b_i < 0 of b_i / A_ub[i, -1], makes every right-hand side
-    nonnegative: row k's becomes b_k - A_ub[k, -1] t, and t covers the need
-    of every row. The primal simplex then runs from that feasible basis, so
-    no phase 1 is needed. Returns the primal solution and the pivot count
-    (the start's pivot included); the dual is not computed.
+    Returns an LpSolution whose objective is t* and x a minimizer; its
+    max_violation is the largest excess over lam_i + t* or a bound, and its
+    dual is None. The LP is always feasible unless lo > hi somewhere.
+
+    x = u - v with u and v bounded as in solve_l1_linf, and each constraint
+    gives two rows, +-(a_i'(u - v) - b_i) - t + s = lam_i with the slack s
+    in [0, inf). The costs (0, 0, 1) on (u, v, t) are nonnegative, so the
+    slack basis with every variable at its lower bound is dual feasible and
+    the bounded dual simplex solves the LP from there, as it does every
+    other LP here. The rows are not equilibrated: callers scale their data.
     """
-    c = np.asarray(c, dtype=float)
-    A_ub = np.asarray(A_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    m, n = A_ub.shape
-    t_col = A_ub[:, -1]
-    neg = np.flatnonzero(b_ub < 0)
-    if np.any(c < 0):
-        raise ValueError("min-violation LP needs a nonnegative cost")
-    if np.any(t_col > 0):
-        raise ValueError("min-violation LP needs a last column <= 0")
-    if np.any(t_col[neg] >= 0):
-        raise ValueError("min-violation LP needs a last column < 0 on every row with b < 0")
-
-    T, basis = _slack_tableau(c, A_ub, b_ub)
-    start = 0
-    if neg.size:
-        i = int(neg[np.argmax(b_ub[neg] / t_col[neg])])
-        _pivot(T, i, n - 1)
-        basis[i] = n - 1
-        start = 1
-    status, pivots = _run_simplex(T, basis, MAX_PIVOTS - start)
-    z = np.zeros(n + m)
-    z[basis] = T[:m, -1]
-    return _RawLp(z[:n], status, None, start + pivots)
+    A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
+    m, p = A.shape
+    if (lo > hi).any():
+        return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, 0)
+    T, basis = _slack_tableau(2 * m, 2 * p + 1)
+    T[:m, :p] = A
+    np.negative(A, out=T[:m, p : 2 * p])
+    T[m : 2 * m, :p] = T[:m, p : 2 * p]
+    T[m : 2 * m, p : 2 * p] = A
+    T[: 2 * m, 2 * p] = -1.0
+    cost = np.zeros(2 * p + 1)
+    cost[-1] = 1.0
+    T[-1, : 2 * p + 1] = cost
+    lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), np.zeros(2 * m + 1)])
+    upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), np.full(2 * m + 1, np.inf)])
+    sigma = _place_nonbasics(T, basis, np.concatenate([lam + b, lam - b]), cost, lower, upper)
+    status, pivots = LpStatus.OPTIMAL, 0  # without rows, t = 0 is optimal
+    if m:
+        status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(np.zeros(p), status, np.nan, np.inf, None, pivots)
+    z = np.where(sigma < 0, upper, lower)
+    z[basis] = T[: 2 * m, -1]
+    x, t = z[:p] - z[p : 2 * p], float(z[2 * p])
+    return LpSolution(x, status, t, _max_violation(problem, x, t), None, pivots)
 
 
 @_counted
@@ -472,9 +439,8 @@ def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None
     def answer(x, status, dual, pivots) -> LpSolution:
         if status is not LpStatus.OPTIMAL:
             return LpSolution(np.zeros(p), status, np.nan, np.inf, None, pivots)
-        max_violation = max((np.abs(A @ x - b) - lam).max(initial=0.0),
-                            np.maximum(lo - x, x - hi).max(initial=0.0))
-        return LpSolution(x, status, float(np.abs(x).sum()), float(max_violation), dual, pivots)
+        objective = float(np.abs(x).sum())
+        return LpSolution(x, status, objective, _max_violation(problem, x), dual, pivots)
 
     # row equilibration: rescaling (a_i, b_i, lam_i) by 1/||a_i||_inf leaves the
     # feasible set unchanged but keeps pivot tolerances meaningful

@@ -238,21 +238,28 @@ def _pilot_probes(
     return [(theta, feasible) for _, _, theta, feasible in probes]
 
 
+def _step_bounds(center, radius, box_center):
+    """Bounds on a step v with |v - center| <= radius and
+    |v - box_center| <= THETA_BOX: max(center - radius, box_center -
+    THETA_BOX) <= v <= min(center + radius, box_center + THETA_BOX). center
+    and box_center may be scalars; a step d from a point theta has
+    box_center = -theta, so that the box bounds theta + d."""
+    lo = np.maximum(center - radius, box_center - THETA_BOX)
+    hi = np.minimum(center + radius, box_center + THETA_BOX)
+    return lo, hi
+
+
 def _step_lp(G_f, target, tol, center, radius, box_center, family=None) -> LpSolution:
     """Linearized step LP over p free coordinates: min ||v||_1 s.t.
 
     |G_f v - target| <= tol, |v - center| <= radius and
     |v - box_center| <= THETA_BOX. The moment rows are the LP's only rows;
-    the trust region and the box meet in the bounds
-    max(center - radius, box_center - THETA_BOX) <= v
-    <= min(center + radius, box_center + THETA_BOX). center and box_center
-    may be scalars; a step d from a point theta has box_center = -theta, so
-    that the box bounds theta + d. family is the outer iteration's
-    warm-start state, shared by its step LPs: they differ only in target,
-    tolerance and bounds, so a shrink of the radius only moves bounds.
+    the trust region and the box meet in the bounds of _step_bounds. family
+    is the outer iteration's warm-start state, shared by its step LPs: they
+    differ only in target, tolerance and bounds, so a shrink of the radius
+    only moves bounds.
     """
-    lo = np.maximum(center - radius, box_center - THETA_BOX)
-    hi = np.minimum(center + radius, box_center + THETA_BOX)
+    lo, hi = _step_bounds(center, radius, box_center)
     return solve_l1_linf(L1LinfProblem(A=G_f, b=target, lam=tol, lo=lo, hi=hi), _family=family)
 
 
@@ -260,43 +267,24 @@ def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
     """Feasibility restoration used when the linearized subproblem is empty.
 
     First minimizes the violation: t* = min t s.t. |f_t + G_f d| <= lam + t,
-    |d| <= radius, d supported on the free coordinates, by solve_nonneg_lp
-    on its slack tableau, where the trust region and the box are rows (t
-    enters every moment row with -1; d = 0 stays feasible on the box rows,
-    whose right-hand sides are floored at 0 in case roundoff left the
-    iterate just outside the box). Then, among steps nearly as good
-    (violation within 5% of t*), takes the one of least l1 movement, by
-    _step_lp on the iteration's family, where they are bounds on d. The
-    second pass keeps the restoration parsimonious: a pure
-    min-violation LP is free to activate every coordinate that helps even
-    marginally, and one such step can strand the iterate in a dense tangle
-    of wrong-signed coordinates that l1 descent cannot unwind afterwards.
+    |d| <= radius and |theta + d| <= THETA_BOX, d supported on the free
+    coordinates, by solve_nonneg_lp with the trust region and the box as
+    bounds on d (a theta that roundoff left a hair past the box gets bounds
+    that bring it back). Then, among steps nearly as good (violation within
+    5% of t*), takes the one of least l1 movement, by _step_lp on the
+    iteration's family, with the same bounds. The second pass keeps the
+    restoration parsimonious: a pure min-violation LP is free to activate
+    every coordinate that helps even marginally, and one such step can
+    strand the iterate in a dense tangle of wrong-signed coordinates that l1
+    descent cannot unwind afterwards.
     Returns the candidate theta (full vector) and the predicted constraint.
     """
-    p = G_f.shape[1]
-    m = f_t.size
     theta_f = theta_t[free]
-    lo = np.maximum(theta_f - radius, -THETA_BOX)
-    hi = np.minimum(theta_f + radius, THETA_BOX)
-    # variables z = [d_plus (p), d_minus (p), t (1)], all >= 0
-    c = np.zeros(2 * p + 1)
-    c[-1] = 1.0
-    ones = np.ones((m, 1))
-    A_ub = np.block(
-        [
-            [G_f, -G_f, -ones],
-            [-G_f, G_f, -ones],
-            [np.eye(p), -np.eye(p), np.zeros((p, 1))],
-            [-np.eye(p), np.eye(p), np.zeros((p, 1))],
-        ]
-    )
-    box = np.maximum(np.concatenate([hi - theta_f, theta_f - lo]), 0.0)
-    b_ub = np.concatenate([lam - f_t, lam + f_t, box])
-    raw = solve_nonneg_lp(c, A_ub, b_ub)
-    if raw.status is not LpStatus.OPTIMAL:
+    lo, hi = _step_bounds(0.0, radius, -theta_f)
+    sol = solve_nonneg_lp(L1LinfProblem(A=G_f, b=-f_t, lam=lam, lo=lo, hi=hi))
+    if sol.status is not LpStatus.OPTIMAL:
         return None, np.inf
-    t_star = float(raw.z[-1])
-    d = raw.z[:p] - raw.z[p : 2 * p]
+    t_star, d = sol.objective, sol.x
     lex = _step_lp(G_f, -f_t, lam + 1.05 * t_star + 1e-12, 0.0, radius, -theta_f, family)
     if lex.status is LpStatus.OPTIMAL:
         d = lex.x

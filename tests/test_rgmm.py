@@ -251,9 +251,9 @@ class TestStepLp:
 
 class TestElasticStep:
     def test_an_iterate_just_outside_the_box_is_restored(self):
-        # roundoff can leave theta a hair past THETA_BOX; its box row then
-        # keeps d = 0 feasible, as solve_nonneg_lp's one-pivot start needs.
-        # |5 + d_0| <= 1 + t with -1 <= d_0 <= 0 gives t* = 3.
+        # roundoff can leave theta a hair past THETA_BOX; the bounds on d then
+        # exclude d = 0 and bring theta back inside the box.
+        # |5 + d_0| <= 1 + t with -1 <= d_0 <= -1e-9 gives t* = 3.
         theta = np.array([rgmm.THETA_BOX + 1e-9, 0.0])
         cand, t_star = rgmm._elastic_step(
             np.array([[1.0, 0.0]]), np.array([5.0]), theta, 1.0, 1.0, np.arange(2), _FamilyState()

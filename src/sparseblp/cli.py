@@ -173,6 +173,8 @@ def _cmd_estimate(args) -> int:
         "newton_iters": result.newton_iters,
         "lp_solves": result.lp_solves,
         "lp_pivots": result.lp_pivots,
+        "trust_shrinks": result.trust_shrinks,
+        "soc_rescues": result.soc_rescues,
         "final_constraint": result.final_constraint,
         "diagnosis": result.diagnosis,
         "runtime_s": result.runtime_s,

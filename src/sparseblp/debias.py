@@ -271,6 +271,9 @@ def debias(
     omega_hat = omega(dataset, theta_hat, rule, evals=evals)
     g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)
     f_hat = score(dataset, theta_hat, rule, evals=evals)
+    counts = dict(inversions=evals.inversions, contraction_iters=evals.contraction_iters,
+                  newton_iters=evals.newton_iters)
+    del evals  # the LPs need neither its delta nor its d delta / d gamma
     with count_lps() as tally:
         gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties.lambda_gamma)
         mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties.lambda_mu, relax=relax_mu)
@@ -292,9 +295,7 @@ def debias(
         min_sv_gamma_g=float(sv_gg.min()),
         mu_lambda_eff=mu_lam,
         mu_relaxed_rows=np.flatnonzero(mu_lam > penalties.lambda_mu + 1e-12),
-        inversions=evals.inversions,
-        contraction_iters=evals.contraction_iters,
-        newton_iters=evals.newton_iters,
+        **counts,
         lp_solves=tally.solves,
         lp_pivots=tally.pivots,
     )

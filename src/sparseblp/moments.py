@@ -19,7 +19,8 @@ Everything here sits on one share inversion per gamma. `evaluate` inverts
 once and returns a MomentEvaluation that serves the residuals, per-market
 scores, score, Omega and Jacobian at that point. An `Evaluator` does the
 same inside one estimator call: it inverts each distinct gamma once and
-warm-starts each inversion from a nearby point's delta. The moment
+warm-starts each inversion from a nearby point's delta, moved along
+d delta / d gamma when the last Jacobian was computed there. The moment
 functions (`score`, `omega`, ...) take an Evaluator as evals, and without
 one they invert afresh on every call.
 """
@@ -81,9 +82,15 @@ class MomentEvaluation:
 
     def jacobian(self) -> np.ndarray:
         if "jacobian" not in self._shared:
-            nu = group_index_matrix(self.dataset.X, self.theta.gamma, self.dataset.config)
-            self._shared["jacobian"] = _jacobian(self.dataset, self.delta, nu, self.rule)
+            self._derivatives()
         return self._shared["jacobian"]
+
+    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Jacobian, now kept, and d delta / d gamma, not kept."""
+        nu = group_index_matrix(self.dataset.X, self.theta.gamma, self.dataset.config)
+        jac, ddelta_dgamma = _jacobian(self.dataset, self.delta, nu, self.rule)
+        self._shared["jacobian"] = jac
+        return jac, ddelta_dgamma
 
 
 def evaluate(
@@ -108,11 +115,15 @@ class Evaluator:
     again). A new inversion starts from the delta of the nearest gamma
     already inverted (Euclidean distance), which in an SLP run is usually
     the current iterate or an earlier trial point around it, and from the
-    logit closed form when there is none. inversions counts the inversions
-    run, failed ones included, newton_iters their Newton passes and
-    contraction_iters the passes with a contraction fallback. Create one
-    per call and pass it to the moment functions as evals; it keeps every
-    inverted delta until it is dropped.
+    logit closed form when there is none. When that nearest gamma is the
+    anchor, the point of the last Jacobian computed here, the start is the
+    first-order prediction delta + (d delta / d gamma)(gamma - gamma_anchor).
+    d delta / d gamma is (n, J, L), so the anchor alone holds one, and no
+    evaluation refers back to its Evaluator. inversions counts the
+    inversions run, failed ones included, newton_iters their Newton passes
+    and contraction_iters the passes with a contraction fallback. Create
+    one per call and pass it to the moment functions as evals; it keeps
+    every inverted delta until it is dropped.
     """
 
     def __init__(self, dataset: Dataset, rule: QuadratureRule,
@@ -121,6 +132,8 @@ class Evaluator:
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
         self._gammas: list[np.ndarray] = []  # the gammas inverted without failure,
         self._deltas: list[np.ndarray] = []  # and their deltas: the start pool
+        # (gamma, d delta / d gamma) of the last Jacobian computed here
+        self._anchor: tuple[np.ndarray, np.ndarray] | None = None
         self.inversions = self.contraction_iters = self.newton_iters = 0
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
@@ -134,11 +147,24 @@ class Evaluator:
             return hit
         return hit.at_beta(theta.beta)
 
+    def jacobian(self, theta: Theta) -> np.ndarray:
+        """The Jacobian at theta; one computed here makes theta.gamma the anchor."""
+        ev = self(theta)
+        if "jacobian" in ev._shared:
+            return ev._shared["jacobian"]
+        jac, ddelta_dgamma = ev._derivatives()
+        self._anchor = (ev.theta.gamma, ddelta_dgamma)
+        return jac
+
     def _invert(self, theta: Theta) -> MomentEvaluation | InversionError:
         start = None
         if self._gammas:
             d = np.asarray(self._gammas) - theta.gamma
-            start = self._deltas[int(np.argmin(np.einsum("ij,ij->i", d, d)))]
+            nearest = int(np.argmin(np.einsum("ij,ij->i", d, d)))
+            start = self._deltas[nearest]
+            if self._anchor is not None and self._anchor[0] is self._gammas[nearest]:
+                gamma0, ddelta_dgamma = self._anchor
+                start = start + ddelta_dgamma @ (theta.gamma - gamma0)
         own = Theta(beta=theta.beta.copy(), gamma=theta.gamma.copy())  # callers reuse arrays
         try:
             out = evaluate(self.dataset, own, self.rule, self.opts, start)
@@ -209,11 +235,15 @@ def jacobian_theta(
     gamma = 0 the gamma block vanishes: its integrand is odd in the taste
     draw and every supported rule integrates odd monomials to zero.
     """
-    return _evaluation(dataset, theta, rule, opts, evals).jacobian()
+    if evals is None:
+        return evaluate(dataset, theta, rule, opts).jacobian()
+    return evals.jacobian(theta)
 
 
-def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """jacobian_theta at the inverted delta (n, J) and group indices nu.
+def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray,
+              rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """jacobian_theta at the inverted delta (n, J) and group indices nu,
+    and d delta / d gamma there, shape (n, J, L).
 
     Sums over markets run as one matmul per product, (K, n) @ (n, L), and
     the node-weighted node shares as one (J n, M) @ (M, L) gemm on the
@@ -236,12 +266,16 @@ def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray, rule: Quadrat
     wnode = rule.weights[:, None] * rule.nodes[:, gidx]  # (M, L)
     product_major = ns.transpose(2, 0, 1).reshape(J * n, -1)  # (J n, M)
     weighted = (product_major @ wnode).reshape(J, n, L).transpose(1, 0, 2)  # (n, J, L)
+    # in place: the Evaluator keeps one d delta / d gamma beside these
     cross = np.matmul(ns, X)  # (n, M, L): sum_j' s_j' x_j'l per node
-    T = X * weighted - np.matmul(ns.transpose(0, 2, 1), wnode * cross)
-    ddelta_dgamma = -np.linalg.solve(D, T)  # (n, J, L)
+    cross *= wnode
+    T = X * weighted
+    T -= np.matmul(ns.transpose(0, 2, 1), cross)
+    ddelta_dgamma = np.linalg.solve(D, T)  # (n, J, L)
+    ddelta_dgamma *= -1.0
     gamma_block = np.matmul(H_pm, ddelta_dgamma.transpose(1, 0, 2)) / n
 
     out = np.empty((J * K, 2 * L))
     out[:, :L] = beta_block.reshape(J * K, L)
     out[:, L:] = gamma_block.reshape(J * K, L)
-    return out
+    return out, ddelta_dgamma

@@ -33,10 +33,20 @@ the coordinates that earn their keep; phase two releases all coordinates.
 
 One estimator call evaluates the moments through one moments.Evaluator, so
 the shares are inverted once per distinct gamma: the accepted iterate's
-inversion serves its Jacobian, each trial point's inversion warm-starts from
-the nearest gamma already inverted, and a pilot probe's inversion at gamma_c
+inversion serves its Jacobian, and a pilot probe's inversion at gamma_c
 serves the start point's score, since the moments are linear in beta at
-fixed delta.
+fixed delta. A trial point's inversion starts from delta at the current
+iterate moved along its d delta / d gamma (see moments.Evaluator).
+
+The trust radius follows each step's outcome (Conn, Gould & Toint 2000,
+ch. 6): a rejected trial point shrinks it by TRUST_SHRINK, and an accepted
+step grows it by TRUST_EXPAND only when it passed on its first trial point
+(no shrink, no SOC) and reached its trust bound; otherwise the radius stays.
+Growing it after every accepted step made the next step overshoot, shrink
+and need SOC. On the 40 fits of the grid below with lambda = 1.2/sqrt(n)
+and pilot 1.0, the rule and the start prediction cut inversions from 2557
+to 1450 and converged on 40 fits instead of 39, with ||theta_hat||_1 moved
+by at most 6.7e-4.
 
 Every linearized step is one LP from _step_lp: the trust-region step, the
 second-order correction (SOC) and the elastic restoration's second pass
@@ -84,7 +94,7 @@ C_MULT = 1.1  # ... and the multiplier on the Gaussian plug-in
 
 TRUST_RADIUS_INIT = 1.0  # l_inf trust radius at each start
 TRUST_SHRINK = 0.5  # radius factor after a rejected trial point
-TRUST_EXPAND = 2.0  # radius factor after an accepted step ...
+TRUST_EXPAND = 2.0  # radius factor after a clean step to the trust bound ...
 TRUST_RADIUS_MAX = 1e3  # ... up to this radius
 CONVERGENCE_TOL = 1e-8  # a feasible step shorter than this in l1 converges
 THETA_BOX = 100.0  # a-priori sup-norm bound on theta
@@ -107,7 +117,7 @@ class RgmmOptions:
     feasibility_slack. The trust-region constants (TRUST_RADIUS_INIT,
     TRUST_SHRINK, TRUST_EXPAND, TRUST_RADIUS_MAX), CONVERGENCE_TOL, THETA_BOX
     and the gamma phase's budget GAMMA_PHASE_ITERS are fixed; the module
-    docstring gives the reason each safeguard is kept.
+    docstring gives the radius rule and the reason each safeguard is kept.
     """
 
     lam: float
@@ -150,6 +160,8 @@ class EstimationResult:
     newton_iters: int = 0
     lp_solves: int = 0  # LPs run (pilot, step, SOC, elastic), and their
     lp_pivots: int = 0  # basis changes (not bound flips)
+    trust_shrinks: int = 0  # radius shrinks after a rejected trial point
+    soc_rescues: int = 0  # steps accepted by the second-order correction
 
 
 def select_lambda(
@@ -328,6 +340,7 @@ def _estimate(
     lam = float(opts.lam)
     soc_tol = lam + 0.5 * opts.feasibility_slack  # second-order correction target
     history: list[IterationRecord] = []
+    shrinks = soc_rescues = 0  # over every start and phase
 
     def fscore(theta: Theta) -> np.ndarray:
         return score(dataset, theta, rule, opts.inversion, evals)
@@ -348,6 +361,8 @@ def _estimate(
             inversions=evals.inversions,
             contraction_iters=evals.contraction_iters,
             newton_iters=evals.newton_iters,
+            trust_shrinks=shrinks,
+            soc_rescues=soc_rescues,
             **fields,
         )
 
@@ -392,6 +407,7 @@ def _estimate(
         allowance path must buy objective progress.
         """
         nonlocal vec_t, f_t, c_t, radius, best_vec, best_obj, diagnosis, total_iters
+        nonlocal shrinks, soc_rescues
         stall = 0
         for it in range(1, budget + 1):
             total_iters += 1
@@ -412,6 +428,7 @@ def _estimate(
             G_f = G_t[:, free]
             family = _FamilyState()
             accepted = False
+            clean = True  # the step passes on its first trial point
             lam_starved = False
             while radius >= 1e-12:
                 sol = _step_lp(G_f, G_f @ vec_t[free] - f_t, lam, vec_t[free], radius, 0.0, family)
@@ -447,9 +464,12 @@ def _estimate(
                         f_c2, c_c2 = trial(cand2)
                         if acceptable(c_c2, float(np.abs(cand2).sum())):
                             cand, f_c, c_c = cand2, f_c2, c_c2
-                            accepted = True
+                            accepted, clean = True, False
+                            soc_rescues += 1
                             break
                 radius *= TRUST_SHRINK
+                shrinks += 1
+                clean = False
             if not accepted:
                 diagnosis = (
                     "lambda too small: no feasible linearized subproblem"
@@ -457,7 +477,11 @@ def _estimate(
                     else "trust region collapsed before finding an acceptable step"
                 )
                 return "failed"
-            step_l1 = float(np.abs(cand - vec_t).sum())
+            step = np.abs(cand - vec_t)
+            step_l1 = float(step.sum())
+            # |d|_inf is the radius up to the roundoff of (theta + d) - theta
+            roundoff = 4 * np.finfo(float).eps * (radius + np.abs(vec_t).max())
+            at_bound = step.max() >= radius - roundoff
             vec_t, f_t, c_t = cand, f_c, c_c
             obj_t = float(np.abs(vec_t).sum())
             history.append(IterationRecord(obj_t, c_t, radius))
@@ -471,7 +495,8 @@ def _estimate(
                     stall += 1
                     if stall >= 5:
                         return "stalled"
-            radius = min(radius * TRUST_EXPAND, TRUST_RADIUS_MAX)
+            if clean and at_bound:
+                radius = min(radius * TRUST_EXPAND, TRUST_RADIUS_MAX)
             if step_l1 < CONVERGENCE_TOL:
                 if c_t <= lam + opts.feasibility_slack:
                     return "converged"
@@ -587,9 +612,10 @@ def estimate_auto(
     opts.lam is ignored.
 
     The result is the final fit's, except that runtime_s covers the whole
-    call (lambda selection and pilot probes included), outer_iters sums the
-    outer iterations of both fits, and the inversion and LP counts cover
-    every inversion and LP run; history is the final fit's alone.
+    call (lambda selection and pilot probes included), outer_iters,
+    trust_shrinks and soc_rescues sum over both fits, and the inversion and
+    LP counts cover every inversion and LP run; history is the final fit's
+    alone.
     """
     t_start = time.perf_counter()
     base = opts or RgmmOptions(lam=0.0)
@@ -602,14 +628,15 @@ def estimate_auto(
     with count_lps() as lps:
         lam0 = lam_at(Theta.zeros(cfg.L))
         pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
-        result = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
-        outer_iters = result.outer_iters
-        lam_new = lam_at(result.theta_hat)
-        if lam_new < 0.9 * result.lam:
+        fits = [_estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)]
+        first = fits[0]
+        lam_new = lam_at(first.theta_hat)
+        if lam_new < 0.9 * first.lam:
             # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
             # Jacobian), so only warm start from points with live heterogeneity
-            warm = result.theta_hat if np.any(result.theta_hat.gamma != 0.0) else None
-            result = _estimate(dataset, rule, replace(base, lam=lam_new), warm, evals)
-            outer_iters += result.outer_iters
-    return replace(result, outer_iters=outer_iters, runtime_s=time.perf_counter() - t_start,
+            warm = first.theta_hat if np.any(first.theta_hat.gamma != 0.0) else None
+            fits.append(_estimate(dataset, rule, replace(base, lam=lam_new), warm, evals))
+    summed = {name: sum(getattr(fit, name) for fit in fits)
+              for name in ("outer_iters", "trust_shrinks", "soc_rescues")}
+    return replace(fits[-1], **summed, runtime_s=time.perf_counter() - t_start,
                    lp_solves=lps.solves, lp_pivots=lps.pivots)

@@ -30,6 +30,19 @@ def gh1():
     return gauss_hermite_rule(1, 11)
 
 
+@pytest.fixture(scope="session")
+def mc_design():
+    """The mc-replications benchmark design at n = 100, DGP seed 1: data,
+    9-node rule and the benchmark's options (lambda = 1.2/sqrt(n), pilot 1.0)."""
+    from sparseblp.dgp import DgpConfig, simulate
+    from sparseblp.rgmm import RgmmOptions
+
+    model = ModelConfig(n_markets=100, J=4, L=10, G=1, K=6, partition=(1,) * 10)
+    rule = gauss_hermite_rule(1, 9)
+    data, _ = simulate(DgpConfig(model=model, s_beta=2, s_gamma=2, seed=1), rule)
+    return data, rule, RgmmOptions(lam=1.2 / np.sqrt(100), pilot_scales=(1.0,))
+
+
 @pytest.fixture
 def inversion_log(monkeypatch):
     """Group-index matrices (as bytes) of every share inversion run while

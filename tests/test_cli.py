@@ -282,6 +282,10 @@ class TestPipeline:
         # at least the pilot's beta LPs, one per probe scale
         assert est["lp_solves"] >= 3 and est["lp_pivots"] > 0
 
+    def test_estimate_json_counts_trust_region_steps(self, simulated):
+        est = json.loads((simulated / "est" / "est.json").read_text())
+        assert est["trust_shrinks"] >= 0 and 0 <= est["soc_rescues"] <= est["outer_iters"]
+
     @pytest.mark.parametrize("flag, env, workers", [
         ((), None, 3), ((), "2", 2), (("--threads", "1"), "2", 1), (("--threads", "1"), None, 1),
     ], ids=["study", "variable", "flag-over-variable", "flag"])

@@ -196,3 +196,51 @@ class TestEvaluation:
         np.testing.assert_array_equal(
             jacobian_theta(ds, theta, rule, evals=evals), jacobian_theta(ds, theta, rule)
         )
+
+
+class TestDeltaPredictor:
+    """A new inversion starts from delta + (d delta / d gamma)(gamma -
+    gamma_anchor) when the nearest inverted gamma is the last Jacobian's."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        from sparseblp import moments
+
+        log = []
+        real = moments._invert_batch
+
+        def recording(S, nu, rule, opts, start=None):
+            log.append(start)
+            return real(S, nu, rule, opts, start)
+
+        monkeypatch.setattr(moments, "_invert_batch", recording)
+        return log
+
+    @staticmethod
+    def residual(data, rule, gamma, delta):
+        nu = group_index_matrix(data.X, gamma, data.config)
+        return np.abs(np.log(data.S) - np.log(_mixed_shares(delta, nu, rule))).max()
+
+    def test_a_trial_near_the_jacobian_point_starts_closer(self, mc_design, starts):
+        data, rule, opts = mc_design
+        L = data.config.L
+        evals = Evaluator(data, rule, opts.inversion)
+        anchor = Theta(beta=np.zeros(L), gamma=np.full(L, L ** -0.5))
+        delta0 = evals(anchor).delta
+        jacobian_theta(data, anchor, rule, opts.inversion, evals)
+        trial = Theta(beta=anchor.beta, gamma=anchor.gamma + 0.05 * np.random.default_rng(3).standard_normal(L))
+        f = score(data, trial, rule, opts.inversion, evals)
+        predicted = starts[-1]
+        assert self.residual(data, rule, trial.gamma, predicted) < self.residual(data, rule, trial.gamma, delta0)
+        np.testing.assert_allclose(f, score(data, trial, rule, opts.inversion), rtol=0, atol=1e-11)
+
+    def test_a_trial_near_another_point_starts_from_its_delta(self, mc_design, starts):
+        data, rule, opts = mc_design
+        L = data.config.L
+        evals = Evaluator(data, rule, opts.inversion)
+        anchor = Theta(beta=np.zeros(L), gamma=np.full(L, L ** -0.5))
+        jacobian_theta(data, anchor, rule, opts.inversion, evals)
+        far = Theta(beta=anchor.beta, gamma=3.0 * anchor.gamma)
+        delta_far = evals(far).delta
+        score(data, Theta(beta=far.beta, gamma=1.01 * far.gamma), rule, opts.inversion, evals)
+        np.testing.assert_array_equal(starts[-1], delta_far)

@@ -1,5 +1,8 @@
 """Estimator behaviour: certifiable zero, Dantzig reduction, recovery."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -9,7 +12,8 @@ from sparseblp import rgmm
 from sparseblp import l1_solvers
 from sparseblp.l1_solvers import FEAS_TOL, L1LinfProblem, LpStatus, _FamilyState, solve_l1_linf
 from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
-from sparseblp.moments import per_market_scores, score
+from sparseblp import moments
+from sparseblp.moments import Evaluator, per_market_scores, score
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import logit_delta
 from sparseblp.rgmm import (
@@ -183,15 +187,16 @@ class TestEstimateAuto:
 
         def recording(*args, **kwargs):
             res = real(*args, **kwargs)
-            fits.append((res.outer_iters, res.runtime_s))
+            fits.append(res)
             return res
 
         monkeypatch.setattr(rgmm, "_estimate", recording)
         ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
         res = estimate_auto(ds, gh1)
-        assert len(fits) == 2 and all(iters > 0 for iters, _ in fits)
-        assert res.outer_iters == sum(iters for iters, _ in fits)
-        assert res.runtime_s >= sum(t for _, t in fits)
+        assert len(fits) == 2 and all(fit.outer_iters > 0 for fit in fits)
+        for name in ("outer_iters", "trust_shrinks", "soc_rescues"):
+            assert getattr(res, name) == sum(getattr(fit, name) for fit in fits), name
+        assert res.runtime_s >= sum(fit.runtime_s for fit in fits)
 
 
 class TestPilotProbes:
@@ -414,3 +419,58 @@ class TestLpCounts:
         assert len(fits) == 2
         assert res.lp_solves == len(calls)
         assert res.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
+
+
+class TestTrustRadius:
+    """The radius rule and the delta predictor, on the mc-replications
+    benchmark design (curved enough that steps get shrunk and rescued)."""
+
+    def test_counts_of_shrinks_and_rescues(self, mc_design):
+        data, rule, opts = mc_design
+        res = estimate(data, rule, opts)
+        assert res.trust_shrinks > 0 and res.soc_rescues > 0
+        assert res.soc_rescues <= res.outer_iters
+
+    def test_radius_does_not_grow_after_a_shrink_or_a_rescue(self, mc_design, monkeypatch):
+        data, rule, opts = mc_design
+        pilot = rgmm._pilot_probes(data, rule, opts, Evaluator(data, rule, opts.inversion))[0][0]
+        events = []
+        for name, tag in (("jacobian_theta", "J"), ("score", "s")):
+            real = getattr(rgmm, name)
+            monkeypatch.setattr(
+                rgmm, name, lambda *a, _real=real, _tag=tag, **k: events.append(_tag) or _real(*a, **k)
+            )
+        # a warm start runs one start and one phase, so the radius is never reset
+        res = estimate(data, rule, opts, theta_init=pilot)
+        # one Jacobian per iteration, then one score per trial point (SOC included)
+        trials = [seg.count("s") for seg in "".join(events).split("J")[1:]]
+        # history[0] is the start, history[k] iteration k's accepted step
+        hist = res.history
+        steps = [(trials[k - 1], hist[k].radius, hist[k + 1].radius) for k in range(1, len(hist) - 1)]
+        assert any(t > 1 for t, _, _ in steps) and any(t == 1 for t, _, _ in steps)
+        for t, radius, next_radius in steps:
+            if t > 1:
+                assert next_radius <= radius
+
+    def test_at_most_one_ddelta_dgamma_alive(self, mc_design, monkeypatch):
+        data, rule, opts = mc_design
+        refs, alive = [], []
+        real = moments._jacobian
+
+        def recording(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            jac, ddelta_dgamma = real(*args)
+            refs.append(weakref.ref(ddelta_dgamma))
+            return jac, ddelta_dgamma
+
+        monkeypatch.setattr(moments, "_jacobian", recording)
+        evals = Evaluator(data, rule, opts.inversion)
+        rgmm._estimate(data, rule, opts, None, evals)
+        assert len(refs) > 1 and max(alive) <= 1
+        assert sum(ref() is not None for ref in refs) == 1  # the anchor
+        gc.disable()
+        try:
+            del evals  # no reference cycle keeps the anchor past its Evaluator
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()

@@ -268,9 +268,9 @@ def debias(
     if penalties is None:
         penalties = select_debias_penalties(cfg, dataset.n)
     evals = Evaluator(dataset, rule)  # one inversion serves all three
+    f_hat = score(dataset, theta_hat, rule, evals=evals)  # the inversion runs here
     omega_hat = omega(dataset, theta_hat, rule, evals=evals)
     g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)
-    f_hat = score(dataset, theta_hat, rule, evals=evals)
     counts = dict(inversions=evals.inversions, contraction_iters=evals.contraction_iters,
                   newton_iters=evals.newton_iters)
     del evals  # the LPs need neither its delta nor its d delta / d gamma

@@ -85,9 +85,11 @@ def true_theta(cfg: DgpConfig) -> Theta:
 
 
 def instrument_transforms(W: np.ndarray, K: int) -> np.ndarray:
-    """The fixed basis h_1..h_K applied to raw instruments W (J x L).
+    """The fixed basis h_1..h_K applied to raw instruments W (..., J, L).
 
-    The basis is a low-order polynomial family in the leading m =
+    W is one market's (J, L) block or a stack such as (n, J, L); each
+    market's rows of the (..., J, K) result equal a call on it alone, bit
+    for bit. The basis is a low-order polynomial family in the leading m =
     max(1, ceil(K/3)) instruments (capped at L): linear terms w_1..w_m; own
     cross products w_s w_t in lexicographic order; own-by-rival crosses
     w_s q_t with q_t the sum of the other products' w_t (the classic
@@ -105,7 +107,7 @@ def instrument_transforms(W: np.ndarray, K: int) -> np.ndarray:
     rival) is independent of xi by construction. Rival crosses are skipped
     when J = 1 (no rivals).
     """
-    J, L = W.shape
+    J, L = W.shape[-2:]
     m = min(L, max(1, -(-K // 3)))
 
     def rival_pairs():
@@ -115,25 +117,25 @@ def instrument_transforms(W: np.ndarray, K: int) -> np.ndarray:
 
     def enumerate_basis():
         for t in range(m):
-            yield W[:, t]
+            yield W[..., t]
         for s, t in itertools.combinations(range(m), 2):
-            yield W[:, s] * W[:, t]
+            yield W[..., s] * W[..., t]
         if J > 1:
             for s, t in rival_pairs():
-                q_t = W[:, t].sum() - W[:, t]
-                yield W[:, s] * q_t / np.sqrt(J - 1.0)
+                q_t = W[..., t].sum(axis=-1, keepdims=True) - W[..., t]
+                yield W[..., s] * q_t / np.sqrt(J - 1.0)
         for t in range(m):
-            yield (W[:, t] ** 2 - 1.0) / np.sqrt(2.0)
+            yield (W[..., t] ** 2 - 1.0) / np.sqrt(2.0)
         power = 3
         while True:
             # centered powers of w_1 as a last resort for tiny L or large K
             mean = 0.0 if power % 2 else _normal_moment(power)
             var = _normal_moment(2 * power) - mean**2
-            yield (W[:, 0] ** power - mean) / np.sqrt(var)
+            yield (W[..., 0] ** power - mean) / np.sqrt(var)
             power += 1
 
     gen = enumerate_basis()
-    return np.column_stack([next(gen) for _ in range(K)])
+    return np.stack([next(gen) for _ in range(K)], axis=-1)
 
 
 def _normal_moment(p: int) -> float:
@@ -149,56 +151,49 @@ def _market_rng(seed: int, market: int, retry: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, market, retry))))
 
 
-def _draw_market(cfg: DgpConfig, theta: Theta, rule: QuadratureRule, market: int, retry: int):
-    model = cfg.model
-    J, L = model.J, model.L
-    rng = _market_rng(cfg.seed, market, retry)
-    E = rng.standard_normal((J, L))  # exogenous attribute drivers
-    eta = rng.standard_normal((J, L))  # instrument noise
-    z = rng.standard_normal(J)  # shock driving xi
-    rho = cfg.endog_corr
-    a = cfg.instrument_strength
-
-    X = E.copy()
-    X[:, 0] = rho * z + np.sqrt(1.0 - rho**2) * E[:, 0]
-    xi = cfg.xi_sd * z
-    # raw instruments load on the exogenous driver of each attribute
-    W = a * E + np.sqrt(1.0 - a**2) * eta
-    H = instrument_transforms(W, model.K)
-
-    delta = X @ theta.beta + xi
-    nu = group_index_matrix(X, theta.gamma, model)
-    S = _mixed_shares(delta[None], nu[None], rule)[0]
-    return X, S, H, xi
-
-
 def simulate(cfg: DgpConfig, rule: QuadratureRule) -> tuple[Dataset, Theta]:
     """Generate a Dataset and the true Theta.
 
-    Markets draw from independent counter-based streams keyed by
-    (seed, market_id, retry), so results do not depend on generation order;
-    the drawn markets are stacked once into the Dataset's arrays. Markets
-    whose shares underflow below 1e-12 (inside or outside) are redrawn up to
-    10 times with a warning.
+    Each round has two phases. Phase 1 loops over the markets still to be
+    drawn; each takes its attribute drivers, instrument noise and xi shock,
+    in that order, from its own counter-based stream keyed by (seed,
+    market_id, retry), so results do not depend on generation order. Phase 2
+    builds the attributes, instruments, their transforms and the shares of
+    the whole (k, J, L) stack at once, with one mixed-share kernel call.
+    Markets whose shares underflow below 1e-12 (inside or outside) go round
+    again with retry + 1, up to 10 times, with a warning; the others keep
+    their draws.
     """
+    model = cfg.model
+    n, J, L = model.n_markets, model.J, model.L
+    rho, a = cfg.endog_corr, cfg.instrument_strength
     theta = true_theta(cfg)
-    markets = []
-    n_retried = 0
-    for i in range(cfg.model.n_markets):
-        for retry in range(MAX_MARKET_RETRIES + 1):
-            X, S, H, xi = _draw_market(cfg, theta, rule, i, retry)
-            s0 = 1.0 - S.sum()
-            if S.min() >= SHARE_UNDERFLOW and s0 >= SHARE_UNDERFLOW:
-                break
-            n_retried += 1
-        else:
-            raise ConfigurationError(
-                f"market {i}: shares kept underflowing below {SHARE_UNDERFLOW} "
-                f"after {MAX_MARKET_RETRIES} retries; weaken the signal or xi_sd"
-            )
-        markets.append((X, S, H, xi))
+    X, H, S, xi = np.empty((n, J, L)), np.empty((n, J, model.K)), np.empty((n, J)), np.empty((n, J))
+    todo, n_retried = np.arange(n), 0
+    for retry in range(MAX_MARKET_RETRIES + 1):
+        E, eta, z = np.empty((todo.size, J, L)), np.empty((todo.size, J, L)), np.empty((todo.size, J))
+        for k, i in enumerate(todo):
+            rng = _market_rng(cfg.seed, int(i), retry)
+            for draws in (E[k], eta[k], z[k]):  # attribute drivers, instrument noise, xi shock
+                rng.standard_normal(out=draws)
+        Xk = E.copy()
+        Xk[..., 0] = rho * z + np.sqrt(1.0 - rho**2) * E[..., 0]
+        xik = cfg.xi_sd * z
+        Sk = _mixed_shares(Xk @ theta.beta + xik, group_index_matrix(Xk, theta.gamma, model), rule)
+        ok = (Sk.min(axis=1) >= SHARE_UNDERFLOW) & (1.0 - Sk.sum(axis=1) >= SHARE_UNDERFLOW)
+        # raw instruments load on the exogenous driver of each attribute
+        W = a * E[ok] + np.sqrt(1.0 - a**2) * eta[ok]
+        kept = todo[ok]
+        X[kept], S[kept], H[kept], xi[kept] = Xk[ok], Sk[ok], instrument_transforms(W, model.K), xik[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+        n_retried += todo.size
+    else:
+        raise ConfigurationError(
+            f"market {todo[0]}: shares kept underflowing below {SHARE_UNDERFLOW} "
+            f"after {MAX_MARKET_RETRIES} retries; weaken the signal or xi_sd"
+        )
     if n_retried:
         warnings.warn(f"redrew {n_retried} market(s) after share underflow", RuntimeWarning, stacklevel=2)
-    X, S, H, xi = (np.stack(arrays) for arrays in zip(*markets))
-    return Dataset(config=cfg.model, X=X, S=S, H=H, xi_true=xi), theta
-
+    return Dataset(config=model, X=X, S=S, H=H, xi_true=xi), theta

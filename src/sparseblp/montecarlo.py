@@ -123,7 +123,8 @@ class McRecord:
     remainder_inf: float | None = None  # asymptotic-linearity residual
     converged: bool = False
     runtime_s: float = 0.0  # the whole replication
-    estimate_s: float | None = None  # each stage's wall time, None when it did not run
+    simulate_s: float | None = None  # each stage's wall time, None when it did not run
+    estimate_s: float | None = None
     debias_s: float | None = None
 
 
@@ -183,7 +184,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     rec = McRecord(n=n, rep=rep, seed=seed, status="ok")
     t0 = time.perf_counter()
     try:
-        dataset, truth = simulate(dgp, rule)
+        dataset, truth = _timed(rec, "simulate_s", simulate, dgp, rule)
         opts = RgmmOptions(lam=cfg.lam_for(n), pilot_scales=cfg.pilot_scales)
         res = _timed(rec, "estimate_s", estimate, dataset, rule, opts)
     except Exception as e:  # any failure is this replication's, not the study's
@@ -284,7 +285,7 @@ def canonical_bytes(report: McReport) -> bytes:
     rows = []
     for rec in report.records:
         row = _record_row(rec)
-        for timing in ("runtime_s", "estimate_s", "debias_s"):
+        for timing in ("runtime_s", "simulate_s", "estimate_s", "debias_s"):
             row.pop(timing)
         rows.append(row)
     config = config_to_dict(report.config)

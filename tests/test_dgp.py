@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from sparseblp.dgp import DgpConfig, instrument_transforms, simulate, true_theta
+from sparseblp import dgp
+from sparseblp.dgp import DgpConfig, _market_rng, instrument_transforms, simulate, true_theta
 from sparseblp.model_core import ConfigurationError, ModelConfig, group_index_matrix
 from sparseblp.moments import evaluate, score
 from sparseblp.quadrature import gauss_hermite_rule
-from sparseblp.shares import InversionOptions, _invert_batch, logit_delta
+from sparseblp.shares import InversionOptions, _invert_batch, _mixed_shares, logit_delta
 
 
 def _config(n=50, J=3, L=5, G=1, K=4):
@@ -69,10 +70,22 @@ class TestDeterminism:
         assert not np.array_equal(ds1.X[0], ds2.X[0])
 
     def test_markets_are_independent_streams(self, gh1):
-        # market i's draws do not depend on how many markets precede it
+        # market i's draws do not depend on how many markets are drawn with it;
+        # only the shares' weight contraction runs over the whole stack
         big, _ = simulate(_dgp(), gh1)
         small, _ = simulate(_dgp(model=_config(n=3)), gh1)
-        np.testing.assert_array_equal(big.X[:3], small.X)
+        for name in ("X", "H", "xi_true"):
+            np.testing.assert_array_equal(getattr(big, name)[:3], getattr(small, name))
+        np.testing.assert_allclose(big.S[:3], small.S, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("G", [1, 2])
+    def test_shares_are_the_kernel_at_the_truth(self, G):
+        # one kernel call on the returned stack reproduces S bit for bit
+        rule = gauss_hermite_rule(G, 7)
+        cfg = _dgp(model=ModelConfig(n_markets=40, J=3, L=6, G=G, K=4, partition=(1, 1, 1, G, G, G)))
+        ds, theta = simulate(cfg, rule)
+        nu = group_index_matrix(ds.X, theta.gamma, ds.config)
+        np.testing.assert_array_equal(_mixed_shares(ds.X @ theta.beta + ds.xi_true, nu, rule), ds.S)
 
 
 class TestSharesMatchModel:
@@ -123,6 +136,16 @@ class TestMomentValidity:
 
 
 class TestInstrumentTransforms:
+    @pytest.mark.parametrize("J, L, K", [(1, 2, 10), (2, 3, 9), (4, 6, 6), (7, 2, 12), (5, 10, 10)])
+    def test_a_stack_equals_per_market_calls(self, J, L, K):
+        # covers J = 1 (no rival crosses) and, at L = 2, the centered-power tail
+        W = np.random.default_rng(J * 100 + K).standard_normal((9, J, L))
+        stacked = instrument_transforms(W, K)
+        assert stacked.shape == (9, J, K)
+        for i in range(9):
+            np.testing.assert_array_equal(stacked[i], instrument_transforms(W[i], K))
+        np.testing.assert_array_equal(instrument_transforms(W.reshape(3, 3, J, L), K), stacked.reshape(3, 3, J, K))
+
     def test_leading_columns_are_linear(self):
         # K=6 spans m=2 raw instruments: columns start w_1, w_2, w_1 w_2
         rng = np.random.default_rng(3)
@@ -171,9 +194,57 @@ class TestClosedFormLogitDelta:
         np.testing.assert_allclose(out[0], logit_delta(S[0]))
 
 
+def _market_by_hand(cfg: DgpConfig, rule, market: int, retry: int):
+    # one market from stream (seed, market, retry), built as the generator documents
+    J, L = cfg.model.J, cfg.model.L
+    rng = _market_rng(cfg.seed, market, retry)
+    E, eta, z = rng.standard_normal((J, L)), rng.standard_normal((J, L)), rng.standard_normal(J)
+    rho, a = cfg.endog_corr, cfg.instrument_strength
+    X = E.copy()
+    X[:, 0] = rho * z + np.sqrt(1.0 - rho**2) * E[:, 0]
+    xi = cfg.xi_sd * z
+    H = instrument_transforms(a * E + np.sqrt(1.0 - a**2) * eta, cfg.model.K)
+    theta = true_theta(cfg)
+    S = _mixed_shares((X @ theta.beta + xi)[None], group_index_matrix(X, theta.gamma, cfg.model)[None], rule)[0]
+    underflow = S.min() < dgp.SHARE_UNDERFLOW or 1.0 - S.sum() < dgp.SHARE_UNDERFLOW
+    return X, S, H, xi, underflow
+
+
 class TestRetryPath:
+    # a strong signal on 8 products: some markets underflow, none runs out of retries
+    PARTIAL = dict(model=_config(n=60, J=8, L=5, K=7), s_beta=5, signal=3.5, xi_sd=0.5, seed=1)
+
+    def _retries(self, cfg, rule):
+        retries = []
+        for i in range(cfg.model.n_markets):
+            r = 0
+            while _market_by_hand(cfg, rule, i, r)[-1]:
+                r += 1
+            retries.append(r)
+        return retries
+
     def test_extreme_design_raises_after_retries(self, gh1):
         # a huge signal pushes shares to the boundary; generator must give up
         cfg = _dgp(model=_config(n=2, J=8, L=5), signal=40.0, s_beta=5, xi_sd=0.0)
         with pytest.raises(ConfigurationError, match="underflow"):
+            simulate(cfg, gh1)
+
+    def test_only_underflowing_markets_are_redrawn(self, gh1):
+        cfg = _dgp(**self.PARTIAL)
+        retries = self._retries(cfg, gh1)
+        assert 0 < sum(r > 0 for r in retries) < len(retries)
+        with pytest.warns(RuntimeWarning, match=rf"^redrew {sum(retries)} market\(s\) after share underflow$"):
+            ds, _ = simulate(cfg, gh1)
+        for i, r in enumerate(retries):
+            X, S, H, xi, _ = _market_by_hand(cfg, gh1, i, r)
+            np.testing.assert_array_equal(ds.X[i], X)
+            np.testing.assert_array_equal(ds.H[i], H)
+            np.testing.assert_array_equal(ds.xi_true[i], xi)
+            np.testing.assert_allclose(ds.S[i], S, rtol=0.0, atol=1e-15)
+
+    def test_error_names_the_first_market_out_of_retries(self, gh1, monkeypatch):
+        cfg = _dgp(**self.PARTIAL)
+        first = next(i for i, r in enumerate(self._retries(cfg, gh1)) if r > 0)
+        monkeypatch.setattr(dgp, "MAX_MARKET_RETRIES", 0)
+        with pytest.raises(ConfigurationError, match=rf"^market {first}: .* after 0 retries; weaken"):
             simulate(cfg, gh1)

@@ -52,6 +52,15 @@ class TestFailureIsolation:
         assert [r.status for r in report.records] == ["estimate_failed: ArithmeticError: unbounded LP"] * 2
         assert report.aggregates["30"]["estimate_failed"] == 2
 
+    def test_simulate_failure_is_an_estimate_failure_with_its_time(self, monkeypatch):
+        def broken_simulate(*args, **kwargs):
+            raise ConfigurationError("market 0: shares kept underflowing")
+
+        monkeypatch.setattr(montecarlo, "simulate", broken_simulate)
+        rec = montecarlo._run_one((study(workers=1), 30, 0))
+        assert rec.status == "estimate_failed: ConfigurationError: market 0: shares kept underflowing"
+        assert rec.simulate_s >= 0.0 and rec.estimate_s is None and rec.err_l2 is None
+
     def test_debias_stage_failure_is_recorded(self, monkeypatch):
         def broken_debias(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -72,10 +81,11 @@ class TestCanonicalContent:
     def test_stage_times_are_recorded_but_not_canonical(self):
         report = run_study(study(workers=1, replications=1))
         rec = report.records[0]
-        assert rec.status == "ok" and rec.estimate_s > 0.0 and rec.debias_s > 0.0
-        assert rec.runtime_s >= rec.estimate_s + rec.debias_s
+        assert rec.status == "ok" and rec.simulate_s > 0.0 and rec.estimate_s > 0.0 and rec.debias_s > 0.0
+        assert rec.runtime_s >= rec.simulate_s + rec.estimate_s + rec.debias_s
         canonical = canonical_bytes(report)
         assert b"estimate_s" not in canonical and b"debias_s" not in canonical
+        assert b"simulate_s" not in canonical
 
 
 class TestLoadConfig:

@@ -26,11 +26,14 @@ system gamma_hat G_hat has rank at most JK and some unit rows e_r may be
 unreachable: the mu LP for such a row is infeasible at any penalty below the
 row's minimal achievable sup-norm residual (its floor). The floor is exactly
 1 iff column r of gamma_hat G_hat is zero, as for a group whose gamma_hat is 0.
-The default behaviour is to raise; relax_mu=True instead re-solves each row
-whose mu LP is infeasible at the requested penalty with that penalty floored
-at just above the row's floor (an auxiliary LP per such row), and records the
-effective penalties. Rows the requested penalty reaches keep it; a relaxed
-row often gets se 0, an interval of zero width, which the CLI names.
+Such a dead-column row costs no simplex: the LP presolve drops the zero
+constraint row, so the row's LP is infeasible at once, its floor comes back
+as exactly 1 and its relaxed re-solve as mu_r = 0. The default behaviour is
+to raise; relax_mu=True instead re-solves each row whose mu LP is infeasible
+at the requested penalty with that penalty floored at just above the row's
+floor (an auxiliary LP per such row), and records the effective penalties.
+Rows the requested penalty reaches keep it; a relaxed row often gets se 0,
+an interval of zero width, which the CLI names.
 """
 
 from __future__ import annotations
@@ -184,13 +187,17 @@ def estimate_gamma(
 def minimax_row_floor(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest achievable ||x a - b||_inf over x, by solve_nonneg_lp.
 
-    Data are max-abs equilibrated before the solve (the floor scales back
-    exactly). The LP is always feasible, so any non-optimal status is a
-    numerical failure worth raising over.
+    Data are divided by the smallest power of two above their max-abs
+    before the solve, so the floor scales back exactly: at a dead column r
+    (column r of a zero up to roundoff, b = e_r) the presolve fixes the
+    floor at |b_r| and it comes back as exactly 1, whatever the roundoff in
+    a. The LP is always feasible, so any non-optimal status is a numerical
+    failure worth raising over.
     """
     scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
+    scale = float(2.0 ** np.frexp(scale)[1])
     sol = solve_nonneg_lp(L1LinfProblem(a.T / scale, np.asarray(b, dtype=float) / scale, 0.0))
     if sol.status is not LpStatus.OPTIMAL:
         raise DebiasError(f"row-floor LP unexpectedly {sol.status.value}")

@@ -152,6 +152,30 @@ class TestElasticRelaxation:
         np.testing.assert_allclose(mu, [[0.49, 0.0], [0.49, 0.0]], atol=1e-9)
         assert all(s is LpStatus.OPTIMAL for s in statuses)
 
+    def test_a_dead_column_needs_no_simplex(self, monkeypatch):
+        # column 1 of gamma_hat G_hat is roundoff: row 1's LP fails on that
+        # zero row, its floor is exactly 1 and its relaxed re-solve gives
+        # mu_1 = 0, none of the three with a pivot
+        from sparseblp import debias as debias_module
+        from sparseblp import l1_solvers
+
+        calls = []
+        for module, name in ((l1_solvers, "solve_l1_linf"), (debias_module, "solve_nonneg_lp")):
+            def recording(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append((_name, _real(*args, **kwargs)))
+                return calls[-1][1]
+
+            monkeypatch.setattr(module, name, recording)
+        gg = np.array([[2.0, 3e-16], [0.5, -1e-16]])
+        mu, _, lam = estimate_mu(np.eye(2), gg, 0.02, relax=True)
+        assert [(name, sol.status, sol.pivots) for name, sol in calls[1:]] == [
+            ("solve_l1_linf", LpStatus.INFEASIBLE, 0),
+            ("solve_nonneg_lp", LpStatus.OPTIMAL, 0),
+            ("solve_l1_linf", LpStatus.OPTIMAL, 0),
+        ]
+        assert lam[1] == 1.05 * 1.0 + 1e-6
+        np.testing.assert_array_equal(mu[1], [0.0, 0.0])
+
     def test_row_floor_values(self):
         # invertible system reaches everything; zero map reaches nothing
         assert minimax_row_floor(np.eye(3), np.array([0.0, 1.0, 0.0])) == pytest.approx(0.0, abs=1e-10)

@@ -55,15 +55,16 @@ def oracle_l1_linf(A, b, lam):
     return best
 
 
-def check_certificate(prob: L1LinfProblem, sol):
-    """Strong-duality identities from the solver contract."""
+def check_certificate(prob: L1LinfProblem, sol, rel=None):
+    """Strong-duality identities from the solver contract; rel adds a
+    relative tolerance for answers far from unit scale."""
     y = sol.dual
     assert y is not None
     assert np.abs(prob.A.T @ y).max() <= 1 + 1e-6
     dual_obj = prob.b @ y - prob.lam @ np.abs(y)
-    assert dual_obj == pytest.approx(sol.objective, abs=1e-6)
+    assert dual_obj == pytest.approx(sol.objective, rel=rel, abs=1e-6)
     resid = prob.A @ sol.x - prob.b
-    assert -y @ resid == pytest.approx(prob.lam @ np.abs(y), abs=1e-6)
+    assert -y @ resid == pytest.approx(prob.lam @ np.abs(y), rel=rel, abs=1e-6)
 
 
 class TestSoftThresholdCases:
@@ -218,6 +219,10 @@ def elastic_problem(rng) -> L1LinfProblem:
     return L1LinfProblem(G, -f, lam, lo, hi)
 
 
+def no_tableau(*args):
+    raise AssertionError("the solver built a tableau")
+
+
 def floor_problem(rng) -> L1LinfProblem:
     """A min-violation LP shaped as debias's row floor poses it,
     equilibrated: ||x a - b||_inf <= t, a sometimes with dead columns."""
@@ -262,16 +267,19 @@ class TestNonnegLp:
             assert sol.max_violation <= l1_solvers.FEAS_TOL
             assert np.all(prob.lo <= sol.x) and np.all(sol.x <= prob.hi) and sol.objective >= 0.0
 
-    def test_a_dead_column_floors_at_one_in_one_pivot(self, rng):
+    def test_a_dead_column_floors_at_exactly_one_without_a_tableau(self, rng, monkeypatch):
         # at a dead group, column r of gamma_hat G_hat is zero up to roundoff,
-        # and row r's floor, min ||x a - e_r||_inf, is 1: t enters the one row
-        # that the slack basis breaks, and that single pivot is optimal
+        # and row r's floor, min ||x a - e_r||_inf, is 1: the presolve drops
+        # that zero row, whose violation is fixed at 1, and x = 0 meets every
+        # other row at t = 1
         a = rng.standard_normal((80, 80))
         a /= np.abs(a).max()
         a[:, 5] = 3e-15 * rng.standard_normal(80)
+        monkeypatch.setattr(l1_solvers, "_slack_tableau", no_tableau)
         sol = solve_nonneg_lp(L1LinfProblem(a.T, np.eye(80)[5], 0.0))
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.pivots == 1 and sol.objective == 1.0 and not sol.x.any()
+        assert sol.pivots == 0 and sol.objective == 1.0 and sol.max_violation == 0.0
+        np.testing.assert_array_equal(sol.x, np.zeros(80))
 
 
 def random_family(rng):
@@ -293,8 +301,9 @@ def random_family(rng):
 
 
 class TestWarmStartedFamily:
-    """solve_row_family warm-starts each row from the previous row's tableau;
-    every answer must be the one a cold solve of that row gives."""
+    """solve_row_family warm-starts each row from the previous row's tableau
+    (or, on a square family, from its crash basis); every answer must be the
+    one a cold solve of that row gives."""
 
     def test_agrees_with_cold_solves(self, rng):
         statuses = set()
@@ -320,8 +329,9 @@ class TestWarmStartedFamily:
                                       replace(sol, x=sol.x / s, objective=sol.objective / s))
 
     def test_warm_start_is_used(self, rng):
-        # a repeated row is already optimal at the previous row's basis
-        A = rng.standard_normal((5, 5))
+        # a repeated row is already optimal at the previous row's basis; A'
+        # is 5 x 7, not square, so the rows start warm, not at a crash basis
+        A = rng.standard_normal((7, 5))
         b = rng.standard_normal(5)
         first, second = solve_row_family(A, np.array([b, b]), np.full(2, 0.05))
         assert first.pivots > 0 and second.pivots == 0
@@ -359,7 +369,8 @@ class TestWarmStartedFamily:
             np.testing.assert_array_equal(sol.x, np.zeros(4))
 
     def test_pivot_limit_per_row(self, rng, monkeypatch):
-        A = rng.standard_normal((6, 6))
+        # A' is 6 x 9, not square: each row needs pivots from a warm start
+        A = rng.standard_normal((9, 6))
         B = rng.standard_normal((3, 6))
         monkeypatch.setattr(l1_solvers, "MAX_PIVOTS", 1)
         sols = solve_row_family(A, B, np.full(3, 0.01))
@@ -428,6 +439,180 @@ class TestWarmStartedFamily:
         assert run() == run()
 
 
+def square_family(rng, cond):
+    """A square row family (A, B, lam) whose presolved block A' is square,
+    with condition number about cond: sometimes a dead column of A (a zero
+    constraint row of A') together with a zero row of A (a coordinate no
+    live row uses), scales from 1e-3 to 1e3, and each row's penalty 0.01 to
+    1.2 times max|B|, so statuses mix."""
+    k = int(rng.integers(3, 9))
+    U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    A = (U * np.geomspace(1.0, 1.0 / cond, k)) @ V
+    if rng.random() < 0.5:
+        A = np.insert(A, int(rng.integers(k + 1)), 0.0, axis=0)
+        A = np.insert(A, int(rng.integers(k + 1)), 0.0, axis=1)
+    A *= 10.0 ** rng.uniform(-3, 3)
+    B = rng.standard_normal((int(rng.integers(3, 9)), A.shape[1])) * 10.0 ** rng.uniform(-3, 3)
+    lam = np.abs(B).max() * rng.uniform(0.01, 1.2, size=B.shape[0])
+    return A, B, lam
+
+
+@pytest.fixture
+def crash_starts(monkeypatch):
+    """Counts the crash tableaux built while the test runs."""
+    calls = []
+    real = l1_solvers._crash_tableau
+
+    def counting(inv, b):
+        calls.append(len(inv))
+        return real(inv, b)
+
+    monkeypatch.setattr(l1_solvers, "_crash_tableau", counting)
+    return calls
+
+
+def family_bytes(sols):
+    return [s.x.tobytes() + np.float64(s.objective).tobytes() + bytes(f"{s.status} {s.pivots}", "ascii")
+            + (b"" if s.dual is None else s.dual.tobytes()) for s in sols]
+
+
+class TestCrashStart:
+    """solve_row_family starts each row of a square, safely invertible
+    family at the basis sign(A^-1 b) names; every answer must be HiGHS's."""
+
+    @pytest.mark.parametrize("cond", [10.0, 1e6], ids=["well", "ill"])
+    def test_square_families_agree_with_highs(self, rng, crash_starts, cond):
+        statuses = set()
+        for _ in range(60):
+            A, B, lam = square_family(rng, cond)
+            s = np.abs(B).max()
+            for r, sol in enumerate(solve_row_family(A, B, lam)):
+                status, value = highs_l1_linf(A.T, B[r], lam[r])
+                assert sol.status.value == status
+                statuses.add(sol.status)
+                if sol.status is LpStatus.OPTIMAL:
+                    assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-12 * s)
+                    assert sol.max_violation <= l1_solvers.FEAS_TOL
+                    # the identities are checked on unit-scale data
+                    check_certificate(L1LinfProblem(A.T, B[r] / s, lam[r] / s),
+                                      replace(sol, x=sol.x / s, objective=sol.objective / s),
+                                      rel=1e-9)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        assert len(crash_starts) > 100
+
+    def test_a_singular_block_keeps_the_warm_start(self, rng, crash_starts):
+        # A' is square but of rank 4: no inverse, so the repeated row starts
+        # warm from the first row's tableau, where it is already optimal
+        Q = rng.standard_normal((4, 5))
+        A = rng.standard_normal((5, 4)) @ Q
+        b = rng.standard_normal(4) @ Q
+        first, second = solve_row_family(A, np.array([b, b]), np.full(2, 0.05))
+        assert crash_starts == []
+        assert first.status is second.status is LpStatus.OPTIMAL
+        assert first.pivots > 0 and second.pivots == 0
+
+    def test_row_order_does_not_matter(self, rng, crash_starts):
+        for _ in range(20):
+            A, B, lam = square_family(rng, 1e3)
+            perm = rng.permutation(B.shape[0])
+            sols = family_bytes(solve_row_family(A, B, lam))
+            assert family_bytes(solve_row_family(A, B[perm], lam[perm])) == [sols[r] for r in perm]
+        assert crash_starts
+
+    def test_a_crash_answer_that_breaks_its_certificate_is_resolved_cold(self, rng, monkeypatch):
+        # an inverse off by a factor 1 + 1e-4 names the same signs, but the
+        # answer's dual y then has ||A'y||_inf = 1 + 1e-4: the row is solved
+        # again from the slack basis
+        A = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+        b = rng.standard_normal(6)
+        real = l1_solvers._crash_tableau
+        monkeypatch.setattr(l1_solvers, "_crash_tableau", lambda inv, b: real(inv * (1 + 1e-4), b))
+        (sol,), ran = line_runs(l1_solvers._FamilyState._run, "return None, pivots",
+                                lambda: solve_row_family(A, b[None, :], np.full(1, 0.05)))
+        assert ran
+        cold = solve_l1_linf(L1LinfProblem(A.T, b, 0.05))
+        assert sol.status is LpStatus.OPTIMAL and sol.max_violation <= l1_solvers.FEAS_TOL
+        assert sol.x.tobytes() == cold.x.tobytes() and sol.pivots >= cold.pivots
+
+
+class TestPresolve:
+    """Both solvers drop zero rows and the columns no live row uses, and
+    return the point of [lo, hi] nearest 0 without a tableau when it meets
+    every row."""
+
+    def test_l1_linf_exit_at_zero_with_a_dual_certificate(self, rng, monkeypatch):
+        A = rng.standard_normal((6, 4))
+        A[2] = 0.0
+        b = 0.3 * rng.uniform(-1.0, 1.0, 6)
+        prob = L1LinfProblem(A, b, 0.3)
+        monkeypatch.setattr(l1_solvers, "_slack_tableau", no_tableau)
+        sol = solve_l1_linf(prob)
+        assert sol.status is LpStatus.OPTIMAL and sol.pivots == 0 and sol.objective == 0.0
+        np.testing.assert_array_equal(sol.x, np.zeros(4))
+        np.testing.assert_array_equal(sol.dual, np.zeros(6))
+        check_certificate(prob, sol)
+
+    def test_nonneg_exit_at_the_violation_a_zero_row_fixes(self, rng, monkeypatch):
+        # the zero row fixes t >= |b_0| - lam = 0.7, and x = 0 meets the
+        # other rows within lam + 0.7
+        A = rng.standard_normal((5, 3))
+        A[0] = 0.0
+        b = np.r_[-0.9, 0.9 * rng.uniform(-1.0, 1.0, 4)]
+        prob = L1LinfProblem(A, b, 0.2)
+        monkeypatch.setattr(l1_solvers, "_slack_tableau", no_tableau)
+        sol = solve_nonneg_lp(prob)
+        assert sol.status is LpStatus.OPTIMAL and sol.pivots == 0
+        assert sol.objective == pytest.approx(0.7, rel=1e-15) and sol.max_violation == 0.0
+        np.testing.assert_array_equal(sol.x, np.zeros(3))
+        monkeypatch.undo()
+        assert sol.objective == pytest.approx(highs_min_violation(prob), rel=1e-9)
+
+    def test_a_zero_row_bounds_the_violation_from_below(self, rng):
+        # the zero row fixes t >= 0.1, but the live rows need more
+        A = rng.standard_normal((5, 3))
+        A[0] = 0.0
+        b = np.r_[0.3, 5.0 * rng.standard_normal(4)]
+        prob = L1LinfProblem(A, b, 0.2, lo=-0.1, hi=0.1)
+        sol = solve_nonneg_lp(prob)
+        assert sol.status is LpStatus.OPTIMAL and sol.pivots > 0 and sol.objective > 0.1
+        assert sol.objective == pytest.approx(highs_min_violation(prob), rel=1e-9)
+
+    def test_a_zero_column_stays_at_the_bound_nearest_zero(self, rng):
+        A = rng.standard_normal((4, 5))
+        A[:, 1] = 0.0
+        b = rng.standard_normal(4)
+        lo, hi = np.full(5, -np.inf), np.full(5, np.inf)
+        lo[1], hi[1] = 0.5, 3.0
+        for prob in (L1LinfProblem(A, b, 0.05, lo, hi), L1LinfProblem(A, b, 0.0, lo, hi)):
+            for sol in (solve_l1_linf(prob), solve_nonneg_lp(prob)):
+                assert sol.status is LpStatus.OPTIMAL and sol.pivots > 0
+                assert sol.x[1] == 0.5
+        status, value = highs_l1_linf(A, b, 0.05, lo, hi)
+        assert solve_l1_linf(L1LinfProblem(A, b, 0.05, lo, hi)).objective == pytest.approx(value, rel=1e-9)
+
+    def test_a_warm_family_is_still_right_after_an_exit(self, rng):
+        # the exit builds no tableau, so the next LP starts warm from the
+        # last one the family solved
+        A = rng.standard_normal((5, 7))
+        b0, b2 = rng.standard_normal((2, 5))
+        small = 0.01 * rng.uniform(-1.0, 1.0, 5)
+        lam = 0.05
+        family, without = l1_solvers._FamilyState(), l1_solvers._FamilyState()
+        sols = [solve_l1_linf(L1LinfProblem(A, b, lam), _family=family) for b in (b0, small, b2)]
+        assert sols[1].pivots == 0 and not sols[1].x.any()
+        alone = [solve_l1_linf(L1LinfProblem(A, b, lam), _family=without) for b in (b0, b2)]
+        assert family_bytes(sols[::2]) == family_bytes(alone)
+        cold = solve_l1_linf(L1LinfProblem(A, b2, lam))
+        assert sols[2].objective == pytest.approx(cold.objective, rel=1e-12)
+        assert sols[2].max_violation <= l1_solvers.FEAS_TOL
+
+    def test_the_size_guard_applies_to_the_problem_as_posed(self):
+        # every row is zero, so no tableau would be built; the guard still holds
+        with pytest.raises(LpSizeError):
+            solve_l1_linf(L1LinfProblem(np.zeros((2000, 2000)), np.zeros(2000), 0.0))
+
+
 class TestOneLpPath:
     """Every l1/l_inf LP runs the one-phase dual simplex; solve_nonneg_lp
     is left to the min-violation LPs."""
@@ -458,6 +643,18 @@ class TestOneLpPath:
         solve_l1_linf(L1LinfProblem(A1, b, 0.3), _family=family)
         sol = solve_l1_linf(L1LinfProblem(A2, b, 0.3), _family=family)
         fresh = solve_l1_linf(L1LinfProblem(A2, b, 0.3))
+        assert sol.pivots == fresh.pivots > 0
+        assert sol.x.tobytes() == fresh.x.tobytes()
+
+
+    def test_a_matrix_changed_in_place_starts_afresh(self, rng):
+        family = l1_solvers._FamilyState()
+        A = rng.standard_normal((6, 4))
+        b = rng.standard_normal(6)
+        solve_l1_linf(L1LinfProblem(A, b, 0.3), _family=family)
+        A[0, 0] += 1.0
+        sol = solve_l1_linf(L1LinfProblem(A, b, 0.3), _family=family)
+        fresh = solve_l1_linf(L1LinfProblem(A, b, 0.3))
         assert sol.pivots == fresh.pivots > 0
         assert sol.x.tobytes() == fresh.x.tobytes()
 

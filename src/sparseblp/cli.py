@@ -175,6 +175,8 @@ def _cmd_estimate(args) -> int:
         "lp_pivots": result.lp_pivots,
         "trust_shrinks": result.trust_shrinks,
         "soc_rescues": result.soc_rescues,
+        "eqp_steps": result.eqp_steps,
+        "stop": result.stop,
         "final_constraint": result.final_constraint,
         "diagnosis": result.diagnosis,
         "runtime_s": result.runtime_s,

@@ -27,6 +27,8 @@ one they invert afresh on every call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .model_core import Dataset, Theta, group_index_matrix
@@ -134,6 +136,7 @@ class Evaluator:
         self._deltas: list[np.ndarray] = []  # and their deltas: the start pool
         # (gamma, d delta / d gamma) of the last Jacobian computed here
         self._anchor: tuple[np.ndarray, np.ndarray] | None = None
+        self._probing = False
         self.inversions = self.contraction_iters = self.newton_iters = 0
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
@@ -148,13 +151,24 @@ class Evaluator:
         return hit.at_beta(theta.beta)
 
     def jacobian(self, theta: Theta) -> np.ndarray:
-        """The Jacobian at theta; one computed here makes theta.gamma the anchor."""
+        """The Jacobian at theta; one computed here, outside probing, makes
+        theta.gamma the anchor."""
         ev = self(theta)
         if "jacobian" in ev._shared:
             return ev._shared["jacobian"]
         jac, ddelta_dgamma = ev._derivatives()
-        self._anchor = (ev.theta.gamma, ddelta_dgamma)
+        if not self._probing:
+            self._anchor = (ev.theta.gamma, ddelta_dgamma)
         return jac
+
+    @contextmanager
+    def probing(self):
+        """Jacobians computed in the block leave the anchor where it is."""
+        self._probing = True
+        try:
+            yield
+        finally:
+            self._probing = False
 
     def _invert(self, theta: Theta) -> MomentEvaluation | InversionError:
         start = None

@@ -285,6 +285,8 @@ class TestPipeline:
     def test_estimate_json_counts_trust_region_steps(self, simulated):
         est = json.loads((simulated / "est" / "est.json").read_text())
         assert est["trust_shrinks"] >= 0 and 0 <= est["soc_rescues"] <= est["outer_iters"]
+        assert 0 <= est["eqp_steps"] <= est["outer_iters"]
+        assert est["stop"] in ("converged", "stalled", "failed", None)
 
     @pytest.mark.parametrize("flag, env, workers", [
         ((), None, 3), ((), "2", 2), (("--threads", "1"), "2", 1), (("--threads", "1"), None, 1),

@@ -244,3 +244,22 @@ class TestDeltaPredictor:
         delta_far = evals(far).delta
         score(data, Theta(beta=far.beta, gamma=1.01 * far.gamma), rule, opts.inversion, evals)
         np.testing.assert_array_equal(starts[-1], delta_far)
+
+    def test_a_probe_jacobian_leaves_the_anchor(self, mc_design, starts):
+        # a finite-difference probe's Jacobian must not become the point the
+        # next inversion start is predicted from
+        data, rule, opts = mc_design
+        L = data.config.L
+        anchor = Theta(beta=np.zeros(L), gamma=np.full(L, L ** -0.5))
+        trial = Theta(beta=anchor.beta, gamma=anchor.gamma + 0.05 * np.random.default_rng(3).standard_normal(L))
+        probed = Evaluator(data, rule, opts.inversion)
+        plain = Evaluator(data, rule, opts.inversion)
+        for evals in (probed, plain):
+            jacobian_theta(data, anchor, rule, opts.inversion, evals)
+        probe = Theta(beta=anchor.beta, gamma=anchor.gamma + 1e-6)
+        with probed.probing():
+            jacobian_theta(data, probe, rule, opts.inversion, probed)
+        score(data, probe, rule, opts.inversion, plain)  # same start pool, no probe Jacobian
+        score(data, trial, rule, opts.inversion, probed)
+        score(data, trial, rule, opts.inversion, plain)
+        np.testing.assert_array_equal(starts[-2], starts[-1])

@@ -57,7 +57,7 @@ class TestZeroShortCircuit:
         ds, _ = _noisy_data(gh1)
         c0 = float(np.abs(score(ds, Theta.zeros(ds.config.L), gh1)).max())
         res = estimate(ds, gh1, RgmmOptions(lam=1.01 * c0))
-        assert res.converged and res.outer_iters == 0
+        assert res.converged and res.outer_iters == 0 and res.stop is None
         assert not res.theta_hat.stacked().any()
         assert res.final_constraint <= res.lam
 
@@ -194,8 +194,9 @@ class TestEstimateAuto:
         ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
         res = estimate_auto(ds, gh1)
         assert len(fits) == 2 and all(fit.outer_iters > 0 for fit in fits)
-        for name in ("outer_iters", "trust_shrinks", "soc_rescues"):
+        for name in ("outer_iters", "trust_shrinks", "soc_rescues", "eqp_steps"):
             assert getattr(res, name) == sum(getattr(fit, name) for fit in fits), name
+        assert res.stop == fits[-1].stop
         assert res.runtime_s >= sum(fit.runtime_s for fit in fits)
 
 
@@ -421,17 +422,26 @@ class TestLpCounts:
         assert res.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
 
 
+def _refuse_newton_steps(monkeypatch):
+    """Refuse every Newton step before it evaluates anything: the SLP runs
+    on its trust-region steps alone."""
+    monkeypatch.setattr(rgmm, "_eqp_step", lambda *args: None)
+
+
 class TestTrustRadius:
     """The radius rule and the delta predictor, on the mc-replications
-    benchmark design (curved enough that steps get shrunk and rescued)."""
+    benchmark design with Newton steps refused (curved enough that steps
+    get shrunk and rescued; Newton steps end this fit before any shrink)."""
 
-    def test_counts_of_shrinks_and_rescues(self, mc_design):
+    def test_counts_of_shrinks_and_rescues(self, mc_design, monkeypatch):
+        _refuse_newton_steps(monkeypatch)
         data, rule, opts = mc_design
         res = estimate(data, rule, opts)
         assert res.trust_shrinks > 0 and res.soc_rescues > 0
         assert res.soc_rescues <= res.outer_iters
 
     def test_radius_does_not_grow_after_a_shrink_or_a_rescue(self, mc_design, monkeypatch):
+        _refuse_newton_steps(monkeypatch)
         data, rule, opts = mc_design
         pilot = rgmm._pilot_probes(data, rule, opts, Evaluator(data, rule, opts.inversion))[0][0]
         events = []
@@ -474,3 +484,61 @@ class TestTrustRadius:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+# the mc-replications design at DGP seed 0 (lambda = 1.2/sqrt(n), pilot
+# 1.0): its step LPs zigzag across a curved face of the feasible set, and
+# without Newton steps the fit stalls after 31 outer iterations at this
+# theta_hat
+STALLING_SEED = 0
+TRUST_REGION_ITERS = 31
+TRUST_REGION_THETA = [
+    0.5603178351728263, 0.5028301197804206, 0.0, -0.0007805035713714861,
+    -0.10642724146287053, 2.776688165716774e-05, 0.0, 0.0, 0.0, 0.05291372136658719,
+    0.510687497179574, 0.39031549086295636, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.02897400277971221, 0.0,
+]
+
+
+@pytest.fixture(scope="module")
+def stalling_design():
+    model = ModelConfig(n_markets=100, J=4, L=10, G=1, K=6, partition=(1,) * 10)
+    rule = gauss_hermite_rule(1, 9)
+    data, _ = simulate(DgpConfig(model=model, s_beta=2, s_gamma=2, seed=STALLING_SEED), rule)
+    return data, rule, RgmmOptions(lam=1.2 / np.sqrt(100), pilot_scales=(1.0,))
+
+
+class TestNewtonSteps:
+    """Newton steps on a step LP's working set (SLP-EQP) end a fit that the
+    trust-region steps alone leave stalled."""
+
+    def test_a_stalling_fit_converges(self, stalling_design):
+        data, rule, opts = stalling_design
+        res = estimate(data, rule, opts)
+        assert res.stop == "converged" and res.converged
+        assert res.eqp_steps >= 1 and res.outer_iters <= 20
+        c_hat = float(np.abs(score(data, res.theta_hat, rule)).max())
+        assert c_hat <= opts.lam + opts.feasibility_slack
+        warm = estimate(data, rule, opts, theta_init=res.theta_hat)
+        assert np.abs(warm.theta_hat.stacked() - res.theta_hat.stacked()).max() <= 1e-8
+
+    def test_refused_newton_steps_leave_the_trust_region_path(self, stalling_design, monkeypatch):
+        _refuse_newton_steps(monkeypatch)
+        data, rule, opts = stalling_design
+        res = estimate(data, rule, opts)
+        assert res.eqp_steps == 0 and res.stop == "stalled"
+        assert res.outer_iters == TRUST_REGION_ITERS
+        assert res.theta_hat.stacked().tolist() == TRUST_REGION_THETA
+
+    def test_a_vertex_working_set_is_refused_before_any_evaluation(self, stalling_design, monkeypatch):
+        data, rule, opts = stalling_design
+        evals = Evaluator(data, rule, opts.inversion)
+        L = data.config.L
+        support = np.zeros(2 * L, dtype=bool)
+        support[[0, 1, L]] = True
+        ws = rgmm._WorkingSet(support, support * 1.0, np.array([0, 1, 2]), np.ones(3))
+        monkeypatch.setattr(rgmm, "jacobian_theta", None)  # any evaluation would raise
+        monkeypatch.setattr(rgmm, "score", None)
+        vec = support * 0.5
+        assert rgmm._eqp_step(data, rule, opts, evals, ws, vec, np.zeros(24), opts.lam) is None
+        assert evals.inversions == 0

@@ -146,9 +146,82 @@ def _normal_moment(p: int) -> float:
     return out
 
 
-def _market_rng(seed: int, market: int, retry: int) -> np.random.Generator:
-    # counter-based streams: independent per (seed, market, retry), order-free
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, market, retry))))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), for _philox_keys
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    # numpy's split of an entropy int into little-endian 32-bit words; 0 is [0]
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(h: int, mult: int):
+    # SeedSequence's hashmix over the running hash constant h; values are
+    # uint32 arrays, the constants Python ints below 2**32
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = value ^ h
+        h = (h * mult) & _MASK32
+        value = value * h
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def _philox_keys(seed: int, markets: np.ndarray, retry: int) -> np.ndarray:
+    """Philox keys of the streams (seed, market, retry) for every market at once.
+
+    Row i of the (k, 2) uint64 result equals
+    SeedSequence(entropy=(seed, markets[i], retry)).generate_state(2, np.uint64):
+    numpy's mix_entropy over the entropy words, then generate_state over the
+    pool, each step done on uint32 arrays with one entry per market. A
+    market id is one word (ids are below 2**32); seed and retry are split
+    into words as numpy splits them (_uint32_words).
+    """
+    k = markets.size
+    entropy = (
+        [np.full(k, w, np.uint32) for w in _uint32_words(seed)]
+        + [markets.astype(np.uint32)]
+        + [np.full(k, w, np.uint32) for w in _uint32_words(retry)]
+    )
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(k, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(word) for word in pool], axis=1)  # 4 uint32 words a market
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _restart_philox(bitgen: np.random.Philox, key: list[int]) -> None:
+    """Put bitgen at the start of the stream with this key, as Philox(key) builds it."""
+    zero = [0, 0, 0, 0]
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": key},
+        "buffer": zero,
+        "buffer_pos": 4,  # empty: the next draw computes the block at counter 0
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def simulate(cfg: DgpConfig, rule: QuadratureRule) -> tuple[Dataset, Theta]:
@@ -157,9 +230,14 @@ def simulate(cfg: DgpConfig, rule: QuadratureRule) -> tuple[Dataset, Theta]:
     Each round has two phases. Phase 1 loops over the markets still to be
     drawn; each takes its attribute drivers, instrument noise and xi shock,
     in that order, from its own counter-based stream keyed by (seed,
-    market_id, retry), so results do not depend on generation order. Phase 2
-    builds the attributes, instruments, their transforms and the shares of
-    the whole (k, J, L) stack at once, with one mixed-share kernel call.
+    market_id, retry), so results do not depend on generation order. That
+    stream is numpy's Generator(Philox(SeedSequence((seed, market_id,
+    retry)))), draw for draw: the round derives every pending market's
+    Philox key in one vectorized SeedSequence pass (_philox_keys), and one
+    reused Philox restarts at each key (counter 0, empty buffer) before the
+    market draws. Phase 2 builds the attributes, instruments, their
+    transforms and the shares of the whole (k, J, L) stack at once, with one
+    mixed-share kernel call.
     Markets whose shares underflow below 1e-12 (inside or outside) go round
     again with retry + 1, up to 10 times, with a warning; the others keep
     their draws.
@@ -169,13 +247,18 @@ def simulate(cfg: DgpConfig, rule: QuadratureRule) -> tuple[Dataset, Theta]:
     rho, a = cfg.endog_corr, cfg.instrument_strength
     theta = true_theta(cfg)
     X, H, S, xi = np.empty((n, J, L)), np.empty((n, J, model.K)), np.empty((n, J)), np.empty((n, J))
+    bitgen = np.random.Philox(0)  # restarted at each market's key before it draws
+    rng = np.random.Generator(bitgen)
     todo, n_retried = np.arange(n), 0
     for retry in range(MAX_MARKET_RETRIES + 1):
-        E, eta, z = np.empty((todo.size, J, L)), np.empty((todo.size, J, L)), np.empty((todo.size, J))
-        for k, i in enumerate(todo):
-            rng = _market_rng(cfg.seed, int(i), retry)
-            for draws in (E[k], eta[k], z[k]):  # attribute drivers, instrument noise, xi shock
-                rng.standard_normal(out=draws)
+        draws = np.empty((todo.size, 2 * J * L + J))
+        for k, key in enumerate(_philox_keys(cfg.seed, todo, retry).tolist()):
+            _restart_philox(bitgen, key)
+            rng.standard_normal(out=draws[k])
+        # each market's stream, in order: attribute drivers, instrument noise, xi shock
+        E = draws[:, : J * L].reshape(-1, J, L)
+        eta = draws[:, J * L : 2 * J * L].reshape(-1, J, L)
+        z = draws[:, 2 * J * L :]
         Xk = E.copy()
         Xk[..., 0] = rho * z + np.sqrt(1.0 - rho**2) * E[..., 0]
         xik = cfg.xi_sd * z

@@ -314,12 +314,18 @@ def read_value(tp, value, key: str):
     return float(value) if tp is float else value
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> ConfigurationError:
+    return ConfigurationError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})")
+
+
 def read_json(path):
-    """Parse a JSON file; invalid JSON raises ConfigurationError."""
+    """Parse a UTF-8 JSON file; invalid JSON or bytes raise ConfigurationError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def load_config(cls, path, key: str | None = None):
@@ -351,41 +357,60 @@ def dataset_header(config: ModelConfig) -> list[str]:
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
-    cfg = dataset.config
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset_header(cfg))
-        for i in range(dataset.n):
-            for j in range(cfg.J):
-                row = [i + 1, j + 1, repr(float(dataset.S[i, j]))]
-                row += [repr(float(v)) for v in dataset.X[i, j]]
-                row += [repr(float(v)) for v in dataset.H[i, j]]
-                writer.writerow(row)
+    """Write dataset as the CSV file that load_dataset_csv reads.
+
+    The first line is the header market_id,product_id,share,x_1..x_L,h_1..h_K;
+    then one line per product, market by market, with 1-based ids and each
+    float as its repr (the shortest string that parses back to it). Lines end
+    in CRLF and nothing is quoted, so the bytes are those of csv.writer's
+    default dialect.
+    """
+    values = np.concatenate([dataset.S[..., None], dataset.X, dataset.H], axis=2)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(dataset_header(dataset.config)) + "\r\n")
+        # one market at a time, its rows as Python floats (a list for the
+        # whole file would hold 4x the array in memory)
+        for i, market in enumerate(values, start=1):
+            rows = enumerate(market.tolist(), start=1)
+            fh.write("".join(f"{i},{j}," + ",".join(map(repr, row)) + "\r\n" for j, row in rows))
 
 
 def load_dataset_csv(path, config: ModelConfig) -> Dataset:
+    """Read a dataset CSV written by save_dataset_csv, or by hand in its format.
+
+    The header must be exactly dataset_header(config). Lines may end in CRLF
+    or LF, blank lines are skipped, and rows may come in any order: they are
+    grouped by market_id and sorted by product_id, and every market must hold
+    products 1..J. Floats parse with float(), so a saved file loads back bit
+    for bit (any NaN loads as float("nan")). Bytes that are not UTF-8, a
+    wrong field count, an unparsable field, a missing product or a market
+    count other than the config's raise ConfigurationError naming the file.
+    """
     expected = dataset_header(config)
     rows_by_market: dict[int, list[tuple[int, list[float]]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ConfigurationError(
-                f"{path}: header mismatch; expected {expected[:4]}... with "
-                f"L={config.L}, K={config.K}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ConfigurationError(f"{path}:{lineno}: expected {len(expected)} fields")
-            try:
-                market_id = int(row[0])
-                product_id = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-            rows_by_market.setdefault(market_id, []).append((product_id, values))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != expected:
+                raise ConfigurationError(
+                    f"{path}: header mismatch; expected {expected[:4]}... with "
+                    f"L={config.L}, K={config.K}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected):
+                    raise ConfigurationError(f"{path}:{lineno}: expected {len(expected)} fields")
+                try:
+                    market_id = int(row[0])
+                    product_id = int(row[1])
+                    values = [float(v) for v in row[2:]]
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+                rows_by_market.setdefault(market_id, []).append((product_id, values))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     blocks = []
     for market_id in sorted(rows_by_market):
         rows = sorted(rows_by_market[market_id])

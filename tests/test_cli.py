@@ -417,6 +417,26 @@ class TestBadInput:
         line = one_line_error(err)
         assert str(path) in line and "3 dataset invariant(s)" in line and "market_id 2: product_id [1]" in line
 
+    def test_non_utf8_dataset_csv_is_data_error(self, simulated, tmp_path, capsys):
+        lines = (simulated / "data.csv").read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b",", b",\xff", 1)  # a data row, past the header
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"".join(lines))
+        argv = estimate_args(simulated, tmp_path / "est.json")
+        argv[argv.index("--data") + 1] = path
+        code, err = run(capsys, *argv)
+        assert code == cli.EXIT_DATA
+        assert one_line_error(err) == f"data error: {path}: not UTF-8 text (byte 0xff: invalid start byte)"
+
+    def test_non_utf8_json_config_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dgp.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(DGP).encode("utf-16-le"))
+        code, err = run(capsys, "simulate", "--dgp", path, "--out", tmp_path / "d.csv",
+                        "--truth", tmp_path / "t.json")
+        assert code == cli.EXIT_DATA
+        assert one_line_error(err) == f"data error: {path}: not UTF-8 text (byte 0xff: invalid start byte)"
+        assert not (tmp_path / "d.csv").exists()
+
     def test_parameters_of_another_length_are_data_error(self, simulated, tmp_path, capsys):
         theta = write_json(tmp_path / "theta.json", {"beta": [0.5, 0.0], "gamma": [0.5, 0.0]})
         est = json.loads((simulated / "est" / "est.json").read_text())

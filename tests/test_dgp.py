@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseblp import dgp
-from sparseblp.dgp import DgpConfig, _market_rng, instrument_transforms, simulate, true_theta
+from sparseblp.dgp import DgpConfig, instrument_transforms, simulate, true_theta
 from sparseblp.model_core import ConfigurationError, ModelConfig, group_index_matrix
 from sparseblp.moments import evaluate, score
 from sparseblp.quadrature import gauss_hermite_rule
@@ -195,9 +195,10 @@ class TestClosedFormLogitDelta:
 
 
 def _market_by_hand(cfg: DgpConfig, rule, market: int, retry: int):
-    # one market from stream (seed, market, retry), built as the generator documents
+    # one market from stream (seed, market, retry), built as the generator
+    # documents, on numpy's own SeedSequence and Philox
     J, L = cfg.model.J, cfg.model.L
-    rng = _market_rng(cfg.seed, market, retry)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(cfg.seed, market, retry))))
     E, eta, z = rng.standard_normal((J, L)), rng.standard_normal((J, L)), rng.standard_normal(J)
     rho, a = cfg.endog_corr, cfg.instrument_strength
     X = E.copy()
@@ -208,6 +209,48 @@ def _market_by_hand(cfg: DgpConfig, rule, market: int, retry: int):
     S = _mixed_shares((X @ theta.beta + xi)[None], group_index_matrix(X, theta.gamma, cfg.model)[None], rule)[0]
     underflow = S.min() < dgp.SHARE_UNDERFLOW or 1.0 - S.sum() < dgp.SHARE_UNDERFLOW
     return X, S, H, xi, underflow
+
+
+class TestStreams:
+    # one-word, two-word and longer seeds, the last past numpy's 4-word pool
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**96 + 7]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_are_seed_sequence_states(self, seed):
+        markets = np.arange(300)
+        for retry in range(11):
+            ref = [np.random.SeedSequence(entropy=(seed, m, retry)).generate_state(2, np.uint64) for m in markets]
+            np.testing.assert_array_equal(dgp._philox_keys(seed, markets, retry), np.array(ref))
+
+    def test_restarted_philox_is_a_fresh_one(self):
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        for seed, market, retry in [(7, 0, 0), (2**40 + 3, 12, 3), (2**96 + 7, 299, 10)]:
+            # leave a half-used buffer and a cached uint32 behind
+            rng.standard_normal(5)
+            rng.integers(0, 2**32, size=3, dtype=np.uint32)
+            key = dgp._philox_keys(seed, np.array([market]), retry).tolist()[0]
+            dgp._restart_philox(bitgen, key)
+            fresh = np.random.Philox(np.random.SeedSequence(entropy=(seed, market, retry)))
+            # the getter builds both dicts alike from the C state: counter, key, buffer and caches
+            assert repr(bitgen.state) == repr(fresh.state)
+            fresh_rng = np.random.Generator(fresh)
+            np.testing.assert_array_equal(rng.standard_normal(41), fresh_rng.standard_normal(41))
+            np.testing.assert_array_equal(
+                rng.integers(0, 2**32, size=5, dtype=np.uint32), fresh_rng.integers(0, 2**32, size=5, dtype=np.uint32)
+            )
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
+    def test_multiword_seed_matches_by_hand(self, gh1, seed):
+        cfg = _dgp(model=_config(n=20), seed=seed)
+        ds, _ = simulate(cfg, gh1)
+        for i in range(20):
+            X, S, H, xi, underflow = _market_by_hand(cfg, gh1, i, 0)
+            assert not underflow
+            np.testing.assert_array_equal(ds.X[i], X)
+            np.testing.assert_array_equal(ds.H[i], H)
+            np.testing.assert_array_equal(ds.xi_true[i], xi)
+            np.testing.assert_allclose(ds.S[i], S, rtol=0.0, atol=1e-15)
 
 
 class TestRetryPath:
@@ -230,7 +273,12 @@ class TestRetryPath:
             simulate(cfg, gh1)
 
     def test_only_underflowing_markets_are_redrawn(self, gh1):
-        cfg = _dgp(**self.PARTIAL)
+        self._check_redraws(_dgp(**self.PARTIAL), gh1)
+
+    def test_redraws_at_a_multiword_seed(self, gh1):
+        self._check_redraws(_dgp(**{**self.PARTIAL, "seed": 2**40 + 3}), gh1)
+
+    def _check_redraws(self, cfg, gh1):
         retries = self._retries(cfg, gh1)
         assert 0 < sum(r > 0 for r in retries) < len(retries)
         with pytest.warns(RuntimeWarning, match=rf"^redrew {sum(retries)} market\(s\) after share underflow$"):

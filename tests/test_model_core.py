@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -250,6 +251,29 @@ class TestSerialization:
             b"1,1,0.25,0.5,2.0\r\n"
             b"2,1,0.1,-1.0,1e-20\r\n"
         )
+
+    EDGES = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 1e22, math.nan, -math.inf, 1.0]
+
+    @pytest.mark.parametrize("n", [1, 7])  # one market, and several written one after another
+    def test_dataset_csv_bytes_are_csv_writers(self, rng, tmp_path, n):
+        c = cfg(n=n)
+        ds = random_dataset(rng, c)
+        # the edge values land in S (as many as fit), X and H
+        for arr in (ds.S, ds.X, ds.H):
+            flat = arr.reshape(-1)
+            flat[rng.permutation(flat.size)[: len(self.EDGES)]] = self.EDGES[: flat.size]
+        save_dataset_csv(ds, tmp_path / "d.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["market_id", "product_id", "share", "x_1", "x_2", "x_3", "x_4", "h_1", "h_2"])
+            for i in range(n):
+                for j in range(c.J):
+                    values = [ds.S[i, j], *ds.X[i, j], *ds.H[i, j]]
+                    writer.writerow([i + 1, j + 1, *(repr(float(v)) for v in values)])
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = load_dataset_csv(tmp_path / "d.csv", c)
+        for name in ("X", "S", "H"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
 
 
 # valid configs of every class read from JSON; float fields also take ints

@@ -168,14 +168,7 @@ def _cmd_estimate(args) -> int:
         "lambda": result.lam,
         "converged": result.converged,
         "outer_iters": result.outer_iters,
-        "inversions": result.inversions,
-        "contraction_iters": result.contraction_iters,
-        "newton_iters": result.newton_iters,
-        "lp_solves": result.lp_solves,
-        "lp_pivots": result.lp_pivots,
-        "trust_shrinks": result.trust_shrinks,
-        "soc_rescues": result.soc_rescues,
-        "eqp_steps": result.eqp_steps,
+        **asdict(result.stats),
         "stop": result.stop,
         "final_constraint": result.final_constraint,
         "diagnosis": result.diagnosis,
@@ -217,11 +210,7 @@ def _cmd_debias(args) -> int:
         "alpha": result.alpha,
         "lambda_gamma": penalties.lambda_gamma,
         "lambda_mu": result.mu_lambda_eff.tolist(),
-        "inversions": result.inversions,
-        "contraction_iters": result.contraction_iters,
-        "newton_iters": result.newton_iters,
-        "lp_solves": result.lp_solves,
-        "lp_pivots": result.lp_pivots,
+        **asdict(result.stats),
         "diagnostics": {
             "min_sv_omega": result.min_sv_omega,
             "min_sv_gamma_g": result.min_sv_gamma_g,

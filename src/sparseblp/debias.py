@@ -44,7 +44,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .l1_solvers import L1LinfProblem, LpStatus, count_lps, solve_nonneg_lp, solve_row_family
-from .model_core import Dataset, ModelConfig, Theta
+from .model_core import Dataset, ModelConfig, RunStats, Theta
 from .moments import Evaluator, jacobian_theta, omega, score
 from .quadrature import QuadratureRule
 
@@ -114,23 +114,26 @@ def select_debias_penalties(config: ModelConfig, n: int) -> DebiasPenalties:
 
 @dataclass
 class DebiasResult:
+    """The de-biased estimate, its intervals, and the two LP row families.
+
+    stats counts the one share inversion at theta_hat and the LPs: both
+    families, the row floors and the relaxed re-solves. Its SLP step
+    counters stay 0.
+    """
+
     gamma_hat: np.ndarray  # 2L x JK
     mu_hat: np.ndarray  # 2L x 2L
     theta_dd: np.ndarray  # length 2L, de-biased estimate
     se: np.ndarray  # length 2L
     ci: np.ndarray  # 2L x 2, [lower, upper] at level 1 - alpha
     alpha: float
+    stats: RunStats
     gamma_statuses: list[LpStatus] = field(default_factory=list)
     mu_statuses: list[LpStatus] = field(default_factory=list)
     min_sv_omega: float = np.nan  # conditioning diagnostics for the two
     min_sv_gamma_g: float = np.nan  # systems the LP rows approximate
     mu_lambda_eff: np.ndarray | None = None  # per-row penalties actually used
     mu_relaxed_rows: np.ndarray | None = None  # rows where the floor was binding
-    inversions: int = 0  # share inversions run, and their iterations
-    contraction_iters: int = 0
-    newton_iters: int = 0
-    lp_solves: int = 0  # LPs run (both families, relaxed re-solves, row
-    lp_pivots: int = 0  # floors), and their basis changes (not bound flips)
 
 
 def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool = False):
@@ -139,10 +142,10 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool
     The system is max-abs equilibrated first: x(A/s) - B has minimizer s*x,
     so the rescale is exact while keeping the simplex tolerances (which are
     absolute) meaningful when the plug-in matrices run large or tiny. With
-    relax, a row whose LP is infeasible at its penalty is solved once more
-    with the penalty floored at RELAX_FACTOR times its minimax_row_floor plus
-    RELAX_MARGIN. Returns the rows, their statuses and the per-row penalties
-    used.
+    relax, each row whose LP is infeasible at its penalty gets the penalty
+    floored at RELAX_FACTOR times its minimax_row_floor plus RELAX_MARGIN,
+    and those rows are solved once more, as one row family. Returns the
+    rows, their statuses and the per-row penalties used.
     """
     scale = float(np.abs(A).max())
     if not np.isfinite(scale) or scale <= 0.0:
@@ -150,12 +153,15 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool
     As = A / scale
     lam = np.full(B.shape[0], lam, dtype=float)
     sols = solve_row_family(As, B, lam)
+    if relax:
+        bad = [r for r, sol in enumerate(sols) if sol.status is LpStatus.INFEASIBLE]
+        for r in bad:
+            lam[r] = max(lam[r], RELAX_FACTOR * minimax_row_floor(A, B[r]) + RELAX_MARGIN)
+        for r, sol in zip(bad, solve_row_family(As, B[bad], lam[bad])):
+            sols[r] = sol
     rows = np.zeros((B.shape[0], A.shape[0]))
     statuses = []
     for r, sol in enumerate(sols):
-        if relax and sol.status is LpStatus.INFEASIBLE:
-            lam[r] = max(lam[r], RELAX_FACTOR * minimax_row_floor(A, B[r]) + RELAX_MARGIN)
-            sol = solve_row_family(As, B[r : r + 1], lam[r : r + 1])[0]
         statuses.append(sol.status)
         if sol.status is not LpStatus.OPTIMAL:
             raise DebiasError(
@@ -278,10 +284,9 @@ def debias(
     f_hat = score(dataset, theta_hat, rule, evals=evals)  # the inversion runs here
     omega_hat = omega(dataset, theta_hat, rule, evals=evals)
     g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)
-    counts = dict(inversions=evals.inversions, contraction_iters=evals.contraction_iters,
-                  newton_iters=evals.newton_iters)
+    stats = evals.stats
     del evals  # the LPs need neither its delta nor its d delta / d gamma
-    with count_lps() as tally:
+    with count_lps(stats):
         gamma_hat, g_statuses = estimate_gamma(omega_hat, g_hat, penalties.lambda_gamma)
         mu_hat, m_statuses, mu_lam = estimate_mu(gamma_hat, g_hat, penalties.lambda_mu, relax=relax_mu)
     theta_dd = debiased_theta(theta_hat.stacked(), mu_hat, gamma_hat, f_hat)
@@ -302,7 +307,5 @@ def debias(
         min_sv_gamma_g=float(sv_gg.min()),
         mu_lambda_eff=mu_lam,
         mu_relaxed_rows=np.flatnonzero(mu_lam > penalties.lambda_mu + 1e-12),
-        **counts,
-        lp_solves=tally.solves,
-        lp_pivots=tally.pivots,
+        stats=stats,
     )

@@ -20,7 +20,7 @@ restoration of the outer estimator and the de-biasing row floors). Each
 constraint gives two rows with a slack in [0, inf), and the costs (0, 0, 1)
 on (u, v, t) are nonnegative, so its slack basis is dual feasible too and
 the same bounded dual simplex solves it: there is one simplex loop. count_lps
-counts the calls of both solvers and their pivots.
+adds the calls of both solvers and their pivots to a caller's record.
 
 Both solvers share one presolve (_presolve). It drops the zero rows, whose
 constraint fixes |b_i| - lambda_i and nothing else, and the columns that are
@@ -444,40 +444,32 @@ class _FamilyState:
         return _RawLp(z, status, y, pivots), pivots
 
 
-@dataclass
-class LpTally:
-    """LPs solved inside a count_lps block, and their simplex pivots."""
-
-    solves: int = 0
-    pivots: int = 0
-
-
-_tallies: ContextVar[tuple[LpTally, ...]] = ContextVar("lp_tallies", default=())
+_records: ContextVar[tuple] = ContextVar("lp_records", default=())
 
 
 @contextmanager
-def count_lps():
-    """Count the LPs solved in the block, every solve_l1_linf and
-    solve_nonneg_lp call, and their dual simplex pivots.
-
-    Yields an LpTally. Blocks nest: an enclosing block counts the calls of
-    the blocks inside it too.
+def count_lps(stats):
+    """Add the LPs solved in the block, every solve_l1_linf and
+    solve_nonneg_lp call, to stats.lp_solves and their dual simplex pivots
+    to stats.lp_pivots (stats is a model_core.RunStats, or any object with
+    those counters). Blocks nest: an enclosing block counts the calls of the
+    blocks inside it too. The record reaches the solvers through a context
+    variable, so the LP helpers in between take no record parameter.
     """
-    tally = LpTally()
-    token = _tallies.set(_tallies.get() + (tally,))
+    token = _records.set(_records.get() + (stats,))
     try:
-        yield tally
+        yield
     finally:
-        _tallies.reset(token)
+        _records.reset(token)
 
 
 def _counted(solver):
     @functools.wraps(solver)
     def counted(*args, **kwargs):
         out = solver(*args, **kwargs)
-        for tally in _tallies.get():
-            tally.solves += 1
-            tally.pivots += out.pivots
+        for stats in _records.get():
+            stats.lp_solves += 1
+            stats.lp_pivots += out.pivots
         return out
 
     return counted

@@ -1,4 +1,5 @@
-"""Model configuration, parameter containers, the stacked dataset, and group indices.
+"""Model configuration, parameter containers, run counters, the stacked dataset,
+and group indices.
 
 The demand system has J inside goods per market and L observed attributes that
 are partitioned into G groups. Consumer tastes for the attributes in group g
@@ -140,6 +141,30 @@ class Theta:
     @classmethod
     def zeros(cls, L: int) -> "Theta":
         return cls(beta=np.zeros(L), gamma=np.zeros(L))
+
+
+@dataclass
+class RunStats:
+    """What one estimate or debias call ran, counted as it runs.
+
+    inversions counts the share inversions (failed ones included),
+    contraction_iters their passes with a contraction fallback and
+    newton_iters their Newton passes; lp_solves the LPs (every
+    solve_l1_linf and solve_nonneg_lp call) and lp_pivots their basis
+    changes, not bound flips. The SLP's trust_shrinks are radius shrinks
+    after a rejected trial point, soc_rescues steps accepted by the
+    second-order correction and eqp_steps accepted Newton steps on a step
+    LP's working set; debias leaves these three at 0.
+    """
+
+    inversions: int = 0
+    contraction_iters: int = 0
+    newton_iters: int = 0
+    lp_solves: int = 0
+    lp_pivots: int = 0
+    trust_shrinks: int = 0
+    soc_rescues: int = 0
+    eqp_steps: int = 0
 
 
 def canonicalize_gamma(theta: Theta, config: ModelConfig) -> Theta:

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .model_core import Dataset, Theta, group_index_matrix
+from .model_core import Dataset, RunStats, Theta, group_index_matrix
 from .quadrature import QuadratureRule
 from .shares import (
     InversionError,
@@ -121,11 +121,11 @@ class Evaluator:
     anchor, the point of the last Jacobian computed here, the start is the
     first-order prediction delta + (d delta / d gamma)(gamma - gamma_anchor).
     d delta / d gamma is (n, J, L), so the anchor alone holds one, and no
-    evaluation refers back to its Evaluator. inversions counts the
-    inversions run, failed ones included, newton_iters their Newton passes
-    and contraction_iters the passes with a contraction fallback. Create
-    one per call and pass it to the moment functions as evals; it keeps
-    every inverted delta until it is dropped.
+    evaluation refers back to its Evaluator. stats, the call's RunStats,
+    counts every inversion run here, failed ones included, and its
+    iterations; the estimator adds its LP and step counts to the same
+    record. Create one per call and pass it to the moment functions as
+    evals; it keeps every inverted delta until it is dropped.
     """
 
     def __init__(self, dataset: Dataset, rule: QuadratureRule,
@@ -137,7 +137,7 @@ class Evaluator:
         # (gamma, d delta / d gamma) of the last Jacobian computed here
         self._anchor: tuple[np.ndarray, np.ndarray] | None = None
         self._probing = False
-        self.inversions = self.contraction_iters = self.newton_iters = 0
+        self.stats = RunStats()
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
         key = (theta.gamma + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
@@ -187,9 +187,9 @@ class Evaluator:
         else:
             self._gammas.append(own.gamma)
             self._deltas.append(out.delta)
-        self.inversions += 1
-        self.contraction_iters += out.info.iterations
-        self.newton_iters += out.info.newton_iterations
+        self.stats.inversions += 1
+        self.stats.contraction_iters += out.info.iterations
+        self.stats.newton_iters += out.info.newton_iterations
         return out
 
 

@@ -117,7 +117,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model_core import Dataset, Theta
+from .model_core import Dataset, RunStats, Theta
 from .moments import Evaluator, jacobian_theta, per_market_scores, score
 from .quadrature import QuadratureRule
 from .shares import InversionError, InversionOptions
@@ -201,16 +201,9 @@ class EstimationResult:
     outer_iters: int
     final_constraint: float
     history: list[IterationRecord]
+    stats: RunStats  # the inversions, LPs and steps run
     diagnosis: str | None = None
     runtime_s: float = 0.0
-    inversions: int = 0  # share inversions run, and their iterations
-    contraction_iters: int = 0
-    newton_iters: int = 0
-    lp_solves: int = 0  # LPs run (pilot, step, SOC, elastic), and their
-    lp_pivots: int = 0  # basis changes (not bound flips)
-    trust_shrinks: int = 0  # radius shrinks after a rejected trial point
-    soc_rescues: int = 0  # steps accepted by the second-order correction
-    eqp_steps: int = 0  # Newton steps on a step LP's working set accepted
     stop: str | None = None  # last run_phase outcome; None when theta = 0 is certified
 
 
@@ -432,7 +425,7 @@ def _eqp_step(dataset, rule, opts, evals, ws, vec, f, target):
         if n_a == 0 or n_s <= n_a or S[vec.size // 2 :].sum() < n_s - n_a:
             return None  # a vertex, or a null direction without gamma part
         if G is None:
-            G = jacobian_theta(dataset, at(vec), rule, opts.inversion, evals)
+            G = jacobian_theta(dataset, at(vec), rule, evals=evals)
         U, sv, Vt = np.linalg.svd(G[np.ix_(A, S)])
         if sv[-1] <= 1e-10 * sv[0]:
             return None
@@ -451,7 +444,7 @@ def _eqp_step(dataset, rule, opts, evals, ws, vec, f, target):
                 probe = vec.copy()
                 probe[cols] += EQP_FD_STEP * u
                 try:
-                    G_p = jacobian_theta(dataset, at(probe), rule, opts.inversion, evals)
+                    G_p = jacobian_theta(dataset, at(probe), rule, evals=evals)
                 except InversionError:
                     return None
                 HU[:, i] = (G[A][:, cols] - G_p[A][:, cols]).T @ y / EQP_FD_STEP
@@ -493,13 +486,13 @@ def _eqp_step(dataset, rule, opts, evals, ws, vec, f, target):
         S[support[leaving]] = False
     for k in range(EQP_RESTORE_PASSES):
         try:
-            f_c = score(dataset, at(cand), rule, opts.inversion, evals)
+            f_c = score(dataset, at(cand), rule, evals=evals)
         except InversionError:
             return None
         resid = f_c[A] - s_a * target
         if np.abs(resid).max() <= EQP_RESTORE_TOL or k == EQP_RESTORE_PASSES - 1:
             break
-        G_c = jacobian_theta(dataset, at(cand), rule, opts.inversion, evals)
+        G_c = jacobian_theta(dataset, at(cand), rule, evals=evals)
         cand[S] -= np.linalg.pinv(G_c[np.ix_(A, S)]) @ resid
     following = None if t_row == t else replace(ws, support=S, signs=np.sign(cand))
     return cand, f_c, following
@@ -518,13 +511,14 @@ def estimate(
     Iterates that fail share inversion are treated as rejected trust-region
     steps rather than fatal errors, unless the failure happens at the starting
     point itself. theta_init overrides the pilot (warm starts). The shares
-    are inverted once per distinct gamma (see module docstring), and the
-    result counts those inversions and their iterations, and the LPs and
-    their pivots.
+    are inverted once per distinct gamma (see module docstring). The
+    result's stats, the call's own RunStats, count those inversions and
+    their iterations, the LPs (pilot, step, SOC, elastic) and their pivots,
+    and the trust-region shrinks, SOC rescues and Newton steps.
     """
-    with count_lps() as lps:
-        result = _estimate(dataset, rule, opts, theta_init, Evaluator(dataset, rule, opts.inversion))
-    return replace(result, lp_solves=lps.solves, lp_pivots=lps.pivots)
+    evals = Evaluator(dataset, rule, opts.inversion)
+    with count_lps(evals.stats):
+        return _estimate(dataset, rule, opts, theta_init, evals)
 
 
 def _estimate(
@@ -534,18 +528,17 @@ def _estimate(
     theta_init: Theta | None,
     evals: Evaluator,
 ) -> EstimationResult:
-    """estimate, evaluating the moments through evals."""
+    """estimate, evaluating the moments through evals, counted in evals.stats."""
     t_start = time.perf_counter()
     cfg = dataset.config
     lam = float(opts.lam)
     soc_tol = lam + 0.5 * opts.feasibility_slack  # second-order correction target
     eqp_target = lam + opts.feasibility_slack - 2 * EQP_RESTORE_TOL  # of a Newton step's f_A
     history: list[IterationRecord] = []
-    shrinks = soc_rescues = eqp_steps = 0  # over every start and phase
     stop = None
 
     def fscore(theta: Theta) -> np.ndarray:
-        return score(dataset, theta, rule, opts.inversion, evals)
+        return score(dataset, theta, rule, evals=evals)
 
     def trial(vec: np.ndarray) -> tuple[np.ndarray | None, float]:
         """Moments at a trial point and their sup norm (inf if inversion fails)."""
@@ -560,12 +553,7 @@ def _estimate(
             lam=lam,
             history=history,
             runtime_s=time.perf_counter() - t_start,
-            inversions=evals.inversions,
-            contraction_iters=evals.contraction_iters,
-            newton_iters=evals.newton_iters,
-            trust_shrinks=shrinks,
-            soc_rescues=soc_rescues,
-            eqp_steps=eqp_steps,
+            stats=evals.stats,
             stop=stop,
             **fields,
         )
@@ -620,7 +608,6 @@ def _estimate(
         a KKT point at a strictly feasible iterate returns "converged".
         """
         nonlocal vec_t, f_t, c_t, radius, best_vec, best_obj, diagnosis, total_iters
-        nonlocal shrinks, soc_rescues, eqp_steps
         stall = 0
         ws = None  # working set of the next iteration's Newton step
         lp_sets: list[_WorkingSet | None] = []  # of the last three accepted steps' LPs
@@ -654,7 +641,7 @@ def _estimate(
                         step_l1 = float(np.abs(cand - vec_t).sum())
                         vec_t, f_t, c_t = cand, f_c, c_c
                         history.append(IterationRecord(obj_c, c_t, radius))
-                        eqp_steps += 1
+                        evals.stats.eqp_steps += 1
                         ws = following
                         if c_t <= lam + opts.feasibility_slack:
                             if obj_c < best_obj - max(1e-9, 1e-7 * abs(best_obj)):
@@ -666,7 +653,7 @@ def _estimate(
                         continue
             ws = None
 
-            G_t = jacobian_theta(dataset, Theta.from_stacked(vec_t), rule, opts.inversion, evals)
+            G_t = jacobian_theta(dataset, Theta.from_stacked(vec_t), rule, evals=evals)
             G_f = G_t[:, free]
             family = _FamilyState()
             accepted = False
@@ -710,10 +697,10 @@ def _estimate(
                         if acceptable(c_c2, float(np.abs(cand2).sum())):
                             cand, f_c, c_c = cand2, f_c2, c_c2
                             accepted, clean, lp_step = True, False, sol
-                            soc_rescues += 1
+                            evals.stats.soc_rescues += 1
                             break
                 radius *= TRUST_SHRINK
-                shrinks += 1
+                evals.stats.trust_shrinks += 1
                 clean = False
             if not accepted:
                 diagnosis = (
@@ -864,10 +851,10 @@ def estimate_auto(
     opts.lam is ignored.
 
     The result is the final fit's, except that runtime_s covers the whole
-    call (lambda selection and pilot probes included), outer_iters,
-    trust_shrinks, soc_rescues and eqp_steps sum over both fits, and the
-    inversion and LP counts cover every inversion and LP run; history and
-    stop are the final fit's alone.
+    call (lambda selection and pilot probes included) and outer_iters sums
+    over both fits. The fits share the Evaluator's RunStats, so the result's
+    stats count every inversion, LP and step of the call; history and stop
+    are the final fit's alone.
     """
     t_start = time.perf_counter()
     base = opts or RgmmOptions(lam=0.0)
@@ -875,9 +862,9 @@ def estimate_auto(
     evals = Evaluator(dataset, rule, base.inversion)
 
     def lam_at(theta: Theta) -> float:
-        return select_lambda(dataset, theta, rule, base.inversion, evals)
+        return select_lambda(dataset, theta, rule, evals=evals)
 
-    with count_lps() as lps:
+    with count_lps(evals.stats):
         lam0 = lam_at(Theta.zeros(cfg.L))
         pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
         fits = [_estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)]
@@ -888,7 +875,5 @@ def estimate_auto(
             # Jacobian), so only warm start from points with live heterogeneity
             warm = first.theta_hat if np.any(first.theta_hat.gamma != 0.0) else None
             fits.append(_estimate(dataset, rule, replace(base, lam=lam_new), warm, evals))
-    summed = {name: sum(getattr(fit, name) for fit in fits)
-              for name in ("outer_iters", "trust_shrinks", "soc_rescues", "eqp_steps")}
-    return replace(fits[-1], **summed, runtime_s=time.perf_counter() - t_start,
-                   lp_solves=lps.solves, lp_pivots=lps.pivots)
+    return replace(fits[-1], outer_iters=sum(fit.outer_iters for fit in fits),
+                   runtime_s=time.perf_counter() - t_start)

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparseblp import cli
+from sparseblp.model_core import RunStats
 
 DGP = {
     "model": {"n_markets": 40, "J": 2, "L": 3, "G": 1, "K": 4, "partition": [1, 1, 1]},
@@ -281,6 +282,23 @@ class TestPipeline:
         est = json.loads((simulated / "est" / "est.json").read_text())
         # at least the pilot's beta LPs, one per probe scale
         assert est["lp_solves"] >= 3 and est["lp_pivots"] > 0
+
+    def test_json_counters_are_the_results_run_stats(self, simulated, tmp_path, capsys, monkeypatch):
+        results = []
+        for name in ("estimate_auto", "debias"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _real=real, **kw: results.append(_real(*a, **kw)) or results[-1])
+        est, deb = tmp_path / "est.json", tmp_path / "deb.json"
+        code, err = run(capsys, *estimate_args(simulated, est, lam="auto"))
+        assert code == cli.EXIT_OK, err
+        code, err = run(capsys, "debias", "--estimate", est, "--data", simulated / "data.csv",
+                        "--penalty-c", "0.05", "--relax-mu", "--out", deb, *NODES)
+        assert code == cli.EXIT_OK, err
+        names = [f.name for f in fields(RunStats)]
+        for result, path in zip(results, (est, deb), strict=True):
+            payload = json.loads(path.read_text())
+            assert {name: payload[name] for name in names} == asdict(result.stats)
+        assert results[0].stats.lp_solves > 0 and results[1].stats.inversions == 1
 
     def test_estimate_json_counts_trust_region_steps(self, simulated):
         est = json.loads((simulated / "est" / "est.json").read_text())

@@ -244,8 +244,8 @@ class TestFullPipeline:
     def test_one_inversion_serves_omega_jacobian_and_score(self, gh1, inversion_log):
         ds, truth = _square_dataset(gh1, n=40, seed=3)
         res = debias(ds, truth, gh1, penalties=DebiasPenalties(0.05))
-        assert len(inversion_log) == 1 and res.inversions == 1
-        assert res.newton_iters > 0
+        assert len(inversion_log) == 1 and res.stats.inversions == 1
+        assert res.stats.newton_iters > 0
         # the same plug-in matrices as three separate evaluations
         np.testing.assert_allclose(
             res.theta_dd,
@@ -298,5 +298,5 @@ class TestFullPipeline:
         res = debias(ds, truth, gh1, penalties=DebiasPenalties(0.02), relax_mu=True)
         floors = sum(1 for name, _ in pivots if name == "solve_nonneg_lp")
         assert floors == res.mu_relaxed_rows.size > 0
-        assert res.lp_solves == len(pivots) == 12 + 2 * floors
-        assert res.lp_pivots == sum(p for _, p in pivots) > 0
+        assert res.stats.lp_solves == len(pivots) == 12 + 2 * floors
+        assert res.stats.lp_pivots == sum(p for _, p in pivots) > 0

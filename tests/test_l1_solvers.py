@@ -16,6 +16,7 @@ from sparseblp.l1_solvers import (
     solve_nonneg_lp,
     solve_row_family,
 )
+from sparseblp.model_core import RunStats
 from conftest import highs_l1_linf
 
 
@@ -731,13 +732,15 @@ class TestBoundedProblems:
 class TestCountLps:
     def test_counts_both_solvers_in_nested_blocks(self, rng):
         prob = L1LinfProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.2)
-        with count_lps() as outer:
+        outer, inner = RunStats(), RunStats()
+        with count_lps(outer):
             first = solve_l1_linf(prob)
-            with count_lps() as inner:
+            with count_lps(inner):
                 raw = solve_nonneg_lp(L1LinfProblem(np.array([[1.0]]), np.array([3.0]), 1.0, hi=0.0))
         solve_l1_linf(prob)  # outside every block
-        assert (inner.solves, inner.pivots) == (1, raw.pivots)
-        assert (outer.solves, outer.pivots) == (2, first.pivots + raw.pivots)
+        assert (inner.lp_solves, inner.lp_pivots) == (1, raw.pivots)
+        assert (outer.lp_solves, outer.lp_pivots) == (2, first.pivots + raw.pivots)
+        assert replace(outer, lp_solves=0, lp_pivots=0) == RunStats()  # no other counter moves
 
 
 def line_runs(solver_fn, marker, call, offset=0):

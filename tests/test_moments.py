@@ -180,10 +180,10 @@ class TestEvaluation:
         f = score(ds, theta, rule, evals=evals)
         jacobian_theta(ds, theta, rule, evals=evals)
         score(ds, Theta(beta=theta.beta + 1.0, gamma=theta.gamma.copy()), rule, evals=evals)
-        assert len(inversion_log) == evals.inversions == 1
+        assert len(inversion_log) == evals.stats.inversions == 1
         near = Theta(beta=theta.beta, gamma=1.01 * theta.gamma)
         f_near = score(ds, near, rule, evals=evals)
-        assert evals.inversions == 2
+        assert evals.stats.inversions == 2
         np.testing.assert_allclose(f_near, score(ds, near, rule), rtol=0, atol=1e-11)
         np.testing.assert_allclose(f, score(ds, theta, rule), rtol=0, atol=1e-11)
 

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,13 +165,13 @@ class TestOneInversionPerGamma:
         res = estimate(ds, gh1, RgmmOptions(lam=0.08))
         assert res.outer_iters > 0
         assert len(inversion_log) == len(set(inversion_log))
-        assert res.inversions == len(inversion_log)
-        assert res.newton_iters > 0 and res.contraction_iters >= 0
+        assert res.stats.inversions == len(inversion_log)
+        assert res.stats.newton_iters > 0 and res.stats.contraction_iters >= 0
 
     def test_auto_lambda_shares_one_evaluator(self, gh1, inversion_log):
         ds, _ = _noisy_data(gh1, n=50, seed=21)
         res = estimate_auto(ds, gh1)
-        assert len(inversion_log) == len(set(inversion_log)) == res.inversions
+        assert len(inversion_log) == len(set(inversion_log)) == res.stats.inversions
 
 
 class TestEstimateAuto:
@@ -182,20 +183,25 @@ class TestEstimateAuto:
         assert res.final_constraint <= res.lam + 1e-6
 
     def test_counts_cover_every_fit(self, gh1, monkeypatch):
-        fits = []
+        fits, steps = [], []  # each fit's result, and the step counts it added
+        names = ("trust_shrinks", "soc_rescues", "eqp_steps")
         real = rgmm._estimate
 
         def recording(*args, **kwargs):
+            before = replace(args[4].stats)  # the shared Evaluator's record
             res = real(*args, **kwargs)
             fits.append(res)
+            steps.append({name: getattr(res.stats, name) - getattr(before, name) for name in names})
             return res
 
         monkeypatch.setattr(rgmm, "_estimate", recording)
         ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
         res = estimate_auto(ds, gh1)
         assert len(fits) == 2 and all(fit.outer_iters > 0 for fit in fits)
-        for name in ("outer_iters", "trust_shrinks", "soc_rescues", "eqp_steps"):
-            assert getattr(res, name) == sum(getattr(fit, name) for fit in fits), name
+        assert res.outer_iters == sum(fit.outer_iters for fit in fits)
+        assert all(fit.stats is res.stats for fit in fits)
+        for name in names:
+            assert getattr(res.stats, name) == sum(step[name] for step in steps), name
         assert res.stop == fits[-1].stop
         assert res.runtime_s >= sum(fit.runtime_s for fit in fits)
 
@@ -397,18 +403,27 @@ class TestWarmStepLps:
         opts = RgmmOptions(lam=0.05, max_outer_iters=10)
         r1, r2 = estimate(ds, gh1, opts), estimate(ds, gh1, opts)
         assert r1.theta_hat.stacked().tobytes() == r2.theta_hat.stacked().tobytes()
-        assert (r1.lp_solves, r1.lp_pivots) == (r2.lp_solves, r2.lp_pivots)
+        assert (r1.stats.lp_solves, r1.stats.lp_pivots) == (r2.stats.lp_solves, r2.stats.lp_pivots)
 
 
 class TestLpCounts:
+    def test_successive_calls_keep_their_own_records(self, gh1):
+        ds, _ = _noisy_data(gh1, n=15, seed=9)
+        opts = RgmmOptions(lam=0.05, max_outer_iters=10)
+        r1 = estimate(ds, gh1, opts)
+        first = replace(r1.stats)
+        assert first.inversions > 0 and first.lp_solves > 0
+        r2 = estimate(ds, gh1, opts)
+        assert r2.stats is not r1.stats and r1.stats == first
+
     def test_counts_match_the_wrapped_solvers(self, gh1, monkeypatch):
         # a bound the data cannot reach sends steps through elastic restoration
         calls = _record_lps(monkeypatch)
         ds, _ = _noisy_data(gh1, n=15, seed=9)
         res = estimate(ds, gh1, RgmmOptions(lam=1e-9, max_outer_iters=4))
         assert {name for name, *_ in calls} == {"solve_l1_linf", "solve_nonneg_lp"}
-        assert res.lp_solves == len(calls)
-        assert res.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
+        assert res.stats.lp_solves == len(calls)
+        assert res.stats.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
 
     def test_auto_lambda_counts_every_lp_of_the_call(self, gh1, monkeypatch):
         calls = _record_lps(monkeypatch)
@@ -418,8 +433,8 @@ class TestLpCounts:
         ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
         res = estimate_auto(ds, gh1)
         assert len(fits) == 2
-        assert res.lp_solves == len(calls)
-        assert res.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
+        assert res.stats.lp_solves == len(calls)
+        assert res.stats.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
 
 
 def _refuse_newton_steps(monkeypatch):
@@ -437,8 +452,8 @@ class TestTrustRadius:
         _refuse_newton_steps(monkeypatch)
         data, rule, opts = mc_design
         res = estimate(data, rule, opts)
-        assert res.trust_shrinks > 0 and res.soc_rescues > 0
-        assert res.soc_rescues <= res.outer_iters
+        assert res.stats.trust_shrinks > 0 and res.stats.soc_rescues > 0
+        assert res.stats.soc_rescues <= res.outer_iters
 
     def test_radius_does_not_grow_after_a_shrink_or_a_rescue(self, mc_design, monkeypatch):
         _refuse_newton_steps(monkeypatch)
@@ -516,7 +531,7 @@ class TestNewtonSteps:
         data, rule, opts = stalling_design
         res = estimate(data, rule, opts)
         assert res.stop == "converged" and res.converged
-        assert res.eqp_steps >= 1 and res.outer_iters <= 20
+        assert res.stats.eqp_steps >= 1 and res.outer_iters <= 20
         c_hat = float(np.abs(score(data, res.theta_hat, rule)).max())
         assert c_hat <= opts.lam + opts.feasibility_slack
         warm = estimate(data, rule, opts, theta_init=res.theta_hat)
@@ -526,7 +541,7 @@ class TestNewtonSteps:
         _refuse_newton_steps(monkeypatch)
         data, rule, opts = stalling_design
         res = estimate(data, rule, opts)
-        assert res.eqp_steps == 0 and res.stop == "stalled"
+        assert res.stats.eqp_steps == 0 and res.stop == "stalled"
         assert res.outer_iters == TRUST_REGION_ITERS
         assert res.theta_hat.stacked().tolist() == TRUST_REGION_THETA
 
@@ -541,4 +556,4 @@ class TestNewtonSteps:
         monkeypatch.setattr(rgmm, "score", None)
         vec = support * 0.5
         assert rgmm._eqp_step(data, rule, opts, evals, ws, vec, np.zeros(24), opts.lam) is None
-        assert evals.inversions == 0
+        assert evals.stats.inversions == 0

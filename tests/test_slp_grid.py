@@ -91,7 +91,7 @@ def test_few_fits_stall(grid):
 
 def test_outer_iterations_and_inversions_fall(grid):
     assert sum(res.outer_iters for res, _ in grid.values()) <= MAX_OUTER_ITERS
-    assert sum(res.inversions for res, _ in grid.values()) <= MAX_INVERSIONS
+    assert sum(res.stats.inversions for res, _ in grid.values()) <= MAX_INVERSIONS
 
 
 def test_a_warm_restart_stays_at_a_converged_fit(grid):

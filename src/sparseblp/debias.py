@@ -137,7 +137,9 @@ class DebiasResult:
 
 
 def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool = False):
-    """Row family with post-hoc constraint verification (solver not trusted).
+    """Row family with post-hoc constraint verification (solver not trusted):
+    one product rows @ A - B checks every row, and the first row that is not
+    OPTIMAL or breaks its constraint is named.
 
     The system is max-abs equilibrated first: x(A/s) - B has minimizer s*x,
     so the rescale is exact while keeping the simplex tolerances (which are
@@ -157,22 +159,24 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool
         bad = [r for r, sol in enumerate(sols) if sol.status is LpStatus.INFEASIBLE]
         for r in bad:
             lam[r] = max(lam[r], RELAX_FACTOR * minimax_row_floor(A, B[r]) + RELAX_MARGIN)
-        for r, sol in zip(bad, solve_row_family(As, B[bad], lam[bad])):
-            sols[r] = sol
+        if bad:
+            for r, sol in zip(bad, solve_row_family(As, B[bad], lam[bad])):
+                sols[r] = sol
+    statuses = [sol.status for sol in sols]
     rows = np.zeros((B.shape[0], A.shape[0]))
-    statuses = []
     for r, sol in enumerate(sols):
-        statuses.append(sol.status)
-        if sol.status is not LpStatus.OPTIMAL:
+        rows[r] = sol.x
+    rows /= scale
+    slack = np.abs(rows @ A - B).max(axis=1, initial=0.0) - lam
+    for r, status in enumerate(statuses):
+        if status is not LpStatus.OPTIMAL:
             raise DebiasError(
-                f"{what} row {r} is {sol.status.value}: penalty {lam[r]:.3g} too "
+                f"{what} row {r} is {status.value}: penalty {lam[r]:.3g} too "
                 "small or the plug-in system is degenerate"
             )
-        rows[r] = sol.x / scale
-        slack = float(np.abs(rows[r] @ A - B[r]).max()) - lam[r]
-        if slack > 1e-8:
+        if slack[r] > 1e-8:
             raise DebiasError(
-                f"{what} row {r} violates its constraint by {slack:.2e} post-hoc"
+                f"{what} row {r} violates its constraint by {slack[r]:.2e} post-hoc"
             )
     return rows, statuses, lam
 
@@ -269,18 +273,27 @@ def debias(
     penalties: DebiasPenalties | None = None,
     alpha: float = 0.05,
     relax_mu: bool = False,
+    start: np.ndarray | None = None,
 ) -> DebiasResult:
     """Run the full correction pipeline at the plug-in point theta_hat.
 
     penalties default to the theoretical rule (see module docstring for why
     a study will usually want DebiasPenalties.scaled instead). relax_mu
     floors the mu penalties row by row at feasibility; the default is to
-    raise on an unreachable row.
+    raise on an unreachable row. start, an (n, J) delta, starts the one
+    share inversion in place of the logit closed form: the estimate's
+    EstimationResult.delta_hat, inverted at theta_hat.gamma already, leaves
+    it little or nothing to do. The inversion still runs to its tolerance,
+    so the start moves the answer by roundoff only.
     """
     cfg = dataset.config
     if penalties is None:
         penalties = select_debias_penalties(cfg, dataset.n)
-    evals = Evaluator(dataset, rule)  # one inversion serves all three
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != dataset.S.shape or not np.isfinite(start).all():
+            raise ValueError(f"start must be a finite {dataset.S.shape} delta, got shape {start.shape}")
+    evals = Evaluator(dataset, rule, start=start)  # one inversion serves all three
     f_hat = score(dataset, theta_hat, rule, evals=evals)  # the inversion runs here
     omega_hat = omega(dataset, theta_hat, rule, evals=evals)
     g_hat = jacobian_theta(dataset, theta_hat, rule, evals=evals)

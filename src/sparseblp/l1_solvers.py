@@ -39,11 +39,17 @@ warm from that tableau, whose slack block holds B^-1. The outer estimator
 does this for the step LPs of one linearization. solve_row_family does it
 for the de-biasing rows when their presolved block is not square or not
 safely invertible; the answers then depend on the order of the rows. On a
-square block it keeps A^-1 and crash-starts each row at the basis the sign
-of its unpenalized solve A^-1 b names (Bixby 1992): that basis is dual
-feasible for any b, and with small penalties it is optimal or a few pivots
-from it. Any start other than the slack basis whose answer fails its checks
-is solved again from the slack basis.
+square block it crash-starts each row at the basis the sign of its
+unpenalized solve A^-1 b names (Bixby 1992): that basis is dual feasible
+for any b, and with small penalties it is optimal or a few pivots from it.
+The rows of such a family share their fixed costs: one vectorized pass
+checks the data, reaches every row's dead-row and x = 0 verdicts, and
+computes every crash start (signs, reduced costs, nonbasic placement and
+basic values) by row-by-row sums, so no row's answer depends on the
+others. A row whose start is optimal already needs no tableau; any other
+builds its own from those vectors. Each row still makes its own
+solve_l1_linf call, so every LP is counted. Any start other than the slack
+basis whose answer fails its checks is solved again from the slack basis.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -195,58 +201,156 @@ def _presolve(A: np.ndarray, equilibrate: bool) -> _Presolve:
     return _Presolve(A, ~live, rows, cols, scale, As)
 
 
-def _crash_tableau(inv: np.ndarray, b: np.ndarray):
-    """The tableau of min 1'(u + v) s.t. A(u - v) + w = b at the crash basis
-    of a square A with inverse inv: u_j basic where s_j = sign((A^-1 b)_j) is
-    + (0 counts as +), v_j where it is -. Then B = A diag(s), the rows
-    B^-1 [A, -A, I] are [diag(s), -diag(s), diag(s) A^-1] and the reduced
-    costs [1 - s, 1 + s, -s'A^-1]: zero on the basic columns, 0 or 2 on the
-    other u and v, and any sign on the slacks, which are bounded. So the
-    basis is dual feasible for every b, and _place_nonbasics fills in the
-    right-hand side. Returns the tableau and its basis."""
-    k = len(inv)
-    s = np.where(inv @ b >= 0.0, 1.0, -1.0)
-    T = np.zeros((k + 1, 3 * k + 1))
-    j = np.arange(k)
-    T[j, j] = s
-    T[j, k + j] = -s
-    np.multiply(s[:, None], inv, out=T[:k, 2 * k : 3 * k])
-    T[-1, :k] = 1.0 - s
-    T[-1, k : 2 * k] = 1.0 + s
-    T[-1, 2 * k : 3 * k] = -(s @ inv)
-    return T, np.where(s > 0.0, j, k + j)
+def _placement(d, lower, upper):
+    """Put every nonbasic variable at the bound its reduced cost d prefers:
+    the upper one where d < 0, else the lower one, so the basis is dual
+    feasible whatever the bounds. d, lower and upper are one LP's, or a
+    block with one row per LP. Returns the values, sigma (+1 at the lower
+    bound, -1 at the upper one, 0 for a fixed variable) and ok, which is
+    False for an LP with d < -FEAS_TOL on a variable without an upper
+    bound: no placement makes that basis dual feasible."""
+    up = d < 0.0
+    unbounded = up & np.isinf(upper)
+    ok = ~(unbounded & (d < -FEAS_TOL)).any(axis=-1)
+    up &= ~unbounded
+    sigma = np.where(up, -1.0, 1.0)
+    sigma[lower == upper] = 0.0
+    return np.where(up, upper, lower), sigma, ok
 
 
 def _place_nonbasics(T, basis, b, cost, lower, upper):
-    """Put every nonbasic variable at the bound its reduced cost prefers and
-    write the basic values and -z into the tableau's last column.
+    """Place the nonbasic variables of tableau T (_placement) and write the
+    basic values and -z into its last column (_basic_values).
 
-    T holds the rows B^-1 [A I] over the reduced costs d; cost is the
-    structural variables' cost (a scalar or one per variable), and the
-    slacks cost 0. A variable with d < 0 goes to its upper bound, any other
-    to its lower one, so the basis is dual feasible whatever the bounds,
-    unless d < -FEAS_TOL on a variable without an upper bound: then None is
-    returned and T is left as it was. Otherwise returns sigma: +1 for a
-    nonbasic variable at its lower bound, -1 at its upper one, 0 for a basic
-    or fixed variable.
+    T holds the rows B^-1 [A I] over the reduced costs d. Returns None,
+    leaving T as it was, when the basis cannot be made dual feasible;
+    otherwise sigma, with 0 on the basic variables too.
     """
+    x, sigma, ok = _placement(T[-1, : T.shape[1] - 1], lower, upper)
+    if not ok:
+        return None
+    _basic_values(T, basis, b, cost, x)
+    sigma[basis] = 0.0
+    return sigma
+
+
+def _basic_values(T, basis, b, cost, x):
+    """Write B^-1 (b - N x_N) and -z into the last column of T, which holds
+    the rows B^-1 [A I]; x holds the nonbasic values and is overwritten.
+    cost is the structural variables' cost (a scalar or one per variable),
+    and the slacks cost 0."""
     m = len(basis)
     n = T.shape[1] - 1
-    d = T[-1, :n]
-    up = d < 0.0
-    unbounded = up & np.isinf(upper)
-    if (d[unbounded] < -FEAS_TOL).any():
-        return None
-    up &= ~unbounded
-    x = np.where(up, upper, lower)
     x[basis] = 0.0
     T[:m, -1] = T[:m, n - m : n] @ b - T[:m, :n] @ x
     x[basis] = T[:m, -1]
     T[-1, -1] = -(cost * x[: n - m]).sum()
-    sigma = np.where(up, -1.0, 1.0)
-    sigma[lower == upper] = 0.0
-    sigma[basis] = 0.0
-    return sigma
+
+
+def _rowwise(M, X):
+    """M @ x for each row x of X, C-ordered. einsum sums each row on its
+    own, so a row's bytes do not depend on the other rows of X, as a gemm's
+    can; its order of summation does follow the layout of X, so X is made
+    C-contiguous first."""
+    return np.einsum("ij,rj->ri", M, np.ascontiguousarray(X), order="C")
+
+
+@dataclass(frozen=True)
+class _CrashStarts:
+    """The verdicts and crash starts of the rows of a family on a square
+    block As with inverse inv, all from one pass (_crash_starts).
+
+    Row r's LP is min 1'(u + v) s.t. As(u - v) + w = bs[r] with the slack w
+    in [-lams, lams]. infeasible[r] marks a row whose b breaks a dead
+    constraint row, at_zero[r] one that x = 0 solves. The crash basis makes
+    u_i basic where s[r, i] = +1 and v_i where it is -1; basis[r] lists
+    those columns. Over the columns (u, v, w), lower and upper are the
+    bounds, d the reduced costs at the crash basis, x the nonbasic values
+    and sigma their sides, from _placement; ok[r] is False where that
+    placement is refused. xb[r] holds the basic values, and optimal[r]
+    marks a start that is optimal already: placed, with every basic value
+    within its bounds and the dual certified.
+    """
+
+    inv: np.ndarray
+    infeasible: np.ndarray
+    at_zero: np.ndarray
+    bs: np.ndarray
+    s: np.ndarray
+    basis: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    d: np.ndarray
+    x: np.ndarray
+    sigma: np.ndarray
+    ok: np.ndarray
+    xb: np.ndarray
+    optimal: np.ndarray
+
+    def answer(self, r) -> _RawLp:
+        """Row r's answer at its crash basis, which must be optimal."""
+        k = len(self.inv)
+        z = self.x[r].copy()
+        z[self.basis[r]] = self.xb[r]
+        return _RawLp(z, LpStatus.OPTIMAL, -self.d[r, 2 * k :], 0)
+
+    def tableau(self, r):
+        """Row r's tableau at its crash basis, with the basis and sigma.
+        B = As diag(s), so the rows B^-1 [As, -As, I] are [diag(s),
+        -diag(s), diag(s) inv]; the basic values are written as
+        _place_nonbasics writes them."""
+        inv, s = self.inv, self.s[r]
+        k = len(inv)
+        j = np.arange(k)
+        T = np.zeros((k + 1, 3 * k + 1))
+        T[j, j] = s
+        T[j, k + j] = -s
+        np.multiply(s[:, None], inv, out=T[:k, 2 * k : 3 * k])
+        T[-1, : 3 * k] = self.d[r]
+        basis = self.basis[r].copy()
+        _basic_values(T, basis, self.bs[r], 1.0, self.x[r].copy())
+        return T, basis, self.sigma[r].copy()
+
+
+def _crash_starts(pre: _Presolve, inv, B, lam) -> _CrashStarts:
+    """The verdicts and crash starts of the LPs min ||x||_1 s.t.
+    |a_i'x - B[r, i]| <= lam[r], for all rows r of B in one pass, on the
+    presolve pre of A whose block As is square with inverse inv.
+
+    Row r's crash basis makes u_j basic where s_j = sign((As^-1 b)_j) is +
+    (0 counts as +) and v_j where it is -. Its reduced costs [1 - s, 1 + s,
+    -s'As^-1] are zero on the basic columns, 0 or 2 on the other u and v,
+    and of any sign on the slacks, which are bounded, so the basis is dual
+    feasible for every b (Bixby 1992). The basic values are
+    diag(s) As^-1 (b - w) at the slacks' placement w, and the dual is
+    y = s'As^-1, certified when ||As'y||_inf <= 1 + FEAS_TOL. Each product
+    runs row by row (_rowwise), so a row's start is the same in any family.
+    """
+    rows, k = len(B), len(inv)
+    bs = B[:, pre.rows] * pre.scale
+    lams = lam[:, None] * pre.scale
+    s = np.where(_rowwise(inv, bs) >= 0.0, 1.0, -1.0)
+    basis = np.where(s > 0.0, 0, k) + np.arange(k)
+    y = _rowwise(inv.T.copy(), s)
+    d = np.empty((rows, 3 * k))
+    d[:, :k] = 1.0 - s
+    d[:, k : 2 * k] = 1.0 + s
+    d[:, 2 * k :] = -y
+    lower = np.zeros((rows, 3 * k))
+    lower[:, 2 * k :] = -lams
+    upper = np.full((rows, 3 * k), np.inf)
+    upper[:, 2 * k :] = lams
+    x, sigma, ok = _placement(d, lower, upper)
+    np.put_along_axis(sigma, basis, 0.0, axis=1)
+    xb = s * _rowwise(inv, bs - x[:, 2 * k :])
+    certified = np.abs(_rowwise(pre.As.T.copy(), y)).max(axis=1) <= 1.0 + FEAS_TOL
+    return _CrashStarts(
+        inv=inv,
+        infeasible=(np.abs(B[:, pre.dead]) - lam[:, None] > FEAS_TOL).any(axis=1),
+        at_zero=(np.abs(bs) <= lams).all(axis=1),
+        bs=bs, s=s, basis=basis, lower=lower, upper=upper, d=d, x=x, sigma=sigma, ok=ok,
+        xb=xb, optimal=ok & (xb >= 0.0).all(axis=1) & certified,
+    )
 
 
 def _run_dual_simplex(T, basis, sigma, lower, upper, max_pivots):
@@ -352,81 +456,86 @@ class _FamilyState:
     The LPs of a family share the matrix, and with it the presolve and every
     tableau's rows B^-1 [A I] and reduced costs; b, lambda and the bounds
     only move the basic values, so any basis the family reached stays dual
-    feasible once its nonbasic variables are placed again. A family made
-    with crash=True (solve_row_family's) whose presolved block is square
-    keeps that block's inverse, computed at the first LP that needs it, when
-    As @ inv reproduces I to FEAS_TOL, and starts each LP at its crash basis
-    (_crash_tableau) instead of the last tableau.
+    feasible once its nonbasic variables are placed again. A row family
+    whose presolved block is square and safely invertible is prepared
+    instead (prepare): one vectorized pass finds every row's verdicts and
+    crash start, and each row starts from its own crash basis, not the last
+    tableau. The pass only moves fixed costs: each row is still solved by
+    its own solve_l1_linf call, which reads the row's share of the pass
+    (_row), so count_lps and any wrapper of solve_l1_linf still see every
+    LP and its pivots.
     """
 
-    def __init__(self, crash: bool = False):
-        self.crash = crash
-        self.pre = self.T = self.basis = None
-        self._inv = None  # the block's inverse; False once found unusable
+    def __init__(self):
+        self.pre = self.T = self.basis = self.starts = None
 
     def presolve(self, A) -> _Presolve:
         """The equilibrated presolve of A, kept (with a copy of A) while the
         family's LPs share it; another matrix starts the family afresh."""
         if self.pre is None or not np.array_equal(A, self.pre.A):
             self.pre = _presolve(A.copy(), equilibrate=True)
-            self.T = self.basis = self._inv = None
+            self.T = self.basis = self.starts = None
         return self.pre
 
-    def inverse(self) -> np.ndarray | None:
-        """The presolved block's inverse, for a crash family whose block is
-        square and safely invertible; else None. Computed once."""
-        if self._inv is None:
-            self._inv = False
-            As = self.pre.As
-            if self.crash and As.shape[0] == As.shape[1] > 0:
-                with np.errstate(all="ignore"):
-                    try:
-                        inv = np.linalg.inv(As)
-                    except np.linalg.LinAlgError:
-                        return None
-                    if np.abs(As @ inv - np.eye(len(As))).max() <= FEAS_TOL:
-                        self._inv = inv
-        return None if self._inv is False else self._inv
+    def prepare(self, B, lam) -> bool:
+        """Prepare the rows b = B[r] with penalties lam[r] and no bounds on
+        x, when the presolved block is square and its inverse reproduces I
+        to FEAS_TOL: their verdicts and crash starts (_crash_starts), kept
+        as starts. Returns whether it prepared them."""
+        As = self.pre.As
+        if not As.shape[0] == As.shape[1] > 0:
+            return False
+        with np.errstate(all="ignore"):
+            try:
+                inv = np.linalg.inv(As)
+            except np.linalg.LinAlgError:
+                return False
+            if not np.abs(As @ inv - np.eye(len(As))).max() <= FEAS_TOL:
+                return False
+        self.starts = _crash_starts(self.pre, inv, B, lam)
+        return True
 
-    def has_start(self) -> bool:
-        """Whether an LP can start elsewhere than at the slack basis."""
-        return self.T is not None or self.inverse() is not None
-
-    def solve(self, b, lower, upper, warm: bool) -> _RawLp:
+    def solve(self, b, lower, upper, row=None, *, warm: bool) -> _RawLp:
         """min 1'(u + v) s.t. As(u - v) + w = b, lower <= (u, v, w) <= upper
-        on the family's presolved block As, from the crash basis or the
-        stored tableau (warm, which needs has_start) or from the slack basis.
-        A warm start that cannot be made dual feasible, whose final reduced
-        costs are dual infeasible by more than FEAS_TOL (roundoff carried
-        over from earlier LPs), or, from a crash basis, whose dual y breaks
-        ||As'y||_inf <= 1 + FEAS_TOL (roundoff in the inverse) is solved
-        again from the slack basis, where every reduced cost is exactly 1 or
-        0."""
+        on the family's presolved block As: warm from prepared row's crash
+        basis (no tableau when that basis is optimal already) or from the
+        stored tableau, else from the slack basis. A warm start that cannot
+        be made dual feasible, whose final reduced costs are dual infeasible
+        by more than FEAS_TOL (roundoff carried over from earlier LPs), or,
+        from a crash basis, whose dual y breaks ||As'y||_inf <= 1 + FEAS_TOL
+        (roundoff in the inverse) is solved again from the slack basis,
+        where every reduced cost is exactly 1 or 0."""
         spent = 0
         if warm:
-            inv = self.inverse()
-            start = (self.T, self.basis) if inv is None else _crash_tableau(inv, b)
-            raw, spent = self._run(*start, b, lower, upper, strict=True, certify=inv is not None)
-            if raw is not None:
-                return raw
+            if row is None:
+                T, basis = self.T, self.basis
+                sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
+            elif self.starts.optimal[row]:
+                return self.starts.answer(row)
+            elif self.starts.ok[row]:
+                T, basis, sigma = self.starts.tableau(row)
+            else:
+                sigma = None
+            if sigma is not None:
+                raw, spent = self._run(T, basis, sigma, lower, upper, strict=True, certify=row is not None)
+                if raw is not None:
+                    return raw
         As = self.pre.As
         m, p = As.shape
         T, basis = _slack_tableau(m, 2 * p)
         T[:m, :p] = As
         np.negative(As, out=T[:m, p : 2 * p])
         T[-1, : 2 * p] = 1.0
-        raw, _ = self._run(T, basis, b, lower, upper, strict=False)
+        sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
+        raw, _ = self._run(T, basis, sigma, lower, upper, strict=False)
         return replace(raw, pivots=raw.pivots + spent)
 
-    def _run(self, T, basis, b, lower, upper, strict, certify=False) -> tuple[_RawLp | None, int]:
-        """Place the nonbasic variables, run the dual simplex and keep the
-        final tableau. Returns the answer and the pivots spent; the answer is
-        None when strict and the start or the optimum is not dual feasible,
-        or when certify and the optimum's dual breaks its certificate."""
+    def _run(self, T, basis, sigma, lower, upper, strict, certify=False) -> tuple[_RawLp | None, int]:
+        """Run the dual simplex from a placed start and keep the final
+        tableau. Returns the answer and the pivots spent; the answer is None
+        when strict and the optimum is not dual feasible, or when certify
+        and the optimum's dual breaks its certificate."""
         m, n = len(basis), T.shape[1] - 1
-        sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
-        if sigma is None:
-            return None, 0
         status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
         if status is LpStatus.ITERATION_LIMIT:
             self.T = self.basis = None
@@ -535,7 +644,9 @@ def solve_nonneg_lp(problem: L1LinfProblem) -> LpSolution:
 
 
 @_counted
-def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None) -> LpSolution:
+def solve_l1_linf(
+    problem: L1LinfProblem, *, _family: _FamilyState | None = None, _row: int | None = None
+) -> LpSolution:
     """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i and lo <= x <= hi.
 
     Returns an LpSolution whose dual vector y (one entry per row) certifies
@@ -547,9 +658,11 @@ def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None
     A zero row with |b_i| > lam_i + FEAS_TOL makes the LP infeasible, and
     the presolve's exit answers with y = 0 when x0 meets every row.
     Otherwise the one-phase bounded dual simplex solves the live block, from
-    the slack basis or from the private _family's crash basis or last
-    tableau for the same A. A warm answer that violates a row or a bound by
-    more than FEAS_TOL is solved once more from the slack basis.
+    the slack basis or from the private _family's last tableau for the same
+    A, or, for row _row of a prepared family (solve_row_family's), from the
+    crash basis its preparation pass found, with the verdicts that pass
+    reached. A warm answer that violates a row or a bound by more than
+    FEAS_TOL is solved once more from the slack basis.
     """
     A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
     m, p = A.shape
@@ -563,19 +676,30 @@ def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None
 
     if _family is None:
         _family = _FamilyState()
-    pre = _family.presolve(A)
-    if (lo > hi).any() or (np.abs(b[pre.dead]) - lam[pre.dead] > FEAS_TOL).any():
-        return answer(None, LpStatus.INFEASIBLE, None, 0)
-    x0 = np.clip(0.0, lo, hi)
-    bs = b[pre.rows] * pre.scale
-    lams = lam[pre.rows] * pre.scale
-    if (np.abs(bs - pre.As @ x0[pre.cols]) <= lams).all():
-        return answer(x0, LpStatus.OPTIMAL, np.zeros(m), 0)
-    lo, hi = lo[pre.cols], hi[pre.cols]
-    # x = u - v: u in [lo+, hi+] and v in [(-hi)+, (-lo)+], then the slacks
-    lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams])
-    upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams])
-    k = lo.size
+    if _row is None:
+        x0 = np.clip(0.0, lo, hi)
+        pre = _family.presolve(A)
+        if (lo > hi).any() or (np.abs(b[pre.dead]) - lam[pre.dead] > FEAS_TOL).any():
+            return answer(None, LpStatus.INFEASIBLE, None, 0)
+        bs = b[pre.rows] * pre.scale
+        lams = lam[pre.rows] * pre.scale
+        if (np.abs(bs - pre.As @ x0[pre.cols]) <= lams).all():
+            return answer(x0, LpStatus.OPTIMAL, np.zeros(m), 0)
+        lo, hi = lo[pre.cols], hi[pre.cols]
+        # x = u - v: u in [lo+, hi+] and v in [(-hi)+, (-lo)+], then the slacks
+        lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams])
+        upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams])
+        warm = _family.T is not None
+    else:
+        x0 = np.zeros(p)  # a row family puts no bounds on x
+        pre, starts = _family.pre, _family.starts
+        if starts.infeasible[_row]:
+            return answer(None, LpStatus.INFEASIBLE, None, 0)
+        if starts.at_zero[_row]:
+            return answer(x0, LpStatus.OPTIMAL, np.zeros(m), 0)
+        bs, lower, upper = starts.bs[_row], starts.lower[_row], starts.upper[_row]
+        warm = True
+    k = pre.As.shape[1]
 
     def solution(raw: _RawLp) -> LpSolution:
         if raw.status is not LpStatus.OPTIMAL:
@@ -586,8 +710,7 @@ def solve_l1_linf(problem: L1LinfProblem, *, _family: _FamilyState | None = None
         x[pre.cols] = raw.z[:k] - raw.z[k : 2 * k]
         return answer(x, raw.status, dual, raw.pivots)
 
-    warm = _family.has_start()
-    sol = solution(_family.solve(bs, lower, upper, warm=warm))
+    sol = solution(_family.solve(bs, lower, upper, _row, warm=warm))
     if warm and sol.status is LpStatus.OPTIMAL and sol.max_violation > FEAS_TOL:
         # roundoff carried over from earlier LPs: solve this one from scratch
         cold = solution(_family.solve(bs, lower, upper, warm=False))
@@ -599,15 +722,20 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
     """Solve min ||x_r||_1 s.t. ||x_r A - B_r||_inf <= lam_r for each row r of B.
 
     One solve_l1_linf call per row on (A', B_r'), all sharing one family:
-    A' is presolved once. When its live block is square and safely
-    invertible, each row starts at its own crash basis, so its answer does
-    not depend on the other rows or their order. Otherwise the first row
+    A', B and lam are checked and A' presolved once. When its live block is
+    square and safely invertible, one vectorized pass over all the rows
+    (_FamilyState.prepare) reaches each row's dead-row and x = 0 verdicts
+    and builds its crash start; a row that still needs the simplex then
+    builds its tableau from those vectors, and its answer does not depend on
+    the other rows or their order, byte for byte. Otherwise the first row
     that needs the simplex starts from the slack basis and each later one
     from the last final tableau; results are then deterministic but depend
     on the order of the rows, through ties among optimal vertices and
     roundoff. Either way a row whose answer fails its checks is solved
-    again from the slack basis. Statuses are returned per row rather than
-    raised, so callers can name the offending row.
+    again from the slack basis. Each row keeps its own solve_l1_linf call,
+    made through the module attribute, so count_lps and any wrapper of
+    solve_l1_linf see every row and its pivots. Statuses are returned per
+    row rather than raised, so callers can name the offending row.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -615,9 +743,22 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
     if A.shape[1] != B.shape[1]:
         # x_r A has length A.shape[1]; B_r must match it
         raise ValueError(f"row family shapes do not conform: A {A.shape}, B {B.shape}")
+    # L1LinfProblem's checks, made once: each row's problem skips them
+    if (lam < 0).any() or not np.isfinite(lam).all():
+        raise ValueError("lam must be finite and nonnegative")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("A and b must be finite")
     At = A.T.copy()
-    family = _FamilyState(crash=True)
-    return [
-        solve_l1_linf(L1LinfProblem(A=At, b=B[r], lam=lam[r]), _family=family)
-        for r in range(B.shape[0])
-    ]
+    m, p = At.shape
+    lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
+    lo.flags.writeable = hi.flags.writeable = False  # shared by every row's problem
+    family = _FamilyState()
+    family.presolve(At)
+    prepared = family.prepare(B, lam)
+    sols = []
+    for r in range(B.shape[0]):
+        problem = object.__new__(L1LinfProblem)
+        for name, value in (("A", At), ("b", B[r]), ("lam", np.full(m, lam[r])), ("lo", lo), ("hi", hi)):
+            object.__setattr__(problem, name, value)
+        sols.append(solve_l1_linf(problem, _family=family, _row=r if prepared else None))
+    return sols

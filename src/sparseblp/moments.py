@@ -125,12 +125,14 @@ class Evaluator:
     counts every inversion run here, failed ones included, and its
     iterations; the estimator adds its LP and step counts to the same
     record. Create one per call and pass it to the moment functions as
-    evals; it keeps every inverted delta until it is dropped.
+    evals; it keeps every inverted delta until it is dropped. start, an
+    (n, J) delta, takes the logit closed form's place as the start while no
+    gamma has been inverted here.
     """
 
     def __init__(self, dataset: Dataset, rule: QuadratureRule,
-                 opts: InversionOptions | None = None):
-        self.dataset, self.rule, self.opts = dataset, rule, opts
+                 opts: InversionOptions | None = None, start: np.ndarray | None = None):
+        self.dataset, self.rule, self.opts, self.start = dataset, rule, opts, start
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
         self._gammas: list[np.ndarray] = []  # the gammas inverted without failure,
         self._deltas: list[np.ndarray] = []  # and their deltas: the start pool
@@ -140,7 +142,7 @@ class Evaluator:
         self.stats = RunStats()
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
-        key = (theta.gamma + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
+        key = _key(theta.gamma)
         hit = self._by_gamma.get(key)
         if hit is None:
             hit = self._by_gamma[key] = self._invert(theta)
@@ -149,6 +151,11 @@ class Evaluator:
         if np.array_equal(hit.theta.beta, theta.beta):
             return hit
         return hit.at_beta(theta.beta)
+
+    def delta(self, gamma: np.ndarray) -> np.ndarray | None:
+        """The delta inverted here at gamma, or None; never inverts."""
+        hit = self._by_gamma.get(_key(gamma))
+        return hit.delta if isinstance(hit, MomentEvaluation) else None
 
     def jacobian(self, theta: Theta) -> np.ndarray:
         """The Jacobian at theta; one computed here, outside probing, makes
@@ -171,7 +178,7 @@ class Evaluator:
             self._probing = False
 
     def _invert(self, theta: Theta) -> MomentEvaluation | InversionError:
-        start = None
+        start = self.start
         if self._gammas:
             d = np.asarray(self._gammas) - theta.gamma
             nearest = int(np.argmin(np.einsum("ij,ij->i", d, d)))
@@ -191,6 +198,10 @@ class Evaluator:
         self.stats.contraction_iters += out.info.iterations
         self.stats.newton_iters += out.info.newton_iterations
         return out
+
+
+def _key(gamma: np.ndarray) -> bytes:
+    return (gamma + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
 
 
 def _evaluation(dataset, theta, rule, opts, evals: Evaluator | None) -> MomentEvaluation:

@@ -209,6 +209,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
             penalties=penalties,
             alpha=cfg.alpha,
             relax_mu=cfg.relax_mu,
+            start=res.delta_hat,
         )
         tv = truth.stacked()
         rec.coverage = ((deb.ci[:, 0] <= tv) & (tv <= deb.ci[:, 1])).astype(int).tolist()
@@ -230,7 +231,11 @@ def run_study(cfg: McConfig) -> McReport:
     Coverage aggregates average over every replication in the denominator;
     a failed replication contributes zero coverage, per the reporting rule
     that failures are counted, not dropped. When every replication fails,
-    StudyError is raised with the report attached.
+    StudyError is raised with the report attached. Each replication's
+    debias starts its one share inversion from the estimate's delta_hat,
+    which the fit converged at theta_hat already (the study's Gauss-Hermite
+    rule is symmetric, so a gamma group's sign flip leaves delta as it
+    was), not from the logit closed form.
     """
     jobs = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
     if cfg.workers > 1:

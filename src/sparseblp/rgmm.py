@@ -195,6 +195,13 @@ class IterationRecord:
 
 @dataclass
 class EstimationResult:
+    """An estimate, how it was reached and what it cost.
+
+    delta_hat is delta at theta_hat.gamma, the mean utilities the fit
+    inverted there, read from its own Evaluator without a new inversion;
+    debias(..., start=delta_hat) starts its inversion from it.
+    """
+
     theta_hat: Theta
     lam: float
     converged: bool
@@ -205,6 +212,7 @@ class EstimationResult:
     diagnosis: str | None = None
     runtime_s: float = 0.0
     stop: str | None = None  # last run_phase outcome; None when theta = 0 is certified
+    delta_hat: np.ndarray | None = None  # (n, J)
 
 
 def select_lambda(
@@ -555,6 +563,7 @@ def _estimate(
             runtime_s=time.perf_counter() - t_start,
             stats=evals.stats,
             stop=stop,
+            delta_hat=evals.delta(fields["theta_hat"].gamma),
             **fields,
         )
 

@@ -21,6 +21,7 @@ from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.l1_solvers import LpStatus
 from sparseblp.model_core import ModelConfig, Theta
 from sparseblp.moments import jacobian_theta, omega, score
+from sparseblp.rgmm import RgmmOptions, estimate
 
 
 def _square_dataset(gh1, n=30, seed=2):
@@ -300,3 +301,41 @@ class TestFullPipeline:
         assert floors == res.mu_relaxed_rows.size > 0
         assert res.stats.lp_solves == len(pivots) == 12 + 2 * floors
         assert res.stats.lp_pivots == sum(p for _, p in pivots) > 0
+
+
+class TestDeltaStart:
+    """debias(..., start=delta) starts its one inversion from a delta; the
+    estimate's delta_hat is a fixed point there."""
+
+    @pytest.fixture
+    def fit(self, gh1):
+        ds, _ = _square_dataset(gh1, n=40, seed=3)
+        est = estimate(ds, gh1, RgmmOptions(lam=0.05))
+        assert est.converged and est.theta_hat.gamma.any()
+        return ds, est
+
+    def test_the_estimates_delta_leaves_no_newton_pass(self, gh1, fit, inversion_log):
+        ds, est = fit
+        pen = DebiasPenalties(0.05)
+        cold = debias(ds, est.theta_hat, gh1, penalties=pen)
+        warm = debias(ds, est.theta_hat, gh1, penalties=pen, start=est.delta_hat)
+        assert len(inversion_log) == 2
+        assert cold.stats.inversions == warm.stats.inversions == 1
+        assert cold.stats.newton_iters > 0 and warm.stats.newton_iters == 0
+        assert warm.gamma_statuses == cold.gamma_statuses and warm.mu_statuses == cold.mu_statuses
+        assert warm.stats.lp_solves == cold.stats.lp_solves
+        assert warm.stats.lp_pivots == cold.stats.lp_pivots
+        for name in ("theta_dd", "se"):
+            a, b = getattr(warm, name), getattr(cold, name)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.abs(b).max())
+
+    @pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+    def test_a_bad_start_raises(self, gh1, fit, bad):
+        ds, est = fit
+        start = est.delta_hat.copy()
+        if bad == "shape":
+            start = start[:, :-1]
+        else:
+            start[3, 1] = np.nan if bad == "nan" else np.inf
+        with pytest.raises(ValueError, match="start"):
+            debias(ds, est.theta_hat, gh1, penalties=DebiasPenalties(0.05), start=start)

@@ -461,15 +461,16 @@ def square_family(rng, cond):
 
 @pytest.fixture
 def crash_starts(monkeypatch):
-    """Counts the crash tableaux built while the test runs."""
+    """Counts the rows given crash starts while the test runs, one entry
+    (the block's size) per row."""
     calls = []
-    real = l1_solvers._crash_tableau
+    real = l1_solvers._crash_starts
 
-    def counting(inv, b):
-        calls.append(len(inv))
-        return real(inv, b)
+    def counting(pre, inv, B, lam):
+        calls.extend([len(inv)] * len(B))
+        return real(pre, inv, B, lam)
 
-    monkeypatch.setattr(l1_solvers, "_crash_tableau", counting)
+    monkeypatch.setattr(l1_solvers, "_crash_starts", counting)
     return calls
 
 
@@ -514,11 +515,20 @@ class TestCrashStart:
         assert first.pivots > 0 and second.pivots == 0
 
     def test_row_order_does_not_matter(self, rng, crash_starts):
+        # each row comes out the same, byte for byte, in its family, in a
+        # permuted family and alone: dead rows and x = 0 rows included
+        kinds = set()
         for _ in range(20):
             A, B, lam = square_family(rng, 1e3)
             perm = rng.permutation(B.shape[0])
-            sols = family_bytes(solve_row_family(A, B, lam))
+            fam = solve_row_family(A, B, lam)
+            sols = family_bytes(fam)
             assert family_bytes(solve_row_family(A, B[perm], lam[perm])) == [sols[r] for r in perm]
+            for r, sol in enumerate(fam):
+                assert family_bytes(solve_row_family(A, B[r : r + 1], lam[r : r + 1])) == [sols[r]]
+                kinds.add("dead" if sol.status is LpStatus.INFEASIBLE
+                          else "zero" if sol.objective == 0.0 else "simplex" if sol.pivots else "crash")
+        assert kinds == {"dead", "zero", "simplex", "crash"}
         assert crash_starts
 
     def test_a_crash_answer_that_breaks_its_certificate_is_resolved_cold(self, rng, monkeypatch):
@@ -527,8 +537,9 @@ class TestCrashStart:
         # again from the slack basis
         A = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        real = l1_solvers._crash_tableau
-        monkeypatch.setattr(l1_solvers, "_crash_tableau", lambda inv, b: real(inv * (1 + 1e-4), b))
+        real = l1_solvers._crash_starts
+        monkeypatch.setattr(l1_solvers, "_crash_starts",
+                            lambda pre, inv, B, lam: real(pre, inv * (1 + 1e-4), B, lam))
         (sol,), ran = line_runs(l1_solvers._FamilyState._run, "return None, pivots",
                                 lambda: solve_row_family(A, b[None, :], np.full(1, 0.05)))
         assert ran

@@ -174,6 +174,41 @@ class TestOneInversionPerGamma:
         assert len(inversion_log) == len(set(inversion_log)) == res.stats.inversions
 
 
+class TestDeltaHat:
+    """delta_hat is the fit's own delta at theta_hat.gamma, read off its
+    Evaluator after the fit's last inversion."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch, inversion_log):
+        """The inversions run before each Evaluator.delta lookup."""
+        seen = []
+        real = Evaluator.delta
+
+        def recording(self, gamma):
+            seen.append(len(inversion_log))
+            return real(self, gamma)
+
+        monkeypatch.setattr(Evaluator, "delta", recording)
+        return seen
+
+    @pytest.mark.parametrize("auto", [False, True], ids=["estimate", "estimate_auto"])
+    def test_delta_hat_costs_no_inversion(self, gh1, inversion_log, lookups, auto):
+        ds, _ = _noisy_data(gh1, n=50, seed=21)
+        res = estimate_auto(ds, gh1) if auto else estimate(ds, gh1, RgmmOptions(lam=0.08))
+        assert lookups and lookups[-1] == len(inversion_log) == res.stats.inversions
+        assert res.delta_hat.shape == ds.S.shape
+        again = moments.evaluate(ds, res.theta_hat, gh1, start=res.delta_hat)
+        assert again.info.newton_iterations == 0
+        np.testing.assert_array_equal(again.delta, res.delta_hat)
+
+    def test_theta_zero_has_its_delta_too(self, gh1):
+        ds, _ = _noisy_data(gh1)
+        c0 = float(np.abs(score(ds, Theta.zeros(ds.config.L), gh1)).max())
+        res = estimate(ds, gh1, RgmmOptions(lam=1.01 * c0))
+        assert res.stats.inversions == 1
+        np.testing.assert_array_equal(res.delta_hat, logit_delta(ds.S))
+
+
 class TestEstimateAuto:
     def test_auto_lambda_end_to_end(self, gh1):
         ds, _ = _noisy_data(gh1, n=50, seed=21)

@@ -36,20 +36,18 @@ _FamilyState, which keeps the presolve and the last final tableau: a basis
 that was optimal for one LP is dual feasible for the next once each nonbasic
 variable sits at the bound its reduced cost prefers, so the next starts
 warm from that tableau, whose slack block holds B^-1. The outer estimator
-does this for the step LPs of one linearization. solve_row_family does it
-for the de-biasing rows when their presolved block is not square or not
-safely invertible; the answers then depend on the order of the rows. On a
-square block it crash-starts each row at the basis the sign of its
-unpenalized solve A^-1 b names (Bixby 1992): that basis is dual feasible
-for any b, and with small penalties it is optimal or a few pivots from it.
-The rows of such a family share their fixed costs: one vectorized pass
-checks the data, reaches every row's dead-row and x = 0 verdicts, and
-computes every crash start (signs, reduced costs, nonbasic placement and
-basic values) by row-by-row sums, so no row's answer depends on the
-others. A row whose start is optimal already needs no tableau; any other
-builds its own from those vectors. Each row still makes its own
-solve_l1_linf call, so every LP is counted. Any start other than the slack
-basis whose answer fails its checks is solved again from the slack basis.
+does this for the step LPs of one linearization. solve_row_family starts
+each de-biasing row by one rule, so no row's answer depends on the others
+or their order. One vectorized pass reaches every row's dead-row and x = 0
+verdicts and bounds. Where the presolved block is square and safely
+invertible, it also computes by row-by-row sums each row's crash start,
+the basis the sign of its unpenalized solve A^-1 b names (Bixby 1992):
+that basis is dual feasible for any b, and with small penalties it is
+optimal (no tableau is built) or a few pivots from it. Any other row starts
+from the slack basis on the family's shared presolve. Each row still makes
+its own solve_l1_linf call, so every LP is counted. Any start other than
+the slack basis whose answer fails its checks is solved again from the
+slack basis.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -150,15 +148,25 @@ def _check_size(m, n):
         raise LpSizeError(f"dense tableau would need {(m + 1) * (n + m + 1)} entries")
 
 
-def _slack_tableau(m, n):
-    """A zero tableau of m rows over n structural variables, their m slacks
-    and the right-hand side, with the slack block set to I: the slack basis,
-    whose matrix and costs the caller writes in. Returns it with the basis,
-    the slack columns n..n+m-1."""
+def _slack_tableau(m, n, cost):
+    """A tableau of m rows over n structural variables, their m slacks and
+    the right-hand side at the slack basis: the slack block is I and the
+    objective row holds the structural costs cost (a scalar or one per
+    variable; the slacks cost 0). The caller writes the matrix into the
+    first n columns. Returns it with the basis, columns n..n+m-1."""
     T = np.zeros((m + 1, n + m + 1))
     basis = np.arange(n, n + m)
     T[np.arange(m), basis] = 1.0
+    T[-1, :n] = cost
     return T, basis
+
+
+def _values(T, basis, sigma, lower, upper):
+    """Every variable's value at T's basis: the basic ones from the last
+    column, the others at the bound sigma names (upper where sigma < 0)."""
+    z = np.where(sigma < 0, upper, lower)
+    z[basis] = T[: len(basis), -1]
+    return z
 
 
 @dataclass(frozen=True)
@@ -256,30 +264,56 @@ def _rowwise(M, X):
 
 
 @dataclass(frozen=True)
-class _CrashStarts:
-    """The verdicts and crash starts of the rows of a family on a square
-    block As with inverse inv, all from one pass (_crash_starts).
+class _RowPass:
+    """The rows b = B[r] with penalties lam[r] of a family, from one pass
+    over all of them (_row_pass). Row r's LP on the presolved block As is
+    min 1'(u + v) s.t. As(u - v) + w = bs[r], lower[r] <= (u, v, w) <=
+    upper[r]: u, v >= 0, as a row family puts no bounds on x, and the slack
+    w in [-lams, lams]. infeasible[r] marks a row whose b breaks a dead
+    constraint row, at_zero[r] one that x = 0 solves."""
 
-    Row r's LP is min 1'(u + v) s.t. As(u - v) + w = bs[r] with the slack w
-    in [-lams, lams]. infeasible[r] marks a row whose b breaks a dead
-    constraint row, at_zero[r] one that x = 0 solves. The crash basis makes
-    u_i basic where s[r, i] = +1 and v_i where it is -1; basis[r] lists
-    those columns. Over the columns (u, v, w), lower and upper are the
-    bounds, d the reduced costs at the crash basis, x the nonbasic values
-    and sigma their sides, from _placement; ok[r] is False where that
-    placement is refused. xb[r] holds the basic values, and optimal[r]
-    marks a start that is optimal already: placed, with every basic value
-    within its bounds and the dual certified.
-    """
-
-    inv: np.ndarray
-    infeasible: np.ndarray
-    at_zero: np.ndarray
     bs: np.ndarray
-    s: np.ndarray
-    basis: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    infeasible: np.ndarray
+    at_zero: np.ndarray
+
+
+def _row_pass(pre: _Presolve, B, lam) -> _RowPass:
+    m, p = pre.As.shape
+    bs = B[:, pre.rows] * pre.scale
+    lams = lam[:, None] * pre.scale
+    lower = np.zeros((len(B), 2 * p + m))
+    lower[:, 2 * p :] = -lams
+    upper = np.full((len(B), 2 * p + m), np.inf)
+    upper[:, 2 * p :] = lams
+    return _RowPass(
+        bs=bs, lower=lower, upper=upper,
+        infeasible=(np.abs(B[:, pre.dead]) - lam[:, None] > FEAS_TOL).any(axis=1),
+        at_zero=(np.abs(bs) <= lams).all(axis=1),
+    )
+
+
+@dataclass(frozen=True)
+class _CrashStarts:
+    """The crash starts of the rows of a family on a square block As with
+    inverse inv, from one pass (_crash_starts), and the rows' verdicts and
+    bounds (rows, from _row_pass).
+
+    The crash basis
+    of row r makes u_i basic where s[r, i] = +1 and v_i where it is -1;
+    basis[r] lists those columns. Over the columns (u, v, w), d holds the
+    reduced costs at the crash basis, x the nonbasic values and sigma their
+    sides, from _placement; ok[r] is False where that placement is refused.
+    xb[r] holds the basic values, and optimal[r] marks a start that is
+    optimal already: placed, with every basic value within its bounds and
+    the dual certified.
+    """
+
+    rows: _RowPass
+    inv: np.ndarray
+    s: np.ndarray
+    basis: np.ndarray
     d: np.ndarray
     x: np.ndarray
     sigma: np.ndarray
@@ -308,12 +342,12 @@ class _CrashStarts:
         np.multiply(s[:, None], inv, out=T[:k, 2 * k : 3 * k])
         T[-1, : 3 * k] = self.d[r]
         basis = self.basis[r].copy()
-        _basic_values(T, basis, self.bs[r], 1.0, self.x[r].copy())
+        _basic_values(T, basis, self.rows.bs[r], 1.0, self.x[r].copy())
         return T, basis, self.sigma[r].copy()
 
 
 def _crash_starts(pre: _Presolve, inv, B, lam) -> _CrashStarts:
-    """The verdicts and crash starts of the LPs min ||x||_1 s.t.
+    """The verdicts, bounds and crash starts of the LPs min ||x||_1 s.t.
     |a_i'x - B[r, i]| <= lam[r], for all rows r of B in one pass, on the
     presolve pre of A whose block As is square with inverse inv.
 
@@ -326,30 +360,23 @@ def _crash_starts(pre: _Presolve, inv, B, lam) -> _CrashStarts:
     y = s'As^-1, certified when ||As'y||_inf <= 1 + FEAS_TOL. Each product
     runs row by row (_rowwise), so a row's start is the same in any family.
     """
-    rows, k = len(B), len(inv)
-    bs = B[:, pre.rows] * pre.scale
-    lams = lam[:, None] * pre.scale
+    k = len(inv)
+    rows = _row_pass(pre, B, lam)
+    bs = rows.bs
     s = np.where(_rowwise(inv, bs) >= 0.0, 1.0, -1.0)
     basis = np.where(s > 0.0, 0, k) + np.arange(k)
     y = _rowwise(inv.T.copy(), s)
-    d = np.empty((rows, 3 * k))
+    d = np.empty((len(bs), 3 * k))
     d[:, :k] = 1.0 - s
     d[:, k : 2 * k] = 1.0 + s
     d[:, 2 * k :] = -y
-    lower = np.zeros((rows, 3 * k))
-    lower[:, 2 * k :] = -lams
-    upper = np.full((rows, 3 * k), np.inf)
-    upper[:, 2 * k :] = lams
-    x, sigma, ok = _placement(d, lower, upper)
+    x, sigma, ok = _placement(d, rows.lower, rows.upper)
     np.put_along_axis(sigma, basis, 0.0, axis=1)
     xb = s * _rowwise(inv, bs - x[:, 2 * k :])
     certified = np.abs(_rowwise(pre.As.T.copy(), y)).max(axis=1) <= 1.0 + FEAS_TOL
     return _CrashStarts(
-        inv=inv,
-        infeasible=(np.abs(B[:, pre.dead]) - lam[:, None] > FEAS_TOL).any(axis=1),
-        at_zero=(np.abs(bs) <= lams).all(axis=1),
-        bs=bs, s=s, basis=basis, lower=lower, upper=upper, d=d, x=x, sigma=sigma, ok=ok,
-        xb=xb, optimal=ok & (xb >= 0.0).all(axis=1) & certified,
+        rows=rows, inv=inv, s=s, basis=basis, d=d, x=x, sigma=sigma, ok=ok, xb=xb,
+        optimal=ok & (xb >= 0.0).all(axis=1) & certified,
     )
 
 
@@ -449,62 +476,63 @@ def _run_dual_simplex(T, basis, sigma, lower, upper, max_pivots):
     return LpStatus.ITERATION_LIMIT, pivots
 
 
+def _safe_inverse(As):
+    """As^-1 when As is square and the inverse reproduces I to FEAS_TOL,
+    else None."""
+    if not As.shape[0] == As.shape[1] > 0:
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(As)
+        except np.linalg.LinAlgError:
+            return None
+        return inv if np.abs(As @ inv - np.eye(len(As))).max() <= FEAS_TOL else None
+
+
 class _FamilyState:
-    """The presolve and the last final tableau of a family of LPs, kept to
+    """The presolve of a family of LPs and the last final tableau, kept to
     start the next.
 
     The LPs of a family share the matrix, and with it the presolve and every
     tableau's rows B^-1 [A I] and reduced costs; b, lambda and the bounds
     only move the basic values, so any basis the family reached stays dual
-    feasible once its nonbasic variables are placed again. A row family
-    whose presolved block is square and safely invertible is prepared
-    instead (prepare): one vectorized pass finds every row's verdicts and
-    crash start, and each row starts from its own crash basis, not the last
-    tableau. The pass only moves fixed costs: each row is still solved by
-    its own solve_l1_linf call, which reads the row's share of the pass
-    (_row), so count_lps and any wrapper of solve_l1_linf still see every
-    LP and its pivots.
+    feasible once its nonbasic variables are placed again. A row family is
+    prepared instead (prepare), and each row starts from its own crash
+    basis or the slack basis, never from another row's tableau. Each row is
+    still solved by its own solve_l1_linf call, which reads the row's share
+    of the preparation pass (_row), so count_lps and any wrapper of
+    solve_l1_linf still see every LP and its pivots.
     """
 
     def __init__(self):
-        self.pre = self.T = self.basis = self.starts = None
+        self.pre = self.T = self.basis = self.rows = self.starts = None
 
     def presolve(self, A) -> _Presolve:
         """The equilibrated presolve of A, kept (with a copy of A) while the
         family's LPs share it; another matrix starts the family afresh."""
         if self.pre is None or not np.array_equal(A, self.pre.A):
             self.pre = _presolve(A.copy(), equilibrate=True)
-            self.T = self.basis = self.starts = None
+            self.T = self.basis = self.rows = self.starts = None
         return self.pre
 
-    def prepare(self, B, lam) -> bool:
+    def prepare(self, B, lam) -> None:
         """Prepare the rows b = B[r] with penalties lam[r] and no bounds on
-        x, when the presolved block is square and its inverse reproduces I
-        to FEAS_TOL: their verdicts and crash starts (_crash_starts), kept
-        as starts. Returns whether it prepared them."""
-        As = self.pre.As
-        if not As.shape[0] == As.shape[1] > 0:
-            return False
-        with np.errstate(all="ignore"):
-            try:
-                inv = np.linalg.inv(As)
-            except np.linalg.LinAlgError:
-                return False
-            if not np.abs(As @ inv - np.eye(len(As))).max() <= FEAS_TOL:
-                return False
-        self.starts = _crash_starts(self.pre, inv, B, lam)
-        return True
+        x: their verdicts and bounds as rows, and, when the presolved block
+        has a safe inverse, their crash starts (_crash_starts) as starts."""
+        inv = _safe_inverse(self.pre.As)
+        self.starts = None if inv is None else _crash_starts(self.pre, inv, B, lam)
+        self.rows = _row_pass(self.pre, B, lam) if inv is None else self.starts.rows
 
     def solve(self, b, lower, upper, row=None, *, warm: bool) -> _RawLp:
         """min 1'(u + v) s.t. As(u - v) + w = b, lower <= (u, v, w) <= upper
         on the family's presolved block As: warm from prepared row's crash
-        basis (no tableau when that basis is optimal already) or from the
-        stored tableau, else from the slack basis. A warm start that cannot
-        be made dual feasible, whose final reduced costs are dual infeasible
-        by more than FEAS_TOL (roundoff carried over from earlier LPs), or,
-        from a crash basis, whose dual y breaks ||As'y||_inf <= 1 + FEAS_TOL
-        (roundoff in the inverse) is solved again from the slack basis,
-        where every reduced cost is exactly 1 or 0."""
+        basis (no tableau when it is optimal already) or from the stored
+        tableau, else from the slack basis. A warm start that cannot be made
+        dual feasible, whose final reduced costs are dual infeasible by more
+        than FEAS_TOL (roundoff carried over from earlier LPs), or whose
+        crash dual y breaks ||As'y||_inf <= 1 + FEAS_TOL (roundoff in the
+        inverse) is solved again from the slack basis, where every reduced
+        cost is exactly 1 or 0."""
         spent = 0
         if warm:
             if row is None:
@@ -522,10 +550,9 @@ class _FamilyState:
                     return raw
         As = self.pre.As
         m, p = As.shape
-        T, basis = _slack_tableau(m, 2 * p)
+        T, basis = _slack_tableau(m, 2 * p, 1.0)
         T[:m, :p] = As
         np.negative(As, out=T[:m, p : 2 * p])
-        T[-1, : 2 * p] = 1.0
         sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
         raw, _ = self._run(T, basis, sigma, lower, upper, strict=False)
         return replace(raw, pivots=raw.pivots + spent)
@@ -548,9 +575,7 @@ class _FamilyState:
         ):
             return None, pivots
         self.T, self.basis = T, basis
-        z = np.where(sigma < 0, upper, lower)
-        z[basis] = T[:m, -1]
-        return _RawLp(z, status, y, pivots), pivots
+        return _RawLp(_values(T, basis, sigma, lower, upper), status, y, pivots), pivots
 
 
 _records: ContextVar[tuple] = ContextVar("lp_records", default=())
@@ -622,23 +647,20 @@ def solve_nonneg_lp(problem: L1LinfProblem) -> LpSolution:
     if (np.abs(A @ x[pre.cols] - b) <= lam + t0).all():
         return LpSolution(x, LpStatus.OPTIMAL, t0, _max_violation(problem, x, t0), None, 0)
     m, p = A.shape
-    T, basis = _slack_tableau(2 * m, 2 * p + 1)
+    cost = np.r_[np.zeros(2 * p), 1.0]  # t alone costs
+    T, basis = _slack_tableau(2 * m, 2 * p + 1, cost)
     T[:m, :p] = A
     np.negative(A, out=T[:m, p : 2 * p])
     T[m : 2 * m, :p] = T[:m, p : 2 * p]
     T[m : 2 * m, p : 2 * p] = A
     T[: 2 * m, 2 * p] = -1.0
-    cost = np.zeros(2 * p + 1)
-    cost[-1] = 1.0
-    T[-1, : 2 * p + 1] = cost
     lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), [t0], np.zeros(2 * m)])
     upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), np.full(2 * m + 1, np.inf)])
     sigma = _place_nonbasics(T, basis, np.concatenate([lam + b, lam - b]), cost, lower, upper)
     status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(np.zeros(x.size), status, np.nan, np.inf, None, pivots)
-    z = np.where(sigma < 0, upper, lower)
-    z[basis] = T[: 2 * m, -1]
+    z = _values(T, basis, sigma, lower, upper)
     x[pre.cols], t = z[:p] - z[p : 2 * p], float(z[2 * p])
     return LpSolution(x, status, t, _max_violation(problem, x, t), None, pivots)
 
@@ -659,10 +681,11 @@ def solve_l1_linf(
     the presolve's exit answers with y = 0 when x0 meets every row.
     Otherwise the one-phase bounded dual simplex solves the live block, from
     the slack basis or from the private _family's last tableau for the same
-    A, or, for row _row of a prepared family (solve_row_family's), from the
-    crash basis its preparation pass found, with the verdicts that pass
-    reached. A warm answer that violates a row or a bound by more than
-    FEAS_TOL is solved once more from the slack basis.
+    A. Row _row of a prepared family (solve_row_family's) takes the
+    verdicts its preparation pass reached and starts from the crash basis
+    that pass found, or, without one, from the slack basis. A warm answer
+    that violates a row or a bound by more than FEAS_TOL is solved once
+    more from the slack basis.
     """
     A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
     m, p = A.shape
@@ -692,13 +715,13 @@ def solve_l1_linf(
         warm = _family.T is not None
     else:
         x0 = np.zeros(p)  # a row family puts no bounds on x
-        pre, starts = _family.pre, _family.starts
-        if starts.infeasible[_row]:
+        pre, rows = _family.pre, _family.rows
+        if rows.infeasible[_row]:
             return answer(None, LpStatus.INFEASIBLE, None, 0)
-        if starts.at_zero[_row]:
+        if rows.at_zero[_row]:
             return answer(x0, LpStatus.OPTIMAL, np.zeros(m), 0)
-        bs, lower, upper = starts.bs[_row], starts.lower[_row], starts.upper[_row]
-        warm = True
+        bs, lower, upper = rows.bs[_row], rows.lower[_row], rows.upper[_row]
+        warm = _family.starts is not None
     k = pre.As.shape[1]
 
     def solution(raw: _RawLp) -> LpSolution:
@@ -722,20 +745,16 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
     """Solve min ||x_r||_1 s.t. ||x_r A - B_r||_inf <= lam_r for each row r of B.
 
     One solve_l1_linf call per row on (A', B_r'), all sharing one family:
-    A', B and lam are checked and A' presolved once. When its live block is
-    square and safely invertible, one vectorized pass over all the rows
-    (_FamilyState.prepare) reaches each row's dead-row and x = 0 verdicts
-    and builds its crash start; a row that still needs the simplex then
-    builds its tableau from those vectors, and its answer does not depend on
-    the other rows or their order, byte for byte. Otherwise the first row
-    that needs the simplex starts from the slack basis and each later one
-    from the last final tableau; results are then deterministic but depend
-    on the order of the rows, through ties among optimal vertices and
-    roundoff. Either way a row whose answer fails its checks is solved
-    again from the slack basis. Each row keeps its own solve_l1_linf call,
-    made through the module attribute, so count_lps and any wrapper of
-    solve_l1_linf see every row and its pivots. Statuses are returned per
-    row rather than raised, so callers can name the offending row.
+    A', B and lam are checked and A' presolved once, and one vectorized
+    pass over all the rows (_FamilyState.prepare) reaches each row's
+    dead-row and x = 0 verdicts and bounds and, when the live block is
+    square and safely invertible, its crash start. A row that still needs
+    the simplex starts from its crash basis or from the slack basis, so its
+    answer does not depend on the other rows or their order, byte for
+    byte. Each call is made through the module attribute, so count_lps and
+    any wrapper of solve_l1_linf see every row and its pivots. Statuses are
+    returned per row rather than raised, so callers can name the offending
+    row.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -754,11 +773,11 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
     lo.flags.writeable = hi.flags.writeable = False  # shared by every row's problem
     family = _FamilyState()
     family.presolve(At)
-    prepared = family.prepare(B, lam)
+    family.prepare(B, lam)
     sols = []
     for r in range(B.shape[0]):
         problem = object.__new__(L1LinfProblem)
         for name, value in (("A", At), ("b", B[r]), ("lam", np.full(m, lam[r])), ("lo", lo), ("hi", hi)):
             object.__setattr__(problem, name, value)
-        sols.append(solve_l1_linf(problem, _family=family, _row=r if prepared else None))
+        sols.append(solve_l1_linf(problem, _family=family, _row=r))
     return sols

@@ -43,10 +43,7 @@ ch. 6): a rejected trial point shrinks it by TRUST_SHRINK, and an accepted
 step grows it by TRUST_EXPAND only when it passed on its first trial point
 (no shrink, no SOC) and reached its trust bound; otherwise the radius stays.
 Growing it after every accepted step made the next step overshoot, shrink
-and need SOC. On the 40 fits of the grid below with lambda = 1.2/sqrt(n)
-and pilot 1.0, the rule and the start prediction cut inversions from 2557
-to 1450 and converged on 40 fits instead of 39, with ||theta_hat||_1 moved
-by at most 6.7e-4.
+and need SOC.
 
 Where theta_hat lies on a curved face of the feasible set (support S larger
 than the binding moment rows A), the step LPs zigzag across the face: each
@@ -81,14 +78,7 @@ from an iterate outside the bound, a point inside it) as one outer
 iteration, and the next iteration tries the following Newton step. A Newton
 step shorter than CONVERGENCE_TOL converges when the multipliers certify the
 working set (KKT_TOL), and otherwise moves one coordinate into S or one row
-out of A. A refused or rejected step leaves the iteration as it was. On the
-40-fit grid (lambda = 1.2/sqrt(n), pilot 1.0) the 15 fits that stalled now
-converge, outer iterations fall from 698 to 496 and inversions from 1450 to
-1107; ||theta_hat||_1 falls on those 15 (by 5.5e-6 to 1.2e-4), the other 25
-are unchanged, and a warm restart from a converged theta_hat moves it by at
-most 1.5e-9 (up to 4.0e-3 from a stalled one before). On the 240-fit grid
-below, 239 fits converge instead of 235, outer iterations fall from 6383 to
-3124, and ||theta_hat||_1 falls on 82 fits and rises on none that converges.
+out of A. A refused or rejected step leaves the iteration as it was.
 
 Every linearized step is one LP from _step_lp: the trust-region step, the
 second-order correction (SOC) and the elastic restoration's second pass
@@ -96,17 +86,26 @@ differ only in target, tolerance and box center. Its rows are the moment
 rows alone; the trust region and the box on theta are bounds on the step.
 The step LPs of one outer iteration share G_f, so they share one matrix:
 the iteration keeps one dual simplex tableau, and each of its step LPs,
-shrink re-solves included, starts from the previous one's. The trust
-region, the convergence test and the box on theta are module constants.
-Each safeguard changed the estimates when switched off, on a grid of 240
-fits (the pipebench designs and an n = 200 study design, DGP seeds 0-9,
-lambda in {0.6, 1.2, 2.4}/sqrt(n), one- and three-scale pilot ladders):
-elastic restoration keeps 9 fits converged, the noiseless-recovery test among them;
-restarts down the pilot ladder keep 1 converged and give a smaller
-||theta_hat||_1 on 15; the gamma phase keeps 1 converged and, at
-lambda = 0.6/sqrt(n), cuts the mean error of the 6 estimates it moves from
-0.85 to 0.62; SOC gives a smaller ||theta_hat||_1 on 76 fits (a larger one
-on 16) and cuts the wide-attribute-lp pool from 39 outer iterations to 33.
+shrink re-solves included, starts from the previous one's. Every accepted
+point (the start, an LP, SOC or Newton step) is taken on one path that
+records it with its moments and keeps the best feasible one, so nothing is
+evaluated after the last step. The trust region, the convergence test and
+the box on theta are module constants.
+
+Each safeguard changes the estimates when switched off, on the 240-fit grid
+of tests/test_slp_safeguard_grid.py (the pipebench designs and an n = 200
+study design, DGP seeds 0-9, lambda in {0.6, 1.2, 2.4}/sqrt(n), one- and
+three-scale pilot ladders; 239 fits converge). Without SOC 4 fewer fits
+converge; without the acceptance allowance 15 fewer, and inversions rise
+from 7337 to 12550; without elastic restoration 8 fewer, and the
+noiseless-recovery test fails. Without the gamma phase the grid takes 18%
+fewer inversions, but ||theta_hat||_1 rises on 9 fits (by up to 0.55) and
+the mean error of the 16 estimates moved by more than 1e-6 rises from 1.16
+to 1.28. Without restarts down the pilot ladder one fit stops at a larger
+||theta_hat||_1 (by 0.13). On the grid's 40 fits at lambda = 1.2/sqrt(n)
+and pilot 1.0 and the six study fits, the shared face moves 2 fits and the
+KKT updates 3; without the chain of Newton steps, or without the
+restoration passes, 15 of those 40 again stop short of "converged".
 """
 
 from __future__ import annotations
@@ -357,6 +356,22 @@ def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
 
 
 @dataclass(frozen=True)
+class _Iterate:
+    """A point the SLP reached or tried: theta stacked (vec), f_hat there
+    (f), ||f_hat||_inf (c) and ||theta||_1 (obj); f is None and c inf where
+    the share inversion failed."""
+
+    vec: np.ndarray
+    f: np.ndarray | None
+    c: float
+    obj: float
+
+    @classmethod
+    def at(cls, vec: np.ndarray, f: np.ndarray | None) -> _Iterate:
+        return cls(vec, f, np.inf if f is None else float(np.abs(f).max()), float(np.abs(vec).sum()))
+
+
+@dataclass(frozen=True)
 class _WorkingSet:
     """Where a Newton step works: the support S with its signs s_S (a mask
     and a sign vector over theta; theta is 0 off S) and the binding moment
@@ -540,21 +555,18 @@ def _estimate(
     t_start = time.perf_counter()
     cfg = dataset.config
     lam = float(opts.lam)
+    feasible = lam + opts.feasibility_slack  # the bound on ||f_hat||_inf of a feasible point
     soc_tol = lam + 0.5 * opts.feasibility_slack  # second-order correction target
-    eqp_target = lam + opts.feasibility_slack - 2 * EQP_RESTORE_TOL  # of a Newton step's f_A
+    eqp_target = feasible - 2 * EQP_RESTORE_TOL  # of a Newton step's f_A
     history: list[IterationRecord] = []
     stop = None
 
-    def fscore(theta: Theta) -> np.ndarray:
-        return score(dataset, theta, rule, evals=evals)
-
-    def trial(vec: np.ndarray) -> tuple[np.ndarray | None, float]:
-        """Moments at a trial point and their sup norm (inf if inversion fails)."""
+    def point(vec: np.ndarray) -> _Iterate:
+        """The iterate at vec, with ||f_hat||_inf = inf where the inversion fails."""
         try:
-            f = fscore(Theta.from_stacked(vec))
+            return _Iterate.at(vec, score(dataset, Theta.from_stacked(vec), rule, evals=evals))
         except InversionError:
-            return None, np.inf
-        return f, float(np.abs(f).max())
+            return _Iterate.at(vec, None)
 
     def result(**fields) -> EstimationResult:
         return EstimationResult(
@@ -568,8 +580,7 @@ def _estimate(
         )
 
     # theta = 0 dominates every other point in l1, so certify it first
-    f_zero = fscore(Theta.zeros(cfg.L))
-    c_zero = float(np.abs(f_zero).max())
+    c_zero = float(np.abs(score(dataset, Theta.zeros(cfg.L), rule, evals=evals)).max())
     if c_zero <= lam:
         history.append(IterationRecord(0.0, c_zero, TRUST_RADIUS_INIT))
         return result(
@@ -580,43 +591,106 @@ def _estimate(
         _pilot_probes(dataset, rule, opts, evals) if theta_init is None else [(theta_init, False)]
     )
 
-    vec_t: np.ndarray | None = None
-    f_t: np.ndarray | None = None
-    c_t = np.inf
+    nowhere = _Iterate(np.zeros(0), None, np.inf, np.inf)  # the best before a feasible point
+    cur: _Iterate | None = None  # the current iterate
+    best = nowhere  # the run's best feasible iterate
+    global_best = nowhere  # the best across restart runs
     radius = TRUST_RADIUS_INIT
-    best_vec: np.ndarray | None = None  # per-run best strictly feasible iterate
-    best_obj = np.inf
-    global_best: np.ndarray | None = None  # best across restart runs
-    global_obj = np.inf
     converged = False
     diagnosis = None
     total_iters = 0
+
+    def take(new: _Iterate) -> bool | None:
+        """Move to the accepted point new, record it and keep it when it is
+        the run's best feasible point. Returns None when new is not
+        feasible, else whether it beats the best by the stall test's bar."""
+        nonlocal cur, best
+        cur = new
+        history.append(IterationRecord(new.obj, new.c, radius))
+        if not new.c <= feasible:
+            return None
+        progress = new.obj < best.obj - max(1e-9, 1e-7 * abs(best.obj))
+        if new.obj < best.obj - 1e-15:
+            best = new
+        return progress
+
+    def lp_step(free: np.ndarray, acceptable) -> tuple[_Iterate, LpSolution | None, bool] | None:
+        """One iteration's trust-region step over the free coordinates.
+        Returns the accepted point, the step LP whose optimum it started
+        from (None for an elastic step) and whether it passed on its first
+        trial point (no shrink, no SOC); None, with diagnosis set, when the
+        radius collapses or no linearized step exists."""
+        nonlocal radius, diagnosis
+        G_f = jacobian_theta(dataset, Theta.from_stacked(cur.vec), rule, evals=evals)[:, free]
+        family = _FamilyState()
+        clean = True
+        lam_starved = False
+        while radius >= 1e-12:
+            sol = _step_lp(G_f, G_f @ cur.vec[free] - cur.f, lam, cur.vec[free], radius, 0.0, family)
+            if sol.status is LpStatus.OPTIMAL:
+                vec = cur.vec.copy()
+                vec[free] = sol.x
+            else:
+                vec, predicted = _elastic_step(G_f, cur.f, cur.vec, lam, radius, free, family)
+                if vec is None:
+                    lam_starved = True
+                    break
+                if predicted >= cur.c - lam - 1e-12:
+                    # the linearization sees no path toward feasibility;
+                    # the true constraint may still improve, so evaluate
+                    lam_starved = True
+            trial = point(vec)
+            if acceptable(trial):
+                return trial, sol if sol.status is LpStatus.OPTIMAL else None, clean
+            if sol.status is LpStatus.OPTIMAL and np.isfinite(trial.c):
+                # second-order correction: keep the step but add the
+                # smallest l1 correction that pulls the constraint, as
+                # seen from the trial point's own moment value with the
+                # same Jacobian, back under the bound. Cancels the
+                # curvature overshoot (which is quadratic in the radius
+                # while the correction is, near the solution manifold,
+                # only as large as the overshoot itself) that otherwise
+                # forces tiny steps along the boundary.
+                soc = _step_lp(G_f, -trial.f, soc_tol, 0.0, radius, -vec[free], family)
+                if soc.status is LpStatus.OPTIMAL:
+                    vec = vec.copy()
+                    vec[free] += soc.x
+                    rescue = point(vec)
+                    if acceptable(rescue):
+                        evals.stats.soc_rescues += 1
+                        return rescue, sol, False
+            radius *= TRUST_SHRINK
+            evals.stats.trust_shrinks += 1
+            clean = False
+        diagnosis = (
+            "lambda too small: no feasible linearized subproblem"
+            if lam_starved
+            else "trust region collapsed before finding an acceptable step"
+        )
+        return None
 
     def run_phase(free: np.ndarray, budget: int, eps0: float, newton_steps: bool = True) -> str:
         """SLP iterations over the free coordinates.
 
         Returns "converged" when the step size goes to zero at a strictly
-        feasible iterate, "stalled" when feasible iterations stop improving
+        feasible iterate, "stalled" when feasible LP steps stop improving
         the objective (the LP can cycle between adjacent vertices of the
         curved feasible set without the step ever going to zero), and
-        "failed" otherwise. Mutates the shared iterate state. eps0 scales
-        the acceptance allowance: early iterations may overshoot the moment
-        bound by a fraction of lambda (curvature of the binding moments
-        otherwise caps the radius at ~gradient/curvature and the iteration
-        crawls along the boundary); the allowance tightens geometrically,
-        forcing late iterates back to strict feasibility, and a step on the
-        allowance path must buy objective progress.
+        "failed" otherwise. eps0 scales the acceptance allowance: early
+        iterations may overshoot the moment bound by a fraction of lambda
+        (curvature of the binding moments otherwise caps the radius at
+        ~gradient/curvature and the iteration crawls along the boundary);
+        the allowance tightens geometrically, forcing late iterates back to
+        strict feasibility, and a step on the allowance path must buy
+        objective progress.
 
-        With newton_steps (the joint phase), a step from a step LP's
-        optimum that stalled or was cut by curvature near the bound leaves
-        that optimum's working set, and the next iteration first tries one
-        Newton step on it (_eqp_step; see the module docstring). An
-        accepted Newton step is the iteration, and the next one tries the
-        following Newton step; a refused or rejected one leaves the
-        iteration to its step LP. A Newton step that finds the working set
+        With newton_steps (the joint phase), an iteration first tries the
+        Newton step that the last LP step's working set or the last Newton
+        step names (_eqp_step; see the module docstring). A refused or
+        rejected one leaves the iteration to its step LP, and one that finds
         a KKT point at a strictly feasible iterate returns "converged".
         """
-        nonlocal vec_t, f_t, c_t, radius, best_vec, best_obj, diagnosis, total_iters
+        nonlocal radius, total_iters
         stall = 0
         ws = None  # working set of the next iteration's Newton step
         lp_sets: list[_WorkingSet | None] = []  # of the last three accepted steps' LPs
@@ -624,124 +698,59 @@ def _estimate(
         for it in range(1, budget + 1):
             total_iters += 1
             eps = max(opts.feasibility_slack, eps0 * lam * 0.7 ** (it - 1))
-            obj_t = float(np.abs(vec_t).sum())
 
-            def acceptable(c_cand: float, obj_cand: float) -> bool:
-                if c_cand <= lam + opts.feasibility_slack:
+            def acceptable(new: _Iterate) -> bool:
+                if new.c <= feasible:
                     return True
                 # progress on the violation must be geometric, otherwise the
                 # iteration can spend its whole budget shaving an epsilon at
                 # a time while approaching the bound from above
-                if c_cand <= lam + 0.9 * (c_t - lam) - 1e-15:
+                if new.c <= lam + 0.9 * (cur.c - lam) - 1e-15:
                     return True
-                return c_cand <= lam + eps and obj_cand < obj_t - 1e-12
+                return new.c <= lam + eps and new.obj < cur.obj - 1e-12
 
+            new = None
             if ws is not None and ws.key() not in refused:
-                newton = _eqp_step(dataset, rule, opts, evals, ws, vec_t, f_t, eqp_target)
-                if newton == "converged" and c_t <= lam + opts.feasibility_slack:
+                newton = _eqp_step(dataset, rule, opts, evals, ws, cur.vec, cur.f, eqp_target)
+                if newton == "converged" and cur.c <= feasible:
                     return "converged"
                 if not isinstance(newton, tuple):
                     refused.add(ws.key())
                 else:
-                    cand, f_c, following = newton
-                    c_c, obj_c = float(np.abs(f_c).max()), float(np.abs(cand).sum())
-                    inside = c_c <= lam + opts.feasibility_slack < c_t
-                    if acceptable(c_c, obj_c) and (obj_c < obj_t * (1.0 + 1e-14) or inside):
-                        step_l1 = float(np.abs(cand - vec_t).sum())
-                        vec_t, f_t, c_t = cand, f_c, c_c
-                        history.append(IterationRecord(obj_c, c_t, radius))
+                    trial = _Iterate.at(*newton[:2])
+                    inside = trial.c <= feasible < cur.c
+                    if acceptable(trial) and (trial.obj < cur.obj * (1.0 + 1e-14) or inside):
+                        new, ws = trial, newton[2]
                         evals.stats.eqp_steps += 1
-                        ws = following
-                        if c_t <= lam + opts.feasibility_slack:
-                            if obj_c < best_obj - max(1e-9, 1e-7 * abs(best_obj)):
-                                stall = 0
-                            if obj_c < best_obj - 1e-15:
-                                best_vec, best_obj = vec_t.copy(), obj_c
-                            if step_l1 < CONVERGENCE_TOL:
-                                return "converged"
-                        continue
-            ws = None
-
-            G_t = jacobian_theta(dataset, Theta.from_stacked(vec_t), rule, evals=evals)
-            G_f = G_t[:, free]
-            family = _FamilyState()
-            accepted = False
-            lp_step = None  # the step LP whose optimum the accepted step started from
-            clean = True  # the step passes on its first trial point
-            lam_starved = False
-            while radius >= 1e-12:
-                sol = _step_lp(G_f, G_f @ vec_t[free] - f_t, lam, vec_t[free], radius, 0.0, family)
-                if sol.status is LpStatus.OPTIMAL:
-                    cand = vec_t.copy()
-                    cand[free] = sol.x
-                else:
-                    cand, predicted = _elastic_step(G_f, f_t, vec_t, lam, radius, free, family)
-                    if cand is None:
-                        lam_starved = True
-                        break
-                    if predicted >= c_t - lam - 1e-12:
-                        # the linearization sees no path toward feasibility;
-                        # the true constraint may still improve, so evaluate
-                        lam_starved = True
-                f_c, c_c = trial(cand)
-                if acceptable(c_c, float(np.abs(cand).sum())):
-                    accepted = True
-                    if sol.status is LpStatus.OPTIMAL:
-                        lp_step = sol
-                    break
-                if sol.status is LpStatus.OPTIMAL and np.isfinite(c_c):
-                    # second-order correction: keep the step but add the
-                    # smallest l1 correction that pulls the constraint, as
-                    # seen from the trial point's own moment value with the
-                    # same Jacobian, back under the bound. Cancels the
-                    # curvature overshoot (which is quadratic in the radius
-                    # while the correction is, near the solution manifold,
-                    # only as large as the overshoot itself) that otherwise
-                    # forces tiny steps along the boundary.
-                    soc = _step_lp(G_f, -f_c, soc_tol, 0.0, radius, -cand[free], family)
-                    if soc.status is LpStatus.OPTIMAL:
-                        cand2 = cand.copy()
-                        cand2[free] += soc.x
-                        f_c2, c_c2 = trial(cand2)
-                        if acceptable(c_c2, float(np.abs(cand2).sum())):
-                            cand, f_c, c_c = cand2, f_c2, c_c2
-                            accepted, clean, lp_step = True, False, sol
-                            evals.stats.soc_rescues += 1
-                            break
-                radius *= TRUST_SHRINK
-                evals.stats.trust_shrinks += 1
-                clean = False
-            if not accepted:
-                diagnosis = (
-                    "lambda too small: no feasible linearized subproblem"
-                    if lam_starved
-                    else "trust region collapsed before finding an acceptable step"
-                )
-                return "failed"
-            step = np.abs(cand - vec_t)
+            newton_step = new is not None
+            if not newton_step:
+                ws = None
+                lp = lp_step(free, acceptable)
+                if lp is None:
+                    return "failed"
+                new, lp_sol, clean = lp
+            step = np.abs(new.vec - cur.vec)
             step_l1 = float(step.sum())
             # |d|_inf is the radius up to the roundoff of (theta + d) - theta
-            roundoff = 4 * np.finfo(float).eps * (radius + np.abs(vec_t).max())
+            roundoff = 4 * np.finfo(float).eps * (radius + np.abs(cur.vec).max())
             at_bound = step.max() >= radius - roundoff
-            vec_t, f_t, c_t = cand, f_c, c_c
-            obj_t = float(np.abs(vec_t).sum())
-            history.append(IterationRecord(obj_t, c_t, radius))
-            stalled = False
-            if c_t <= lam + opts.feasibility_slack:
-                if obj_t < best_obj - max(1e-9, 1e-7 * abs(best_obj)):
-                    best_vec, best_obj = vec_t.copy(), obj_t
-                    stall = 0
-                else:
-                    if obj_t < best_obj - 1e-15:
-                        best_vec, best_obj = vec_t.copy(), obj_t
-                    stall += 1
-                    if stall >= 5:
-                        return "stalled"
-                    stalled = True
+            progress = take(new)
+            if progress:
+                stall = 0
+            elif progress is False and not newton_step:
+                stall += 1
+                if stall >= 5:
+                    return "stalled"
+            if step_l1 < CONVERGENCE_TOL and progress is not None:
+                return "converged"
+            if newton_step:
+                continue
+            if clean and at_bound:
+                radius = min(radius * TRUST_EXPAND, TRUST_RADIUS_MAX)
             if newton_steps:
-                lp_sets = (lp_sets + [lp_step and _lp_working_set(lp_step)])[-3:]
+                lp_sets = (lp_sets + [lp_sol and _lp_working_set(lp_sol)])[-3:]
                 lp_ws = lp_sets[-1]
-                if lp_ws and (stalled or not clean) and c_t <= lam * (1.0 + EQP_NEAR):
+                if lp_ws and (progress is False or not clean) and cur.c <= lam * (1.0 + EQP_NEAR):
                     # the step stalled or the curvature of f cut it: take a
                     # Newton step on its working set next, or, when the
                     # iteration alternates between two vertices, on their face
@@ -751,10 +760,6 @@ def _estimate(
                         lp_sets[0].key() == lp_ws.key() != lp_sets[1].key()
                     ):
                         ws = _shared_face(lp_ws, lp_sets[1])
-            if clean and at_bound:
-                radius = min(radius * TRUST_EXPAND, TRUST_RADIUS_MAX)
-            if step_l1 < CONVERGENCE_TOL and c_t <= lam + opts.feasibility_slack:
-                return "converged"
         return "failed"
 
     free_all = np.ones(2 * cfg.L, dtype=bool)
@@ -764,18 +769,13 @@ def _estimate(
     prev_stall_obj: float | None = None
     for theta_s, beta_feasible in starts:
         try:
-            f_s = fscore(theta_s)
+            f_s = score(dataset, theta_s, rule, evals=evals)
         except InversionError as exc:
             start_failure = exc
             continue
-        vec_t, f_t = theta_s.stacked(), f_s
-        c_t = float(np.abs(f_t).max())
         radius = TRUST_RADIUS_INIT
-        best_vec, best_obj = None, np.inf
-        obj_s = float(np.abs(vec_t).sum())
-        if c_t <= lam + opts.feasibility_slack:
-            best_vec, best_obj = vec_t.copy(), obj_s
-        history.append(IterationRecord(obj_s, c_t, radius))
+        best = nowhere
+        take(_Iterate.at(theta_s.stacked(), f_s))
         if beta_feasible:
             # concentration phase: the pilot spreads heterogeneity uniformly
             # within each group, which is l1-expensive dead weight the joint
@@ -791,8 +791,8 @@ def _estimate(
             diagnosis = None  # warm-up failures are not verdicts on the program
             radius = TRUST_RADIUS_INIT
         status = stop = run_phase(free_all, opts.max_outer_iters, eps0=0.15)
-        if best_vec is not None and best_obj < global_obj - 1e-15:
-            global_best, global_obj = best_vec, best_obj
+        if best.obj < global_best.obj - 1e-15:
+            global_best = best
         if status == "converged":
             # the nonconvex program is attacked by restarting down the probe
             # ladder; a cleanly converged run ends it. A stalled run keeps
@@ -806,39 +806,32 @@ def _estimate(
             converged = True
             if (
                 prev_stall_obj is not None
-                and abs(best_obj - prev_stall_obj) <= 1e-9 * max(1.0, abs(best_obj))
+                and abs(best.obj - prev_stall_obj) <= 1e-9 * max(1.0, abs(best.obj))
             ):
                 # two starts stalled at the same objective: same basin, and
                 # further probes would almost surely funnel there too
                 break
-            prev_stall_obj = best_obj
+            prev_stall_obj = best.obj
         else:
             diagnosis = diagnosis or "no feasible iterate within the iteration budget"
-    if vec_t is None:
+    if cur is None:
         raise EstimationError(
             f"share inversion failed at every starting point: {start_failure}"
         )
 
-    if global_best is not None:
-        if converged:
-            diagnosis = None
-        final_vec = global_best
-        final_c = c_t if np.array_equal(global_best, vec_t) else float(
-            np.abs(fscore(Theta.from_stacked(global_best))).max()
-        )
-    else:
+    final = global_best
+    if final is nowhere:
         # never reached feasibility; report the last iterate with diagnosis
-        final_vec = vec_t
-        final_c = c_t
+        final = cur
         converged = False
-        if diagnosis is None:
-            diagnosis = "no feasible iterate within the iteration budget"
-
+        diagnosis = diagnosis or "no feasible iterate within the iteration budget"
+    elif converged:
+        diagnosis = None
     return result(
-        theta_hat=Theta.from_stacked(final_vec),
+        theta_hat=Theta.from_stacked(final.vec),
         converged=converged,
         outer_iters=total_iters,
-        final_constraint=final_c,
+        final_constraint=final.c,
         diagnosis=diagnosis,
     )
 

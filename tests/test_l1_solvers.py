@@ -302,9 +302,10 @@ def random_family(rng):
 
 
 class TestWarmStartedFamily:
-    """solve_row_family warm-starts each row from the previous row's tableau
-    (or, on a square family, from its crash basis); every answer must be the
-    one a cold solve of that row gives."""
+    """solve_row_family starts each row from its crash basis on a square
+    family and from the slack basis otherwise, and the LPs that pass one
+    _FamilyState start from the last one's tableau; every answer must be
+    the one a cold solve of that row gives."""
 
     def test_agrees_with_cold_solves(self, rng):
         statuses = set()
@@ -330,11 +331,12 @@ class TestWarmStartedFamily:
                                       replace(sol, x=sol.x / s, objective=sol.objective / s))
 
     def test_warm_start_is_used(self, rng):
-        # a repeated row is already optimal at the previous row's basis; A'
-        # is 5 x 7, not square, so the rows start warm, not at a crash basis
+        # a repeated LP is already optimal at the previous LP's basis when
+        # both pass one _FamilyState, as the SLP's step LPs do
         A = rng.standard_normal((7, 5))
         b = rng.standard_normal(5)
-        first, second = solve_row_family(A, np.array([b, b]), np.full(2, 0.05))
+        family = l1_solvers._FamilyState()
+        first, second = (solve_l1_linf(L1LinfProblem(A.T, b, 0.05), _family=family) for _ in range(2))
         assert first.pivots > 0 and second.pivots == 0
         np.testing.assert_allclose(first.x, second.x, rtol=0, atol=1e-12)
 
@@ -370,7 +372,7 @@ class TestWarmStartedFamily:
             np.testing.assert_array_equal(sol.x, np.zeros(4))
 
     def test_pivot_limit_per_row(self, rng, monkeypatch):
-        # A' is 6 x 9, not square: each row needs pivots from a warm start
+        # A' is 6 x 9, not square: each row needs pivots from the slack basis
         A = rng.standard_normal((9, 6))
         B = rng.standard_normal((3, 6))
         monkeypatch.setattr(l1_solvers, "MAX_PIVOTS", 1)
@@ -503,32 +505,45 @@ class TestCrashStart:
         assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
         assert len(crash_starts) > 100
 
-    def test_a_singular_block_keeps_the_warm_start(self, rng, crash_starts):
-        # A' is square but of rank 4: no inverse, so the repeated row starts
-        # warm from the first row's tableau, where it is already optimal
+    def test_a_singular_block_starts_each_row_cold(self, rng, crash_starts):
+        # A' is square but of rank 4: no inverse, so no crash start; the
+        # repeated row starts from the slack basis too, not from the first
+        # row's tableau, and each row comes out as it does alone
         Q = rng.standard_normal((4, 5))
         A = rng.standard_normal((5, 4)) @ Q
         b = rng.standard_normal(4) @ Q
         first, second = solve_row_family(A, np.array([b, b]), np.full(2, 0.05))
         assert crash_starts == []
         assert first.status is second.status is LpStatus.OPTIMAL
-        assert first.pivots > 0 and second.pivots == 0
+        assert first.pivots == second.pivots > 0
+        alone = solve_row_family(A, b[None, :], np.full(1, 0.05))
+        assert family_bytes([first, second]) == family_bytes(alone) * 2
 
     def test_row_order_does_not_matter(self, rng, crash_starts):
         # each row comes out the same, byte for byte, in its family, in a
-        # permuted family and alone: dead rows and x = 0 rows included
-        kinds = set()
+        # permuted family and alone: dead rows and x = 0 rows included, and
+        # on families without crash starts too, whose block is not square
+        # (A is 6 x 4) or singular (5 x 5 of rank 3)
+        kinds = {"square": set(), "non-square": set(), "singular": set()}
         for _ in range(20):
-            A, B, lam = square_family(rng, 1e3)
-            perm = rng.permutation(B.shape[0])
-            fam = solve_row_family(A, B, lam)
-            sols = family_bytes(fam)
-            assert family_bytes(solve_row_family(A, B[perm], lam[perm])) == [sols[r] for r in perm]
-            for r, sol in enumerate(fam):
-                assert family_bytes(solve_row_family(A, B[r : r + 1], lam[r : r + 1])) == [sols[r]]
-                kinds.add("dead" if sol.status is LpStatus.INFEASIBLE
-                          else "zero" if sol.objective == 0.0 else "simplex" if sol.pivots else "crash")
-        assert kinds == {"dead", "zero", "simplex", "crash"}
+            Q = rng.standard_normal((3, 5))
+            for name, (A, B, lam) in (
+                ("square", square_family(rng, 1e3)),
+                ("non-square", (rng.standard_normal((6, 4)), rng.standard_normal((6, 4)),
+                                rng.uniform(0.01, 1.2, 6))),
+                ("singular", (rng.standard_normal((5, 3)) @ Q, rng.standard_normal((6, 3)) @ Q,
+                              rng.uniform(0.01, 1.2, 6))),
+            ):
+                perm = rng.permutation(B.shape[0])
+                fam = solve_row_family(A, B, lam)
+                sols = family_bytes(fam)
+                assert family_bytes(solve_row_family(A, B[perm], lam[perm])) == [sols[r] for r in perm]
+                for r, sol in enumerate(fam):
+                    assert family_bytes(solve_row_family(A, B[r : r + 1], lam[r : r + 1])) == [sols[r]]
+                    kinds[name].add("dead" if sol.status is LpStatus.INFEASIBLE
+                                    else "zero" if sol.objective == 0.0 else "simplex" if sol.pivots else "crash")
+        assert kinds["square"] == {"dead", "zero", "simplex", "crash"}
+        assert kinds["non-square"] >= {"zero", "simplex"} and kinds["singular"] >= {"zero", "simplex"}
         assert crash_starts
 
     def test_a_crash_answer_that_breaks_its_certificate_is_resolved_cold(self, rng, monkeypatch):
@@ -799,8 +814,12 @@ ROUNDOFF_B = np.array([0, -1, -1, -1, 1, -1], dtype=float)
 
 class TestDegenerateLps:
     def test_dual_bland_rule_on_a_degenerate_family(self):
-        sols, ran = bland_rule_runs(l1_solvers._run_dual_simplex,
-                                    lambda: solve_row_family(STALL_A, STALL_B, 0.5))
+        # STALL_A's rows chained through one _FamilyState, as the SLP chains
+        # its step LPs: the second starts from the first's final tableau
+        family = l1_solvers._FamilyState()
+        sols, ran = bland_rule_runs(
+            l1_solvers._run_dual_simplex,
+            lambda: [solve_l1_linf(L1LinfProblem(STALL_A.T, b, 0.5), _family=family) for b in STALL_B])
         assert ran
         for r, sol in enumerate(sols):
             status, value = highs_l1_linf(STALL_A.T, STALL_B[r], 0.5)

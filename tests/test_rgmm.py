@@ -592,3 +592,36 @@ class TestNewtonSteps:
         vec = support * 0.5
         assert rgmm._eqp_step(data, rule, opts, evals, ws, vec, np.zeros(24), opts.lam) is None
         assert evals.stats.inversions == 0
+
+
+class TestOneStepPath:
+    """Every accepted point carries its own moments, so the estimate reads
+    final_constraint off its best iterate and evaluates nothing after its
+    last accepted step. The fit is the mc-replications design at DGP seed
+    5 with lambda = 2.4/sqrt(n) and pilot 1.0, one of the 240-fit grid's:
+    its best iterate (||theta||_1 = 0.9493519) is not its last (0.9493546)."""
+
+    def test_no_moment_after_the_last_accepted_step(self, monkeypatch):
+        model = ModelConfig(n_markets=100, J=4, L=10, G=1, K=6, partition=(1,) * 10)
+        rule = gauss_hermite_rule(1, 9)
+        data, _ = simulate(DgpConfig(model=model, s_beta=2, s_gamma=2, seed=5), rule)
+        calls = []
+        real = rgmm.score
+
+        def recording(dataset, theta, *args, **kwargs):
+            f = real(dataset, theta, *args, **kwargs)
+            calls.append((theta.stacked(), f))
+            return f
+
+        monkeypatch.setattr(rgmm, "score", recording)
+        res = estimate(data, rule, RgmmOptions(lam=2.4 / np.sqrt(100), pilot_scales=(1.0,)))
+        assert res.stop == "converged"
+        theta_hat = res.theta_hat.stacked()
+        last = res.history[-1]
+        assert float(np.abs(theta_hat).sum()) != last.objective  # the best is not the last
+        # the last evaluation is the last accepted step's
+        vec, f = calls[-1]
+        assert (float(np.abs(vec).sum()), float(np.abs(f).max())) == (last.objective, last.constraint)
+        # and final_constraint is max|score(theta_hat)|, bit for bit
+        at_hat = [float(np.abs(f).max()) for vec, f in calls if vec.tobytes() == theta_hat.tobytes()]
+        assert at_hat and all(c == res.final_constraint for c in at_hat)

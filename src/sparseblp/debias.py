@@ -141,32 +141,26 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, lam: float, what: str, relax: bool
     one product rows @ A - B checks every row, and the first row that is not
     OPTIMAL or breaks its constraint is named.
 
-    The system is max-abs equilibrated first: x(A/s) - B has minimizer s*x,
-    so the rescale is exact while keeping the simplex tolerances (which are
-    absolute) meaningful when the plug-in matrices run large or tiny. With
-    relax, each row whose LP is infeasible at its penalty gets the penalty
-    floored at RELAX_FACTOR times its minimax_row_floor plus RELAX_MARGIN,
-    and those rows are solved once more, as one row family. Returns the
-    rows, their statuses and the per-row penalties used.
+    The LP presolve equilibrates every constraint row, so the simplex
+    tolerances stay meaningful when the plug-in matrices run large or tiny.
+    With relax, each row whose LP is infeasible at its penalty gets the
+    penalty floored at RELAX_FACTOR times its minimax_row_floor plus
+    RELAX_MARGIN, and those rows are solved once more, as one row family.
+    Returns the rows, their statuses and the per-row penalties used.
     """
-    scale = float(np.abs(A).max())
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
-    As = A / scale
     lam = np.full(B.shape[0], lam, dtype=float)
-    sols = solve_row_family(As, B, lam)
+    sols = solve_row_family(A, B, lam)
     if relax:
         bad = [r for r, sol in enumerate(sols) if sol.status is LpStatus.INFEASIBLE]
         for r in bad:
             lam[r] = max(lam[r], RELAX_FACTOR * minimax_row_floor(A, B[r]) + RELAX_MARGIN)
         if bad:
-            for r, sol in zip(bad, solve_row_family(As, B[bad], lam[bad])):
+            for r, sol in zip(bad, solve_row_family(A, B[bad], lam[bad])):
                 sols[r] = sol
     statuses = [sol.status for sol in sols]
     rows = np.zeros((B.shape[0], A.shape[0]))
     for r, sol in enumerate(sols):
         rows[r] = sol.x
-    rows /= scale
     slack = np.abs(rows @ A - B).max(axis=1, initial=0.0) - lam
     for r, status in enumerate(statuses):
         if status is not LpStatus.OPTIMAL:

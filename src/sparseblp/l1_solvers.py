@@ -29,25 +29,23 @@ nearest 0; solve_l1_linf then equilibrates the rows left. When x0 already
 meets every row (for solve_nonneg_lp, at the violation the zero rows fix),
 it is optimal, and either solver returns it without building a tableau.
 
-Every other LP starts its dual simplex (dual steepest-edge pricing, Forrest &
-Goldfarb 1992) from one of three bases. The slack basis is the cold start.
-LPs that share A and differ only in b, lambda and the bounds pass one private
-_FamilyState, which keeps the presolve and the last final tableau: a basis
-that was optimal for one LP is dual feasible for the next once each nonbasic
-variable sits at the bound its reduced cost prefers, so the next starts
-warm from that tableau, whose slack block holds B^-1. The outer estimator
-does this for the step LPs of one linearization. solve_row_family starts
-each de-biasing row by one rule, so no row's answer depends on the others
-or their order. One vectorized pass reaches every row's dead-row and x = 0
-verdicts and bounds. Where the presolved block is square and safely
-invertible, it also computes by row-by-row sums each row's crash start,
-the basis the sign of its unpenalized solve A^-1 b names (Bixby 1992):
-that basis is dual feasible for any b, and with small penalties it is
-optimal (no tableau is built) or a few pivots from it. Any other row starts
-from the slack basis on the family's shared presolve. Each row still makes
-its own solve_l1_linf call, so every LP is counted. Any start other than
-the slack basis whose answer fails its checks is solved again from the
-slack basis.
+Every l1/l_inf LP takes one path, as a row of one prepared pass of its
+family (a private _FamilyState of LPs that share A): a lone LP is a one-row
+pass, and solve_row_family's de-biasing rows are one pass over all of them.
+The pass reaches each row's bounds and presolve verdicts (infeasible at a
+dead row, or optimal at x0) in one vectorized step. Any other row runs the
+dual simplex (dual steepest-edge pricing, Forrest & Goldfarb 1992) from the
+one start its kind of family names. The step LPs of one linearization of
+the outer estimator chain: each starts warm from the last final tableau,
+as a basis optimal for one LP is dual feasible for the next once each
+nonbasic variable sits at the bound its reduced cost prefers. The rows of
+solve_row_family never chain, so no row's answer depends on the others or
+their order; where the presolved block is square and safely invertible,
+each starts from its crash basis, the one the sign of its unpenalized
+solve A^-1 b names (Bixby 1992), which is dual feasible for any b and,
+with small penalties, optimal (no tableau is built) or a few pivots away.
+Any other LP starts from the slack basis. One place in solve_l1_linf
+solves a warm answer that fails its checks once more from the slack basis.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -265,13 +263,15 @@ def _rowwise(M, X):
 
 @dataclass(frozen=True)
 class _RowPass:
-    """The rows b = B[r] with penalties lam[r] of a family, from one pass
-    over all of them (_row_pass). Row r's LP on the presolved block As is
-    min 1'(u + v) s.t. As(u - v) + w = bs[r], lower[r] <= (u, v, w) <=
-    upper[r]: u, v >= 0, as a row family puts no bounds on x, and the slack
-    w in [-lams, lams]. infeasible[r] marks a row whose b breaks a dead
-    constraint row, at_zero[r] one that x = 0 solves."""
+    """The LPs b = B[r] with penalties lam[r] and bounds lo <= x <= hi of a
+    family, from one pass over all of them (_row_pass). LP r on the
+    presolved block As is min 1'(u + v) s.t. As(u - v) + w = bs[r],
+    lower[r] <= (u, v, w) <= upper[r]: x = u - v with u in [lo+, hi+] and v
+    in [(-hi)+, (-lo)+], and the slack w in [-lams, lams]. x0 is the point
+    of [lo, hi] nearest 0; infeasible[r] marks an LP with lo > hi somewhere
+    or whose b breaks a dead constraint row, at_zero[r] one that x0 solves."""
 
+    x0: np.ndarray
     bs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -279,26 +279,28 @@ class _RowPass:
     at_zero: np.ndarray
 
 
-def _row_pass(pre: _Presolve, B, lam) -> _RowPass:
-    m, p = pre.As.shape
+def _row_pass(pre: _Presolve, B, lam, lo, hi) -> _RowPass:
+    """lam holds each row's penalty on each constraint, in B's shape; lo and
+    hi hold one bound per coordinate, shared by every row."""
+    x0 = np.clip(0.0, lo, hi)
     bs = B[:, pre.rows] * pre.scale
-    lams = lam[:, None] * pre.scale
-    lower = np.zeros((len(B), 2 * p + m))
-    lower[:, 2 * p :] = -lams
-    upper = np.full((len(B), 2 * p + m), np.inf)
-    upper[:, 2 * p :] = lams
+    lams = lam[:, pre.rows] * pre.scale
+    infeasible = (lo > hi).any() | (np.abs(B[:, pre.dead]) - lam[:, pre.dead] > FEAS_TOL).any(axis=1)
+    lo, hi = lo[pre.cols], hi[pre.cols]
+    p = lo.size
+    lower, upper = np.empty((2, len(B), 2 * p + lams.shape[1]))
+    lower[:, :p], lower[:, p : 2 * p], lower[:, 2 * p :] = np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams
+    upper[:, :p], upper[:, p : 2 * p], upper[:, 2 * p :] = np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams
     return _RowPass(
-        bs=bs, lower=lower, upper=upper,
-        infeasible=(np.abs(B[:, pre.dead]) - lam[:, None] > FEAS_TOL).any(axis=1),
-        at_zero=(np.abs(bs) <= lams).all(axis=1),
+        x0=x0, bs=bs, lower=lower, upper=upper, infeasible=infeasible,
+        at_zero=(np.abs(bs - pre.As @ x0[pre.cols]) <= lams).all(axis=1),
     )
 
 
 @dataclass(frozen=True)
 class _CrashStarts:
     """The crash starts of the rows of a family on a square block As with
-    inverse inv, from one pass (_crash_starts), and the rows' verdicts and
-    bounds (rows, from _row_pass).
+    inverse inv, from one pass (_crash_starts) over their _RowPass rows.
 
     The crash basis
     of row r makes u_i basic where s[r, i] = +1 and v_i where it is -1;
@@ -346,10 +348,10 @@ class _CrashStarts:
         return T, basis, self.sigma[r].copy()
 
 
-def _crash_starts(pre: _Presolve, inv, B, lam) -> _CrashStarts:
-    """The verdicts, bounds and crash starts of the LPs min ||x||_1 s.t.
-    |a_i'x - B[r, i]| <= lam[r], for all rows r of B in one pass, on the
-    presolve pre of A whose block As is square with inverse inv.
+def _crash_starts(pre: _Presolve, inv, rows: _RowPass) -> _CrashStarts:
+    """The crash starts of a family's rows (their pass rows, with no bounds
+    on x) in one pass, on the presolve pre of A whose block As is square
+    with inverse inv.
 
     Row r's crash basis makes u_j basic where s_j = sign((As^-1 b)_j) is +
     (0 counts as +) and v_j where it is -. Its reduced costs [1 - s, 1 + s,
@@ -361,7 +363,6 @@ def _crash_starts(pre: _Presolve, inv, B, lam) -> _CrashStarts:
     runs row by row (_rowwise), so a row's start is the same in any family.
     """
     k = len(inv)
-    rows = _row_pass(pre, B, lam)
     bs = rows.bs
     s = np.where(_rowwise(inv, bs) >= 0.0, 1.0, -1.0)
     basis = np.where(s > 0.0, 0, k) + np.arange(k)
@@ -490,92 +491,84 @@ def _safe_inverse(As):
 
 
 class _FamilyState:
-    """The presolve of a family of LPs and the last final tableau, kept to
-    start the next.
-
-    The LPs of a family share the matrix, and with it the presolve and every
-    tableau's rows B^-1 [A I] and reduced costs; b, lambda and the bounds
-    only move the basic values, so any basis the family reached stays dual
-    feasible once its nonbasic variables are placed again. A row family is
-    prepared instead (prepare), and each row starts from its own crash
-    basis or the slack basis, never from another row's tableau. Each row is
-    still solved by its own solve_l1_linf call, which reads the row's share
-    of the preparation pass (_row), so count_lps and any wrapper of
-    solve_l1_linf still see every LP and its pivots.
+    """LPs that share their matrix A, and with it the presolve and every
+    tableau's rows B^-1 [A I] and reduced costs: b, lambda and the bounds
+    only move the basic values. Each LP is a row of a pass (prepare).
+    Whether the family chains is set where it is made, and it fixes the
+    family's one start rule (start): a chained family keeps its last final
+    tableau for the next LP, one that does not gives each row the crash
+    start its pass found, and an LP with neither starts from the slack
+    basis.
     """
 
-    def __init__(self):
-        self.pre = self.T = self.basis = self.rows = self.starts = None
+    def __init__(self, chain: bool = True):
+        self.chain = chain
+        self.pre = self.rows = self.starts = self.T = self.basis = None
 
-    def presolve(self, A) -> _Presolve:
-        """The equilibrated presolve of A, kept (with a copy of A) while the
-        family's LPs share it; another matrix starts the family afresh."""
+    def prepare(self, A, B, lam, lo, hi) -> None:
+        """Prepare the LPs on A with b = B[r], penalties lam[r] and bounds
+        lo <= x <= hi (_row_pass gives the shapes): the equilibrated
+        presolve of A, kept (with a copy of A) while the family's LPs share
+        it, as another matrix starts the family afresh; the LPs' verdicts
+        and bounds (_row_pass); and, in a family that does not chain and
+        whose presolved block has a safe inverse, their crash starts
+        (_crash_starts)."""
         if self.pre is None or not np.array_equal(A, self.pre.A):
             self.pre = _presolve(A.copy(), equilibrate=True)
-            self.T = self.basis = self.rows = self.starts = None
-        return self.pre
+            self.T = self.basis = None
+        self.rows = _row_pass(self.pre, B, lam, lo, hi)
+        inv = None if self.chain else _safe_inverse(self.pre.As)
+        self.starts = None if inv is None else _crash_starts(self.pre, inv, self.rows)
 
-    def prepare(self, B, lam) -> None:
-        """Prepare the rows b = B[r] with penalties lam[r] and no bounds on
-        x: their verdicts and bounds as rows, and, when the presolved block
-        has a safe inverse, their crash starts (_crash_starts) as starts."""
-        inv = _safe_inverse(self.pre.As)
-        self.starts = None if inv is None else _crash_starts(self.pre, inv, B, lam)
-        self.rows = _row_pass(self.pre, B, lam) if inv is None else self.starts.rows
-
-    def solve(self, b, lower, upper, row=None, *, warm: bool) -> _RawLp:
-        """min 1'(u + v) s.t. As(u - v) + w = b, lower <= (u, v, w) <= upper
-        on the family's presolved block As: warm from prepared row's crash
-        basis (no tableau when it is optimal already) or from the stored
-        tableau, else from the slack basis. A warm start that cannot be made
-        dual feasible, whose final reduced costs are dual infeasible by more
-        than FEAS_TOL (roundoff carried over from earlier LPs), or whose
-        crash dual y breaks ||As'y||_inf <= 1 + FEAS_TOL (roundoff in the
-        inverse) is solved again from the slack basis, where every reduced
-        cost is exactly 1 or 0."""
-        spent = 0
-        if warm:
-            if row is None:
-                T, basis = self.T, self.basis
-                sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
-            elif self.starts.optimal[row]:
-                return self.starts.answer(row)
-            elif self.starts.ok[row]:
-                T, basis, sigma = self.starts.tableau(row)
-            else:
-                sigma = None
+    def start(self, r):
+        """Row r's start by the family's rule, as (T, basis, sigma, warm):
+        the row's crash basis (T None when it is optimal already, so no
+        tableau is built), else the chain's last tableau with the nonbasic
+        variables placed for row r, else the slack basis, the one start
+        that is not warm. A warm start that no placement makes dual feasible
+        gives way to the slack basis."""
+        rows, starts = self.rows, self.starts
+        if starts is not None and starts.ok[r]:
+            return (None, None, None, True) if starts.optimal[r] else (*starts.tableau(r), True)
+        if self.T is not None:
+            sigma = _place_nonbasics(self.T, self.basis, rows.bs[r], 1.0, rows.lower[r], rows.upper[r])
             if sigma is not None:
-                raw, spent = self._run(T, basis, sigma, lower, upper, strict=True, certify=row is not None)
-                if raw is not None:
-                    return raw
-        As = self.pre.As
+                return self.T, self.basis, sigma, True
+        return (*self.slack_start(r), False)
+
+    def slack_start(self, r):
+        """Row r's slack basis, as (T, basis, sigma): every reduced cost is
+        exactly 1 or 0 there, so it is dual feasible."""
+        As, rows = self.pre.As, self.rows
         m, p = As.shape
         T, basis = _slack_tableau(m, 2 * p, 1.0)
         T[:m, :p] = As
         np.negative(As, out=T[:m, p : 2 * p])
-        sigma = _place_nonbasics(T, basis, b, 1.0, lower, upper)
-        raw, _ = self._run(T, basis, sigma, lower, upper, strict=False)
-        return replace(raw, pivots=raw.pivots + spent)
+        return T, basis, _place_nonbasics(T, basis, rows.bs[r], 1.0, rows.lower[r], rows.upper[r])
 
-    def _run(self, T, basis, sigma, lower, upper, strict, certify=False) -> tuple[_RawLp | None, int]:
-        """Run the dual simplex from a placed start and keep the final
-        tableau. Returns the answer and the pivots spent; the answer is None
-        when strict and the optimum is not dual feasible, or when certify
-        and the optimum's dual breaks its certificate."""
-        m, n = len(basis), T.shape[1] - 1
+    def solve(self, r, T, basis, sigma) -> tuple[_RawLp, bool]:
+        """Row r's LP by the dual simplex from a start of start() or
+        slack_start(), the crash answer when T is None. A chained family
+        keeps the final tableau, or none after the pivot limit. Returns the
+        answer and whether its dual passes its checks: the final reduced
+        costs are dual feasible to FEAS_TOL (roundoff carried over from
+        earlier LPs can break that) and, in a family with crash starts, the
+        dual y meets ||As'y||_inf <= 1 + FEAS_TOL (roundoff in the inverse
+        can break that)."""
+        if T is None:
+            return self.starts.answer(r), True
+        lower, upper = self.rows.lower[r], self.rows.upper[r]
         status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
-        if status is LpStatus.ITERATION_LIMIT:
-            self.T = self.basis = None
-            return _RawLp(np.zeros(n), status, None, pivots), pivots
+        if self.chain:
+            self.T, self.basis = (None, None) if status is LpStatus.ITERATION_LIMIT else (T, basis)
+        m, n = len(basis), T.shape[1] - 1
         # y = c_B B^-1 and the slacks cost 0, so their reduced costs are -y
         y = -T[-1, n - m : n]
-        if strict and status is LpStatus.OPTIMAL and (
+        sound = not (
             (sigma * T[-1, :n] < -FEAS_TOL).any()
-            or certify and np.abs(y @ self.pre.As).max() > 1.0 + FEAS_TOL
-        ):
-            return None, pivots
-        self.T, self.basis = T, basis
-        return _RawLp(_values(T, basis, sigma, lower, upper), status, y, pivots), pivots
+            or self.starts is not None and np.abs(y @ self.pre.As).max() > 1.0 + FEAS_TOL
+        )
+        return _RawLp(_values(T, basis, sigma, lower, upper), status, y, pivots), sound
 
 
 _records: ContextVar[tuple] = ContextVar("lp_records", default=())
@@ -677,19 +670,26 @@ def solve_l1_linf(
     ||x||_1, and -y'(Ax - b) = sum_i lam_i |y_i| (complementary slackness).
     All three are exercised by the tests.
 
-    A zero row with |b_i| > lam_i + FEAS_TOL makes the LP infeasible, and
-    the presolve's exit answers with y = 0 when x0 meets every row.
-    Otherwise the one-phase bounded dual simplex solves the live block, from
-    the slack basis or from the private _family's last tableau for the same
-    A. Row _row of a prepared family (solve_row_family's) takes the
-    verdicts its preparation pass reached and starts from the crash basis
-    that pass found, or, without one, from the slack basis. A warm answer
-    that violates a row or a bound by more than FEAS_TOL is solved once
-    more from the slack basis.
+    Every LP is a row of a prepared pass of its family: a lone LP is
+    prepared here as a one-row pass of _family (a fresh one when none is
+    given), and row _row of solve_row_family's family with the other rows.
+    The pass answers an LP with a zero row where |b_i| > lam_i + FEAS_TOL
+    as infeasible, and one that x0 meets with y = 0. Any other LP runs the
+    one-phase bounded dual simplex from the start its family's rule picks.
+    This is the one place that re-solves: a warm optimum whose reduced
+    costs or crash dual fail their checks, or that breaks a row or a bound
+    by more than FEAS_TOL, is solved once more from the slack basis, and
+    the pivots of both attempts count.
     """
     A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
     m, p = A.shape
     _check_size(m, 2 * p)
+    if _row is None:
+        _family = _FamilyState() if _family is None else _family
+        _family.prepare(A, b[None], lam[None], lo, hi)
+        _row = 0
+    pre, rows = _family.pre, _family.rows
+    k = pre.As.shape[1]
 
     def answer(x, status, dual, pivots) -> LpSolution:
         if status is not LpStatus.OPTIMAL:
@@ -697,64 +697,43 @@ def solve_l1_linf(
         objective = float(np.abs(x).sum())
         return LpSolution(x, status, objective, _max_violation(problem, x), dual, pivots)
 
-    if _family is None:
-        _family = _FamilyState()
-    if _row is None:
-        x0 = np.clip(0.0, lo, hi)
-        pre = _family.presolve(A)
-        if (lo > hi).any() or (np.abs(b[pre.dead]) - lam[pre.dead] > FEAS_TOL).any():
-            return answer(None, LpStatus.INFEASIBLE, None, 0)
-        bs = b[pre.rows] * pre.scale
-        lams = lam[pre.rows] * pre.scale
-        if (np.abs(bs - pre.As @ x0[pre.cols]) <= lams).all():
-            return answer(x0, LpStatus.OPTIMAL, np.zeros(m), 0)
-        lo, hi = lo[pre.cols], hi[pre.cols]
-        # x = u - v: u in [lo+, hi+] and v in [(-hi)+, (-lo)+], then the slacks
-        lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams])
-        upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams])
-        warm = _family.T is not None
-    else:
-        x0 = np.zeros(p)  # a row family puts no bounds on x
-        pre, rows = _family.pre, _family.rows
-        if rows.infeasible[_row]:
-            return answer(None, LpStatus.INFEASIBLE, None, 0)
-        if rows.at_zero[_row]:
-            return answer(x0, LpStatus.OPTIMAL, np.zeros(m), 0)
-        bs, lower, upper = rows.bs[_row], rows.lower[_row], rows.upper[_row]
-        warm = _family.starts is not None
-    k = pre.As.shape[1]
-
     def solution(raw: _RawLp) -> LpSolution:
         if raw.status is not LpStatus.OPTIMAL:
             return answer(None, raw.status, None, raw.pivots)
         dual = np.zeros(m)
         dual[pre.rows] = raw.dual * pre.scale
-        x = x0.copy()
+        x = rows.x0.copy()
         x[pre.cols] = raw.z[:k] - raw.z[k : 2 * k]
         return answer(x, raw.status, dual, raw.pivots)
 
-    sol = solution(_family.solve(bs, lower, upper, _row, warm=warm))
-    if warm and sol.status is LpStatus.OPTIMAL and sol.max_violation > FEAS_TOL:
-        # roundoff carried over from earlier LPs: solve this one from scratch
-        cold = solution(_family.solve(bs, lower, upper, warm=False))
-        sol = replace(cold, pivots=sol.pivots + cold.pivots)
+    if rows.infeasible[_row]:
+        return answer(None, LpStatus.INFEASIBLE, None, 0)
+    if rows.at_zero[_row]:
+        return answer(rows.x0.copy(), LpStatus.OPTIMAL, np.zeros(m), 0)
+    T, basis, sigma, warm = _family.start(_row)
+    raw, sound = _family.solve(_row, T, basis, sigma)
+    sol = solution(raw)
+    if warm and sol.status is LpStatus.OPTIMAL and not (sound and sol.max_violation <= FEAS_TOL):
+        # roundoff carried over from earlier LPs or in the crash inverse
+        raw, _ = _family.solve(_row, *_family.slack_start(_row))
+        sol = replace(solution(raw), pivots=sol.pivots + raw.pivots)
     return sol
 
 
 def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSolution]:
     """Solve min ||x_r||_1 s.t. ||x_r A - B_r||_inf <= lam_r for each row r of B.
 
-    One solve_l1_linf call per row on (A', B_r'), all sharing one family:
-    A', B and lam are checked and A' presolved once, and one vectorized
-    pass over all the rows (_FamilyState.prepare) reaches each row's
-    dead-row and x = 0 verdicts and bounds and, when the live block is
-    square and safely invertible, its crash start. A row that still needs
-    the simplex starts from its crash basis or from the slack basis, so its
-    answer does not depend on the other rows or their order, byte for
-    byte. Each call is made through the module attribute, so count_lps and
-    any wrapper of solve_l1_linf see every row and its pivots. Statuses are
-    returned per row rather than raised, so callers can name the offending
-    row.
+    One solve_l1_linf call per row on (A', B_r'), all sharing one family
+    that does not chain: A', B and lam are checked and A' presolved once,
+    and one vectorized pass over all the rows (_FamilyState.prepare)
+    reaches each row's dead-row and x = 0 verdicts and bounds and, when the
+    live block is square and safely invertible, its crash start. A row that
+    still needs the simplex starts from its crash basis or from the slack
+    basis, so its answer does not depend on the other rows or their order,
+    byte for byte. Each call is made through the module attribute, so
+    count_lps and any wrapper of solve_l1_linf see every row and its
+    pivots. Statuses are returned per row rather than raised, so callers
+    can name the offending row.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -771,9 +750,8 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
     m, p = At.shape
     lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
     lo.flags.writeable = hi.flags.writeable = False  # shared by every row's problem
-    family = _FamilyState()
-    family.presolve(At)
-    family.prepare(B, lam)
+    family = _FamilyState(chain=False)
+    family.prepare(At, B, np.repeat(lam[:, None], m, axis=1), lo, hi)
     sols = []
     for r in range(B.shape[0]):
         problem = object.__new__(L1LinfProblem)

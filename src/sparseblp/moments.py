@@ -21,8 +21,8 @@ scores, score, Omega and Jacobian at that point. An `Evaluator` does the
 same inside one estimator call: it inverts each distinct gamma once and
 warm-starts each inversion from a nearby point's delta, moved along
 d delta / d gamma when the last Jacobian was computed there. The moment
-functions (`score`, `omega`, ...) take an Evaluator as evals, and without
-one they invert afresh on every call.
+functions (`score`, `omega`, ...) take an Evaluator as evals; without
+one, each call makes a fresh Evaluator and so inverts afresh.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def _key(gamma: np.ndarray) -> bytes:
     return (gamma + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
 
 
-def _evaluation(dataset, theta, rule, opts, evals: Evaluator | None) -> MomentEvaluation:
-    return evaluate(dataset, theta, rule, opts) if evals is None else evals(theta)
+def _evaluator(dataset, rule, opts, evals: Evaluator | None) -> Evaluator:
+    return Evaluator(dataset, rule, opts) if evals is None else evals
 
 
 def per_market_scores(
@@ -219,10 +219,10 @@ def per_market_scores(
 
     Entry (j, k) of market i sits at index j*K + k (0-based), matching the
     stacked score layout. Here and below, evals (an Evaluator on the same
-    dataset, rule and options) supplies the evaluation; without it the
-    shares are inverted afresh.
+    dataset, rule and options) supplies the evaluation; without it a fresh
+    Evaluator inverts the shares afresh.
     """
-    return _evaluation(dataset, theta, rule, opts, evals).F
+    return _evaluator(dataset, rule, opts, evals)(theta).F
 
 
 def score(
@@ -233,7 +233,7 @@ def score(
     evals: Evaluator | None = None,
 ) -> np.ndarray:
     """Stacked moment vector f_hat(theta), length J*K."""
-    return _evaluation(dataset, theta, rule, opts, evals).score()
+    return _evaluator(dataset, rule, opts, evals)(theta).score()
 
 
 def omega(
@@ -244,7 +244,7 @@ def omega(
     evals: Evaluator | None = None,
 ) -> np.ndarray:
     """Uncentered second-moment matrix (1/n) sum_i f_i f_i', shape (JK, JK)."""
-    return _evaluation(dataset, theta, rule, opts, evals).omega()
+    return _evaluator(dataset, rule, opts, evals)(theta).omega()
 
 
 def jacobian_theta(
@@ -260,9 +260,7 @@ def jacobian_theta(
     gamma = 0 the gamma block vanishes: its integrand is odd in the taste
     draw and every supported rule integrates odd monomials to zero.
     """
-    if evals is None:
-        return evaluate(dataset, theta, rule, opts).jacobian()
-    return evals.jacobian(theta)
+    return _evaluator(dataset, rule, opts, evals).jacobian(theta)
 
 
 def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray,

@@ -622,7 +622,7 @@ def _estimate(
         radius collapses or no linearized step exists."""
         nonlocal radius, diagnosis
         G_f = jacobian_theta(dataset, Theta.from_stacked(cur.vec), rule, evals=evals)[:, free]
-        family = _FamilyState()
+        family = _FamilyState(chain=True)  # the step LPs of one linearization chain
         clean = True
         lam_starved = False
         while radius >= 1e-12:

@@ -379,7 +379,7 @@ class TestWarmStartedFamily:
         sols = solve_row_family(A, B, np.full(3, 0.01))
         assert [s.status for s in sols] == [LpStatus.ITERATION_LIMIT] * 3
 
-    def test_warm_row_violating_its_constraint_is_resolved_cold(self, rng, monkeypatch):
+    def test_warm_row_violating_its_constraint_is_resolved_cold(self, rng, simplex_runs):
         A = rng.standard_normal((5, 5))
         B = rng.standard_normal((2, 5))
         family = l1_solvers._FamilyState()
@@ -387,32 +387,24 @@ class TestWarmStartedFamily:
         m, n = len(family.basis), family.T.shape[1] - 1
         assert n == 2 * 5 + m  # columns u, v, then the slacks, whose block holds B^-1
         family.T[:m, n - m : n] *= 3.0  # a stale B^-1: the warm answer is wrong
-        starts = []
-        real = l1_solvers._FamilyState.solve
-        monkeypatch.setattr(l1_solvers._FamilyState, "solve",
-                            lambda self, *a, warm: starts.append(warm) or real(self, *a, warm=warm))
+        simplex_runs.clear()
         sol = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family)
-        assert starts == [True, False]
-        cold = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05))
-        assert sol.max_violation <= l1_solvers.FEAS_TOL
-        assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05)))
 
-    def test_warm_answer_left_dual_infeasible_is_resolved_cold(self):
+    def test_warm_answer_left_dual_infeasible_is_resolved_cold(self, simplex_runs):
         # a stored row with its u and v entries negated misleads the warm
-        # ratio test, and the final reduced costs come out dual infeasible
-        rng = np.random.default_rng(0)
+        # ratio test: the warm answer meets every row, but its final reduced
+        # costs come out dual infeasible
+        rng = np.random.default_rng(12)
         A = rng.standard_normal((5, 5))
         B = rng.standard_normal((2, 5))
         family = l1_solvers._FamilyState()
         solve_l1_linf(L1LinfProblem(A.T, B[0], 0.05), _family=family)
-        family.T[1, : 2 * 5] *= -1.0
-        sol, ran = line_runs(l1_solvers._FamilyState._run, "return None, pivots",
-                             lambda: solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family))
-        assert ran
-        cold = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05))
-        assert sol.status is LpStatus.OPTIMAL and sol.max_violation <= l1_solvers.FEAS_TOL
-        assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
-        assert sol.pivots > cold.pivots  # the warm attempt's pivots count too
+        family.T[4, : 2 * 5] *= -1.0
+        simplex_runs.clear()
+        sol = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family)
+        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05)))
+        assert simplex_runs[0] > 0  # the warm attempt pivoted, and its pivots count too
 
     def test_one_solve_l1_linf_call_per_row(self, rng, monkeypatch):
         calls = []
@@ -468,12 +460,39 @@ def crash_starts(monkeypatch):
     calls = []
     real = l1_solvers._crash_starts
 
-    def counting(pre, inv, B, lam):
-        calls.extend([len(inv)] * len(B))
-        return real(pre, inv, B, lam)
+    def counting(*args):
+        out = real(*args)
+        calls.extend([len(out.inv)] * len(out.s))
+        return out
 
     monkeypatch.setattr(l1_solvers, "_crash_starts", counting)
     return calls
+
+
+@pytest.fixture
+def simplex_runs(monkeypatch):
+    """Records the pivots of every dual simplex run while the test runs."""
+    runs = []
+    real = l1_solvers._run_dual_simplex
+
+    def recording(*args):
+        status, pivots = real(*args)
+        runs.append(pivots)
+        return status, pivots
+
+    monkeypatch.setattr(l1_solvers, "_run_dual_simplex", recording)
+    return runs
+
+
+def assert_resolved_cold_once(sol, runs, cold):
+    """sol came from a warm attempt and one re-solve from the slack basis
+    (runs holds both simplex runs' pivots, and cold is a fresh cold solve
+    of the same LP, made after sol): the answer is the cold one, and both
+    attempts' pivots count."""
+    assert len(runs) == 3 and runs[1] == runs[2] == cold.pivots
+    assert sol.pivots == runs[0] + runs[1]
+    assert sol.status is cold.status is LpStatus.OPTIMAL and sol.max_violation <= l1_solvers.FEAS_TOL
+    assert sol.x.tobytes() == cold.x.tobytes() and sol.dual.tobytes() == cold.dual.tobytes()
 
 
 def family_bytes(sols):
@@ -546,21 +565,16 @@ class TestCrashStart:
         assert kinds["non-square"] >= {"zero", "simplex"} and kinds["singular"] >= {"zero", "simplex"}
         assert crash_starts
 
-    def test_a_crash_answer_that_breaks_its_certificate_is_resolved_cold(self, rng, monkeypatch):
+    def test_a_crash_answer_that_breaks_its_certificate_is_resolved_cold(self, rng, monkeypatch, simplex_runs):
         # an inverse off by a factor 1 + 1e-4 names the same signs, but the
         # answer's dual y then has ||A'y||_inf = 1 + 1e-4: the row is solved
         # again from the slack basis
         A = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        real = l1_solvers._crash_starts
-        monkeypatch.setattr(l1_solvers, "_crash_starts",
-                            lambda pre, inv, B, lam: real(pre, inv * (1 + 1e-4), B, lam))
-        (sol,), ran = line_runs(l1_solvers._FamilyState._run, "return None, pivots",
-                                lambda: solve_row_family(A, b[None, :], np.full(1, 0.05)))
-        assert ran
-        cold = solve_l1_linf(L1LinfProblem(A.T, b, 0.05))
-        assert sol.status is LpStatus.OPTIMAL and sol.max_violation <= l1_solvers.FEAS_TOL
-        assert sol.x.tobytes() == cold.x.tobytes() and sol.pivots >= cold.pivots
+        real = l1_solvers._safe_inverse
+        monkeypatch.setattr(l1_solvers, "_safe_inverse", lambda As: real(As) * (1 + 1e-4))
+        (sol,) = solve_row_family(A, b[None, :], np.full(1, 0.05))
+        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(A.T, b, 0.05)))
 
 
 class TestPresolve:

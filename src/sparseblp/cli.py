@@ -167,7 +167,6 @@ def _cmd_estimate(args) -> int:
         "theta_hat": config_to_dict(result.theta_hat),
         "lambda": result.lam,
         "converged": result.converged,
-        "outer_iters": result.outer_iters,
         **asdict(result.stats),
         "stop": result.stop,
         "final_constraint": result.final_constraint,

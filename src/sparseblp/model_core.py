@@ -151,10 +151,11 @@ class RunStats:
     contraction_iters their passes with a contraction fallback and
     newton_iters their Newton passes; lp_solves the LPs (every
     solve_l1_linf and solve_nonneg_lp call) and lp_pivots their basis
-    changes, not bound flips. The SLP's trust_shrinks are radius shrinks
+    changes, not bound flips. The SLP's outer_iters are its outer
+    iterations, every phase of every start; trust_shrinks are radius shrinks
     after a rejected trial point, soc_rescues steps accepted by the
     second-order correction and eqp_steps accepted Newton steps on a step
-    LP's working set; debias leaves these three at 0.
+    LP's working set; debias leaves these four at 0.
     """
 
     inversions: int = 0
@@ -162,6 +163,7 @@ class RunStats:
     newton_iters: int = 0
     lp_solves: int = 0
     lp_pivots: int = 0
+    outer_iters: int = 0
     trust_shrinks: int = 0
     soc_rescues: int = 0
     eqp_steps: int = 0

@@ -196,6 +196,11 @@ class IterationRecord:
 class EstimationResult:
     """An estimate, how it was reached and what it cost.
 
+    stop is how the fit ended, decided once after its runs down the pilot
+    ladder: the best of their outcomes, "converged", else "stalled", else
+    "failed" (None when theta = 0 is certified). converged is read from
+    stop, and a stalled fit counts as converged. diagnosis says why a failed
+    fit failed and is None on any other. outer_iters is stats.outer_iters.
     delta_hat is delta at theta_hat.gamma, the mean utilities the fit
     inverted there, read from its own Evaluator without a new inversion;
     debias(..., start=delta_hat) starts its inversion from it.
@@ -203,15 +208,21 @@ class EstimationResult:
 
     theta_hat: Theta
     lam: float
-    converged: bool
-    outer_iters: int
     final_constraint: float
     history: list[IterationRecord]
-    stats: RunStats  # the inversions, LPs and steps run
+    stats: RunStats  # the inversions, LPs, outer iterations and steps run
+    stop: str | None
     diagnosis: str | None = None
     runtime_s: float = 0.0
-    stop: str | None = None  # last run_phase outcome; None when theta = 0 is certified
     delta_hat: np.ndarray | None = None  # (n, J)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "failed"
+
+    @property
+    def outer_iters(self) -> int:
+        return self.stats.outer_iters
 
 
 def select_lambda(
@@ -537,7 +548,8 @@ def estimate(
     are inverted once per distinct gamma (see module docstring). The
     result's stats, the call's own RunStats, count those inversions and
     their iterations, the LPs (pilot, step, SOC, elastic) and their pivots,
-    and the trust-region shrinks, SOC rescues and Newton steps.
+    the outer iterations, and the trust-region shrinks, SOC rescues and
+    Newton steps.
     """
     evals = Evaluator(dataset, rule, opts.inversion)
     with count_lps(evals.stats):
@@ -559,7 +571,6 @@ def _estimate(
     soc_tol = lam + 0.5 * opts.feasibility_slack  # second-order correction target
     eqp_target = feasible - 2 * EQP_RESTORE_TOL  # of a Newton step's f_A
     history: list[IterationRecord] = []
-    stop = None
 
     def point(vec: np.ndarray) -> _Iterate:
         """The iterate at vec, with ||f_hat||_inf = inf where the inversion fails."""
@@ -574,7 +585,6 @@ def _estimate(
             history=history,
             runtime_s=time.perf_counter() - t_start,
             stats=evals.stats,
-            stop=stop,
             delta_hat=evals.delta(fields["theta_hat"].gamma),
             **fields,
         )
@@ -583,9 +593,7 @@ def _estimate(
     c_zero = float(np.abs(score(dataset, Theta.zeros(cfg.L), rule, evals=evals)).max())
     if c_zero <= lam:
         history.append(IterationRecord(0.0, c_zero, TRUST_RADIUS_INIT))
-        return result(
-            theta_hat=Theta.zeros(cfg.L), converged=True, outer_iters=0, final_constraint=c_zero
-        )
+        return result(theta_hat=Theta.zeros(cfg.L), final_constraint=c_zero, stop=None)
 
     starts = (
         _pilot_probes(dataset, rule, opts, evals) if theta_init is None else [(theta_init, False)]
@@ -596,9 +604,6 @@ def _estimate(
     best = nowhere  # the run's best feasible iterate
     global_best = nowhere  # the best across restart runs
     radius = TRUST_RADIUS_INIT
-    converged = False
-    diagnosis = None
-    total_iters = 0
 
     def take(new: _Iterate) -> bool | None:
         """Move to the accepted point new, record it and keep it when it is
@@ -614,13 +619,13 @@ def _estimate(
             best = new
         return progress
 
-    def lp_step(free: np.ndarray, acceptable) -> tuple[_Iterate, LpSolution | None, bool] | None:
+    def lp_step(free: np.ndarray, acceptable) -> tuple[_Iterate, LpSolution | None, bool] | str:
         """One iteration's trust-region step over the free coordinates.
         Returns the accepted point, the step LP whose optimum it started
         from (None for an elastic step) and whether it passed on its first
-        trial point (no shrink, no SOC); None, with diagnosis set, when the
-        radius collapses or no linearized step exists."""
-        nonlocal radius, diagnosis
+        trial point (no shrink, no SOC); or, when the radius collapses or
+        no linearized step exists, why."""
+        nonlocal radius
         G_f = jacobian_theta(dataset, Theta.from_stacked(cur.vec), rule, evals=evals)[:, free]
         family = _FamilyState(chain=True)  # the step LPs of one linearization chain
         clean = True
@@ -662,41 +667,41 @@ def _estimate(
             radius *= TRUST_SHRINK
             evals.stats.trust_shrinks += 1
             clean = False
-        diagnosis = (
-            "lambda too small: no feasible linearized subproblem"
-            if lam_starved
-            else "trust region collapsed before finding an acceptable step"
-        )
-        return None
+        if lam_starved:
+            return "lambda too small: no feasible linearized subproblem"
+        return "trust region collapsed before finding an acceptable step"
 
-    def run_phase(free: np.ndarray, budget: int, eps0: float, newton_steps: bool = True) -> str:
+    def run_phase(
+        free: np.ndarray, budget: int, eps0: float, newton_steps: bool = True
+    ) -> tuple[str, str | None]:
         """SLP iterations over the free coordinates.
 
-        Returns "converged" when the step size goes to zero at a strictly
-        feasible iterate, "stalled" when feasible LP steps stop improving
-        the objective (the LP can cycle between adjacent vertices of the
-        curved feasible set without the step ever going to zero), and
-        "failed" otherwise. eps0 scales the acceptance allowance: early
-        iterations may overshoot the moment bound by a fraction of lambda
-        (curvature of the binding moments otherwise caps the radius at
-        ~gradient/curvature and the iteration crawls along the boundary);
-        the allowance tightens geometrically, forcing late iterates back to
-        strict feasibility, and a step on the allowance path must buy
-        objective progress.
+        Returns the run's outcome and why it failed, if it did: "converged"
+        when the step size goes to zero at a strictly feasible iterate,
+        "stalled" when feasible LP steps stop improving the objective (the
+        LP can cycle between adjacent vertices of the curved feasible set
+        without the step ever going to zero), and "failed" otherwise, with
+        lp_step's reason, or None when the budget ran out. eps0 scales the
+        acceptance allowance: early iterations may overshoot the moment
+        bound by a fraction of lambda (curvature of the binding moments
+        otherwise caps the radius at ~gradient/curvature and the iteration
+        crawls along the boundary); the allowance tightens geometrically,
+        forcing late iterates back to strict feasibility, and a step on the
+        allowance path must buy objective progress.
 
         With newton_steps (the joint phase), an iteration first tries the
         Newton step that the last LP step's working set or the last Newton
         step names (_eqp_step; see the module docstring). A refused or
         rejected one leaves the iteration to its step LP, and one that finds
-        a KKT point at a strictly feasible iterate returns "converged".
+        a KKT point at a strictly feasible iterate converges.
         """
-        nonlocal radius, total_iters
+        nonlocal radius
         stall = 0
         ws = None  # working set of the next iteration's Newton step
         lp_sets: list[_WorkingSet | None] = []  # of the last three accepted steps' LPs
         refused: set[tuple[bytes, bytes]] = set()  # working sets refused a Newton step
         for it in range(1, budget + 1):
-            total_iters += 1
+            evals.stats.outer_iters += 1
             eps = max(opts.feasibility_slack, eps0 * lam * 0.7 ** (it - 1))
 
             def acceptable(new: _Iterate) -> bool:
@@ -713,7 +718,7 @@ def _estimate(
             if ws is not None and ws.key() not in refused:
                 newton = _eqp_step(dataset, rule, opts, evals, ws, cur.vec, cur.f, eqp_target)
                 if newton == "converged" and cur.c <= feasible:
-                    return "converged"
+                    return "converged", None
                 if not isinstance(newton, tuple):
                     refused.add(ws.key())
                 else:
@@ -726,8 +731,8 @@ def _estimate(
             if not newton_step:
                 ws = None
                 lp = lp_step(free, acceptable)
-                if lp is None:
-                    return "failed"
+                if isinstance(lp, str):
+                    return "failed", lp
                 new, lp_sol, clean = lp
             step = np.abs(new.vec - cur.vec)
             step_l1 = float(step.sum())
@@ -740,9 +745,9 @@ def _estimate(
             elif progress is False and not newton_step:
                 stall += 1
                 if stall >= 5:
-                    return "stalled"
+                    return "stalled", None
             if step_l1 < CONVERGENCE_TOL and progress is not None:
-                return "converged"
+                return "converged", None
             if newton_step:
                 continue
             if clean and at_bound:
@@ -760,13 +765,15 @@ def _estimate(
                         lp_sets[0].key() == lp_ws.key() != lp_sets[1].key()
                     ):
                         ws = _shared_face(lp_ws, lp_sets[1])
-        return "failed"
+        return "failed", None
 
     free_all = np.ones(2 * cfg.L, dtype=bool)
     free_gamma = np.zeros(2 * cfg.L, dtype=bool)
     free_gamma[cfg.L :] = True
     start_failure: InversionError | None = None
     prev_stall_obj: float | None = None
+    outcomes: set[str] = set()  # of the joint runs
+    why = None  # why the last joint run failed
     for theta_s, beta_feasible in starts:
         try:
             f_s = score(dataset, theta_s, rule, evals=evals)
@@ -786,24 +793,22 @@ def _estimate(
             # re-fit moments through the loadings, so l1 descent must reshape
             # gamma toward the coordinates that actually carry the
             # substitution signal, making it load-bearing before the joint
-            # phase.
+            # phase. Its outcome is no verdict on the program.
             run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=0.25, newton_steps=False)
-            diagnosis = None  # warm-up failures are not verdicts on the program
             radius = TRUST_RADIUS_INIT
-        status = stop = run_phase(free_all, opts.max_outer_iters, eps0=0.15)
+        outcome, why = run_phase(free_all, opts.max_outer_iters, eps0=0.15)
+        outcomes.add(outcome)
         if best.obj < global_best.obj - 1e-15:
             global_best = best
-        if status == "converged":
+        if outcome == "converged":
             # the nonconvex program is attacked by restarting down the probe
             # ladder; a cleanly converged run ends it. A stalled run keeps
             # its best feasible iterate in contention but lets later probes
             # look for a better basin (a stall can be the LP cycling at the
             # solution or a spurious dense stationary point -- only another
             # start can tell the two apart).
-            converged = True
             break
-        if status == "stalled":
-            converged = True
+        if outcome == "stalled":
             if (
                 prev_stall_obj is not None
                 and abs(best.obj - prev_stall_obj) <= 1e-9 * max(1.0, abs(best.obj))
@@ -812,27 +817,25 @@ def _estimate(
                 # further probes would almost surely funnel there too
                 break
             prev_stall_obj = best.obj
-        else:
-            diagnosis = diagnosis or "no feasible iterate within the iteration budget"
     if cur is None:
         raise EstimationError(
             f"share inversion failed at every starting point: {start_failure}"
         )
 
-    final = global_best
-    if final is nowhere:
-        # never reached feasibility; report the last iterate with diagnosis
-        final = cur
-        converged = False
-        diagnosis = diagnosis or "no feasible iterate within the iteration budget"
-    elif converged:
-        diagnosis = None
+    # the fit's verdict: its best run's outcome, and why it failed if it did.
+    # A fit that never reached feasibility reports its last iterate.
+    stop = next(o for o in ("converged", "stalled", "failed") if o in outcomes)
+    final = cur if global_best is nowhere else global_best
+    spent = (
+        "the iteration budget ran out before the SLP converged"
+        if final.c <= feasible
+        else "no feasible iterate within the iteration budget"
+    )
     return result(
         theta_hat=Theta.from_stacked(final.vec),
-        converged=converged,
-        outer_iters=total_iters,
         final_constraint=final.c,
-        diagnosis=diagnosis,
+        stop=stop,
+        diagnosis=(why or spent) if stop == "failed" else None,
     )
 
 
@@ -853,10 +856,10 @@ def estimate_auto(
     opts.lam is ignored.
 
     The result is the final fit's, except that runtime_s covers the whole
-    call (lambda selection and pilot probes included) and outer_iters sums
-    over both fits. The fits share the Evaluator's RunStats, so the result's
-    stats count every inversion, LP and step of the call; history and stop
-    are the final fit's alone.
+    call (lambda selection and pilot probes included). The fits share the
+    Evaluator's RunStats, so the result's stats, outer_iters among them,
+    count every inversion, LP, outer iteration and step of the call;
+    history, stop and diagnosis are the final fit's alone.
     """
     t_start = time.perf_counter()
     base = opts or RgmmOptions(lam=0.0)
@@ -869,13 +872,11 @@ def estimate_auto(
     with count_lps(evals.stats):
         lam0 = lam_at(Theta.zeros(cfg.L))
         pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
-        fits = [_estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)]
-        first = fits[0]
-        lam_new = lam_at(first.theta_hat)
-        if lam_new < 0.9 * first.lam:
+        fit = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
+        lam_new = lam_at(fit.theta_hat)
+        if lam_new < 0.9 * fit.lam:
             # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
             # Jacobian), so only warm start from points with live heterogeneity
-            warm = first.theta_hat if np.any(first.theta_hat.gamma != 0.0) else None
-            fits.append(_estimate(dataset, rule, replace(base, lam=lam_new), warm, evals))
-    return replace(fits[-1], outer_iters=sum(fit.outer_iters for fit in fits),
-                   runtime_s=time.perf_counter() - t_start)
+            warm = fit.theta_hat if np.any(fit.theta_hat.gamma != 0.0) else None
+            fit = _estimate(dataset, rule, replace(base, lam=lam_new), warm, evals)
+    return replace(fit, runtime_s=time.perf_counter() - t_start)

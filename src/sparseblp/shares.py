@@ -53,9 +53,9 @@ class InversionOptions:
 @dataclass
 class InversionInfo:
     """newton_iterations counts the Newton passes; iterations counts those in
-    which some market fell back to a contraction step."""
+    which some market fell back to a contraction step. A returned inversion
+    has converged; one that did not raises InversionError."""
 
-    converged: bool
     iterations: int
     newton_iterations: int
     max_residual: float
@@ -182,40 +182,34 @@ def _invert_batch(
             step = np.linalg.solve(jac, r[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = r  # fall back to a contraction step
-        cand = d + step
-        cand_r = residual(cand, act)
-        cand_rm = sup(cand_r)
-        # damping: halve the step where it did not lower the residual (NaN
-        # counts as not lower); every market still halving shares one length
-        worse = ~(cand_rm < rm)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if not worse.any():
+        # damping: the steps 1, 1/2, ..., 1/2^_MAX_HALVINGS of the Newton
+        # step, then one contraction step; a market tries the next only
+        # where the last did not lower its residual (NaN counts as not
+        # lower), and every market still halving shares one length. Each
+        # try moves its markets to its candidates.
+        worse = np.empty(act.size, dtype=bool)
+        w = slice(None)  # the markets that try the next step: first all of them
+        for k in range(_MAX_HALVINGS + 2):
+            fallback = k > _MAX_HALVINGS
+            tried = act[w]
+            cand = d[w] + (r[w] if fallback else 0.5**k * step[w])
+            cand_r = residual(cand, tried)
+            cand_rm = sup(cand_r)
+            delta[tried], resid[tried], rmax[tried] = cand, cand_r, cand_rm
+            worse[w] = ~(cand_rm < rm[w])
+            fallbacks += fallback
+            w = np.flatnonzero(worse)
+            if not w.size:
                 break
-            t *= 0.5
-            w = np.flatnonzero(worse)
-            cand[w] = d[w] + t * step[w]
-            cand_r[w] = residual(cand[w], act[w])
-            cand_rm[w] = sup(cand_r[w])
-            worse[w] = ~(cand_rm[w] < rm[w])
-        if worse.any():
-            w = np.flatnonzero(worse)
-            cand[w] = d[w] + r[w]
-            cand_r[w] = residual(cand[w], act[w])
-            cand_rm[w] = sup(cand_r[w])
-            fallbacks += 1
-        delta[act], resid[act], rmax[act] = cand, cand_r, cand_rm
         newton_iters += 1
 
     max_resid = float(rmax.max())
-    converged = max_resid <= opts.contraction_tol
     info = InversionInfo(
-        converged=converged,
         iterations=fallbacks,
         newton_iterations=newton_iters,
         max_residual=max_resid,
     )
-    if not converged:
+    if not max_resid <= opts.contraction_tol:
         worst = int(rmax.argmax())
         raise InversionError(
             f"share inversion stalled at market {worst}: residual {max_resid:.3e} "

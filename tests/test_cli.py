@@ -232,6 +232,21 @@ class TestPipeline:
             "numerical failure: no feasible iterate within the iteration budget"
         )
 
+    def test_budget_spent_at_a_feasible_point_names_the_budget(self, simulated, tmp_path, capsys):
+        """At lambda = 0.4 one outer iteration stays feasible but does not
+        converge: the fit fails, and its diagnosis is the spent budget, not a
+        missing feasible point."""
+        opts = write_json(tmp_path / "opts.json", {"max_outer_iters": 1})
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
+        assert code == cli.EXIT_NUMERIC
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "numerical failure: the iteration budget ran out before the SLP converged"
+        )
+        est = json.loads((tmp_path / "est.json").read_text())
+        assert est["final_constraint"] <= 0.4 + 1e-6  # lambda + the default feasibility_slack
+        assert est["converged"] == (est["stop"] != "failed")
+
     def test_export_moments_exit_zero(self, simulated, tmp_path, capsys, inversion_log):
         code, err = run(capsys, "export-moments", "--data", simulated / "data.csv",
                         "--config", simulated / "model.json", "--theta", simulated / "truth.json",

@@ -218,8 +218,8 @@ class TestEstimateAuto:
         assert res.final_constraint <= res.lam + 1e-6
 
     def test_counts_cover_every_fit(self, gh1, monkeypatch):
-        fits, steps = [], []  # each fit's result, and the step counts it added
-        names = ("trust_shrinks", "soc_rescues", "eqp_steps")
+        fits, steps = [], []  # each fit's result, and the counts it added
+        names = ("outer_iters", "trust_shrinks", "soc_rescues", "eqp_steps")
         real = rgmm._estimate
 
         def recording(*args, **kwargs):
@@ -232,11 +232,11 @@ class TestEstimateAuto:
         monkeypatch.setattr(rgmm, "_estimate", recording)
         ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
         res = estimate_auto(ds, gh1)
-        assert len(fits) == 2 and all(fit.outer_iters > 0 for fit in fits)
-        assert res.outer_iters == sum(fit.outer_iters for fit in fits)
+        assert len(fits) == 2 and all(step["outer_iters"] > 0 for step in steps)
         assert all(fit.stats is res.stats for fit in fits)
         for name in names:
             assert getattr(res.stats, name) == sum(step[name] for step in steps), name
+        assert res.outer_iters == res.stats.outer_iters
         assert res.stop == fits[-1].stop
         assert res.runtime_s >= sum(fit.runtime_s for fit in fits)
 

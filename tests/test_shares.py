@@ -246,7 +246,7 @@ class TestNewtonLedInversion:
         nu = group_index_matrix(data.X, u, data.config)
         start = None if switch == np.inf else contract(data.S, nu, rule, switch)
         delta, info = _invert_batch(data.S, nu, rule, InversionOptions(), start=start)
-        assert info.converged and info.max_residual <= 1e-13
+        assert info.max_residual <= 1e-13
         np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10)
 
     def test_newton_led_default_takes_few_contraction_steps(self, stall_case):
@@ -262,7 +262,7 @@ class TestNewtonLedInversion:
                                 InversionOptions())
         nu = group_index_matrix(data.X, u, cfg)
         delta, info = _invert_batch(data.S, nu, rule, InversionOptions(), start=near)
-        assert info.converged
+        assert info.max_residual <= 1e-13
         np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10)
         assert not np.shares_memory(delta, near)
 
@@ -277,7 +277,7 @@ def test_contraction_fallback_when_no_halving_helps():
     data, _ = simulate(DgpConfig(model=c, s_beta=2, s_gamma=1, seed=0), rule)
     nu = group_index_matrix(data.X, 8.0 * _uniform_group_direction(c), c)
     delta, info = _invert_batch(data.S, nu, rule, InversionOptions())
-    assert info.converged and info.max_residual <= 1e-13
+    assert info.max_residual <= 1e-13
     assert 1 <= info.iterations < info.newton_iterations
     np.testing.assert_allclose(delta, contract(data.S, nu, rule, 1e-13), rtol=0, atol=1e-10)
 
@@ -302,7 +302,7 @@ def test_newton_led_agrees_with_contraction_led_sweep(shape):
             nu = group_index_matrix(data.X, scale * u, c)
             delta, info = _invert_batch(data.S, nu, rule, InversionOptions())
             reference = contract(data.S, nu, rule, 1e-13)
-            assert info.converged, (seed, scale)
+            assert info.max_residual <= 1e-13, (seed, scale)
             np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-10, err_msg=f"{seed} {scale}")
 
 
@@ -391,6 +391,6 @@ def test_inversion_evaluates_the_kernel_once_per_newton_iterate(monkeypatch):
     monkeypatch.setattr(shares, "_node_shares", counting)
     delta, info = _invert_batch(S, nu, rule, InversionOptions(), start=start)
     k = info.newton_iterations
-    assert info.converged and info.iterations == 0 and k >= 2
+    assert info.max_residual <= 1e-13 and info.iterations == 0 and k >= 2
     np.testing.assert_allclose(delta, exact, rtol=0, atol=1e-10)
     assert len(calls) == 1 + k, calls

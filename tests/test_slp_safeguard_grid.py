@@ -7,6 +7,13 @@ The module docstring of rgmm gives what each safeguard of the SLP changes
 on this grid. The values below are those of the code before its accepted
 steps went through one path; a refactor of the SLP must leave them as they
 are, and a change to what it computes must re-pin them with its reasons.
+
+The arm at lambda = 1.2/sqrt(n) and pilot (1.0,), pipebench's options, has
+bounds of its own, written before the first run of the Newton steps on the
+step LP's working set. Without those steps 15 of its 40 fits ended their
+last phase "stalled", and the arm took 698 outer iterations and 1450 share
+inversions. NORMS holds each of its fits' ||theta_hat||_1 from before them;
+a fit that now stops elsewhere must not stop higher.
 """
 
 import numpy as np
@@ -26,16 +33,24 @@ OUTER_ITERS = 3124
 INVERSIONS = 7337
 LP_SOLVES = 5810
 NORM_TOL = 1e-8
-# (design, DGP seed, lambda scale, pilot ladder) of every fit whose last
-# phase did not end "converged", with how it ended
+# (design, DGP seed, lambda scale, pilot ladder) of every fit that did not
+# end "converged", with how it ended and its diagnosis
 NOT_CONVERGED = {
-    ("two-group-inversion", 3, 0.6, (1.0,)): "stalled",
-    ("two-group-inversion", 3, 0.6, (0.5, 1.0, 2.0)): "stalled",
-    ("two-group-inversion", 8, 0.6, (1.0,)): "failed",
-    ("wide-attribute-lp", 8, 0.6, (1.0,)): "stalled",
-    ("mc-replications", 4, 0.6, (1.0,)): "stalled",
-    ("mc-replications", 4, 0.6, (0.5, 1.0, 2.0)): "stalled",
+    ("two-group-inversion", 3, 0.6, (1.0,)): ("stalled", None),
+    ("two-group-inversion", 3, 0.6, (0.5, 1.0, 2.0)): ("stalled", None),
+    ("two-group-inversion", 8, 0.6, (1.0,)): (
+        "failed", "the iteration budget ran out before the SLP converged"
+    ),
+    ("wide-attribute-lp", 8, 0.6, (1.0,)): ("stalled", None),
+    ("mc-replications", 4, 0.6, (1.0,)): ("stalled", None),
+    ("mc-replications", 4, 0.6, (0.5, 1.0, 2.0)): ("stalled", None),
 }
+ARM = (1.2, (1.0,))  # (lambda scale, pilot ladder)
+ARM_MAX_STALLED = 4
+ARM_MAX_OUTER_ITERS = 600
+ARM_MAX_INVERSIONS = 1449  # fewer than 1450
+WARM_RESTART_MOVE = 1e-8  # sup norm, on every fit of the arm that stops "converged"
+NORM_RISE = 1e-9
 
 
 def _model(n, J, L, G, K) -> ModelConfig:
@@ -69,29 +84,76 @@ DESIGNS = {
     ),
 }
 
+# ||theta_hat||_1 of each fit of ARM at DGP seeds 0-9
+NORMS = {
+    "two-group-inversion": (
+        2.7297618900130334, 2.323117584028642, 1.4530176871081317, 2.1300822211773354,
+        1.5261795066999064, 3.1216160191673703, 2.578284028900913, 1.8175367748707023,
+        2.6734440121586363, 2.405600739136837,
+    ),
+    "wide-attribute-lp": (
+        2.6293295019841336, 2.5163454637698317, 2.462852545276997, 2.9070032409159037,
+        2.570208909369472, 2.252372067611037, 2.8275814703080195, 2.7237481997332362,
+        2.538266478167124, 2.441210507234227,
+    ),
+    "mc-replications": (
+        2.1532741790579757, 2.924683533097647, 1.162458489927344, 1.2893065013534748,
+        2.345055971049407, 1.927569330312787, 1.9636110727002307, 2.1919911438828112,
+        2.5251732560034865, 2.141210164469581,
+    ),
+    "mc-replications-n200": (
+        3.14730940635716, 3.1548787433451015, 3.1924446082330706, 3.113988296640233,
+        2.523783240082916, 3.139056707703111, 2.736582127697662, 2.2888512060073882,
+        2.8324875518926538, 2.5496429734216344,
+    ),
+}
+
+
+def _data(name, seed):
+    model, s_beta, s_gamma, _ = DESIGNS[name]
+    rule = gauss_hermite_rule(model.G, QUAD_NODES)
+    data, _ = simulate(DgpConfig(model=model, s_beta=s_beta, s_gamma=s_gamma, seed=seed), rule)
+    return data, rule
+
+
+def _options(data, scale, pilots) -> RgmmOptions:
+    return RgmmOptions(lam=scale / np.sqrt(data.n), pilot_scales=pilots)
+
 
 @pytest.fixture(scope="module")
 def grid():
     fits = {}
-    for name, (model, s_beta, s_gamma, _) in DESIGNS.items():
-        rule = gauss_hermite_rule(model.G, QUAD_NODES)
+    for name in DESIGNS:
         for seed in range(10):
-            data, _ = simulate(DgpConfig(model=model, s_beta=s_beta, s_gamma=s_gamma, seed=seed), rule)
+            data, rule = _data(name, seed)
             for scale in LAM_SCALES:
                 for pilots in PILOTS:
-                    opts = RgmmOptions(lam=scale / np.sqrt(model.n_markets), pilot_scales=pilots)
-                    fits[name, seed, scale, pilots] = estimate(data, rule, opts)
+                    fits[name, seed, scale, pilots] = estimate(data, rule, _options(data, scale, pilots))
+    return fits
+
+
+@pytest.fixture(scope="module")
+def arm(grid):
+    """Each fit of ARM, keyed by (design, DGP seed), and the sup-norm move
+    of a warm restart from it."""
+    fits = {}
+    for name in DESIGNS:
+        for seed in range(10):
+            data, rule = _data(name, seed)
+            res = grid[(name, seed) + ARM]
+            warm = estimate(data, rule, _options(data, *ARM), theta_init=res.theta_hat)
+            fits[name, seed] = (res, float(np.abs(warm.theta_hat.stacked() - res.theta_hat.stacked()).max()))
     return fits
 
 
 def test_how_each_fit_ends(grid):
     assert len(grid) == 240
-    ended = {key: res.stop for key, res in grid.items() if res.stop != "converged"}
+    ended = {key: (res.stop, res.diagnosis) for key, res in grid.items() if res.stop != "converged"}
     assert ended == NOT_CONVERGED
-    # a stalled fit counts as converged; the failed one does not
-    assert [key for key, res in grid.items() if not res.converged] == [
-        key for key, stop in NOT_CONVERGED.items() if stop == "failed"
-    ]
+    # a stalled fit counts as converged, a failed one does not, and only a
+    # failed fit has a diagnosis
+    assert all(res.converged == (res.stop != "failed") for res in grid.values())
+    assert all((res.diagnosis is None) == res.converged for res in grid.values())
 
 
 def test_iterations_inversions_and_lps(grid):
@@ -108,3 +170,29 @@ def test_each_arm_keeps_its_norms(grid, name):
         for scale, pilots in arms
     ]
     assert sums == pytest.approx(DESIGNS[name][3], rel=0, abs=NORM_TOL)
+
+
+def test_every_fit_of_the_arm_converges_and_few_stall(arm):
+    assert [key for key, (res, _) in arm.items() if not res.converged] == []
+    stalled = [key for key, (res, _) in arm.items() if res.stop == "stalled"]
+    assert len(stalled) <= ARM_MAX_STALLED, stalled
+
+
+def test_the_arms_iterations_and_inversions_fall(arm):
+    assert sum(res.outer_iters for res, _ in arm.values()) <= ARM_MAX_OUTER_ITERS
+    assert sum(res.stats.inversions for res, _ in arm.values()) <= ARM_MAX_INVERSIONS
+
+
+def test_a_warm_restart_stays_at_a_converged_fit(arm):
+    moved = {key: move for key, (res, move) in arm.items()
+             if res.stop == "converged" and move > WARM_RESTART_MOVE}
+    assert moved == {}
+
+
+def test_no_fit_of_the_arm_stops_at_a_larger_norm(arm):
+    risen = {}
+    for (name, seed), (res, _) in arm.items():
+        rise = float(np.abs(res.theta_hat.stacked()).sum()) - NORMS[name][seed]
+        if rise > NORM_RISE:
+            risen[name, seed] = rise
+    assert risen == {}

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .debias import DebiasError, DebiasPenalties, debias, select_debias_penalties
+from .debias import DebiasError, DebiasPenalties, alpha_is_valid, debias, select_debias_penalties
 from .dgp import DgpConfig, simulate
 from .l1_solvers import LpSizeError
 from .model_core import (
@@ -113,7 +113,7 @@ def _rule(G: int, args, source) -> QuadratureRule:
     try:
         return gauss_hermite_rule(G, args.quad_nodes)
     except RuleSizeError as e:
-        raise RuleSizeError(f"{source}: {e}") from e
+        raise RuleSizeError(f"{source}: --quad-nodes {args.quad_nodes}: {e}") from e
 
 
 def _read_theta(path, key, config: ModelConfig) -> Theta:
@@ -295,7 +295,7 @@ _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a nonnegative numbe
 _lambda_arg = _checked(
     float, lambda v: 0.0 <= v < np.inf, "'auto' or a nonnegative number", keep=("auto",)
 )
-_probability = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_alpha = _checked(float, alpha_is_valid, "a number in (0, 1) with 1 - alpha/2 < 1")
 
 
 def _build_parser() -> _Parser:
@@ -331,7 +331,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", default=None,
                    help="model config JSON (default: model block embedded in --estimate)")
-    p.add_argument("--alpha", type=_probability, default=0.05, help="1 - confidence level")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="1 - confidence level")
     p.add_argument("--penalty-c", type=_nonnegative, default=None,
                    help="use calibrated penalties with this constant instead of the theoretical rule")
     p.add_argument("--relax-mu", action="store_true",

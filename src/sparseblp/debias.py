@@ -250,6 +250,12 @@ def standard_errors(
     return np.sqrt(np.clip(var, 0.0, None) / n)
 
 
+def alpha_is_valid(alpha: float) -> bool:
+    """Whether alpha lies in (0, 1) and 1 - alpha/2 is below 1 in floating
+    point, so that Phi^{-1}(1 - alpha/2) is finite."""
+    return 0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0
+
+
 def confidence_intervals(theta_dd: np.ndarray, se: np.ndarray, alpha: float) -> np.ndarray:
     """Normal intervals theta_dd -/+ Phi^{-1}(1 - alpha/2) se, one row per coordinate.
 
@@ -278,8 +284,11 @@ def debias(
     share inversion in place of the logit closed form: the estimate's
     EstimationResult.delta_hat, inverted at theta_hat.gamma already, leaves
     it little or nothing to do. The inversion still runs to its tolerance,
-    so the start moves the answer by roundoff only.
+    so the start moves the answer by roundoff only. An alpha that
+    alpha_is_valid refuses raises ValueError before any work.
     """
+    if not alpha_is_valid(alpha):
+        raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {alpha}")
     cfg = dataset.config
     if penalties is None:
         penalties = select_debias_penalties(cfg, dataset.n)

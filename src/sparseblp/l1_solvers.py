@@ -2,20 +2,20 @@
 
 solve_l1_linf handles
 
-    min ||x||_1  s.t.  |a_i'x - b_i| <= lambda_i for every row,  lo <= x <= hi
+    min ||x||_1  s.t.  |a_i'x - b_i| <= lambda for every row,  lo <= x <= hi
 
 by a bounded-variable dual simplex on one dense tableau. x = u - v with
 u, v >= 0, each constraint is one ranged row a_i'(u - v) + w_i = b_i with
-its slack w_i in [-lambda_i, lambda_i], and the bounds on x become bounds on
+its slack w_i in [-lambda, lambda], and the bounds on x become bounds on
 u and v. The costs are all ones, so the slack basis with u and v at their
-lower bounds is dual feasible and no phase 1 is needed. lambda may be given
-per row and the bounds per coordinate; the outer estimator's trust region
+lower bounds is dual feasible and no phase 1 is needed. lambda is one
+number and the bounds are per coordinate; the outer estimator's trust region
 and box on theta are such bounds. The solver is dependency-free and
 bit-deterministic: identical inputs produce identical pivot sequences, and
 optimal vertices carry exact zeros rather than shrunken near-zeros.
 
 solve_nonneg_lp minimizes the violation instead: min t s.t.
-|a_i'x - b_i| <= lambda_i + t, lo <= x <= hi, t >= 0 (the elastic
+|a_i'x - b_i| <= lambda + t, lo <= x <= hi, t >= 0 (the elastic
 restoration of the outer estimator and the de-biasing row floors). Each
 constraint gives two rows with a slack in [0, inf), and the costs (0, 0, 1)
 on (u, v, t) are nonnegative, so its slack basis is dual feasible too and
@@ -23,29 +23,30 @@ the same bounded dual simplex solves it: there is one simplex loop. count_lps
 adds the calls of both solvers and their pivots to a caller's record.
 
 Both solvers share one presolve (_presolve). It drops the zero rows, whose
-constraint fixes |b_i| - lambda_i and nothing else, and the columns that are
+constraint fixes |b_i| - lambda and nothing else, and the columns that are
 zero on the rows left, whose coordinate sits at x0, the point of [lo, hi]
 nearest 0; solve_l1_linf then equilibrates the rows left. When x0 already
 meets every row (for solve_nonneg_lp, at the violation the zero rows fix),
 it is optimal, and either solver returns it without building a tableau.
 
 Every l1/l_inf LP takes one path, as a row of one prepared pass of its
-family (a private _FamilyState of LPs that share A): a lone LP is a one-row
-pass, and solve_row_family's de-biasing rows are one pass over all of them.
-The pass reaches each row's bounds and presolve verdicts (infeasible at a
-dead row, or optimal at x0) in one vectorized step. Any other row runs the
-dual simplex (dual steepest-edge pricing, Forrest & Goldfarb 1992) from the
-one start its kind of family names. The step LPs of one linearization of
-the outer estimator chain: each starts warm from the last final tableau,
-as a basis optimal for one LP is dual feasible for the next once each
-nonbasic variable sits at the bound its reduced cost prefers. The rows of
-solve_row_family never chain, so no row's answer depends on the others or
-their order; where the presolved block is square and safely invertible,
-each starts from its crash basis, the one the sign of its unpenalized
-solve A^-1 b names (Bixby 1992), which is dual feasible for any b and,
-with small penalties, optimal (no tableau is built) or a few pivots away.
-Any other LP starts from the slack basis. One place in solve_l1_linf
-solves a warm answer that fails its checks once more from the slack basis.
+family (a private _FamilyState, made with the matrix A its LPs share): a
+lone LP is a one-row pass, and solve_row_family's de-biasing rows are one
+pass over all of them. The pass reaches each row's bounds and presolve
+verdicts (infeasible at a dead row, or optimal at x0) in one vectorized
+step. Any other row runs the dual simplex (dual steepest-edge pricing,
+Forrest & Goldfarb 1992) from the one start its kind of family names. The
+step LPs of one linearization of the outer estimator chain: each starts
+warm from the last final tableau, as a basis optimal for one LP is dual
+feasible for the next once each nonbasic variable sits at the bound its
+reduced cost prefers. The rows of solve_row_family never chain, so no
+row's answer depends on the others or their order; where the presolved
+block is square and safely invertible, each starts from its crash basis,
+the one the sign of its unpenalized solve A^-1 b names (Bixby 1992), which
+is dual feasible for any b and, with small penalties, optimal (no tableau
+is built) or a few pivots away. Any other LP starts from the slack basis.
+One place in solve_l1_linf solves a warm answer that fails its checks once
+more from the slack basis.
 
 Problem sizes here stay at desk scale (hundreds of rows and columns), where
 the dense tableau is fast enough and easy to audit.
@@ -84,13 +85,13 @@ class LpSizeError(ValueError):
 class L1LinfProblem:
     """Data for min ||x||_1 s.t. ||Ax - b||_inf <= lam and lo <= x <= hi.
 
-    lam is a scalar or one value per row; lo and hi are scalars or one value
-    per coordinate, and default to no bound.
+    lam is one finite, nonnegative number; lo and hi are scalars or one
+    value per coordinate, and default to no bound.
     """
 
     A: np.ndarray
     b: np.ndarray
-    lam: float | np.ndarray
+    lam: float
     lo: float | np.ndarray = -np.inf
     hi: float | np.ndarray = np.inf
 
@@ -99,18 +100,18 @@ class L1LinfProblem:
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
             raise ValueError(f"A {A.shape} and b {b.shape} do not conform")
-        # filled by broadcasting: a scalar, or one value per row (coordinate)
-        lam, lo, hi = np.empty(b.size), np.empty(A.shape[1]), np.empty(A.shape[1])
-        lam[:], lo[:], hi[:] = self.lam, self.lo, self.hi
-        if (lam < 0).any() or not np.isfinite(lam).all():
-            raise ValueError("lam must be finite and nonnegative")
+        if np.ndim(self.lam) != 0 or not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be one finite, nonnegative number")
+        # filled by broadcasting: a scalar, or one value per coordinate
+        lo, hi = np.empty(A.shape[1]), np.empty(A.shape[1])
+        lo[:], hi[:] = self.lo, self.hi
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must be finite")
         if not ((lo < np.inf).all() and (hi > -np.inf).all()):
             raise ValueError("lo must be below +inf and hi above -inf")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -168,14 +169,6 @@ def _values(T, basis, sigma, lower, upper):
 
 
 @dataclass(frozen=True)
-class _RawLp:
-    z: np.ndarray
-    status: LpStatus
-    dual: np.ndarray | None
-    pivots: int
-
-
-@dataclass(frozen=True)
 class _Presolve:
     """The live block of a constraint matrix A as posed.
 
@@ -186,7 +179,6 @@ class _Presolve:
     max-abs when equilibrated, else 1.
     """
 
-    A: np.ndarray
     dead: np.ndarray
     rows: slice | np.ndarray
     cols: slice | np.ndarray
@@ -204,7 +196,7 @@ def _presolve(A: np.ndarray, equilibrate: bool) -> _Presolve:
     # an l1/l_inf LP unchanged but keeps pivot tolerances meaningful
     scale = 1.0 / rownorm[rows] if equilibrate else np.ones(int(live.sum()))
     As = A[rows][:, cols] * scale[:, None]
-    return _Presolve(A, ~live, rows, cols, scale, As)
+    return _Presolve(~live, rows, cols, scale, As)
 
 
 def _placement(d, lower, upper):
@@ -262,45 +254,9 @@ def _rowwise(M, X):
 
 
 @dataclass(frozen=True)
-class _RowPass:
-    """The LPs b = B[r] with penalties lam[r] and bounds lo <= x <= hi of a
-    family, from one pass over all of them (_row_pass). LP r on the
-    presolved block As is min 1'(u + v) s.t. As(u - v) + w = bs[r],
-    lower[r] <= (u, v, w) <= upper[r]: x = u - v with u in [lo+, hi+] and v
-    in [(-hi)+, (-lo)+], and the slack w in [-lams, lams]. x0 is the point
-    of [lo, hi] nearest 0; infeasible[r] marks an LP with lo > hi somewhere
-    or whose b breaks a dead constraint row, at_zero[r] one that x0 solves."""
-
-    x0: np.ndarray
-    bs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    infeasible: np.ndarray
-    at_zero: np.ndarray
-
-
-def _row_pass(pre: _Presolve, B, lam, lo, hi) -> _RowPass:
-    """lam holds each row's penalty on each constraint, in B's shape; lo and
-    hi hold one bound per coordinate, shared by every row."""
-    x0 = np.clip(0.0, lo, hi)
-    bs = B[:, pre.rows] * pre.scale
-    lams = lam[:, pre.rows] * pre.scale
-    infeasible = (lo > hi).any() | (np.abs(B[:, pre.dead]) - lam[:, pre.dead] > FEAS_TOL).any(axis=1)
-    lo, hi = lo[pre.cols], hi[pre.cols]
-    p = lo.size
-    lower, upper = np.empty((2, len(B), 2 * p + lams.shape[1]))
-    lower[:, :p], lower[:, p : 2 * p], lower[:, 2 * p :] = np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams
-    upper[:, :p], upper[:, p : 2 * p], upper[:, 2 * p :] = np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams
-    return _RowPass(
-        x0=x0, bs=bs, lower=lower, upper=upper, infeasible=infeasible,
-        at_zero=(np.abs(bs - pre.As @ x0[pre.cols]) <= lams).all(axis=1),
-    )
-
-
-@dataclass(frozen=True)
 class _CrashStarts:
     """The crash starts of the rows of a family on a square block As with
-    inverse inv, from one pass (_crash_starts) over their _RowPass rows.
+    inverse inv, from one pass (_crash_starts) over the family's rows.
 
     The crash basis
     of row r makes u_i basic where s[r, i] = +1 and v_i where it is -1;
@@ -312,7 +268,6 @@ class _CrashStarts:
     the dual certified.
     """
 
-    rows: _RowPass
     inv: np.ndarray
     s: np.ndarray
     basis: np.ndarray
@@ -323,18 +278,19 @@ class _CrashStarts:
     xb: np.ndarray
     optimal: np.ndarray
 
-    def answer(self, r) -> _RawLp:
-        """Row r's answer at its crash basis, which must be optimal."""
+    def answer(self, r):
+        """Row r's values of (u, v, w) and dual y at its crash basis, which
+        must be optimal."""
         k = len(self.inv)
         z = self.x[r].copy()
         z[self.basis[r]] = self.xb[r]
-        return _RawLp(z, LpStatus.OPTIMAL, -self.d[r, 2 * k :], 0)
+        return z, -self.d[r, 2 * k :]
 
-    def tableau(self, r):
-        """Row r's tableau at its crash basis, with the basis and sigma.
-        B = As diag(s), so the rows B^-1 [As, -As, I] are [diag(s),
-        -diag(s), diag(s) inv]; the basic values are written as
-        _place_nonbasics writes them."""
+    def tableau(self, r, b):
+        """Row r's tableau at its crash basis for its presolved right-hand
+        side b, with the basis and sigma. B = As diag(s), so the rows
+        B^-1 [As, -As, I] are [diag(s), -diag(s), diag(s) inv]; the basic
+        values are written as _place_nonbasics writes them."""
         inv, s = self.inv, self.s[r]
         k = len(inv)
         j = np.arange(k)
@@ -344,14 +300,14 @@ class _CrashStarts:
         np.multiply(s[:, None], inv, out=T[:k, 2 * k : 3 * k])
         T[-1, : 3 * k] = self.d[r]
         basis = self.basis[r].copy()
-        _basic_values(T, basis, self.rows.bs[r], 1.0, self.x[r].copy())
+        _basic_values(T, basis, b, 1.0, self.x[r].copy())
         return T, basis, self.sigma[r].copy()
 
 
-def _crash_starts(pre: _Presolve, inv, rows: _RowPass) -> _CrashStarts:
-    """The crash starts of a family's rows (their pass rows, with no bounds
-    on x) in one pass, on the presolve pre of A whose block As is square
-    with inverse inv.
+def _crash_starts(pre: _Presolve, inv, bs, lower, upper) -> _CrashStarts:
+    """The crash starts of a family's rows, with presolved right-hand sides
+    bs and bounds lower <= (u, v, w) <= upper (no bounds on x), in one pass,
+    on the presolve pre of A whose block As is square with inverse inv.
 
     Row r's crash basis makes u_j basic where s_j = sign((As^-1 b)_j) is +
     (0 counts as +) and v_j where it is -. Its reduced costs [1 - s, 1 + s,
@@ -363,7 +319,6 @@ def _crash_starts(pre: _Presolve, inv, rows: _RowPass) -> _CrashStarts:
     runs row by row (_rowwise), so a row's start is the same in any family.
     """
     k = len(inv)
-    bs = rows.bs
     s = np.where(_rowwise(inv, bs) >= 0.0, 1.0, -1.0)
     basis = np.where(s > 0.0, 0, k) + np.arange(k)
     y = _rowwise(inv.T.copy(), s)
@@ -371,17 +326,17 @@ def _crash_starts(pre: _Presolve, inv, rows: _RowPass) -> _CrashStarts:
     d[:, :k] = 1.0 - s
     d[:, k : 2 * k] = 1.0 + s
     d[:, 2 * k :] = -y
-    x, sigma, ok = _placement(d, rows.lower, rows.upper)
+    x, sigma, ok = _placement(d, lower, upper)
     np.put_along_axis(sigma, basis, 0.0, axis=1)
     xb = s * _rowwise(inv, bs - x[:, 2 * k :])
     certified = np.abs(_rowwise(pre.As.T.copy(), y)).max(axis=1) <= 1.0 + FEAS_TOL
     return _CrashStarts(
-        rows=rows, inv=inv, s=s, basis=basis, d=d, x=x, sigma=sigma, ok=ok, xb=xb,
+        inv=inv, s=s, basis=basis, d=d, x=x, sigma=sigma, ok=ok, xb=xb,
         optimal=ok & (xb >= 0.0).all(axis=1) & certified,
     )
 
 
-def _run_dual_simplex(T, basis, sigma, lower, upper, max_pivots):
+def _run_dual_simplex(T, basis, sigma, lower, upper):
     """Bounded-variable dual simplex on a dual-feasible tableau.
 
     T holds the rows B^-1 [A I] with the basic values in the last column,
@@ -401,10 +356,10 @@ def _run_dual_simplex(T, basis, sigma, lower, upper, max_pivots):
     candidate's whole range cannot bring x_i back to its bound, the
     candidate flips to its other bound and the next one in ratio order is
     tried, so one basis change does the work of several. Flips are not
-    counted as pivots. A row with no candidate proves the LP infeasible
-    when it is out of bounds by more than FEAS_TOL; below that it is out by
-    roundoff only, and its basic value is set to the bound (degenerate LPs,
-    say with lambda = 0, leave such rows).
+    counted as pivots, of which at most MAX_PIVOTS are made. A row with no
+    candidate proves the LP infeasible when it is out of bounds by more than
+    FEAS_TOL; below that it is out by roundoff only, and its basic value is
+    set to the bound (degenerate LPs, say with lambda = 0, leave such rows).
     """
     m = len(basis)
     n = T.shape[1] - 1
@@ -415,7 +370,7 @@ def _run_dual_simplex(T, basis, sigma, lower, upper, max_pivots):
     pivots = 0
     stall = 0
     last_obj = -T[-1, -1]
-    while pivots < max_pivots:
+    while pivots < MAX_PIVOTS:
         viol = np.maximum(lb - x, x - ub)
         i = int(viol.argmax())
         if viol[i] <= 0.0:
@@ -491,34 +446,45 @@ def _safe_inverse(As):
 
 
 class _FamilyState:
-    """LPs that share their matrix A, and with it the presolve and every
-    tableau's rows B^-1 [A I] and reduced costs: b, lambda and the bounds
-    only move the basic values. Each LP is a row of a pass (prepare).
-    Whether the family chains is set where it is made, and it fixes the
-    family's one start rule (start): a chained family keeps its last final
-    tableau for the next LP, one that does not gives each row the crash
-    start its pass found, and an LP with neither starts from the slack
-    basis.
+    """LPs on one matrix A, each with its own b, one lambda and bounds. The
+    family is made with A and presolves it once; its LPs share every
+    tableau's rows B^-1 [A I] and reduced costs, as b, lambda and the bounds
+    only move the basic values. Each LP is a row of a pass (prepare) whose
+    answer the family turns into its LpSolution. Whether the family chains
+    is set where it is made, and it fixes the family's one start rule
+    (start): a chained family keeps its last final tableau for the next LP,
+    one that does not gives each row the crash start its pass found, and an
+    LP with neither starts from the slack basis.
     """
 
-    def __init__(self, chain: bool = True):
-        self.chain = chain
-        self.pre = self.rows = self.starts = self.T = self.basis = None
+    def __init__(self, A: np.ndarray, chain: bool = True):
+        self.A, self.chain = A, chain
+        self.pre = _presolve(A, equilibrate=True)
+        self.starts = self.T = self.basis = None
 
-    def prepare(self, A, B, lam, lo, hi) -> None:
-        """Prepare the LPs on A with b = B[r], penalties lam[r] and bounds
-        lo <= x <= hi (_row_pass gives the shapes): the equilibrated
-        presolve of A, kept (with a copy of A) while the family's LPs share
-        it, as another matrix starts the family afresh; the LPs' verdicts
-        and bounds (_row_pass); and, in a family that does not chain and
-        whose presolved block has a safe inverse, their crash starts
-        (_crash_starts)."""
-        if self.pre is None or not np.array_equal(A, self.pre.A):
-            self.pre = _presolve(A.copy(), equilibrate=True)
-            self.T = self.basis = None
-        self.rows = _row_pass(self.pre, B, lam, lo, hi)
-        inv = None if self.chain else _safe_inverse(self.pre.As)
-        self.starts = None if inv is None else _crash_starts(self.pre, inv, self.rows)
+    def prepare(self, B, lam, lo, hi) -> None:
+        """Prepare the LPs b = B[r] with penalty lam[r] and bounds
+        lo <= x <= hi, shared by every row, in one pass. LP r on the block
+        As is min 1'(u + v) s.t. As(u - v) + w = bs[r], lower[r] <= (u, v, w)
+        <= upper[r]: u in [lo+, hi+], v in [(-hi)+, (-lo)+] and the slack w
+        within lam[r] times each row's scale. x0 is the point of [lo, hi]
+        nearest 0; infeasible[r] marks an LP with lo > hi somewhere or whose
+        b breaks a dead row, at_zero[r] one that x0 solves. A family that
+        does not chain, on a block with a safe inverse, gets crash starts."""
+        pre = self.pre
+        self.B, self.lam, self.lo, self.hi = B, lam, lo, hi
+        self.x0 = np.clip(0.0, lo, hi)
+        self.bs = B[:, pre.rows] * pre.scale
+        lams = lam[:, None] * pre.scale
+        self.infeasible = (lo > hi).any() | (np.abs(B[:, pre.dead]) - lam[:, None] > FEAS_TOL).any(axis=1)
+        self.at_zero = (np.abs(self.bs - pre.As @ self.x0[pre.cols]) <= lams).all(axis=1)
+        lo, hi = lo[pre.cols], hi[pre.cols]
+        p = lo.size
+        self.lower, self.upper = lower, upper = np.empty((2, len(B), 2 * p + lams.shape[1]))
+        lower[:, :p], lower[:, p : 2 * p], lower[:, 2 * p :] = np.maximum(lo, 0.0), np.maximum(-hi, 0.0), -lams
+        upper[:, :p], upper[:, p : 2 * p], upper[:, 2 * p :] = np.maximum(hi, 0.0), np.maximum(-lo, 0.0), lams
+        inv = None if self.chain else _safe_inverse(pre.As)
+        self.starts = None if inv is None else _crash_starts(pre, inv, self.bs, lower, upper)
 
     def start(self, r):
         """Row r's start by the family's rule, as (T, basis, sigma, warm):
@@ -527,11 +493,11 @@ class _FamilyState:
         variables placed for row r, else the slack basis, the one start
         that is not warm. A warm start that no placement makes dual feasible
         gives way to the slack basis."""
-        rows, starts = self.rows, self.starts
+        starts = self.starts
         if starts is not None and starts.ok[r]:
-            return (None, None, None, True) if starts.optimal[r] else (*starts.tableau(r), True)
+            return (None, None, None, True) if starts.optimal[r] else (*starts.tableau(r, self.bs[r]), True)
         if self.T is not None:
-            sigma = _place_nonbasics(self.T, self.basis, rows.bs[r], 1.0, rows.lower[r], rows.upper[r])
+            sigma = _place_nonbasics(self.T, self.basis, self.bs[r], 1.0, self.lower[r], self.upper[r])
             if sigma is not None:
                 return self.T, self.basis, sigma, True
         return (*self.slack_start(r), False)
@@ -539,14 +505,14 @@ class _FamilyState:
     def slack_start(self, r):
         """Row r's slack basis, as (T, basis, sigma): every reduced cost is
         exactly 1 or 0 there, so it is dual feasible."""
-        As, rows = self.pre.As, self.rows
+        As = self.pre.As
         m, p = As.shape
         T, basis = _slack_tableau(m, 2 * p, 1.0)
         T[:m, :p] = As
         np.negative(As, out=T[:m, p : 2 * p])
-        return T, basis, _place_nonbasics(T, basis, rows.bs[r], 1.0, rows.lower[r], rows.upper[r])
+        return T, basis, _place_nonbasics(T, basis, self.bs[r], 1.0, self.lower[r], self.upper[r])
 
-    def solve(self, r, T, basis, sigma) -> tuple[_RawLp, bool]:
+    def solve(self, r, T, basis, sigma) -> tuple[LpSolution, bool]:
         """Row r's LP by the dual simplex from a start of start() or
         slack_start(), the crash answer when T is None. A chained family
         keeps the final tableau, or none after the pivot limit. Returns the
@@ -556,9 +522,9 @@ class _FamilyState:
         dual y meets ||As'y||_inf <= 1 + FEAS_TOL (roundoff in the inverse
         can break that)."""
         if T is None:
-            return self.starts.answer(r), True
-        lower, upper = self.rows.lower[r], self.rows.upper[r]
-        status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
+            return self.solution(r, LpStatus.OPTIMAL, 0, *self.starts.answer(r)), True
+        lower, upper = self.lower[r], self.upper[r]
+        status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper)
         if self.chain:
             self.T, self.basis = (None, None) if status is LpStatus.ITERATION_LIMIT else (T, basis)
         m, n = len(basis), T.shape[1] - 1
@@ -568,7 +534,24 @@ class _FamilyState:
             (sigma * T[-1, :n] < -FEAS_TOL).any()
             or self.starts is not None and np.abs(y @ self.pre.As).max() > 1.0 + FEAS_TOL
         )
-        return _RawLp(_values(T, basis, sigma, lower, upper), status, y, pivots), sound
+        return self.solution(r, status, pivots, _values(T, basis, sigma, lower, upper), y), sound
+
+    def solution(self, r, status, pivots, z=None, y=None) -> LpSolution:
+        """Row r's LpSolution as posed, from the values z of (u, v, w) and
+        the dual y on the live rows (x0 and y = 0 when z is None): x is x0
+        with u - v on the live columns, y is rescaled to the posed rows, and
+        the violation is measured on the posed data."""
+        A = self.A
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(np.zeros(A.shape[1]), status, np.nan, np.inf, None, pivots)
+        pre = self.pre
+        x, dual = self.x0.copy(), np.zeros(len(A))
+        if z is not None:
+            k = pre.As.shape[1]
+            x[pre.cols] = z[:k] - z[k : 2 * k]
+            dual[pre.rows] = y * pre.scale
+        violation = _max_violation(x, 0.0, A, self.B[r], self.lam[r], self.lo, self.hi)
+        return LpSolution(x, status, float(np.abs(x).sum()), violation, dual, pivots)
 
 
 _records: ContextVar[tuple] = ContextVar("lp_records", default=())
@@ -602,43 +585,44 @@ def _counted(solver):
     return counted
 
 
-def _max_violation(problem: L1LinfProblem, x, t=0.0) -> float:
-    """Largest excess of x over a row's lam_i + t or over a bound, 0 if none."""
-    rows = np.abs(problem.A @ x - problem.b) - problem.lam - t
-    bounds = np.maximum(problem.lo - x, x - problem.hi)
+def _max_violation(x, t, A, b, lam, lo, hi) -> float:
+    """Largest excess of x over a row's lam + t or over a bound, 0 if none."""
+    rows = np.abs(A @ x - b) - lam - t
+    bounds = np.maximum(lo - x, x - hi)
     return float(max(rows.max(initial=0.0), bounds.max(initial=0.0)))
 
 
 @_counted
 def solve_nonneg_lp(problem: L1LinfProblem) -> LpSolution:
-    """Minimize the violation: min t s.t. |a_i'x - b_i| <= lam_i + t for
+    """Minimize the violation: min t s.t. |a_i'x - b_i| <= lam + t for
     every row, lo <= x <= hi and t >= 0.
 
     Returns an LpSolution whose objective is t* and x a minimizer; its
-    max_violation is the largest excess over lam_i + t* or a bound, and its
+    max_violation is the largest excess over lam + t* or a bound, and its
     dual is None. The LP is always feasible unless lo > hi somewhere.
 
-    A zero row fixes its violation at |b_i| - lam_i, so t is bounded below
+    A zero row fixes its violation at |b_i| - lam, so t is bounded below
     by t0, the largest of these and 0; the presolve's exit answers when x0
     meets every live row at t0. Otherwise x = u - v with u and v bounded
     as in solve_l1_linf, and each live constraint gives two rows,
-    +-(a_i'(u - v) - b_i) - t + s = lam_i with the slack s in [0, inf). The
+    +-(a_i'(u - v) - b_i) - t + s = lam with the slack s in [0, inf). The
     costs (0, 0, 1) on (u, v, t) are nonnegative, so the slack basis with
     every variable at its lower bound is dual feasible and the bounded dual
     simplex solves the LP from there, as it does every other LP here. The
     rows are not equilibrated: callers scale their data.
     """
-    A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
+    posed = problem.A, problem.b, problem.lam, problem.lo, problem.hi
+    A, b, lam, lo, hi = posed
     m, p = A.shape
     _check_size(2 * m, 2 * p + 1)
     if (lo > hi).any():
         return LpSolution(np.zeros(p), LpStatus.INFEASIBLE, np.nan, np.inf, None, 0)
     pre = _presolve(A, equilibrate=False)
-    t0 = max(0.0, float((np.abs(b[pre.dead]) - lam[pre.dead]).max(initial=0.0)))
+    t0 = max(0.0, float((np.abs(b[pre.dead]) - lam).max(initial=0.0)))
     x = np.clip(0.0, lo, hi)
-    A, b, lam, lo, hi = pre.As, b[pre.rows], lam[pre.rows], lo[pre.cols], hi[pre.cols]
+    A, b, lo, hi = pre.As, b[pre.rows], lo[pre.cols], hi[pre.cols]
     if (np.abs(A @ x[pre.cols] - b) <= lam + t0).all():
-        return LpSolution(x, LpStatus.OPTIMAL, t0, _max_violation(problem, x, t0), None, 0)
+        return LpSolution(x, LpStatus.OPTIMAL, t0, _max_violation(x, t0, *posed), None, 0)
     m, p = A.shape
     cost = np.r_[np.zeros(2 * p), 1.0]  # t alone costs
     T, basis = _slack_tableau(2 * m, 2 * p + 1, cost)
@@ -650,81 +634,66 @@ def solve_nonneg_lp(problem: L1LinfProblem) -> LpSolution:
     lower = np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0), [t0], np.zeros(2 * m)])
     upper = np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0), np.full(2 * m + 1, np.inf)])
     sigma = _place_nonbasics(T, basis, np.concatenate([lam + b, lam - b]), cost, lower, upper)
-    status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper, MAX_PIVOTS)
+    status, pivots = _run_dual_simplex(T, basis, sigma, lower, upper)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(np.zeros(x.size), status, np.nan, np.inf, None, pivots)
     z = _values(T, basis, sigma, lower, upper)
     x[pre.cols], t = z[:p] - z[p : 2 * p], float(z[2 * p])
-    return LpSolution(x, status, t, _max_violation(problem, x, t), None, pivots)
+    return LpSolution(x, status, t, _max_violation(x, t, *posed), None, pivots)
 
 
 @_counted
 def solve_l1_linf(
-    problem: L1LinfProblem, *, _family: _FamilyState | None = None, _row: int | None = None
+    problem: L1LinfProblem | None = None, *, _family: _FamilyState | None = None, _row: int | None = None
 ) -> LpSolution:
-    """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam_i and lo <= x <= hi.
+    """Minimize ||x||_1 subject to |a_i'x - b_i| <= lam and lo <= x <= hi.
 
     Returns an LpSolution whose dual vector y (one entry per row) certifies
     optimality when x has no bounds, in the usual Dantzig-selector sense:
-    ||A'y||_inf <= 1, the dual objective b'y - sum_i lam_i |y_i| equals
-    ||x||_1, and -y'(Ax - b) = sum_i lam_i |y_i| (complementary slackness).
-    All three are exercised by the tests.
+    ||A'y||_inf <= 1, the dual objective b'y - lam ||y||_1 equals ||x||_1,
+    and -y'(Ax - b) = lam ||y||_1 (complementary slackness). All three are
+    exercised by the tests.
 
-    Every LP is a row of a prepared pass of its family: a lone LP is
-    prepared here as a one-row pass of _family (a fresh one when none is
-    given), and row _row of solve_row_family's family with the other rows.
-    The pass answers an LP with a zero row where |b_i| > lam_i + FEAS_TOL
-    as infeasible, and one that x0 meets with y = 0. Any other LP runs the
-    one-phase bounded dual simplex from the start its family's rule picks.
+    Every LP is a row of a prepared pass of its family: a lone problem is
+    prepared here as a one-row pass of _family, made with problem.A itself
+    (a fresh one when none is given), and solve_row_family passes only its
+    family and the row _row. The pass answers an LP with a zero row where
+    |b_i| > lam + FEAS_TOL as infeasible, and one that x0 meets with y = 0.
+    Any other LP runs the one-phase bounded dual simplex from the start its
+    family's rule picks.
     This is the one place that re-solves: a warm optimum whose reduced
     costs or crash dual fail their checks, or that breaks a row or a bound
     by more than FEAS_TOL, is solved once more from the slack basis, and
     the pivots of both attempts count.
     """
-    A, b, lam, lo, hi = problem.A, problem.b, problem.lam, problem.lo, problem.hi
-    m, p = A.shape
-    _check_size(m, 2 * p)
     if _row is None:
-        _family = _FamilyState() if _family is None else _family
-        _family.prepare(A, b[None], lam[None], lo, hi)
+        A = problem.A
+        _check_size(A.shape[0], 2 * A.shape[1])
+        if _family is None:
+            _family = _FamilyState(A)
+        elif A is not _family.A:
+            raise ValueError("an LP handed a family must pose the family's matrix")
+        _family.prepare(problem.b[None], np.array([problem.lam]), problem.lo, problem.hi)
         _row = 0
-    pre, rows = _family.pre, _family.rows
-    k = pre.As.shape[1]
-
-    def answer(x, status, dual, pivots) -> LpSolution:
-        if status is not LpStatus.OPTIMAL:
-            return LpSolution(np.zeros(p), status, np.nan, np.inf, None, pivots)
-        objective = float(np.abs(x).sum())
-        return LpSolution(x, status, objective, _max_violation(problem, x), dual, pivots)
-
-    def solution(raw: _RawLp) -> LpSolution:
-        if raw.status is not LpStatus.OPTIMAL:
-            return answer(None, raw.status, None, raw.pivots)
-        dual = np.zeros(m)
-        dual[pre.rows] = raw.dual * pre.scale
-        x = rows.x0.copy()
-        x[pre.cols] = raw.z[:k] - raw.z[k : 2 * k]
-        return answer(x, raw.status, dual, raw.pivots)
-
-    if rows.infeasible[_row]:
-        return answer(None, LpStatus.INFEASIBLE, None, 0)
-    if rows.at_zero[_row]:
-        return answer(rows.x0.copy(), LpStatus.OPTIMAL, np.zeros(m), 0)
-    T, basis, sigma, warm = _family.start(_row)
-    raw, sound = _family.solve(_row, T, basis, sigma)
-    sol = solution(raw)
+    family, r = _family, _row
+    if family.infeasible[r]:
+        return family.solution(r, LpStatus.INFEASIBLE, 0)
+    if family.at_zero[r]:
+        return family.solution(r, LpStatus.OPTIMAL, 0)
+    T, basis, sigma, warm = family.start(r)
+    sol, sound = family.solve(r, T, basis, sigma)
     if warm and sol.status is LpStatus.OPTIMAL and not (sound and sol.max_violation <= FEAS_TOL):
         # roundoff carried over from earlier LPs or in the crash inverse
-        raw, _ = _family.solve(_row, *_family.slack_start(_row))
-        sol = replace(solution(raw), pivots=sol.pivots + raw.pivots)
+        cold, _ = family.solve(r, *family.slack_start(r))
+        sol = replace(cold, pivots=sol.pivots + cold.pivots)
     return sol
 
 
 def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSolution]:
     """Solve min ||x_r||_1 s.t. ||x_r A - B_r||_inf <= lam_r for each row r of B.
 
-    One solve_l1_linf call per row on (A', B_r'), all sharing one family
-    that does not chain: A', B and lam are checked and A' presolved once,
+    One solve_l1_linf call per row of one family on A' that does not chain:
+    A, B and lam are checked, the size guard applied and A' presolved once,
     and one vectorized pass over all the rows (_FamilyState.prepare)
     reaches each row's dead-row and x = 0 verdicts and bounds and, when the
     live block is square and safely invertible, its crash start. A row that
@@ -741,21 +710,13 @@ def solve_row_family(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> list[LpSo
     if A.shape[1] != B.shape[1]:
         # x_r A has length A.shape[1]; B_r must match it
         raise ValueError(f"row family shapes do not conform: A {A.shape}, B {B.shape}")
-    # L1LinfProblem's checks, made once: each row's problem skips them
     if (lam < 0).any() or not np.isfinite(lam).all():
         raise ValueError("lam must be finite and nonnegative")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("A and b must be finite")
     At = A.T.copy()
     m, p = At.shape
-    lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
-    lo.flags.writeable = hi.flags.writeable = False  # shared by every row's problem
-    family = _FamilyState(chain=False)
-    family.prepare(At, B, np.repeat(lam[:, None], m, axis=1), lo, hi)
-    sols = []
-    for r in range(B.shape[0]):
-        problem = object.__new__(L1LinfProblem)
-        for name, value in (("A", At), ("b", B[r]), ("lam", np.full(m, lam[r])), ("lo", lo), ("hi", hi)):
-            object.__setattr__(problem, name, value)
-        sols.append(solve_l1_linf(problem, _family=family, _row=r))
-    return sols
+    _check_size(m, 2 * p)
+    family = _FamilyState(At, chain=False)
+    family.prepare(B, lam, np.full(p, -np.inf), np.full(p, np.inf))
+    return [solve_l1_linf(_family=family, _row=r) for r in range(B.shape[0])]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .debias import DebiasPenalties, debias
+from .debias import DebiasPenalties, alpha_is_valid, debias
 from .dgp import DgpConfig, simulate
 from .model_core import (
     ConfigurationError,
@@ -38,7 +38,7 @@ from .model_core import (
     read_value,
 )
 from .moments import score
-from .quadrature import MAX_TENSOR_NODES, gauss_hermite_rule
+from .quadrature import RuleSizeError, check_rule_size, gauss_hermite_rule
 from .rgmm import RgmmOptions, estimate
 
 SUPPORT_TOL = 1e-6  # |theta_l| above this puts coordinate l in a support
@@ -65,8 +65,9 @@ class McConfig:
     with more parameters than moments (2L > JK), or with a group whose
     gamma_hat is 0, need for the correction to exist at all. Each replication
     integrates on the tensor Gauss-Hermite rule with quad_nodes per dimension,
-    whose quad_nodes**G nodes must not exceed quadrature.MAX_TENSOR_NODES.
-    Supports are read at threshold SUPPORT_TOL.
+    of a size quadrature.check_rule_size accepts. A sample size repeated in
+    n_grid would repeat its seeds, and is refused. Supports are read at
+    threshold SUPPORT_TOL.
     """
 
     dgp: DgpConfig
@@ -85,19 +86,20 @@ class McConfig:
             raise ConfigurationError("replications must be >= 1")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ConfigurationError("n_grid must be nonempty positive integers")
-        if not 0 < self.alpha < 1:
-            raise ConfigurationError("alpha must lie in (0, 1)")
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise ConfigurationError(f"n_grid must not repeat a sample size, got {list(self.n_grid)}")
+        if not alpha_is_valid(self.alpha):
+            raise ConfigurationError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {self.alpha}")
         if not 0 < self.lam_scale < np.inf:
             raise ConfigurationError("lam_scale must be finite and positive")
         if not 0 <= self.penalty_c_gamma < np.inf:
             raise ConfigurationError(f"penalty_c_gamma must be finite and >= 0, got {self.penalty_c_gamma}")
         if self.quad_nodes < 1 or self.workers < 1:
             raise ConfigurationError("quad_nodes and workers must be >= 1")
-        G = self.dgp.model.G
-        if self.quad_nodes**G > MAX_TENSOR_NODES:
-            raise ConfigurationError(
-                f"quad_nodes: {self.quad_nodes}**{G} tensor nodes exceed {MAX_TENSOR_NODES}"
-            )
+        try:
+            check_rule_size(self.dgp.model.G, self.quad_nodes)
+        except RuleSizeError as exc:
+            raise ConfigurationError(f"quad_nodes: {exc}") from exc
         RgmmOptions(lam=0.0, pilot_scales=self.pilot_scales)  # checks pilot_scales
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "pilot_scales", tuple(float(c) for c in self.pilot_scales))

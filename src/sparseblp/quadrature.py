@@ -4,7 +4,8 @@ A single rule object is built once per estimation problem and reused for every
 share, Jacobian, and moment evaluation so that simulated and estimated shares
 see identical integration error (common random numbers in the Monte Carlo
 case). There are two rules: gauss_hermite_rule, a tensor product with the
-caller's node count per dimension, refused above MAX_TENSOR_NODES nodes, and
+caller's node count per dimension, refused by check_rule_size above
+MAX_NODES_PER_DIM nodes per dimension or MAX_TENSOR_NODES nodes in all, and
 monte_carlo_rule, seeded iid draws, the rule for a G too large for a tensor.
 """
 
@@ -14,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy's hermgauss(n) solves an n x n eigenproblem (n^2 memory, n^3 time)
+# and is documented as tested only up to degree 100
+MAX_NODES_PER_DIM = 100
 MAX_TENSOR_NODES = 1_000_000
 
 
@@ -41,21 +45,31 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def gauss_hermite_rule(G: int, nodes_per_dim: int) -> QuadratureRule:
-    """Tensor-product Gauss-Hermite rule for N(0, I_G).
-
-    Exact for polynomial integrands of total degree up to 2*nodes_per_dim - 1
-    in each coordinate. The tensor grid has nodes_per_dim**G points and is
-    refused above MAX_TENSOR_NODES.
-    """
-    if G <= 0 or nodes_per_dim <= 0:
-        raise ValueError("G and nodes_per_dim must be positive")
+def check_rule_size(G: int, nodes_per_dim: int) -> int:
+    """The node count of the tensor Gauss-Hermite rule with nodes_per_dim
+    nodes in each of G dimensions. Raises RuleSizeError above
+    MAX_NODES_PER_DIM nodes per dimension or MAX_TENSOR_NODES nodes in all."""
+    if nodes_per_dim > MAX_NODES_PER_DIM:
+        raise RuleSizeError(f"{nodes_per_dim} nodes per dimension exceeds {MAX_NODES_PER_DIM}")
     m = nodes_per_dim**G
     if m > MAX_TENSOR_NODES:
         raise RuleSizeError(
             f"{nodes_per_dim}**{G} = {m} nodes exceeds {MAX_TENSOR_NODES}; "
-            "use monte_carlo_rule for this G"
+            "use fewer nodes per dimension or monte_carlo_rule"
         )
+    return m
+
+
+def gauss_hermite_rule(G: int, nodes_per_dim: int) -> QuadratureRule:
+    """Tensor-product Gauss-Hermite rule for N(0, I_G).
+
+    Exact for polynomial integrands of total degree up to 2*nodes_per_dim - 1
+    in each coordinate. The tensor grid has nodes_per_dim**G points; sizes
+    check_rule_size refuses raise RuleSizeError.
+    """
+    if G <= 0 or nodes_per_dim <= 0:
+        raise ValueError("G and nodes_per_dim must be positive")
+    m = check_rule_size(G, nodes_per_dim)
     # physicists' rule: integral of f(x) exp(-x^2); rescale to N(0,1)
     x, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
     points = x * np.sqrt(2.0)

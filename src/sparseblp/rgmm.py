@@ -327,10 +327,10 @@ def _step_lp(G_f, target, tol, center, radius, box_center, family=None) -> LpSol
 
     |G_f v - target| <= tol, |v - center| <= radius and
     |v - box_center| <= THETA_BOX. The moment rows are the LP's only rows;
-    the trust region and the box meet in the bounds of _step_bounds. family
-    is the outer iteration's warm-start state, shared by its step LPs: they
-    differ only in target, tolerance and bounds, so a shrink of the radius
-    only moves bounds.
+    the trust region and the box meet in the bounds of _step_bounds. family,
+    made with G_f, is the outer iteration's warm-start state, shared by its
+    step LPs: they differ only in target, tolerance and bounds, so a shrink
+    of the radius only moves bounds.
     """
     lo, hi = _step_bounds(center, radius, box_center)
     return solve_l1_linf(L1LinfProblem(A=G_f, b=target, lam=tol, lo=lo, hi=hi), _family=family)
@@ -627,7 +627,7 @@ def _estimate(
         no linearized step exists, why."""
         nonlocal radius
         G_f = jacobian_theta(dataset, Theta.from_stacked(cur.vec), rule, evals=evals)[:, free]
-        family = _FamilyState(chain=True)  # the step LPs of one linearization chain
+        family = _FamilyState(G_f, chain=True)  # the step LPs of one linearization chain
         clean = True
         lam_starved = False
         while radius >= 1e-12:
@@ -671,9 +671,7 @@ def _estimate(
             return "lambda too small: no feasible linearized subproblem"
         return "trust region collapsed before finding an acceptable step"
 
-    def run_phase(
-        free: np.ndarray, budget: int, eps0: float, newton_steps: bool = True
-    ) -> tuple[str, str | None]:
+    def run_phase(free: np.ndarray, budget: int, eps0: float) -> tuple[str, str | None]:
         """SLP iterations over the free coordinates.
 
         Returns the run's outcome and why it failed, if it did: "converged"
@@ -689,13 +687,14 @@ def _estimate(
         forcing late iterates back to strict feasibility, and a step on the
         allowance path must buy objective progress.
 
-        With newton_steps (the joint phase), an iteration first tries the
-        Newton step that the last LP step's working set or the last Newton
-        step names (_eqp_step; see the module docstring). A refused or
-        rejected one leaves the iteration to its step LP, and one that finds
-        a KKT point at a strictly feasible iterate converges.
+        When every coordinate is free (the joint phase), an iteration first
+        tries the Newton step that the last LP step's working set or the
+        last Newton step names (_eqp_step; see the module docstring). A
+        refused or rejected one leaves the iteration to its step LP, and one
+        that finds a KKT point at a strictly feasible iterate converges.
         """
         nonlocal radius
+        newton_steps = free.all()
         stall = 0
         ws = None  # working set of the next iteration's Newton step
         lp_sets: list[_WorkingSet | None] = []  # of the last three accepted steps' LPs
@@ -794,7 +793,7 @@ def _estimate(
             # gamma toward the coordinates that actually carry the
             # substitution signal, making it load-bearing before the joint
             # phase. Its outcome is no verdict on the program.
-            run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=0.25, newton_steps=False)
+            run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=0.25)
             radius = TRUST_RADIUS_INIT
         outcome, why = run_phase(free_all, opts.max_outer_iters, eps0=0.15)
         outcomes.add(outcome)

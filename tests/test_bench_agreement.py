@@ -6,7 +6,10 @@ importing pipebench) and checks each canonicalized ||theta_hat - theta||_2
 against the value the code gave before the SLP safeguards were pruned. The
 debias outputs are pinned the same way: ||theta_dd - theta||_2 and ||se||_2
 on the six estimate problems, with the penalties and relaxation pipebench
-uses, and remainder_inf on the six study records. Run with `pytest -m slow`.
+uses, and remainder_inf on the six study records. Every RunStats counter of
+each estimate and debias is pinned as an exact integer, so a refactor that
+claims the same numbers must also run the same inversions, LPs, pivots and
+SLP iterations. Run with `pytest -m slow`.
 
 The values of wide-attribute-lp at DGP seed 1 and of the study records were
 re-pinned when the trust radius began to grow only after a clean step to its
@@ -20,9 +23,12 @@ debias values did not move: those fits converge at vertices of their step
 LPs, where no Newton step is taken.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from sparseblp import montecarlo
 from sparseblp.debias import DebiasPenalties, debias
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import ModelConfig, canonicalize_gamma
@@ -84,6 +90,34 @@ STUDY_REMAINDERS = (
 )
 
 
+# RunStats counters as (inversions, contraction_iters, newton_iters,
+# lp_solves, lp_pivots, outer_iters, trust_shrinks, soc_rescues, eqp_steps)
+# of the estimate and the debias at DGP seeds 0, 1, 2
+RUN_STATS = {
+    "two-group-inversion": (
+        ((9, 0, 29, 8, 93, 7, 0, 0, 0), (1, 0, 8, 60, 129, 0, 0, 0, 0)),
+        ((8, 0, 25, 7, 74, 6, 0, 0, 0), (1, 0, 8, 60, 92, 0, 0, 0, 0)),
+        ((11, 0, 38, 15, 115, 11, 0, 3, 0), (1, 0, 0, 72, 74, 0, 0, 0, 0)),
+    ),
+    "wide-attribute-lp": (
+        ((13, 0, 43, 16, 143, 10, 2, 1, 0), (1, 0, 0, 240, 708, 0, 0, 0, 0)),
+        ((17, 0, 64, 20, 225, 12, 3, 1, 0), (1, 0, 0, 240, 634, 0, 0, 0, 0)),
+        ((13, 0, 51, 16, 91, 11, 0, 4, 0), (1, 0, 0, 240, 611, 0, 0, 0, 0)),
+    ),
+}
+
+# the same counters of the study's estimate and debias calls, in call order
+# (n = 100, then n = 200), per master seed 0, 1, 2
+STUDY_RUN_STATS = (
+    ((25, 0, 76, 24, 80, 12, 4, 3, 0), (1, 0, 0, 40, 126, 0, 0, 0, 0),
+     (61, 0, 195, 38, 449, 19, 6, 8, 5), (1, 0, 0, 40, 83, 0, 0, 0, 0)),
+    ((48, 0, 134, 25, 135, 16, 5, 4, 5), (1, 0, 0, 40, 80, 0, 0, 0, 0),
+     (117, 0, 290, 68, 428, 34, 8, 23, 6), (1, 0, 0, 40, 88, 0, 0, 0, 0)),
+    ((60, 0, 192, 44, 273, 25, 4, 15, 4), (1, 0, 0, 40, 83, 0, 0, 0, 0),
+     (25, 0, 61, 14, 85, 15, 0, 2, 3), (1, 0, 0, 40, 119, 0, 0, 0, 0)),
+)
+
+
 def _study(seed):
     return McConfig(
         dgp=DgpConfig(model=_model(n=100, J=4, L=10, G=1, K=6), s_beta=2, s_gamma=2, seed=seed),
@@ -104,15 +138,26 @@ def test_estimate_error_unchanged(name, seed):
     rule = gauss_hermite_rule(model.G, QUAD_NODES)
     data, truth = simulate(DgpConfig(model=model, s_beta=s_beta, s_gamma=s_gamma, seed=seed), rule)
     opts = RgmmOptions(lam=LAM_SCALE / np.sqrt(model.n_markets), pilot_scales=(1.0,))
-    theta = canonicalize_gamma(estimate(data, rule, opts).theta_hat, model)
+    res = estimate(data, rule, opts)
+    theta = canonicalize_gamma(res.theta_hat, model)
     err = float(np.linalg.norm(theta.stacked() - truth.stacked()))
     assert err == pytest.approx(errors[seed], abs=1e-8)
+    assert astuple(res.stats) == RUN_STATS[name][seed][0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_study_errors_unchanged(seed):
+def test_study_errors_unchanged(seed, monkeypatch):
+    stats = []
+    for stage in ("estimate", "debias"):
+        def counted(*args, _real=getattr(montecarlo, stage), **kwargs):
+            out = _real(*args, **kwargs)
+            stats.append(astuple(out.stats))
+            return out
+
+        monkeypatch.setattr(montecarlo, stage, counted)
     errors = [rec.err_l2 for rec in run_study(_study(seed)).records]
     assert errors == pytest.approx(STUDY_ERRORS[seed], abs=1e-8)
+    assert tuple(stats) == STUDY_RUN_STATS[seed]
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATE_DESIGNS))
@@ -128,6 +173,7 @@ def test_debias_outputs_unchanged(name, seed):
     dd_err = float(np.linalg.norm(deb.theta_dd - truth.stacked()))
     se_norm = float(np.linalg.norm(deb.se))
     assert (dd_err, se_norm) == pytest.approx(DEBIAS_OUTPUTS[name][seed], abs=1e-8)
+    assert astuple(deb.stats) == RUN_STATS[name][seed][1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

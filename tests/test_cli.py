@@ -94,6 +94,7 @@ BAD_INPUTS = [
     ("dgp", {**DGP, "s_beta": 1.5}, (), "s_beta:float"),
     ("dgp", {**DGP, "s_beta": True}, (), "s_beta:bool"),
     ("dgp", {**DGP, "model": SEVEN_GROUPS}, (), "dgp.json:rule size"),
+    ("dgp", DGP, ("--quad-nodes", "101"), "--quad-nodes:per dimension"),
     ("opts", {"max_outer_iters": "5"}, (), "max_outer_iters:str"),
     ("opts", 2.5, (), "opts.json:not an object"),
     ("opts", {"gamma_phase_iters": 1.5}, (), "gamma_phase_iters:float"),
@@ -109,12 +110,15 @@ BAD_INPUTS = [
     ("study", study(workers=0), (), "workers:zero"),
     ("study", study(pilot_scales="ab"), (), "pilot_scales:str"),
     ("study", study(quad_nodes=0), (), "quad_nodes:zero"),
+    ("study", study(quad_nodes=101), (), "quad_nodes:per dimension"),
     ("study", study(support_tol="x"), (), "support_tol:str"),
     ("study", study(relax_mu="no"), (), "relax_mu:str"),
     ("study", study(lam_fixed=-1), (), "lam_fixed:negative"),
     ("study", study(penalty_c_gamma=-1), (), "penalty_c_gamma:negative"),
     ("study", study(penalty_c_gamma=None), (), "penalty_c_gamma:null"),
     ("study", study(n_grid=[20.5]), (), "n_grid:float"),
+    ("study", study(n_grid=[20, 20]), (), "n_grid:repeated"),
+    ("study", study(alpha=1e-17), (), "alpha:1 - alpha/2 rounds to 1"),
     ("study", study(dgp={**DGP, "model": NO_N_MARKETS}, n_grid=[20.0]), (), "n_grid:fills n_markets"),
     ("theta", {"beta": [0.7, math.nan, 0.0], "gamma": [0.7, 0.0, 0.0]}, (), "beta:nan"),
     ("estimate", {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [math.inf, 0.0, 0.0]},
@@ -494,8 +498,8 @@ class TestBadInput:
         assert code == cli.EXIT_DATA
         assert "n_markets" in one_line_error(err)
 
-    @pytest.mark.parametrize("option, value", [("--alpha", "2"), ("--alpha", "0"), ("--penalty-c", "-1"),
-                                               ("--quad-nodes", "0")])
+    @pytest.mark.parametrize("option, value", [("--alpha", "2"), ("--alpha", "0"), ("--alpha", "1e-17"),
+                                               ("--penalty-c", "-1"), ("--quad-nodes", "0")])
     def test_out_of_range_debias_option_is_usage_error(self, capsys, option, value):
         code, err = run(capsys, "debias", "--estimate", "e.json", "--data", "d.csv",
                         "--out", "b.json", option, value)

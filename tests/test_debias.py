@@ -242,6 +242,14 @@ class TestFullPipeline:
         assert res.mu_relaxed_rows.size == 0  # square design needs no floors
         np.testing.assert_array_equal(res.mu_lambda_eff, np.full(10, 0.1))
 
+    @pytest.mark.parametrize("alpha", [1e-17, 0.0, 1.0, np.nan])
+    def test_an_alpha_without_a_finite_quantile_raises_before_any_work(self, gh1, inversion_log, alpha):
+        # at alpha = 1e-17, 1 - alpha/2 rounds to 1, where Phi^{-1} is infinite
+        ds, truth = _square_dataset(gh1, n=40, seed=3)
+        with pytest.raises(ValueError, match="alpha"):
+            debias(ds, truth, gh1, penalties=DebiasPenalties(0.05), alpha=alpha)
+        assert inversion_log == []
+
     def test_one_inversion_serves_omega_jacobian_and_score(self, gh1, inversion_log):
         ds, truth = _square_dataset(gh1, n=40, seed=3)
         res = debias(ds, truth, gh1, penalties=DebiasPenalties(0.05))

@@ -62,10 +62,10 @@ def check_certificate(prob: L1LinfProblem, sol, rel=None):
     y = sol.dual
     assert y is not None
     assert np.abs(prob.A.T @ y).max() <= 1 + 1e-6
-    dual_obj = prob.b @ y - prob.lam @ np.abs(y)
+    dual_obj = prob.b @ y - prob.lam * np.abs(y).sum()
     assert dual_obj == pytest.approx(sol.objective, rel=rel, abs=1e-6)
     resid = prob.A @ sol.x - prob.b
-    assert -y @ resid == pytest.approx(prob.lam @ np.abs(y), rel=rel, abs=1e-6)
+    assert -y @ resid == pytest.approx(prob.lam * np.abs(y).sum(), rel=rel, abs=1e-6)
 
 
 class TestSoftThresholdCases:
@@ -201,14 +201,13 @@ def highs_min_violation(prob: L1LinfProblem) -> float:
 
 def elastic_problem(rng) -> L1LinfProblem:
     """A min-violation LP shaped as rgmm's elastic step poses it: |f + G d|
-    <= lam + t with d bounded by the trust region and the box. lam is one
-    number, one per row or 0; each coordinate's bounds straddle 0, lie above
-    or below it (theta a hair or more past the box), or are absent."""
+    <= lam + t with d bounded by the trust region and the box. lam is a
+    positive number or 0; each coordinate's bounds straddle 0, lie above or
+    below it (theta a hair or more past the box), or are absent."""
     p, m = (int(k) for k in rng.integers(2, 9, size=2))
     G = low_rank(rng, m, p)
     f = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 1)
-    lam = [np.abs(f).max() * rng.uniform(0.01, 0.5),
-           np.abs(f) * rng.uniform(0.0, 0.5, size=m), 0.0][int(rng.integers(3))]
+    lam = [np.abs(f).max() * rng.uniform(0.01, 0.5), 0.0][int(rng.integers(2))]
     radius = 10.0 ** rng.uniform(-2, 1, size=p)
     past = radius * 10.0 ** rng.uniform(-9, 0, size=p)
     lo, hi = -radius, radius * rng.uniform(0.1, 1.0, size=p)
@@ -333,10 +332,10 @@ class TestWarmStartedFamily:
     def test_warm_start_is_used(self, rng):
         # a repeated LP is already optimal at the previous LP's basis when
         # both pass one _FamilyState, as the SLP's step LPs do
-        A = rng.standard_normal((7, 5))
+        At = rng.standard_normal((7, 5)).T
         b = rng.standard_normal(5)
-        family = l1_solvers._FamilyState()
-        first, second = (solve_l1_linf(L1LinfProblem(A.T, b, 0.05), _family=family) for _ in range(2))
+        family = l1_solvers._FamilyState(At)
+        first, second = (solve_l1_linf(L1LinfProblem(At, b, 0.05), _family=family) for _ in range(2))
         assert first.pivots > 0 and second.pivots == 0
         np.testing.assert_allclose(first.x, second.x, rtol=0, atol=1e-12)
 
@@ -380,46 +379,48 @@ class TestWarmStartedFamily:
         assert [s.status for s in sols] == [LpStatus.ITERATION_LIMIT] * 3
 
     def test_warm_row_violating_its_constraint_is_resolved_cold(self, rng, simplex_runs):
-        A = rng.standard_normal((5, 5))
+        At = rng.standard_normal((5, 5)).T
         B = rng.standard_normal((2, 5))
-        family = l1_solvers._FamilyState()
-        solve_l1_linf(L1LinfProblem(A.T, B[0], 0.05), _family=family)
+        family = l1_solvers._FamilyState(At)
+        solve_l1_linf(L1LinfProblem(At, B[0], 0.05), _family=family)
         m, n = len(family.basis), family.T.shape[1] - 1
         assert n == 2 * 5 + m  # columns u, v, then the slacks, whose block holds B^-1
         family.T[:m, n - m : n] *= 3.0  # a stale B^-1: the warm answer is wrong
         simplex_runs.clear()
-        sol = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family)
-        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05)))
+        sol = solve_l1_linf(L1LinfProblem(At, B[1], 0.05), _family=family)
+        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(At, B[1], 0.05)))
 
     def test_warm_answer_left_dual_infeasible_is_resolved_cold(self, simplex_runs):
         # a stored row with its u and v entries negated misleads the warm
         # ratio test: the warm answer meets every row, but its final reduced
         # costs come out dual infeasible
         rng = np.random.default_rng(12)
-        A = rng.standard_normal((5, 5))
+        At = rng.standard_normal((5, 5)).T
         B = rng.standard_normal((2, 5))
-        family = l1_solvers._FamilyState()
-        solve_l1_linf(L1LinfProblem(A.T, B[0], 0.05), _family=family)
+        family = l1_solvers._FamilyState(At)
+        solve_l1_linf(L1LinfProblem(At, B[0], 0.05), _family=family)
         family.T[4, : 2 * 5] *= -1.0
         simplex_runs.clear()
-        sol = solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05), _family=family)
-        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(A.T, B[1], 0.05)))
+        sol = solve_l1_linf(L1LinfProblem(At, B[1], 0.05), _family=family)
+        assert_resolved_cold_once(sol, simplex_runs, solve_l1_linf(L1LinfProblem(At, B[1], 0.05)))
         assert simplex_runs[0] > 0  # the warm attempt pivoted, and its pivots count too
 
     def test_one_solve_l1_linf_call_per_row(self, rng, monkeypatch):
+        # each call poses no problem of its own, only the family and its row
         calls = []
         real = l1_solvers.solve_l1_linf
 
-        def counting(problem, **kwargs):
-            calls.append(problem.b)
-            return real(problem, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(l1_solvers, "solve_l1_linf", counting)
         B = rng.standard_normal((5, 4))
         solve_row_family(rng.standard_normal((4, 4)), B, np.full(5, 0.1))
-        assert len(calls) == 5
-        for r, b in enumerate(calls):
-            np.testing.assert_array_equal(b, B[r])
+        assert [(args, kwargs["_row"]) for args, kwargs in calls] == [((), r) for r in range(5)]
+        family = calls[0][1]["_family"]
+        assert all(kwargs["_family"] is family for _, kwargs in calls)
+        np.testing.assert_array_equal(family.B, B)
 
     def test_deterministic(self, rng):
         A, B, lam = random_family(rng)
@@ -639,7 +640,7 @@ class TestPresolve:
         b0, b2 = rng.standard_normal((2, 5))
         small = 0.01 * rng.uniform(-1.0, 1.0, 5)
         lam = 0.05
-        family, without = l1_solvers._FamilyState(), l1_solvers._FamilyState()
+        family, without = l1_solvers._FamilyState(A), l1_solvers._FamilyState(A)
         sols = [solve_l1_linf(L1LinfProblem(A, b, lam), _family=family) for b in (b0, small, b2)]
         assert sols[1].pivots == 0 and not sols[1].x.any()
         alone = [solve_l1_linf(L1LinfProblem(A, b, lam), _family=without) for b in (b0, b2)]
@@ -676,28 +677,16 @@ class TestOneLpPath:
                 assert sol.max_violation <= l1_solvers.FEAS_TOL
         assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
 
-    def test_a_family_whose_matrix_changes_starts_from_the_slack_basis(self, rng):
-        # same shape, another matrix: the stored tableau must not be reused
-        family = l1_solvers._FamilyState()
+    def test_a_family_refuses_a_foreign_matrix(self, rng):
+        # a family is made with its matrix: another one, even an equal copy,
+        # is refused rather than solved on the family's presolve
         A1, A2 = rng.standard_normal((2, 6, 4))
         b = rng.standard_normal(6)
+        family = l1_solvers._FamilyState(A1)
         solve_l1_linf(L1LinfProblem(A1, b, 0.3), _family=family)
-        sol = solve_l1_linf(L1LinfProblem(A2, b, 0.3), _family=family)
-        fresh = solve_l1_linf(L1LinfProblem(A2, b, 0.3))
-        assert sol.pivots == fresh.pivots > 0
-        assert sol.x.tobytes() == fresh.x.tobytes()
-
-
-    def test_a_matrix_changed_in_place_starts_afresh(self, rng):
-        family = l1_solvers._FamilyState()
-        A = rng.standard_normal((6, 4))
-        b = rng.standard_normal(6)
-        solve_l1_linf(L1LinfProblem(A, b, 0.3), _family=family)
-        A[0, 0] += 1.0
-        sol = solve_l1_linf(L1LinfProblem(A, b, 0.3), _family=family)
-        fresh = solve_l1_linf(L1LinfProblem(A, b, 0.3))
-        assert sol.pivots == fresh.pivots > 0
-        assert sol.x.tobytes() == fresh.x.tobytes()
+        for foreign in (A2, A1.copy()):
+            with pytest.raises(ValueError, match="family's matrix"):
+                solve_l1_linf(L1LinfProblem(foreign, b, 0.3), _family=family)
 
 
 def random_bounds(rng, p, scale):
@@ -741,10 +730,11 @@ class TestBoundedProblems:
             A, B, lam = random_family(rng)
             lam[rng.random(lam.size) < 0.3] = 0.0  # lambda = 0 rows: equality constraints
             scale = np.abs(B).max() / np.abs(A).max()
-            family = l1_solvers._FamilyState()
+            At = A.T
+            family = l1_solvers._FamilyState(At)
             for r in range(B.shape[0]):
                 lo, hi = random_bounds(rng, A.shape[0], scale)
-                prob = L1LinfProblem(A.T, B[r], lam[r], lo, hi)
+                prob = L1LinfProblem(At, B[r], lam[r], lo, hi)
                 tol_abs = 1e-12 * np.abs(B).max()
                 cold = solve_l1_linf(prob)
                 warm = solve_l1_linf(prob, _family=family)
@@ -767,6 +757,11 @@ class TestBoundedProblems:
     def test_bad_bounds_raise(self, bad):
         with pytest.raises(ValueError):
             L1LinfProblem(np.eye(2), np.zeros(2), 1.0, **bad)
+
+    @pytest.mark.parametrize("lam", [[0.5, 0.5], np.array([0.5]), -0.1, np.inf, np.nan])
+    def test_lam_is_one_finite_nonnegative_number(self, lam):
+        with pytest.raises(ValueError, match="one finite, nonnegative number"):
+            L1LinfProblem(np.eye(2), np.zeros(2), lam)
 
 
 class TestCountLps:
@@ -830,10 +825,11 @@ class TestDegenerateLps:
     def test_dual_bland_rule_on_a_degenerate_family(self):
         # STALL_A's rows chained through one _FamilyState, as the SLP chains
         # its step LPs: the second starts from the first's final tableau
-        family = l1_solvers._FamilyState()
+        At = STALL_A.T
+        family = l1_solvers._FamilyState(At)
         sols, ran = bland_rule_runs(
             l1_solvers._run_dual_simplex,
-            lambda: [solve_l1_linf(L1LinfProblem(STALL_A.T, b, 0.5), _family=family) for b in STALL_B])
+            lambda: [solve_l1_linf(L1LinfProblem(At, b, 0.5), _family=family) for b in STALL_B])
         assert ran
         for r, sol in enumerate(sols):
             status, value = highs_l1_linf(STALL_A.T, STALL_B[r], 0.5)

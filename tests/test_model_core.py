@@ -300,7 +300,7 @@ def dgp_configs(draw):
 
 mc_configs = st.builds(
     McConfig, dgp=dgp_configs(), replications=st.integers(1, 100),
-    n_grid=st.lists(st.integers(1, 10**4), min_size=1, max_size=3).map(tuple),
+    n_grid=st.lists(st.integers(1, 10**4), min_size=1, max_size=3, unique=True).map(tuple),
     alpha=st.floats(0.01, 0.99), lam_scale=st.floats(1e-3, 10),
     penalty_c_gamma=nonneg, relax_mu=st.booleans(), pilot_scales=scales,
     quad_nodes=st.integers(1, 20), workers=st.integers(1, 8),

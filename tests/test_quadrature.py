@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseblp.quadrature import RuleSizeError, gauss_hermite_rule, monte_carlo_rule
+from sparseblp.quadrature import MAX_NODES_PER_DIM, RuleSizeError, gauss_hermite_rule, monte_carlo_rule
 
 
 class TestGaussHermite:
@@ -27,6 +27,12 @@ class TestGaussHermite:
     def test_tensor_cross_moment_vanishes(self):
         rule = gauss_hermite_rule(2, 5)
         assert rule.weights @ (rule.nodes[:, 0] * rule.nodes[:, 1]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_at_most_max_nodes_per_dim_nodes_per_dimension(self):
+        # hermgauss(n) solves an n x n eigenproblem and is tested to n = 100
+        assert gauss_hermite_rule(1, MAX_NODES_PER_DIM).weights.size == MAX_NODES_PER_DIM
+        with pytest.raises(RuleSizeError, match="101 nodes per dimension"):
+            gauss_hermite_rule(1, MAX_NODES_PER_DIM + 1)
 
     def test_size_guard_suggests_monte_carlo(self):
         with pytest.raises(RuleSizeError, match="monte_carlo"):

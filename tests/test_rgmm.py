@@ -287,7 +287,7 @@ class TestStepLp:
         # has one row per moment row over the objective row, and its
         # columns are v+, v-, one slack per moment row and the rhs
         G_f = rng.standard_normal((7, 4))
-        family = _FamilyState()
+        family = _FamilyState(G_f)
         sol = _step_lp(G_f, 0.1 * rng.standard_normal(7), 0.05, 0.0, 1.0, box_center, family)
         assert sol.status is LpStatus.OPTIMAL
         assert family.T.shape == (7 + 1, 2 * 4 + 7 + 1)
@@ -302,9 +302,8 @@ class TestElasticStep:
         # exclude d = 0 and bring theta back inside the box.
         # |5 + d_0| <= 1 + t with -1 <= d_0 <= -1e-9 gives t* = 3.
         theta = np.array([rgmm.THETA_BOX + 1e-9, 0.0])
-        cand, t_star = rgmm._elastic_step(
-            np.array([[1.0, 0.0]]), np.array([5.0]), theta, 1.0, 1.0, np.arange(2), _FamilyState()
-        )
+        G_f = np.array([[1.0, 0.0]])
+        cand, t_star = rgmm._elastic_step(G_f, np.array([5.0]), theta, 1.0, 1.0, np.arange(2), _FamilyState(G_f))
         assert t_star == pytest.approx(3.0, rel=1e-12)
         assert cand[0] <= rgmm.THETA_BOX and cand[1] == 0.0
 
@@ -333,7 +332,7 @@ def _shrink_sequence(seed):
     vec = rng.standard_normal(p)
     f_t = 0.15 * rng.uniform(-1.0, 1.0, m)  # some rows outside the bound
     lam = 0.1
-    family = _FamilyState()
+    family = _FamilyState(G_f)
     radius = 1.0
     while radius >= 1e-6:
         _step_lp(G_f, G_f @ vec - f_t, lam, vec, radius, 0.0, family)
@@ -387,7 +386,7 @@ class TestWarmStepLps:
             G_f = rng.standard_normal((8, 5))
             vec = 60.0 + rng.uniform(-5.0, 5.0, 5)
             f_t = 0.3 * rng.uniform(-1.0, 1.0, 8)
-            family = _FamilyState()
+            family = _FamilyState(G_f)
             for radius in (400.0, 200.0, 100.0, 50.0, 25.0, 12.5, 300.0, 6.0, 3.0):
                 _step_lp(G_f, G_f @ vec - f_t, 0.2, vec, radius, 0.0, family)
                 shapes.add(family.T.shape)

@@ -677,16 +677,37 @@ class TestOneLpPath:
                 assert sol.max_violation <= l1_solvers.FEAS_TOL
         assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
 
-    def test_a_family_refuses_a_foreign_matrix(self, rng):
-        # a family is made with its matrix: another one, even an equal copy,
-        # is refused rather than solved on the family's presolve
+    def test_a_family_whose_matrix_changes_starts_from_the_slack_basis(self, rng):
+        # same shape, another matrix: the old family refuses it rather than
+        # solve it on its stored tableau, and the new matrix's own family
+        # starts from the slack basis, as a cold solve does
         A1, A2 = rng.standard_normal((2, 6, 4))
         b = rng.standard_normal(6)
         family = l1_solvers._FamilyState(A1)
         solve_l1_linf(L1LinfProblem(A1, b, 0.3), _family=family)
-        for foreign in (A2, A1.copy()):
-            with pytest.raises(ValueError, match="family's matrix"):
-                solve_l1_linf(L1LinfProblem(foreign, b, 0.3), _family=family)
+        with pytest.raises(ValueError, match="family's matrix"):
+            solve_l1_linf(L1LinfProblem(A2, b, 0.3), _family=family)
+        sol = solve_l1_linf(L1LinfProblem(A2, b, 0.3), _family=l1_solvers._FamilyState(A2))
+        fresh = solve_l1_linf(L1LinfProblem(A2, b, 0.3))
+        assert sol.pivots == fresh.pivots > 0
+        assert sol.x.tobytes() == fresh.x.tobytes()
+
+    def test_a_matrix_changed_in_place_starts_afresh(self, rng):
+        # a family is made with its matrix object: an edited copy, even one
+        # equal to the family's matrix, is refused, and the edited matrix is
+        # solved afresh by a family made with it
+        A = rng.standard_normal((6, 4))
+        b = rng.standard_normal(6)
+        family = l1_solvers._FamilyState(A)
+        solve_l1_linf(L1LinfProblem(A, b, 0.3), _family=family)
+        edited = A.copy()
+        with pytest.raises(ValueError, match="family's matrix"):
+            solve_l1_linf(L1LinfProblem(edited, b, 0.3), _family=family)
+        edited[0, 0] += 1.0
+        sol = solve_l1_linf(L1LinfProblem(edited, b, 0.3), _family=l1_solvers._FamilyState(edited))
+        fresh = solve_l1_linf(L1LinfProblem(edited, b, 0.3))
+        assert sol.pivots == fresh.pivots > 0
+        assert sol.x.tobytes() == fresh.x.tobytes()
 
 
 def random_bounds(rng, p, scale):

@@ -55,7 +55,7 @@ from .model_core import (
     save_model_config,
     validate_dataset,
 )
-from .moments import evaluate
+from .moments import Evaluator
 from .montecarlo import StudyError, load_mc_config, run_study, write_report
 from .quadrature import QuadratureRule, RuleSizeError, gauss_hermite_rule
 from .rgmm import EstimationError, RgmmOptions, estimate, estimate_auto
@@ -262,10 +262,11 @@ def _cmd_export_moments(args) -> int:
     theta = _read_theta(args.theta, None, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    moments = evaluate(dataset, theta, _rule(config.G, args, args.config))  # one inversion serves all three
+    evals = Evaluator(dataset, _rule(config.G, args, args.config))  # one inversion serves all three
+    moments = evals(theta)
     np.savetxt(out / "score.csv", moments.score()[None, :], delimiter=",")
     np.savetxt(out / "omega.csv", moments.omega(), delimiter=",")
-    np.savetxt(out / "jacobian.csv", moments.jacobian(), delimiter=",")
+    np.savetxt(out / "jacobian.csv", evals.jacobian(theta), delimiter=",")
     _log(f"moment matrices -> {out}/")
     inputs = {"data": args.data, "config": args.config, "theta": args.theta}
     _write_manifest(out, args, inputs, {"model": config_to_dict(config), "quad_nodes": args.quad_nodes})

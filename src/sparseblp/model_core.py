@@ -407,11 +407,13 @@ def load_dataset_csv(path, config: ModelConfig) -> Dataset:
 
     The header must be exactly dataset_header(config). Lines may end in CRLF
     or LF, blank lines are skipped, and rows may come in any order: they are
-    grouped by market_id and sorted by product_id, and every market must hold
-    products 1..J. Floats parse with float(), so a saved file loads back bit
-    for bit (any NaN loads as float("nan")). Bytes that are not UTF-8, a
-    wrong field count, an unparsable field, a missing product or a market
-    count other than the config's raise ConfigurationError naming the file.
+    grouped by market_id and sorted by product_id. Market ids must run
+    1..n, as validate_dataset names markets by them, and every market must
+    hold products 1..J. Floats parse with float(), so a saved file loads
+    back bit for bit (any NaN loads as float("nan")). Bytes that are not
+    UTF-8, a wrong field count, an unparsable field, a market id out of
+    1..n, a missing product or a market count other than the config's raise
+    ConfigurationError naming the file.
     """
     expected = dataset_header(config)
     rows_by_market: dict[int, list[tuple[int, list[float]]]] = {}
@@ -439,7 +441,11 @@ def load_dataset_csv(path, config: ModelConfig) -> Dataset:
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
     blocks = []
-    for market_id in sorted(rows_by_market):
+    for i, market_id in enumerate(sorted(rows_by_market), start=1):
+        if market_id != i:
+            raise ConfigurationError(
+                f"{path}: market ids must be 1..{config.n_markets}; found market {market_id}"
+            )
         rows = sorted(rows_by_market[market_id])
         if [pid for pid, _ in rows] != list(range(1, config.J + 1)):
             raise ConfigurationError(

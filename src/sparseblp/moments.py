@@ -15,14 +15,14 @@ inversion with the implicit function theorem:
 so the sign convention is fixed by the residual definition above; central
 finite differences of the score are the arbiter in the tests.
 
-Everything here sits on one share inversion per gamma. `evaluate` inverts
-once and returns a MomentEvaluation that serves the residuals, per-market
-scores, score, Omega and Jacobian at that point. An `Evaluator` does the
-same inside one estimator call: it inverts each distinct gamma once and
-warm-starts each inversion from a nearby point's delta, moved along
-d delta / d gamma when the last Jacobian was computed there. The moment
-functions (`score`, `omega`, ...) take an Evaluator as evals; without
-one, each call makes a fresh Evaluator and so inverts afresh.
+Everything here sits on one share inversion per gamma, and an `Evaluator`
+is the one way to it. Within one estimator call it inverts each distinct
+gamma once, keeps that inversion's MomentEvaluation (or its failure) and
+computes that gamma's Jacobian at most once. Each new inversion starts from
+a nearby point's delta, moved along d delta / d gamma when the last
+Jacobian was computed there. The moment functions (`score`, `omega`, ...)
+take an Evaluator as evals; without one, each call makes a fresh Evaluator
+and so inverts afresh.
 """
 
 from __future__ import annotations
@@ -44,27 +44,18 @@ from .shares import (
 
 
 class MomentEvaluation:
-    """The moment system at one theta, from one share inversion at theta.gamma.
+    """The moment system at theta, from one share inversion at theta.gamma:
+    its mean utilities delta (n, J) and the inversion's InversionInfo (info).
 
-    delta and the Jacobian depend on gamma alone, and the per-market scores
-    F are linear in beta at fixed delta, so `at_beta` moves beta without
-    inverting again; evaluations made that way share the inversion's
-    InversionInfo (info) and its Jacobian. xi and F are recomputed on
-    access, so a held evaluation keeps little more than delta.
+    The per-market scores F are linear in beta at fixed delta, so an
+    Evaluator serves another beta at the same gamma from the same delta and
+    info. xi and F are recomputed on access, so a held evaluation keeps
+    little more than delta. The Jacobian depends on gamma alone; ask the
+    Evaluator for it.
     """
 
-    def __init__(self, dataset: Dataset, theta: Theta, rule: QuadratureRule,
-                 delta: np.ndarray, info: InversionInfo):
-        self.dataset, self.theta, self.rule = dataset, theta, rule
-        self.delta, self.info = delta, info
-        self._shared: dict[str, np.ndarray] = {}  # gamma-only values, shared by at_beta
-
-    def at_beta(self, beta: np.ndarray) -> "MomentEvaluation":
-        """The evaluation at (beta, self.theta.gamma), from the same inversion."""
-        ev = MomentEvaluation(self.dataset, Theta(beta=beta, gamma=self.theta.gamma),
-                              self.rule, self.delta, self.info)
-        ev._shared = self._shared
-        return ev
+    def __init__(self, dataset: Dataset, theta: Theta, delta: np.ndarray, info: InversionInfo):
+        self.dataset, self.theta, self.delta, self.info = dataset, theta, delta, info
 
     @property
     def xi(self) -> np.ndarray:
@@ -82,75 +73,49 @@ class MomentEvaluation:
         F = self.F
         return F.T @ F / self.dataset.n
 
-    def jacobian(self) -> np.ndarray:
-        if "jacobian" not in self._shared:
-            self._derivatives()
-        return self._shared["jacobian"]
-
-    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Jacobian, now kept, and d delta / d gamma, not kept."""
-        nu = group_index_matrix(self.dataset.X, self.theta.gamma, self.dataset.config)
-        jac, ddelta_dgamma = _jacobian(self.dataset, self.delta, nu, self.rule)
-        self._shared["jacobian"] = jac
-        return jac, ddelta_dgamma
-
-
-def evaluate(
-    dataset: Dataset,
-    theta: Theta,
-    rule: QuadratureRule,
-    opts: InversionOptions | None = None,
-    start: np.ndarray | None = None,
-) -> MomentEvaluation:
-    """Invert the shares once at theta.gamma (from start, if given) and
-    return the moment system there."""
-    nu = group_index_matrix(dataset.X, theta.gamma, dataset.config)
-    delta, info = _invert_batch(dataset.S, nu, rule, opts or InversionOptions(), start)
-    return MomentEvaluation(dataset, theta, rule, delta, info)
-
 
 class Evaluator:
     """Moment evaluations within one estimator call.
 
-    Each distinct gamma is inverted once: a later evaluation at the same
-    gamma reuses that inversion (a failed one raises its InversionError
-    again). A new inversion starts from the delta of the nearest gamma
-    already inverted (Euclidean distance), which in an SLP run is usually
-    the current iterate or an earlier trial point around it, and from the
-    logit closed form when there is none. When that nearest gamma is the
-    anchor, the point of the last Jacobian computed here, the start is the
-    first-order prediction delta + (d delta / d gamma)(gamma - gamma_anchor).
-    d delta / d gamma is (n, J, L), so the anchor alone holds one, and no
-    evaluation refers back to its Evaluator. stats, the call's RunStats,
-    counts every inversion run here, failed ones included, and its
-    iterations; the estimator adds its LP and step counts to the same
-    record. Create one per call and pass it to the moment functions as
-    evals; it keeps every inverted delta until it is dropped. start, an
-    (n, J) delta, takes the logit closed form's place as the start while no
-    gamma has been inverted here.
+    It keeps one record per distinct gamma: the MomentEvaluation of its one
+    inversion, served at any beta, or the failure, raised afresh each time
+    (a raised error's traceback would hold the Evaluator). It computes each
+    gamma's Jacobian once.
+
+    A new inversion starts from the delta of the nearest gamma inverted
+    without failure (Euclidean distance; ties go to the earliest), which in
+    an SLP run is usually the current iterate or an earlier trial point
+    around it, and from start, an (n, J) delta, or else the logit closed
+    form when there is none. When that nearest point is the anchor, the
+    point of the last Jacobian computed here outside probing(), the start is
+    the first-order prediction delta + (d delta / d gamma)(gamma -
+    gamma_anchor). d delta / d gamma is (n, J, L), so the anchor alone holds
+    one, and no evaluation refers back to its Evaluator.
+
+    stats, the call's RunStats, counts every inversion run here, failed ones
+    included, and its iterations; the estimator adds its LP and step counts
+    to the same record. Create one per call and pass it to the moment
+    functions as evals; it keeps every inverted delta until it is dropped.
+    opts defaults to InversionOptions().
     """
 
     def __init__(self, dataset: Dataset, rule: QuadratureRule,
                  opts: InversionOptions | None = None, start: np.ndarray | None = None):
-        self.dataset, self.rule, self.opts, self.start = dataset, rule, opts, start
+        self.dataset, self.rule, self.start = dataset, rule, start
+        self.opts = InversionOptions() if opts is None else opts
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
-        self._gammas: list[np.ndarray] = []  # the gammas inverted without failure,
-        self._deltas: list[np.ndarray] = []  # and their deltas: the start pool
-        # (gamma, d delta / d gamma) of the last Jacobian computed here
-        self._anchor: tuple[np.ndarray, np.ndarray] | None = None
+        self._jacobians: dict[bytes, np.ndarray] = {}  # keyed like _by_gamma
+        # (evaluation, d delta / d gamma) of the last Jacobian computed here
+        self._anchor: tuple[MomentEvaluation, np.ndarray] | None = None
         self._probing = False
         self.stats = RunStats()
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
-        key = _key(theta.gamma)
-        hit = self._by_gamma.get(key)
-        if hit is None:
-            hit = self._by_gamma[key] = self._invert(theta)
-        if isinstance(hit, InversionError):
-            raise hit
+        hit = self._record(_key(theta.gamma), theta)
         if np.array_equal(hit.theta.beta, theta.beta):
             return hit
-        return hit.at_beta(theta.beta)
+        return MomentEvaluation(self.dataset, Theta(beta=theta.beta, gamma=hit.theta.gamma),
+                                hit.delta, hit.info)
 
     def delta(self, gamma: np.ndarray) -> np.ndarray | None:
         """The delta inverted here at gamma, or None; never inverts."""
@@ -160,12 +125,15 @@ class Evaluator:
     def jacobian(self, theta: Theta) -> np.ndarray:
         """The Jacobian at theta; one computed here, outside probing, makes
         theta.gamma the anchor."""
-        ev = self(theta)
-        if "jacobian" in ev._shared:
-            return ev._shared["jacobian"]
-        jac, ddelta_dgamma = ev._derivatives()
-        if not self._probing:
-            self._anchor = (ev.theta.gamma, ddelta_dgamma)
+        key = _key(theta.gamma)
+        hit = self._record(key, theta)
+        jac = self._jacobians.get(key)
+        if jac is None:
+            nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
+            jac, ddelta_dgamma = _jacobian(self.dataset, hit.delta, nu, self.rule)
+            self._jacobians[key] = jac
+            if not self._probing:
+                self._anchor = (hit, ddelta_dgamma)
         return jac
 
     @contextmanager
@@ -177,26 +145,38 @@ class Evaluator:
         finally:
             self._probing = False
 
+    def _record(self, key: bytes, theta: Theta) -> MomentEvaluation:
+        """The evaluation kept at theta.gamma (key), inverting there first if
+        need be; raises its failure afresh."""
+        hit = self._by_gamma.get(key)
+        if hit is None:
+            hit = self._by_gamma[key] = self._invert(theta)
+        if isinstance(hit, InversionError):
+            raise InversionError(str(hit), hit.info)
+        return hit
+
     def _invert(self, theta: Theta) -> MomentEvaluation | InversionError:
         start = self.start
-        if self._gammas:
-            d = np.asarray(self._gammas) - theta.gamma
-            nearest = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-            start = self._deltas[nearest]
-            if self._anchor is not None and self._anchor[0] is self._gammas[nearest]:
-                gamma0, ddelta_dgamma = self._anchor
-                start = start + ddelta_dgamma @ (theta.gamma - gamma0)
+        pool = [ev for ev in self._by_gamma.values() if isinstance(ev, MomentEvaluation)]
+        if pool:
+            d = np.asarray([ev.theta.gamma for ev in pool]) - theta.gamma
+            nearest = pool[int(np.argmin(np.einsum("ij,ij->i", d, d)))]
+            start = nearest.delta
+            if self._anchor is not None and self._anchor[0] is nearest:
+                start = start + self._anchor[1] @ (theta.gamma - nearest.theta.gamma)
         own = Theta(beta=theta.beta.copy(), gamma=theta.gamma.copy())  # callers reuse arrays
+        nu = group_index_matrix(self.dataset.X, own.gamma, self.dataset.config)
         try:
-            out = evaluate(self.dataset, own, self.rule, self.opts, start)
+            delta, info = _invert_batch(self.dataset.S, nu, self.rule, self.opts, start)
         except InversionError as exc:
-            out = exc
+            # kept unraised: a raised error's traceback would hold this frame
+            info = exc.info
+            out = InversionError(str(exc), info)
         else:
-            self._gammas.append(own.gamma)
-            self._deltas.append(out.delta)
+            out = MomentEvaluation(self.dataset, own, delta, info)
         self.stats.inversions += 1
-        self.stats.contraction_iters += out.info.iterations
-        self.stats.newton_iters += out.info.newton_iterations
+        self.stats.contraction_iters += info.iterations
+        self.stats.newton_iters += info.newton_iterations
         return out
 
 

@@ -240,8 +240,9 @@ def run_study(cfg: McConfig) -> McReport:
     was), not from the logit closed form.
     """
     jobs = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
-    if cfg.workers > 1:
-        with get_context("spawn").Pool(cfg.workers) as pool:
+    workers = min(cfg.workers, len(jobs))  # no idle worker processes
+    if workers > 1:
+        with get_context("spawn").Pool(workers) as pool:
             records = pool.map(_run_one, jobs)
     else:
         records = [_run_one(j) for j in jobs]

@@ -252,18 +252,6 @@ def select_lambda(
     return C_MULT * z * sd_max / np.sqrt(n)
 
 
-def _linear_beta_system(dataset: Dataset, delta: np.ndarray):
-    """Moments are linear in beta at fixed gamma: f = b - M beta.
-
-    Returns (M, b) with M[(j,k), l] = (1/n) sum_i h_ijk x_ijl and
-    b[(j,k)] = (1/n) sum_i delta_ij h_ijk.
-    """
-    n = dataset.n
-    M = np.einsum("ijk,ijl->jkl", dataset.H, dataset.X).reshape(dataset.config.n_moments, -1) / n
-    b = np.einsum("ijk,ij->jk", dataset.H, delta).reshape(dataset.config.n_moments) / n
-    return M, b
-
-
 def _uniform_group_direction(cfg) -> np.ndarray:
     """gamma direction putting unit index variance on every group."""
     u = np.zeros(cfg.L)
@@ -277,29 +265,30 @@ def _pilot_probes(
 ) -> list[tuple[Theta, bool]]:
     """Scale-probed starting points, best first, with beta-LP feasibility flags.
 
-    For each probe scale c in opts.pilot_scales, gamma_c = c * u where u is
-    the uniform within-group direction with unit index variance; delta is
-    inverted once at gamma_c through evals, beta solves
-    min ||beta||_1 s.t. ||f(beta, gamma_c)||_inf <= lam on the linear system.
-    Probes whose LP is feasible come first, smallest scale first: their
+    The moments are linear in beta at fixed gamma: f = b - M beta, with
+    M[(j,k), l] = (1/n) sum_i h_ijk x_ijl, built once per call, and b the
+    score at beta = 0. For each probe scale c in opts.pilot_scales,
+    gamma_c = c * u where u is the uniform within-group direction with unit
+    index variance; b is read from the one evaluation at (0, gamma_c)
+    through evals, and beta solves min ||beta||_1 s.t. ||b - M beta||_inf <=
+    lam. Probes whose LP is feasible come first, smallest scale first: their
     violation is lam up to roundoff, so ordering them by it would let
     roundoff pick the pilot. Probes whose LP is infeasible fall back to
-    beta = 0 and follow, ordered by true moment violation; because the
-    moments are linear in beta at fixed gamma, that is exactly
+    beta = 0 and follow, ordered by true moment violation, which is exactly
     ||b - M beta||_inf -- no extra inversion. Probes whose inversion fails
     are dropped. The main loop restarts down this ladder when a run stalls,
     so every surviving probe is returned, not just the winner.
     """
     cfg = dataset.config
     u = _uniform_group_direction(cfg)
+    M = np.einsum("ijk,ijl->jkl", dataset.H, dataset.X).reshape(cfg.n_moments, -1) / dataset.n
     probes: list[tuple[float, float, Theta, bool]] = []
     for c in opts.pilot_scales:
         gamma_c = c * u
         try:
-            delta = evals(Theta(beta=np.zeros(cfg.L), gamma=gamma_c)).delta
+            b = evals(Theta(beta=np.zeros(cfg.L), gamma=gamma_c)).score()
         except InversionError:
             continue
-        M, b = _linear_beta_system(dataset, delta)
         sol = solve_l1_linf(L1LinfProblem(A=M, b=b, lam=opts.lam))
         feasible = sol.status is LpStatus.OPTIMAL
         beta_c = sol.x if feasible else np.zeros(cfg.L)

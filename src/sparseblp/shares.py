@@ -62,12 +62,11 @@ class InversionInfo:
 
 
 class InversionError(RuntimeError):
-    """Share inversion failed to reach tolerance; carries the final residual
-    and the InversionInfo of the failed attempt."""
+    """Share inversion failed to reach tolerance; info is the failed
+    attempt's InversionInfo, whose max_residual is the final residual."""
 
-    def __init__(self, message: str, max_residual: float, info: InversionInfo | None = None):
+    def __init__(self, message: str, info: InversionInfo):
         super().__init__(message)
-        self.max_residual = max_residual
         self.info = info
 
 
@@ -215,7 +214,6 @@ def _invert_batch(
             f"share inversion stalled at market {worst}: residual {max_resid:.3e} "
             f"after {newton_iters} Newton iterations, {fallbacks} with contraction fallbacks "
             f"(tolerance {opts.contraction_tol:.1e})",
-            max_residual=max_resid,
-            info=info,
+            info,
         )
     return delta, info

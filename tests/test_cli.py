@@ -9,12 +9,15 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparseblp import cli
-from sparseblp.model_core import RunStats
+from sparseblp import cli, moments
+from sparseblp.model_core import ModelConfig, RunStats, Theta, load_config, load_dataset_csv
+from sparseblp.quadrature import gauss_hermite_rule
+from sparseblp.shares import InversionError, InversionInfo
 
 DGP = {
     "model": {"n_markets": 40, "J": 2, "L": 3, "G": 1, "K": 4, "partition": [1, 1, 1]},
@@ -135,6 +138,9 @@ CSV_DEFECTS = [
      "data.csv:6: could not convert string to float: 'abc'"),
     (lambda lines: [*lines[:6], *lines[7:]], "market 3 does not contain products 1..2"),
     (lambda lines: lines[:-2], "39 markets found, config declares 40"),
+    # market 40 numbered 42: validate_dataset would name it by its position
+    (lambda lines: [*lines[:-2], *("42" + line[line.index(","):] for line in lines[-2:])],
+     "market ids must be 1..40; found market 42"),
 ]
 
 # the command that reads each kind of input file; the G = 7 case must keep the
@@ -258,6 +264,30 @@ class TestPipeline:
         assert code == cli.EXIT_OK, err
         assert (tmp_path / "moments" / "jacobian.csv").read_text().count("\n") == 8
         assert len(inversion_log) == 1  # score, omega and Jacobian share one inversion
+        config = load_config(ModelConfig, simulated / "model.json")
+        data = load_dataset_csv(simulated / "data.csv", config)
+        truth = json.loads((simulated / "truth.json").read_text())
+        theta = Theta(beta=np.array(truth["beta"]), gamma=np.array(truth["gamma"]))
+        rule = gauss_hermite_rule(config.G, 7)
+        for name, expected in (("score", moments.score(data, theta, rule)),
+                               ("omega", moments.omega(data, theta, rule)),
+                               ("jacobian", moments.jacobian_theta(data, theta, rule))):
+            written = np.loadtxt(tmp_path / "moments" / f"{name}.csv", delimiter=",")
+            np.testing.assert_allclose(written, expected, rtol=1e-12, err_msg=name)
+
+    def test_every_pilot_probe_failing_is_a_numerical_failure(self, simulated, tmp_path, capsys,
+                                                               monkeypatch):
+        real = moments._invert_batch
+
+        def only_at_gamma_zero(S, nu, *args):
+            if nu.any():
+                raise InversionError("refused", InversionInfo(0, 0, np.inf))
+            return real(S, nu, *args)
+
+        monkeypatch.setattr(moments, "_invert_batch", only_at_gamma_zero)
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"))
+        assert code == cli.EXIT_NUMERIC
+        assert one_line_error(err) == "numerical failure: share inversion failed at every pilot probe"
 
     def test_nested_inversion_options_are_built(self, simulated, tmp_path, capsys):
         opts = write_json(tmp_path / "opts.json", {"inversion": {"contraction_tol": 1e-12},

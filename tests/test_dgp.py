@@ -6,7 +6,7 @@ import pytest
 from sparseblp import dgp
 from sparseblp.dgp import DgpConfig, instrument_transforms, simulate, true_theta
 from sparseblp.model_core import ConfigurationError, ModelConfig, group_index_matrix
-from sparseblp.moments import evaluate, score
+from sparseblp.moments import Evaluator, score
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import InversionOptions, _invert_batch, _mixed_shares, logit_delta
 
@@ -104,7 +104,7 @@ class TestSharesMatchModel:
 
     def test_xi_recovered_through_pipeline(self, gh1):
         ds, theta = simulate(_dgp(), gh1)
-        xi = evaluate(ds, theta, gh1).xi
+        xi = Evaluator(ds, gh1)(theta).xi
         np.testing.assert_allclose(xi, ds.xi_true, atol=1e-8)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,14 +8,13 @@ from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import Dataset, ModelConfig, Theta, group_index_matrix
 from sparseblp.moments import (
     Evaluator,
-    evaluate,
     jacobian_theta,
     omega,
     per_market_scores,
     score,
 )
 from sparseblp.quadrature import gauss_hermite_rule
-from sparseblp.shares import _mixed_shares
+from sparseblp.shares import InversionError, InversionOptions, _mixed_shares
 
 from conftest import random_dataset, random_theta
 
@@ -33,7 +35,7 @@ class TestXiResiduals:
         c = small_cfg(n=1)
         ds = random_dataset(rng, c)
         th = Theta(beta=rng.standard_normal(c.L), gamma=np.zeros(c.L))
-        xi = evaluate(ds, th, gh1).xi
+        xi = Evaluator(ds, gh1)(th).xi
         S, X = ds.S[0], ds.X[0]
         expected = np.log(S) - np.log(1 - S.sum()) - X @ th.beta
         assert np.allclose(xi[0], expected, atol=1e-10)
@@ -41,7 +43,7 @@ class TestXiResiduals:
     def test_recovers_true_xi_from_dgp(self, gh1):
         dgp = DgpConfig(model=small_cfg(n=5), s_beta=2, s_gamma=2, xi_sd=0.4, seed=3)
         ds, truth = simulate(dgp, gh1)
-        xi = evaluate(ds, truth, gh1).xi
+        xi = Evaluator(ds, gh1)(truth).xi
         assert np.allclose(xi, ds.xi_true, atol=1e-8)
 
     def test_delta_minus_xbeta(self, rng, gh1):
@@ -50,7 +52,7 @@ class TestXiResiduals:
         X = np.array([[[1.0], [1.0]]])
         th = Theta(beta=np.array([0.5]), gamma=np.zeros(1))
         ds = dataset_at(c, X, np.ones((1, 2, 1)), th, [[1.0, 2.0]], gh1)
-        assert np.allclose(evaluate(ds, th, gh1).xi[0], [0.5, 1.5], atol=1e-9)
+        assert np.allclose(Evaluator(ds, gh1)(th).xi[0], [0.5, 1.5], atol=1e-9)
 
 
 class TestScore:
@@ -77,7 +79,7 @@ class TestScore:
         th = random_theta(rng, c.L)
         F = per_market_scores(ds, th, gh1)
         assert F.shape == (4, c.J * c.K)
-        xi0 = evaluate(ds, th, gh1).xi[0]
+        xi0 = Evaluator(ds, gh1)(th).xi[0]
         j, k = 2, 1
         assert F[0, j * c.K + k] == pytest.approx(xi0[j] * ds.H[0, j, k], abs=1e-12)
         assert np.allclose(score(ds, th, gh1), F.mean(axis=0), atol=1e-15)
@@ -159,20 +161,25 @@ class TestEvaluation:
 
     def test_one_evaluation_serves_every_moment_function(self, rng):
         ds, rule, theta = self.case(rng)
-        ev = evaluate(ds, theta, rule)
+        evals = Evaluator(ds, rule)
+        ev = evals(theta)
         np.testing.assert_array_equal(ev.F, per_market_scores(ds, theta, rule))
         np.testing.assert_array_equal(ev.score(), score(ds, theta, rule))
         np.testing.assert_array_equal(ev.omega(), omega(ds, theta, rule))
-        np.testing.assert_array_equal(ev.jacobian(), jacobian_theta(ds, theta, rule))
+        np.testing.assert_array_equal(evals.jacobian(theta), jacobian_theta(ds, theta, rule))
         assert ev.info.max_residual <= 1e-13
 
     def test_at_beta_matches_a_fresh_evaluation(self, rng):
         ds, rule, theta = self.case(rng)
         beta = rng.standard_normal(4)
-        moved = evaluate(ds, theta, rule).at_beta(beta)
-        fresh = evaluate(ds, Theta(beta=beta, gamma=theta.gamma), rule)
-        np.testing.assert_allclose(moved.score(), fresh.score(), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(moved.jacobian(), fresh.jacobian(), rtol=0, atol=1e-14)
+        other = Theta(beta=beta, gamma=theta.gamma)
+        evals = Evaluator(ds, rule)
+        evals(theta)
+        moved = evals(other)  # another beta at the same gamma: no new inversion
+        assert evals.stats.inversions == 1
+        fresh = Evaluator(ds, rule)
+        np.testing.assert_allclose(moved.score(), fresh(other).score(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(evals.jacobian(other), fresh.jacobian(other), rtol=0, atol=1e-14)
 
     def test_evaluator_inverts_each_gamma_once_and_counts(self, rng, inversion_log):
         ds, rule, theta = self.case(rng)
@@ -186,6 +193,26 @@ class TestEvaluation:
         assert evals.stats.inversions == 2
         np.testing.assert_allclose(f_near, score(ds, near, rule), rtol=0, atol=1e-11)
         np.testing.assert_allclose(f, score(ds, theta, rule), rtol=0, atol=1e-11)
+
+    def test_a_cached_failure_is_raised_afresh_and_keeps_nothing_alive(self, rng, inversion_log):
+        # with no Newton pass only the logit closed form at gamma = 0 converges
+        ds, rule, theta = self.case(rng)
+        evals = Evaluator(ds, rule, InversionOptions(max_newton_iters=0))
+        delta = weakref.ref(evals(Theta(beta=theta.beta, gamma=np.zeros(4))).delta)
+        with pytest.raises(InversionError) as first:
+            evals(theta)
+        with pytest.raises(InversionError) as again:
+            jacobian_theta(ds, theta, rule, evals=evals)
+        assert again.value is not first.value and str(again.value) == str(first.value)
+        assert again.value.info == first.value.info
+        assert len(inversion_log) == evals.stats.inversions == 2
+        del first, again  # their tracebacks hold the Evaluator
+        gc.disable()
+        try:
+            del evals  # no reference cycle through the kept failure
+            assert delta() is None
+        finally:
+            gc.enable()
 
     def test_evaluator_holds_its_own_copy_of_theta(self, rng):
         ds, rule, theta = self.case(rng)

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +78,29 @@ class TestCanonicalContent:
         two = run_study(study(workers=2))
         assert canonical_bytes(one) == canonical_bytes(two)
         assert b"workers" not in canonical_bytes(one)
+
+    def test_a_study_starts_no_more_workers_than_jobs(self, monkeypatch):
+        # a fake pool that records its size and maps serially: no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(montecarlo, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+        report = run_study(study(workers=64))
+        assert sizes == [2] and [r.status for r in report.records] == ["ok", "ok"]
+        run_study(study(workers=64, replications=1))  # one job runs in-process
+        assert sizes == [2]
 
     def test_stage_times_are_recorded_but_not_canonical(self):
         report = run_study(study(workers=1, replications=1))

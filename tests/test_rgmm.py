@@ -14,14 +14,14 @@ from sparseblp import l1_solvers
 from sparseblp.l1_solvers import FEAS_TOL, L1LinfProblem, LpStatus, _FamilyState, solve_l1_linf
 from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
 from sparseblp import moments
-from sparseblp.moments import Evaluator, per_market_scores, score
+from sparseblp.moments import Evaluator, jacobian_theta, per_market_scores, score
 from sparseblp.quadrature import gauss_hermite_rule
-from sparseblp.shares import logit_delta
+from sparseblp.shares import InversionError, InversionInfo, logit_delta
 from sparseblp.rgmm import (
     ALPHA,
     C_MULT,
+    EstimationError,
     RgmmOptions,
-    _linear_beta_system,
     _step_lp,
     estimate,
     estimate_auto,
@@ -76,7 +76,8 @@ class TestDantzigReduction:
         from sparseblp.debias import minimax_row_floor
 
         ds, _ = _noisy_data(gh1, s_gamma=0, seed=3)
-        M, b = _linear_beta_system(ds, logit_delta(ds.S))
+        zero = Theta.zeros(ds.config.L)  # f = b - M beta at gamma = 0
+        M, b = -jacobian_theta(ds, zero, gh1)[:, : ds.config.L], score(ds, zero, gh1)
         lam = 1.3 * minimax_row_floor(M.T, b)  # safely inside feasibility
         res = estimate(ds, gh1, RgmmOptions(lam=lam, pilot_scales=(0.0,)))
         dantzig = solve_l1_linf(L1LinfProblem(A=M, b=b, lam=lam))
@@ -197,7 +198,7 @@ class TestDeltaHat:
         res = estimate_auto(ds, gh1) if auto else estimate(ds, gh1, RgmmOptions(lam=0.08))
         assert lookups and lookups[-1] == len(inversion_log) == res.stats.inversions
         assert res.delta_hat.shape == ds.S.shape
-        again = moments.evaluate(ds, res.theta_hat, gh1, start=res.delta_hat)
+        again = Evaluator(ds, gh1, start=res.delta_hat)(res.theta_hat)
         assert again.info.newton_iterations == 0
         np.testing.assert_array_equal(again.delta, res.delta_hat)
 
@@ -533,6 +534,75 @@ class TestTrustRadius:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+def refuse_inversions(monkeypatch, data, accept):
+    """Make every share inversion at a gamma that accept(gamma) refuses
+    raise InversionError, as one at a too-large gamma may. Returns accept's
+    verdicts, one per inversion run. data has one group (G = 1), so the
+    group index is nu = X gamma and gamma is read back from it."""
+    real = moments._invert_batch
+    X = data.X.reshape(-1, data.config.L)
+    verdicts = []
+
+    def inverting(S, nu, *args):
+        verdicts.append(bool(accept(np.linalg.lstsq(X, nu.reshape(-1), rcond=None)[0])))
+        if not verdicts[-1]:
+            raise InversionError("refused", InversionInfo(0, 0, np.inf))
+        return real(S, nu, *args)
+
+    monkeypatch.setattr(moments, "_invert_batch", inverting)
+    return verdicts
+
+
+class TestInversionFailures:
+    """The SLP's paths for a share inversion that fails, on the
+    mc-replications design: a failed inversion at a trial point is a
+    rejected step, one at a pilot probe drops the probe, and every one
+    counts in stats.inversions."""
+
+    def test_a_failed_trial_point_is_a_rejected_step(self, mc_design, monkeypatch):
+        data, rule, opts = mc_design
+        clean = estimate(data, rule, opts)
+        verdicts = refuse_inversions(monkeypatch, data, lambda gamma: np.abs(gamma).max() <= 0.6)
+        res = estimate(data, rule, opts)
+        assert res.stop is not None and verdicts.count(False) > 0  # the fit returns
+        assert res.stats.trust_shrinks > clean.stats.trust_shrinks
+        assert res.stats.inversions == len(verdicts)  # the failed ones included
+
+    def test_a_failed_probe_is_dropped(self, mc_design, monkeypatch):
+        data, rule, opts = mc_design
+        verdicts = refuse_inversions(monkeypatch, data, lambda gamma: np.abs(gamma).max() <= 0.5)
+        evals = Evaluator(data, rule, opts.inversion)
+        ladder = replace(opts, pilot_scales=(0.5, 1.0, 2.0))
+        probes = rgmm._pilot_probes(data, rule, ladder, evals)
+        u = rgmm._uniform_group_direction(data.config)
+        assert verdicts == [True, True, False]  # the probe at 2u is past the radius
+        gammas = sorted(theta.gamma.tolist() for theta, _ in probes)
+        np.testing.assert_array_equal(gammas, [0.5 * u, 1.0 * u])
+        assert evals.stats.inversions == 3
+
+    def test_every_start_failing_is_an_estimation_error(self, mc_design, monkeypatch):
+        data, rule, opts = mc_design
+        refuse_inversions(monkeypatch, data, lambda gamma: not gamma.any())
+        with pytest.raises(EstimationError, match="share inversion failed at every pilot probe"):
+            estimate(data, rule, replace(opts, pilot_scales=(0.5, 1.0, 2.0)))
+        warm = Theta(beta=np.zeros(data.config.L), gamma=np.full(data.config.L, 0.1))
+        with pytest.raises(EstimationError, match="failed at every starting point: refused"):
+            estimate(data, rule, opts, theta_init=warm)
+
+    def test_a_fit_whose_every_trial_point_fails_collapses(self, mc_design, monkeypatch):
+        # only theta = 0 and the pilot probe can be inverted, so every step
+        # that moves gamma is rejected until the trust region collapses
+        data, rule, opts = mc_design
+        pilot = rgmm._uniform_group_direction(data.config)
+        verdicts = refuse_inversions(
+            monkeypatch, data, lambda gamma: not gamma.any() or np.abs(gamma - pilot).max() <= 1e-12
+        )
+        res = estimate(data, rule, opts)
+        assert res.stop == "failed" and not res.converged
+        assert res.diagnosis == "trust region collapsed before finding an acceptable step"
+        assert verdicts.count(True) == 2 and res.stats.inversions == len(verdicts)
 
 
 # the mc-replications design at DGP seed 0 (lambda = 1.2/sqrt(n), pilot

@@ -196,7 +196,7 @@ class TestInvertShares:
         opts = InversionOptions(contraction_tol=1e-13, max_newton_iters=0)
         with pytest.raises(InversionError, match="residual") as exc:
             invert(S, X, gamma, gh1, c, opts)
-        assert exc.value.max_residual > 1e-13 and exc.value.info.newton_iterations == 0
+        assert exc.value.info.max_residual > 1e-13 and exc.value.info.newton_iterations == 0
 
 
 

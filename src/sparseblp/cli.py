@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .debias import DebiasError, DebiasPenalties, alpha_is_valid, debias, select_debias_penalties
+from .debias import PENALTY_C_GAMMA, DebiasError, DebiasPenalties, alpha_is_valid, debias
 from .dgp import DgpConfig, simulate
 from .l1_solvers import LpSizeError
 from .model_core import (
@@ -189,12 +189,14 @@ def _cmd_debias(args) -> int:
     # without --config, the model block the estimate embeds
     config = load_config(ModelConfig, args.config or args.estimate, None if args.config else "model")
     theta_hat = _read_theta(args.estimate, "theta_hat", config)
+    estimate = read_json(args.estimate)
+    if estimate.get("converged") is False:  # a hand-written estimate may leave it out
+        raise EstimationError(
+            f"{args.estimate}: the fit did not converge ({estimate.get('diagnosis')}), so it is not de-biased"
+        )
     dataset = _load_dataset(args.data, config)
     rule = _rule(config.G, args, args.config or args.estimate)
-    if args.penalty_c is not None:
-        penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
-    else:
-        penalties = select_debias_penalties(config, dataset.n)
+    penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
     result = debias(
         dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha, relax_mu=args.relax_mu
     )
@@ -333,8 +335,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", default=None,
                    help="model config JSON (default: model block embedded in --estimate)")
     p.add_argument("--alpha", type=_alpha, default=0.05, help="1 - confidence level")
-    p.add_argument("--penalty-c", type=_nonnegative, default=None,
-                   help="use calibrated penalties with this constant instead of the theoretical rule")
+    p.add_argument("--penalty-c", type=_nonnegative, default=PENALTY_C_GAMMA,
+                   help=f"c in the gamma penalty c sqrt(log(max(JK, 2L)) / n), default {PENALTY_C_GAMMA}; "
+                        "the mu penalty is twice it")
     p.add_argument("--relax-mu", action="store_true",
                    help="re-solve a mu row that is infeasible at its penalty with the penalty "
                         "floored at feasibility, instead of erroring")

@@ -13,13 +13,9 @@ also yields plug-in standard errors and per-coordinate intervals.
 Both LP families are Dantzig-type programs: the penalty is the allowed
 sup-norm slack of the defining linear system, so as the penalties shrink to
 zero on a well-conditioned square system the correction approaches the exact
-GMM Newton step theta_hat - G_hat^{-1} f_hat(theta_hat).
-
-The default penalties follow the theory's rate formula, whose universal
-constants make it extremely conservative at practical sample sizes: rows
-then come out zero and the correction degenerates to the identity. Study
-code should calibrate the penalties (see DebiasPenalties.scaled) rather
-than trust the defaults outside asymptopia.
+GMM Newton step theta_hat - G_hat^{-1} f_hat(theta_hat). The penalties are
+DebiasPenalties.scaled: the sqrt(log p / n) rate times one constant, which
+the CLI and a study default to PENALTY_C_GAMMA.
 
 When the moment dimension JK is below the parameter dimension 2L, the square
 system gamma_hat G_hat has rank at most JK and some unit rows e_r may be
@@ -58,9 +54,9 @@ class DebiasError(RuntimeError):
 RELAX_FACTOR = 1.05
 RELAX_MARGIN = 1e-6
 
-# Constants of the theoretical penalty rule (select_debias_penalties).
-BAR_A = 0.0
-C_PRIME = 1.5
+# c_gamma of DebiasPenalties.scaled: the default of McConfig.penalty_c_gamma
+# and of the CLI's --penalty-c.
+PENALTY_C_GAMMA = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,32 +80,16 @@ class DebiasPenalties:
         return 2.0 * self.lambda_gamma
 
     @staticmethod
-    def scaled(config: ModelConfig, n: int, c_gamma: float = 1.0) -> "DebiasPenalties":
-        """Calibrated alternative: lambda_gamma = c_gamma sqrt(log(max(JK,2L))/n).
+    def scaled(config: ModelConfig, n: int, c_gamma: float) -> "DebiasPenalties":
+        """lambda_gamma = c_gamma sqrt(log(max(JK, 2L)) / n): the theory's
+        rate with one calibrated constant.
 
-        This keeps the rate of the theoretical rule while dropping its
-        dimension-polynomial constants, which swamp any desk-scale n.
+        The theory's own constants, polynomial in the dimensions, put
+        lambda_gamma above 1, where every row is zero, at any n the package
+        runs.
         """
         m = max(config.J * config.K, 2 * config.L)
         return DebiasPenalties(c_gamma * np.sqrt(np.log(m) / n))
-
-
-def select_debias_penalties(config: ModelConfig, n: int) -> DebiasPenalties:
-    """The theoretical penalty rule.
-
-    lambda_tilde = n^(-1/2 + BAR_A) J^2 G Phi^{-1}(1 - (2 J^2 G K L n)^{-1}),
-    bar_lambda = C_PRIME J^{3/2} max{J^{3/2} lambda_tilde^2, lambda_tilde},
-    lambda_gamma = bar_lambda, so lambda_mu = 2 bar_lambda.
-    Phi^{-1} is statistics.NormalDist().inv_cdf (Wichura's AS241), within
-    6 ULP of scipy's ndtri.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    J, G, K, L = config.J, config.G, config.K, config.L
-    tail = 1.0 / (2.0 * J**2 * G * K * L * n)
-    lam_tilde = n ** (-0.5 + BAR_A) * J**2 * G * NormalDist().inv_cdf(1.0 - tail)
-    bar_lam = C_PRIME * J**1.5 * max(J**1.5 * lam_tilde**2, lam_tilde)
-    return DebiasPenalties(bar_lam)
 
 
 @dataclass
@@ -270,18 +250,18 @@ def debias(
     dataset: Dataset,
     theta_hat: Theta,
     rule: QuadratureRule,
-    penalties: DebiasPenalties | None = None,
+    penalties: DebiasPenalties,
     alpha: float = 0.05,
     relax_mu: bool = False,
     start: np.ndarray | None = None,
 ) -> DebiasResult:
     """Run the full correction pipeline at the plug-in point theta_hat.
 
-    penalties default to the theoretical rule (see module docstring for why
-    a study will usually want DebiasPenalties.scaled instead). relax_mu
-    floors the mu penalties row by row at feasibility; the default is to
-    raise on an unreachable row. start, an (n, J) delta, starts the one
-    share inversion in place of the logit closed form: the estimate's
+    penalties is usually DebiasPenalties.scaled(dataset.config, dataset.n,
+    PENALTY_C_GAMMA), what the CLI and a study default to. relax_mu floors
+    the mu penalties row by row at feasibility; the default is to raise on
+    an unreachable row. start, an (n, J) delta, starts the one share
+    inversion in place of the logit closed form: the estimate's
     EstimationResult.delta_hat, inverted at theta_hat.gamma already, leaves
     it little or nothing to do. The inversion still runs to its tolerance,
     so the start moves the answer by roundoff only. An alpha that
@@ -289,9 +269,6 @@ def debias(
     """
     if not alpha_is_valid(alpha):
         raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {alpha}")
-    cfg = dataset.config
-    if penalties is None:
-        penalties = select_debias_penalties(cfg, dataset.n)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != dataset.S.shape or not np.isfinite(start).all():

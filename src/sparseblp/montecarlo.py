@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .debias import DebiasPenalties, alpha_is_valid, debias
+from .debias import PENALTY_C_GAMMA, DebiasPenalties, alpha_is_valid, debias
 from .dgp import DgpConfig, simulate
 from .model_core import (
     ConfigurationError,
@@ -52,15 +52,21 @@ class StudyError(RuntimeError):
         self.report = report
 
 
+def _check_n_grid(n_grid) -> None:
+    if not n_grid or any(n < 1 for n in n_grid):
+        raise ConfigurationError("n_grid must be nonempty positive integers")
+    if len(set(n_grid)) < len(n_grid):
+        raise ConfigurationError(f"n_grid must not repeat a sample size, got {list(n_grid)}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Study design: DGP template, replication counts, and estimator knobs.
 
     dgp.model.n_markets is overridden by each entry of n_grid. The moment
     tolerance is lam_scale / sqrt(n). The correction penalties are
-    DebiasPenalties.scaled with penalty_c_gamma; the theoretical rule is no
-    option here, since it zeroes every row, and so every se, at the n a
-    study runs. relax_mu re-solves a mu row that is infeasible at its
+    DebiasPenalties.scaled with penalty_c_gamma, by default PENALTY_C_GAMMA,
+    as in the CLI. relax_mu re-solves a mu row that is infeasible at its
     penalty with the penalty floored at feasibility, which designs
     with more parameters than moments (2L > JK), or with a group whose
     gamma_hat is 0, need for the correction to exist at all. Each replication
@@ -75,7 +81,7 @@ class McConfig:
     n_grid: tuple[int, ...]
     alpha: float = 0.05
     lam_scale: float = 1.2
-    penalty_c_gamma: float = 0.05
+    penalty_c_gamma: float = PENALTY_C_GAMMA
     relax_mu: bool = True
     pilot_scales: tuple[float, ...] = (1.0,)
     quad_nodes: int = 9
@@ -84,10 +90,7 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ConfigurationError("n_grid must be nonempty positive integers")
-        if len(set(self.n_grid)) < len(self.n_grid):
-            raise ConfigurationError(f"n_grid must not repeat a sample size, got {list(self.n_grid)}")
+        _check_n_grid(self.n_grid)
         if not alpha_is_valid(self.alpha):
             raise ConfigurationError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {self.alpha}")
         if not 0 < self.lam_scale < np.inf:
@@ -329,7 +332,8 @@ def load_mc_config(path) -> McConfig:
     """McConfig from a study JSON file, read by model_core.config_from_dict.
 
     The one rule of its own: the model block may leave out n_markets, which
-    each n_grid entry overrides anyway; it is filled from n_grid[0].
+    each n_grid entry overrides anyway; it is filled from n_grid[0], once
+    n_grid passes McConfig's own check.
     """
     raw = read_json(path)
     try:
@@ -337,8 +341,8 @@ def load_mc_config(path) -> McConfig:
         model = dgp.get("model") if isinstance(dgp, dict) else None
         if isinstance(model, dict) and "n_markets" not in model:
             n_grid = read_value(tuple[int, ...], raw.get("n_grid"), "n_grid")
-            if n_grid:
-                raw["dgp"] = {**dgp, "model": {"n_markets": n_grid[0], **model}}
+            _check_n_grid(n_grid)
+            raw["dgp"] = {**dgp, "model": {"n_markets": n_grid[0], **model}}
         return config_from_dict(McConfig, raw)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

@@ -123,6 +123,8 @@ BAD_INPUTS = [
     ("study", study(n_grid=[20, 20]), (), "n_grid:repeated"),
     ("study", study(alpha=1e-17), (), "alpha:1 - alpha/2 rounds to 1"),
     ("study", study(dgp={**DGP, "model": NO_N_MARKETS}, n_grid=[20.0]), (), "n_grid:fills n_markets"),
+    ("study", study(dgp={**DGP, "model": NO_N_MARKETS}, n_grid=[]), (), "n_grid:empty, fills n_markets"),
+    ("study", study(dgp={**DGP, "model": NO_N_MARKETS}, n_grid=[0]), (), "n_grid:zero, fills n_markets"),
     ("theta", {"beta": [0.7, math.nan, 0.0], "gamma": [0.7, 0.0, 0.0]}, (), "beta:nan"),
     ("estimate", {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [math.inf, 0.0, 0.0]},
                   "model": DGP["model"]}, (), "theta_hat.gamma:inf"),
@@ -174,14 +176,15 @@ class TestPipeline:
         assert len(deb["lambda_mu"]) == 6 and min(deb["lambda_mu"]) == pytest.approx(2 * deb["lambda_gamma"])
 
     def test_pipeline_loads_no_third_party_module_but_numpy(self, tmp_path):
-        """simulate, estimate --lambda auto and debias on the theoretical rule
-        reach every normal-quantile call, so a function-local import shows too."""
+        """simulate, estimate --lambda auto and debias reach every
+        normal-quantile call, so a function-local import shows too."""
         dgp = write_json(tmp_path / "dgp.json", DGP)
         argv = [
             ["simulate", "--dgp", str(dgp), "--out", "data.csv", "--truth", "truth.json", *NODES],
             ["estimate", "--data", "data.csv", "--config", "model.json", "--lambda", "auto",
              "--out", "est.json", *NODES],
-            ["debias", "--estimate", "est.json", "--data", "data.csv", "--out", "deb.json", *NODES],
+            ["debias", "--estimate", "est.json", "--data", "data.csv", "--relax-mu", "--out", "deb.json",
+             *NODES],
         ]
         done = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], cwd=tmp_path,
@@ -199,9 +202,7 @@ class TestPipeline:
 
         assert [m for m in probe["loaded"] if not allowed(m)] == []
 
-    @pytest.mark.parametrize("flags, rows", [
-        ((), [0, 1, 2, 3, 4, 5]), (("--penalty-c", "0.05", "--relax-mu"), [3, 4, 5]),
-    ], ids=["theoretical", "calibrated-relaxed"])
+    @pytest.mark.parametrize("flags, rows", [(("--relax-mu",), [3, 4, 5])], ids=["calibrated-relaxed"])
     def test_debias_names_zero_width_rows(self, simulated, tmp_path, capsys, flags, rows):
         code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
                         "--data", simulated / "data.csv", *flags, "--out", tmp_path / "deb.json", *NODES)
@@ -211,6 +212,29 @@ class TestPipeline:
         assert [deb["se"][r] for r in rows] == [0.0] * len(rows)
         named = [line for line in err.splitlines() if "zero width" in line]
         assert len(named) == 1 and str(rows) in named[0]
+
+    def test_debias_refuses_a_dead_group_without_relaxation(self, simulated, tmp_path, capsys):
+        """gamma_hat is 0 on the one group, so a mu row is out of reach of
+        the default penalty, 2 x 0.05 sqrt(log 8 / 40)."""
+        code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
+                        "--data", simulated / "data.csv", "--out", tmp_path / "deb.json", *NODES)
+        assert code == cli.EXIT_NUMERIC
+        assert one_line_error(err) == ("numerical failure: mu row 3 is infeasible: penalty 0.0228 too small "
+                                       "or the plug-in system is degenerate")
+        assert not (tmp_path / "deb.json").exists()
+
+    def test_debias_refuses_a_failed_estimate(self, simulated, tmp_path, capsys):
+        est = tmp_path / "est.json"
+        code, _ = run(capsys, *estimate_args(simulated, est, lam="0"))
+        assert code == cli.EXIT_NUMERIC
+        payload = json.loads(est.read_text())
+        assert payload["converged"] is False and payload["stop"] == "failed"
+        code, err = run(capsys, "debias", "--estimate", est, "--data", simulated / "data.csv",
+                        "--relax-mu", "--out", tmp_path / "deb.json", *NODES)
+        assert code == cli.EXIT_NUMERIC
+        assert one_line_error(err) == (f"numerical failure: {est}: the fit did not converge "
+                                       f"({payload['diagnosis']}), so it is not de-biased")
+        assert not (tmp_path / "deb.json").exists()
 
     def test_simulate_seed_flag_overrides_the_dgp_seed(self, simulated, tmp_path, capsys):
         code, err = run(capsys, "simulate", "--dgp", simulated / "dgp.json", "--out", tmp_path / "data.csv",

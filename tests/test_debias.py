@@ -1,11 +1,13 @@
 """Correction pipeline: LP oracles, Newton limit, penalty rule, relaxation."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from sparseblp.debias import (
-    C_PRIME,
+    PENALTY_C_GAMMA,
     DebiasError,
     DebiasPenalties,
     confidence_intervals,
@@ -14,7 +16,6 @@ from sparseblp.debias import (
     estimate_gamma,
     estimate_mu,
     minimax_row_floor,
-    select_debias_penalties,
     standard_errors,
 )
 from sparseblp.dgp import DgpConfig, simulate
@@ -43,34 +44,19 @@ class TestPenaltyContainers:
         expected = 0.5 * np.sqrt(np.log(60) / 400)  # 2L=60 > JK=32
         assert pen.lambda_gamma == pytest.approx(expected, rel=1e-12)
 
+    def test_the_cli_and_a_study_default_to_one_constant(self):
+        from sparseblp import cli
+        from sparseblp.montecarlo import McConfig
+
+        args = cli._build_parser().parse_args(["debias", "--estimate", "e", "--data", "d", "--out", "o"])
+        study = next(f.default for f in fields(McConfig) if f.name == "penalty_c_gamma")
+        assert args.penalty_c == study == PENALTY_C_GAMMA == 0.05
+
     def test_validation(self):
         for bad in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 DebiasPenalties(bad)
         assert DebiasPenalties(0).lambda_mu == 0.0
-
-
-class TestTheoreticalRule:
-    def test_spot_value(self):
-        # n=100, J=2, G=1, K=3, L=5: tail = 1/12000,
-        # lambda_tilde = 0.4 * Phi^{-1}(1 - 1/12000) = 1.50593...,
-        # bar = 1.5 * 2^{3/2} * max(2^{3/2} lt^2, lt) = 27.2139...
-        cfg = ModelConfig(n_markets=100, J=2, L=5, G=1, K=3, partition=(1,) * 5)
-        pen = select_debias_penalties(cfg, 100)
-        assert pen.lambda_gamma == pytest.approx(27.213882455212712, rel=1e-9)
-        assert pen.lambda_mu == pytest.approx(2 * 27.213882455212712, rel=1e-9)
-
-    def test_structure_at_j_equals_one(self):
-        # J = G = 1 strips the dimension factors: bar = c' max(lt^2, lt)
-        cfg = ModelConfig(n_markets=50, J=1, L=2, G=1, K=2, partition=(1, 1))
-        pen = select_debias_penalties(cfg, 50)
-        lt = 50**-0.5 * norm.ppf(1 - 1 / (2 * 2 * 2 * 50))
-        assert pen.lambda_gamma == pytest.approx(C_PRIME * max(lt**2, lt), rel=1e-12)
-
-    def test_invalid_n(self):
-        cfg = ModelConfig(n_markets=10, J=1, L=2, G=1, K=2, partition=(1, 1))
-        with pytest.raises(ValueError):
-            select_debias_penalties(cfg, 0)
 
 
 class TestGammaRows:
@@ -109,6 +95,36 @@ class TestMuRows:
         a = np.diag([1.0, 0.0])
         with pytest.raises(DebiasError, match="mu row 1"):
             estimate_mu(np.eye(2), a, 0.01)
+
+
+class TestPostHocCheck:
+    @pytest.mark.parametrize("family", ["gamma", "mu"])
+    def test_a_row_off_its_constraint_is_named(self, monkeypatch, family):
+        # the solver calls row 2 OPTIMAL, but its x misses the constraint by 1e-6
+        from sparseblp import debias as debias_module
+
+        real = debias_module.solve_row_family
+
+        def one_row_moved_off(A, B, lam):
+            sols = real(A, B, lam)
+            res = sols[2].x @ A - B[2]
+            j = int(np.argmax(np.abs(res)))
+            step = np.zeros_like(res)
+            step[j] = np.sign(res[j]) * (lam[2] + 1e-6) - res[j]
+            sols[2] = replace(sols[2], x=sols[2].x + np.linalg.solve(A.T, step))
+            assert sols[2].status is LpStatus.OPTIMAL
+            return sols
+
+        monkeypatch.setattr(debias_module, "solve_row_family", one_row_moved_off)
+        rng = np.random.default_rng(7)
+        om = rng.standard_normal((4, 4))
+        om = om @ om.T + 4 * np.eye(4)
+        g = rng.standard_normal((4, 4))
+        with pytest.raises(DebiasError, match=rf"^{family} row 2 violates its constraint by 1\.00e-06 post-hoc$"):
+            if family == "gamma":
+                estimate_gamma(om, g, 0.1)
+            else:
+                estimate_mu(np.eye(4), g, 0.1)
 
 
 @pytest.fixture
@@ -261,15 +277,6 @@ class TestFullPipeline:
             debiased_theta(truth.stacked(), res.mu_hat, res.gamma_hat, score(ds, truth, gh1)),
             rtol=0, atol=1e-12,
         )
-
-    def test_theoretical_default_degenerates_to_identity(self, gh1):
-        # the rate-formula penalties exceed 1 at this scale, so both LP
-        # families return zero rows and the correction is the identity
-        ds, truth = _square_dataset(gh1, n=25, seed=4)
-        res = debias(ds, truth, gh1)
-        np.testing.assert_allclose(res.mu_hat, 0.0, atol=1e-12)
-        np.testing.assert_array_equal(res.theta_dd, truth.stacked())
-        np.testing.assert_allclose(res.se, 0.0, atol=1e-12)
 
     def test_relax_mu_on_rank_deficient_design(self, gh1):
         # more parameters than moments: without relaxation the mu step dies,

@@ -18,6 +18,10 @@ naming the file and the key. --opts overrides RgmmOptions, its 'inversion'
 object InversionOptions (contraction_tol and max_newton_iters); lam is set
 by --lambda only.
 
+estimate writes delta_hat, the n x J mean utilities it inverted at
+theta_hat, and debias starts its one share inversion there; an estimate
+file without delta_hat starts it from the logit closed form.
+
 Exit codes: 0 success, 1 usage error (unknown option, bad --lambda or --seed),
 2 data or validation error (missing, malformed or invalid input files, a
 quadrature rule too large for the model), 3 numerical failure
@@ -51,6 +55,7 @@ from .model_core import (
     load_config,
     load_dataset_csv,
     read_json,
+    read_value,
     save_dataset_csv,
     save_model_config,
     validate_dataset,
@@ -124,6 +129,17 @@ def _read_theta(path, key, config: ModelConfig) -> Theta:
     return theta
 
 
+def _read_delta(path, estimate: dict, config: ModelConfig) -> np.ndarray | None:
+    """The delta_hat an estimate file holds, an n x J list of finite numbers
+    that starts debias's inversion, or None when it holds none."""
+    if "delta_hat" not in estimate:
+        return None
+    rows = read_value(tuple[np.ndarray, ...], estimate["delta_hat"], f"{path}: delta_hat")
+    if [len(row) for row in rows] != [config.J] * config.n_markets:
+        raise ConfigurationError(f"{path}: delta_hat must be a {config.n_markets} x {config.J} list of numbers")
+    return np.array(rows)
+
+
 def _solver_options(path, lam: float) -> RgmmOptions:
     """RgmmOptions at lam with the overrides read from the --opts JSON, if any."""
     raw = read_json(path) if path else {}
@@ -174,6 +190,7 @@ def _cmd_estimate(args) -> int:
         "runtime_s": result.runtime_s,
         "history": [asdict(h) for h in result.history],
         "model": config_to_dict(config),
+        "delta_hat": result.delta_hat.tolist(),
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     _log(f"estimate: lambda={result.lam:.6g} converged={result.converged} -> {out}")
@@ -197,9 +214,8 @@ def _cmd_debias(args) -> int:
     dataset = _load_dataset(args.data, config)
     rule = _rule(config.G, args, args.config or args.estimate)
     penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
-    result = debias(
-        dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha, relax_mu=args.relax_mu
-    )
+    result = debias(dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha,
+                    relax_mu=args.relax_mu, start=_read_delta(args.estimate, estimate, config))
     zero_se_rows = np.flatnonzero(result.se == 0.0).tolist()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

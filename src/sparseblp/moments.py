@@ -13,7 +13,10 @@ inversion with the implicit function theorem:
     ds_j/dgamma_l = integral of bt_{g(l)} s_j (x_jl - sum_j' s_j' x_j'l) dF,
 
 so the sign convention is fixed by the residual definition above; central
-finite differences of the score are the arbiter in the tests.
+finite differences of the score are the arbiter in the tests. The SLP's
+Newton steps need the gamma-gamma Hessian of a weighted score as well;
+Evaluator.gamma_hessian differentiates the same identity once more, from a
+kept delta and without an inversion.
 
 Everything here sits on one share inversion per gamma, and an `Evaluator`
 is the one way to it. Within one estimator call it inverts each distinct
@@ -26,8 +29,6 @@ and so inverts afresh.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -87,8 +88,8 @@ class Evaluator:
     an SLP run is usually the current iterate or an earlier trial point
     around it, and from start, an (n, J) delta, or else the logit closed
     form when there is none. When that nearest point is the anchor, the
-    point of the last Jacobian computed here outside probing(), the start is
-    the first-order prediction delta + (d delta / d gamma)(gamma -
+    point of the last Jacobian computed here, the start is the first-order
+    prediction delta + (d delta / d gamma)(gamma -
     gamma_anchor). d delta / d gamma is (n, J, L), so the anchor alone holds
     one, and no evaluation refers back to its Evaluator.
 
@@ -107,7 +108,6 @@ class Evaluator:
         self._jacobians: dict[bytes, np.ndarray] = {}  # keyed like _by_gamma
         # (evaluation, d delta / d gamma) of the last Jacobian computed here
         self._anchor: tuple[MomentEvaluation, np.ndarray] | None = None
-        self._probing = False
         self.stats = RunStats()
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
@@ -123,27 +123,50 @@ class Evaluator:
         return hit.delta if isinstance(hit, MomentEvaluation) else None
 
     def jacobian(self, theta: Theta) -> np.ndarray:
-        """The Jacobian at theta; one computed here, outside probing, makes
-        theta.gamma the anchor."""
+        """The Jacobian at theta; one computed here makes theta.gamma the
+        anchor."""
         key = _key(theta.gamma)
         hit = self._record(key, theta)
         jac = self._jacobians.get(key)
         if jac is None:
             nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
-            jac, ddelta_dgamma = _jacobian(self.dataset, hit.delta, nu, self.rule)
+            jac, ddelta_dgamma, _, _ = _jacobian(self.dataset, hit.delta, nu, self.rule)
             self._jacobians[key] = jac
-            if not self._probing:
-                self._anchor = (hit, ddelta_dgamma)
+            self._anchor = (hit, ddelta_dgamma)
         return jac
 
-    @contextmanager
-    def probing(self):
-        """Jacobians computed in the block leave the anchor where it is."""
-        self._probing = True
-        try:
-            yield
-        finally:
-            self._probing = False
+    def gamma_hessian(self, theta: Theta, w: np.ndarray, coords: np.ndarray,
+                      U: np.ndarray) -> np.ndarray:
+        """The gamma-gamma Hessian of w'f_hat at theta on the gamma
+        coordinates coords, applied to the directions U (len(coords), r),
+        for weights w on the JK moments. Exact, from the delta kept at
+        theta.gamma: it inverts only where none is kept, and leaves the
+        anchor where it is.
+
+        Along gamma directions a and b, node m moves each utility u_j by
+        p_j = (delta'a)_j + sum_l x_jl a_l node_m,g(l), and by q_j for b.
+        Differentiating s(delta(gamma), gamma) = S twice gives D delta''[a, b]
+        = -T2[a, b], with D the share Jacobian and T2_j the node-weighted sum
+        of the logit's second derivative, s_j [(p_j - s'p)(q_j - s'q) -
+        sum_k s_k p_k q_k + (s'p)(s'q)]. f_hat is linear in delta, so the
+        Hessian of w'f_hat is (1/n) sum_i (H_i w)'delta_i'' = -(1/n) sum_i
+        zeta_i'T2_i, with zeta = D^{-1} H w (D is symmetric). Per node,
+        zeta'T2 = sum_j b_j p_j q_j - (s'q)(b'p) - (s'p)(b'q), with b_j =
+        s_j (zeta_j - s'zeta). Along coords, p is an (n, M, J, c) array, and
+        the sums are two gemms, over its n M J rows and over the n M nodes.
+        """
+        data, rule, c = self.dataset, self.rule, len(coords)
+        delta = self._record(_key(theta.gamma), theta).delta
+        nu = group_index_matrix(data.X, theta.gamma, data.config)
+        _, ddelta, ns, D = _jacobian(data, delta, nu, rule)
+        Hw = np.einsum("ijk,jk->ij", data.H, w.reshape(data.config.J, data.config.K))
+        zeta = np.linalg.solve(D, Hw[:, :, None])  # (n, J, 1)
+        b = ns * (zeta[:, None, :, 0] - np.matmul(ns, zeta)) * rule.weights[:, None]  # (n, M, J)
+        nodes = rule.nodes[:, np.asarray(data.config.partition)[coords] - 1]  # (M, c)
+        P = data.X[:, None, :, coords] * nodes[:, None] + ddelta[:, None, :, coords]  # (n, M, J, c)
+        cross = np.matmul(ns[:, :, None], P).reshape(-1, c).T @ np.matmul(b[:, :, None], P).reshape(-1, c)
+        hess = P.reshape(-1, c).T @ (b[..., None] * P).reshape(-1, c) - cross - cross.T
+        return hess @ U / -data.n
 
     def _record(self, key: bytes, theta: Theta) -> MomentEvaluation:
         """The evaluation kept at theta.gamma (key), inverting there first if
@@ -244,9 +267,10 @@ def jacobian_theta(
 
 
 def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray,
-              rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+              rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """jacobian_theta at the inverted delta (n, J) and group indices nu,
-    and d delta / d gamma there, shape (n, J, L).
+    d delta / d gamma there, shape (n, J, L), and the node shares (n, M, J)
+    and share Jacobian D (n, J, J) it was built from.
 
     Sums over markets run as one matmul per product, (K, n) @ (n, L), and
     the node-weighted node shares as one (J n, M) @ (M, L) gemm on the
@@ -281,4 +305,4 @@ def _jacobian(dataset: Dataset, delta: np.ndarray, nu: np.ndarray,
     out = np.empty((J * K, 2 * L))
     out[:, :L] = beta_block.reshape(J * K, L)
     out[:, L:] = gamma_block.reshape(J * K, L)
-    return out, ddelta_dgamma
+    return out, ddelta_dgamma, ns, D

@@ -62,16 +62,17 @@ between, when it does. The next iteration first tries one Newton step that
 minimizes s_S'theta_S on {f_A = s_A target}, with the reduced Hessian
 Z'(-sum_a y_a grad^2 f_a)Z on the null space of G_{A,S}. f_hat is linear in
 beta at fixed delta, so only the gamma-gamma block of the Hessian is
-nonzero: forward differences of jacobian_theta (step EQP_FD_STEP) along
-gamma directions spanning the null directions' gamma parts give Z'HZ, and a
-null direction without gamma part gets no step. The target is lambda +
+nonzero. Evaluator.gamma_hessian gives it exactly on S's gamma coordinates,
+by differentiating the share inversion twice, and Z'HZ applies it to the
+null directions' gamma parts; a null direction without gamma part gets no
+step. The target is lambda +
 feasibility_slack less a hair, the edge of what the estimator calls
 feasible: iterates use the slack, and a Newton point at lambda lost to them
 by 1.6e-5 in ||theta||_1 on the mc design at DGP seed 0. The step is taken
 only when Z'HZ is positive definite (its Cholesky factorization succeeds);
 it is cut at the first coordinate that would cross zero, which leaves S,
 and where a row outside A would reach +-lambda; Gauss-Newton passes then
-restore f_A. An InversionError at a probe or restoration point refuses it,
+restore f_A. An InversionError at a restoration point refuses it,
 and a refused working set is not tried again in the phase. It is accepted
 by the SLP's acceptance test plus a fall in ||theta||_1 (to roundoff; or,
 from an iterate outside the bound, a point inside it) as one outer
@@ -97,15 +98,19 @@ of tests/test_slp_safeguard_grid.py (the pipebench designs and an n = 200
 study design, DGP seeds 0-9, lambda in {0.6, 1.2, 2.4}/sqrt(n), one- and
 three-scale pilot ladders; 239 fits converge). Without SOC 4 fewer fits
 converge; without the acceptance allowance 15 fewer, and inversions rise
-from 7337 to 12550; without elastic restoration 8 fewer, and the
-noiseless-recovery test fails. Without the gamma phase the grid takes 18%
+from 6413 to 11236; without elastic restoration 8 fewer, and the
+noiseless-recovery test fails. Without the gamma phase the grid takes 21%
 fewer inversions, but ||theta_hat||_1 rises on 9 fits (by up to 0.55) and
 the mean error of the 16 estimates moved by more than 1e-6 rises from 1.16
 to 1.28. Without restarts down the pilot ladder one fit stops at a larger
 ||theta_hat||_1 (by 0.13). On the grid's 40 fits at lambda = 1.2/sqrt(n)
 and pilot 1.0 and the six study fits, the shared face moves 2 fits and the
 KKT updates 3; without the chain of Newton steps, or without the
-restoration passes, 15 of those 40 again stop short of "converged".
+restoration passes, 15 of those 40 again stop short of "converged". The
+two inversion figures are measured with the exact reduced Hessian; the
+fit counts, norms and errors were measured when forward differences of
+jacobian_theta gave it (the grid then took 7337 inversions, 12550 without
+the allowance and 18% fewer without the gamma phase).
 """
 
 from __future__ import annotations
@@ -141,7 +146,6 @@ CONVERGENCE_TOL = 1e-8  # a feasible step shorter than this in l1 converges
 THETA_BOX = 100.0  # a-priori sup-norm bound on theta
 GAMMA_PHASE_ITERS = 8  # SLP iterations of the gamma phase after a pilot start
 EQP_NEAR = 1e-3  # Newton steps start within EQP_NEAR * lambda of the bound
-EQP_FD_STEP = 1e-6  # forward-difference step of the reduced Hessian's probes
 EQP_RESTORE_PASSES = 6  # Gauss-Newton passes that restore f_A after a Newton step,
 EQP_RESTORE_TOL = 1e-12  # ... until |f_A - target| is this small
 EQP_UPDATES = 2  # working-set changes one Newton step may make at a KKT check
@@ -437,8 +441,7 @@ def _eqp_step(dataset, rule, opts, evals, ws, vec, f, target):
     the working set of the next Newton step or None when a row outside A
     cut this one), "converged", or None when the step is refused.
     """
-    def at(v):
-        return Theta.from_stacked(v)
+    at = Theta.from_stacked
 
     G = None
     for _ in range(EQP_UPDATES + 1):
@@ -457,21 +460,11 @@ def _eqp_step(dataset, rule, opts, evals, ws, vec, f, target):
         support = np.flatnonzero(S)
         Z = Vt[n_a:].T
         gamma = support >= vec.size // 2
-        U_g, sv_g, _ = np.linalg.svd(Z[gamma], full_matrices=False)
-        if sv_g.size < Z.shape[1] or sv_g[-1] <= 1e-8:
+        if np.linalg.svd(Z[gamma], compute_uv=False)[-1] <= 1e-8:
             return None
-        cols = support[gamma]
-        HU = np.empty_like(U_g)  # H_gg U_g
-        with evals.probing():
-            for i, u in enumerate(U_g.T):
-                probe = vec.copy()
-                probe[cols] += EQP_FD_STEP * u
-                try:
-                    G_p = jacobian_theta(dataset, at(probe), rule, evals=evals)
-                except InversionError:
-                    return None
-                HU[:, i] = (G[A][:, cols] - G_p[A][:, cols]).T @ y / EQP_FD_STEP
-        M = Z[gamma].T @ HU @ (U_g.T @ Z[gamma])
+        w = np.zeros(f.size)
+        w[A] = -y  # H = -sum_a y_a grad^2 f_a
+        M = Z[gamma].T @ evals.gamma_hessian(at(vec), w, support[gamma] - vec.size // 2, Z[gamma])
         try:
             chol = np.linalg.cholesky(0.5 * (M + M.T))
         except np.linalg.LinAlgError:

@@ -21,26 +21,36 @@ smaller ||theta_hat||_1 (by 3.0e-5 to 7.3e-5); the record of the one fit
 that converged before (master seed 0, n = 100) did not move. The estimate and
 debias values did not move: those fits converge at vertices of their step
 LPs, where no Newton step is taken.
+
+The study counters were re-pinned when the Newton step's reduced Hessian
+became exact (Evaluator.gamma_hessian) in place of forward differences of
+jacobian_theta: the five study estimates that take Newton steps run 64
+fewer inversions between them (14, 10, 30, 6 and 4), the probes'
+inversions, and fewer Newton passes of the share inversion; their LPs,
+pivots, outer iterations, shrinks, SOC rescues and Newton steps, and every
+error and remainder, did not move beyond 1e-8.
 """
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from sparseblp import montecarlo
-from sparseblp.debias import DebiasPenalties, debias
+from sparseblp.debias import PENALTY_C_GAMMA, DebiasPenalties, debias
 from sparseblp.dgp import DgpConfig, simulate
-from sparseblp.model_core import ModelConfig, canonicalize_gamma
+from sparseblp.model_core import ModelConfig, Theta, canonicalize_gamma
+from sparseblp.moments import Evaluator
 from sparseblp.montecarlo import McConfig, run_study
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.rgmm import RgmmOptions, estimate
 
 pytestmark = pytest.mark.slow
 
-QUAD_NODES = 9
-LAM_SCALE = 1.2
-PENALTY_C_GAMMA = 0.05
+# the settings a study runs with by default, which pipebench's workloads use
+STUDY_DEFAULTS = {f.name: f.default for f in fields(McConfig)}
+QUAD_NODES = STUDY_DEFAULTS["quad_nodes"]
+LAM_SCALE = STUDY_DEFAULTS["lam_scale"]
 
 
 def _model(n, J, L, G, K) -> ModelConfig:
@@ -110,11 +120,11 @@ RUN_STATS = {
 # (n = 100, then n = 200), per master seed 0, 1, 2
 STUDY_RUN_STATS = (
     ((25, 0, 76, 24, 80, 12, 4, 3, 0), (1, 0, 0, 40, 126, 0, 0, 0, 0),
-     (61, 0, 195, 38, 449, 19, 6, 8, 5), (1, 0, 0, 40, 83, 0, 0, 0, 0)),
-    ((48, 0, 134, 25, 135, 16, 5, 4, 5), (1, 0, 0, 40, 80, 0, 0, 0, 0),
-     (117, 0, 290, 68, 428, 34, 8, 23, 6), (1, 0, 0, 40, 88, 0, 0, 0, 0)),
-    ((60, 0, 192, 44, 273, 25, 4, 15, 4), (1, 0, 0, 40, 83, 0, 0, 0, 0),
-     (25, 0, 61, 14, 85, 15, 0, 2, 3), (1, 0, 0, 40, 119, 0, 0, 0, 0)),
+     (47, 0, 178, 38, 449, 19, 6, 8, 5), (1, 0, 0, 40, 83, 0, 0, 0, 0)),
+    ((38, 0, 119, 25, 135, 16, 5, 4, 5), (1, 0, 0, 40, 80, 0, 0, 0, 0),
+     (87, 0, 252, 68, 428, 34, 8, 23, 6), (1, 0, 0, 40, 88, 0, 0, 0, 0)),
+    ((54, 0, 184, 44, 273, 25, 4, 15, 4), (1, 0, 0, 40, 83, 0, 0, 0, 0),
+     (21, 0, 56, 14, 85, 15, 0, 2, 3), (1, 0, 0, 40, 119, 0, 0, 0, 0)),
 )
 
 
@@ -180,3 +190,35 @@ def test_debias_outputs_unchanged(name, seed):
 def test_study_remainders_unchanged(seed):
     remainders = [rec.remainder_inf for rec in run_study(_study(seed)).records]
     assert remainders == pytest.approx(STUDY_REMAINDERS[seed], abs=1e-8)
+
+
+def test_newton_steps_take_the_reduced_hessian_of_forward_differences(monkeypatch):
+    """Every Newton step's Z'HZ in the pool's studies, from
+    Evaluator.gamma_hessian applied to Z's gamma part U, against forward
+    differences of jacobian_theta along the columns of U (step 1e-6), each
+    from an Evaluator started at the step's own delta."""
+    steps = []
+    real = Evaluator.gamma_hessian
+
+    def recorded(self, theta, w, coords, U):
+        out = real(self, theta, w, coords, U)
+        point = Theta(beta=theta.beta.copy(), gamma=theta.gamma.copy())
+        steps.append((self.dataset, self.rule, self.opts, point, self.delta(theta.gamma), w, coords, U, U.T @ out))
+        return out
+
+    monkeypatch.setattr(Evaluator, "gamma_hessian", recorded)
+    for seed in range(3):
+        run_study(_study(seed))
+    assert steps
+    h = 1e-6
+    for data, rule, opts, theta, delta, w, coords, U, reduced in steps:
+        evals = Evaluator(data, rule, opts, start=delta)
+        cols = data.config.L + coords
+        base = w @ evals.jacobian(theta)[:, cols]
+        forward = np.empty_like(U)
+        for k, u in enumerate(U.T):
+            gamma = theta.gamma.copy()
+            gamma[coords] += h * u
+            forward[:, k] = (w @ evals.jacobian(Theta(beta=theta.beta, gamma=gamma))[:, cols] - base) / h
+        expected = U.T @ forward
+        assert np.abs(reduced - expected).max() <= 1e-5 * np.abs(expected).max()

@@ -84,6 +84,7 @@ def study(**kw):
     return {"dgp": DGP, "replications": 1, "n_grid": [20], "quad_nodes": 5, **kw}
 
 
+ESTIMATE = {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [0.7, 0.0, 0.0]}, "model": DGP["model"]}
 SEVEN_GROUPS = {"n_markets": 2, "J": 2, "L": 7, "G": 7, "K": 4, "partition": [1, 2, 3, 4, 5, 6, 7]}
 NO_N_MARKETS = {k: v for k, v in DGP["model"].items() if k != "n_markets"}
 
@@ -128,6 +129,11 @@ BAD_INPUTS = [
     ("theta", {"beta": [0.7, math.nan, 0.0], "gamma": [0.7, 0.0, 0.0]}, (), "beta:nan"),
     ("estimate", {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [math.inf, 0.0, 0.0]},
                   "model": DGP["model"]}, (), "theta_hat.gamma:inf"),
+    ("estimate", {**ESTIMATE, "delta_hat": [[0.0, 0.0]] * 39}, (), "delta_hat:39 rows"),
+    ("estimate", {**ESTIMATE, "delta_hat": [[0.0]] * 40}, (), "delta_hat:1 column"),
+    ("estimate", {**ESTIMATE, "delta_hat": [[0.0, math.nan]] * 40}, (), "delta_hat:nan"),
+    ("estimate", {**ESTIMATE, "delta_hat": [[0.0, "1"]] * 40}, (), "delta_hat:str"),
+    ("estimate", {**ESTIMATE, "delta_hat": None}, (), "delta_hat:null"),
 ]
 
 # (edit of the dataset CSV's lines, text the message must hold); line 1 is
@@ -165,6 +171,7 @@ class TestPipeline:
         assert json.loads((root / "model.json").read_text())["n_markets"] == 40
         est = json.loads((root / "est" / "est.json").read_text())
         assert est["model"] == DGP["model"] and est["converged"]
+        assert np.shape(est["delta_hat"]) == (40, 2)
         code, err = run(capsys, "debias", "--estimate", root / "est" / "est.json",
                         "--data", root / "data.csv", "--penalty-c", "0.05", "--relax-mu",
                         "--out", tmp_path / "deb.json", *NODES)
@@ -222,6 +229,27 @@ class TestPipeline:
         assert one_line_error(err) == ("numerical failure: mu row 3 is infeasible: penalty 0.0228 too small "
                                        "or the plug-in system is degenerate")
         assert not (tmp_path / "deb.json").exists()
+
+    def test_debias_starts_at_the_estimates_delta(self, simulated, tmp_path, capsys):
+        """At lambda = 0.05 gamma_hat is live, so the logit closed form is no
+        inverted delta there; debias starts at the delta_hat the estimate
+        wrote, and its one inversion takes no Newton pass."""
+        est = tmp_path / "est.json"
+        code, err = run(capsys, *estimate_args(simulated, est, lam="0.05"))
+        assert code == cli.EXIT_OK, err
+        payload = json.loads(est.read_text())
+        assert any(payload["theta_hat"]["gamma"]) and np.shape(payload["delta_hat"]) == (40, 2)
+        del payload["delta_hat"]
+        logit = write_json(tmp_path / "est-logit.json", payload)
+        counts = []
+        for path in (est, logit):
+            code, err = run(capsys, "debias", "--estimate", path, "--data", simulated / "data.csv",
+                            "--out", tmp_path / "deb.json", *NODES)
+            assert code == cli.EXIT_OK, err
+            deb = json.loads((tmp_path / "deb.json").read_text())
+            counts.append((deb["inversions"], deb["newton_iters"]))
+        assert counts[0] == (1, 0)
+        assert counts[1][0] == 1 and counts[1][1] > 0  # a file without delta_hat starts from the logit
 
     def test_debias_refuses_a_failed_estimate(self, simulated, tmp_path, capsys):
         est = tmp_path / "est.json"

@@ -154,6 +154,34 @@ class TestJacobian:
         assert np.allclose(G1[:, : c.L], G2[:, : c.L], atol=1e-12)
 
 
+class TestGammaHessian:
+    """Evaluator.gamma_hessian against central differences of jacobian_theta."""
+
+    @pytest.mark.parametrize("G", [1, 2])
+    def test_matches_central_differences_of_the_jacobian(self, G):
+        L, h = 6, 1e-4
+        c = ModelConfig(n_markets=30, J=3, L=L, G=G, K=3, partition=tuple(1 + (l * G) // L for l in range(L)))
+        rule = gauss_hermite_rule(G, 7)
+        ds, truth = simulate(DgpConfig(model=c, s_beta=2, s_gamma=2, seed=1), rule)
+        rng = np.random.default_rng(G)
+        theta = Theta(beta=truth.beta, gamma=truth.gamma + 0.3 * rng.standard_normal(L))
+        w = rng.standard_normal(c.n_moments)
+        coords = np.array([0, 2, L - 1])  # both groups' coordinates when G = 2
+        U = rng.standard_normal((coords.size, 2))
+        evals = Evaluator(ds, rule)
+        evals(theta)
+        exact = evals.gamma_hessian(theta, w, coords, U)
+        assert evals.stats.inversions == 1  # it works from the kept delta
+        central = np.empty((coords.size, coords.size))
+        for a, l in enumerate(coords):
+            e = np.zeros(L)
+            e[l] = h
+            up, down = (jacobian_theta(ds, Theta(beta=theta.beta, gamma=theta.gamma + s), rule) for s in (e, -e))
+            central[:, a] = (w @ (up - down))[L + coords] / (2 * h)
+        expected = central @ U
+        np.testing.assert_allclose(exact, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+
 class TestEvaluation:
     def case(self, rng):
         cfg = ModelConfig(n_markets=8, J=3, L=4, G=2, K=2, partition=(1, 1, 2, 2))
@@ -271,22 +299,3 @@ class TestDeltaPredictor:
         delta_far = evals(far).delta
         score(data, Theta(beta=far.beta, gamma=1.01 * far.gamma), rule, opts.inversion, evals)
         np.testing.assert_array_equal(starts[-1], delta_far)
-
-    def test_a_probe_jacobian_leaves_the_anchor(self, mc_design, starts):
-        # a finite-difference probe's Jacobian must not become the point the
-        # next inversion start is predicted from
-        data, rule, opts = mc_design
-        L = data.config.L
-        anchor = Theta(beta=np.zeros(L), gamma=np.full(L, L ** -0.5))
-        trial = Theta(beta=anchor.beta, gamma=anchor.gamma + 0.05 * np.random.default_rng(3).standard_normal(L))
-        probed = Evaluator(data, rule, opts.inversion)
-        plain = Evaluator(data, rule, opts.inversion)
-        for evals in (probed, plain):
-            jacobian_theta(data, anchor, rule, opts.inversion, evals)
-        probe = Theta(beta=anchor.beta, gamma=anchor.gamma + 1e-6)
-        with probed.probing():
-            jacobian_theta(data, probe, rule, opts.inversion, probed)
-        score(data, probe, rule, opts.inversion, plain)  # same start pool, no probe Jacobian
-        score(data, trial, rule, opts.inversion, probed)
-        score(data, trial, rule, opts.inversion, plain)
-        np.testing.assert_array_equal(starts[-2], starts[-1])

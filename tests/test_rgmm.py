@@ -519,9 +519,9 @@ class TestTrustRadius:
 
         def recording(*args):
             alive.append(sum(ref() is not None for ref in refs))
-            jac, ddelta_dgamma = real(*args)
-            refs.append(weakref.ref(ddelta_dgamma))
-            return jac, ddelta_dgamma
+            out = real(*args)
+            refs.append(weakref.ref(out[1]))  # d delta / d gamma
+            return out
 
         monkeypatch.setattr(moments, "_jacobian", recording)
         evals = Evaluator(data, rule, opts.inversion)

@@ -7,6 +7,12 @@ The module docstring of rgmm gives what each safeguard of the SLP changes
 on this grid. The values below are those of the code before its accepted
 steps went through one path; a refactor of the SLP must leave them as they
 are, and a change to what it computes must re-pin them with its reasons.
+OUTER_ITERS, INVERSIONS and LP_SOLVES were re-pinned (from 3124, 7337 and
+5810) when the Newton step's reduced Hessian became exact: the forward
+differences' probe inversions are gone, and one fit of the arm
+(two-group-inversion, DGP seed 8) reaches the same point in 14 outer
+iterations instead of 17, because a Newton step that raised
+||theta||_1 by 1.8e-13 through the forward differences now lowers it.
 
 The arm at lambda = 1.2/sqrt(n) and pilot (1.0,), pipebench's options, has
 bounds of its own, written before the first run of the Newton steps on the
@@ -29,9 +35,9 @@ pytestmark = pytest.mark.slow
 QUAD_NODES = 9
 LAM_SCALES = (0.6, 1.2, 2.4)
 PILOTS = ((1.0,), (0.5, 1.0, 2.0))
-OUTER_ITERS = 3124
-INVERSIONS = 7337
-LP_SOLVES = 5810
+OUTER_ITERS = 3121
+INVERSIONS = 6413
+LP_SOLVES = 5802
 NORM_TOL = 1e-8
 # (design, DGP seed, lambda scale, pilot ladder) of every fit that did not
 # end "converged", with how it ended and its diagnosis

@@ -265,14 +265,11 @@ def debias(
     EstimationResult.delta_hat, inverted at theta_hat.gamma already, leaves
     it little or nothing to do. The inversion still runs to its tolerance,
     so the start moves the answer by roundoff only. An alpha that
-    alpha_is_valid refuses raises ValueError before any work.
+    alpha_is_valid refuses, or a start that is not a finite (n, J) delta,
+    raises ValueError before any work.
     """
     if not alpha_is_valid(alpha):
         raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {alpha}")
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != dataset.S.shape or not np.isfinite(start).all():
-            raise ValueError(f"start must be a finite {dataset.S.shape} delta, got shape {start.shape}")
     evals = Evaluator(dataset, rule, start=start)  # one inversion serves all three
     f_hat = score(dataset, theta_hat, rule, evals=evals)  # the inversion runs here
     omega_hat = omega(dataset, theta_hat, rule, evals=evals)

@@ -91,7 +91,10 @@ class Evaluator:
     point of the last Jacobian computed here, the start is the first-order
     prediction delta + (d delta / d gamma)(gamma -
     gamma_anchor). d delta / d gamma is (n, J, L), so the anchor alone holds
-    one, and no evaluation refers back to its Evaluator.
+    one, with the node shares and share Jacobian it was built from (the
+    Newton steps' gamma_hessian reads them), and no evaluation refers back
+    to its Evaluator. A start that is not a finite (n, J) array raises
+    ValueError here.
 
     stats, the call's RunStats, counts every inversion run here, failed ones
     included, and its iterations; the estimator adds its LP and step counts
@@ -102,12 +105,14 @@ class Evaluator:
 
     def __init__(self, dataset: Dataset, rule: QuadratureRule,
                  opts: InversionOptions | None = None, start: np.ndarray | None = None):
+        if start is not None and (np.shape(start) != dataset.S.shape or not np.isfinite(start).all()):
+            raise ValueError(f"start must be a finite {dataset.S.shape} delta, got shape {np.shape(start)}")
         self.dataset, self.rule, self.start = dataset, rule, start
         self.opts = InversionOptions() if opts is None else opts
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
         self._jacobians: dict[bytes, np.ndarray] = {}  # keyed like _by_gamma
-        # (evaluation, d delta / d gamma) of the last Jacobian computed here
-        self._anchor: tuple[MomentEvaluation, np.ndarray] | None = None
+        # (evaluation, d delta / d gamma, node shares, D) of the last Jacobian computed here
+        self._anchor: tuple | None = None
         self.stats = RunStats()
 
     def __call__(self, theta: Theta) -> MomentEvaluation:
@@ -130,9 +135,9 @@ class Evaluator:
         jac = self._jacobians.get(key)
         if jac is None:
             nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
-            jac, ddelta_dgamma, _, _ = _jacobian(self.dataset, hit.delta, nu, self.rule)
+            jac, *rest = _jacobian(self.dataset, hit.delta, nu, self.rule)
             self._jacobians[key] = jac
-            self._anchor = (hit, ddelta_dgamma)
+            self._anchor = (hit, *rest)
         return jac
 
     def gamma_hessian(self, theta: Theta, w: np.ndarray, coords: np.ndarray,
@@ -140,8 +145,9 @@ class Evaluator:
         """The gamma-gamma Hessian of w'f_hat at theta on the gamma
         coordinates coords, applied to the directions U (len(coords), r),
         for weights w on the JK moments. Exact, from the delta kept at
-        theta.gamma: it inverts only where none is kept, and leaves the
-        anchor where it is.
+        theta.gamma: it inverts only where none is kept, reads d delta /
+        d gamma, the node shares and D off the anchor when theta.gamma is
+        the anchor, and leaves the anchor where it is.
 
         Along gamma directions a and b, node m moves each utility u_j by
         p_j = (delta'a)_j + sum_l x_jl a_l node_m,g(l), and by q_j for b.
@@ -156,9 +162,12 @@ class Evaluator:
         the sums are two gemms, over its n M J rows and over the n M nodes.
         """
         data, rule, c = self.dataset, self.rule, len(coords)
-        delta = self._record(_key(theta.gamma), theta).delta
-        nu = group_index_matrix(data.X, theta.gamma, data.config)
-        _, ddelta, ns, D = _jacobian(data, delta, nu, rule)
+        hit = self._record(_key(theta.gamma), theta)
+        if self._anchor is not None and self._anchor[0] is hit:
+            _, ddelta, ns, D = self._anchor
+        else:
+            nu = group_index_matrix(data.X, theta.gamma, data.config)
+            _, ddelta, ns, D = _jacobian(data, hit.delta, nu, rule)
         Hw = np.einsum("ijk,jk->ij", data.H, w.reshape(data.config.J, data.config.K))
         zeta = np.linalg.solve(D, Hw[:, :, None])  # (n, J, 1)
         b = ns * (zeta[:, None, :, 0] - np.matmul(ns, zeta)) * rule.weights[:, None]  # (n, M, J)

@@ -37,7 +37,7 @@ from .model_core import (
     read_json,
     read_value,
 )
-from .moments import score
+from .moments import Evaluator, score
 from .quadrature import RuleSizeError, check_rule_size, gauss_hermite_rule
 from .rgmm import RgmmOptions, estimate
 
@@ -220,7 +220,8 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
         rec.coverage = ((deb.ci[:, 0] <= tv) & (tv <= deb.ci[:, 1])).astype(int).tolist()
         sup = np.abs(tv) > SUPPORT_TOL
         rec.covered_support = float(np.mean(np.asarray(rec.coverage)[sup])) if sup.any() else 1.0
-        f_true = score(dataset, truth, rule)
+        delta_true = dataset.X @ truth.beta + dataset.xi_true  # the DGP's own delta
+        f_true = score(dataset, truth, rule, evals=Evaluator(dataset, rule, start=delta_true))
         root_n = np.sqrt(n)
         rem = root_n * (deb.theta_dd - tv) + deb.mu_hat @ (deb.gamma_hat @ (root_n * f_true))
         rec.remainder_inf = float(np.abs(rem).max())

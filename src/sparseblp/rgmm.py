@@ -43,7 +43,8 @@ ch. 6): a rejected trial point shrinks it by TRUST_SHRINK, and an accepted
 step grows it by TRUST_EXPAND only when it passed on its first trial point
 (no shrink, no SOC) and reached its trust bound; otherwise the radius stays.
 Growing it after every accepted step made the next step overshoot, shrink
-and need SOC.
+and need SOC. The radius needs no cap: every step keeps theta inside
+THETA_BOX, so no step reaches a trust bound above 2 * THETA_BOX.
 
 Where theta_hat lies on a curved face of the feasible set (support S larger
 than the binding moment rows A), the step LPs zigzag across the face: each
@@ -74,17 +75,17 @@ it is cut at the first coordinate that would cross zero, which leaves S,
 and where a row outside A would reach +-lambda; Gauss-Newton passes then
 restore f_A. An InversionError at a restoration point refuses it,
 and a refused working set is not tried again in the phase. It is accepted
-by the SLP's acceptance test plus a fall in ||theta||_1 (to roundoff; or,
-from an iterate outside the bound, a point inside it) as one outer
-iteration, and the next iteration tries the following Newton step. A Newton
+by the acceptance test of every LP and SOC step, as one outer iteration,
+and the next iteration tries the following Newton step. A Newton
 step shorter than CONVERGENCE_TOL converges when the multipliers certify the
 working set (KKT_TOL), and otherwise moves one coordinate into S or one row
 out of A. A refused or rejected step leaves the iteration as it was.
 
-Every linearized step is one LP from _step_lp: the trust-region step, the
-second-order correction (SOC) and the elastic restoration's second pass
-differ only in target, tolerance and box center. Its rows are the moment
-rows alone; the trust region and the box on theta are bounds on the step.
+Every linearized step is one LP: the trust-region step and the
+second-order correction (SOC) come from _step_lp and differ only in target,
+tolerance and box center, and the elastic restoration is one min-violation
+LP. Each LP's rows are the moment rows alone; the trust region and the box
+on theta are bounds on the step.
 The step LPs of one outer iteration share G_f, so they share one matrix:
 the iteration keeps one dual simplex tableau, and each of its step LPs,
 shrink re-solves included, starts from the previous one's. Every accepted
@@ -93,24 +94,24 @@ records it with its moments and keeps the best feasible one, so nothing is
 evaluated after the last step. The trust region, the convergence test and
 the box on theta are module constants.
 
-Each safeguard changes the estimates when switched off, on the 240-fit grid
-of tests/test_slp_safeguard_grid.py (the pipebench designs and an n = 200
-study design, DGP seeds 0-9, lambda in {0.6, 1.2, 2.4}/sqrt(n), one- and
-three-scale pilot ladders; 239 fits converge). Without SOC 4 fewer fits
-converge; without the acceptance allowance 15 fewer, and inversions rise
-from 6413 to 11236; without elastic restoration 8 fewer, and the
-noiseless-recovery test fails. Without the gamma phase the grid takes 21%
-fewer inversions, but ||theta_hat||_1 rises on 9 fits (by up to 0.55) and
-the mean error of the 16 estimates moved by more than 1e-6 rises from 1.16
-to 1.28. Without restarts down the pilot ladder one fit stops at a larger
-||theta_hat||_1 (by 0.13). On the grid's 40 fits at lambda = 1.2/sqrt(n)
-and pilot 1.0 and the six study fits, the shared face moves 2 fits and the
-KKT updates 3; without the chain of Newton steps, or without the
-restoration passes, 15 of those 40 again stop short of "converged". The
-two inversion figures are measured with the exact reduced Hessian; the
-fit counts, norms and errors were measured when forward differences of
-jacobian_theta gave it (the grid then took 7337 inversions, 12550 without
-the allowance and 18% fewer without the gamma phase).
+Each safeguard changes the estimates or their cost when switched off, on the
+240-fit grid of tests/test_slp_safeguard_grid.py (the pipebench designs and
+an n = 200 study design, DGP seeds 0-9, lambda in {0.6, 1.2, 2.4}/sqrt(n),
+one- and three-scale pilot ladders; 239 fits converge, in 3098 outer
+iterations, 6389 inversions and 5785 LPs). Without SOC 4 fewer fits
+converge; without the acceptance allowance 15 fewer, and inversions rise to
+11217; without elastic restoration 8 fewer, and the noiseless-recovery test
+fails. Without the gamma phase the grid takes 21% fewer inversions, but
+||theta_hat||_1 rises on 9 fits (by up to 0.55) and the mean error of the 16
+estimates moved by more than 1e-6 rises from 1.16 to 1.28. Without restarts
+down the pilot ladder one fit stops at a larger ||theta_hat||_1 (by 0.13).
+Without the shared face the grid takes 3131 outer iterations, 6440
+inversions and 5904 LPs, and the six study fits of the mc-replications pool
+315 inversions instead of 275; without the KKT updates 3122, 6461, 5862 and
+295; without the same-basin exit 3126, 6459, 5834 and 275. Of the grid's 40
+fits at lambda = 1.2/sqrt(n) and pilot 1.0, 15 again stop short of
+"converged" without the chain of Newton steps, and 9 without the restoration
+passes.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ C_MULT = 1.1  # ... and the multiplier on the Gaussian plug-in
 
 TRUST_RADIUS_INIT = 1.0  # l_inf trust radius at each start
 TRUST_SHRINK = 0.5  # radius factor after a rejected trial point
-TRUST_EXPAND = 2.0  # radius factor after a clean step to the trust bound ...
-TRUST_RADIUS_MAX = 1e3  # ... up to this radius
+TRUST_EXPAND = 2.0  # radius factor after a clean step to the trust bound
 CONVERGENCE_TOL = 1e-8  # a feasible step shorter than this in l1 converges
 THETA_BOX = 100.0  # a-priori sup-norm bound on theta
 GAMMA_PHASE_ITERS = 8  # SLP iterations of the gamma phase after a pilot start
@@ -166,7 +166,7 @@ class RgmmOptions:
     scale c spreads index variance c^2 uniformly over the group, and 0 means
     the plain-logit pilot. A point is feasible when ||f_hat||_inf <= lam +
     feasibility_slack. The trust-region constants (TRUST_RADIUS_INIT,
-    TRUST_SHRINK, TRUST_EXPAND, TRUST_RADIUS_MAX), CONVERGENCE_TOL, THETA_BOX
+    TRUST_SHRINK, TRUST_EXPAND), CONVERGENCE_TOL, THETA_BOX
     and the gamma phase's budget GAMMA_PHASE_ITERS are fixed; the module
     docstring gives the radius rule and the reason each safeguard is kept.
     """
@@ -329,34 +329,23 @@ def _step_lp(G_f, target, tol, center, radius, box_center, family=None) -> LpSol
     return solve_l1_linf(L1LinfProblem(A=G_f, b=target, lam=tol, lo=lo, hi=hi), _family=family)
 
 
-def _elastic_step(G_f, f_t, theta_t, lam, radius, free, family):
+def _elastic_step(G_f, f_t, theta_t, lam, radius, free):
     """Feasibility restoration used when the linearized subproblem is empty.
 
-    First minimizes the violation: t* = min t s.t. |f_t + G_f d| <= lam + t,
+    Minimizes the violation: t* = min t s.t. |f_t + G_f d| <= lam + t,
     |d| <= radius and |theta + d| <= THETA_BOX, d supported on the free
     coordinates, by solve_nonneg_lp with the trust region and the box as
     bounds on d (a theta that roundoff left a hair past the box gets bounds
-    that bring it back). Then, among steps nearly as good (violation within
-    5% of t*), takes the one of least l1 movement, by _step_lp on the
-    iteration's family, with the same bounds. The second pass keeps the
-    restoration parsimonious: a pure min-violation LP is free to activate
-    every coordinate that helps even marginally, and one such step can
-    strand the iterate in a dense tangle of wrong-signed coordinates that l1
-    descent cannot unwind afterwards.
-    Returns the candidate theta (full vector) and the predicted constraint.
+    that bring it back). Returns the candidate theta (full vector) and the
+    predicted constraint, or (None, inf) when that LP has no optimum.
     """
-    theta_f = theta_t[free]
-    lo, hi = _step_bounds(0.0, radius, -theta_f)
+    lo, hi = _step_bounds(0.0, radius, -theta_t[free])
     sol = solve_nonneg_lp(L1LinfProblem(A=G_f, b=-f_t, lam=lam, lo=lo, hi=hi))
     if sol.status is not LpStatus.OPTIMAL:
         return None, np.inf
-    t_star, d = sol.objective, sol.x
-    lex = _step_lp(G_f, -f_t, lam + 1.05 * t_star + 1e-12, 0.0, radius, -theta_f, family)
-    if lex.status is LpStatus.OPTIMAL:
-        d = lex.x
     cand = theta_t.copy()
-    cand[free] += d
-    return cand, t_star
+    cand[free] += sol.x
+    return cand, sol.objective
 
 
 @dataclass(frozen=True)
@@ -618,7 +607,7 @@ def _estimate(
                 vec = cur.vec.copy()
                 vec[free] = sol.x
             else:
-                vec, predicted = _elastic_step(G_f, cur.f, cur.vec, lam, radius, free, family)
+                vec, predicted = _elastic_step(G_f, cur.f, cur.vec, lam, radius, free)
                 if vec is None:
                     lam_starved = True
                     break
@@ -704,8 +693,7 @@ def _estimate(
                     refused.add(ws.key())
                 else:
                     trial = _Iterate.at(*newton[:2])
-                    inside = trial.c <= feasible < cur.c
-                    if acceptable(trial) and (trial.obj < cur.obj * (1.0 + 1e-14) or inside):
+                    if acceptable(trial):
                         new, ws = trial, newton[2]
                         evals.stats.eqp_steps += 1
             newton_step = new is not None
@@ -732,7 +720,7 @@ def _estimate(
             if newton_step:
                 continue
             if clean and at_bound:
-                radius = min(radius * TRUST_EXPAND, TRUST_RADIUS_MAX)
+                radius *= TRUST_EXPAND
             if newton_steps:
                 lp_sets = (lp_sets + [lp_sol and _lp_working_set(lp_sol)])[-3:]
                 lp_ws = lp_sets[-1]

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from sparseblp import moments
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import Dataset, ModelConfig, Theta, group_index_matrix
 from sparseblp.moments import (
@@ -181,6 +182,22 @@ class TestGammaHessian:
         expected = central @ U
         np.testing.assert_allclose(exact, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
 
+    def test_at_the_anchor_it_builds_no_jacobian(self, rng, monkeypatch):
+        # the anchor keeps the node shares, D and d delta / d gamma of its
+        # Jacobian; a Hessian there reads them and gives the same bytes
+        ds, rule, theta = TestEvaluation().case(rng)
+        w, coords, U = rng.standard_normal(ds.config.n_moments), np.array([0, 3]), rng.standard_normal((2, 2))
+        fresh = Evaluator(ds, rule)
+        fresh(theta)
+        expected = fresh.gamma_hessian(theta, w, coords, U)
+        evals = Evaluator(ds, rule)
+        evals.jacobian(theta)
+        built = []
+        real = moments._jacobian
+        monkeypatch.setattr(moments, "_jacobian", lambda *a: built.append(a) or real(*a))
+        assert evals.gamma_hessian(theta, w, coords, U).tobytes() == expected.tobytes()
+        assert built == []
+
 
 class TestEvaluation:
     def case(self, rng):
@@ -241,6 +258,20 @@ class TestEvaluation:
             assert delta() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("bad", ["one market", "one row", "short rows", "nan"])
+    def test_a_bad_start_raises_before_any_inversion(self, rng, bad, inversion_log):
+        ds, rule, theta = self.case(rng)
+        n, J = ds.S.shape
+        start = {
+            "one market": np.zeros((1, J)),
+            "one row": np.zeros(J),
+            "short rows": np.zeros((n, J - 1)),
+            "nan": np.where(np.arange(J) == 1, np.nan, np.zeros((n, J))),
+        }[bad]
+        with pytest.raises(ValueError, match=rf"^start must be a finite \({n}, {J}\) delta, got shape"):
+            Evaluator(ds, rule, start=start)
+        assert inversion_log == []
 
     def test_evaluator_holds_its_own_copy_of_theta(self, rng):
         ds, rule, theta = self.case(rng)

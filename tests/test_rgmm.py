@@ -304,9 +304,23 @@ class TestElasticStep:
         # |5 + d_0| <= 1 + t with -1 <= d_0 <= -1e-9 gives t* = 3.
         theta = np.array([rgmm.THETA_BOX + 1e-9, 0.0])
         G_f = np.array([[1.0, 0.0]])
-        cand, t_star = rgmm._elastic_step(G_f, np.array([5.0]), theta, 1.0, 1.0, np.arange(2), _FamilyState(G_f))
+        cand, t_star = rgmm._elastic_step(G_f, np.array([5.0]), theta, 1.0, 1.0, np.arange(2))
         assert t_star == pytest.approx(3.0, rel=1e-12)
         assert cand[0] <= rgmm.THETA_BOX and cand[1] == 0.0
+
+    def test_a_restoration_is_one_min_violation_lp(self, rng, monkeypatch):
+        # the step is the min-violation LP's own answer, on the free coordinates alone
+        calls = _record_lps(monkeypatch)
+        G_f = rng.standard_normal((6, 4))
+        theta = np.array([0.3, -0.2, 0.0, 0.5, 0.1])
+        free = np.array([0, 1, 3, 4])
+        f_t = 2.0 * rng.standard_normal(6)
+        cand, t_star = rgmm._elastic_step(G_f, f_t, theta, 0.1, 0.5, free)
+        assert [name for name, *_ in calls] == ["solve_nonneg_lp"]
+        sol = calls[0][-1]
+        assert sol.status is LpStatus.OPTIMAL and t_star == sol.objective > 0.0
+        assert cand[free].tolist() == (theta[free] + sol.x).tolist()
+        assert cand[2] == theta[2]
 
 
 def _record_lps(monkeypatch):
@@ -648,6 +662,25 @@ class TestNewtonSteps:
         assert res.stats.eqp_steps == 0 and res.stop == "stalled"
         assert res.outer_iters == TRUST_REGION_ITERS
         assert res.theta_hat.stacked().tolist() == TRUST_REGION_THETA
+
+    def test_a_newton_step_at_the_anchor_builds_no_jacobian(self, stalling_design, monkeypatch):
+        # the step's point is the anchor: its Jacobian was just built there,
+        # so the reduced Hessian reads the anchor's node shares and D
+        data, rule, opts = stalling_design
+        built, per_hessian = [], []
+        real_jacobian, real_hessian = moments._jacobian, Evaluator.gamma_hessian
+        monkeypatch.setattr(moments, "_jacobian", lambda *a: built.append(1) or real_jacobian(*a))
+
+        def counted(self, *args):
+            before = len(built)
+            out = real_hessian(self, *args)
+            per_hessian.append(len(built) - before)
+            return out
+
+        monkeypatch.setattr(Evaluator, "gamma_hessian", counted)
+        res = estimate(data, rule, opts)
+        assert res.stats.eqp_steps >= 1
+        assert per_hessian and set(per_hessian) == {0}
 
     def test_a_vertex_working_set_is_refused_before_any_evaluation(self, stalling_design, monkeypatch):
         data, rule, opts = stalling_design

@@ -48,14 +48,18 @@ class QuadratureRule:
 def check_rule_size(G: int, nodes_per_dim: int) -> int:
     """The node count of the tensor Gauss-Hermite rule with nodes_per_dim
     nodes in each of G dimensions. Raises RuleSizeError above
-    MAX_NODES_PER_DIM nodes per dimension or MAX_TENSOR_NODES nodes in all."""
+    MAX_NODES_PER_DIM nodes per dimension, or above MAX_TENSOR_NODES nodes
+    in all, naming the most nodes per dimension that fit at this G."""
     if nodes_per_dim > MAX_NODES_PER_DIM:
         raise RuleSizeError(f"{nodes_per_dim} nodes per dimension exceeds {MAX_NODES_PER_DIM}")
     m = nodes_per_dim**G
     if m > MAX_TENSOR_NODES:
+        fits = nodes_per_dim - 1
+        while fits**G > MAX_TENSOR_NODES:  # integers, so no root's rounding decides
+            fits -= 1
         raise RuleSizeError(
             f"{nodes_per_dim}**{G} = {m} nodes exceeds {MAX_TENSOR_NODES}; "
-            "use fewer nodes per dimension or monte_carlo_rule"
+            f"use at most {fits} nodes per dimension at G = {G}"
         )
     return m
 

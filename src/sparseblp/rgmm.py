@@ -52,66 +52,65 @@ LP optimum is a vertex with part of S at the trust bound, and the true
 constraint rejects the step or the SOC pulls it back. Newton steps on the
 step LP's working set end the zigzag (SLP-EQP: Fletcher & Sainz de la Maza
 1989, Math. Program. 43; Byrd, Gould, Nocedal & Waltz 2004, Math. Program.
-100(1)). In the joint phase, a step from a step LP's optimum that stalled
-(short of the stall test's progress bar at a strictly feasible iterate) or
-that curvature cut (a shrink or SOC), at an iterate within EQP_NEAR * lambda
-of the bound, names the working set: S and its signs from the optimum's
-support, A and s_A = -sign(y_A) from the rows with a nonzero dual y. At a
-vertex (|S| = |A|) the LP step is itself the square Newton step, so the
-working set is instead the face of two vertices the iteration alternates
-between, when it does. The next iteration first tries one Newton step that
-minimizes s_S'theta_S on {f_A = s_A target}, with the reduced Hessian
-Z'(-sum_a y_a grad^2 f_a)Z on the null space of G_{A,S}. f_hat is linear in
-beta at fixed delta, so only the gamma-gamma block of the Hessian is
-nonzero. Evaluator.gamma_hessian gives it exactly on S's gamma coordinates,
-by differentiating the share inversion twice, and Z'HZ applies it to the
-null directions' gamma parts; a null direction without gamma part gets no
-step. The target is lambda +
-feasibility_slack less a hair, the edge of what the estimator calls
-feasible: iterates use the slack, and a Newton point at lambda lost to them
-by 1.6e-5 in ||theta||_1 on the mc design at DGP seed 0. The step is taken
-only when Z'HZ is positive definite (its Cholesky factorization succeeds);
-it is cut at the first coordinate that would cross zero, which leaves S,
-and where a row outside A would reach +-lambda; Gauss-Newton passes then
-restore f_A. An InversionError at a restoration point refuses it,
-and a refused working set is not tried again in the phase. It is accepted
-by the acceptance test of every LP and SOC step, as one outer iteration,
-and the next iteration tries the following Newton step. A Newton
-step shorter than CONVERGENCE_TOL converges when the multipliers certify the
-working set (KKT_TOL), and otherwise moves one coordinate into S or one row
-out of A. A refused or rejected step leaves the iteration as it was.
+100(1)). In the joint phase, a step LP's optimum at an iterate within
+EQP_NEAR * lambda of the bound names the working set: S and its signs from
+the optimum's support, A and s_A = -sign(y_A) from the rows with a nonzero
+dual y. At a vertex (|S| = |A|) the LP step is itself the square Newton
+step, so the working set is instead the face of two vertices the iteration
+alternates between, when it does. The next iteration first tries one Newton
+step that minimizes s_S'theta_S on {f_A = s_A target}, with the reduced
+Hessian Z'(-sum_a y_a grad^2 f_a)Z on the null space of G_{A,S}. f_hat is
+linear in beta at fixed delta, so only the gamma-gamma block of the Hessian
+is nonzero. Evaluator.gamma_hessian gives it exactly on S's gamma
+coordinates, by differentiating the share inversion twice, and Z'HZ applies
+it to the null directions' gamma parts; a null direction without gamma part
+gets no step. The target is lambda + feasibility_slack less a hair, the edge
+of what the estimator calls feasible: iterates use the slack, and a Newton
+point at lambda lost to them by 1.6e-5 in ||theta||_1 on the mc design at
+DGP seed 0. The step is taken only when Z'HZ is positive definite (its
+Cholesky factorization succeeds); it is cut at the first coordinate that
+would cross zero, which leaves S, and where a row outside A would reach
++-lambda; Gauss-Newton passes then restore f_A. An InversionError at a
+restoration point refuses it, and a refused working set is not tried again
+in the phase. It is accepted by the acceptance test of every LP and SOC
+step, as one outer iteration, and the next iteration tries the following
+Newton step. A Newton step shorter than CONVERGENCE_TOL converges when the
+multipliers certify the working set (KKT_TOL), and otherwise moves one
+coordinate into S or one row out of A. A refused or rejected step leaves the
+iteration as it was.
 
-Every linearized step is one LP: the trust-region step and the
-second-order correction (SOC) come from _step_lp and differ only in target,
+Every linearized step is one LP: the trust-region step and the second-order
+correction (SOC, _soc_step) are _step_lp LPs that differ only in target,
 tolerance and box center, and the elastic restoration is one min-violation
 LP. Each LP's rows are the moment rows alone; the trust region and the box
-on theta are bounds on the step.
-The step LPs of one outer iteration share G_f, so they share one matrix:
-the iteration keeps one dual simplex tableau, and each of its step LPs,
-shrink re-solves included, starts from the previous one's. Every accepted
-point (the start, an LP, SOC or Newton step) is taken on one path that
-records it with its moments and keeps the best feasible one, so nothing is
-evaluated after the last step. The trust region, the convergence test and
-the box on theta are module constants.
+on theta are bounds on the step. The step LPs of one outer iteration share
+G_f, so they share one matrix: the iteration keeps one dual simplex tableau,
+and each of its step LPs, shrink re-solves included, starts from the
+previous one's. Every accepted point (the start, an LP, SOC or Newton step)
+is taken on one path that records it with its moments and keeps the best
+feasible one, so nothing is evaluated after the last step.
 
-Each safeguard changes the estimates or their cost when switched off, on the
-240-fit grid of tests/test_slp_safeguard_grid.py (the pipebench designs and
-an n = 200 study design, DGP seeds 0-9, lambda in {0.6, 1.2, 2.4}/sqrt(n),
-one- and three-scale pilot ladders; 239 fits converge, in 3098 outer
-iterations, 6389 inversions and 5785 LPs). Without SOC 4 fewer fits
-converge; without the acceptance allowance 15 fewer, and inversions rise to
-11217; without elastic restoration 8 fewer, and the noiseless-recovery test
-fails. Without the gamma phase the grid takes 21% fewer inversions, but
-||theta_hat||_1 rises on 9 fits (by up to 0.55) and the mean error of the 16
-estimates moved by more than 1e-6 rises from 1.16 to 1.28. Without restarts
-down the pilot ladder one fit stops at a larger ||theta_hat||_1 (by 0.13).
-Without the shared face the grid takes 3131 outer iterations, 6440
-inversions and 5904 LPs, and the six study fits of the mc-replications pool
-315 inversions instead of 275; without the KKT updates 3122, 6461, 5862 and
-295; without the same-basin exit 3126, 6459, 5834 and 275. Of the grid's 40
-fits at lambda = 1.2/sqrt(n) and pilot 1.0, 15 again stop short of
-"converged" without the chain of Newton steps, and 9 without the restoration
-passes.
+A trial point is accepted when it is feasible, when it cuts the excess of
+||f_hat||_inf over lambda by the factor VIOLATION_DECREASE, or when it is
+within lambda + eps0 * lambda * ALLOWANCE_DECAY^(it - 1) at outer iteration
+it and lowers ||theta||_1 (eps0 is ALLOWANCE_GAMMA in the gamma phase and
+ALLOWANCE_JOINT in the joint phase). The allowance lets early steps
+overshoot the curved bound instead of crawling along it, its decay forces
+late iterates back to feasibility, and the geometric clause keeps an
+infeasible iteration from spending its budget shaving the excess. A run
+ends "stalled" after STALL_STEPS feasible LP steps in a row without
+progress, and two stalled runs within SAME_BASIN_TOL of each other's
+||theta||_1 end the restarts down the pilot ladder.
+
+tests/test_slp_ablations.py switches each safeguard off on the grid of
+tests/test_slp_safeguard_grid.py and pins what it loses. The allowance, its
+decay, the geometric clause, SOC, the elastic restoration and the stall
+exit keep fits from failing (SOC at a cost in inversions). The gamma phase
+and the restarts keep ||theta_hat||_1 from rising. The shared face, the KKT
+updates and the same-basin exit save outer iterations, inversions and LPs
+(the shared face leaves some fits stalled that converge without it). The
+chain of Newton steps and the restoration passes keep the fits at
+pipebench's options converging.
 """
 
 from __future__ import annotations
@@ -150,6 +149,12 @@ EQP_RESTORE_PASSES = 6  # Gauss-Newton passes that restore f_A after a Newton st
 EQP_RESTORE_TOL = 1e-12  # ... until |f_A - target| is this small
 EQP_UPDATES = 2  # working-set changes one Newton step may make at a KKT check
 KKT_TOL = 1e-9  # |G_j'y| <= 1 + KKT_TOL certifies a coordinate off the support
+ALLOWANCE_GAMMA = 0.25  # eps0 of the acceptance allowance in the gamma phase ...
+ALLOWANCE_JOINT = 0.15  # ... and in the joint phase
+ALLOWANCE_DECAY = 0.7  # the allowance's factor per outer iteration
+VIOLATION_DECREASE = 0.9  # an infeasible step passes when it cuts the excess over lambda by this factor
+STALL_STEPS = 5  # feasible steps in a row without progress that end a run "stalled"
+SAME_BASIN_TOL = 1e-9  # relative gap between two stalled runs' objectives that ends the restarts
 
 
 class EstimationError(RuntimeError):
@@ -166,9 +171,12 @@ class RgmmOptions:
     scale c spreads index variance c^2 uniformly over the group, and 0 means
     the plain-logit pilot. A point is feasible when ||f_hat||_inf <= lam +
     feasibility_slack. The trust-region constants (TRUST_RADIUS_INIT,
-    TRUST_SHRINK, TRUST_EXPAND), CONVERGENCE_TOL, THETA_BOX
-    and the gamma phase's budget GAMMA_PHASE_ITERS are fixed; the module
-    docstring gives the radius rule and the reason each safeguard is kept.
+    TRUST_SHRINK, TRUST_EXPAND), CONVERGENCE_TOL, THETA_BOX, the gamma
+    phase's budget GAMMA_PHASE_ITERS, the acceptance test's ALLOWANCE_GAMMA,
+    ALLOWANCE_JOINT, ALLOWANCE_DECAY and VIOLATION_DECREASE, and the exits'
+    STALL_STEPS and SAME_BASIN_TOL are fixed. The module docstring gives the
+    rules and the reason each safeguard is kept; tests/test_slp_ablations.py
+    checks those reasons.
     """
 
     lam: float
@@ -327,6 +335,17 @@ def _step_lp(G_f, target, tol, center, radius, box_center, family=None) -> LpSol
     """
     lo, hi = _step_bounds(center, radius, box_center)
     return solve_l1_linf(L1LinfProblem(A=G_f, b=target, lam=tol, lo=lo, hi=hi), _family=family)
+
+
+def _soc_step(G_f, f_trial, tol, radius, x_trial, family):
+    """Second-order correction of a rejected trial point x_trial (the free
+    coordinates), where f_hat is f_trial: x_trial + c for the least-l1 c,
+    |c| <= radius, with |f_trial + G_f c| <= tol, on the step's G_f and
+    family; None when that LP has no optimum. It cancels the overshoot of
+    curvature, quadratic in the radius, that otherwise forces tiny steps
+    along the boundary."""
+    soc = _step_lp(G_f, -f_trial, tol, 0.0, radius, -x_trial, family)
+    return x_trial + soc.x if soc.status is LpStatus.OPTIMAL else None
 
 
 def _elastic_step(G_f, f_t, theta_t, lam, radius, free):
@@ -619,18 +638,10 @@ def _estimate(
             if acceptable(trial):
                 return trial, sol if sol.status is LpStatus.OPTIMAL else None, clean
             if sol.status is LpStatus.OPTIMAL and np.isfinite(trial.c):
-                # second-order correction: keep the step but add the
-                # smallest l1 correction that pulls the constraint, as
-                # seen from the trial point's own moment value with the
-                # same Jacobian, back under the bound. Cancels the
-                # curvature overshoot (which is quadratic in the radius
-                # while the correction is, near the solution manifold,
-                # only as large as the overshoot itself) that otherwise
-                # forces tiny steps along the boundary.
-                soc = _step_lp(G_f, -trial.f, soc_tol, 0.0, radius, -vec[free], family)
-                if soc.status is LpStatus.OPTIMAL:
+                corrected = _soc_step(G_f, trial.f, soc_tol, radius, vec[free], family)
+                if corrected is not None:
                     vec = vec.copy()
-                    vec[free] += soc.x
+                    vec[free] = corrected
                     rescue = point(vec)
                     if acceptable(rescue):
                         evals.stats.soc_rescues += 1
@@ -647,16 +658,12 @@ def _estimate(
 
         Returns the run's outcome and why it failed, if it did: "converged"
         when the step size goes to zero at a strictly feasible iterate,
-        "stalled" when feasible LP steps stop improving the objective (the
+        "stalled" after STALL_STEPS feasible LP steps without progress (the
         LP can cycle between adjacent vertices of the curved feasible set
         without the step ever going to zero), and "failed" otherwise, with
-        lp_step's reason, or None when the budget ran out. eps0 scales the
-        acceptance allowance: early iterations may overshoot the moment
-        bound by a fraction of lambda (curvature of the binding moments
-        otherwise caps the radius at ~gradient/curvature and the iteration
-        crawls along the boundary); the allowance tightens geometrically,
-        forcing late iterates back to strict feasibility, and a step on the
-        allowance path must buy objective progress.
+        lp_step's reason, or None when the budget ran out. eps0 is the
+        acceptance allowance's (ALLOWANCE_GAMMA or ALLOWANCE_JOINT; see the
+        module docstring for the acceptance test).
 
         When every coordinate is free (the joint phase), an iteration first
         tries the Newton step that the last LP step's working set or the
@@ -672,7 +679,7 @@ def _estimate(
         refused: set[tuple[bytes, bytes]] = set()  # working sets refused a Newton step
         for it in range(1, budget + 1):
             evals.stats.outer_iters += 1
-            eps = max(opts.feasibility_slack, eps0 * lam * 0.7 ** (it - 1))
+            eps = max(opts.feasibility_slack, eps0 * lam * ALLOWANCE_DECAY ** (it - 1))
 
             def acceptable(new: _Iterate) -> bool:
                 if new.c <= feasible:
@@ -680,7 +687,7 @@ def _estimate(
                 # progress on the violation must be geometric, otherwise the
                 # iteration can spend its whole budget shaving an epsilon at
                 # a time while approaching the bound from above
-                if new.c <= lam + 0.9 * (cur.c - lam) - 1e-15:
+                if new.c <= lam + VIOLATION_DECREASE * (cur.c - lam) - 1e-15:
                     return True
                 return new.c <= lam + eps and new.obj < cur.obj - 1e-12
 
@@ -713,7 +720,7 @@ def _estimate(
                 stall = 0
             elif progress is False and not newton_step:
                 stall += 1
-                if stall >= 5:
+                if stall >= STALL_STEPS:
                     return "stalled", None
             if step_l1 < CONVERGENCE_TOL and progress is not None:
                 return "converged", None
@@ -724,10 +731,10 @@ def _estimate(
             if newton_steps:
                 lp_sets = (lp_sets + [lp_sol and _lp_working_set(lp_sol)])[-3:]
                 lp_ws = lp_sets[-1]
-                if lp_ws and (progress is False or not clean) and cur.c <= lam * (1.0 + EQP_NEAR):
-                    # the step stalled or the curvature of f cut it: take a
-                    # Newton step on its working set next, or, when the
-                    # iteration alternates between two vertices, on their face
+                if lp_ws and cur.c <= lam * (1.0 + EQP_NEAR):
+                    # near the bound: take a Newton step on the step LP's
+                    # working set next, or, when the iteration alternates
+                    # between two vertices, on their face
                     if lp_ws.support.sum() > lp_ws.rows.size:
                         ws = lp_ws
                     elif len(lp_sets) == 3 and lp_sets[0] and lp_sets[1] and (
@@ -753,19 +760,12 @@ def _estimate(
         best = nowhere
         take(_Iterate.at(theta_s.stacked(), f_s))
         if beta_feasible:
-            # concentration phase: the pilot spreads heterogeneity uniformly
-            # within each group, which is l1-expensive dead weight the joint
-            # program would simply drop whenever the attribute loadings alone
-            # can reach the moment bound (the probe beta LP being feasible is
-            # exactly that signal; at tiny lambda no such fit exists and the
-            # phase is skipped). With beta frozen the subproblem cannot
-            # re-fit moments through the loadings, so l1 descent must reshape
-            # gamma toward the coordinates that actually carry the
-            # substitution signal, making it load-bearing before the joint
-            # phase. Its outcome is no verdict on the program.
-            run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=0.25)
+            # the gamma phase (module docstring), entered only when the
+            # probe's beta LP is feasible, i.e. when the attribute loadings
+            # alone reach the bound. Its outcome is no verdict on the program.
+            run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=ALLOWANCE_GAMMA)
             radius = TRUST_RADIUS_INIT
-        outcome, why = run_phase(free_all, opts.max_outer_iters, eps0=0.15)
+        outcome, why = run_phase(free_all, opts.max_outer_iters, eps0=ALLOWANCE_JOINT)
         outcomes.add(outcome)
         if best.obj < global_best.obj - 1e-15:
             global_best = best
@@ -778,13 +778,10 @@ def _estimate(
             # start can tell the two apart).
             break
         if outcome == "stalled":
-            if (
-                prev_stall_obj is not None
-                and abs(best.obj - prev_stall_obj) <= 1e-9 * max(1.0, abs(best.obj))
+            if prev_stall_obj is not None and (
+                abs(best.obj - prev_stall_obj) <= SAME_BASIN_TOL * max(1.0, abs(best.obj))
             ):
-                # two starts stalled at the same objective: same basin, and
-                # further probes would almost surely funnel there too
-                break
+                break  # two runs stalled in the same basin; later probes would funnel there too
             prev_stall_obj = best.obj
     if cur is None:
         raise EstimationError(

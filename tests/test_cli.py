@@ -604,6 +604,22 @@ class TestBadInput:
         assert one_line_error(err).startswith(f"data error: {path}: quad_nodes:")
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    def test_oversized_rule_names_the_most_nodes_that_fit(self, tmp_path, capsys, command):
+        # 9**7 nodes exceed the tensor cap and 7**7 fit; no subcommand selects monte_carlo_rule
+        dgp = {**DGP, "model": SEVEN_GROUPS}
+        argv = {
+            "simulate": ["simulate", "--dgp", write_json(tmp_path / "dgp.json", dgp), "--out", tmp_path / "d.csv",
+                         "--truth", tmp_path / "t.json", "--quad-nodes", "9"],
+            "mc": ["mc", "--config", write_json(tmp_path / "study.json", study(dgp=dgp, quad_nodes=9)),
+                   "--out", tmp_path / "report"],
+        }[command]
+        code, err = run(capsys, *argv)
+        assert code == cli.EXIT_DATA
+        line = one_line_error(err)
+        assert "use at most 7 nodes per dimension at G = 7" in line
+        assert "monte_carlo_rule" not in line
+
     def test_bad_thread_variable_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPARSE_BLP_THREADS", "abc")
         code, err = run(capsys, "mc", "--config", "study.json", "--out", "report")

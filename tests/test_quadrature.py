@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sparseblp.quadrature import MAX_NODES_PER_DIM, RuleSizeError, gauss_hermite_rule, monte_carlo_rule
+from sparseblp.quadrature import (
+    MAX_NODES_PER_DIM, MAX_TENSOR_NODES, RuleSizeError, check_rule_size, gauss_hermite_rule, monte_carlo_rule,
+)
 
 
 class TestGaussHermite:
@@ -34,9 +36,14 @@ class TestGaussHermite:
         with pytest.raises(RuleSizeError, match="101 nodes per dimension"):
             gauss_hermite_rule(1, MAX_NODES_PER_DIM + 1)
 
-    def test_size_guard_suggests_monte_carlo(self):
-        with pytest.raises(RuleSizeError, match="monte_carlo"):
-            gauss_hermite_rule(7, 11)
+    @pytest.mark.parametrize("G, fits", [(4, 31), (7, 7), (20, 1)])
+    def test_size_guard_names_the_most_nodes_that_fit(self, G, fits):
+        # (fits + 1)**G is the first count above the cap, fits**G the last below it
+        assert fits**G <= MAX_TENSOR_NODES < (fits + 1) ** G
+        with pytest.raises(RuleSizeError, match=f"use at most {fits} nodes per dimension at G = {G}$"):
+            gauss_hermite_rule(G, fits + 1)
+        with pytest.raises(RuleSizeError, match=f"use at most {fits} nodes per dimension"):
+            check_rule_size(G, MAX_NODES_PER_DIM)
 
 
 class TestMonteCarlo:

@@ -3,10 +3,11 @@ and the mc-replications design at n = 200, DGP seeds 0-9, lambda in
 {0.6, 1.2, 2.4}/sqrt(n), and the pilot ladders (1.0,) and (0.5, 1, 2).
 Run with `pytest -m slow`.
 
-The module docstring of rgmm gives what each safeguard of the SLP changes
-on this grid. The values below are those of the code before its accepted
-steps went through one path; a refactor of the SLP must leave them as they
-are, and a change to what it computes must re-pin them with its reasons.
+test_slp_ablations switches each safeguard of the SLP off on this grid and
+pins what it changes. The values below are those of the code before its
+accepted steps went through one path; a refactor of the SLP must leave them
+as they are, and a change to what it computes must re-pin them with its
+reasons.
 OUTER_ITERS, INVERSIONS and LP_SOLVES were re-pinned (from 3124, 7337 and
 5810) when the Newton step's reduced Hessian became exact: the forward
 differences' probe inversions are gone, and one fit of the arm
@@ -19,7 +20,13 @@ two-group-inversion sum at lambda = 1.2/sqrt(n) and pilot (1.0,) (from
 LP and a Newton step became subject to the acceptance test of every other
 step alone: one fit of the arm (two-group-inversion, DGP seed 9) stops
 1.8e-7 lower in ||theta_hat||_1, in 17 outer iterations instead of 18; no
-fit changes how it ends and none stops higher.
+fit changes how it ends and none stops higher. They were re-pinned again
+(from 3098, 6389 and 5785) when a step LP's working set began to name the
+next Newton step at every iterate within EQP_NEAR * lambda of the bound,
+not only after a step that stalled or that curvature cut: one fit
+(mc-replications, DGP seed 8, 0.6/sqrt(n), pilot (1.0,)) stops 1.8e-12
+lower in ||theta_hat||_1, in 21 outer iterations, 47 inversions and 40 LPs
+instead of 23, 52 and 42.
 
 The arm at lambda = 1.2/sqrt(n) and pilot (1.0,), pipebench's options, has
 bounds of its own, written before the first run of the Newton steps on the
@@ -42,9 +49,9 @@ pytestmark = pytest.mark.slow
 QUAD_NODES = 9
 LAM_SCALES = (0.6, 1.2, 2.4)
 PILOTS = ((1.0,), (0.5, 1.0, 2.0))
-OUTER_ITERS = 3098
-INVERSIONS = 6389
-LP_SOLVES = 5785
+OUTER_ITERS = 3096
+INVERSIONS = 6384
+LP_SOLVES = 5783
 NORM_TOL = 1e-8
 # (design, DGP seed, lambda scale, pilot ladder) of every fit that did not
 # end "converged", with how it ended and its diagnosis

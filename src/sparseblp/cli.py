@@ -14,9 +14,9 @@ result embeds) must hold exactly its config's keys, each value must have its
 field's JSON type exactly (an integer is not true or 4.0; a float field
 takes any number; a list of parameters holds finite numbers), and each
 config class checks its own ranges. Any violation exits 2 with one line
-naming the file and the key. --opts overrides RgmmOptions, its 'inversion'
-object InversionOptions (contraction_tol and max_newton_iters); lam is set
-by --lambda only.
+naming the file and the key. --opts overrides RgmmOptions (pilot_scales,
+feasibility_slack and 'inversion', an InversionOptions object whose one key
+is contraction_tol); lam is set by --lambda only.
 
 estimate writes delta_hat, the n x J mean utilities it inverted at
 theta_hat, and debias starts its one share inversion there; an estimate
@@ -340,7 +340,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", required=True, type=_lambda_arg,
                    help="'auto' or a nonnegative number")
     p.add_argument("--opts", default=None,
-                   help="JSON object of RgmmOptions overrides ('inversion' is an object too)")
+                   help="JSON object of RgmmOptions overrides: pilot_scales, feasibility_slack "
+                        "and inversion, an object whose one key is contraction_tol")
     p.add_argument("--out", required=True, help="result JSON path")
     quad_nodes(p)
     p.set_defaults(func=_cmd_estimate)

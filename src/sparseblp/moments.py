@@ -20,10 +20,10 @@ kept delta and without an inversion.
 
 Everything here sits on one share inversion per gamma, and an `Evaluator`
 is the one way to it. Within one estimator call it inverts each distinct
-gamma once, keeps that inversion's MomentEvaluation (or its failure) and
-computes that gamma's Jacobian at most once. Each new inversion starts from
-a nearby point's delta, moved along d delta / d gamma when the last
-Jacobian was computed there. The moment functions (`score`, `omega`, ...)
+gamma once and keeps that inversion's MomentEvaluation (or its failure). Of
+Jacobians it keeps one, at its anchor. Each new inversion starts from a
+nearby point's delta, moved along d delta / d gamma when that point is the
+anchor. The moment functions (`score`, `omega`, ...)
 take an Evaluator as evals; without one, each call makes a fresh Evaluator
 and so inverts afresh.
 """
@@ -80,20 +80,23 @@ class Evaluator:
 
     It keeps one record per distinct gamma: the MomentEvaluation of its one
     inversion, served at any beta, or the failure, raised afresh each time
-    (a raised error's traceback would hold the Evaluator). It computes each
-    gamma's Jacobian once.
+    (a raised error's traceback would hold the Evaluator).
+
+    Its one derivative record is the anchor: the last gamma differentiated
+    here for the first time, with its Jacobian and the d delta / d gamma
+    (n, J, L), node shares and share Jacobian built with it (gamma_hessian
+    reads them). Elsewhere the derivatives are computed afresh, and a gamma
+    differentiated before leaves the anchor where it is, so every inversion
+    starts where it did when each Jacobian was kept. No evaluation refers
+    back to its Evaluator.
 
     A new inversion starts from the delta of the nearest gamma inverted
     without failure (Euclidean distance; ties go to the earliest), which in
     an SLP run is usually the current iterate or an earlier trial point
     around it, and from start, an (n, J) delta, or else the logit closed
     form when there is none. When that nearest point is the anchor, the
-    point of the last Jacobian computed here, the start is the first-order
-    prediction delta + (d delta / d gamma)(gamma -
-    gamma_anchor). d delta / d gamma is (n, J, L), so the anchor alone holds
-    one, with the node shares and share Jacobian it was built from (the
-    Newton steps' gamma_hessian reads them), and no evaluation refers back
-    to its Evaluator. A start that is not a finite (n, J) array raises
+    start is the first-order prediction delta + (d delta / d gamma)(gamma -
+    gamma_anchor). A start that is not a finite (n, J) array raises
     ValueError here.
 
     stats, the call's RunStats, counts every inversion run here, failed ones
@@ -110,8 +113,8 @@ class Evaluator:
         self.dataset, self.rule, self.start = dataset, rule, start
         self.opts = InversionOptions() if opts is None else opts
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
-        self._jacobians: dict[bytes, np.ndarray] = {}  # keyed like _by_gamma
-        # (evaluation, d delta / d gamma, node shares, D) of the last Jacobian computed here
+        self._differentiated: set[bytes] = set()  # keyed like _by_gamma
+        # (evaluation, Jacobian, d delta / d gamma, node shares, D) at the anchor
         self._anchor: tuple | None = None
         self.stats = RunStats()
 
@@ -128,26 +131,18 @@ class Evaluator:
         return hit.delta if isinstance(hit, MomentEvaluation) else None
 
     def jacobian(self, theta: Theta) -> np.ndarray:
-        """The Jacobian at theta; one computed here makes theta.gamma the
+        """The Jacobian at theta, the anchor's when theta.gamma is the
         anchor."""
-        key = _key(theta.gamma)
-        hit = self._record(key, theta)
-        jac = self._jacobians.get(key)
-        if jac is None:
-            nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
-            jac, *rest = _jacobian(self.dataset, hit.delta, nu, self.rule)
-            self._jacobians[key] = jac
-            self._anchor = (hit, *rest)
-        return jac
+        return self._derivatives(theta)[0]
 
     def gamma_hessian(self, theta: Theta, w: np.ndarray, coords: np.ndarray,
                       U: np.ndarray) -> np.ndarray:
         """The gamma-gamma Hessian of w'f_hat at theta on the gamma
         coordinates coords, applied to the directions U (len(coords), r),
         for weights w on the JK moments. Exact, from the delta kept at
-        theta.gamma: it inverts only where none is kept, reads d delta /
-        d gamma, the node shares and D off the anchor when theta.gamma is
-        the anchor, and leaves the anchor where it is.
+        theta.gamma: it inverts only where none is kept, and takes d delta /
+        d gamma, the node shares and D as jacobian(theta) takes the
+        Jacobian.
 
         Along gamma directions a and b, node m moves each utility u_j by
         p_j = (delta'a)_j + sum_l x_jl a_l node_m,g(l), and by q_j for b.
@@ -162,12 +157,7 @@ class Evaluator:
         the sums are two gemms, over its n M J rows and over the n M nodes.
         """
         data, rule, c = self.dataset, self.rule, len(coords)
-        hit = self._record(_key(theta.gamma), theta)
-        if self._anchor is not None and self._anchor[0] is hit:
-            _, ddelta, ns, D = self._anchor
-        else:
-            nu = group_index_matrix(data.X, theta.gamma, data.config)
-            _, ddelta, ns, D = _jacobian(data, hit.delta, nu, rule)
+        _, ddelta, ns, D = self._derivatives(theta)
         Hw = np.einsum("ijk,jk->ij", data.H, w.reshape(data.config.J, data.config.K))
         zeta = np.linalg.solve(D, Hw[:, :, None])  # (n, J, 1)
         b = ns * (zeta[:, None, :, 0] - np.matmul(ns, zeta)) * rule.weights[:, None]  # (n, M, J)
@@ -176,6 +166,20 @@ class Evaluator:
         cross = np.matmul(ns[:, :, None], P).reshape(-1, c).T @ np.matmul(b[:, :, None], P).reshape(-1, c)
         hess = P.reshape(-1, c).T @ (b[..., None] * P).reshape(-1, c) - cross - cross.T
         return hess @ U / -data.n
+
+    def _derivatives(self, theta: Theta) -> tuple:
+        """_jacobian's four arrays at theta.gamma: the anchor's, or computed
+        here, which makes a gamma not differentiated before the anchor."""
+        key = _key(theta.gamma)
+        hit = self._record(key, theta)
+        if self._anchor is not None and self._anchor[0] is hit:
+            return self._anchor[1:]
+        nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
+        out = _jacobian(self.dataset, hit.delta, nu, self.rule)
+        if key not in self._differentiated:
+            self._differentiated.add(key)
+            self._anchor = (hit, *out)
+        return out
 
     def _record(self, key: bytes, theta: Theta) -> MomentEvaluation:
         """The evaluation kept at theta.gamma (key), inverting there first if
@@ -195,7 +199,7 @@ class Evaluator:
             nearest = pool[int(np.argmin(np.einsum("ij,ij->i", d, d)))]
             start = nearest.delta
             if self._anchor is not None and self._anchor[0] is nearest:
-                start = start + self._anchor[1] @ (theta.gamma - nearest.theta.gamma)
+                start = start + self._anchor[2] @ (theta.gamma - nearest.theta.gamma)
         own = Theta(beta=theta.beta.copy(), gamma=theta.gamma.copy())  # callers reuse arrays
         nu = group_index_matrix(self.dataset.X, own.gamma, self.dataset.config)
         try:

@@ -143,6 +143,7 @@ TRUST_SHRINK = 0.5  # radius factor after a rejected trial point
 TRUST_EXPAND = 2.0  # radius factor after a clean step to the trust bound
 CONVERGENCE_TOL = 1e-8  # a feasible step shorter than this in l1 converges
 THETA_BOX = 100.0  # a-priori sup-norm bound on theta
+MAX_OUTER_ITERS = 50  # SLP iterations of one start's joint phase
 GAMMA_PHASE_ITERS = 8  # SLP iterations of the gamma phase after a pilot start
 EQP_NEAR = 1e-3  # Newton steps start within EQP_NEAR * lambda of the bound
 EQP_RESTORE_PASSES = 6  # Gauss-Newton passes that restore f_A after a Newton step,
@@ -166,21 +167,19 @@ class RgmmOptions:
     """Settings of the sequential-linear-programming loop.
 
     lam is the moment tolerance lambda; pick it with select_lambda or pass a
-    number. max_outer_iters bounds the SLP iterations of one start.
-    pilot_scales are the heterogeneity scales probed by the pilot; each
-    scale c spreads index variance c^2 uniformly over the group, and 0 means
-    the plain-logit pilot. A point is feasible when ||f_hat||_inf <= lam +
-    feasibility_slack. The trust-region constants (TRUST_RADIUS_INIT,
-    TRUST_SHRINK, TRUST_EXPAND), CONVERGENCE_TOL, THETA_BOX, the gamma
-    phase's budget GAMMA_PHASE_ITERS, the acceptance test's ALLOWANCE_GAMMA,
-    ALLOWANCE_JOINT, ALLOWANCE_DECAY and VIOLATION_DECREASE, and the exits'
-    STALL_STEPS and SAME_BASIN_TOL are fixed. The module docstring gives the
-    rules and the reason each safeguard is kept; tests/test_slp_ablations.py
-    checks those reasons.
+    number. pilot_scales are the heterogeneity scales probed by the pilot;
+    each scale c spreads index variance c^2 uniformly over the group, and 0
+    means the plain-logit pilot. A point is feasible when ||f_hat||_inf <=
+    lam + feasibility_slack. The budgets MAX_OUTER_ITERS, GAMMA_PHASE_ITERS
+    and shares.MAX_NEWTON_PASSES, the trust-region constants, CONVERGENCE_TOL,
+    THETA_BOX, the acceptance test's ALLOWANCE_GAMMA, ALLOWANCE_JOINT,
+    ALLOWANCE_DECAY and VIOLATION_DECREASE, and the exits' STALL_STEPS and
+    SAME_BASIN_TOL are fixed. The module docstring gives the rules and the
+    reason each safeguard is kept; tests/test_slp_ablations.py checks those
+    reasons.
     """
 
     lam: float
-    max_outer_iters: int = 50
     pilot_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
     feasibility_slack: float = 1e-6
     inversion: InversionOptions = field(default_factory=InversionOptions)
@@ -191,8 +190,6 @@ class RgmmOptions:
         scales = np.asarray(self.pilot_scales, dtype=float)
         if scales.size == 0 or np.any(scales < 0) or not np.all(np.isfinite(scales)):
             raise ValueError(f"pilot_scales must be nonnegative reals, got {self.pilot_scales}")
-        if self.max_outer_iters < 1:
-            raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not 0 <= self.feasibility_slack < np.inf:
             raise ValueError(f"feasibility_slack must be finite and >= 0, got {self.feasibility_slack}")
 
@@ -765,7 +762,7 @@ def _estimate(
             # alone reach the bound. Its outcome is no verdict on the program.
             run_phase(free_gamma, GAMMA_PHASE_ITERS, eps0=ALLOWANCE_GAMMA)
             radius = TRUST_RADIUS_INIT
-        outcome, why = run_phase(free_all, opts.max_outer_iters, eps0=ALLOWANCE_JOINT)
+        outcome, why = run_phase(free_all, MAX_OUTER_ITERS, eps0=ALLOWANCE_JOINT)
         outcomes.add(outcome)
         if best.obj < global_best.obj - 1e-15:
             global_best = best

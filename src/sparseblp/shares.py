@@ -28,26 +28,24 @@ from .quadrature import QuadratureRule
 
 _LOG_FLOOR = 1e-300  # keeps log() finite if a share underflows to 0
 _MAX_HALVINGS = 8  # damped Newton: step halvings before the contraction fallback
+MAX_NEWTON_PASSES = 60  # damped Newton passes, contraction fallbacks included
 
 
 @dataclass(frozen=True)
 class InversionOptions:
-    """Stopping rules for the share inversion.
+    """Stopping rule for the share inversion.
 
     contraction_tol is applied to the sup norm of log S - log s(delta) in
     every market; it stays tight because loose inner tolerances bias BLP
-    estimates (Dube, Fox & Su 2012). max_newton_iters bounds the damped
-    Newton passes, contraction fallbacks included.
+    estimates (Dube, Fox & Su 2012). The damped Newton passes are bounded by
+    the module constant MAX_NEWTON_PASSES.
     """
 
     contraction_tol: float = 1e-13
-    max_newton_iters: int = 60
 
     def __post_init__(self):
         if not 0 < self.contraction_tol < np.inf:
             raise ValueError(f"contraction_tol must lie in (0, inf), got {self.contraction_tol}")
-        if self.max_newton_iters < 0:
-            raise ValueError("max_newton_iters must be >= 0")
 
 
 @dataclass
@@ -149,7 +147,7 @@ def _invert_batch(
     contraction_tol are left alone. Each iterate's node shares serve both
     its residual and its Newton Jacobian, so k passes, none halved, make
     1 + k _node_shares calls. Returns (delta, info); if some market misses
-    contraction_tol within max_newton_iters passes, InversionError is
+    contraction_tol within MAX_NEWTON_PASSES passes, InversionError is
     raised.
     """
     if np.any(S <= 0.0) or np.any(S.sum(axis=-1) >= 1.0):
@@ -171,7 +169,7 @@ def _invert_batch(
     resid = residual(delta, slice(None))
     rmax = sup(resid)
     fallbacks = newton_iters = 0
-    while newton_iters < opts.max_newton_iters and np.any(rmax > opts.contraction_tol):
+    while newton_iters < MAX_NEWTON_PASSES and np.any(rmax > opts.contraction_tol):
         act = np.flatnonzero(rmax > opts.contraction_tol)
         d, r, rm = delta[act], resid[act], rmax[act]
         ns = node[:, act].transpose(1, 2, 0)  # kept by the evaluation that gave r

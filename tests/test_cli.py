@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparseblp import cli, moments
+from sparseblp import cli, moments, rgmm
 from sparseblp.model_core import ModelConfig, RunStats, Theta, load_config, load_dataset_csv
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import InversionError, InversionInfo
@@ -99,15 +99,16 @@ BAD_INPUTS = [
     ("dgp", {**DGP, "s_beta": True}, (), "s_beta:bool"),
     ("dgp", {**DGP, "model": SEVEN_GROUPS}, (), "dgp.json:rule size"),
     ("dgp", DGP, ("--quad-nodes", "101"), "--quad-nodes:per dimension"),
+    # the run budgets are module constants: a key for one is unknown, whatever its value
     ("opts", {"max_outer_iters": "5"}, (), "max_outer_iters:str"),
+    ("opts", {"max_outer_iters": 0}, (), "max_outer_iters:zero"),
+    ("opts", {"inversion": {"max_newton_iters": -3}}, (), "max_newton_iters:negative"),
     ("opts", 2.5, (), "opts.json:not an object"),
     ("opts", {"gamma_phase_iters": 1.5}, (), "gamma_phase_iters:float"),
     ("opts", {"pilot_scales": "12"}, (), "pilot_scales:str"),
     ("opts", {"feasibility_slack": -1}, (), "feasibility_slack:negative"),
     ("opts", {"feasibility_slack": "x"}, (), "feasibility_slack:str"),
     ("opts", {"inversion": {"contraction_tol": "x"}}, (), "inversion.contraction_tol:str"),
-    ("opts", {"inversion": {"max_newton_iters": -3}}, (), "max_newton_iters:negative"),
-    ("opts", {"max_outer_iters": 0}, (), "max_outer_iters:zero"),
     ("opts", {"lam": 0.1}, (), "lam:set by --lambda"),
     ("study", study(replications=1.5), (), "replications:float"),
     ("study", study(workers="2"), (), "workers:str"),
@@ -284,22 +285,23 @@ class TestPipeline:
             assert json.loads((out / "manifest.json").read_text())["master_seed"] == (9 if flag else seed)
         assert digests["flag"] == digests["file-9"] != digests["file"]
 
-    def test_iteration_budget_exhausted_is_numerical_failure(self, simulated, tmp_path, capsys):
-        opts = write_json(tmp_path / "opts.json", {"max_outer_iters": 1})
-        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json", lam="0.01"),
-                        "--opts", opts)
+    def test_iteration_budget_exhausted_is_numerical_failure(self, simulated, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(rgmm, "MAX_OUTER_ITERS", 1)
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json", lam="0.01"))
         assert code == cli.EXIT_NUMERIC
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1] == (
             "numerical failure: no feasible iterate within the iteration budget"
         )
 
-    def test_budget_spent_at_a_feasible_point_names_the_budget(self, simulated, tmp_path, capsys):
+    def test_budget_spent_at_a_feasible_point_names_the_budget(self, simulated, tmp_path, capsys,
+                                                               monkeypatch):
         """At lambda = 0.4 one outer iteration stays feasible but does not
         converge: the fit fails, and its diagnosis is the spent budget, not a
         missing feasible point."""
-        opts = write_json(tmp_path / "opts.json", {"max_outer_iters": 1})
-        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
+        monkeypatch.setattr(rgmm, "MAX_OUTER_ITERS", 1)
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"))
         assert code == cli.EXIT_NUMERIC
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1] == (
@@ -358,7 +360,7 @@ class TestPipeline:
         assert manifest["input_hashes"].keys() == set(manifest["config_paths"].values())
         resolved = manifest["resolved_options"]
         assert resolved["lam"] == 0.4 and resolved["quad_nodes"] == 7
-        assert resolved["inversion"]["contraction_tol"] == 1e-12 and resolved["max_outer_iters"] == 50
+        assert resolved["inversion"]["contraction_tol"] == 1e-12
 
     def test_result_json_counts_share_inversions(self, simulated, tmp_path, capsys):
         est = json.loads((simulated / "est" / "est.json").read_text())
@@ -466,14 +468,15 @@ class TestPipeline:
 
 class TestBadInput:
     def test_unknown_solver_option_is_data_error(self, simulated, tmp_path, capsys):
-        for key in ("bogus", "theta_box"):  # theta_box is a fixed constant, not an option
+        # theta_box and the run budget max_outer_iters are module constants, not options
+        for key in ("bogus", "theta_box", "max_outer_iters"):
             opts = write_json(tmp_path / "opts.json", {key: 1})
             code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
             assert code == cli.EXIT_DATA
             assert key in one_line_error(err)
 
     def test_unknown_nested_inversion_option_is_data_error(self, simulated, tmp_path, capsys):
-        for key in ("bogus", "share_floor_c1"):
+        for key in ("bogus", "share_floor_c1", "max_newton_iters"):
             opts = write_json(tmp_path / "opts.json", {"inversion": {key: 1}})
             code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
             assert code == cli.EXIT_DATA

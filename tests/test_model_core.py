@@ -306,10 +306,8 @@ mc_configs = st.builds(
     quad_nodes=st.integers(1, 20), workers=st.integers(1, 8),
 )
 rgmm_options = st.builds(
-    RgmmOptions, lam=nonneg, max_outer_iters=st.integers(1, 100), pilot_scales=scales,
-    feasibility_slack=nonneg,
-    inversion=st.builds(InversionOptions, contraction_tol=st.floats(1e-15, 1.0),
-                        max_newton_iters=st.integers(0, 100)),
+    RgmmOptions, lam=nonneg, pilot_scales=scales, feasibility_slack=nonneg,
+    inversion=st.builds(InversionOptions, contraction_tol=st.floats(1e-15, 1.0)),
 )
 configs = st.one_of(model_configs(), dgp_configs(), mc_configs, rgmm_options)
 json_values = st.recursive(

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sparseblp import moments
+from sparseblp import moments, shares
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import Dataset, ModelConfig, Theta, group_index_matrix
 from sparseblp.moments import (
@@ -15,7 +15,7 @@ from sparseblp.moments import (
     score,
 )
 from sparseblp.quadrature import gauss_hermite_rule
-from sparseblp.shares import InversionError, InversionOptions, _mixed_shares
+from sparseblp.shares import InversionError, _mixed_shares
 
 from conftest import random_dataset, random_theta
 
@@ -239,10 +239,12 @@ class TestEvaluation:
         np.testing.assert_allclose(f_near, score(ds, near, rule), rtol=0, atol=1e-11)
         np.testing.assert_allclose(f, score(ds, theta, rule), rtol=0, atol=1e-11)
 
-    def test_a_cached_failure_is_raised_afresh_and_keeps_nothing_alive(self, rng, inversion_log):
+    def test_a_cached_failure_is_raised_afresh_and_keeps_nothing_alive(self, rng, inversion_log,
+                                                                       monkeypatch):
         # with no Newton pass only the logit closed form at gamma = 0 converges
         ds, rule, theta = self.case(rng)
-        evals = Evaluator(ds, rule, InversionOptions(max_newton_iters=0))
+        monkeypatch.setattr(shares, "MAX_NEWTON_PASSES", 0)
+        evals = Evaluator(ds, rule)
         delta = weakref.ref(evals(Theta(beta=theta.beta, gamma=np.zeros(4))).delta)
         with pytest.raises(InversionError) as first:
             evals(theta)

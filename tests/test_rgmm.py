@@ -133,11 +133,12 @@ class TestNoiselessRecovery:
 
 
 class TestFailureDiagnosis:
-    def test_impossible_lambda_reports_diagnosis(self, gh1):
+    def test_impossible_lambda_reports_diagnosis(self, gh1, monkeypatch):
         # noisy data cannot reach a near-zero moment bound; the result must
         # say why instead of silently claiming convergence
+        monkeypatch.setattr(rgmm, "MAX_OUTER_ITERS", 4)
         ds, _ = _noisy_data(gh1, n=15, seed=9)
-        res = estimate(ds, gh1, RgmmOptions(lam=1e-9, max_outer_iters=4))
+        res = estimate(ds, gh1, RgmmOptions(lam=1e-9))
         assert not res.converged
         assert res.diagnosis is not None
         assert res.final_constraint > 1e-9
@@ -447,18 +448,20 @@ class TestWarmStepLps:
         res = estimate(ds, gh1, RgmmOptions(lam=0.08))
         assert not res.converged and res.diagnosis is not None
 
-    def test_same_inputs_same_bytes(self, gh1):
+    def test_same_inputs_same_bytes(self, gh1, monkeypatch):
+        monkeypatch.setattr(rgmm, "MAX_OUTER_ITERS", 10)
         ds, _ = _noisy_data(gh1, n=15, seed=9)
-        opts = RgmmOptions(lam=0.05, max_outer_iters=10)
+        opts = RgmmOptions(lam=0.05)
         r1, r2 = estimate(ds, gh1, opts), estimate(ds, gh1, opts)
         assert r1.theta_hat.stacked().tobytes() == r2.theta_hat.stacked().tobytes()
         assert (r1.stats.lp_solves, r1.stats.lp_pivots) == (r2.stats.lp_solves, r2.stats.lp_pivots)
 
 
 class TestLpCounts:
-    def test_successive_calls_keep_their_own_records(self, gh1):
+    def test_successive_calls_keep_their_own_records(self, gh1, monkeypatch):
+        monkeypatch.setattr(rgmm, "MAX_OUTER_ITERS", 10)
         ds, _ = _noisy_data(gh1, n=15, seed=9)
-        opts = RgmmOptions(lam=0.05, max_outer_iters=10)
+        opts = RgmmOptions(lam=0.05)
         r1 = estimate(ds, gh1, opts)
         first = replace(r1.stats)
         assert first.inversions > 0 and first.lp_solves > 0
@@ -468,8 +471,9 @@ class TestLpCounts:
     def test_counts_match_the_wrapped_solvers(self, gh1, monkeypatch):
         # a bound the data cannot reach sends steps through elastic restoration
         calls = _record_lps(monkeypatch)
+        monkeypatch.setattr(rgmm, "MAX_OUTER_ITERS", 4)
         ds, _ = _noisy_data(gh1, n=15, seed=9)
-        res = estimate(ds, gh1, RgmmOptions(lam=1e-9, max_outer_iters=4))
+        res = estimate(ds, gh1, RgmmOptions(lam=1e-9))
         assert {name for name, *_ in calls} == {"solve_l1_linf", "solve_nonneg_lp"}
         assert res.stats.lp_solves == len(calls)
         assert res.stats.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
@@ -694,6 +698,144 @@ class TestNewtonSteps:
         vec = support * 0.5
         assert rgmm._eqp_step(data, rule, opts, evals, ws, vec, np.zeros(24), opts.lam) is None
         assert evals.stats.inversions == 0
+
+
+def _working_set(size, coords, rows, row_signs):
+    """The working set with support coords, each of sign +1, out of size
+    coordinates, and binding rows with row_signs."""
+    support = np.zeros(size, dtype=bool)
+    support[coords] = True
+    return rgmm._WorkingSet(support, support * 1.0, np.array(rows), np.array(row_signs, dtype=float))
+
+
+class TestKktUpdate:
+    """_kkt_update's two changes of a working set, on a hand-built G of two
+    rows and four coordinates, with S = {0}."""
+
+    G = np.array([[2.0, 0.0, -3.0, 0.1], [0.5, 0.1, 0.3, 0.2]])
+
+    def test_a_coordinate_enters_the_support(self):
+        ws = _working_set(4, [0], [0], [-1.0])
+        # G'y = (1, 0, -1.5, 0.05): coordinate 2 breaks |G_j'y| <= 1, and y_0
+        # has the sign -s_a its row needs
+        out = rgmm._kkt_update(self.G, ws, np.array([0.5]))
+        assert out.support.tolist() == [True, False, True, False]
+        assert out.signs.tolist() == [1.0, 0.0, -1.0, 0.0]  # the sign of G_2'y
+        assert out.rows.tolist() == [0] and out.row_signs.tolist() == [-1.0]
+
+    def test_a_row_leaves_the_binding_set(self):
+        ws = _working_set(4, [0], [0, 1], [-1.0, -1.0])
+        # off S, |G'y| <= 0.36; y_1 = -0.2 has the wrong sign for s_1 = -1
+        out = rgmm._kkt_update(self.G, ws, np.array([0.1, -0.2]))
+        assert out.rows.tolist() == [0] and out.row_signs.tolist() == [-1.0]
+        assert out.support.tolist() == ws.support.tolist() and out.signs.tolist() == ws.signs.tolist()
+        # with y_1's sign right, the multipliers certify the working set
+        assert rgmm._kkt_update(self.G, ws, np.array([0.1, 0.2])) is None
+
+
+class TestNewtonStepRefusals:
+    """Each way _eqp_step refuses a Newton step returns None and leaves the
+    Evaluator's counts as they were. Most cases sit on the stalling design
+    at beta_0 = 0.3, gamma_0 = gamma_1 = 0.5 (POINT), where the support
+    {beta_0, gamma_0, gamma_1} has one null direction: the reduced Hessian
+    there is 0.39 with the rows A = {0, 1} and -0.016 with A = {1, 2}."""
+
+    COORDS = [0, 10, 11]
+    POINT = [0.3, 0.5, 0.5]
+
+    @staticmethod
+    def refused(data, rule, opts, ws, vec):
+        evals = Evaluator(data, rule, opts.inversion)
+        f = score(data, Theta.from_stacked(vec), rule, evals=evals)
+        before = replace(evals.stats)
+        assert rgmm._eqp_step(data, rule, opts, evals, ws, vec, f, opts.lam) is None
+        assert evals.stats == before
+        return f
+
+    def point(self, data):
+        vec = np.zeros(2 * data.config.L)
+        vec[self.COORDS] = self.POINT
+        return vec
+
+    @pytest.fixture
+    def hessians(self, monkeypatch):
+        """The number of gamma_hessian calls, with the restoration's score
+        disabled: a step that reached it would raise."""
+        calls = []
+        real = Evaluator.gamma_hessian
+        monkeypatch.setattr(Evaluator, "gamma_hessian", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(rgmm, "score", None)
+        return calls
+
+    def test_a_singular_binding_block(self, stalling_design, monkeypatch):
+        # at gamma = 0 the gamma columns of G vanish, so G_{A,S} has rank 1
+        data, rule, opts = stalling_design
+        vec = np.zeros(2 * data.config.L)
+        vec[0] = 0.3
+        ws = _working_set(vec.size, self.COORDS, [0, 1], [1.0, 1.0])
+        G = jacobian_theta(data, Theta.from_stacked(vec), rule)
+        assert np.linalg.matrix_rank(G[np.ix_([0, 1], self.COORDS)]) == 1
+        monkeypatch.setattr(Evaluator, "gamma_hessian", None)  # a call would raise
+        self.refused(data, rule, opts, ws, vec)
+
+    def test_a_null_direction_without_gamma_part(self, stalling_design, monkeypatch):
+        # attribute 1 repeats attribute 0, so beta_0 - beta_1 moves no moment
+        data, rule, opts = stalling_design
+        X = data.X.copy()
+        X[:, :, 1] = X[:, :, 0]
+        twin = Dataset(data.config, X=X, S=data.S, H=data.H)
+        coords = [0, 1, 10, 11]
+        vec = np.zeros(2 * data.config.L)
+        vec[coords] = [0.3, 0.3, 0.5, 0.5]
+        ws = _working_set(vec.size, coords, [0, 1], [1.0, 1.0])
+        G = jacobian_theta(twin, Theta.from_stacked(vec), rule)
+        assert np.linalg.matrix_rank(G[np.ix_([0, 1], coords)]) == 2
+        monkeypatch.setattr(Evaluator, "gamma_hessian", None)
+        self.refused(twin, rule, opts, ws, vec)
+
+    def test_an_indefinite_reduced_hessian(self, stalling_design, hessians):
+        data, rule, opts = stalling_design
+        vec = self.point(data)
+        self.refused(data, rule, opts, _working_set(vec.size, self.COORDS, [1, 2], [1.0, -1.0]), vec)
+        assert len(hessians) == 1
+
+    def test_spent_working_set_changes(self, stalling_design, hessians, monkeypatch):
+        # every step counts as short, so each one is a KKT check, and with no
+        # change allowed the first uncertified check refuses the step
+        monkeypatch.setattr(rgmm, "CONVERGENCE_TOL", np.inf)
+        monkeypatch.setattr(rgmm, "EQP_UPDATES", 0)
+        changes = []
+        real = rgmm._kkt_update
+        monkeypatch.setattr(rgmm, "_kkt_update", lambda *a: changes.append(real(*a)) or changes[-1])
+        data, rule, opts = stalling_design
+        vec = self.point(data)
+        self.refused(data, rule, opts, _working_set(vec.size, self.COORDS, [0, 1], [1.0, 1.0]), vec)
+        assert len(hessians) == 1 and len(changes) == 1 and changes[0] is not None
+
+    def test_a_step_cut_to_nothing(self, stalling_design, hessians):
+        # at lambda = 1e-3 every row outside A is already past the bound, and
+        # the step moves one of them further out, so it is cut at once
+        data, rule, opts = stalling_design
+        vec = self.point(data)
+        ws = _working_set(vec.size, self.COORDS, [0, 1], [1.0, 1.0])
+        f = self.refused(data, rule, replace(opts, lam=1e-3), ws, vec)
+        assert len(hessians) == 1 and np.abs(np.delete(f, [0, 1])).min() > 1e-3
+
+    def test_an_inversion_error_in_restoration(self, stalling_design, hessians, monkeypatch):
+        # at lambda = 1 every row is inside the bound (max |f| = 0.69), so the
+        # step is taken, and its restoration's score fails
+        failures = []
+
+        def failing(*args, **kwargs):
+            failures.append(1)
+            raise InversionError("refused", InversionInfo(0, 0, np.inf))
+
+        monkeypatch.setattr(rgmm, "score", failing)
+        data, rule, opts = stalling_design
+        vec = self.point(data)
+        ws = _working_set(vec.size, self.COORDS, [0, 1], [1.0, 1.0])
+        f = self.refused(data, rule, replace(opts, lam=1.0), ws, vec)
+        assert len(hessians) == 1 and len(failures) == 1 and np.abs(f).max() < 1.0
 
 
 class TestOneStepPath:

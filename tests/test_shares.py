@@ -7,6 +7,7 @@ import pytest
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp.model_core import ModelConfig, group_index_matrix
 from sparseblp.quadrature import gauss_hermite_rule, monte_carlo_rule
+from sparseblp import shares
 from sparseblp.rgmm import _uniform_group_direction
 from sparseblp.shares import (
     InversionError,
@@ -188,14 +189,14 @@ class TestInvertShares:
         except InversionError as e:
             assert "residual" in str(e)
 
-    def test_max_iteration_error_reports_residual(self, rng, gh1):
+    def test_max_iteration_error_reports_residual(self, rng, gh1, monkeypatch):
+        monkeypatch.setattr(shares, "MAX_NEWTON_PASSES", 0)
         c = logit_cfg(3)
         X = random_dataset(rng, c).X[0]
         gamma = random_theta(rng, 2).gamma
         S = mixed(X, gamma, rng.standard_normal(3), gh1, c)
-        opts = InversionOptions(contraction_tol=1e-13, max_newton_iters=0)
         with pytest.raises(InversionError, match="residual") as exc:
-            invert(S, X, gamma, gh1, c, opts)
+            invert(S, X, gamma, gh1, c, InversionOptions(contraction_tol=1e-13))
         assert exc.value.info.max_residual > 1e-13 and exc.value.info.newton_iterations == 0
 
 
@@ -280,6 +281,35 @@ def test_contraction_fallback_when_no_halving_helps():
     assert info.max_residual <= 1e-13
     assert 1 <= info.iterations < info.newton_iterations
     np.testing.assert_allclose(delta, contract(data.S, nu, rule, 1e-13), rtol=0, atol=1e-10)
+
+
+def test_a_singular_newton_system_takes_a_contraction_step(monkeypatch):
+    """A start with one product's delta at -800 underflows its shares to 0
+    at every node, so that market's share Jacobian is singular and the
+    batched solve raises LinAlgError. The pass then steps along the
+    residual, as the contraction does, and the inversion still converges to
+    the delta of the logit start."""
+    c = ModelConfig(n_markets=5, J=3, L=2, G=1, K=1, partition=(1, 1))
+    rule = gauss_hermite_rule(1, 7)
+    data, truth = simulate(DgpConfig(model=c, s_beta=1, s_gamma=1, seed=0), rule)
+    nu = group_index_matrix(data.X, truth.gamma, c)
+    reference, _ = _invert_batch(data.S, nu, rule, InversionOptions())
+    start = reference.copy()
+    start[2, 1] = -800.0
+    raised = []
+    real = np.linalg.solve
+
+    def solve(*args):
+        try:
+            return real(*args)
+        except np.linalg.LinAlgError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    delta, info = _invert_batch(data.S, nu, rule, InversionOptions(), start=start)
+    assert len(raised) == 1 and info.max_residual <= 1e-13
+    np.testing.assert_allclose(delta, reference, rtol=0, atol=1e-12)
 
 
 @pytest.mark.slow

@@ -9,8 +9,8 @@ a later stage can detect that an input changed between runs.
 
 Every JSON input is read by one rule, model_core.config_from_dict: a file
 (the DGP config, the model config, the study config, the --opts solver
-options, a parameter file, and the model and theta_hat blocks an estimate
-result embeds) must hold exactly its config's keys, each value must have its
+options, a parameter file, and an estimate result's model, theta_hat and
+quad_nodes) must hold exactly its config's keys, each value must have its
 field's JSON type exactly (an integer is not true or 4.0; a float field
 takes any number; a list of parameters holds finite numbers), and each
 config class checks its own ranges. Any violation exits 2 with one line
@@ -18,9 +18,10 @@ naming the file and the key. --opts overrides RgmmOptions (pilot_scales,
 feasibility_slack and 'inversion', an InversionOptions object whose one key
 is contraction_tol); lam is set by --lambda only.
 
-estimate writes delta_hat, the n x J mean utilities it inverted at
-theta_hat, and debias starts its one share inversion there; an estimate
-file without delta_hat starts it from the logit closed form.
+estimate writes its model, its quad_nodes and delta_hat, the n x J mean
+utilities it inverted at theta_hat. debias reads its model and its rule from
+those, so it corrects the moment function the estimate fitted, and starts its
+one share inversion at delta_hat, or at the logit closed form without it.
 
 Exit codes: 0 success, 1 usage error (unknown option, bad --lambda or --seed),
 2 data or validation error (missing, malformed or invalid input files, a
@@ -113,12 +114,12 @@ def _load_dataset(data_path, config: ModelConfig):
     return dataset
 
 
-def _rule(G: int, args, source) -> QuadratureRule:
-    """The --quad-nodes Gauss-Hermite rule for the G groups of the model in source."""
+def _rule(G: int, nodes: int, source, key="--quad-nodes") -> QuadratureRule:
+    """The Gauss-Hermite rule with nodes (source's key) per dimension for G groups."""
     try:
-        return gauss_hermite_rule(G, args.quad_nodes)
+        return gauss_hermite_rule(G, nodes)
     except RuleSizeError as e:
-        raise RuleSizeError(f"{source}: --quad-nodes {args.quad_nodes}: {e}") from e
+        raise RuleSizeError(f"{source}: {key} {nodes}: {e}") from e
 
 
 def _read_theta(path, key, config: ModelConfig) -> Theta:
@@ -127,6 +128,16 @@ def _read_theta(path, key, config: ModelConfig) -> Theta:
     if theta.L != config.L:
         raise ConfigurationError(f"{path}: parameters have L={theta.L}, the model has L={config.L}")
     return theta
+
+
+def _read_quad_nodes(path, estimate: dict) -> int:
+    """The nodes per dimension of the rule an estimate file was fitted on."""
+    if "quad_nodes" not in estimate:
+        raise ConfigurationError(f"{path}: quad_nodes is missing, so the estimate's rule is unknown")
+    nodes = read_value(int, estimate["quad_nodes"], f"{path}: quad_nodes")
+    if nodes < 1:
+        raise ConfigurationError(f"{path}: quad_nodes must be >= 1, got {nodes}")
+    return nodes
 
 
 def _read_delta(path, estimate: dict, config: ModelConfig) -> np.ndarray | None:
@@ -155,7 +166,7 @@ def _cmd_simulate(args) -> int:
     dgp = load_config(DgpConfig, args.dgp)
     if args.seed is not None:
         dgp = replace(dgp, seed=args.seed)
-    dataset, truth = simulate(dgp, _rule(dgp.model.G, args, args.dgp))
+    dataset, truth = simulate(dgp, _rule(dgp.model.G, args.quad_nodes, args.dgp))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset_csv(dataset, out)
@@ -172,7 +183,7 @@ def _cmd_estimate(args) -> int:
     config = load_config(ModelConfig, args.config)
     opts = _solver_options(args.opts, 0.0 if args.lam == "auto" else args.lam)
     dataset = _load_dataset(args.data, config)
-    rule = _rule(config.G, args, args.config)
+    rule = _rule(config.G, args.quad_nodes, args.config)
     if args.lam == "auto":
         result = estimate_auto(dataset, rule, opts=opts)
     else:
@@ -190,6 +201,7 @@ def _cmd_estimate(args) -> int:
         "runtime_s": result.runtime_s,
         "history": [asdict(h) for h in result.history],
         "model": config_to_dict(config),
+        "quad_nodes": args.quad_nodes,
         "delta_hat": result.delta_hat.tolist(),
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -203,16 +215,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_debias(args) -> int:
-    # without --config, the model block the estimate embeds
-    config = load_config(ModelConfig, args.config or args.estimate, None if args.config else "model")
+    config = load_config(ModelConfig, args.estimate, "model")
     theta_hat = _read_theta(args.estimate, "theta_hat", config)
     estimate = read_json(args.estimate)
+    nodes = _read_quad_nodes(args.estimate, estimate)
+    rule = _rule(config.G, nodes, args.estimate, "quad_nodes")
     if estimate.get("converged") is False:  # a hand-written estimate may leave it out
         raise EstimationError(
             f"{args.estimate}: the fit did not converge ({estimate.get('diagnosis')}), so it is not de-biased"
         )
     dataset = _load_dataset(args.data, config)
-    rule = _rule(config.G, args, args.config or args.estimate)
     penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
     result = debias(dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha,
                     relax_mu=args.relax_mu, start=_read_delta(args.estimate, estimate, config))
@@ -242,9 +254,8 @@ def _cmd_debias(args) -> int:
     if zero_se_rows:
         _log(f"debias: rows {zero_se_rows} have se 0, so their intervals have zero width")
     resolved = {"model": config_to_dict(config), "alpha": args.alpha, "penalty_c": args.penalty_c,
-                "relax_mu": args.relax_mu, "quad_nodes": args.quad_nodes}
-    inputs = {"estimate": args.estimate, "data": args.data, "config": args.config}
-    _write_manifest(out.parent, args, inputs, resolved)
+                "relax_mu": args.relax_mu, "quad_nodes": nodes}
+    _write_manifest(out.parent, args, {"estimate": args.estimate, "data": args.data}, resolved)
     return EXIT_OK
 
 
@@ -280,7 +291,8 @@ def _cmd_export_moments(args) -> int:
     theta = _read_theta(args.theta, None, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    evals = Evaluator(dataset, _rule(config.G, args, args.config))  # one inversion serves all three
+    rule = _rule(config.G, args.quad_nodes, args.config)
+    evals = Evaluator(dataset, rule)  # one inversion serves all three
     moments = evals(theta)
     np.savetxt(out / "score.csv", moments.score()[None, :], delimiter=",")
     np.savetxt(out / "omega.csv", moments.omega(), delimiter=",")
@@ -334,7 +346,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=None, help="master seed override")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", help="regularized GMM fit on a dataset")
+    p = sub.add_parser("estimate", help="regularized GMM fit; its result holds the model and rule debias uses")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", required=True, help="model config JSON")
     p.add_argument("--lambda", dest="lam", required=True, type=_lambda_arg,
@@ -346,11 +358,9 @@ def _build_parser() -> _Parser:
     quad_nodes(p)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("debias", help="one-step correction and confidence intervals")
-    p.add_argument("--estimate", required=True, help="estimate result JSON")
+    p = sub.add_parser("debias", help="one-step correction and intervals at the estimate's model and rule")
+    p.add_argument("--estimate", required=True, help="estimate result JSON, with its model and quad_nodes")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--config", default=None,
-                   help="model config JSON (default: model block embedded in --estimate)")
     p.add_argument("--alpha", type=_alpha, default=0.05, help="1 - confidence level")
     p.add_argument("--penalty-c", type=_nonnegative, default=PENALTY_C_GAMMA,
                    help=f"c in the gamma penalty c sqrt(log(max(JK, 2L)) / n), default {PENALTY_C_GAMMA}; "
@@ -359,7 +369,6 @@ def _build_parser() -> _Parser:
                    help="re-solve a mu row that is infeasible at its penalty with the penalty "
                         "floored at feasibility, instead of erroring")
     p.add_argument("--out", required=True, help="debiased result JSON path")
-    quad_nodes(p)
     p.set_defaults(func=_cmd_debias)
 
     p = sub.add_parser("mc", help="replication study (quadrature nodes come from the study config)")

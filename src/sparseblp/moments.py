@@ -82,13 +82,11 @@ class Evaluator:
     inversion, served at any beta, or the failure, raised afresh each time
     (a raised error's traceback would hold the Evaluator).
 
-    Its one derivative record is the anchor: the last gamma differentiated
-    here for the first time, with its Jacobian and the d delta / d gamma
-    (n, J, L), node shares and share Jacobian built with it (gamma_hessian
-    reads them). Elsewhere the derivatives are computed afresh, and a gamma
-    differentiated before leaves the anchor where it is, so every inversion
-    starts where it did when each Jacobian was kept. No evaluation refers
-    back to its Evaluator.
+    Its one derivative record is the anchor: the last gamma whose Jacobian
+    was computed here, with that Jacobian and the d delta / d gamma (n, J,
+    L), node shares and share Jacobian built with it (gamma_hessian reads
+    them). Elsewhere the derivatives are computed afresh, and the point
+    becomes the anchor. No evaluation refers back to its Evaluator.
 
     A new inversion starts from the delta of the nearest gamma inverted
     without failure (Euclidean distance; ties go to the earliest), which in
@@ -113,7 +111,6 @@ class Evaluator:
         self.dataset, self.rule, self.start = dataset, rule, start
         self.opts = InversionOptions() if opts is None else opts
         self._by_gamma: dict[bytes, MomentEvaluation | InversionError] = {}
-        self._differentiated: set[bytes] = set()  # keyed like _by_gamma
         # (evaluation, Jacobian, d delta / d gamma, node shares, D) at the anchor
         self._anchor: tuple | None = None
         self.stats = RunStats()
@@ -169,17 +166,12 @@ class Evaluator:
 
     def _derivatives(self, theta: Theta) -> tuple:
         """_jacobian's four arrays at theta.gamma: the anchor's, or computed
-        here, which makes a gamma not differentiated before the anchor."""
-        key = _key(theta.gamma)
-        hit = self._record(key, theta)
-        if self._anchor is not None and self._anchor[0] is hit:
-            return self._anchor[1:]
-        nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
-        out = _jacobian(self.dataset, hit.delta, nu, self.rule)
-        if key not in self._differentiated:
-            self._differentiated.add(key)
-            self._anchor = (hit, *out)
-        return out
+        here, which makes theta.gamma the anchor."""
+        hit = self._record(_key(theta.gamma), theta)
+        if self._anchor is None or self._anchor[0] is not hit:
+            nu = group_index_matrix(self.dataset.X, hit.theta.gamma, self.dataset.config)
+            self._anchor = (hit, *_jacobian(self.dataset, hit.delta, nu, self.rule))
+        return self._anchor[1:]
 
     def _record(self, key: bytes, theta: Theta) -> MomentEvaluation:
         """The evaluation kept at theta.gamma (key), inverting there first if

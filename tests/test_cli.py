@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparseblp import cli, moments, rgmm
+from sparseblp.debias import PENALTY_C_GAMMA, DebiasPenalties, debias
 from sparseblp.model_core import ModelConfig, RunStats, Theta, load_config, load_dataset_csv
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import InversionError, InversionInfo
@@ -75,6 +76,15 @@ def simulated(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def live_estimate(simulated):
+    """An estimate of the simulated dataset at lambda = 0.05 and 7 nodes,
+    where gamma_hat is live, so the logit closed form is no inverted delta."""
+    out = simulated / "live" / "est.json"
+    assert cli.main([str(a) for a in estimate_args(simulated, out, lam="0.05")]) == 0
+    return out
+
+
 def estimate_args(root, out, lam="0.4"):
     return ["estimate", "--data", root / "data.csv", "--config", root / "model.json",
             "--lambda", lam, "--out", out, *NODES]
@@ -84,7 +94,8 @@ def study(**kw):
     return {"dgp": DGP, "replications": 1, "n_grid": [20], "quad_nodes": 5, **kw}
 
 
-ESTIMATE = {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [0.7, 0.0, 0.0]}, "model": DGP["model"]}
+ESTIMATE = {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [0.7, 0.0, 0.0]}, "model": DGP["model"],
+            "quad_nodes": 7}
 SEVEN_GROUPS = {"n_markets": 2, "J": 2, "L": 7, "G": 7, "K": 4, "partition": [1, 2, 3, 4, 5, 6, 7]}
 NO_N_MARKETS = {k: v for k, v in DGP["model"].items() if k != "n_markets"}
 
@@ -135,6 +146,12 @@ BAD_INPUTS = [
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0, math.nan]] * 40}, (), "delta_hat:nan"),
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0, "1"]] * 40}, (), "delta_hat:str"),
     ("estimate", {**ESTIMATE, "delta_hat": None}, (), "delta_hat:null"),
+    # debias takes its rule from the estimate's quad_nodes, an integer read by the same rule
+    ("estimate", {k: v for k, v in ESTIMATE.items() if k != "quad_nodes"}, (), "quad_nodes:estimate, missing"),
+    ("estimate", {**ESTIMATE, "quad_nodes": True}, (), "quad_nodes:estimate, bool"),
+    ("estimate", {**ESTIMATE, "quad_nodes": 7.0}, (), "quad_nodes:estimate, float"),
+    ("estimate", {**ESTIMATE, "quad_nodes": 0}, (), "quad_nodes:estimate, zero"),
+    ("estimate", {**ESTIMATE, "quad_nodes": 101}, (), "quad_nodes:estimate, per dimension"),
 ]
 
 # (edit of the dataset CSV's lines, text the message must hold); line 1 is
@@ -162,7 +179,7 @@ BAD_INPUT_ARGV = {
     "theta": lambda path, root, out: ["export-moments", "--data", root / "data.csv", "--config",
                                       root / "model.json", "--theta", path, "--out", out, *NODES],
     "estimate": lambda path, root, out: ["debias", "--estimate", path, "--data", root / "data.csv",
-                                         "--out", out / "b.json", *NODES],
+                                         "--out", out / "b.json"],
 }
 
 
@@ -175,7 +192,7 @@ class TestPipeline:
         assert np.shape(est["delta_hat"]) == (40, 2)
         code, err = run(capsys, "debias", "--estimate", root / "est" / "est.json",
                         "--data", root / "data.csv", "--penalty-c", "0.05", "--relax-mu",
-                        "--out", tmp_path / "deb.json", *NODES)
+                        "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert len(deb["theta_dd"]) == 6 and len(deb["se"]) == 6
@@ -191,8 +208,7 @@ class TestPipeline:
             ["simulate", "--dgp", str(dgp), "--out", "data.csv", "--truth", "truth.json", *NODES],
             ["estimate", "--data", "data.csv", "--config", "model.json", "--lambda", "auto",
              "--out", "est.json", *NODES],
-            ["debias", "--estimate", "est.json", "--data", "data.csv", "--relax-mu", "--out", "deb.json",
-             *NODES],
+            ["debias", "--estimate", "est.json", "--data", "data.csv", "--relax-mu", "--out", "deb.json"],
         ]
         done = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], cwd=tmp_path,
@@ -213,7 +229,7 @@ class TestPipeline:
     @pytest.mark.parametrize("flags, rows", [(("--relax-mu",), [3, 4, 5])], ids=["calibrated-relaxed"])
     def test_debias_names_zero_width_rows(self, simulated, tmp_path, capsys, flags, rows):
         code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
-                        "--data", simulated / "data.csv", *flags, "--out", tmp_path / "deb.json", *NODES)
+                        "--data", simulated / "data.csv", *flags, "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert deb["diagnostics"]["zero_se_rows"] == rows
@@ -225,19 +241,16 @@ class TestPipeline:
         """gamma_hat is 0 on the one group, so a mu row is out of reach of
         the default penalty, 2 x 0.05 sqrt(log 8 / 40)."""
         code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
-                        "--data", simulated / "data.csv", "--out", tmp_path / "deb.json", *NODES)
+                        "--data", simulated / "data.csv", "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_NUMERIC
         assert one_line_error(err) == ("numerical failure: mu row 3 is infeasible: penalty 0.0228 too small "
                                        "or the plug-in system is degenerate")
         assert not (tmp_path / "deb.json").exists()
 
-    def test_debias_starts_at_the_estimates_delta(self, simulated, tmp_path, capsys):
-        """At lambda = 0.05 gamma_hat is live, so the logit closed form is no
-        inverted delta there; debias starts at the delta_hat the estimate
-        wrote, and its one inversion takes no Newton pass."""
-        est = tmp_path / "est.json"
-        code, err = run(capsys, *estimate_args(simulated, est, lam="0.05"))
-        assert code == cli.EXIT_OK, err
+    def test_debias_starts_at_the_estimates_delta(self, simulated, live_estimate, tmp_path, capsys):
+        """debias starts at the delta_hat the estimate wrote, and its one
+        inversion takes no Newton pass."""
+        est = live_estimate
         payload = json.loads(est.read_text())
         assert any(payload["theta_hat"]["gamma"]) and np.shape(payload["delta_hat"]) == (40, 2)
         del payload["delta_hat"]
@@ -245,12 +258,32 @@ class TestPipeline:
         counts = []
         for path in (est, logit):
             code, err = run(capsys, "debias", "--estimate", path, "--data", simulated / "data.csv",
-                            "--out", tmp_path / "deb.json", *NODES)
+                            "--out", tmp_path / "deb.json")
             assert code == cli.EXIT_OK, err
             deb = json.loads((tmp_path / "deb.json").read_text())
             counts.append((deb["inversions"], deb["newton_iters"]))
         assert counts[0] == (1, 0)
         assert counts[1][0] == 1 and counts[1][1] > 0  # a file without delta_hat starts from the logit
+
+    def test_debias_runs_at_the_estimates_rule(self, simulated, live_estimate, tmp_path, capsys):
+        """An estimate fitted at 7 nodes is de-biased at 7 nodes with no flag
+        given, so its delta_hat is already inverted there; at the 9-node
+        default of the other subcommands the inversion takes 3 Newton passes
+        and theta_dd's last coordinate changes sign."""
+        code, err = run(capsys, "debias", "--estimate", live_estimate, "--data", simulated / "data.csv",
+                        "--out", tmp_path / "deb.json")
+        assert code == cli.EXIT_OK, err
+        deb = json.loads((tmp_path / "deb.json").read_text())
+        assert (deb["inversions"], deb["newton_iters"]) == (1, 0)
+        config = load_config(ModelConfig, live_estimate, "model")
+        data = load_dataset_csv(simulated / "data.csv", config)
+        at_seven = debias(data, load_config(Theta, live_estimate, "theta_hat"), gauss_hermite_rule(config.G, 7),
+                          DebiasPenalties.scaled(config, data.n, c_gamma=PENALTY_C_GAMMA),
+                          start=np.array(json.loads(live_estimate.read_text())["delta_hat"]))
+        assert np.array(deb["theta_dd"]).tobytes() == at_seven.theta_dd.tobytes()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["resolved_options"]["quad_nodes"] == 7
+        assert manifest["config_paths"] == {"estimate": str(live_estimate), "data": str(simulated / "data.csv")}
 
     def test_debias_refuses_a_failed_estimate(self, simulated, tmp_path, capsys):
         est = tmp_path / "est.json"
@@ -259,7 +292,7 @@ class TestPipeline:
         payload = json.loads(est.read_text())
         assert payload["converged"] is False and payload["stop"] == "failed"
         code, err = run(capsys, "debias", "--estimate", est, "--data", simulated / "data.csv",
-                        "--relax-mu", "--out", tmp_path / "deb.json", *NODES)
+                        "--relax-mu", "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_NUMERIC
         assert one_line_error(err) == (f"numerical failure: {est}: the fit did not converge "
                                        f"({payload['diagnosis']}), so it is not de-biased")
@@ -367,7 +400,7 @@ class TestPipeline:
         assert est["inversions"] > 0 and est["newton_iters"] > 0 and est["contraction_iters"] >= 0
         code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
                         "--data", simulated / "data.csv", "--penalty-c", "0.05", "--relax-mu",
-                        "--out", tmp_path / "deb.json", *NODES)
+                        "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert deb["inversions"] == 1 and deb["newton_iters"] >= 0
@@ -375,7 +408,7 @@ class TestPipeline:
     def test_debias_json_counts_lps(self, simulated, tmp_path, capsys):
         code, err = run(capsys, "debias", "--estimate", simulated / "est" / "est.json",
                         "--data", simulated / "data.csv", "--penalty-c", "0.05", "--relax-mu",
-                        "--out", tmp_path / "deb.json", *NODES)
+                        "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         # L = 3: at least the 2L gamma rows and the 2L mu rows
@@ -395,7 +428,7 @@ class TestPipeline:
         code, err = run(capsys, *estimate_args(simulated, est, lam="auto"))
         assert code == cli.EXIT_OK, err
         code, err = run(capsys, "debias", "--estimate", est, "--data", simulated / "data.csv",
-                        "--penalty-c", "0.05", "--relax-mu", "--out", deb, *NODES)
+                        "--penalty-c", "0.05", "--relax-mu", "--out", deb)
         assert code == cli.EXIT_OK, err
         names = [f.name for f in fields(RunStats)]
         for result, path in zip(results, (est, deb), strict=True):
@@ -493,7 +526,7 @@ class TestBadInput:
         del est["model"]["K"]
         path = write_json(tmp_path / "est.json", est)
         code, err = run(capsys, "debias", "--estimate", path, "--data", simulated / "data.csv",
-                        "--out", tmp_path / "deb.json", *NODES)
+                        "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_DATA
         assert "'K'" in one_line_error(err)
 
@@ -566,11 +599,11 @@ class TestBadInput:
         estimate = write_json(tmp_path / "est.json", est)
         for argv, path in (
             (["export-moments", "--data", simulated / "data.csv", "--config", simulated / "model.json",
-              "--theta", theta, "--out", tmp_path / "moments"], theta),
+              "--theta", theta, "--out", tmp_path / "moments", *NODES], theta),
             (["debias", "--estimate", estimate, "--data", simulated / "data.csv",
               "--out", tmp_path / "deb.json"], estimate),
         ):
-            code, err = run(capsys, *argv, *NODES)
+            code, err = run(capsys, *argv)
             assert code == cli.EXIT_DATA
             assert one_line_error(err) == f"data error: {path}: parameters have L=2, the model has L=3"
 
@@ -584,7 +617,7 @@ class TestBadInput:
         assert "n_markets" in one_line_error(err)
 
     @pytest.mark.parametrize("option, value", [("--alpha", "2"), ("--alpha", "0"), ("--alpha", "1e-17"),
-                                               ("--penalty-c", "-1"), ("--quad-nodes", "0")])
+                                               ("--penalty-c", "-1")])
     def test_out_of_range_debias_option_is_usage_error(self, capsys, option, value):
         code, err = run(capsys, "debias", "--estimate", "e.json", "--data", "d.csv",
                         "--out", "b.json", option, value)
@@ -640,12 +673,22 @@ class TestBadInput:
         assert code == cli.EXIT_USAGE
         assert f"unrecognized arguments: {option} 1" in one_line_error(err)
 
+    @pytest.mark.parametrize("option, value", [("--config", "model.json"), ("--quad-nodes", "7")],
+                             ids=["--config", "--quad-nodes"])
+    def test_debias_has_no_model_or_rule_option(self, capsys, option, value):
+        """debias reads both from the estimate, so neither can disagree with it."""
+        code, err = run(capsys, "debias", "--estimate", "e.json", "--data", "d.csv", "--out", "b.json",
+                        option, value)
+        assert code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {option} {value}" in one_line_error(err)
+
     @pytest.mark.parametrize("kind, payload, extra, key", BAD_INPUTS, ids=[c[-1] for c in BAD_INPUTS])
     def test_bad_input_exits_2_naming_the_key(self, simulated, tmp_path, capsys, kind, payload, extra, key):
         path = write_json(tmp_path / f"{kind}.json", payload)
         code, err = run(capsys, *BAD_INPUT_ARGV[kind](path, simulated, tmp_path / "out"), *extra)
         assert code == cli.EXIT_DATA, err
         assert key.split(":")[0] in one_line_error(err)
+        assert not (tmp_path / "out").exists()
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))

@@ -197,6 +197,8 @@ class TestElasticRelaxation:
         # invertible system reaches everything; zero map reaches nothing
         assert minimax_row_floor(np.eye(3), np.array([0.0, 1.0, 0.0])) == pytest.approx(0.0, abs=1e-10)
         assert minimax_row_floor(np.zeros((2, 3)), np.array([0.5, -2.0, 1.0])) == pytest.approx(2.0)
+        # all-zero data have no scale to divide by; the floor is 0 at x = 0
+        assert minimax_row_floor(np.zeros((2, 3)), np.zeros(3)) == 0.0
 
 
 class TestLinearAlgebraPieces:

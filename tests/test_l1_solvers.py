@@ -785,6 +785,33 @@ class TestBoundedProblems:
             L1LinfProblem(np.eye(2), np.zeros(2), lam)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("A, b", [(np.zeros(3), np.zeros(3)), (np.zeros((3, 2)), np.zeros((3, 1))),
+                                      (np.zeros((3, 2)), np.zeros(2))], ids=["A 1-D", "b 2-D", "rows differ"])
+    def test_problem_shapes_must_conform(self, A, b):
+        with pytest.raises(ValueError, match="do not conform"):
+            L1LinfProblem(A, b, 0.1)
+
+    @pytest.mark.parametrize("bad", ["A", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_problem_data_must_be_finite(self, bad, value):
+        data = {"A": np.eye(2), "b": np.zeros(2)}
+        data[bad][0] = value
+        with pytest.raises(ValueError, match="A and b must be finite"):
+            L1LinfProblem(data["A"], data["b"], 0.1)
+
+    @pytest.mark.parametrize("A, B, lam, message", [
+        (np.eye(3), np.zeros((2, 2)), 0.1, "row family shapes do not conform"),
+        (np.eye(2), np.zeros((2, 2)), [0.1, -0.1], "lam must be finite and nonnegative"),
+        (np.eye(2), np.zeros((2, 2)), np.nan, "lam must be finite and nonnegative"),
+        (np.eye(2), np.array([[0.0, np.inf], [0.0, 0.0]]), 0.1, "A and b must be finite"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), 0.1, "A and b must be finite"),
+    ], ids=["shapes", "negative lam", "nan lam", "B not finite", "A not finite"])
+    def test_row_family_inputs_are_checked(self, A, B, lam, message):
+        with pytest.raises(ValueError, match=message):
+            solve_row_family(A, B, lam)
+
+
 class TestCountLps:
     def test_counts_both_solvers_in_nested_blocks(self, rng):
         prob = L1LinfProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.2)

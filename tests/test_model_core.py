@@ -49,6 +49,10 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(n_markets=1, J=2, L=2, G=1, K=1, partition=(1, 3))
 
+    def test_more_groups_than_attributes_rejected(self):
+        with pytest.raises(ConfigurationError, match="G=3 exceeds L=2"):
+            ModelConfig(n_markets=1, J=2, L=2, G=3, K=1, partition=(1, 2))
+
     def test_group_members(self):
         c = cfg()
         members = c.group_members
@@ -67,6 +71,11 @@ class TestTheta:
     def test_unequal_blocks_rejected(self):
         with pytest.raises(ConfigurationError):
             Theta(beta=np.zeros(2), gamma=np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_stacked_vector_of_odd_length_or_not_1d_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="stacked theta must have even length"):
+            Theta.from_stacked(np.zeros(shape))
 
     def test_canonicalize_flips_negative_groups(self):
         c = cfg()
@@ -241,6 +250,24 @@ class TestSerialization:
         for name in ("X", "S", "H"):
             np.testing.assert_array_equal(getattr(ds, name), getattr(back, name))
         assert back.xi_true is None
+
+    def test_blank_lines_in_dataset_csv_are_skipped(self, rng, tmp_path):
+        c = cfg()
+        ds = random_dataset(rng, c)
+        save_dataset_csv(ds, tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        (tmp_path / "d.csv").write_text("\n".join([lines[0], "", *lines[1:3], "", "", *lines[3:], ""]) + "\n")
+        back = load_dataset_csv(tmp_path / "d.csv", c)
+        for name in ("X", "S", "H"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(back, name))
+
+    @pytest.mark.parametrize("payload", [{"theta_hat": {"beta": [0.0], "gamma": [0.0]}}, [1, 2]],
+                             ids=["no model key", "not an object"])
+    def test_a_missing_block_names_the_file_and_the_block(self, tmp_path, payload):
+        path = tmp_path / "est.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: no 'model' block")):
+            load_config(ModelConfig, path, "model")
 
     def test_dataset_csv_format(self, tmp_path):
         c = ModelConfig(n_markets=2, J=1, L=1, G=1, K=1, partition=(1,))

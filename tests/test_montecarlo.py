@@ -127,7 +127,8 @@ class TestLoadConfig:
         assert cfg.n_grid == (30, 60) and cfg.pilot_scales == (0.5, 1.0)
 
     @pytest.mark.parametrize("kw", [{"bogus": 1}, {"replications": "two"}, {"dgp": []},
-                                    {"gamma_phase_iters": 8}])
+                                    {"gamma_phase_iters": 8}, {"replications": 0}, {"lam_scale": 0},
+                                    {"lam_scale": -1.5}])
     def test_malformed_config_raises_configuration_error(self, tmp_path, kw):
         path = tmp_path / "study.json"
         path.write_text(json.dumps(self.payload(**kw)))
@@ -149,3 +150,7 @@ class TestSupportMetrics:
     @given(coords)
     def test_exact_estimate_is_perfect(self, truth):
         assert support_metrics(np.array(truth), np.array(truth)) == (1.0, 1.0)
+
+    def test_estimate_and_truth_of_different_shapes_raise(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            support_metrics(np.zeros(3), np.zeros(4))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sparseblp.quadrature import (
-    MAX_NODES_PER_DIM, MAX_TENSOR_NODES, RuleSizeError, check_rule_size, gauss_hermite_rule, monte_carlo_rule,
+    MAX_NODES_PER_DIM, MAX_TENSOR_NODES, QuadratureRule, RuleSizeError, check_rule_size, gauss_hermite_rule,
+    monte_carlo_rule,
 )
 
 
@@ -44,6 +45,28 @@ class TestGaussHermite:
             gauss_hermite_rule(G, fits + 1)
         with pytest.raises(RuleSizeError, match=f"use at most {fits} nodes per dimension"):
             check_rule_size(G, MAX_NODES_PER_DIM)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("nodes, weights", [(np.zeros((3, 1)), np.full(2, 0.5)),
+                                                (np.zeros(3), np.full(3, 1 / 3)),
+                                                (np.zeros((3, 1)), np.full((3, 1), 1 / 3))],
+                             ids=["counts differ", "nodes 1-D", "weights 2-D"])
+    def test_nodes_and_weights_must_conform(self, nodes, weights):
+        with pytest.raises(ValueError, match="do not conform"):
+            QuadratureRule(nodes=nodes, weights=weights)
+
+    def test_weights_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            QuadratureRule(nodes=np.zeros((2, 1)), weights=np.array([1.5, -0.5]))
+
+    @pytest.mark.parametrize("build", [lambda: gauss_hermite_rule(0, 3), lambda: gauss_hermite_rule(1, 0),
+                                       lambda: monte_carlo_rule(0, 5, seed=1),
+                                       lambda: monte_carlo_rule(1, -1, seed=1)],
+                             ids=["gauss-hermite G", "gauss-hermite nodes", "monte carlo G", "monte carlo draws"])
+    def test_rule_builders_need_positive_sizes(self, build):
+        with pytest.raises(ValueError, match="must be positive"):
+            build()
 
 
 class TestMonteCarlo:

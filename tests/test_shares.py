@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparseblp.dgp import DgpConfig, simulate
-from sparseblp.model_core import ModelConfig, group_index_matrix
+from sparseblp.model_core import ConfigurationError, ModelConfig, group_index_matrix
 from sparseblp.quadrature import gauss_hermite_rule, monte_carlo_rule
 from sparseblp import shares
 from sparseblp.rgmm import _uniform_group_direction
@@ -424,3 +424,16 @@ def test_inversion_evaluates_the_kernel_once_per_newton_iterate(monkeypatch):
     assert info.max_residual <= 1e-13 and info.iterations == 0 and k >= 2
     np.testing.assert_allclose(delta, exact, rtol=0, atol=1e-10)
     assert len(calls) == 1 + k, calls
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("S", [[[0.0, 0.5]], [[-0.1, 0.5]], [[0.6, 0.4]], [[0.7, 0.5]]],
+                             ids=["zero", "negative", "sum one", "sum above one"])
+    def test_shares_off_the_simplex_interior_raise(self, gh1, S):
+        with pytest.raises(ConfigurationError, match="observed shares must be interior"):
+            _invert_batch(np.array(S), np.zeros((1, 2, 1)), gh1, InversionOptions())
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-13, np.inf, np.nan])
+    def test_contraction_tol_must_lie_in_the_open_half_line(self, tol):
+        with pytest.raises(ValueError, match="contraction_tol must lie in"):
+            InversionOptions(contraction_tol=tol)

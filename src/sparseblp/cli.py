@@ -2,10 +2,13 @@
 
 Every subcommand reads JSON configs and CSV data, writes machine-readable
 results to files, and logs diagnostics to standard error only. Each output
-directory receives a manifest.json recording the resolved options (the
-config the command ran with, plus its command-line values), the tool
-version, the master seed, and each input file's path and sha256 by role, so
-a later stage can detect that an input changed between runs.
+keeps a manifest recording the resolved options (the config the command ran
+with, plus its command-line values), the tool version, the master seed, and
+each input file's path and sha256 by role, so a later stage can detect that
+an input changed between runs. A command whose output is a file (simulate,
+estimate, debias) writes it beside that file as <out>.manifest.json, so
+outputs that share a directory keep one manifest each; one whose output is
+a directory (mc, export-moments) writes manifest.json inside it.
 
 Every JSON input is read by one rule, model_core.config_from_dict: a file
 (the DGP config, the model config, the study config, the --opts solver
@@ -16,12 +19,17 @@ takes any number; a list of parameters holds finite numbers), and each
 config class checks its own ranges. Any violation exits 2 with one line
 naming the file and the key. --opts overrides RgmmOptions (pilot_scales,
 feasibility_slack and 'inversion', an InversionOptions object whose one key
-is contraction_tol); lam is set by --lambda only.
+is contraction_tol); lam is set by --lambda only, a nonnegative number. The
+studies and every benchmark workload set it to McConfig.lam_scale / sqrt(n),
+lam_scale = 1.2 by default.
 
-estimate writes its model, its quad_nodes and delta_hat, the n x J mean
-utilities it inverted at theta_hat. debias reads its model and its rule from
-those, so it corrects the moment function the estimate fitted, and starts its
-one share inversion at delta_hat, or at the logit closed form without it.
+estimate writes its model, its quad_nodes, data_sha256 (the sha256 of its
+--data file's bytes), delta_hat, the n x J mean utilities it inverted at
+theta_hat, and dead_groups, the groups whose gamma_hat is 0, which it also
+names on standard error. debias reads its model and its rule from those, so
+it corrects the moment function the estimate fitted, refuses a --data file
+whose sha256 is not data_sha256, and starts its one share inversion at
+delta_hat, or at the logit closed form without it.
 
 Exit codes: 0 success, 1 usage error (unknown option, bad --lambda or --seed),
 2 data or validation error (missing, malformed or invalid input files, a
@@ -36,6 +44,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -64,7 +73,7 @@ from .model_core import (
 from .moments import Evaluator
 from .montecarlo import StudyError, load_mc_config, run_study, write_report
 from .quadrature import QuadratureRule, RuleSizeError, gauss_hermite_rule
-from .rgmm import EstimationError, RgmmOptions, estimate, estimate_auto
+from .rgmm import EstimationError, RgmmOptions, estimate
 from .shares import InversionError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -87,8 +96,10 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write_manifest(out_dir: Path, args, inputs: dict, resolved: dict, master_seed=None) -> None:
-    """manifest.json for one command; inputs maps each role to its file (None: not given)."""
+def _write_manifest(out: Path, args, inputs: dict, resolved: dict, master_seed=None) -> None:
+    """The manifest of one command's output out: <out>.manifest.json beside a
+    file, manifest.json inside a directory. inputs maps each role to its file
+    (None: not given)."""
     paths = {role: str(path) for role, path in inputs.items() if path is not None}
     manifest = {
         "subcommand": args.subcommand,
@@ -100,8 +111,8 @@ def _write_manifest(out_dir: Path, args, inputs: dict, resolved: dict, master_se
         "finished_at": _now(),
         "input_hashes": {path: _sha256(path) for path in paths.values()},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    path = out / "manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_dataset(data_path, config: ModelConfig):
@@ -140,6 +151,14 @@ def _read_quad_nodes(path, estimate: dict) -> int:
     return nodes
 
 
+def _read_data_sha256(path, estimate: dict) -> str:
+    """The sha256 of the data file an estimate was fitted on."""
+    digest = estimate.get("data_sha256")  # None when missing
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise ConfigurationError(f"{path}: data_sha256 must be 64 lowercase hex digits, got {digest!r}")
+    return digest
+
+
 def _read_delta(path, estimate: dict, config: ModelConfig) -> np.ndarray | None:
     """The delta_hat an estimate file holds, an n x J list of finite numbers
     that starts debias's inversion, or None when it holds none."""
@@ -175,19 +194,15 @@ def _cmd_simulate(args) -> int:
     Path(args.truth).write_text(json.dumps(config_to_dict(truth), indent=2) + "\n")
     _log(f"simulated {dataset.n} markets -> {out}")
     resolved = {**config_to_dict(dgp), "quad_nodes": args.quad_nodes, "out": str(out), "truth": args.truth}
-    _write_manifest(out.parent, args, {"dgp": args.dgp}, resolved, master_seed=dgp.seed)
+    _write_manifest(out, args, {"dgp": args.dgp}, resolved, master_seed=dgp.seed)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     config = load_config(ModelConfig, args.config)
-    opts = _solver_options(args.opts, 0.0 if args.lam == "auto" else args.lam)
+    opts = _solver_options(args.opts, args.lam)
     dataset = _load_dataset(args.data, config)
-    rule = _rule(config.G, args.quad_nodes, args.config)
-    if args.lam == "auto":
-        result = estimate_auto(dataset, rule, opts=opts)
-    else:
-        result = estimate(dataset, rule, opts)
+    result = estimate(dataset, _rule(config.G, args.quad_nodes, args.config), opts)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -202,12 +217,17 @@ def _cmd_estimate(args) -> int:
         "history": [asdict(h) for h in result.history],
         "model": config_to_dict(config),
         "quad_nodes": args.quad_nodes,
+        "data_sha256": _sha256(args.data),
         "delta_hat": result.delta_hat.tolist(),
+        "dead_groups": result.dead_groups,
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     _log(f"estimate: lambda={result.lam:.6g} converged={result.converged} -> {out}")
+    if result.dead_groups:
+        _log(f"estimate: gamma_hat is 0 on groups {result.dead_groups}, so the fit shows no taste "
+             "heterogeneity there")
     resolved = {**config_to_dict(opts), "lam": args.lam, "quad_nodes": args.quad_nodes}
-    _write_manifest(out.parent, args, {"data": args.data, "config": args.config, "opts": args.opts}, resolved)
+    _write_manifest(out, args, {"data": args.data, "config": args.config, "opts": args.opts}, resolved)
     if not result.converged:
         _log(f"numerical failure: {result.diagnosis}")
         return EXIT_NUMERIC
@@ -224,10 +244,15 @@ def _cmd_debias(args) -> int:
         raise EstimationError(
             f"{args.estimate}: the fit did not converge ({estimate.get('diagnosis')}), so it is not de-biased"
         )
+    start = _read_delta(args.estimate, estimate, config)
+    if _sha256(args.data) != _read_data_sha256(args.estimate, estimate):
+        raise ConfigurationError(
+            f"{args.data} is not the data {args.estimate} was fitted on: its sha256 is not data_sha256"
+        )
     dataset = _load_dataset(args.data, config)
     penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
     result = debias(dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha,
-                    relax_mu=args.relax_mu, start=_read_delta(args.estimate, estimate, config))
+                    relax_mu=args.relax_mu, start=start)
     zero_se_rows = np.flatnonzero(result.se == 0.0).tolist()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -255,7 +280,7 @@ def _cmd_debias(args) -> int:
         _log(f"debias: rows {zero_se_rows} have se 0, so their intervals have zero width")
     resolved = {"model": config_to_dict(config), "alpha": args.alpha, "penalty_c": args.penalty_c,
                 "relax_mu": args.relax_mu, "quad_nodes": nodes}
-    _write_manifest(out.parent, args, {"estimate": args.estimate, "data": args.data}, resolved)
+    _write_manifest(out, args, {"estimate": args.estimate, "data": args.data}, resolved)
     return EXIT_OK
 
 
@@ -303,12 +328,10 @@ def _cmd_export_moments(args) -> int:
     return EXIT_OK
 
 
-def _checked(kind, ok, what: str, keep=()):
-    """An argparse type: kind(text) if ok accepts it; a text in keep passes as is."""
+def _checked(kind, ok, what: str):
+    """An argparse type: kind(text) if ok accepts it."""
 
     def parse(text: str):
-        if text in keep:
-            return text
         try:
             value = kind(text)
         except ValueError:
@@ -323,9 +346,6 @@ def _checked(kind, ok, what: str, keep=()):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a nonnegative number")
-_lambda_arg = _checked(
-    float, lambda v: 0.0 <= v < np.inf, "'auto' or a nonnegative number", keep=("auto",)
-)
 _alpha = _checked(float, alpha_is_valid, "a number in (0, 1) with 1 - alpha/2 < 1")
 
 
@@ -349,8 +369,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="regularized GMM fit; its result holds the model and rule debias uses")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", required=True, help="model config JSON")
-    p.add_argument("--lambda", dest="lam", required=True, type=_lambda_arg,
-                   help="'auto' or a nonnegative number")
+    p.add_argument("--lambda", dest="lam", required=True, type=_nonnegative,
+                   help="the moment tolerance, a nonnegative number; the studies and every benchmark "
+                        "workload use McConfig.lam_scale/sqrt(n), lam_scale = 1.2")
     p.add_argument("--opts", default=None,
                    help="JSON object of RgmmOptions overrides: pilot_scales, feasibility_slack "
                         "and inversion, an object whose one key is contraction_tol")
@@ -360,7 +381,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("debias", help="one-step correction and intervals at the estimate's model and rule")
     p.add_argument("--estimate", required=True, help="estimate result JSON, with its model and quad_nodes")
-    p.add_argument("--data", required=True, help="dataset CSV")
+    p.add_argument("--data", required=True, help="the dataset CSV the estimate was fitted on")
     p.add_argument("--alpha", type=_alpha, default=0.05, help="1 - confidence level")
     p.add_argument("--penalty-c", type=_nonnegative, default=PENALTY_C_GAMMA,
                    help=f"c in the gamma penalty c sqrt(log(max(JK, 2L)) / n), default {PENALTY_C_GAMMA}; "

@@ -216,23 +216,6 @@ def _evaluator(dataset, rule, opts, evals: Evaluator | None) -> Evaluator:
     return Evaluator(dataset, rule, opts) if evals is None else evals
 
 
-def per_market_scores(
-    dataset: Dataset,
-    theta: Theta,
-    rule: QuadratureRule,
-    opts: InversionOptions | None = None,
-    evals: Evaluator | None = None,
-) -> np.ndarray:
-    """Per-market moment contributions f_i, shape (n, J*K).
-
-    Entry (j, k) of market i sits at index j*K + k (0-based), matching the
-    stacked score layout. Here and below, evals (an Evaluator on the same
-    dataset, rule and options) supplies the evaluation; without it a fresh
-    Evaluator inverts the shares afresh.
-    """
-    return _evaluator(dataset, rule, opts, evals)(theta).F
-
-
 def score(
     dataset: Dataset,
     theta: Theta,
@@ -240,7 +223,12 @@ def score(
     opts: InversionOptions | None = None,
     evals: Evaluator | None = None,
 ) -> np.ndarray:
-    """Stacked moment vector f_hat(theta), length J*K."""
+    """Stacked moment vector f_hat(theta), length J*K.
+
+    Here and below, evals (an Evaluator on the same dataset, rule and
+    options) supplies the evaluation; without it a fresh Evaluator inverts
+    the shares afresh.
+    """
     return _evaluator(dataset, rule, opts, evals)(theta).score()
 
 

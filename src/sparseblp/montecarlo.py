@@ -127,6 +127,7 @@ class McRecord:
     covered_support: float | None = None  # mean coverage over true support
     remainder_inf: float | None = None  # asymptotic-linearity residual
     converged: bool = False
+    dead_groups: list[int] | None = None  # the fit's groups with gamma_hat = 0 (EstimationResult)
     runtime_s: float = 0.0  # the whole replication
     simulate_s: float | None = None  # each stage's wall time, None when it did not run
     estimate_s: float | None = None
@@ -202,6 +203,7 @@ def _run_one(payload: tuple[McConfig, int, int]) -> McRecord:
     rec.err_l2 = float(np.linalg.norm(diff))
     rec.support_precision, rec.support_recall = support_metrics(theta_hat.stacked(), truth.stacked())
     rec.converged = res.converged
+    rec.dead_groups = res.dead_groups
     try:
         penalties = DebiasPenalties.scaled(model, n, c_gamma=cfg.penalty_c_gamma)
         deb = _timed(

@@ -117,12 +117,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 
 import numpy as np
 
 from .model_core import Dataset, RunStats, Theta
-from .moments import Evaluator, jacobian_theta, per_market_scores, score
+from .moments import Evaluator, jacobian_theta, score
 from .quadrature import QuadratureRule
 from .shares import InversionError, InversionOptions
 from .l1_solvers import (
@@ -135,8 +134,6 @@ from .l1_solvers import (
     solve_nonneg_lp,
 )
 
-ALPHA = 0.05  # select_lambda: union-bound level ...
-C_MULT = 1.1  # ... and the multiplier on the Gaussian plug-in
 
 TRUST_RADIUS_INIT = 1.0  # l_inf trust radius at each start
 TRUST_SHRINK = 0.5  # radius factor after a rejected trial point
@@ -166,11 +163,12 @@ class EstimationError(RuntimeError):
 class RgmmOptions:
     """Settings of the sequential-linear-programming loop.
 
-    lam is the moment tolerance lambda; pick it with select_lambda or pass a
-    number. pilot_scales are the heterogeneity scales probed by the pilot;
-    each scale c spreads index variance c^2 uniformly over the group, and 0
-    means the plain-logit pilot. A point is feasible when ||f_hat||_inf <=
-    lam + feasibility_slack. The budgets MAX_OUTER_ITERS, GAMMA_PHASE_ITERS
+    lam is the moment tolerance lambda; the studies and every benchmark
+    workload use McConfig.lam_scale / sqrt(n). pilot_scales are the
+    heterogeneity scales probed by the pilot; each scale c spreads index
+    variance c^2 uniformly over the group, and 0 means the plain-logit
+    pilot. A point is feasible when ||f_hat||_inf <= lam +
+    feasibility_slack. The budgets MAX_OUTER_ITERS, GAMMA_PHASE_ITERS
     and shares.MAX_NEWTON_PASSES, the trust-region constants, CONVERGENCE_TOL,
     THETA_BOX, the acceptance test's ALLOWANCE_GAMMA, ALLOWANCE_JOINT,
     ALLOWANCE_DECAY and VIOLATION_DECREASE, and the exits' STALL_STEPS and
@@ -212,7 +210,10 @@ class EstimationResult:
     fit failed and is None on any other. outer_iters is stats.outer_iters.
     delta_hat is delta at theta_hat.gamma, the mean utilities the fit
     inverted there, read from its own Evaluator without a new inversion;
-    debias(..., start=delta_hat) starts its inversion from it.
+    debias(..., start=delta_hat) starts its inversion from it. dead_groups
+    are the 1-based labels (as in the config's partition) of the groups
+    whose gamma_hat is 0 on every coordinate, every group at a certified
+    theta = 0: the gamma Jacobian vanishes there, so the SLP cannot move them.
     """
 
     theta_hat: Theta
@@ -224,6 +225,7 @@ class EstimationResult:
     diagnosis: str | None = None
     runtime_s: float = 0.0
     delta_hat: np.ndarray | None = None  # (n, J)
+    dead_groups: list[int] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -232,33 +234,6 @@ class EstimationResult:
     @property
     def outer_iters(self) -> int:
         return self.stats.outer_iters
-
-
-def select_lambda(
-    dataset: Dataset,
-    theta_pilot: Theta,
-    rule: QuadratureRule,
-    opts: InversionOptions | None = None,
-    evals: Evaluator | None = None,
-) -> float:
-    """Gaussian plug-in moment tolerance.
-
-    lambda = C_MULT * n^{-1/2} * Phi^{-1}(1 - ALPHA/(2JK)) * max_jk sd_jk,
-    where sd_jk is the empirical standard deviation of the per-market scores
-    at the pilot. The union bound makes ||f_hat(theta_0)||_inf <= lambda hold
-    with probability about 1 - ALPHA when the pilot is consistent. Phi^{-1}
-    is statistics.NormalDist().inv_cdf (Wichura's AS241), within 6 ULP of
-    scipy's ndtri.
-    """
-    cfg = dataset.config
-    n = dataset.n
-    F = per_market_scores(dataset, theta_pilot, rule, opts, evals)
-    sd_max = float(F.std(axis=0).max())
-    z = NormalDist().inv_cdf(1.0 - ALPHA / (2.0 * cfg.J * cfg.K))
-    if sd_max <= 0.0:
-        # degenerate pilot scores; fall back to the bare rate
-        return C_MULT / np.sqrt(n)
-    return C_MULT * z * sd_max / np.sqrt(n)
 
 
 def _uniform_group_direction(cfg) -> np.ndarray:
@@ -567,12 +542,14 @@ def _estimate(
             return _Iterate.at(vec, None)
 
     def result(**fields) -> EstimationResult:
+        gamma = fields["theta_hat"].gamma
         return EstimationResult(
             lam=lam,
             history=history,
             runtime_s=time.perf_counter() - t_start,
             stats=evals.stats,
-            delta_hat=evals.delta(fields["theta_hat"].gamma),
+            delta_hat=evals.delta(gamma),
+            dead_groups=[g + 1 for g, members in enumerate(cfg.group_members) if not gamma[members].any()],
             **fields,
         )
 
@@ -801,45 +778,3 @@ def _estimate(
         diagnosis=(why or spent) if stop == "failed" else None,
     )
 
-
-def estimate_auto(
-    dataset: Dataset,
-    rule: QuadratureRule,
-    opts: RgmmOptions | None = None,
-) -> EstimationResult:
-    """Estimate with lambda chosen by select_lambda at the pilot.
-
-    The pilot itself needs a lambda; it uses the same plug-in rule evaluated
-    at theta = 0, which costs only the closed-form logit inversion. The score
-    dispersion at a rough pilot overstates the noise level (unfitted signal
-    leaks into the variance), so after the first fit the rule is re-evaluated
-    at theta_hat and, when it gives a materially smaller lambda, the fit is
-    repeated once at that lambda, warm-started from the first solution. All
-    of it shares one Evaluator, so each distinct gamma is inverted once.
-    opts.lam is ignored.
-
-    The result is the final fit's, except that runtime_s covers the whole
-    call (lambda selection and pilot probes included). The fits share the
-    Evaluator's RunStats, so the result's stats, outer_iters among them,
-    count every inversion, LP, outer iteration and step of the call;
-    history, stop and diagnosis are the final fit's alone.
-    """
-    t_start = time.perf_counter()
-    base = opts or RgmmOptions(lam=0.0)
-    cfg = dataset.config
-    evals = Evaluator(dataset, rule, base.inversion)
-
-    def lam_at(theta: Theta) -> float:
-        return select_lambda(dataset, theta, rule, evals=evals)
-
-    with count_lps(evals.stats):
-        lam0 = lam_at(Theta.zeros(cfg.L))
-        pilot = _pilot_probes(dataset, rule, replace(base, lam=lam0), evals)[0][0]
-        fit = _estimate(dataset, rule, replace(base, lam=lam_at(pilot)), None, evals)
-        lam_new = lam_at(fit.theta_hat)
-        if lam_new < 0.9 * fit.lam:
-            # a gamma that collapsed to 0 is a dead subspace for the SLP (zero
-            # Jacobian), so only warm start from points with live heterogeneity
-            warm = fit.theta_hat if np.any(fit.theta_hat.gamma != 0.0) else None
-            fit = _estimate(dataset, rule, replace(base, lam=lam_new), warm, evals)
-    return replace(fit, runtime_s=time.perf_counter() - t_start)

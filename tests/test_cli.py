@@ -66,13 +66,13 @@ def write_json(path, payload):
 
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
-    """A simulated dataset with its model.json, and an estimate of it."""
+    """A simulated dataset with its model.json, and an estimate of it at
+    lambda = 0.4, where gamma_hat is 0 on the one group."""
     root = tmp_path_factory.mktemp("cli")
     dgp = write_json(root / "dgp.json", DGP)
     assert cli.main(["simulate", "--dgp", str(dgp), "--out", str(root / "data.csv"),
                      "--truth", str(root / "truth.json"), *NODES]) == 0
-    assert cli.main(["estimate", "--data", str(root / "data.csv"), "--config", str(root / "model.json"),
-                     "--lambda", "auto", "--out", str(root / "est" / "est.json"), *NODES]) == 0
+    assert cli.main([str(a) for a in estimate_args(root, root / "est" / "est.json")]) == 0
     return root
 
 
@@ -95,7 +95,7 @@ def study(**kw):
 
 
 ESTIMATE = {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [0.7, 0.0, 0.0]}, "model": DGP["model"],
-            "quad_nodes": 7}
+            "quad_nodes": 7}  # with no data_sha256, which debias checks after the keys above
 SEVEN_GROUPS = {"n_markets": 2, "J": 2, "L": 7, "G": 7, "K": 4, "partition": [1, 2, 3, 4, 5, 6, 7]}
 NO_N_MARKETS = {k: v for k, v in DGP["model"].items() if k != "n_markets"}
 
@@ -152,6 +152,10 @@ BAD_INPUTS = [
     ("estimate", {**ESTIMATE, "quad_nodes": 7.0}, (), "quad_nodes:estimate, float"),
     ("estimate", {**ESTIMATE, "quad_nodes": 0}, (), "quad_nodes:estimate, zero"),
     ("estimate", {**ESTIMATE, "quad_nodes": 101}, (), "quad_nodes:estimate, per dimension"),
+    # debias refuses data other than the estimate's, so the estimate must name its data
+    ("estimate", ESTIMATE, (), "data_sha256:missing"),
+    ("estimate", {**ESTIMATE, "data_sha256": 7}, (), "data_sha256:int"),
+    ("estimate", {**ESTIMATE, "data_sha256": "0" * 63}, (), "data_sha256:63 digits"),
 ]
 
 # (edit of the dataset CSV's lines, text the message must hold); line 1 is
@@ -201,12 +205,12 @@ class TestPipeline:
         assert len(deb["lambda_mu"]) == 6 and min(deb["lambda_mu"]) == pytest.approx(2 * deb["lambda_gamma"])
 
     def test_pipeline_loads_no_third_party_module_but_numpy(self, tmp_path):
-        """simulate, estimate --lambda auto and debias reach every
-        normal-quantile call, so a function-local import shows too."""
+        """simulate, estimate and debias reach the normal-quantile call of
+        debias's intervals, so a function-local import shows too."""
         dgp = write_json(tmp_path / "dgp.json", DGP)
         argv = [
             ["simulate", "--dgp", str(dgp), "--out", "data.csv", "--truth", "truth.json", *NODES],
-            ["estimate", "--data", "data.csv", "--config", "model.json", "--lambda", "auto",
+            ["estimate", "--data", "data.csv", "--config", "model.json", "--lambda", "0.4",
              "--out", "est.json", *NODES],
             ["debias", "--estimate", "est.json", "--data", "data.csv", "--relax-mu", "--out", "deb.json"],
         ]
@@ -247,6 +251,49 @@ class TestPipeline:
                                        "or the plug-in system is degenerate")
         assert not (tmp_path / "deb.json").exists()
 
+    def test_estimate_names_its_dead_groups(self, simulated, live_estimate, tmp_path, capsys):
+        """gamma_hat is 0 on the one group at lambda = 0.4, and live at 0.05:
+        est.json lists the dead groups, and one stderr line names them."""
+        assert json.loads((simulated / "est" / "est.json").read_text())["dead_groups"] == [1]
+        assert json.loads(live_estimate.read_text())["dead_groups"] == []
+        named = "estimate: gamma_hat is 0 on groups [1], so the fit shows no taste heterogeneity there"
+        for lam, lines in (("0.4", [named]), ("0.05", [])):
+            code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json", lam=lam))
+            assert code == cli.EXIT_OK, err
+            assert [line for line in err.splitlines() if "gamma_hat" in line] == lines, err
+
+    def test_debias_refuses_data_the_estimate_was_not_fitted_on(self, simulated, live_estimate, tmp_path,
+                                                                  capsys):
+        """A dataset of the same shape drawn with another seed: debias once
+        took it, and inverted it from the estimate's delta_hat in 7 Newton
+        passes to another theta_dd."""
+        other = tmp_path / "other.csv"
+        code, err = run(capsys, "simulate", "--dgp", simulated / "dgp.json", "--out", other,
+                        "--truth", tmp_path / "truth.json", "--seed", "4", *NODES)
+        assert code == cli.EXIT_OK, err
+        code, err = run(capsys, "debias", "--estimate", live_estimate, "--data", other, "--out", tmp_path / "deb.json")
+        assert code == cli.EXIT_DATA
+        assert one_line_error(err) == (f"data error: {other} is not the data {live_estimate} was fitted on: "
+                                       "its sha256 is not data_sha256")
+        assert not (tmp_path / "deb.json").exists()
+
+    def test_estimate_and_debias_in_one_directory_keep_a_manifest_each(self, simulated, tmp_path, capsys):
+        est, deb = tmp_path / "est.json", tmp_path / "deb.json"
+        code, err = run(capsys, *estimate_args(simulated, est))
+        assert code == cli.EXIT_OK, err
+        code, err = run(capsys, "debias", "--estimate", est, "--data", simulated / "data.csv", "--relax-mu",
+                        "--out", deb)
+        assert code == cli.EXIT_OK, err
+        data, model = str(simulated / "data.csv"), str(simulated / "model.json")
+        for out, command, inputs in (("est.json", "estimate", {"data": data, "config": model}),
+                                     ("deb.json", "debias", {"estimate": str(est), "data": data})):
+            manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+            assert manifest["subcommand"] == command and manifest["config_paths"] == inputs
+            assert manifest["input_hashes"] == {path: cli._sha256(path) for path in inputs.values()}
+        assert json.loads(est.read_text())["data_sha256"] == cli._sha256(data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "deb.json", "deb.json.manifest.json", "est.json", "est.json.manifest.json"]
+
     def test_debias_starts_at_the_estimates_delta(self, simulated, live_estimate, tmp_path, capsys):
         """debias starts at the delta_hat the estimate wrote, and its one
         inversion takes no Newton pass."""
@@ -281,7 +328,7 @@ class TestPipeline:
                           DebiasPenalties.scaled(config, data.n, c_gamma=PENALTY_C_GAMMA),
                           start=np.array(json.loads(live_estimate.read_text())["delta_hat"]))
         assert np.array(deb["theta_dd"]).tobytes() == at_seven.theta_dd.tobytes()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "deb.json.manifest.json").read_text())
         assert manifest["resolved_options"]["quad_nodes"] == 7
         assert manifest["config_paths"] == {"estimate": str(live_estimate), "data": str(simulated / "data.csv")}
 
@@ -303,7 +350,7 @@ class TestPipeline:
                         "--truth", tmp_path / "truth.json", "--seed", "9", *NODES)
         assert code == cli.EXIT_OK, err
         assert (tmp_path / "data.csv").read_bytes() != (simulated / "data.csv").read_bytes()
-        assert json.loads((tmp_path / "manifest.json").read_text())["master_seed"] == 9
+        assert json.loads((tmp_path / "data.csv.manifest.json").read_text())["master_seed"] == 9
 
     def test_mc_seed_flag_overrides_the_study_seed(self, tmp_path, capsys):
         digests = {}
@@ -387,7 +434,7 @@ class TestPipeline:
                                                    "pilot_scales": [1.0]})
         code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
         assert code == cli.EXIT_OK, err
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
         assert manifest["config_paths"] == {"data": str(simulated / "data.csv"),
                                             "config": str(simulated / "model.json"), "opts": str(opts)}
         assert manifest["input_hashes"].keys() == set(manifest["config_paths"].values())
@@ -421,11 +468,11 @@ class TestPipeline:
 
     def test_json_counters_are_the_results_run_stats(self, simulated, tmp_path, capsys, monkeypatch):
         results = []
-        for name in ("estimate_auto", "debias"):
+        for name in ("estimate", "debias"):
             real = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, _real=real, **kw: results.append(_real(*a, **kw)) or results[-1])
         est, deb = tmp_path / "est.json", tmp_path / "deb.json"
-        code, err = run(capsys, *estimate_args(simulated, est, lam="auto"))
+        code, err = run(capsys, *estimate_args(simulated, est))
         assert code == cli.EXIT_OK, err
         code, err = run(capsys, "debias", "--estimate", est, "--data", simulated / "data.csv",
                         "--penalty-c", "0.05", "--relax-mu", "--out", deb)
@@ -515,11 +562,12 @@ class TestBadInput:
             assert code == cli.EXIT_DATA
             assert key in one_line_error(err)
 
-    @pytest.mark.parametrize("lam", ["-1", "abc", "nan", "inf"])
+    @pytest.mark.parametrize("lam", ["-1", "abc", "nan", "inf", "auto"])
     def test_bad_lambda_is_usage_error(self, simulated, tmp_path, capsys, lam):
         code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json", lam=lam))
         assert code == cli.EXIT_USAGE
         assert "--lambda" in one_line_error(err)
+        assert not (tmp_path / "est.json").exists()
 
     def test_estimate_model_block_missing_field_is_data_error(self, simulated, tmp_path, capsys):
         est = json.loads((simulated / "est" / "est.json").read_text())
@@ -694,7 +742,7 @@ class TestBadInput:
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_lambda_argument_accepts_exactly_the_finite_nonnegative_numbers(x):
     if math.isfinite(x) and x >= 0:
-        assert cli._lambda_arg(repr(x)) == x
+        assert cli._nonnegative(repr(x)) == x
     else:
         with pytest.raises(argparse.ArgumentTypeError, match="nonnegative"):
-            cli._lambda_arg(repr(x))
+            cli._nonnegative(repr(x))

@@ -11,7 +11,6 @@ from sparseblp.moments import (
     Evaluator,
     jacobian_theta,
     omega,
-    per_market_scores,
     score,
 )
 from sparseblp.quadrature import gauss_hermite_rule
@@ -78,7 +77,7 @@ class TestScore:
         c = small_cfg(n=4)
         ds = random_dataset(rng, c)
         th = random_theta(rng, c.L)
-        F = per_market_scores(ds, th, gh1)
+        F = Evaluator(ds, gh1)(th).F
         assert F.shape == (4, c.J * c.K)
         xi0 = Evaluator(ds, gh1)(th).xi[0]
         j, k = 2, 1
@@ -98,7 +97,7 @@ class TestOmega:
         c = small_cfg(n=7)
         ds = random_dataset(rng, c)
         th = random_theta(rng, c.L)
-        F = per_market_scores(ds, th, gh1)
+        F = Evaluator(ds, gh1)(th).F
         assert np.allclose(omega(ds, th, gh1), F.T @ F / 7, atol=1e-14)
 
     def test_symmetric_psd(self, rng, gh1):
@@ -208,7 +207,7 @@ class TestEvaluation:
         ds, rule, theta = self.case(rng)
         evals = Evaluator(ds, rule)
         ev = evals(theta)
-        np.testing.assert_array_equal(ev.F, per_market_scores(ds, theta, rule))
+        np.testing.assert_array_equal(ev.F, Evaluator(ds, rule)(theta).F)
         np.testing.assert_array_equal(ev.score(), score(ds, theta, rule))
         np.testing.assert_array_equal(ev.omega(), omega(ds, theta, rule))
         np.testing.assert_array_equal(evals.jacobian(theta), jacobian_theta(ds, theta, rule))

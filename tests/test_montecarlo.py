@@ -1,5 +1,6 @@
 """Replication studies: failure isolation, canonical content, config parsing."""
 
+import csv
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from sparseblp import montecarlo
 from sparseblp.dgp import DgpConfig
 from sparseblp.model_core import ConfigurationError, ModelConfig
-from sparseblp.montecarlo import McConfig, canonical_bytes, load_mc_config, run_study, support_metrics
+from sparseblp.montecarlo import (
+    McConfig,
+    canonical_bytes,
+    load_mc_config,
+    run_study,
+    support_metrics,
+    write_report,
+)
 
 MODEL = ModelConfig(n_markets=30, J=2, L=3, G=1, K=4, partition=(1, 1, 1))
 
@@ -110,6 +118,15 @@ class TestCanonicalContent:
         canonical = canonical_bytes(report)
         assert b"estimate_s" not in canonical and b"debias_s" not in canonical
         assert b"simulate_s" not in canonical
+
+    def test_a_record_carries_the_fits_dead_groups(self, tmp_path):
+        """At lambda = 1.2/sqrt(30), gamma_hat is 0 on the design's one group:
+        the record, its canonical form and its records.csv row say so."""
+        report = run_study(study(workers=1, replications=1))
+        assert report.records[0].dead_groups == [1]
+        assert json.loads(canonical_bytes(report))["records"][0]["dead_groups"] == [1]
+        with write_report(report, tmp_path)["records"].open(newline="") as fh:
+            assert [row["dead_groups"] for row in csv.DictReader(fh)] == ["[1]"]
 
 
 class TestLoadConfig:

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp import rgmm
@@ -14,18 +13,14 @@ from sparseblp import l1_solvers
 from sparseblp.l1_solvers import FEAS_TOL, L1LinfProblem, LpStatus, _FamilyState, solve_l1_linf
 from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
 from sparseblp import moments
-from sparseblp.moments import Evaluator, jacobian_theta, per_market_scores, score
+from sparseblp.moments import Evaluator, jacobian_theta, score
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import InversionError, InversionInfo, logit_delta
 from sparseblp.rgmm import (
-    ALPHA,
-    C_MULT,
     EstimationError,
     RgmmOptions,
     _step_lp,
     estimate,
-    estimate_auto,
-    select_lambda,
 )
 
 from conftest import highs_l1_linf
@@ -59,7 +54,7 @@ class TestZeroShortCircuit:
         c0 = float(np.abs(score(ds, Theta.zeros(ds.config.L), gh1)).max())
         res = estimate(ds, gh1, RgmmOptions(lam=1.01 * c0))
         assert res.converged and res.outer_iters == 0 and res.stop is None
-        assert not res.theta_hat.stacked().any()
+        assert not res.theta_hat.stacked().any() and res.dead_groups == [1]
         assert res.final_constraint <= res.lam
 
     def test_zero_not_returned_below_threshold(self, gh1):
@@ -84,33 +79,6 @@ class TestDantzigReduction:
         assert res.converged
         np.testing.assert_allclose(res.theta_hat.beta, dantzig.x, atol=1e-8)
         assert not res.theta_hat.gamma.any()  # zero Jacobian keeps gamma at 0
-
-
-class TestSelectLambda:
-    def test_plug_in_formula(self, gh1):
-        ds, _ = _noisy_data(gh1)
-        cfg = ds.config
-        theta0 = Theta.zeros(cfg.L)
-        lam = select_lambda(ds, theta0, gh1)
-        F = per_market_scores(ds, theta0, gh1)
-        z = norm.ppf(1.0 - ALPHA / (2 * cfg.J * cfg.K))
-        expected = C_MULT * z * F.std(axis=0).max() / np.sqrt(ds.n)
-        assert lam == pytest.approx(expected, rel=1e-12)
-
-    def test_degenerate_scores_fall_back_to_rate(self, gh1):
-        # identical markets make the score dispersion zero
-        ds, _ = _noisy_data(gh1, n=1)
-        cfg = ds.config
-        clones = Dataset(
-            config=ModelConfig(
-                n_markets=4, J=cfg.J, L=cfg.L, G=cfg.G, K=cfg.K, partition=cfg.partition
-            ),
-            X=np.repeat(ds.X, 4, axis=0),
-            S=np.repeat(ds.S, 4, axis=0),
-            H=np.repeat(ds.H, 4, axis=0),
-        )
-        lam = select_lambda(clones, Theta.zeros(cfg.L), gh1)
-        assert lam == pytest.approx(C_MULT / np.sqrt(4))
 
 
 class TestNoiselessRecovery:
@@ -170,12 +138,6 @@ class TestOneInversionPerGamma:
         assert res.stats.inversions == len(inversion_log)
         assert res.stats.newton_iters > 0 and res.stats.contraction_iters >= 0
 
-    def test_auto_lambda_shares_one_evaluator(self, gh1, inversion_log):
-        ds, _ = _noisy_data(gh1, n=50, seed=21)
-        res = estimate_auto(ds, gh1)
-        assert len(inversion_log) == len(set(inversion_log)) == res.stats.inversions
-
-
 class TestDeltaHat:
     """delta_hat is the fit's own delta at theta_hat.gamma, read off its
     Evaluator after the fit's last inversion."""
@@ -193,10 +155,9 @@ class TestDeltaHat:
         monkeypatch.setattr(Evaluator, "delta", recording)
         return seen
 
-    @pytest.mark.parametrize("auto", [False, True], ids=["estimate", "estimate_auto"])
-    def test_delta_hat_costs_no_inversion(self, gh1, inversion_log, lookups, auto):
+    def test_delta_hat_costs_no_inversion(self, gh1, inversion_log, lookups):
         ds, _ = _noisy_data(gh1, n=50, seed=21)
-        res = estimate_auto(ds, gh1) if auto else estimate(ds, gh1, RgmmOptions(lam=0.08))
+        res = estimate(ds, gh1, RgmmOptions(lam=0.08))
         assert lookups and lookups[-1] == len(inversion_log) == res.stats.inversions
         assert res.delta_hat.shape == ds.S.shape
         again = Evaluator(ds, gh1, start=res.delta_hat)(res.theta_hat)
@@ -211,46 +172,13 @@ class TestDeltaHat:
         np.testing.assert_array_equal(res.delta_hat, logit_delta(ds.S))
 
 
-class TestEstimateAuto:
-    def test_auto_lambda_end_to_end(self, gh1):
-        ds, _ = _noisy_data(gh1, n=50, seed=21)
-        res = estimate_auto(ds, gh1)
-        assert res.lam > 0
-        assert res.converged, res.diagnosis
-        assert res.final_constraint <= res.lam + 1e-6
-
-    def test_counts_cover_every_fit(self, gh1, monkeypatch):
-        fits, steps = [], []  # each fit's result, and the counts it added
-        names = ("outer_iters", "trust_shrinks", "soc_rescues", "eqp_steps")
-        real = rgmm._estimate
-
-        def recording(*args, **kwargs):
-            before = replace(args[4].stats)  # the shared Evaluator's record
-            res = real(*args, **kwargs)
-            fits.append(res)
-            steps.append({name: getattr(res.stats, name) - getattr(before, name) for name in names})
-            return res
-
-        monkeypatch.setattr(rgmm, "_estimate", recording)
-        ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
-        res = estimate_auto(ds, gh1)
-        assert len(fits) == 2 and all(step["outer_iters"] > 0 for step in steps)
-        assert all(fit.stats is res.stats for fit in fits)
-        for name in names:
-            assert getattr(res.stats, name) == sum(step[name] for step in steps), name
-        assert res.outer_iters == res.stats.outer_iters
-        assert res.stop == fits[-1].stop
-        assert res.runtime_s >= sum(fit.runtime_s for fit in fits)
-
-
 class TestPilotProbes:
     def test_feasible_probes_come_in_scale_order(self, gh1):
         # every probe's beta LP is feasible here, so each violation equals
         # lambda up to roundoff, which ordered them 2.0, 0.5, 1.0
         ds, _ = _noisy_data(gh1, n=100, seed=8)
         evals = rgmm.Evaluator(ds, gh1)
-        lam = select_lambda(ds, Theta.zeros(ds.config.L), gh1, None, evals)
-        probes = rgmm._pilot_probes(ds, gh1, RgmmOptions(lam=lam), evals)
+        probes = rgmm._pilot_probes(ds, gh1, RgmmOptions(lam=0.4963453288587817), evals)
         u = rgmm._uniform_group_direction(ds.config)
         assert all(feasible for _, feasible in probes)
         scales = [float(theta.gamma @ u) for theta, _ in probes]
@@ -477,18 +405,6 @@ class TestLpCounts:
         assert {name for name, *_ in calls} == {"solve_l1_linf", "solve_nonneg_lp"}
         assert res.stats.lp_solves == len(calls)
         assert res.stats.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
-
-    def test_auto_lambda_counts_every_lp_of_the_call(self, gh1, monkeypatch):
-        calls = _record_lps(monkeypatch)
-        fits = []
-        real = rgmm._estimate
-        monkeypatch.setattr(rgmm, "_estimate", lambda *a: fits.append(real(*a)) or fits[-1])
-        ds, _ = _noisy_data(gh1, n=100, seed=15)  # refits once, at a smaller lambda
-        res = estimate_auto(ds, gh1)
-        assert len(fits) == 2
-        assert res.stats.lp_solves == len(calls)
-        assert res.stats.lp_pivots == sum(sol.pivots for *_, sol in calls) > 0
-
 
 def _refuse_newton_steps(monkeypatch):
     """Refuse every Newton step before it evaluates anything: the SLP runs

@@ -11,27 +11,31 @@ outputs that share a directory keep one manifest each; one whose output is
 a directory (mc, export-moments) writes manifest.json inside it.
 
 Every JSON input is read by one rule, model_core.config_from_dict: a file
-(the DGP config, the model config, the study config, the --opts solver
-options, a parameter file, and an estimate result's model, theta_hat and
-quad_nodes) must hold exactly its config's keys, each value must have its
-field's JSON type exactly (an integer is not true or 4.0; a float field
-takes any number; a list of parameters holds finite numbers), and each
-config class checks its own ranges. Any violation exits 2 with one line
-naming the file and the key. --opts overrides RgmmOptions (pilot_scales,
-feasibility_slack and 'inversion', an InversionOptions object whose one key
-is contraction_tol); lam is set by --lambda only, a nonnegative number. The
-studies and every benchmark workload set it to McConfig.lam_scale / sqrt(n),
-lam_scale = 1.2 by default.
+(the DGP config, the model config, the study config, a parameter file, and
+an estimate result's model and theta_hat) must hold exactly its config's
+keys, each value must have its field's JSON type exactly (an integer is not
+true or 4.0; a float field takes any number; a list of parameters holds
+finite numbers), and each config class checks its own ranges. debias also
+requires an estimate result's quad_nodes, converged, delta_hat and
+data_sha256. Any violation exits 2 with one line naming the file and the key.
 
-estimate writes its model, its quad_nodes, data_sha256 (the sha256 of its
---data file's bytes), delta_hat, the n x J mean utilities it inverted at
-theta_hat, and dead_groups, the groups whose gamma_hat is 0, which it also
-names on standard error. debias reads its model and its rule from those, so
-it corrects the moment function the estimate fitted, refuses a --data file
-whose sha256 is not data_sha256, and starts its one share inversion at
-delta_hat, or at the logit closed form without it.
+Each value has one setter. estimate fits at RgmmOptions(lam) with lam from
+--lambda, a nonnegative number, and every other option at its default, so
+estimate and debias invert the shares at one tolerance. The studies and
+every benchmark workload set lam to McConfig.lam_scale / sqrt(n), lam_scale
+= 1.2 by default. The master seed is the DGP config's seed (a study's
+dgp.seed), and mc's worker count is the study's workers.
 
-Exit codes: 0 success, 1 usage error (unknown option, bad --lambda or --seed),
+estimate writes its model, its quad_nodes, data_sha256 (the sha256 of the
+loaded dataset's S, X and H as float64 bytes in C order, so every file that
+loads to the same arrays has one digest), delta_hat, the n x J mean
+utilities it inverted at theta_hat, and dead_groups, the groups whose
+gamma_hat is 0, which it also names on standard error. debias reads its
+model and its rule from those, so it corrects the moment function the
+estimate fitted, refuses a --data file that loads to another dataset, and
+starts its one share inversion at delta_hat.
+
+Exit codes: 0 success, 1 usage error (unknown option, bad --lambda),
 2 data or validation error (missing, malformed or invalid input files, a
 quadrature rule too large for the model), 3 numerical failure
 (non-convergence, infeasible LP). Every failure is reported as one line on
@@ -43,11 +47,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +63,6 @@ from .model_core import (
     ConfigurationError,
     ModelConfig,
     Theta,
-    config_from_dict,
     config_to_dict,
     load_config,
     load_dataset_csv,
@@ -86,6 +88,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _dataset_sha256(dataset) -> str:
+    """The sha256 of a dataset's S, X and H as float64 bytes in C order."""
+    arrays = (dataset.S, dataset.X, dataset.H)
+    return hashlib.sha256(b"".join(np.asarray(a, np.float64).tobytes() for a in arrays)).hexdigest()
 
 
 def _now() -> str:
@@ -141,50 +149,41 @@ def _read_theta(path, key, config: ModelConfig) -> Theta:
     return theta
 
 
+def _read_key(tp, path, estimate: dict, key: str):
+    """The value of type tp under key in an estimate file, read by
+    config_from_dict's rule; the file must hold the key."""
+    if key not in estimate:
+        raise ConfigurationError(f"{path}: {key} is missing")
+    return read_value(tp, estimate[key], f"{path}: {key}")
+
+
 def _read_quad_nodes(path, estimate: dict) -> int:
     """The nodes per dimension of the rule an estimate file was fitted on."""
-    if "quad_nodes" not in estimate:
-        raise ConfigurationError(f"{path}: quad_nodes is missing, so the estimate's rule is unknown")
-    nodes = read_value(int, estimate["quad_nodes"], f"{path}: quad_nodes")
+    nodes = _read_key(int, path, estimate, "quad_nodes")
     if nodes < 1:
         raise ConfigurationError(f"{path}: quad_nodes must be >= 1, got {nodes}")
     return nodes
 
 
 def _read_data_sha256(path, estimate: dict) -> str:
-    """The sha256 of the data file an estimate was fitted on."""
+    """The _dataset_sha256 of the dataset an estimate was fitted on."""
     digest = estimate.get("data_sha256")  # None when missing
     if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
         raise ConfigurationError(f"{path}: data_sha256 must be 64 lowercase hex digits, got {digest!r}")
     return digest
 
 
-def _read_delta(path, estimate: dict, config: ModelConfig) -> np.ndarray | None:
+def _read_delta(path, estimate: dict, config: ModelConfig) -> np.ndarray:
     """The delta_hat an estimate file holds, an n x J list of finite numbers
-    that starts debias's inversion, or None when it holds none."""
-    if "delta_hat" not in estimate:
-        return None
-    rows = read_value(tuple[np.ndarray, ...], estimate["delta_hat"], f"{path}: delta_hat")
+    that starts debias's inversion."""
+    rows = _read_key(tuple[np.ndarray, ...], path, estimate, "delta_hat")
     if [len(row) for row in rows] != [config.J] * config.n_markets:
         raise ConfigurationError(f"{path}: delta_hat must be a {config.n_markets} x {config.J} list of numbers")
     return np.array(rows)
 
 
-def _solver_options(path, lam: float) -> RgmmOptions:
-    """RgmmOptions at lam with the overrides read from the --opts JSON, if any."""
-    raw = read_json(path) if path else {}
-    try:
-        if not isinstance(raw, dict) or "lam" in raw:
-            raise ConfigurationError("solver options must be a JSON object without 'lam' (set by --lambda)")
-        return config_from_dict(RgmmOptions, {**raw, "lam": lam})
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{path}: {e}") from e
-
-
 def _cmd_simulate(args) -> int:
     dgp = load_config(DgpConfig, args.dgp)
-    if args.seed is not None:
-        dgp = replace(dgp, seed=args.seed)
     dataset, truth = simulate(dgp, _rule(dgp.model.G, args.quad_nodes, args.dgp))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -200,7 +199,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = load_config(ModelConfig, args.config)
-    opts = _solver_options(args.opts, args.lam)
+    opts = RgmmOptions(lam=args.lam)
     dataset = _load_dataset(args.data, config)
     result = estimate(dataset, _rule(config.G, args.quad_nodes, args.config), opts)
     out = Path(args.out)
@@ -217,7 +216,7 @@ def _cmd_estimate(args) -> int:
         "history": [asdict(h) for h in result.history],
         "model": config_to_dict(config),
         "quad_nodes": args.quad_nodes,
-        "data_sha256": _sha256(args.data),
+        "data_sha256": _dataset_sha256(dataset),
         "delta_hat": result.delta_hat.tolist(),
         "dead_groups": result.dead_groups,
     }
@@ -226,8 +225,8 @@ def _cmd_estimate(args) -> int:
     if result.dead_groups:
         _log(f"estimate: gamma_hat is 0 on groups {result.dead_groups}, so the fit shows no taste "
              "heterogeneity there")
-    resolved = {**config_to_dict(opts), "lam": args.lam, "quad_nodes": args.quad_nodes}
-    _write_manifest(out, args, {"data": args.data, "config": args.config, "opts": args.opts}, resolved)
+    resolved = {**config_to_dict(opts), "quad_nodes": args.quad_nodes}
+    _write_manifest(out, args, {"data": args.data, "config": args.config}, resolved)
     if not result.converged:
         _log(f"numerical failure: {result.diagnosis}")
         return EXIT_NUMERIC
@@ -240,16 +239,17 @@ def _cmd_debias(args) -> int:
     estimate = read_json(args.estimate)
     nodes = _read_quad_nodes(args.estimate, estimate)
     rule = _rule(config.G, nodes, args.estimate, "quad_nodes")
-    if estimate.get("converged") is False:  # a hand-written estimate may leave it out
+    if not _read_key(bool, args.estimate, estimate, "converged"):
         raise EstimationError(
             f"{args.estimate}: the fit did not converge ({estimate.get('diagnosis')}), so it is not de-biased"
         )
     start = _read_delta(args.estimate, estimate, config)
-    if _sha256(args.data) != _read_data_sha256(args.estimate, estimate):
-        raise ConfigurationError(
-            f"{args.data} is not the data {args.estimate} was fitted on: its sha256 is not data_sha256"
-        )
+    digest = _read_data_sha256(args.estimate, estimate)
     dataset = _load_dataset(args.data, config)
+    if _dataset_sha256(dataset) != digest:
+        raise ConfigurationError(
+            f"{args.data} is not the data {args.estimate} was fitted on: its dataset's sha256 is not data_sha256"
+        )
     penalties = DebiasPenalties.scaled(config, dataset.n, c_gamma=args.penalty_c)
     result = debias(dataset, theta_hat, rule, penalties=penalties, alpha=args.alpha,
                     relax_mu=args.relax_mu, start=start)
@@ -286,10 +286,6 @@ def _cmd_debias(args) -> int:
 
 def _cmd_mc(args) -> int:
     cfg = load_mc_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, dgp=replace(cfg.dgp, seed=args.seed))
-    if args.threads is not None:  # the flag, else SPARSE_BLP_THREADS, else the study's workers
-        cfg = replace(cfg, workers=args.threads)
     try:
         report = run_study(cfg)
     except StudyError as e:
@@ -344,7 +340,6 @@ def _checked(kind, ok, what: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a nonnegative number")
 _alpha = _checked(float, alpha_is_valid, "a number in (0, 1) with 1 - alpha/2 < 1")
 
@@ -359,11 +354,10 @@ def _build_parser() -> _Parser:
                        help="Gauss-Hermite nodes per dimension")
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset from a DGP config")
-    p.add_argument("--dgp", required=True, help="DGP config JSON")
+    p.add_argument("--dgp", required=True, help="DGP config JSON; its seed is the master seed")
     p.add_argument("--out", required=True, help="dataset CSV path (model.json written alongside)")
     p.add_argument("--truth", required=True, help="true parameter JSON path")
     quad_nodes(p)
-    p.add_argument("--seed", type=_seed, default=None, help="master seed override")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="regularized GMM fit; its result holds the model and rule debias uses")
@@ -372,9 +366,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", required=True, type=_nonnegative,
                    help="the moment tolerance, a nonnegative number; the studies and every benchmark "
                         "workload use McConfig.lam_scale/sqrt(n), lam_scale = 1.2")
-    p.add_argument("--opts", default=None,
-                   help="JSON object of RgmmOptions overrides: pilot_scales, feasibility_slack "
-                        "and inversion, an object whose one key is contraction_tol")
     p.add_argument("--out", required=True, help="result JSON path")
     quad_nodes(p)
     p.set_defaults(func=_cmd_estimate)
@@ -392,12 +383,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="debiased result JSON path")
     p.set_defaults(func=_cmd_debias)
 
-    p = sub.add_parser("mc", help="replication study (quadrature nodes come from the study config)")
+    p = sub.add_parser("mc", help="replication study; its seed, quadrature nodes and worker count "
+                                  "come from the study config")
     p.add_argument("--config", required=True, help="study config JSON")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--seed", type=_seed, default=None, help="master seed override")
-    p.add_argument("--threads", type=_positive_int, default=os.environ.get("SPARSE_BLP_THREADS"),
-                   help="worker processes (default: SPARSE_BLP_THREADS, else the study's workers)")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("export-moments", help="score, weight matrix, and Jacobian to CSV")

@@ -95,7 +95,8 @@ def study(**kw):
 
 
 ESTIMATE = {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [0.7, 0.0, 0.0]}, "model": DGP["model"],
-            "quad_nodes": 7}  # with no data_sha256, which debias checks after the keys above
+            "quad_nodes": 7, "converged": True,
+            "delta_hat": [[0.0, 0.0]] * 40}  # with no data_sha256, which debias checks after the keys above
 SEVEN_GROUPS = {"n_markets": 2, "J": 2, "L": 7, "G": 7, "K": 4, "partition": [1, 2, 3, 4, 5, 6, 7]}
 NO_N_MARKETS = {k: v for k, v in DGP["model"].items() if k != "n_markets"}
 
@@ -110,17 +111,7 @@ BAD_INPUTS = [
     ("dgp", {**DGP, "s_beta": True}, (), "s_beta:bool"),
     ("dgp", {**DGP, "model": SEVEN_GROUPS}, (), "dgp.json:rule size"),
     ("dgp", DGP, ("--quad-nodes", "101"), "--quad-nodes:per dimension"),
-    # the run budgets are module constants: a key for one is unknown, whatever its value
-    ("opts", {"max_outer_iters": "5"}, (), "max_outer_iters:str"),
-    ("opts", {"max_outer_iters": 0}, (), "max_outer_iters:zero"),
-    ("opts", {"inversion": {"max_newton_iters": -3}}, (), "max_newton_iters:negative"),
-    ("opts", 2.5, (), "opts.json:not an object"),
-    ("opts", {"gamma_phase_iters": 1.5}, (), "gamma_phase_iters:float"),
-    ("opts", {"pilot_scales": "12"}, (), "pilot_scales:str"),
-    ("opts", {"feasibility_slack": -1}, (), "feasibility_slack:negative"),
-    ("opts", {"feasibility_slack": "x"}, (), "feasibility_slack:str"),
-    ("opts", {"inversion": {"contraction_tol": "x"}}, (), "inversion.contraction_tol:str"),
-    ("opts", {"lam": 0.1}, (), "lam:set by --lambda"),
+    ("study", 2.5, (), "study.json:not an object"),
     ("study", study(replications=1.5), (), "replications:float"),
     ("study", study(workers="2"), (), "workers:str"),
     ("study", study(workers=0), (), "workers:zero"),
@@ -146,6 +137,11 @@ BAD_INPUTS = [
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0, math.nan]] * 40}, (), "delta_hat:nan"),
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0, "1"]] * 40}, (), "delta_hat:str"),
     ("estimate", {**ESTIMATE, "delta_hat": None}, (), "delta_hat:null"),
+    # debias requires every key it reads: it starts at the estimate's delta_hat
+    # and de-biases a converged fit only
+    ("estimate", {k: v for k, v in ESTIMATE.items() if k != "delta_hat"}, (), "delta_hat:missing"),
+    ("estimate", {k: v for k, v in ESTIMATE.items() if k != "converged"}, (), "converged:missing"),
+    ("estimate", {**ESTIMATE, "converged": "true"}, (), "converged:str"),
     # debias takes its rule from the estimate's quad_nodes, an integer read by the same rule
     ("estimate", {k: v for k, v in ESTIMATE.items() if k != "quad_nodes"}, (), "quad_nodes:estimate, missing"),
     ("estimate", {**ESTIMATE, "quad_nodes": True}, (), "quad_nodes:estimate, bool"),
@@ -178,7 +174,6 @@ CSV_DEFECTS = [
 BAD_INPUT_ARGV = {
     "dgp": lambda path, root, out: ["simulate", "--dgp", path, "--out", out / "d.csv",
                                     "--truth", out / "t.json"],
-    "opts": lambda path, root, out: [*estimate_args(root, out / "e.json"), "--opts", path],
     "study": lambda path, root, out: ["mc", "--config", path, "--out", out],
     "theta": lambda path, root, out: ["export-moments", "--data", root / "data.csv", "--config",
                                       root / "model.json", "--theta", path, "--out", out, *NODES],
@@ -191,6 +186,7 @@ class TestPipeline:
     def test_simulate_estimate_debias_exit_zero(self, simulated, tmp_path, capsys):
         root = simulated
         assert json.loads((root / "model.json").read_text())["n_markets"] == 40
+        assert json.loads((root / "data.csv.manifest.json").read_text())["master_seed"] == DGP["seed"]
         est = json.loads((root / "est" / "est.json").read_text())
         assert est["model"] == DGP["model"] and est["converged"]
         assert np.shape(est["delta_hat"]) == (40, 2)
@@ -268,14 +264,35 @@ class TestPipeline:
         took it, and inverted it from the estimate's delta_hat in 7 Newton
         passes to another theta_dd."""
         other = tmp_path / "other.csv"
-        code, err = run(capsys, "simulate", "--dgp", simulated / "dgp.json", "--out", other,
-                        "--truth", tmp_path / "truth.json", "--seed", "4", *NODES)
+        code, err = run(capsys, "simulate", "--dgp", write_json(tmp_path / "dgp-4.json", {**DGP, "seed": 4}),
+                        "--out", other, "--truth", tmp_path / "truth.json", *NODES)
         assert code == cli.EXIT_OK, err
         code, err = run(capsys, "debias", "--estimate", live_estimate, "--data", other, "--out", tmp_path / "deb.json")
         assert code == cli.EXIT_DATA
         assert one_line_error(err) == (f"data error: {other} is not the data {live_estimate} was fitted on: "
-                                       "its sha256 is not data_sha256")
+                                       "its dataset's sha256 is not data_sha256")
         assert not (tmp_path / "deb.json").exists()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda lines: lines,
+        lambda lines: [lines[0], *reversed(lines[1:])],
+    ], ids=["LF line endings", "rows reversed"])
+    def test_debias_takes_the_estimates_data_written_another_way(self, simulated, live_estimate, tmp_path,
+                                                                  capsys, rewrite):
+        """data_sha256 hashes the dataset the file loads to, not its bytes:
+        the CRLF file rewritten with LF endings, or its rows in another
+        order, de-biases to the same theta_dd bytes."""
+        theta_dd = []
+        lines = (simulated / "data.csv").read_text().splitlines()
+        copy = tmp_path / "copy.csv"
+        copy.write_text("\n".join(rewrite(lines)) + "\n")
+        assert copy.read_bytes() != (simulated / "data.csv").read_bytes()
+        for data in (simulated / "data.csv", copy):
+            code, err = run(capsys, "debias", "--estimate", live_estimate, "--data", data,
+                            "--out", tmp_path / "deb.json")
+            assert code == cli.EXIT_OK, err
+            theta_dd.append(np.array(json.loads((tmp_path / "deb.json").read_text())["theta_dd"]).tobytes())
+        assert theta_dd[0] == theta_dd[1]
 
     def test_estimate_and_debias_in_one_directory_keep_a_manifest_each(self, simulated, tmp_path, capsys):
         est, deb = tmp_path / "est.json", tmp_path / "deb.json"
@@ -290,27 +307,22 @@ class TestPipeline:
             manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
             assert manifest["subcommand"] == command and manifest["config_paths"] == inputs
             assert manifest["input_hashes"] == {path: cli._sha256(path) for path in inputs.values()}
-        assert json.loads(est.read_text())["data_sha256"] == cli._sha256(data)
+        assert json.loads(est.read_text())["data_sha256"] == cli._dataset_sha256(
+            load_dataset_csv(data, load_config(ModelConfig, model)))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "deb.json", "deb.json.manifest.json", "est.json", "est.json.manifest.json"]
 
     def test_debias_starts_at_the_estimates_delta(self, simulated, live_estimate, tmp_path, capsys):
         """debias starts at the delta_hat the estimate wrote, and its one
-        inversion takes no Newton pass."""
-        est = live_estimate
-        payload = json.loads(est.read_text())
+        inversion takes no Newton pass (a file without delta_hat is refused:
+        the delta_hat:missing row of BAD_INPUTS)."""
+        payload = json.loads(live_estimate.read_text())
         assert any(payload["theta_hat"]["gamma"]) and np.shape(payload["delta_hat"]) == (40, 2)
-        del payload["delta_hat"]
-        logit = write_json(tmp_path / "est-logit.json", payload)
-        counts = []
-        for path in (est, logit):
-            code, err = run(capsys, "debias", "--estimate", path, "--data", simulated / "data.csv",
-                            "--out", tmp_path / "deb.json")
-            assert code == cli.EXIT_OK, err
-            deb = json.loads((tmp_path / "deb.json").read_text())
-            counts.append((deb["inversions"], deb["newton_iters"]))
-        assert counts[0] == (1, 0)
-        assert counts[1][0] == 1 and counts[1][1] > 0  # a file without delta_hat starts from the logit
+        code, err = run(capsys, "debias", "--estimate", live_estimate, "--data", simulated / "data.csv",
+                        "--out", tmp_path / "deb.json")
+        assert code == cli.EXIT_OK, err
+        deb = json.loads((tmp_path / "deb.json").read_text())
+        assert (deb["inversions"], deb["newton_iters"]) == (1, 0)
 
     def test_debias_runs_at_the_estimates_rule(self, simulated, live_estimate, tmp_path, capsys):
         """An estimate fitted at 7 nodes is de-biased at 7 nodes with no flag
@@ -344,26 +356,6 @@ class TestPipeline:
         assert one_line_error(err) == (f"numerical failure: {est}: the fit did not converge "
                                        f"({payload['diagnosis']}), so it is not de-biased")
         assert not (tmp_path / "deb.json").exists()
-
-    def test_simulate_seed_flag_overrides_the_dgp_seed(self, simulated, tmp_path, capsys):
-        code, err = run(capsys, "simulate", "--dgp", simulated / "dgp.json", "--out", tmp_path / "data.csv",
-                        "--truth", tmp_path / "truth.json", "--seed", "9", *NODES)
-        assert code == cli.EXIT_OK, err
-        assert (tmp_path / "data.csv").read_bytes() != (simulated / "data.csv").read_bytes()
-        assert json.loads((tmp_path / "data.csv.manifest.json").read_text())["master_seed"] == 9
-
-    def test_mc_seed_flag_overrides_the_study_seed(self, tmp_path, capsys):
-        digests = {}
-        for name, seed, flag in (("file", 3, ()), ("flag", 3, ("--seed", "9")), ("file-9", 9, ())):
-            path = write_json(tmp_path / f"{name}.json", study(dgp={**DGP, "seed": seed}))
-            out = tmp_path / name
-            code, err = run(capsys, "mc", "--config", path, "--out", out, *flag)
-            assert code == cli.EXIT_OK, err
-            summary = json.loads((out / "summary.json").read_text())
-            digests[name] = summary["canonical_sha256"]
-            assert summary["config"]["dgp"]["seed"] == (9 if flag else seed)
-            assert json.loads((out / "manifest.json").read_text())["master_seed"] == (9 if flag else seed)
-        assert digests["flag"] == digests["file-9"] != digests["file"]
 
     def test_iteration_budget_exhausted_is_numerical_failure(self, simulated, tmp_path, capsys,
                                                              monkeypatch):
@@ -423,24 +415,16 @@ class TestPipeline:
         assert code == cli.EXIT_NUMERIC
         assert one_line_error(err) == "numerical failure: share inversion failed at every pilot probe"
 
-    def test_nested_inversion_options_are_built(self, simulated, tmp_path, capsys):
-        opts = write_json(tmp_path / "opts.json", {"inversion": {"contraction_tol": 1e-12},
-                                                   "pilot_scales": [1.0]})
-        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
-        assert code == cli.EXIT_OK, err
-
     def test_manifest_records_every_input_and_the_options_run_with(self, simulated, tmp_path, capsys):
-        opts = write_json(tmp_path / "opts.json", {"inversion": {"contraction_tol": 1e-12},
-                                                   "pilot_scales": [1.0]})
-        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
+        code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"))
         assert code == cli.EXIT_OK, err
         manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
         assert manifest["config_paths"] == {"data": str(simulated / "data.csv"),
-                                            "config": str(simulated / "model.json"), "opts": str(opts)}
+                                            "config": str(simulated / "model.json")}
         assert manifest["input_hashes"].keys() == set(manifest["config_paths"].values())
         resolved = manifest["resolved_options"]
         assert resolved["lam"] == 0.4 and resolved["quad_nodes"] == 7
-        assert resolved["inversion"]["contraction_tol"] == 1e-12
+        assert resolved["inversion"]["contraction_tol"] == 1e-13
 
     def test_result_json_counts_share_inversions(self, simulated, tmp_path, capsys):
         est = json.loads((simulated / "est" / "est.json").read_text())
@@ -489,18 +473,13 @@ class TestPipeline:
         assert 0 <= est["eqp_steps"] <= est["outer_iters"]
         assert est["stop"] in ("converged", "stalled", "failed", None)
 
-    @pytest.mark.parametrize("flag, env, workers", [
-        ((), None, 3), ((), "2", 2), (("--threads", "1"), "2", 1), (("--threads", "1"), None, 1),
-    ], ids=["study", "variable", "flag-over-variable", "flag"])
-    def test_thread_count_is_the_flag_then_the_variable_then_the_study(
-        self, tmp_path, capsys, monkeypatch, flag, env, workers
-    ):
+    @pytest.mark.parametrize("env", ["abc", "2"])
+    def test_the_study_sets_the_worker_count_and_the_seed(self, tmp_path, capsys, monkeypatch, env):
+        """SPARSE_BLP_THREADS is read nowhere: a study of 3 workers runs with
+        3, and its master seed is its dgp.seed."""
         from sparseblp import montecarlo
 
-        if env is None:
-            monkeypatch.delenv("SPARSE_BLP_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SPARSE_BLP_THREADS", env)
+        monkeypatch.setenv("SPARSE_BLP_THREADS", env)
         seen = []
 
         def serial_study(cfg):  # records the worker count, runs serially
@@ -510,10 +489,11 @@ class TestPipeline:
         monkeypatch.setattr(cli, "run_study", serial_study)
         path = write_json(tmp_path / "study.json", study(workers=3))
         out = tmp_path / "report"
-        code, err = run(capsys, "mc", "--config", path, "--out", out, *flag)
+        code, err = run(capsys, "mc", "--config", path, "--out", out)
         assert code == cli.EXIT_OK, err
-        assert seen == [workers]
-        assert json.loads((out / "manifest.json").read_text())["resolved_options"]["workers"] == workers
+        assert seen == [3]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_options"]["workers"] == 3 and manifest["master_seed"] == DGP["seed"]
 
     def test_integer_and_float_spellings_give_one_study_hash(self, tmp_path, capsys):
         digests = set()
@@ -547,21 +527,6 @@ class TestPipeline:
 
 
 class TestBadInput:
-    def test_unknown_solver_option_is_data_error(self, simulated, tmp_path, capsys):
-        # theta_box and the run budget max_outer_iters are module constants, not options
-        for key in ("bogus", "theta_box", "max_outer_iters"):
-            opts = write_json(tmp_path / "opts.json", {key: 1})
-            code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
-            assert code == cli.EXIT_DATA
-            assert key in one_line_error(err)
-
-    def test_unknown_nested_inversion_option_is_data_error(self, simulated, tmp_path, capsys):
-        for key in ("bogus", "share_floor_c1", "max_newton_iters"):
-            opts = write_json(tmp_path / "opts.json", {"inversion": {key: 1}})
-            code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json"), "--opts", opts)
-            assert code == cli.EXIT_DATA
-            assert key in one_line_error(err)
-
     @pytest.mark.parametrize("lam", ["-1", "abc", "nan", "inf", "auto"])
     def test_bad_lambda_is_usage_error(self, simulated, tmp_path, capsys, lam):
         code, err = run(capsys, *estimate_args(simulated, tmp_path / "est.json", lam=lam))
@@ -672,15 +637,6 @@ class TestBadInput:
         assert code == cli.EXIT_USAGE
         assert option in one_line_error(err)
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--dgp", "dgp.json", "--out", "d.csv", "--truth", "t.json"],
-        ["mc", "--config", "study.json", "--out", "report"],
-    ], ids=["simulate", "mc"])
-    def test_negative_seed_flag_is_usage_error(self, capsys, argv):
-        code, err = run(capsys, *argv, "--seed", "-1")
-        assert code == cli.EXIT_USAGE
-        assert "--seed" in one_line_error(err)
-
     def test_oversized_study_rule_names_the_file_and_the_key(self, tmp_path, capsys):
         path = write_json(tmp_path / "study.json", study(quad_nodes=2000000))
         code, err = run(capsys, "mc", "--config", path, "--out", tmp_path / "report")
@@ -704,22 +660,22 @@ class TestBadInput:
         assert "use at most 7 nodes per dimension at G = 7" in line
         assert "monte_carlo_rule" not in line
 
-    def test_bad_thread_variable_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPARSE_BLP_THREADS", "abc")
-        code, err = run(capsys, "mc", "--config", "study.json", "--out", "report")
-        assert code == cli.EXIT_USAGE
-        assert "--threads" in one_line_error(err)
-
-    @pytest.mark.parametrize("option", ["--seed", "--threads"])
+    @pytest.mark.parametrize("option", ["--seed", "--threads", "--opts"])
     @pytest.mark.parametrize("argv", [
         ["estimate", "--data", "d.csv", "--config", "m.json", "--lambda", "0.1", "--out", "e.json"],
         ["debias", "--estimate", "e.json", "--data", "d.csv", "--out", "b.json"],
         ["export-moments", "--data", "d.csv", "--config", "m.json", "--theta", "t.json", "--out", "o"],
-    ], ids=["estimate", "debias", "export-moments"])
-    def test_removed_options_are_usage_errors(self, capsys, argv, option):
+        ["simulate", "--dgp", "dgp.json", "--out", "d.csv", "--truth", "t.json"],
+        ["mc", "--config", "study.json", "--out", "report"],
+    ], ids=["estimate", "debias", "export-moments", "simulate", "mc"])
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, option):
+        """The model config, the DGP config and the study config each set
+        their values once; no subcommand takes a second setter."""
+        monkeypatch.chdir(tmp_path)
         code, err = run(capsys, *argv, option, "1")
         assert code == cli.EXIT_USAGE
         assert f"unrecognized arguments: {option} 1" in one_line_error(err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option, value", [("--config", "model.json"), ("--quad-nodes", "7")],
                              ids=["--config", "--quad-nodes"])

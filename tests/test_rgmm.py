@@ -45,6 +45,10 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             RgmmOptions(lam=0.1, pilot_scales=())
 
+    def test_negative_feasibility_slack_rejected(self):
+        with pytest.raises(ValueError, match="feasibility_slack"):
+            RgmmOptions(lam=0.1, feasibility_slack=-1.0)
+
 
 class TestZeroShortCircuit:
     def test_zero_returned_when_certifiably_optimal(self, gh1):

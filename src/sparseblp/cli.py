@@ -10,14 +10,15 @@ estimate, debias) writes it beside that file as <out>.manifest.json, so
 outputs that share a directory keep one manifest each; one whose output is
 a directory (mc, export-moments) writes manifest.json inside it.
 
-Every JSON input is read by one rule, model_core.config_from_dict: a file
-(the DGP config, the model config, the study config, a parameter file, and
-an estimate result's model and theta_hat) must hold exactly its config's
-keys, each value must have its field's JSON type exactly (an integer is not
-true or 4.0; a float field takes any number; a list of parameters holds
-finite numbers), and each config class checks its own ranges. debias also
-requires an estimate result's quad_nodes, converged, delta_hat and
-data_sha256. Any violation exits 2 with one line naming the file and the key.
+Every JSON input is read by one rule, model_core.config_from_dict: a config
+file (the DGP, model and study configs, a parameter file) must hold exactly
+its config's keys, each value must have its field's JSON type exactly (an
+integer is not true or 4.0; a float field takes any number; a list of
+parameters holds finite numbers), and each config class checks its own
+ranges. debias parses its estimate file once, a JSON object, and reads by
+the same rule model, theta_hat, quad_nodes, converged, delta_hat and
+data_sha256, a string key of 64 lowercase hex digits. Any violation, a
+missing key included, exits 2 with one line naming the file and the key.
 
 Each value has one setter. estimate fits at RgmmOptions(lam) with lam from
 --lambda, a nonnegative number, and every other option at its default, so
@@ -141,9 +142,8 @@ def _rule(G: int, nodes: int, source, key="--quad-nodes") -> QuadratureRule:
         raise RuleSizeError(f"{source}: {key} {nodes}: {e}") from e
 
 
-def _read_theta(path, key, config: ModelConfig) -> Theta:
-    """The Theta in a JSON file (its block under key, if given), sized for config."""
-    theta = load_config(Theta, path, key)
+def _sized(theta: Theta, config: ModelConfig, path) -> Theta:
+    """theta, read from the file path, if its L is config's."""
     if theta.L != config.L:
         raise ConfigurationError(f"{path}: parameters have L={theta.L}, the model has L={config.L}")
     return theta
@@ -167,8 +167,8 @@ def _read_quad_nodes(path, estimate: dict) -> int:
 
 def _read_data_sha256(path, estimate: dict) -> str:
     """The _dataset_sha256 of the dataset an estimate was fitted on."""
-    digest = estimate.get("data_sha256")  # None when missing
-    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+    digest = _read_key(str, path, estimate, "data_sha256")
+    if not re.fullmatch("[0-9a-f]{64}", digest):
         raise ConfigurationError(f"{path}: data_sha256 must be 64 lowercase hex digits, got {digest!r}")
     return digest
 
@@ -234,9 +234,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_debias(args) -> int:
-    config = load_config(ModelConfig, args.estimate, "model")
-    theta_hat = _read_theta(args.estimate, "theta_hat", config)
     estimate = read_json(args.estimate)
+    if not isinstance(estimate, dict):
+        raise ConfigurationError(f"{args.estimate}: must be a JSON object, got {type(estimate).__name__}")
+    config = _read_key(ModelConfig, args.estimate, estimate, "model")
+    theta_hat = _sized(_read_key(Theta, args.estimate, estimate, "theta_hat"), config, args.estimate)
     nodes = _read_quad_nodes(args.estimate, estimate)
     rule = _rule(config.G, nodes, args.estimate, "quad_nodes")
     if not _read_key(bool, args.estimate, estimate, "converged"):
@@ -309,7 +311,7 @@ def _write_study(report, cfg, args) -> dict[str, Path]:
 def _cmd_export_moments(args) -> int:
     config = load_config(ModelConfig, args.config)
     dataset = _load_dataset(args.data, config)
-    theta = _read_theta(args.theta, None, config)
+    theta = _sized(load_config(Theta, args.theta), config, args.theta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rule = _rule(config.G, args.quad_nodes, args.config)

@@ -288,10 +288,11 @@ def config_from_dict(cls, raw, path: str = ""):
     must have its field's JSON type exactly: an int field takes an integer
     (not true, not 4.0), a float field any number that fits a float (read as
     a float, so 1 and 1.0 give one config), a bool field true or false, a
-    tuple[X, ...] field a list of X, a nested dataclass an object, and an
-    array field (a Theta block) a list of finite numbers. Ranges are cls's
-    own __post_init__ checks. Every violation raises one ConfigurationError
-    naming the key; path is raw's dotted key within its file ('' at the top).
+    str field a string, a tuple[X, ...] field a list of X, a nested
+    dataclass an object, and an array field (a Theta block) a list of finite
+    numbers. Ranges are cls's own __post_init__ checks. Every violation
+    raises one ConfigurationError naming the key; path is raw's dotted key
+    within its file ('' at the top).
     """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path or cls.__name__} must be a JSON object, got {raw!r}")
@@ -321,6 +322,7 @@ def _is_number(v) -> bool:
 _JSON_TYPES = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
     float: ("a number", _is_number),
     np.ndarray: ("a list of finite numbers",
                  lambda v: isinstance(v, list) and all(_is_number(x) and math.isfinite(x) for x in v)),
@@ -355,18 +357,11 @@ def read_json(path):
         raise _not_utf8(path, exc) from exc
 
 
-def load_config(cls, path, key: str | None = None):
-    """config_from_dict(cls, ...) on a JSON file, or on its block under key.
-
-    Every message names the file.
-    """
+def load_config(cls, path):
+    """config_from_dict(cls, ...) on a JSON file; every message names the file."""
     raw = read_json(path)
     try:
-        if key is not None:
-            if not isinstance(raw, dict) or key not in raw:
-                raise ConfigurationError(f"no {key!r} block")
-            raw = raw[key]
-        return config_from_dict(cls, raw, key or "")
+        return config_from_dict(cls, raw)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparseblp import cli, moments, rgmm
+from sparseblp import cli, model_core, moments, rgmm
 from sparseblp.debias import PENALTY_C_GAMMA, DebiasPenalties, debias
-from sparseblp.model_core import ModelConfig, RunStats, Theta, load_config, load_dataset_csv
+from sparseblp.model_core import ModelConfig, RunStats, Theta, config_from_dict, load_config, load_dataset_csv
 from sparseblp.quadrature import gauss_hermite_rule
 from sparseblp.shares import InversionError, InversionInfo
 
@@ -132,6 +132,10 @@ BAD_INPUTS = [
     ("theta", {"beta": [0.7, math.nan, 0.0], "gamma": [0.7, 0.0, 0.0]}, (), "beta:nan"),
     ("estimate", {"theta_hat": {"beta": [0.7, 0.0, 0.0], "gamma": [math.inf, 0.0, 0.0]},
                   "model": DGP["model"]}, (), "theta_hat.gamma:inf"),
+    # debias parses the estimate once, and reads each key it needs from that object
+    ("estimate", [1, 2], (), "estimate.json:not an object"),
+    ("estimate", {k: v for k, v in ESTIMATE.items() if k != "model"}, (), "model:missing"),
+    ("estimate", {k: v for k, v in ESTIMATE.items() if k != "theta_hat"}, (), "theta_hat:missing"),
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0, 0.0]] * 39}, (), "delta_hat:39 rows"),
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0]] * 40}, (), "delta_hat:1 column"),
     ("estimate", {**ESTIMATE, "delta_hat": [[0.0, math.nan]] * 40}, (), "delta_hat:nan"),
@@ -153,6 +157,18 @@ BAD_INPUTS = [
     ("estimate", {**ESTIMATE, "data_sha256": 7}, (), "data_sha256:int"),
     ("estimate", {**ESTIMATE, "data_sha256": "0" * 63}, (), "data_sha256:63 digits"),
 ]
+# the whole message of some BAD_INPUTS rows, after "data error: <file>: ": a
+# missing key of the estimate reads one way, whichever key it is
+MESSAGES = {
+    "estimate.json:not an object": "must be a JSON object, got list",
+    "model:missing": "model is missing",
+    "theta_hat:missing": "theta_hat is missing",
+    "delta_hat:missing": "delta_hat is missing",
+    "converged:missing": "converged is missing",
+    "quad_nodes:estimate, missing": "quad_nodes is missing",
+    "data_sha256:missing": "data_sha256 is missing",
+    "data_sha256:int": "data_sha256 must be a string, got 7",
+}
 
 # (edit of the dataset CSV's lines, text the message must hold); line 1 is
 # the header, lines 2k and 2k+1 are market k's two products
@@ -334,15 +350,31 @@ class TestPipeline:
         assert code == cli.EXIT_OK, err
         deb = json.loads((tmp_path / "deb.json").read_text())
         assert (deb["inversions"], deb["newton_iters"]) == (1, 0)
-        config = load_config(ModelConfig, live_estimate, "model")
+        payload = json.loads(live_estimate.read_text())
+        config = config_from_dict(ModelConfig, payload["model"])
         data = load_dataset_csv(simulated / "data.csv", config)
-        at_seven = debias(data, load_config(Theta, live_estimate, "theta_hat"), gauss_hermite_rule(config.G, 7),
+        at_seven = debias(data, config_from_dict(Theta, payload["theta_hat"]), gauss_hermite_rule(config.G, 7),
                           DebiasPenalties.scaled(config, data.n, c_gamma=PENALTY_C_GAMMA),
-                          start=np.array(json.loads(live_estimate.read_text())["delta_hat"]))
+                          start=np.array(payload["delta_hat"]))
         assert np.array(deb["theta_dd"]).tobytes() == at_seven.theta_dd.tobytes()
         manifest = json.loads((tmp_path / "deb.json.manifest.json").read_text())
         assert manifest["resolved_options"]["quad_nodes"] == 7
         assert manifest["config_paths"] == {"estimate": str(live_estimate), "data": str(simulated / "data.csv")}
+
+    def test_debias_parses_the_estimate_once(self, simulated, live_estimate, tmp_path, capsys, monkeypatch):
+        """debias reads every key it needs from one parse of est.json, counted
+        through both modules' read_json."""
+        parsed = []
+        for module in (cli, model_core):
+            def counting(path, real=module.read_json):
+                parsed.append(Path(path))
+                return real(path)
+
+            monkeypatch.setattr(module, "read_json", counting)
+        code, err = run(capsys, "debias", "--estimate", live_estimate, "--data", simulated / "data.csv",
+                        "--out", tmp_path / "deb.json")
+        assert code == cli.EXIT_OK, err
+        assert parsed.count(live_estimate) == 1
 
     def test_debias_refuses_a_failed_estimate(self, simulated, tmp_path, capsys):
         est = tmp_path / "est.json"
@@ -691,7 +723,10 @@ class TestBadInput:
         path = write_json(tmp_path / f"{kind}.json", payload)
         code, err = run(capsys, *BAD_INPUT_ARGV[kind](path, simulated, tmp_path / "out"), *extra)
         assert code == cli.EXIT_DATA, err
-        assert key.split(":")[0] in one_line_error(err)
+        line = one_line_error(err)
+        assert key.split(":")[0] in line
+        if key in MESSAGES:
+            assert line == f"data error: {path}: {MESSAGES[key]}"
         assert not (tmp_path / "out").exists()
 
 

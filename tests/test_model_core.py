@@ -261,14 +261,6 @@ class TestSerialization:
         for name in ("X", "S", "H"):
             np.testing.assert_array_equal(getattr(ds, name), getattr(back, name))
 
-    @pytest.mark.parametrize("payload", [{"theta_hat": {"beta": [0.0], "gamma": [0.0]}}, [1, 2]],
-                             ids=["no model key", "not an object"])
-    def test_a_missing_block_names_the_file_and_the_block(self, tmp_path, payload):
-        path = tmp_path / "est.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: no 'model' block")):
-            load_config(ModelConfig, path, "model")
-
     def test_dataset_csv_format(self, tmp_path):
         c = ModelConfig(n_markets=2, J=1, L=1, G=1, K=1, partition=(1,))
         ds = Dataset(config=c, X=[[[0.5]], [[-1.0]]], S=[[0.25], [0.1]], H=[[[2.0]], [[1e-20]]])
@@ -360,13 +352,9 @@ class TestConfigReader:
             return
         assert isinstance(out, type(config))
 
-    def test_theta_block_is_a_list_of_finite_numbers(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"theta": {"beta": [1, 2.5], "gamma": [0, -1e300]}}))
-        theta = load_config(Theta, path, "theta")
+    def test_theta_block_is_a_list_of_finite_numbers(self):
+        theta = config_from_dict(Theta, {"beta": [1, 2.5], "gamma": [0, -1e300]}, "theta")
         assert theta.stacked().tolist() == [1.0, 2.5, 0.0, -1e300]
         for bad in ([1, 10**400], [1, math.inf], [1, [2]], [True, 1]):
-            path.write_text(json.dumps({"theta": {"beta": bad, "gamma": [0, 0]}}))
-            message = re.escape(f"{path}: theta.beta must be a list of finite")
-            with pytest.raises(ConfigurationError, match=message):
-                load_config(Theta, path, "theta")
+            with pytest.raises(ConfigurationError, match=re.escape("theta.beta must be a list of finite")):
+                config_from_dict(Theta, {"beta": bad, "gamma": [0, 0]}, "theta")

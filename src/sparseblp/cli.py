@@ -21,11 +21,12 @@ data_sha256, a string key of 64 lowercase hex digits. Any violation, a
 missing key included, exits 2 with one line naming the file and the key.
 
 Each value has one setter. estimate fits at RgmmOptions(lam) with lam from
---lambda, a nonnegative number, and every other option at its default, so
-estimate and debias invert the shares at one tolerance. The studies and
-every benchmark workload set lam to McConfig.lam_scale / sqrt(n), lam_scale
-= 1.2 by default. The master seed is the DGP config's seed (a study's
-dgp.seed), and mc's worker count is the study's workers.
+--lambda, a nonnegative number, and the default pilot_scales; RgmmOptions
+fixes the inversion tolerance, so estimate and debias invert the shares at
+one tolerance. The studies and every benchmark workload set lam to
+McConfig.lam_scale / sqrt(n), lam_scale = 1.2 by default. The master seed is
+the DGP config's seed (a study's dgp.seed), and mc's worker count is the
+study's workers.
 
 estimate writes its model, its quad_nodes, data_sha256 (the sha256 of the
 loaded dataset's S, X and H as float64 bytes in C order, so every file that
@@ -57,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .debias import PENALTY_C_GAMMA, DebiasError, DebiasPenalties, alpha_is_valid, debias
+from .debias import ALPHA, PENALTY_C_GAMMA, DebiasError, DebiasPenalties, alpha_is_valid, debias
 from .dgp import DgpConfig, simulate
 from .l1_solvers import LpSizeError
 from .model_core import (
@@ -75,7 +76,7 @@ from .model_core import (
 )
 from .moments import Evaluator
 from .montecarlo import StudyError, load_mc_config, run_study, write_report
-from .quadrature import QuadratureRule, RuleSizeError, gauss_hermite_rule
+from .quadrature import QUAD_NODES, QuadratureRule, RuleSizeError, gauss_hermite_rule
 from .rgmm import EstimationError, RgmmOptions, estimate
 from .shares import InversionError
 
@@ -352,8 +353,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def quad_nodes(p):
-        p.add_argument("--quad-nodes", type=_positive_int, default=9,
-                       help="Gauss-Hermite nodes per dimension")
+        p.add_argument("--quad-nodes", type=_positive_int, default=QUAD_NODES,
+                       help=f"Gauss-Hermite nodes per dimension, default {QUAD_NODES}")
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset from a DGP config")
     p.add_argument("--dgp", required=True, help="DGP config JSON; its seed is the master seed")
@@ -375,7 +376,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("debias", help="one-step correction and intervals at the estimate's model and rule")
     p.add_argument("--estimate", required=True, help="estimate result JSON, with its model and quad_nodes")
     p.add_argument("--data", required=True, help="the dataset CSV the estimate was fitted on")
-    p.add_argument("--alpha", type=_alpha, default=0.05, help="1 - confidence level")
+    p.add_argument("--alpha", type=_alpha, default=ALPHA, help=f"1 - confidence level, default {ALPHA}")
     p.add_argument("--penalty-c", type=_nonnegative, default=PENALTY_C_GAMMA,
                    help=f"c in the gamma penalty c sqrt(log(max(JK, 2L)) / n), default {PENALTY_C_GAMMA}; "
                         "the mu penalty is twice it")

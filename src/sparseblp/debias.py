@@ -57,6 +57,7 @@ RELAX_MARGIN = 1e-6
 # c_gamma of DebiasPenalties.scaled: the default of McConfig.penalty_c_gamma
 # and of the CLI's --penalty-c.
 PENALTY_C_GAMMA = 0.05
+ALPHA = 0.05  # 1 - the confidence level: the default of debias, McConfig.alpha and --alpha
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def debias(
     theta_hat: Theta,
     rule: QuadratureRule,
     penalties: DebiasPenalties,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
     relax_mu: bool = False,
     start: np.ndarray | None = None,
 ) -> DebiasResult:

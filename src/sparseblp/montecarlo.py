@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .debias import PENALTY_C_GAMMA, DebiasPenalties, alpha_is_valid, debias
+from .debias import ALPHA, PENALTY_C_GAMMA, DebiasPenalties, alpha_is_valid, debias
 from .dgp import DgpConfig, simulate
 from .model_core import (
     ConfigurationError,
@@ -38,7 +38,7 @@ from .model_core import (
     read_value,
 )
 from .moments import Evaluator, score
-from .quadrature import RuleSizeError, check_rule_size, gauss_hermite_rule
+from .quadrature import QUAD_NODES, RuleSizeError, check_rule_size, gauss_hermite_rule
 from .rgmm import RgmmOptions, estimate
 
 SUPPORT_TOL = 1e-6  # |theta_l| above this puts coordinate l in a support
@@ -79,12 +79,12 @@ class McConfig:
     dgp: DgpConfig
     replications: int
     n_grid: tuple[int, ...]
-    alpha: float = 0.05
+    alpha: float = ALPHA
     lam_scale: float = 1.2
     penalty_c_gamma: float = PENALTY_C_GAMMA
     relax_mu: bool = True
     pilot_scales: tuple[float, ...] = (1.0,)
-    quad_nodes: int = 9
+    quad_nodes: int = QUAD_NODES
     workers: int = 1
 
     def __post_init__(self):

@@ -19,6 +19,7 @@ import numpy as np
 # and is documented as tested only up to degree 100
 MAX_NODES_PER_DIM = 100
 MAX_TENSOR_NODES = 1_000_000
+QUAD_NODES = 9  # nodes per dimension: the default of McConfig.quad_nodes and --quad-nodes
 
 
 class RuleSizeError(ValueError):

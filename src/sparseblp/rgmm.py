@@ -36,7 +36,9 @@ the shares are inverted once per distinct gamma: the accepted iterate's
 inversion serves its Jacobian, and a pilot probe's inversion at gamma_c
 serves the start point's score, since the moments are linear in beta at
 fixed delta. A trial point's inversion starts from delta at the current
-iterate moved along its d delta / d gamma (see moments.Evaluator).
+iterate moved along its d delta / d gamma (see moments.Evaluator). Every
+inversion runs at RgmmOptions.inversion, the tolerance debias inverts at;
+it and RgmmOptions.feasibility_slack are fixed, like the iteration budgets.
 
 The trust radius follows each step's outcome (Conn, Gould & Toint 2000,
 ch. 6): a rejected trial point shrinks it by TRUST_SHRINK, and an accepted
@@ -117,6 +119,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -166,21 +169,22 @@ class RgmmOptions:
     lam is the moment tolerance lambda; the studies and every benchmark
     workload use McConfig.lam_scale / sqrt(n). pilot_scales are the
     heterogeneity scales probed by the pilot; each scale c spreads index
-    variance c^2 uniformly over the group, and 0 means the plain-logit
-    pilot. A point is feasible when ||f_hat||_inf <= lam +
-    feasibility_slack. The budgets MAX_OUTER_ITERS, GAMMA_PHASE_ITERS
-    and shares.MAX_NEWTON_PASSES, the trust-region constants, CONVERGENCE_TOL,
+    variance c^2 uniformly over the group, and 0 means the plain-logit pilot.
+    These two are the settable values. A point is feasible when ||f_hat||_inf
+    <= lam + feasibility_slack, and every fit inverts the shares at inversion,
+    the tolerance debias inverts at; both are class constants, fixed as are
+    the budgets MAX_OUTER_ITERS, GAMMA_PHASE_ITERS and
+    shares.MAX_NEWTON_PASSES, the trust-region constants, CONVERGENCE_TOL,
     THETA_BOX, the acceptance test's ALLOWANCE_GAMMA, ALLOWANCE_JOINT,
     ALLOWANCE_DECAY and VIOLATION_DECREASE, and the exits' STALL_STEPS and
-    SAME_BASIN_TOL are fixed. The module docstring gives the rules and the
-    reason each safeguard is kept; tests/test_slp_ablations.py checks those
-    reasons.
+    SAME_BASIN_TOL. The module docstring gives the rules and the reason each
+    safeguard is kept; tests/test_slp_ablations.py checks those reasons.
     """
 
     lam: float
     pilot_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
-    feasibility_slack: float = 1e-6
-    inversion: InversionOptions = field(default_factory=InversionOptions)
+    feasibility_slack: ClassVar[float] = 1e-6
+    inversion: ClassVar[InversionOptions] = InversionOptions()
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
@@ -188,8 +192,6 @@ class RgmmOptions:
         scales = np.asarray(self.pilot_scales, dtype=float)
         if scales.size == 0 or np.any(scales < 0) or not np.all(np.isfinite(scales)):
             raise ValueError(f"pilot_scales must be nonnegative reals, got {self.pilot_scales}")
-        if not 0 <= self.feasibility_slack < np.inf:
-            raise ValueError(f"feasibility_slack must be finite and >= 0, got {self.feasibility_slack}")
 
 
 @dataclass(frozen=True)

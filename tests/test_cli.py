@@ -456,7 +456,7 @@ class TestPipeline:
         assert manifest["input_hashes"].keys() == set(manifest["config_paths"].values())
         resolved = manifest["resolved_options"]
         assert resolved["lam"] == 0.4 and resolved["quad_nodes"] == 7
-        assert resolved["inversion"]["contraction_tol"] == 1e-13
+        assert resolved.keys() == {"lam", "pilot_scales", "quad_nodes"}  # the slack and tolerance are fixed
 
     def test_result_json_counts_share_inversions(self, simulated, tmp_path, capsys):
         est = json.loads((simulated / "est" / "est.json").read_text())

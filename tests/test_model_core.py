@@ -27,7 +27,6 @@ from sparseblp.model_core import (
 from sparseblp.dgp import DgpConfig
 from sparseblp.montecarlo import McConfig
 from sparseblp.rgmm import RgmmOptions
-from sparseblp.shares import InversionOptions
 
 from conftest import random_dataset, random_theta
 
@@ -324,10 +323,7 @@ mc_configs = st.builds(
     penalty_c_gamma=nonneg, relax_mu=st.booleans(), pilot_scales=scales,
     quad_nodes=st.integers(1, 20), workers=st.integers(1, 8),
 )
-rgmm_options = st.builds(
-    RgmmOptions, lam=nonneg, pilot_scales=scales, feasibility_slack=nonneg,
-    inversion=st.builds(InversionOptions, contraction_tol=st.floats(1e-15, 1.0)),
-)
+rgmm_options = st.builds(RgmmOptions, lam=nonneg, pilot_scales=scales)
 configs = st.one_of(model_configs(), dgp_configs(), mc_configs, rgmm_options)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sparseblp.debias import PENALTY_C_GAMMA, DebiasPenalties, debias
 from sparseblp.dgp import DgpConfig, simulate
 from sparseblp import rgmm
 from sparseblp import l1_solvers
@@ -15,7 +16,7 @@ from sparseblp.model_core import Dataset, ModelConfig, Theta, canonicalize_gamma
 from sparseblp import moments
 from sparseblp.moments import Evaluator, jacobian_theta, score
 from sparseblp.quadrature import gauss_hermite_rule
-from sparseblp.shares import InversionError, InversionInfo, logit_delta
+from sparseblp.shares import InversionError, InversionInfo, InversionOptions, logit_delta
 from sparseblp.rgmm import (
     EstimationError,
     RgmmOptions,
@@ -45,9 +46,28 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             RgmmOptions(lam=0.1, pilot_scales=())
 
-    def test_negative_feasibility_slack_rejected(self):
-        with pytest.raises(ValueError, match="feasibility_slack"):
-            RgmmOptions(lam=0.1, feasibility_slack=-1.0)
+    def test_the_slack_and_the_inversion_tolerance_are_fixed(self, gh1, monkeypatch):
+        # lam and pilot_scales are the only settable values; a fit and the
+        # correction that reads its f_hat invert at one tolerance
+        for fixed in ({"feasibility_slack": 0.0}, {"inversion": InversionOptions(1e-6)}):
+            with pytest.raises(TypeError):
+                RgmmOptions(lam=0.1, **fixed)
+        opts = RgmmOptions(lam=0.1)
+        assert opts.feasibility_slack == 1e-6 and opts.inversion == InversionOptions()
+        tols = []
+        real = moments._invert_batch
+
+        def inverting(S, nu, rule, inv_opts, *args):
+            tols.append(inv_opts.contraction_tol)
+            return real(S, nu, rule, inv_opts, *args)
+
+        monkeypatch.setattr(moments, "_invert_batch", inverting)
+        ds, _ = _noisy_data(gh1)
+        est = estimate(ds, gh1, RgmmOptions(lam=0.08))
+        n_fit = len(tols)
+        debias(ds, est.theta_hat, gh1, penalties=DebiasPenalties.scaled(ds.config, ds.n, PENALTY_C_GAMMA),
+               relax_mu=True, start=est.delta_hat)
+        assert n_fit > 0 and len(tols) == n_fit + 1 and set(tols) == {1e-13}
 
 
 class TestZeroShortCircuit:

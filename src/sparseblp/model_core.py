@@ -401,17 +401,19 @@ def load_dataset_csv(path, config: ModelConfig) -> Dataset:
     """Read a dataset CSV written by save_dataset_csv, or by hand in its format.
 
     The header must be exactly dataset_header(config). Lines may end in CRLF
-    or LF, blank lines are skipped, and rows may come in any order: they are
-    grouped by market_id and sorted by product_id. Market ids must run
-    1..n, as validate_dataset names markets by them, and every market must
-    hold products 1..J. Floats parse with float(), so a saved file loads
-    back bit for bit (any NaN loads as float("nan")). Bytes that are not
-    UTF-8, a wrong field count, an unparsable field, a market id out of
-    1..n, a missing product or a market count other than the config's raise
-    ConfigurationError naming the file.
+    or LF, blank lines are skipped and rows may come in any order: one pass
+    puts each row into its (market_id, product_id) slot of an (n, J, 1 + L + K)
+    array allocated from the config, and a seen-mask checks that each slot is
+    filled once. Market ids run 1..n, as validate_dataset names markets by
+    them. Floats parse with float(), so a saved file loads back bit for bit
+    (any NaN loads as float("nan")). Bytes that are not UTF-8, a wrong field
+    count, an unparsable field, an id out of range, a repeated row, a market
+    with no rows or one missing a product raise ConfigurationError naming the file.
     """
     expected = dataset_header(config)
-    rows_by_market: dict[int, list[tuple[int, list[float]]]] = {}
+    n, J = config.n_markets, config.J
+    data = np.empty((n, J, len(expected) - 2))  # share, attributes, instruments
+    seen = np.zeros((n, J), dtype=bool)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -427,31 +429,27 @@ def load_dataset_csv(path, config: ModelConfig) -> Dataset:
                 if len(row) != len(expected):
                     raise ConfigurationError(f"{path}:{lineno}: expected {len(expected)} fields")
                 try:
-                    market_id = int(row[0])
-                    product_id = int(row[1])
+                    i, j = int(row[0]), int(row[1])  # market and product ids
                     values = [float(v) for v in row[2:]]
                 except ValueError as exc:
                     raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-                rows_by_market.setdefault(market_id, []).append((product_id, values))
+                if not 1 <= i <= n:
+                    raise ConfigurationError(f"{path}:{lineno}: market ids must be 1..{n}; found market {i}")
+                if not 1 <= j <= J:
+                    raise ConfigurationError(f"{path}:{lineno}: product ids must be 1..{J}; found product {j}")
+                if seen[i - 1, j - 1]:
+                    raise ConfigurationError(f"{path}:{lineno}: market {i} repeats product {j}")
+                seen[i - 1, j - 1] = True
+                data[i - 1, j - 1] = values
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
-    blocks = []
-    for i, market_id in enumerate(sorted(rows_by_market), start=1):
-        if market_id != i:
-            raise ConfigurationError(
-                f"{path}: market ids must be 1..{config.n_markets}; found market {market_id}"
-            )
-        rows = sorted(rows_by_market[market_id])
-        if [pid for pid, _ in rows] != list(range(1, config.J + 1)):
-            raise ConfigurationError(
-                f"{path}: market {market_id} does not contain products 1..{config.J}"
-            )
-        blocks.append([vals for _, vals in rows])
-    if len(blocks) != config.n_markets:
-        raise ConfigurationError(
-            f"{path}: {len(blocks)} markets found, config declares {config.n_markets}"
-        )
-    data = np.array(blocks)  # (n, J, 1 + L + K): share, attributes, instruments
+    found = seen.any(axis=1)
+    if not found.all():
+        raise ConfigurationError(f"{path}: {found.sum()} markets found, config declares {n}; "
+                                 f"market {found.argmin() + 1} has no rows")
+    if not seen.all():
+        short = seen.all(axis=1).argmin() + 1
+        raise ConfigurationError(f"{path}: market {short} does not contain products 1..{J}")
     return Dataset(
         config=config,
         X=data[:, :, 1 : 1 + config.L],

@@ -20,6 +20,7 @@ to NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,23 +30,20 @@ from .quadrature import QuadratureRule
 _LOG_FLOOR = 1e-300  # keeps log() finite if a share underflows to 0
 _MAX_HALVINGS = 8  # damped Newton: step halvings before the contraction fallback
 MAX_NEWTON_PASSES = 60  # damped Newton passes, contraction fallbacks included
+CONTRACTION_TOL = 1e-13  # every inversion stops at this sup-norm residual
 
 
 @dataclass(frozen=True)
 class InversionOptions:
     """Stopping rule for the share inversion.
 
-    contraction_tol is applied to the sup norm of log S - log s(delta) in
-    every market; it stays tight because loose inner tolerances bias BLP
-    estimates (Dube, Fox & Su 2012). The damped Newton passes are bounded by
-    the module constant MAX_NEWTON_PASSES.
+    contraction_tol, the module constant CONTRACTION_TOL, applies to the sup
+    norm of log S - log s(delta) in every market; it stays tight because loose
+    inner tolerances bias BLP estimates (Dube, Fox & Su 2012). The damped
+    Newton passes are bounded by MAX_NEWTON_PASSES. Neither is settable.
     """
 
-    contraction_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not 0 < self.contraction_tol < np.inf:
-            raise ValueError(f"contraction_tol must lie in (0, inf), got {self.contraction_tol}")
+    contraction_tol: ClassVar[float] = CONTRACTION_TOL
 
 
 @dataclass

@@ -183,6 +183,12 @@ CSV_DEFECTS = [
     # market 40 numbered 42: validate_dataset would name it by its position
     (lambda lines: [*lines[:-2], *("42" + line[line.index(","):] for line in lines[-2:])],
      "market ids must be 1..40; found market 42"),
+    # line 7 repeats line 6, market 3's product 1
+    (lambda lines: [*lines[:6], lines[5], *lines[6:]], "data.csv:7: market 3 repeats product 1"),
+    (lambda lines: [*lines[:6], "3,3" + lines[6][len("3,2"):], *lines[7:]],
+     "data.csv:7: product ids must be 1..2; found product 3"),
+    # market 3's two lines gone: a middle market is named by its id
+    (lambda lines: [*lines[:5], *lines[7:]], "39 markets found, config declares 40; market 3 has no rows"),
 ]
 
 # the command that reads each kind of input file; the G = 7 case must keep the

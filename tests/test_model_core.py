@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ class TestSerialization:
         back = load_dataset_csv(tmp_path / "d.csv", c)
         for name in ("X", "S", "H"):
             assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+    def test_dataset_csv_loads_within_three_times_its_arrays(self, rng, tmp_path):
+        # the wide-attribute-lp design: each row goes straight into its slot
+        # of one preallocated array, so no per-market lists of Python floats
+        # are held while the file is read
+        c = ModelConfig(n_markets=100, J=4, L=40, G=1, K=10, partition=(1,) * 40)
+        save_dataset_csv(random_dataset(rng, c), tmp_path / "d.csv")
+        tracemalloc.start()
+        try:
+            back = load_dataset_csv(tmp_path / "d.csv", c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (back.S.nbytes + back.X.nbytes + back.H.nbytes)
 
 
 # valid configs of every class read from JSON; float fields also take ints

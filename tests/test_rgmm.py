@@ -49,9 +49,11 @@ class TestOptionsValidation:
     def test_the_slack_and_the_inversion_tolerance_are_fixed(self, gh1, monkeypatch):
         # lam and pilot_scales are the only settable values; a fit and the
         # correction that reads its f_hat invert at one tolerance
-        for fixed in ({"feasibility_slack": 0.0}, {"inversion": InversionOptions(1e-6)}):
+        for fixed in ({"feasibility_slack": 0.0}, {"inversion": InversionOptions()}):
             with pytest.raises(TypeError):
                 RgmmOptions(lam=0.1, **fixed)
+        with pytest.raises(TypeError):
+            InversionOptions(1e-6)
         opts = RgmmOptions(lam=0.1)
         assert opts.feasibility_slack == 1e-6 and opts.inversion == InversionOptions()
         tols = []

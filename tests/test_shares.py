@@ -176,7 +176,7 @@ class TestInvertShares:
         X = random_dataset(rng, c).X[0]
         gamma = random_theta(rng, 2).gamma
         S = mixed(X, gamma, rng.standard_normal(4), gh1, c)
-        delta = invert(S, X, gamma, gh1, c, InversionOptions(contraction_tol=1e-13))
+        delta = invert(S, X, gamma, gh1, c, InversionOptions())
         s_back = mixed(X, gamma, delta, gh1, c)
         assert np.abs(np.log(S) - np.log(s_back)).max() <= 1e-12
 
@@ -196,7 +196,7 @@ class TestInvertShares:
         gamma = random_theta(rng, 2).gamma
         S = mixed(X, gamma, rng.standard_normal(3), gh1, c)
         with pytest.raises(InversionError, match="residual") as exc:
-            invert(S, X, gamma, gh1, c, InversionOptions(contraction_tol=1e-13))
+            invert(S, X, gamma, gh1, c, InversionOptions())
         assert exc.value.info.max_residual > 1e-13 and exc.value.info.newton_iterations == 0
 
 
@@ -432,8 +432,3 @@ class TestInputChecks:
     def test_shares_off_the_simplex_interior_raise(self, gh1, S):
         with pytest.raises(ConfigurationError, match="observed shares must be interior"):
             _invert_batch(np.array(S), np.zeros((1, 2, 1)), gh1, InversionOptions())
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-13, np.inf, np.nan])
-    def test_contraction_tol_must_lie_in_the_open_half_line(self, tol):
-        with pytest.raises(ValueError, match="contraction_tol must lie in"):
-            InversionOptions(contraction_tol=tol)
